@@ -1,6 +1,7 @@
 //! The optimizer pipeline: predicate pushdown → view matching (with dynamic
 //! plans) → ChoosePlan pull-up → location assignment → physical build.
 
+pub mod access;
 pub mod cardinality;
 pub mod cost;
 pub mod join_order;
