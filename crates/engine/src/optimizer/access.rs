@@ -28,8 +28,6 @@ pub(super) struct InljInner {
     pub(super) out_schema: Schema,
     /// Expected matching rows per seek.
     avg_matches: f64,
-    /// Secondary-index seeks pay an extra base-table lookup per match.
-    secondary: bool,
 }
 
 /// Does `side` qualify as the lookup side of an index nested-loop join on
@@ -86,37 +84,28 @@ fn inlj_inner(side: &LogicalPlan, key_name: &str, db: &Database) -> Option<InljI
             }
         })
         .unwrap_or(10.0);
-    if table.primary_key() == [col_idx] {
-        return Some(InljInner {
-            object: object.clone(),
-            index: None,
-            exprs,
-            row_schema: get_schema.clone(),
-            out_schema,
-            avg_matches,
-            secondary: false,
-        });
-    }
-    for ix in db.indexes_of(object) {
-        if ix.columns() == [col_idx] {
-            return Some(InljInner {
-                object: object.clone(),
-                index: Some(ix.name().to_string()),
-                exprs,
-                row_schema: get_schema.clone(),
-                out_schema,
-                avg_matches,
-                secondary: true,
-            });
-        }
-    }
-    None
+    // The clustering key itself, else a secondary index on exactly the key.
+    let index = if table.primary_key() == [col_idx] {
+        None
+    } else {
+        let ix = db.indexes_of(object).find(|ix| ix.columns() == [col_idx])?;
+        Some(ix.name().to_string())
+    };
+    Some(InljInner {
+        object: object.clone(),
+        index,
+        exprs,
+        row_schema: get_schema.clone(),
+        out_schema,
+        avg_matches,
+    })
 }
 
 /// Per-operator cost of an index nested-loop join.
 pub(super) fn inlj_op_cost(cm: &CostModel, outer_rows: f64, inner: &InljInner, out_rows: f64) -> f64 {
-    let per_seek = cm.seek_cost
-        + cm.cpu_per_row * inner.avg_matches * if inner.secondary { 2.0 } else { 1.0 };
+    // Secondary-index seeks pay an extra base-table lookup per match.
+    let lookups = if inner.index.is_some() { 2.0 } else { 1.0 };
+    let per_seek = cm.seek_cost + cm.cpu_per_row * inner.avg_matches * lookups;
     outer_rows.max(0.0) * per_seek + cm.cpu_per_row * out_rows.max(0.0)
 }
 
@@ -282,7 +271,6 @@ impl Access {
 pub fn best_access(
     db: &Database,
     object: &str,
-    schema: &Schema,
     predicate: &Expr,
     cm: &CostModel,
     input_for_stats: &LogicalPlan,
@@ -347,7 +335,6 @@ pub fn best_access(
         }
     }
 
-    let _ = schema;
     best
 }
 

@@ -15,8 +15,21 @@ const DEFAULT_EQ: f64 = 0.1;
 const DEFAULT_RANGE: f64 = 0.3;
 const DEFAULT_LIKE: f64 = 0.1;
 
-/// Estimates the number of output rows of a logical plan node.
+/// Estimates the number of output rows of a logical plan node: the fold of
+/// [`node_rows`] over the plan.
 pub fn estimate_rows(plan: &LogicalPlan, db: &Database) -> f64 {
+    let child_rows: Vec<f64> = plan
+        .children()
+        .into_iter()
+        .map(|c| estimate_rows(c, db))
+        .collect();
+    node_rows(plan, &child_rows, db)
+}
+
+/// Output rows of one node given its children's output rows (`child_rows`
+/// parallel to [`LogicalPlan::children`]) — the per-node formula, so a pass
+/// that already holds the children's estimates does not recurse again.
+pub fn node_rows(plan: &LogicalPlan, child_rows: &[f64], db: &Database) -> f64 {
     match plan {
         LogicalPlan::Get { object, .. } => {
             if object.is_empty() {
@@ -28,15 +41,13 @@ pub fn estimate_rows(plan: &LogicalPlan, db: &Database) -> f64 {
                 .unwrap_or(1000.0)
         }
         LogicalPlan::Filter { input, predicate } => {
-            let rows = estimate_rows(input, db);
-            rows * selectivity(predicate, input, db)
+            child_rows[0] * selectivity(predicate, input, db)
         }
-        LogicalPlan::Project { input, .. } => estimate_rows(input, db),
+        LogicalPlan::Project { .. } | LogicalPlan::Sort { .. } => child_rows[0],
         LogicalPlan::Join {
             left, right, on, ..
         } => {
-            let l = estimate_rows(left, db);
-            let r = estimate_rows(right, db);
+            let (l, r) = (child_rows[0], child_rows[1]);
             match on {
                 None => l * r,
                 Some(pred) => {
@@ -48,7 +59,6 @@ pub fn estimate_rows(plan: &LogicalPlan, db: &Database) -> f64 {
         LogicalPlan::Aggregate {
             input, group_by, ..
         } => {
-            let rows = estimate_rows(input, db);
             if group_by.is_empty() {
                 1.0
             } else {
@@ -56,19 +66,14 @@ pub fn estimate_rows(plan: &LogicalPlan, db: &Database) -> f64 {
                 for g in group_by {
                     groups *= distinct_of(g, input, db).unwrap_or(10.0);
                 }
-                groups.min(rows).max(1.0)
+                groups.min(child_rows[0]).max(1.0)
             }
         }
-        LogicalPlan::Sort { input, .. } => estimate_rows(input, db),
-        LogicalPlan::Top { input, n } => estimate_rows(input, db).min(*n as f64),
-        LogicalPlan::Distinct { input } => (estimate_rows(input, db) * 0.9).max(1.0),
-        LogicalPlan::UnionAll {
-            inputs, weights, ..
-        } => inputs
-            .iter()
-            .zip(weights)
-            .map(|(p, w)| estimate_rows(p, db) * w)
-            .sum(),
+        LogicalPlan::Top { n, .. } => child_rows[0].min(*n as f64),
+        LogicalPlan::Distinct { .. } => (child_rows[0] * 0.9).max(1.0),
+        LogicalPlan::UnionAll { weights, .. } => {
+            child_rows.iter().zip(weights).map(|(r, w)| r * w).sum()
+        }
     }
 }
 

@@ -1,7 +1,8 @@
-//! Multi-site DataLocation assignment and physical plan construction.
+//! Multi-site DataLocation assignment: one placement pass, one backtrack.
 //!
-//! For every logical node we compute a **per-site cost vector** over
-//! `site ∈ {this node, each cache peer with relevant cached views, backend}`:
+//! [`place`] visits every logical node once, bottom-up, and returns a
+//! [`Placed`] tree: per node a **per-site cost vector** over
+//! `site ∈ {this node, each cache peer with relevant cached views, backend}`
 //!
 //! * `local`  — cheapest way to *deliver the result on this server*, either
 //!   by executing the operator locally over local children, or by executing
@@ -18,23 +19,32 @@
 //!   may be pulled from the backend over p's own backend link — the
 //!   transparent recursion the paper's mid-tier caching implies.
 //!
+//! — plus the decisions that produced it: the native-local strategy the
+//! pass priced (access path, join algorithm, extreme seek) and, where
+//! shipping the whole subtree beats it, the winning site.
+//!
 //! Data only ever flows *toward* this node: textual SQL cannot reference
 //! another node's cache-only objects, so there is no Local→Remote or
 //! Peer→Peer enforcer. The feasible links are `backend→here`, `peer→here`
 //! and `backend→peer`, each with its own [`LinkCost`].
 //!
-//! The root demands `local`; wherever the minimum flips from native-local
-//! to elsewhere-plus-transfer, the built physical plan gets a
-//! [`PhysicalPlan::Remote`] boundary holding the shipped SQL text and the
-//! backtracked [`RemoteSite`] that won the placement.
+//! The root demands `local`. [`Placed::build`] then reads the physical plan
+//! out of the annotation: wherever the pass recorded a winning ship site the
+//! plan gets a [`PhysicalPlan::Remote`] boundary holding the shipped SQL
+//! text and that [`RemoteSite`]; everywhere else the recorded strategy over
+//! the built children. It takes no catalog, cost model or environment, so
+//! it cannot re-derive a decision — the pass is the only place one is made.
 
-use mtc_sql::Expr;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use mtc_sql::{BinOp, Expr, JoinKind};
 use mtc_storage::Database;
 use mtc_types::{Error, Result, Schema};
 
 use crate::logical::{DataLocation, LogicalPlan};
 use crate::optimizer::access::{extreme_seek_pattern, inlj_op_cost, inlj_options, InljInner};
-use crate::optimizer::cardinality::{estimate_rows, estimate_width};
+use crate::optimizer::cardinality::{estimate_rows, estimate_width, node_rows};
 use crate::optimizer::cost::{CostModel, LinkCost};
 use crate::optimizer::view_match::{self, MatchOptions};
 use crate::physical::{PhysicalPlan, RemoteSite};
@@ -64,19 +74,37 @@ pub struct PlacementEnv<'a> {
     /// Link cost of shipping a result from the backend to us (and, fleet
     /// links being symmetric, from the backend to any peer).
     pub backend_link: LinkCost,
-    /// Memoized `(peer, leaf, guards)` view-match outcomes. One planning
-    /// pass costs every candidate and then rebuilds the winner, touching
-    /// each shadow leaf many times; the underlying match is pure for the
-    /// life of the env (peer snapshots are pinned), so caching it keeps
-    /// multi-site planning within the two-site time budget.
-    memo: std::cell::RefCell<std::collections::HashMap<String, Option<(f64, String)>>>,
-    /// Memoized *guarded* peer-match probes for placement ChoosePlan
-    /// synthesis — same purity argument as `memo`.
-    guard_memo: std::cell::RefCell<std::collections::HashMap<String, Option<(Expr, f64)>>>,
-    /// Memoized per-leaf peer cost vectors (parallel to `peers`): the DP
-    /// touches leaves once per candidate per pass, so folding all peers
-    /// under one key amortizes the key construction itself.
-    vec_memo: std::cell::RefCell<std::collections::HashMap<String, Vec<f64>>>,
+    /// Memoized shadow-leaf probes. One `optimize` places several candidate
+    /// plans (reordered, pulled-up, placement ChoosePlans) that share their
+    /// leaves; a probe is pure for the life of the env (peer snapshots are
+    /// pinned), so each distinct leaf is matched against the peers' views
+    /// once. A handful of entries per statement: a linear scan, no key to
+    /// build.
+    probes: RefCell<Vec<Rc<LeafProbe>>>,
+}
+
+/// Every view of every peer that can answer one shadow leaf (a bare `Get`
+/// or the fused `Filter(Get)`), with the arguments it was probed for.
+struct LeafProbe {
+    /// `peers` is a pub Vec callers may grow between planning passes, so a
+    /// probe is only valid for the exact peer list it was run against.
+    peer_names: Vec<String>,
+    object: String,
+    alias: String,
+    conjuncts: Vec<Expr>,
+    required: Vec<String>,
+    /// Parallel to `peer_names`, in `match_views` order.
+    views: Vec<Vec<PeerView>>,
+}
+
+/// One peer view matching a shadow leaf.
+struct PeerView {
+    name: String,
+    /// The parameter guard the match holds under and its estimated
+    /// probability; `None` = unconditional.
+    guard: Option<(Expr, f64)>,
+    /// Native cost of answering the leaf from the view at the peer.
+    cost: f64,
 }
 
 impl PlacementEnv<'_> {
@@ -86,102 +114,9 @@ impl PlacementEnv<'_> {
         PlacementEnv {
             peers: Vec::new(),
             backend_link: cm.backend_link(),
-            memo: std::cell::RefCell::new(std::collections::HashMap::new()),
-            guard_memo: std::cell::RefCell::new(std::collections::HashMap::new()),
-            vec_memo: std::cell::RefCell::new(std::collections::HashMap::new()),
+            probes: Default::default(),
         }
     }
-}
-
-/// Cheapest native evaluation of a shadow leaf on every peer at once —
-/// [`leaf_peer_match`] folded across `env.peers` (`INF` where no view
-/// covers the leaf), memoized as one vector.
-fn peer_leaf_costs(
-    object: &str,
-    alias: &str,
-    get_schema: &Schema,
-    conjuncts: &[Expr],
-    required: &[String],
-    env: &PlacementEnv,
-    cm: &CostModel,
-    guards: &[Expr],
-) -> Vec<f64> {
-    if env.peers.is_empty() {
-        return Vec::new();
-    }
-    // `peers` is a pub Vec callers may grow between planning passes, so the
-    // cached vector is only valid for the exact peer list it was built for.
-    let key = format!(
-        "{}\u{1}{object}\u{1}{alias}\u{1}{}\u{1}{}\u{1}{}",
-        env.peers
-            .iter()
-            .map(|p| p.name.as_str())
-            .collect::<Vec<_>>()
-            .join("\u{2}"),
-        conjuncts
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join("\u{2}"),
-        required.join("\u{2}"),
-        guards
-            .iter()
-            .map(|g| g.to_string())
-            .collect::<Vec<_>>()
-            .join("\u{2}"),
-    );
-    if let Some(hit) = env.vec_memo.borrow().get(&key) {
-        return hit.clone();
-    }
-    let costs: Vec<f64> = env
-        .peers
-        .iter()
-        .map(|p| {
-            leaf_peer_match(object, alias, get_schema, conjuncts, required, p, env, cm, guards)
-                .map(|(c, _)| c)
-                .unwrap_or(INF)
-        })
-        .collect();
-    env.vec_memo.borrow_mut().insert(key, costs.clone());
-    costs
-}
-
-/// The first *guarded* match of `site`'s cached views against a shadow
-/// leaf — the probe placement ChoosePlan synthesis runs per (leaf, peer).
-/// Memoized on the env for the same reason as [`leaf_peer_match`].
-pub(crate) fn guarded_peer_match(
-    object: &str,
-    alias: &str,
-    get_schema: &Schema,
-    conjuncts: &[Expr],
-    required: &[String],
-    site: &PeerSite,
-    env: &PlacementEnv,
-) -> Option<(Expr, f64)> {
-    let key = format!(
-        "{}\u{1}{object}\u{1}{alias}\u{1}{}\u{1}{}",
-        site.name,
-        conjuncts
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join("\u{2}"),
-        required.join("\u{2}"),
-    );
-    if let Some(hit) = env.guard_memo.borrow().get(&key) {
-        return hit.clone();
-    }
-    let opts = MatchOptions {
-        enable_dynamic_plans: true,
-        allow_mixed_results: false,
-    };
-    let found = view_match::match_views(
-        site.db, object, alias, get_schema, conjuncts, required, opts,
-    )
-    .into_iter()
-    .find_map(|m| m.guard.clone().map(|g| (g, m.guard_probability)));
-    env.guard_memo.borrow_mut().insert(key, found.clone());
-    found
 }
 
 /// Cost summary for one logical node: cheapest *native* evaluation at each
@@ -202,6 +137,55 @@ pub struct Costs {
     pub width: f64,
 }
 
+/// The placement pass's record for one logical node; `children` mirror the
+/// logical children the pass descended into.
+pub(crate) struct Placed {
+    pub(crate) costs: Costs,
+    /// The site the whole subtree ships from, when that beats executing the
+    /// node here (ties break toward local execution, as the paper's cost
+    /// tweak intends).
+    shipped: Option<RemoteSite>,
+    /// How the node executes here otherwise.
+    strategy: Strategy,
+    /// Per peer, the cached view a shadow leaf (or a pruning Project over
+    /// one) matched there — what EXPLAIN names on a peer boundary. Empty on
+    /// every other node.
+    leaf_views: Vec<Option<String>>,
+    /// Empty where the node was priced whole (a fused `Filter(Get)`, an
+    /// extreme seek).
+    children: Vec<Placed>,
+}
+
+/// The native-local strategy the pass priced for a node.
+enum Strategy {
+    /// The node's own operator over its built children: a bare scan,
+    /// Filter, Project, HashAggregate, Sort, Top, Distinct, UnionAll — and
+    /// the nested-loop join of a Join without equi keys.
+    Operator,
+    /// `Filter(Get)` fused into one access path.
+    Access(Access),
+    /// MIN/MAX of the clustering key: one B-tree descent.
+    ExtremeSeek {
+        object: String,
+        key_index: usize,
+        is_max: bool,
+    },
+    HashJoin {
+        left_keys: Vec<Expr>,
+        right_keys: Vec<Expr>,
+        residual: Option<Expr>,
+        /// Build on the logical LEFT input (it is the smaller side).
+        swap: bool,
+    },
+    /// Index nested loops: per-outer-row seeks replace the inner scan.
+    IndexNlJoin {
+        outer_is_left: bool,
+        inner: InljInner,
+        outer_key: Expr,
+        inner_key: Expr,
+    },
+}
+
 /// Computes the two-site (local/backend) cost of a subtree — the classic
 /// MTCache lattice, used everywhere a single node plans for itself.
 pub fn cost(plan: &LogicalPlan, db: &Database, cm: &CostModel) -> Costs {
@@ -209,9 +193,7 @@ pub fn cost(plan: &LogicalPlan, db: &Database, cm: &CostModel) -> Costs {
 }
 
 /// Computes the per-site cost vector of a subtree under a placement
-/// environment. `guards` is the conjunction of ChoosePlan startup
-/// predicates pinned true on the path from the root — a peer's *guarded*
-/// view match is only usable inside the branch that guarantees its guard.
+/// environment (see [`place`] for `guards`).
 pub fn cost_placed(
     plan: &LogicalPlan,
     db: &Database,
@@ -219,218 +201,233 @@ pub fn cost_placed(
     env: &PlacementEnv,
     guards: &[Expr],
 ) -> Costs {
-    let rows = estimate_rows(plan, db);
-    let width = estimate_width(plan);
-    let n_peers = env.peers.len();
-    // Per-node native costs: (here, backend, peer 0.., )
-    let (native_local, native_remote, mut peers) = match plan {
-        LogicalPlan::Get {
-            object,
-            alias,
-            schema,
-            location,
-        } => {
-            if object.is_empty() {
-                (0.1, INF, vec![INF; n_peers])
-            } else {
-                let scan = cm.scan(rows);
-                match location {
-                    DataLocation::Local => (scan, INF, vec![INF; n_peers]),
-                    DataLocation::Remote => {
-                        let required = full_required(schema);
-                        let peers =
-                            peer_leaf_costs(object, alias, schema, &[], &required, env, cm, guards);
-                        (INF, scan * cm.remote_cost_factor, peers)
-                    }
-                }
-            }
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            // Fuse access-path selection with a Filter directly over a Get.
-            if let LogicalPlan::Get {
-                object,
-                alias,
-                schema,
-                location,
-            } = &**input
-            {
-                if !object.is_empty() {
-                    let access = best_access(db, object, schema, predicate, cm, input);
-                    match location {
-                        DataLocation::Local => (access.cost, INF, vec![INF; n_peers]),
-                        DataLocation::Remote => {
-                            let conjuncts: Vec<Expr> =
-                                predicate.split_conjuncts().into_iter().cloned().collect();
-                            let required = full_required(schema);
-                            let peers = peer_leaf_costs(
-                                object, alias, schema, &conjuncts, &required, env, cm, guards,
-                            );
-                            (INF, access.cost * cm.remote_cost_factor, peers)
-                        }
-                    }
-                } else {
-                    let c = cost_placed(input, db, cm, env, guards);
-                    let op = cm.filter(c.rows);
-                    (
-                        c.local + op,
-                        c.remote + op * cm.remote_cost_factor,
-                        peer_compose(&c, op, cm, env),
-                    )
-                }
-            } else {
-                let c = cost_placed(input, db, cm, env, guards);
-                let op = cm.filter(c.rows);
-                (
-                    c.local + op,
-                    c.remote + op * cm.remote_cost_factor,
-                    peer_compose(&c, op, cm, env),
-                )
-            }
-        }
-        LogicalPlan::Project { input, exprs, .. } => {
-            let c = cost_placed(input, db, cm, env, guards);
-            let op = cm.project(c.rows);
-            let mut peers = peer_compose(&c, op, cm, env);
-            // A column-pruning Project over a shadow leaf narrows what a
-            // peer's view must provide: `SELECT a, b FROM t WHERE p` can
-            // match a view that lacks t's other columns, even though the
-            // bare leaf (which outputs every column) cannot.
-            if let Some((object, alias, schema, conjuncts)) = shadow_leaf(input) {
-                let required = project_required(exprs, &conjuncts, schema);
-                let leaf_costs =
-                    peer_leaf_costs(object, alias, schema, &conjuncts, &required, env, cm, guards);
-                for (i, leaf) in leaf_costs.into_iter().enumerate() {
-                    peers[i] = peers[i].min(leaf + op * cm.peer_cost_factor);
-                }
-            }
-            (c.local + op, c.remote + op * cm.remote_cost_factor, peers)
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            ..
-        } => {
-            let l = cost_placed(left, db, cm, env, guards);
-            let r = cost_placed(right, db, cm, env, guards);
-            let op = if extract_equi_keys(on, left.schema(), right.schema()).is_some() {
-                // The executor builds on the smaller input (see build_local).
-                cm.hash_join(l.rows.min(r.rows), l.rows.max(r.rows), rows)
-            } else {
-                cm.nl_join(l.rows, r.rows, rows)
-            };
-            let mut local = l.local + r.local + op;
-            // Index nested-loop alternatives skip the inner side's scan
-            // entirely: cost = outer subtree + per-outer-row seeks.
-            for (outer_is_left, inner, _, _) in inlj_options(on, left, right, *kind, db) {
-                let (outer_cost, outer_rows) = if outer_is_left {
-                    (l.local, l.rows)
-                } else {
-                    (r.local, r.rows)
-                };
-                local = local.min(outer_cost + inlj_op_cost(cm, outer_rows, &inner, rows));
-            }
-            let peers = (0..n_peers)
-                .map(|p| {
-                    op * cm.peer_cost_factor
-                        + delivered_at_peer(&l, p, env)
-                        + delivered_at_peer(&r, p, env)
-                })
-                .collect();
-            (local, l.remote + r.remote + op * cm.remote_cost_factor, peers)
-        }
-        LogicalPlan::Aggregate { input, .. } => {
-            if extreme_seek_pattern(plan, db).is_some() {
-                // MIN/MAX of the clustering key: one B-tree descent.
-                (cm.seek_cost, INF, vec![INF; n_peers])
-            } else {
-                let c = cost_placed(input, db, cm, env, guards);
-                let op = cm.aggregate(c.rows, rows);
-                (
-                    c.local + op,
-                    c.remote + op * cm.remote_cost_factor,
-                    peer_compose(&c, op, cm, env),
-                )
-            }
-        }
-        LogicalPlan::Sort { input, .. } => {
-            let c = cost_placed(input, db, cm, env, guards);
-            let op = cm.sort(c.rows);
-            (
-                c.local + op,
-                c.remote + op * cm.remote_cost_factor,
-                peer_compose(&c, op, cm, env),
-            )
-        }
-        LogicalPlan::Top { input, .. } => {
-            let c = cost_placed(input, db, cm, env, guards);
-            let op = cm.filter(c.rows);
-            (
-                c.local + op,
-                c.remote + op * cm.remote_cost_factor,
-                peer_compose(&c, op, cm, env),
-            )
-        }
-        LogicalPlan::Distinct { input } => {
-            let c = cost_placed(input, db, cm, env, guards);
-            let op = cm.aggregate(c.rows, rows);
-            (
-                c.local + op,
-                c.remote + op * cm.remote_cost_factor,
-                peer_compose(&c, op, cm, env),
-            )
-        }
-        LogicalPlan::UnionAll {
-            inputs,
-            startup_predicates,
-            weights,
-            ..
-        } => {
-            // §5.1 weighted costing: Σ wᵢ·Cᵢ over guarded branches. Each
-            // branch's startup predicate is pinned true inside it, which
-            // may unlock guarded peer-view matches there.
-            let mut total = 0.0;
-            for ((i, w), sp) in inputs.iter().zip(weights).zip(startup_predicates) {
-                let branch_guards = extend_guards(guards, sp);
-                total += w * cost_placed(i, db, cm, env, &branch_guards).local;
-            }
-            (total, INF, vec![INF; n_peers])
-        }
-    };
-
-    // A site other than here is only usable if the subtree can ship as SQL.
-    let ship = sqlgen::shippable(plan);
-    let native_remote = if native_remote.is_finite() && ship {
-        native_remote
-    } else {
-        INF
-    };
-    if !ship {
-        for p in peers.iter_mut() {
-            *p = INF;
-        }
-    }
-    // DataTransfer enforcers: cheapest delivery here over all sites.
-    let mut local = native_local.min(native_remote + env.backend_link.transfer(rows, width));
-    for (i, p) in env.peers.iter().enumerate() {
-        local = local.min(peers[i] + p.link.transfer(rows, width));
-    }
-    Costs {
-        local,
-        remote: native_remote,
-        peers,
-        rows,
-        width,
-    }
+    place(plan, db, cm, env, guards).costs
 }
 
-/// Composes a unary operator's cost at every peer: the operator (with the
-/// peer penalty) over the child delivered at that peer.
-fn peer_compose(child: &Costs, op: f64, cm: &CostModel, env: &PlacementEnv) -> Vec<f64> {
-    (0..env.peers.len())
-        .map(|p| op * cm.peer_cost_factor + delivered_at_peer(child, p, env))
-        .collect()
+/// The placement pass: one bottom-up visit per logical node, recording its
+/// per-site costs and the decisions behind them. `guards` is the
+/// conjunction of ChoosePlan startup predicates pinned true on the path
+/// from the root — a peer's *guarded* view match is only usable inside the
+/// branch that guarantees its guard.
+pub(crate) fn place(
+    plan: &LogicalPlan,
+    db: &Database,
+    cm: &CostModel,
+    env: &PlacementEnv,
+    guards: &[Expr],
+) -> Placed {
+    let n_peers = env.peers.len();
+    let here_only = |cost: f64| (cost, INF, vec![INF; n_peers]);
+    let mut strategy = Strategy::Operator;
+    let mut leaf_views = Vec::new();
+    let mut children = Vec::new();
+    let rows;
+    // Native costs: (here, backend, peer 0..).
+    let (native_local, native_remote, mut peers) = if let Some(leaf) = scan_leaf(plan) {
+        rows = estimate_rows(plan, db);
+        let cost = match leaf.predicate {
+            None => cm.scan(rows),
+            // Fuse access-path selection with a Filter directly over a Get.
+            Some(predicate) => {
+                let access = best_access(db, leaf.object, predicate, cm, leaf.get);
+                let cost = access.cost;
+                strategy = Strategy::Access(access);
+                cost
+            }
+        };
+        match leaf.location {
+            DataLocation::Local => here_only(cost),
+            DataLocation::Remote => {
+                let required = full_required(leaf.schema);
+                let (peers, views) = peer_leaf_matches(&leaf, &required, env, cm, guards);
+                leaf_views = views;
+                (INF, cost * cm.remote_cost_factor, peers)
+            }
+        }
+    } else if let Some((object, key_index, is_max)) = extreme_seek_pattern(plan, db) {
+        rows = estimate_rows(plan, db);
+        strategy = Strategy::ExtremeSeek {
+            object: object.to_string(),
+            key_index,
+            is_max,
+        };
+        here_only(cm.seek_cost)
+    } else {
+        children = match plan {
+            // Each branch's startup predicate is pinned true inside it,
+            // which may unlock guarded peer-view matches there.
+            LogicalPlan::UnionAll {
+                inputs,
+                startup_predicates,
+                ..
+            } => inputs
+                .iter()
+                .zip(startup_predicates)
+                .map(|(i, sp)| place(i, db, cm, env, &extend_guards(guards, sp)))
+                .collect(),
+            _ => plan
+                .children()
+                .into_iter()
+                .map(|c| place(c, db, cm, env, guards))
+                .collect(),
+        };
+        let child_rows: Vec<f64> = children.iter().map(|c: &Placed| c.costs.rows).collect();
+        rows = node_rows(plan, &child_rows, db);
+        match plan {
+            // Only the FROM-less `SELECT`: every other Get is a scan leaf.
+            LogicalPlan::Get { .. } => here_only(0.1),
+            LogicalPlan::UnionAll { weights, .. } => {
+                // §5.1 weighted costing: Σ wᵢ·Cᵢ over guarded branches.
+                let mut total = 0.0;
+                for (branch, w) in children.iter().zip(weights) {
+                    total += w * branch.costs.local;
+                }
+                here_only(total)
+            }
+            // Every other operator runs at one site over its children
+            // delivered there; the operators differ in their cost alone.
+            _ => {
+                let op = match plan {
+                    LogicalPlan::Project { .. } => cm.project(child_rows[0]),
+                    LogicalPlan::Sort { .. } => cm.sort(child_rows[0]),
+                    LogicalPlan::Aggregate { .. } | LogicalPlan::Distinct { .. } => {
+                        cm.aggregate(child_rows[0], rows)
+                    }
+                    LogicalPlan::Join {
+                        left,
+                        right,
+                        kind,
+                        on,
+                        ..
+                    } => {
+                        let (l, r) = (child_rows[0], child_rows[1]);
+                        match extract_equi_keys(on, left.schema(), right.schema()) {
+                            // The executor builds its hash table on the RIGHT
+                            // input: put the smaller (estimated) side there.
+                            // Swapping an inner/cross join flips the output
+                            // column order, which is fine — everything
+                            // upstream resolves columns by name against the
+                            // node's schema.
+                            Some((left_keys, right_keys, residual)) => {
+                                strategy = Strategy::HashJoin {
+                                    left_keys,
+                                    right_keys,
+                                    residual,
+                                    swap: l < r
+                                        && matches!(kind, JoinKind::Inner | JoinKind::Cross),
+                                };
+                                cm.hash_join(l.min(r), l.max(r), rows)
+                            }
+                            None => cm.nl_join(l, r, rows),
+                        }
+                    }
+                    LogicalPlan::Filter { .. } | LogicalPlan::Top { .. } => {
+                        cm.filter(child_rows[0])
+                    }
+                    LogicalPlan::Get { .. } | LogicalPlan::UnionAll { .. } => {
+                        unreachable!("priced by the arms above")
+                    }
+                };
+                let kids = || children.iter().map(|c: &Placed| &c.costs);
+                let mut local = kids().map(|c| c.local).sum::<f64>() + op;
+                let remote = kids().map(|c| c.remote).sum::<f64>() + op * cm.remote_cost_factor;
+                let mut peers: Vec<f64> = (0..n_peers)
+                    .map(|p| {
+                        kids().fold(op * cm.peer_cost_factor, |at_peer, c| {
+                            at_peer + delivered_at_peer(c, p, env)
+                        })
+                    })
+                    .collect();
+                match plan {
+                    // Index nested-loop alternatives skip the inner side's
+                    // scan entirely: cost = outer subtree + per-outer-row
+                    // seeks.
+                    LogicalPlan::Join {
+                        left,
+                        right,
+                        kind,
+                        on,
+                        ..
+                    } => {
+                        for (outer_is_left, inner, outer_key, inner_key) in
+                            inlj_options(on, left, right, *kind, db)
+                        {
+                            let outer = &children[if outer_is_left { 0 } else { 1 }].costs;
+                            let total = outer.local + inlj_op_cost(cm, outer.rows, &inner, rows);
+                            if total < local {
+                                local = total;
+                                strategy = Strategy::IndexNlJoin {
+                                    outer_is_left,
+                                    inner,
+                                    outer_key,
+                                    inner_key,
+                                };
+                            }
+                        }
+                    }
+                    // A column-pruning Project over a shadow leaf narrows
+                    // what a peer's view must provide: `SELECT a, b FROM t
+                    // WHERE p` can match a view that lacks t's other
+                    // columns, even though the bare leaf (which outputs
+                    // every column) cannot.
+                    LogicalPlan::Project { input, exprs, .. } => {
+                        if let Some(leaf) = scan_leaf(input).filter(ScanLeaf::is_shadow) {
+                            let required = project_required(exprs, &leaf.conjuncts(), leaf.schema);
+                            let (leaf_costs, views) =
+                                peer_leaf_matches(&leaf, &required, env, cm, guards);
+                            for (i, leaf_cost) in leaf_costs.into_iter().enumerate() {
+                                peers[i] = peers[i].min(leaf_cost + op * cm.peer_cost_factor);
+                            }
+                            leaf_views = views;
+                        }
+                    }
+                    _ => {}
+                }
+                (local, remote, peers)
+            }
+        }
+    };
+
+    // A site other than here is only usable if the subtree can ship as SQL
+    // (not worth decompiling it when no other site is feasible anyway).
+    let elsewhere = native_remote.is_finite() || peers.iter().any(|p| p.is_finite());
+    let ship = elsewhere && sqlgen::shippable(plan);
+    let native_remote = if ship { native_remote } else { INF };
+    if !ship {
+        peers.fill(INF);
+    }
+    // DataTransfer enforcers: cheapest delivery here over all sites,
+    // remembering which site it was.
+    let width = estimate_width(plan);
+    let mut best_shipped = native_remote + env.backend_link.transfer(rows, width);
+    let mut best_peer = None;
+    for (i, p) in env.peers.iter().enumerate() {
+        let total = peers[i] + p.link.transfer(rows, width);
+        if total < best_shipped {
+            best_shipped = total;
+            best_peer = Some(i);
+        }
+    }
+    let shipped = (best_shipped < native_local).then(|| match best_peer {
+        None => RemoteSite::Backend,
+        Some(i) => RemoteSite::Peer {
+            node: env.peers[i].name.clone(),
+            view: views_at_peer(&leaf_views, &children, i),
+        },
+    });
+    Placed {
+        costs: Costs {
+            local: native_local.min(best_shipped),
+            remote: native_remote,
+            peers,
+            rows,
+            width,
+        },
+        shipped,
+        strategy,
+        leaf_views,
+        children,
+    }
 }
 
 /// Cheapest way to have `child`'s result present at peer `p`: produced
@@ -468,11 +465,7 @@ fn full_required(schema: &Schema) -> Vec<String> {
 /// The columns a pruning Project (plus the leaf's filter conjuncts)
 /// actually needs from a shadow leaf, resolved to the leaf schema's own
 /// column names (references may arrive alias-qualified).
-fn project_required(
-    exprs: &[(Expr, String)],
-    conjuncts: &[Expr],
-    schema: &Schema,
-) -> Vec<String> {
+fn project_required(exprs: &[(Expr, String)], conjuncts: &[Expr], schema: &Schema) -> Vec<String> {
     let mut out: Vec<String> = Vec::new();
     let mut push = |e: &Expr| {
         for c in e.columns() {
@@ -493,138 +486,187 @@ fn project_required(
     out
 }
 
-/// Recognizes a shadow leaf a peer could serve whole: a bare remote `Get`
-/// or the fused `Filter(Get)`, returning its filter conjuncts.
-fn shadow_leaf(plan: &LogicalPlan) -> Option<(&str, &str, &Schema, Vec<Expr>)> {
-    match plan {
+/// A base-object scan the pass prices whole: a bare `Get` of a catalog
+/// object, or the fused `Filter(Get)`.
+pub(crate) struct ScanLeaf<'a> {
+    get: &'a LogicalPlan,
+    pub(crate) object: &'a str,
+    pub(crate) alias: &'a str,
+    pub(crate) schema: &'a Schema,
+    location: DataLocation,
+    predicate: Option<&'a Expr>,
+}
+
+impl ScanLeaf<'_> {
+    /// A shadow table: data on the backend, possibly in a peer's view.
+    fn is_shadow(&self) -> bool {
+        self.location == DataLocation::Remote
+    }
+
+    pub(crate) fn conjuncts(&self) -> Vec<Expr> {
+        self.predicate
+            .map(|p| p.split_conjuncts().into_iter().cloned().collect())
+            .unwrap_or_default()
+    }
+}
+
+pub(crate) fn scan_leaf(plan: &LogicalPlan) -> Option<ScanLeaf<'_>> {
+    let (get, predicate) = match plan {
+        LogicalPlan::Filter { input, predicate } => (&**input, Some(predicate)),
+        other => (other, None),
+    };
+    match get {
         LogicalPlan::Get {
             object,
             alias,
             schema,
-            location: DataLocation::Remote,
-        } if !object.is_empty() => Some((object, alias, schema, Vec::new())),
-        LogicalPlan::Filter { input, predicate } => match &**input {
-            LogicalPlan::Get {
-                object,
-                alias,
-                schema,
-                location: DataLocation::Remote,
-            } if !object.is_empty() => Some((
-                object,
-                alias,
-                schema,
-                predicate.split_conjuncts().into_iter().cloned().collect(),
-            )),
-            _ => None,
-        },
+            location,
+        } if !object.is_empty() => Some(ScanLeaf {
+            get,
+            object,
+            alias,
+            schema,
+            location: *location,
+            predicate,
+        }),
         _ => None,
     }
 }
 
-/// The peer's cheapest usable view rewrite for a shadow leaf (a bare `Get`
-/// or the fused `Filter(Get)`), if any: unconditional matches always
-/// qualify; guarded matches only inside a ChoosePlan branch that pins the
-/// guard true. `required` is the set of leaf columns the fragment above
-/// actually consumes. Returns `(native cost at the peer, view name)`.
-fn leaf_peer_match(
-    object: &str,
-    alias: &str,
-    get_schema: &Schema,
-    conjuncts: &[Expr],
+/// Probes every peer's cached views for rewrites of a shadow leaf.
+/// `required` is the set of leaf columns the fragment above consumes.
+fn probe_leaf(
+    leaf: &ScanLeaf,
     required: &[String],
-    site: &PeerSite,
     env: &PlacementEnv,
     cm: &CostModel,
-    guards: &[Expr],
-) -> Option<(f64, String)> {
-    let key = format!(
-        "{}\u{1}{object}\u{1}{alias}\u{1}{}\u{1}{}\u{1}{}",
-        site.name,
-        conjuncts
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join("\u{2}"),
-        required.join("\u{2}"),
-        guards
-            .iter()
-            .map(|g| g.to_string())
-            .collect::<Vec<_>>()
-            .join("\u{2}"),
-    );
-    if let Some(hit) = env.memo.borrow().get(&key) {
+) -> Rc<LeafProbe> {
+    let (object, alias, conjuncts) = (leaf.object, leaf.alias, leaf.conjuncts());
+    if let Some(hit) = env.probes.borrow().iter().find(|m| {
+        m.object == object
+            && m.alias == alias
+            && m.conjuncts == conjuncts
+            && m.required == required
+            && m.peer_names.iter().eq(env.peers.iter().map(|p| &p.name))
+    }) {
         return hit.clone();
     }
     let opts = MatchOptions {
         enable_dynamic_plans: true,
         allow_mixed_results: false,
     };
-    let mut best: Option<(f64, String)> = None;
-    for m in view_match::match_views(site.db, object, alias, get_schema, conjuncts, required, opts)
-    {
-        // Guarded matches expose the view-backed branch as inputs[0] of
-        // their ChoosePlan; it is only sound where the guard is pinned.
-        let branch = match (&m.guard, &m.plan) {
-            (None, plan) => plan,
-            (Some(g), LogicalPlan::UnionAll { inputs, .. }) if guard_active(g, guards) => {
-                &inputs[0]
-            }
-            _ => continue,
-        };
-        let c = cost(branch, site.db, cm).local * cm.peer_cost_factor;
-        if best.as_ref().map(|(b, _)| c < *b).unwrap_or(true) {
-            best = Some((c, m.view_name.clone()));
-        }
-    }
-    env.memo.borrow_mut().insert(key, best.clone());
-    best
+    let views = env
+        .peers
+        .iter()
+        .map(|site| {
+            view_match::match_views(
+                site.db,
+                object,
+                alias,
+                leaf.schema,
+                &conjuncts,
+                required,
+                opts,
+            )
+            .into_iter()
+            .filter_map(|m| {
+                // Guarded matches expose the view-backed branch as
+                // inputs[0] of their ChoosePlan.
+                let branch = match (&m.guard, &m.plan) {
+                    (None, plan) => plan,
+                    (Some(_), LogicalPlan::UnionAll { inputs, .. }) => &inputs[0],
+                    _ => return None,
+                };
+                Some(PeerView {
+                    cost: cost(branch, site.db, cm).local * cm.peer_cost_factor,
+                    guard: m.guard.map(|g| (g, m.guard_probability)),
+                    name: m.view_name,
+                })
+            })
+            .collect()
+        })
+        .collect();
+    let probe = Rc::new(LeafProbe {
+        peer_names: env.peers.iter().map(|p| p.name.clone()).collect(),
+        object: object.to_string(),
+        alias: alias.to_string(),
+        conjuncts,
+        required: required.to_vec(),
+        views,
+    });
+    env.probes.borrow_mut().push(probe.clone());
+    probe
 }
 
-/// The peer views a fragment placed on `site` would be served from — for
-/// EXPLAIN observability on Remote boundaries.
-fn peer_view_names(
-    plan: &LogicalPlan,
-    site: &PeerSite,
+/// Each peer's cheapest usable view rewrite for a shadow leaf (parallel to
+/// `env.peers`; empty without peers): unconditional matches always qualify;
+/// guarded matches only inside a ChoosePlan branch that pins the guard
+/// true. Returns the cost vector (`INF` where no view covers the leaf) and
+/// the matched view names.
+fn peer_leaf_matches(
+    leaf: &ScanLeaf,
+    required: &[String],
     env: &PlacementEnv,
     cm: &CostModel,
     guards: &[Expr],
-) -> String {
-    fn walk(
-        plan: &LogicalPlan,
-        site: &PeerSite,
-        env: &PlacementEnv,
-        cm: &CostModel,
-        guards: &[Expr],
-        out: &mut Vec<String>,
-    ) {
-        // A pruning Project over a shadow leaf matches with the narrowed
-        // column requirement, exactly as the cost DP does.
-        if let LogicalPlan::Project { input, exprs, .. } = plan {
-            if let Some((object, alias, schema, conjuncts)) = shadow_leaf(input) {
-                let required = project_required(exprs, &conjuncts, schema);
-                if let Some((_, view)) = leaf_peer_match(
-                    object, alias, schema, &conjuncts, &required, site, env, cm, guards,
-                ) {
-                    out.push(view);
-                    return;
+) -> (Vec<f64>, Vec<Option<String>>) {
+    if env.peers.is_empty() {
+        return (Vec::new(), Vec::new());
+    }
+    probe_leaf(leaf, required, env, cm)
+        .views
+        .iter()
+        .map(|views| {
+            let mut best: Option<&PeerView> = None;
+            for v in views {
+                let usable = v
+                    .guard
+                    .as_ref()
+                    .map_or(true, |(g, _)| guard_active(g, guards));
+                if usable && best.map_or(true, |b| v.cost < b.cost) {
+                    best = Some(v);
                 }
             }
-        }
-        if let Some((object, alias, schema, conjuncts)) = shadow_leaf(plan) {
-            let required = full_required(schema);
-            if let Some((_, view)) = leaf_peer_match(
-                object, alias, schema, &conjuncts, &required, site, env, cm, guards,
-            ) {
-                out.push(view);
+            match best {
+                Some(v) => (v.cost, Some(v.name.clone())),
+                None => (INF, None),
             }
+        })
+        .unzip()
+}
+
+/// The first *guarded* match of any peer's cached views against `plan`, if
+/// it is a shadow leaf — what placement ChoosePlan synthesis asks per leaf —
+/// with the guard's estimated probability.
+pub(crate) fn guarded_peer_match(
+    plan: &LogicalPlan,
+    env: &PlacementEnv,
+    cm: &CostModel,
+) -> Option<(Expr, f64)> {
+    let leaf = scan_leaf(plan).filter(ScanLeaf::is_shadow)?;
+    let required = full_required(leaf.schema);
+    probe_leaf(&leaf, &required, env, cm)
+        .views
+        .iter()
+        .flatten()
+        .find_map(|v| v.guard.clone())
+}
+
+/// The views of peer `p` a fragment placed there would be served from — for
+/// EXPLAIN observability on Remote boundaries. A pruning Project's own
+/// (narrowed) match stands for the leaf beneath it.
+fn views_at_peer(leaf_views: &[Option<String>], children: &[Placed], p: usize) -> String {
+    fn walk(leaf_views: &[Option<String>], children: &[Placed], p: usize, out: &mut Vec<String>) {
+        if let Some(Some(view)) = leaf_views.get(p) {
+            out.push(view.clone());
             return;
         }
-        for child in plan.children() {
-            walk(child, site, env, cm, guards, out);
+        for child in children {
+            walk(&child.leaf_views, &child.children, p, out);
         }
     }
     let mut views = Vec::new();
-    walk(plan, site, env, cm, guards, &mut views);
+    walk(leaf_views, children, p, &mut views);
     views.sort();
     views.dedup();
     if views.is_empty() {
@@ -649,385 +691,189 @@ pub fn build_placed(
     env: &PlacementEnv,
     guards: &[Expr],
 ) -> Result<PhysicalPlan> {
-    let c = cost_placed(plan, db, cm, env, guards);
-    if !c.local.is_finite() {
-        return Err(Error::plan(
-            "no local execution strategy exists for this query",
-        ));
-    }
-    build_local(plan, db, cm, &c, env, guards)
+    place(plan, db, cm, env, guards).build(plan)
 }
 
-fn build_local(
-    plan: &LogicalPlan,
-    db: &Database,
-    cm: &CostModel,
-    c: &Costs,
-    env: &PlacementEnv,
-    guards: &[Expr],
-) -> Result<PhysicalPlan> {
-    // Prefer shipping the whole subtree when another site delivers it here
-    // cheaper (ties break toward local execution, as the paper's cost
-    // tweak intends). Backtrack the winning site into the boundary.
-    let via_backend = c.remote + env.backend_link.transfer(c.rows, c.width);
-    let mut best_site = RemoteSite::Backend;
-    let mut best_shipped = via_backend;
-    for (i, p) in env.peers.iter().enumerate() {
-        let total = c.peers[i] + p.link.transfer(c.rows, c.width);
-        if total < best_shipped {
-            best_shipped = total;
-            best_site = RemoteSite::Peer {
-                node: p.name.clone(),
-                view: peer_view_names(plan, p, env, cm, guards),
-            };
+impl Placed {
+    /// Reads the physical plan out of the annotation of `plan` (the plan
+    /// [`place`] annotated). A pure backtrack: every decision was made —
+    /// and recorded — by the pass.
+    pub(crate) fn build(&self, plan: &LogicalPlan) -> Result<PhysicalPlan> {
+        if !self.costs.local.is_finite() {
+            return Err(Error::plan(
+                "no local execution strategy exists for this query",
+            ));
         }
+        backtrack(plan, self)
     }
-    let native_local = recompute_native_local(plan, db, cm, env, guards);
-    if best_shipped < native_local {
-        let select = sqlgen::to_select(plan)?;
+}
+
+fn backtrack(plan: &LogicalPlan, placed: &Placed) -> Result<PhysicalPlan> {
+    if let Some(site) = &placed.shipped {
         return Ok(PhysicalPlan::Remote {
-            sql: select.to_string(),
+            sql: sqlgen::to_select(plan)?.to_string(),
             schema: plan.schema().clone(),
-            est_rows: c.rows,
-            site: best_site,
+            est_rows: placed.costs.rows,
+            site: site.clone(),
         });
     }
-
-    match plan {
-        LogicalPlan::Get { object, schema, .. } => {
-            if object.is_empty() {
-                Ok(PhysicalPlan::Nothing {
-                    schema: Schema::empty(),
-                })
-            } else {
-                Ok(PhysicalPlan::SeqScan {
-                    object: object.clone(),
-                    schema: schema.clone(),
-                    predicate: None,
-                })
+    let child = |i: usize, input: &LogicalPlan| match placed.children.get(i) {
+        Some(c) => backtrack(input, c).map(Box::new),
+        None => Err(Error::plan("placement annotation does not match the plan")),
+    };
+    Ok(match plan {
+        LogicalPlan::Get { object, .. } if object.is_empty() => PhysicalPlan::Nothing {
+            schema: Schema::empty(),
+        },
+        LogicalPlan::Get { object, schema, .. } => PhysicalPlan::SeqScan {
+            object: object.clone(),
+            schema: schema.clone(),
+            predicate: None,
+        },
+        LogicalPlan::Filter { input, predicate } => match (&placed.strategy, &**input) {
+            (Strategy::Access(access), LogicalPlan::Get { object, schema, .. }) => {
+                access.to_physical(object, schema, predicate)
             }
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            if let LogicalPlan::Get { object, schema, .. } = &**input {
-                if !object.is_empty() {
-                    let access = best_access(db, object, schema, predicate, cm, input);
-                    return Ok(access.to_physical(object, schema, predicate));
-                }
-            }
-            let child_costs = cost_placed(input, db, cm, env, guards);
-            Ok(PhysicalPlan::Filter {
-                input: Box::new(build_local(input, db, cm, &child_costs, env, guards)?),
+            _ => PhysicalPlan::Filter {
+                input: child(0, input)?,
                 predicate: predicate.clone(),
-            })
-        }
+            },
+        },
         LogicalPlan::Project {
             input,
             exprs,
             schema,
-        } => {
-            let cc = cost_placed(input, db, cm, env, guards);
-            Ok(PhysicalPlan::Project {
-                input: Box::new(build_local(input, db, cm, &cc, env, guards)?),
-                exprs: exprs.clone(),
-                schema: schema.clone(),
-            })
-        }
+        } => PhysicalPlan::Project {
+            input: child(0, input)?,
+            exprs: exprs.clone(),
+            schema: schema.clone(),
+        },
         LogicalPlan::Join {
             left,
             right,
             kind,
             on,
-            schema,
-        } => {
-            let lc = cost_placed(left, db, cm, env, guards);
-            let rc = cost_placed(right, db, cm, env, guards);
-            let rows = estimate_rows(plan, db);
-            // Pick the cheapest local join strategy, mirroring cost().
-            let standard_op = if extract_equi_keys(on, left.schema(), right.schema()).is_some() {
-                cm.hash_join(lc.rows.min(rc.rows), lc.rows.max(rc.rows), rows)
-            } else {
-                cm.nl_join(lc.rows, rc.rows, rows)
-            };
-            let mut best_inlj: Option<(f64, bool, InljInner, Expr, Expr)> = None;
-            for (outer_is_left, inner, outer_key, inner_key) in
-                inlj_options(on, left, right, *kind, db)
-            {
-                let (outer_cost, outer_rows) = if outer_is_left {
-                    (lc.local, lc.rows)
+            ..
+        } => match &placed.strategy {
+            Strategy::IndexNlJoin {
+                outer_is_left,
+                inner,
+                outer_key,
+                inner_key,
+            } => {
+                let outer = if *outer_is_left {
+                    child(0, left)?
                 } else {
-                    (rc.local, rc.rows)
+                    child(1, right)?
                 };
-                let total = outer_cost + inlj_op_cost(cm, outer_rows, &inner, rows);
-                if best_inlj.as_ref().map(|(c, ..)| total < *c).unwrap_or(true) {
-                    best_inlj = Some((total, outer_is_left, inner, outer_key, inner_key));
-                }
-            }
-            let standard_total = lc.local + rc.local + standard_op;
-            if let Some((inlj_total, outer_is_left, inner, outer_key, inner_key)) = best_inlj {
-                if inlj_total < standard_total {
-                    let (outer_plan, outer_costs) = if outer_is_left {
-                        (&**left, &lc)
+                // Residual: every ON conjunct except the seek equality.
+                let eq = |a: &Expr, b: &Expr| Expr::binary(a.clone(), BinOp::Eq, b.clone());
+                let (seek_eq, seek_eq_flipped) =
+                    (eq(outer_key, inner_key), eq(inner_key, outer_key));
+                let residual = Expr::conjunction(
+                    on.iter()
+                        .flat_map(|p| p.split_conjuncts())
+                        .filter(|c| **c != seek_eq && **c != seek_eq_flipped)
+                        .cloned(),
+                );
+                PhysicalPlan::IndexNlJoin {
+                    schema: outer.schema().join(&inner.out_schema),
+                    outer,
+                    inner_object: inner.object.clone(),
+                    inner_index: inner.index.clone(),
+                    outer_key: outer_key.clone(),
+                    inner_exprs: inner.exprs.clone(),
+                    inner_row_schema: inner.row_schema.clone(),
+                    inner_schema: inner.out_schema.clone(),
+                    kind: if *kind == JoinKind::Left && *outer_is_left {
+                        JoinKind::Left
                     } else {
-                        (&**right, &rc)
-                    };
-                    let outer = build_local(outer_plan, db, cm, outer_costs, env, guards)?;
-                    // Residual: every ON conjunct except the seek equality.
-                    let seek_eq = Expr::binary(
-                        outer_key.clone(),
-                        mtc_sql::BinOp::Eq,
-                        inner_key.clone(),
-                    );
-                    let seek_eq_flipped = Expr::binary(
-                        inner_key.clone(),
-                        mtc_sql::BinOp::Eq,
-                        outer_key.clone(),
-                    );
-                    let residual = Expr::conjunction(
-                        on.iter()
-                            .flat_map(|p| p.split_conjuncts())
-                            .filter(|c| **c != seek_eq && **c != seek_eq_flipped)
-                            .cloned(),
-                    );
-                    let schema = outer.schema().join(&inner.out_schema);
-                    return Ok(PhysicalPlan::IndexNlJoin {
-                        outer: Box::new(outer),
-                        inner_object: inner.object,
-                        inner_index: inner.index,
-                        outer_key,
-                        inner_exprs: inner.exprs,
-                        inner_row_schema: inner.row_schema,
-                        inner_schema: inner.out_schema,
-                        kind: if *kind == mtc_sql::JoinKind::Left && outer_is_left {
-                            mtc_sql::JoinKind::Left
-                        } else {
-                            mtc_sql::JoinKind::Inner
-                        },
-                        residual,
-                        schema,
-                    });
+                        JoinKind::Inner
+                    },
+                    residual,
                 }
             }
-            let l = build_local(left, db, cm, &lc, env, guards)?;
-            let r = build_local(right, db, cm, &rc, env, guards)?;
-            if let Some((lk, rk, residual)) =
-                extract_equi_keys(on, left.schema(), right.schema())
-            {
-                // The executor builds its hash table on the RIGHT input:
-                // put the smaller (estimated) side there. Swapping an
-                // inner/cross join flips the output column order, which is
-                // fine — everything upstream resolves columns by name
-                // against the node's schema.
-                let swap = lc.rows < rc.rows
-                    && matches!(kind, mtc_sql::JoinKind::Inner | mtc_sql::JoinKind::Cross);
-                // Physical join schemas are derived from the *built*
-                // children: a child join may itself have swapped its
-                // sides, so the logical schema can be stale.
-                let _ = schema;
-                if swap {
-                    let schema = r.schema().join(l.schema());
-                    Ok(PhysicalPlan::HashJoin {
-                        left: Box::new(r),
-                        right: Box::new(l),
-                        left_keys: rk,
-                        right_keys: lk,
-                        kind: *kind,
-                        residual,
-                        schema,
-                    })
-                } else {
-                    let schema = l.schema().join(r.schema());
-                    Ok(PhysicalPlan::HashJoin {
-                        left: Box::new(l),
-                        right: Box::new(r),
-                        left_keys: lk,
-                        right_keys: rk,
-                        kind: *kind,
-                        residual,
-                        schema,
-                    })
+            // Physical join schemas are derived from the *built* children: a
+            // child join may itself have swapped its sides, so the logical
+            // schema can be stale.
+            Strategy::HashJoin {
+                left_keys,
+                right_keys,
+                residual,
+                swap,
+            } => {
+                let (mut l, mut r) = ((child(0, left)?, left_keys), (child(1, right)?, right_keys));
+                if *swap {
+                    std::mem::swap(&mut l, &mut r);
                 }
-            } else {
-                let schema = l.schema().join(r.schema());
-                Ok(PhysicalPlan::NestedLoopJoin {
-                    left: Box::new(l),
-                    right: Box::new(r),
+                PhysicalPlan::HashJoin {
+                    schema: l.0.schema().join(r.0.schema()),
+                    left: l.0,
+                    right: r.0,
+                    left_keys: l.1.clone(),
+                    right_keys: r.1.clone(),
+                    kind: *kind,
+                    residual: residual.clone(),
+                }
+            }
+            _ => {
+                let (l, r) = (child(0, left)?, child(1, right)?);
+                PhysicalPlan::NestedLoopJoin {
+                    schema: l.schema().join(r.schema()),
+                    left: l,
+                    right: r,
                     kind: *kind,
                     on: on.clone(),
-                    schema,
-                })
+                }
             }
-        }
+        },
         LogicalPlan::Aggregate {
             input,
             group_by,
             aggs,
             schema,
-        } => {
-            if let Some((object, key_index, is_max)) = extreme_seek_pattern(plan, db) {
-                return Ok(PhysicalPlan::ExtremeSeek {
-                    object: object.to_string(),
-                    key_index,
-                    is_max,
-                    schema: schema.clone(),
-                });
-            }
-            let cc = cost_placed(input, db, cm, env, guards);
-            Ok(PhysicalPlan::HashAggregate {
-                input: Box::new(build_local(input, db, cm, &cc, env, guards)?),
+        } => match &placed.strategy {
+            Strategy::ExtremeSeek {
+                object,
+                key_index,
+                is_max,
+            } => PhysicalPlan::ExtremeSeek {
+                object: object.clone(),
+                key_index: *key_index,
+                is_max: *is_max,
+                schema: schema.clone(),
+            },
+            _ => PhysicalPlan::HashAggregate {
+                input: child(0, input)?,
                 group_by: group_by.clone(),
                 aggs: aggs.clone(),
                 schema: schema.clone(),
-            })
-        }
-        LogicalPlan::Sort { input, keys } => {
-            let cc = cost_placed(input, db, cm, env, guards);
-            Ok(PhysicalPlan::Sort {
-                input: Box::new(build_local(input, db, cm, &cc, env, guards)?),
-                keys: keys.clone(),
-            })
-        }
-        LogicalPlan::Top { input, n } => {
-            let cc = cost_placed(input, db, cm, env, guards);
-            Ok(PhysicalPlan::Top {
-                input: Box::new(build_local(input, db, cm, &cc, env, guards)?),
-                n: *n,
-            })
-        }
-        LogicalPlan::Distinct { input } => {
-            let cc = cost_placed(input, db, cm, env, guards);
-            Ok(PhysicalPlan::Distinct {
-                input: Box::new(build_local(input, db, cm, &cc, env, guards)?),
-            })
-        }
+            },
+        },
+        LogicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
+            input: child(0, input)?,
+            keys: keys.clone(),
+        },
+        LogicalPlan::Top { input, n } => PhysicalPlan::Top {
+            input: child(0, input)?,
+            n: *n,
+        },
+        LogicalPlan::Distinct { input } => PhysicalPlan::Distinct {
+            input: child(0, input)?,
+        },
         LogicalPlan::UnionAll {
             inputs,
             startup_predicates,
             schema,
             ..
-        } => {
-            let built: Vec<PhysicalPlan> = inputs
-                .iter()
-                .zip(startup_predicates)
-                .map(|(i, sp)| {
-                    // Inside a branch its startup predicate is pinned true:
-                    // guarded peer placements become available there.
-                    let branch_guards = extend_guards(guards, sp);
-                    let cc = cost_placed(i, db, cm, env, &branch_guards);
-                    build_local(i, db, cm, &cc, env, &branch_guards)
-                })
-                .collect::<Result<_>>()?;
-            Ok(PhysicalPlan::UnionAll {
-                inputs: built,
-                startup_predicates: startup_predicates.clone(),
-                schema: schema.clone(),
-            })
-        }
-    }
-}
-
-/// Native-local cost (children delivered here, operator here) — the
-/// alternative the Remote boundary competes against in [`build_local`].
-fn recompute_native_local(
-    plan: &LogicalPlan,
-    db: &Database,
-    cm: &CostModel,
-    env: &PlacementEnv,
-    guards: &[Expr],
-) -> f64 {
-    let rows = estimate_rows(plan, db);
-    match plan {
-        LogicalPlan::Get { object, location, .. } => {
-            if object.is_empty() {
-                0.1
-            } else if *location == DataLocation::Local {
-                cm.scan(rows)
-            } else {
-                INF
-            }
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            if let LogicalPlan::Get {
-                object,
-                schema,
-                location,
-                ..
-            } = &**input
-            {
-                if !object.is_empty() {
-                    return if *location == DataLocation::Local {
-                        best_access(db, object, schema, predicate, cm, input).cost
-                    } else {
-                        INF
-                    };
-                }
-            }
-            let c = cost_placed(input, db, cm, env, guards);
-            c.local + cm.filter(c.rows)
-        }
-        LogicalPlan::Project { input, .. } => {
-            let c = cost_placed(input, db, cm, env, guards);
-            c.local + cm.project(c.rows)
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            ..
-        } => {
-            let l = cost_placed(left, db, cm, env, guards);
-            let r = cost_placed(right, db, cm, env, guards);
-            let op = if extract_equi_keys(on, left.schema(), right.schema()).is_some() {
-                cm.hash_join(l.rows.min(r.rows), l.rows.max(r.rows), rows)
-            } else {
-                cm.nl_join(l.rows, r.rows, rows)
-            };
-            let mut local = l.local + r.local + op;
-            for (outer_is_left, inner, _, _) in inlj_options(on, left, right, *kind, db) {
-                let (outer_cost, outer_rows) = if outer_is_left {
-                    (l.local, l.rows)
-                } else {
-                    (r.local, r.rows)
-                };
-                local = local.min(outer_cost + inlj_op_cost(cm, outer_rows, &inner, rows));
-            }
-            local
-        }
-        LogicalPlan::Aggregate { input, .. } => {
-            if extreme_seek_pattern(plan, db).is_some() {
-                cm.seek_cost
-            } else {
-                let c = cost_placed(input, db, cm, env, guards);
-                c.local + cm.aggregate(c.rows, rows)
-            }
-        }
-        LogicalPlan::Sort { input, .. } => {
-            let c = cost_placed(input, db, cm, env, guards);
-            c.local + cm.sort(c.rows)
-        }
-        LogicalPlan::Top { input, .. } => {
-            let c = cost_placed(input, db, cm, env, guards);
-            c.local + cm.filter(c.rows)
-        }
-        LogicalPlan::Distinct { input } => {
-            let c = cost_placed(input, db, cm, env, guards);
-            c.local + cm.aggregate(c.rows, rows)
-        }
-        LogicalPlan::UnionAll {
-            inputs,
-            startup_predicates,
-            weights,
-            ..
-        } => inputs
-            .iter()
-            .zip(weights)
-            .zip(startup_predicates)
-            .map(|((i, w), sp)| {
-                let branch_guards = extend_guards(guards, sp);
-                w * cost_placed(i, db, cm, env, &branch_guards).local
-            })
-            .sum(),
-    }
+        } => PhysicalPlan::UnionAll {
+            inputs: (inputs.iter().enumerate())
+                .map(|(i, input)| child(i, input).map(|built| *built))
+                .collect::<Result<_>>()?,
+            startup_predicates: startup_predicates.clone(),
+            schema: schema.clone(),
+        },
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1102,91 +948,31 @@ fn bf_options(
     let backend = bf_backend(env);
     let mut out: Vec<(usize, f64)> = Vec::new();
 
-    // Shadow-table leaves (bare or with their fused Filter).
-    let leaf = |object: &str, alias: &str, schema: &Schema, conjuncts: &[Expr],
-                required: &[String], access_cost: f64, location: &DataLocation,
-                out: &mut Vec<(usize, f64)>| {
-        match location {
+    // Scan leaves (bare or with their fused Filter).
+    if let Some(leaf) = scan_leaf(plan) {
+        let access_cost = match leaf.predicate {
+            None => cm.scan(rows),
+            Some(p) => best_access(db, leaf.object, p, cm, leaf.get).cost,
+        };
+        match leaf.location {
             DataLocation::Local => out.push((BF_HERE, access_cost)),
             DataLocation::Remote => {
                 out.push((backend, access_cost * cm.remote_cost_factor));
-                let costs = peer_leaf_costs(object, alias, schema, conjuncts, required, env, cm, guards);
-                for (i, c) in costs.into_iter().enumerate() {
-                    if c.is_finite() {
-                        out.push((1 + i, c));
-                    }
-                }
+                let required = full_required(leaf.schema);
+                let (costs, _) = peer_leaf_matches(&leaf, &required, env, cm, guards);
+                out.extend(costs.into_iter().enumerate().map(|(i, c)| (1 + i, c)));
             }
         }
-    };
+        return bf_gate(plan, out);
+    }
 
+    if extreme_seek_pattern(plan, db).is_some() {
+        // MIN/MAX of a local clustering key: one seek, here only.
+        return vec![(BF_HERE, cm.seek_cost)];
+    }
     match plan {
-        LogicalPlan::Get {
-            object,
-            alias,
-            schema,
-            location,
-        } => {
-            if object.is_empty() {
-                out.push((BF_HERE, 0.1));
-            } else {
-                leaf(
-                    object,
-                    alias,
-                    schema,
-                    &[],
-                    &full_required(schema),
-                    cm.scan(rows),
-                    location,
-                    &mut out,
-                );
-            }
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            if let LogicalPlan::Get {
-                object,
-                alias,
-                schema,
-                location,
-            } = &**input
-            {
-                if !object.is_empty() {
-                    let access = best_access(db, object, schema, predicate, cm, input);
-                    let conjuncts: Vec<Expr> =
-                        predicate.split_conjuncts().into_iter().cloned().collect();
-                    leaf(
-                        object,
-                        alias,
-                        schema,
-                        &conjuncts,
-                        &full_required(schema),
-                        access.cost,
-                        location,
-                        &mut out,
-                    );
-                    return bf_gate(plan, out);
-                }
-            }
-            let c = cost_placed(input, db, cm, env, guards);
-            bf_unary(input, cm.filter(c.rows), db, cm, env, guards, &mut out);
-        }
-        LogicalPlan::Project { input, exprs, .. } => {
-            let c = cost_placed(input, db, cm, env, guards);
-            let op = cm.project(c.rows);
-            bf_unary(input, op, db, cm, env, guards, &mut out);
-            // Mirror the DP's pruning-Project fusion: the narrowed column
-            // requirement may unlock peer matches the bare leaf lacks.
-            if let Some((object, alias, schema, conjuncts)) = shadow_leaf(input) {
-                let required = project_required(exprs, &conjuncts, schema);
-                let costs =
-                    peer_leaf_costs(object, alias, schema, &conjuncts, &required, env, cm, guards);
-                for (i, leaf_cost) in costs.into_iter().enumerate() {
-                    if leaf_cost.is_finite() {
-                        out.push((1 + i, leaf_cost + op * cm.peer_cost_factor));
-                    }
-                }
-            }
-        }
+        // Only the FROM-less `SELECT`: every other Get is a scan leaf.
+        LogicalPlan::Get { .. } => out.push((BF_HERE, 0.1)),
         LogicalPlan::Join {
             left,
             right,
@@ -1194,21 +980,21 @@ fn bf_options(
             on,
             ..
         } => {
-            let l = cost_placed(left, db, cm, env, guards);
-            let r = cost_placed(right, db, cm, env, guards);
+            let (l_rows, l_width) = (estimate_rows(left, db), estimate_width(left));
+            let (r_rows, r_width) = (estimate_rows(right, db), estimate_width(right));
             let op = if extract_equi_keys(on, left.schema(), right.schema()).is_some() {
-                cm.hash_join(l.rows.min(r.rows), l.rows.max(r.rows), rows)
+                cm.hash_join(l_rows.min(r_rows), l_rows.max(r_rows), rows)
             } else {
-                cm.nl_join(l.rows, r.rows, rows)
+                cm.nl_join(l_rows, r_rows, rows)
             };
             let lo = bf_options(left, db, cm, env, guards);
             let ro = bf_options(right, db, cm, env, guards);
             for s in 0..=backend {
                 let factor = bf_factor(s, backend, cm);
                 for (ls, lcost) in &lo {
-                    let ldel = lcost + bf_link(*ls, s, l.rows, l.width, env);
+                    let ldel = lcost + bf_link(*ls, s, l_rows, l_width, env);
                     for (rs, rcost) in &ro {
-                        let rdel = rcost + bf_link(*rs, s, r.rows, r.width, env);
+                        let rdel = rcost + bf_link(*rs, s, r_rows, r_width, env);
                         out.push((s, op * factor + ldel + rdel));
                     }
                 }
@@ -1217,32 +1003,16 @@ fn bf_options(
             // by index seeks against a local table (never executed as an
             // assigned fragment).
             for (outer_is_left, inner, _, _) in inlj_options(on, left, right, *kind, db) {
-                let (opts, oc) = if outer_is_left { (&lo, &l) } else { (&ro, &r) };
+                let (opts, o_rows, o_width) = if outer_is_left {
+                    (&lo, l_rows, l_width)
+                } else {
+                    (&ro, r_rows, r_width)
+                };
                 for (os, ocost) in opts {
-                    let delivered = ocost + bf_link(*os, BF_HERE, oc.rows, oc.width, env);
-                    out.push((BF_HERE, delivered + inlj_op_cost(cm, oc.rows, &inner, rows)));
+                    let delivered = ocost + bf_link(*os, BF_HERE, o_rows, o_width, env);
+                    out.push((BF_HERE, delivered + inlj_op_cost(cm, o_rows, &inner, rows)));
                 }
             }
-        }
-        LogicalPlan::Aggregate { input, .. } => {
-            if extreme_seek_pattern(plan, db).is_some() {
-                out.push((BF_HERE, cm.seek_cost));
-            } else {
-                let c = cost_placed(input, db, cm, env, guards);
-                bf_unary(input, cm.aggregate(c.rows, rows), db, cm, env, guards, &mut out);
-            }
-        }
-        LogicalPlan::Sort { input, .. } => {
-            let c = cost_placed(input, db, cm, env, guards);
-            bf_unary(input, cm.sort(c.rows), db, cm, env, guards, &mut out);
-        }
-        LogicalPlan::Top { input, .. } => {
-            let c = cost_placed(input, db, cm, env, guards);
-            bf_unary(input, cm.filter(c.rows), db, cm, env, guards, &mut out);
-        }
-        LogicalPlan::Distinct { input } => {
-            let c = cost_placed(input, db, cm, env, guards);
-            bf_unary(input, cm.aggregate(c.rows, rows), db, cm, env, guards, &mut out);
         }
         LogicalPlan::UnionAll {
             inputs,
@@ -1266,6 +1036,42 @@ fn bf_options(
             }
             out.push((BF_HERE, total));
         }
+        // Unary operators: each child strategy delivered to each evaluation
+        // site.
+        _ => {
+            let input = plan.children()[0];
+            let (in_rows, in_width) = (estimate_rows(input, db), estimate_width(input));
+            let op = match plan {
+                LogicalPlan::Project { .. } => cm.project(in_rows),
+                LogicalPlan::Sort { .. } => cm.sort(in_rows),
+                LogicalPlan::Aggregate { .. } | LogicalPlan::Distinct { .. } => {
+                    cm.aggregate(in_rows, rows)
+                }
+                _ => cm.filter(in_rows),
+            };
+            let child = bf_options(input, db, cm, env, guards);
+            for s in 0..=backend {
+                let factor = bf_factor(s, backend, cm);
+                for (cs, ccost) in &child {
+                    let delivered = ccost + bf_link(*cs, s, in_rows, in_width, env);
+                    out.push((s, op * factor + delivered));
+                }
+            }
+            // The pruning-Project fusion: the narrowed column requirement
+            // may unlock peer matches the bare leaf lacks.
+            if let LogicalPlan::Project { exprs, .. } = plan {
+                if let Some(leaf) = scan_leaf(input).filter(ScanLeaf::is_shadow) {
+                    let required = project_required(exprs, &leaf.conjuncts(), leaf.schema);
+                    let (costs, _) = peer_leaf_matches(&leaf, &required, env, cm, guards);
+                    out.extend(
+                        costs
+                            .into_iter()
+                            .enumerate()
+                            .map(|(i, c)| (1 + i, c + op * cm.peer_cost_factor)),
+                    );
+                }
+            }
+        }
     }
     bf_gate(plan, out)
 }
@@ -1278,30 +1084,6 @@ fn bf_factor(site: usize, backend: usize, cm: &CostModel) -> f64 {
         cm.remote_cost_factor
     } else {
         cm.peer_cost_factor
-    }
-}
-
-/// Unary-operator strategy fan-out: each child strategy delivered to each
-/// evaluation site.
-#[allow(clippy::too_many_arguments)]
-fn bf_unary(
-    input: &LogicalPlan,
-    op: f64,
-    db: &Database,
-    cm: &CostModel,
-    env: &PlacementEnv,
-    guards: &[Expr],
-    out: &mut Vec<(usize, f64)>,
-) {
-    let c = cost_placed(input, db, cm, env, guards);
-    let backend = bf_backend(env);
-    let child = bf_options(input, db, cm, env, guards);
-    for s in 0..=backend {
-        let factor = bf_factor(s, backend, cm);
-        for (cs, ccost) in &child {
-            let delivered = ccost + bf_link(*cs, s, c.rows, c.width, env);
-            out.push((s, op * factor + delivered));
-        }
     }
 }
 

@@ -99,12 +99,13 @@ pub fn optimize_with_placement(
     // Candidate set: the matched plan, a greedily join-reordered variant,
     // and (optionally) versions with every ChoosePlan pulled to the top.
     // Pick the cheapest — the paper notes pull-up can win (bigger remote
-    // subqueries) or lose (larger plans). Each candidate is costed exactly
-    // once; `consider` folds it into the running best.
+    // subqueries) or lose (larger plans). Each distinct candidate gets
+    // exactly one placement pass; `consider` keeps the cheapest one's
+    // annotation, which is all the physical build needs.
     fn consider(
         cand: LogicalPlan,
         seen: &mut Vec<LogicalPlan>,
-        best: &mut Option<(f64, LogicalPlan)>,
+        best: &mut Option<(location::Placed, usize)>,
         db: &Database,
         options: &OptimizerOptions,
         env: &PlacementEnv<'_>,
@@ -112,13 +113,17 @@ pub fn optimize_with_placement(
         if seen.contains(&cand) {
             return;
         }
-        let c = location::cost_placed(&cand, db, &options.cost, env, &[]);
-        if best.as_ref().map(|(bc, _)| c.local < *bc).unwrap_or(true) {
-            *best = Some((c.local, cand.clone()));
+        let placed = location::place(&cand, db, &options.cost, env, &[]);
+        if best
+            .as_ref()
+            .map(|(b, _)| placed.costs.local < b.costs.local)
+            .unwrap_or(true)
+        {
+            *best = Some((placed, seen.len()));
         }
         seen.push(cand);
     }
-    let mut best: Option<(f64, LogicalPlan)> = None;
+    let mut best: Option<(location::Placed, usize)> = None;
     let mut seen: Vec<LogicalPlan> = Vec::new();
     consider(plan.clone(), &mut seen, &mut best, db, options, env);
     consider(
@@ -137,8 +142,9 @@ pub fn optimize_with_placement(
     // of every base would double the DP passes (and the planning time)
     // without changing which base structure wins.
     if options.enable_dynamic_plans && !env.peers.is_empty() {
-        let base = best.as_ref().expect("at least one candidate").1.clone();
-        let placed = view_match::recompute_schemas(synthesize_placement_choices(base, env));
+        let base = seen[best.as_ref().expect("at least one candidate").1].clone();
+        let placed =
+            view_match::recompute_schemas(synthesize_placement_choices(base, env, &options.cost));
         consider(placed, &mut seen, &mut best, db, options, env);
     }
     if options.enable_choose_plan_pullup {
@@ -146,14 +152,14 @@ pub fn optimize_with_placement(
             consider(pull_up_choose_plans(base), &mut seen, &mut best, db, options, env);
         }
     }
-    let (est_cost, logical) = best.expect("at least one candidate");
-    let est_rows = cardinality::estimate_rows(&logical, db);
-    let physical = location::build_placed(&logical, db, &options.cost, env, &[])?;
+    let (placed, winner) = best.expect("at least one candidate");
+    let logical = seen.swap_remove(winner);
+    let physical = placed.build(&logical)?;
     Ok(Optimized {
         logical,
         physical,
-        est_cost,
-        est_rows,
+        est_cost: placed.costs.local,
+        est_rows: placed.costs.rows,
     })
 }
 
@@ -228,50 +234,31 @@ fn apply_view_matching(
         allow_mixed_results: options.allow_mixed_results,
     };
     let rewrite = |node: LogicalPlan| -> LogicalPlan {
-        // Pattern: Filter(Get) or bare Get.
-        let (get, conjuncts, original): (&LogicalPlan, Vec<Expr>, LogicalPlan) = match &node {
-            LogicalPlan::Filter { input, predicate }
-                if matches!(**input, LogicalPlan::Get { .. }) =>
-            {
-                (
-                    input,
-                    predicate.split_conjuncts().into_iter().cloned().collect(),
-                    node.clone(),
-                )
-            }
-            LogicalPlan::Get { .. } => (&node, vec![], node.clone()),
-            _ => return node,
+        // Pattern: Filter(Get) or bare Get of a catalog object.
+        let Some(leaf) = location::scan_leaf(&node) else {
+            return node;
         };
-        let LogicalPlan::Get {
-            object,
-            alias,
-            schema,
-            ..
-        } = get
-        else {
-            return original;
-        };
-        if object.is_empty() {
-            return original;
-        }
         // Which required columns belong to this Get?
         let my_required: Vec<String> = required
             .iter()
-            .filter(|c| schema.index_of(c).is_ok())
-            .map(|c| {
-                let idx = schema.index_of(c).expect("checked");
-                schema.column(idx).name.clone()
-            })
+            .filter_map(|c| leaf.schema.index_of(c).ok())
+            .map(|idx| leaf.schema.column(idx).name.clone())
             .collect();
         let matches = view_match::match_views(
-            db, object, alias, schema, &conjuncts, &my_required, match_opts,
+            db,
+            leaf.object,
+            leaf.alias,
+            leaf.schema,
+            &leaf.conjuncts(),
+            &my_required,
+            match_opts,
         );
         if matches.is_empty() {
-            return original;
+            return node;
         }
         // Cost-based choice among the original and every match.
-        let mut best = original.clone();
-        let mut best_cost = location::cost(&original, db, &options.cost).local;
+        let mut best_cost = location::cost(&node, db, &options.cost).local;
+        let mut best = node;
         for m in matches {
             let c = location::cost(&m.plan, db, &options.cost).local;
             if c < best_cost {
@@ -294,50 +281,21 @@ fn apply_view_matching(
 /// fragment ships to the backend. At run time exactly one branch opens.
 fn synthesize_placement_choices(
     plan: LogicalPlan,
-    env: &location::PlacementEnv<'_>,
+    env: &PlacementEnv<'_>,
+    cm: &CostModel,
 ) -> LogicalPlan {
     let rewrite = |node: LogicalPlan| -> LogicalPlan {
-        let (get, conjuncts): (&LogicalPlan, Vec<Expr>) = match &node {
-            LogicalPlan::Filter { input, predicate }
-                if matches!(**input, LogicalPlan::Get { .. }) =>
-            {
-                (
-                    input,
-                    predicate.split_conjuncts().into_iter().cloned().collect(),
-                )
-            }
-            LogicalPlan::Get { .. } => (&node, vec![]),
-            _ => return node,
-        };
-        let LogicalPlan::Get {
-            object,
-            alias,
-            schema,
-            location,
-        } = get
-        else {
+        // A local match would have rewritten this leaf already; only a
+        // *guarded* peer match creates a genuine placement choice.
+        let Some((guard, fl)) = location::guarded_peer_match(&node, env, cm) else {
             return node;
         };
-        if *location != crate::logical::DataLocation::Remote || object.is_empty() {
-            return node;
+        LogicalPlan::UnionAll {
+            schema: node.schema().clone(),
+            inputs: vec![node.clone(), node],
+            startup_predicates: vec![Some(guard.clone()), Some(Expr::not(guard))],
+            weights: vec![fl, 1.0 - fl],
         }
-        let required: Vec<String> = schema.columns().iter().map(|c| c.name.clone()).collect();
-        for site in &env.peers {
-            // A local match would have rewritten this leaf already; only a
-            // *guarded* peer match creates a genuine placement choice.
-            let Some((guard, fl)) = location::guarded_peer_match(
-                object, alias, schema, &conjuncts, &required, site, env,
-            ) else {
-                continue;
-            };
-            return LogicalPlan::UnionAll {
-                inputs: vec![node.clone(), node.clone()],
-                startup_predicates: vec![Some(guard.clone()), Some(Expr::not(guard))],
-                weights: vec![fl, 1.0 - fl],
-                schema: node.schema().clone(),
-            };
-        }
-        node
     };
     rewrite_plan(plan, &rewrite)
 }
