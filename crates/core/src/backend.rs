@@ -446,12 +446,8 @@ impl RemoteExecutor for BackendServer {
     }
 }
 
-/// Checks SELECT permission on every object named in the FROM clause.
-pub(crate) fn check_select_permissions(
-    db: &Database,
-    sel: &Select,
-    principal: &str,
-) -> Result<()> {
+/// Every object named in the FROM clause, in order.
+pub(crate) fn select_objects(sel: &Select) -> Vec<String> {
     fn objects(t: &TableRef, out: &mut Vec<String>) {
         match t {
             TableRef::Table { name, .. } => out.push(name.clone()),
@@ -465,7 +461,16 @@ pub(crate) fn check_select_permissions(
     for t in &sel.from {
         objects(t, &mut names);
     }
-    for name in names {
+    names
+}
+
+/// Checks SELECT permission on every object named in the FROM clause.
+pub(crate) fn check_select_permissions(
+    db: &Database,
+    sel: &Select,
+    principal: &str,
+) -> Result<()> {
+    for name in select_objects(sel) {
         let local = name.rsplit('.').next().unwrap_or(&name);
         db.catalog
             .check_permission(principal, local, Permission::Select)?;

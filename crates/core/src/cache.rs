@@ -14,7 +14,7 @@ use mtc_sql::{parse_statement, Select, Statement, TableRef};
 use mtc_storage::{DbSnapshot, Lsn, ProcedureDef, SnapshotDb, ViewMeta};
 use mtc_types::{Column, Error, Result, Schema};
 
-use crate::backend::{check_select_permissions, BackendServer};
+use crate::backend::{check_select_permissions, select_objects, BackendServer};
 use crate::fragment::FragmentGateway;
 use crate::plan_cache::{param_signature, CachedPlan, PlanCache};
 use crate::result_cache::{RemoteGateway, ResultCache, ResultCacheConfig};
@@ -587,12 +587,16 @@ impl CacheServer {
             }
         }
 
-        // Blind forwarding (§7's pruned-shadow future work): a query naming
-        // objects absent from this (possibly pruned) shadow catalog is
-        // forwarded whole — the backend parses, authorizes and executes it.
-        let plan = match perm.and_then(|()| bind_select(sel, &db)) {
-            Ok(plan) => plan,
-            Err(e) if e.kind() == "catalog" => {
+        let opt = match perm.and_then(|()| self.plan_select(&db, sel, &peers))? {
+            Planned::Here { opt, currency } => {
+                if currency.is_some() {
+                    // The routing reason is observable via explain().
+                    self.stats.freshness_fallbacks.inc();
+                }
+                opt
+            }
+            // The backend parses, authorizes and executes it.
+            Planned::BlindForward { .. } => {
                 drop(db);
                 let result = self.backend.execute_select(sel, params, principal)?;
                 self.stats.queries.inc();
@@ -604,34 +608,7 @@ impl CacheServer {
                 out.metrics.remote_calls += 1;
                 return Ok(out);
             }
-            Err(e) => return Err(e),
         };
-        // Multi-site placement: every DataTransfer boundary is costed per
-        // candidate site over its own link — here, each peer carrying a
-        // relevant cached view (their published snapshots, pinned for the
-        // duration of planning), or the backend.
-        let peer_snaps: Vec<(String, Arc<DbSnapshot>)> = peers
-            .iter()
-            .map(|(name, s)| (name.clone(), s.db.read()))
-            .collect();
-        let env = self.placement_env(&options, &peer_snaps);
-        let mut opt = mtc_engine::optimize_with_placement(plan.clone(), &db, &options, &env)?;
-
-        // Freshness routing (§7 extension): if the statement carries a
-        // staleness bound, check it against the cached views the chosen
-        // plan *actually reads* (per-view staleness, not a server-wide
-        // worst case). If any is too stale, the local plan is rejected and
-        // the statement degrades gracefully to the backend — backend data
-        // is always fresh. Queries without a bound are untouched.
-        if let Some(decision) = self.currency_violation(&db, sel, &opt.physical) {
-            let no_views = OptimizerOptions {
-                enable_view_matching: false,
-                ..options.clone()
-            };
-            opt = mtc_engine::optimize(plan, &db, &no_views)?;
-            self.stats.freshness_fallbacks.inc();
-            let _ = decision; // the routing reason is observable via explain()
-        }
         let ctx = ExecContext {
             db: &db,
             remote: Some(&gateway),
@@ -663,24 +640,61 @@ impl CacheServer {
         Ok(result)
     }
 
-    /// The placement environment for one planning pass: the classic
-    /// two-site space (here / backend over the modeled backend link) plus
-    /// one site per pinned peer snapshot over the cheap peer link.
-    fn placement_env<'a>(
+    /// Plans a SELECT on this server — the one planning path `select_impl`
+    /// executes and `explain` prints. `peers` are the nodes pinned for this
+    /// statement (empty = two-site planning).
+    fn plan_select(
         &self,
-        options: &OptimizerOptions,
-        peer_snaps: &'a [(String, Arc<DbSnapshot>)],
-    ) -> PlacementEnv<'a> {
-        let mut env = PlacementEnv::two_site(&options.cost);
-        let link = options.cost.peer_link();
-        for (name, snap) in peer_snaps {
+        db: &DbSnapshot,
+        sel: &Select,
+        peers: &[(String, Arc<CacheServer>)],
+    ) -> Result<Planned> {
+        // Blind forwarding (§7's pruned-shadow future work): a query that
+        // fails to bind against this (possibly pruned) shadow catalog is
+        // forwarded whole.
+        let plan = match bind_select(sel, db) {
+            Ok(plan) => plan,
+            Err(e) if e.kind() == "catalog" => {
+                let object = select_objects(sel).into_iter().find(|name| {
+                    let local = name.rsplit('.').next().unwrap_or(name);
+                    !db.has_table(local) && db.catalog.view(local).is_none()
+                });
+                return Ok(Planned::BlindForward { object });
+            }
+            Err(e) => return Err(e),
+        };
+        // Multi-site placement: every DataTransfer boundary is costed per
+        // candidate site over its own link — here (the classic two-site
+        // space over the modeled backend link), each peer carrying a
+        // relevant cached view (their published snapshots, pinned for the
+        // duration of planning, over the cheap peer link), or the backend.
+        let peer_snaps: Vec<(&String, Arc<DbSnapshot>)> =
+            peers.iter().map(|(name, s)| (name, s.db.read())).collect();
+        let mut env = PlacementEnv::two_site(&self.options.cost);
+        for (name, snap) in &peer_snaps {
             env.peers.push(PeerSite {
-                name: name.clone(),
+                name: (*name).clone(),
                 db: snap,
-                link,
+                link: self.options.cost.peer_link(),
             });
         }
-        env
+        let mut opt = mtc_engine::optimize_with_placement(plan, db, &self.options, &env)?;
+
+        // Freshness routing (§7 extension): if the statement carries a
+        // staleness bound, check it against the cached views the chosen
+        // plan *actually reads* (per-view staleness, not a server-wide
+        // worst case). If any is too stale, the local plan is rejected and
+        // the statement degrades gracefully to the backend — backend data
+        // is always fresh. Queries without a bound are untouched.
+        let currency = self.currency_violation(db, sel, &opt.physical);
+        if currency.is_some() {
+            let no_views = OptimizerOptions {
+                enable_view_matching: false,
+                ..self.options.clone()
+            };
+            opt = mtc_engine::optimize(bind_select(sel, db)?, db, &no_views)?;
+        }
+        Ok(Planned::Here { opt, currency })
     }
 
     /// Runs a copied procedure locally: its queries go through this cache's
@@ -750,37 +764,28 @@ impl CacheServer {
             return Err(Error::plan("EXPLAIN supports SELECT statements"));
         };
         let db = self.db.read();
-        let plan = bind_select(&sel, &db)?;
-        // Mirror execute_select's placement space so EXPLAIN shows where
-        // fragments would actually run.
-        let peers = self.live_peers();
-        let peer_snaps: Vec<(String, Arc<DbSnapshot>)> = peers
-            .iter()
-            .map(|(name, s)| (name.clone(), s.db.read()))
-            .collect();
-        let env = self.placement_env(&self.options, &peer_snaps);
-        let mut opt = mtc_engine::optimize_with_placement(plan.clone(), &db, &self.options, &env)?;
-        // Mirror execute_select's currency check so EXPLAIN shows the plan
-        // that would actually run, with the routing reason spelled out.
-        let mut routing = String::new();
-        if let Some(bound_s) = sel.freshness_seconds {
-            match self.currency_violation(&db, &sel, &opt.physical) {
-                Some(d) => {
-                    let no_views = OptimizerOptions {
-                        enable_view_matching: false,
-                        ..self.options.clone()
-                    };
-                    opt = mtc_engine::optimize(plan, &db, &no_views)?;
-                    routing = format!(
-                        "routing: backend fallback — cached view `{}` stale {}ms > bound {}ms (lag {} txns)\n",
-                        d.view, d.staleness_ms, d.bound_ms, d.lag_txns
-                    );
-                }
-                None => {
-                    routing = format!("routing: local (currency bound {bound_s}s satisfied)\n");
-                }
+        let (opt, currency) = match self.plan_select(&db, &sel, &self.live_peers())? {
+            Planned::Here { opt, currency } => (opt, currency),
+            Planned::BlindForward { object } => {
+                // The backend binds what it is sent: a statement it cannot
+                // bind either fails exactly as executing it would.
+                bind_select(&sel, &self.backend.db.read())?;
+                let what = object.unwrap_or_else(|| "a column it names".to_string());
+                return Ok(format!(
+                    "routing: backend (blind forward — {what} not in shadow catalog)\n"
+                ));
             }
-        }
+        };
+        let mut routing = match (sel.freshness_seconds, currency) {
+            (_, Some(d)) => format!(
+                "routing: backend fallback — cached view `{}` stale {}ms > bound {}ms (lag {} txns)\n",
+                d.view, d.staleness_ms, d.bound_ms, d.lag_txns
+            ),
+            (Some(bound_s), None) => {
+                format!("routing: local (currency bound {bound_s}s satisfied)\n")
+            }
+            (None, None) => String::new(),
+        };
         let version = db.catalog.version();
         let cached = self
             .plan_cache
@@ -927,6 +932,21 @@ pub struct CurrencyDecision {
     /// Backend-commit-LSN vs. applied-LSN backlog behind the violation, in
     /// transactions.
     pub lag_txns: u64,
+}
+
+/// How a SELECT runs on this server, as decided by
+/// [`CacheServer::plan_select`].
+enum Planned {
+    /// Optimized here (the plan may be local, remote or mixed). `currency`
+    /// is set when the statement's currency bound rejected the view-backed
+    /// plan; `opt` is then the no-views re-plan.
+    Here {
+        opt: mtc_engine::Optimized,
+        currency: Option<CurrencyDecision>,
+    },
+    /// The statement does not bind against the shadow catalog and is
+    /// forwarded whole; `object` is the FROM object the catalog lacks.
+    BlindForward { object: Option<String> },
 }
 
 /// `(site description, shipped SQL)` of every Remote node in a physical
@@ -1279,6 +1299,12 @@ mod tests {
             .unwrap();
         assert_eq!(r.rows[0][0], Value::str("hello"));
         assert_eq!(r.metrics.remote_calls, 1);
+        // ... and EXPLAIN says so instead of failing to bind.
+        let plan = c.explain("SELECT al_msg FROM audit_log WHERE al_id = 1").unwrap();
+        assert_eq!(
+            plan,
+            "routing: backend (blind forward — audit_log not in shadow catalog)\n"
+        );
         // Cached-view queries are unaffected.
         let r = c
             .execute("SELECT cname FROM customer WHERE cid = 3", &Bindings::new(), "app")
@@ -1298,6 +1324,9 @@ mod tests {
         let err = c
             .execute("SELECT x FROM no_such_table", &Bindings::new(), "dbo")
             .unwrap_err();
+        assert_eq!(err.kind(), "catalog");
+        // EXPLAIN does not promise a blind forward the backend would refuse.
+        let err = c.explain("SELECT x FROM no_such_table").unwrap_err();
         assert_eq!(err.kind(), "catalog");
     }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
-# Tier-1 verification (ROADMAP.md): build + full test suite, then the
-# explicit fleet-experiment smoke hook. The workspace sets
-# `[workspace.lints.rust] warnings = "deny"`, so the deny-warnings check is
-# a clean build: any warning anywhere fails the build step itself.
+# Tier-1 verification (ROADMAP.md): build + full test suite, the benchmark
+# package's own tests, then the explicit experiment smoke hooks. The
+# workspace sets `[workspace.lints.rust] warnings = "deny"`, so the
+# deny-warnings check is a clean build: any warning anywhere fails the build
+# step itself.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -15,6 +16,13 @@ cargo test -q
 
 echo "==> cargo test -q --workspace (every crate's unit tests)"
 cargo test -q --workspace
+
+# mtc_benchmark is a workspace of its own, so neither command above compiles
+# it: a changed `pub` signature it uses would otherwise only surface when the
+# benchmark itself is run. Its unit tests also keep BENCHMARK.json equal to
+# the metric and workload tables in its source.
+echo "==> cargo test -q --manifest-path crates/bench/src/bin/mtc_benchmark/Cargo.toml (benchmark package)"
+cargo test -q --manifest-path crates/bench/src/bin/mtc_benchmark/Cargo.toml
 
 echo "==> cargo test -q --test fleet_smoke (fleet floors vs committed BENCH_fleet.json)"
 cargo test -q --test fleet_smoke

@@ -10,7 +10,8 @@
 //!   cached view over the cheap peer link, not from the backend, and the
 //!   answer is bit-identical to the backend's;
 //! * EXPLAIN names the chosen site per remote fragment
-//!   (`placed: cache1 (view item_head)` / `placed: backend`);
+//!   (`placed: cache1 (view item_head)` / `placed: backend`), and those
+//!   are exactly the sites executing the statement then contacts;
 //! * `multisite: false` restores strict two-site planning on every node;
 //! * crash AND rejoin bump the fleet-wide topology version, and the plan
 //!   cache treats it exactly like `Catalog::version()` — a cached
@@ -126,6 +127,42 @@ fn explain_names_the_chosen_site_per_fragment() {
         !local.contains("placed:"),
         "the view owner's plan has no remote fragments:\n{local}"
     );
+}
+
+#[test]
+fn explain_names_exactly_the_sites_execution_contacts() {
+    // EXPLAIN and execution plan through the same path, so the `placed:`
+    // lines must be the sites the statement then ships fragments to: as
+    // many peer-placed lines as peer calls, as many backend-placed lines
+    // as the remaining remote calls — for plan-cached reads and for the
+    // currency-bounded one, which re-plans on every execution.
+    let (_backend, fleet, _hub) = setup_partitioned_fleet(FleetConfig {
+        nodes: 2,
+        ..FleetConfig::default()
+    });
+    let bounded = format!("{IN_VIEW_READ} WITH FRESHNESS 60 SECONDS");
+    for (slot, sql) in [
+        (0, IN_VIEW_READ),
+        (0, OUT_OF_VIEW_READ),
+        (0, bounded.as_str()),
+        (1, bounded.as_str()),
+    ] {
+        let node = fleet.node(slot).unwrap();
+        let explain = node.explain(sql).unwrap();
+        let placed: Vec<&str> = explain
+            .lines()
+            .filter_map(|l| l.strip_prefix("placed: "))
+            .collect();
+        let on_backend = placed.iter().filter(|site| **site == "backend").count() as u64;
+        let on_peers = placed.len() as u64 - on_backend;
+        let m = Connection::connect(node).query(sql).unwrap().metrics;
+        assert_eq!(m.peer_calls, on_peers, "node {slot}: {sql}\n{explain}");
+        assert_eq!(
+            m.remote_calls - m.peer_calls,
+            on_backend,
+            "node {slot}: {sql}\n{explain}"
+        );
+    }
 }
 
 #[test]
