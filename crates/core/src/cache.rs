@@ -935,7 +935,9 @@ pub struct CurrencyDecision {
 }
 
 /// How a SELECT runs on this server, as decided by
-/// [`CacheServer::plan_select`].
+/// [`CacheServer::plan_select`]. Matched and consumed by the caller at once,
+/// never stored, so the plan is not boxed.
+#[allow(clippy::large_enum_variant)]
 enum Planned {
     /// Optimized here (the plan may be local, remote or mixed). `currency`
     /// is set when the statement's currency bound rejected the view-backed

@@ -99,7 +99,7 @@ struct LeafProbe {
 
 /// One peer view matching a shadow leaf.
 struct PeerView {
-    name: String,
+    name: Rc<str>,
     /// The parameter guard the match holds under and its estimated
     /// probability; `None` = unconditional.
     guard: Option<(Expr, f64)>,
@@ -150,7 +150,7 @@ pub(crate) struct Placed {
     /// Per peer, the cached view a shadow leaf (or a pruning Project over
     /// one) matched there — what EXPLAIN names on a peer boundary. Empty on
     /// every other node.
-    leaf_views: Vec<Option<String>>,
+    leaf_views: Vec<Option<Rc<str>>>,
     /// Empty where the node was priced whole (a fused `Filter(Get)`, an
     /// extreme seek).
     children: Vec<Placed>,
@@ -541,16 +541,18 @@ fn probe_leaf(
     env: &PlacementEnv,
     cm: &CostModel,
 ) -> Rc<LeafProbe> {
-    let (object, alias, conjuncts) = (leaf.object, leaf.alias, leaf.conjuncts());
+    let (object, alias) = (leaf.object, leaf.alias);
+    let conjuncts = leaf.predicate.map_or(Vec::new(), Expr::split_conjuncts);
     if let Some(hit) = env.probes.borrow().iter().find(|m| {
         m.object == object
             && m.alias == alias
-            && m.conjuncts == conjuncts
+            && m.conjuncts.iter().eq(conjuncts.iter().copied())
             && m.required == required
             && m.peer_names.iter().eq(env.peers.iter().map(|p| &p.name))
     }) {
         return hit.clone();
     }
+    let conjuncts: Vec<Expr> = conjuncts.into_iter().cloned().collect();
     let opts = MatchOptions {
         enable_dynamic_plans: true,
         allow_mixed_results: false,
@@ -580,7 +582,7 @@ fn probe_leaf(
                 Some(PeerView {
                     cost: cost(branch, site.db, cm).local * cm.peer_cost_factor,
                     guard: m.guard.map(|g| (g, m.guard_probability)),
-                    name: m.view_name,
+                    name: m.view_name.into(),
                 })
             })
             .collect()
@@ -609,7 +611,7 @@ fn peer_leaf_matches(
     env: &PlacementEnv,
     cm: &CostModel,
     guards: &[Expr],
-) -> (Vec<f64>, Vec<Option<String>>) {
+) -> (Vec<f64>, Vec<Option<Rc<str>>>) {
     if env.peers.is_empty() {
         return (Vec::new(), Vec::new());
     }
@@ -622,8 +624,8 @@ fn peer_leaf_matches(
                 let usable = v
                     .guard
                     .as_ref()
-                    .map_or(true, |(g, _)| guard_active(g, guards));
-                if usable && best.map_or(true, |b| v.cost < b.cost) {
+                    .is_none_or(|(g, _)| guard_active(g, guards));
+                if usable && best.is_none_or(|b| v.cost < b.cost) {
                     best = Some(v);
                 }
             }
@@ -655,10 +657,15 @@ pub(crate) fn guarded_peer_match(
 /// The views of peer `p` a fragment placed there would be served from — for
 /// EXPLAIN observability on Remote boundaries. A pruning Project's own
 /// (narrowed) match stands for the leaf beneath it.
-fn views_at_peer(leaf_views: &[Option<String>], children: &[Placed], p: usize) -> String {
-    fn walk(leaf_views: &[Option<String>], children: &[Placed], p: usize, out: &mut Vec<String>) {
+fn views_at_peer(leaf_views: &[Option<Rc<str>>], children: &[Placed], p: usize) -> String {
+    fn walk<'a>(
+        leaf_views: &'a [Option<Rc<str>>],
+        children: &'a [Placed],
+        p: usize,
+        out: &mut Vec<&'a str>,
+    ) {
         if let Some(Some(view)) = leaf_views.get(p) {
-            out.push(view.clone());
+            out.push(view);
             return;
         }
         for child in children {

@@ -116,8 +116,7 @@ pub fn optimize_with_placement(
         let placed = location::place(&cand, db, &options.cost, env, &[]);
         if best
             .as_ref()
-            .map(|(b, _)| placed.costs.local < b.costs.local)
-            .unwrap_or(true)
+            .is_none_or(|(b, _)| placed.costs.local < b.costs.local)
         {
             *best = Some((placed, seen.len()));
         }
