@@ -156,7 +156,7 @@ impl BackendServer {
                 if *materialized {
                     self.create_materialized_view(name, query)?;
                 } else {
-                    self.db.write().catalog.create_view(ViewMeta {
+                    self.db.write().catalog_mut().create_view(ViewMeta {
                         name: name.clone(),
                         definition: query.clone(),
                         materialized: false,
@@ -171,7 +171,7 @@ impl BackendServer {
             }
             Statement::DropView { name } => {
                 let mut db = self.db.write();
-                let meta = db.catalog.drop_view(name)?;
+                let meta = db.catalog_mut().drop_view(name)?;
                 if meta.materialized && db.has_table(name) {
                     db.drop_table(name)?;
                 }
@@ -182,7 +182,7 @@ impl BackendServer {
                 object,
                 principal: grantee,
             } => {
-                self.db.write().catalog.grant(grantee, object, *permission);
+                self.db.write().catalog_mut().grant(grantee, object, *permission);
                 Ok(QueryResult::default())
             }
             Statement::Exec { proc, args } => self.execute_proc(proc, args, params, principal),
@@ -264,7 +264,7 @@ impl BackendServer {
     pub fn create_procedure(&self, name: &str, params: &[&str], body_sql: &str) -> Result<()> {
         let params: Vec<String> = params.iter().map(|p| mtc_types::normalize_ident(p)).collect();
         let body = parse_proc_body(name, &params, body_sql)?;
-        self.db.write().catalog.create_procedure(ProcedureDef {
+        self.db.write().catalog_mut().create_procedure(ProcedureDef {
             name: name.to_string(),
             params,
             body,
@@ -335,7 +335,7 @@ impl BackendServer {
             })
             .collect();
         db.apply_unlogged(&changes)?;
-        db.catalog.create_view(ViewMeta {
+        db.catalog_mut().create_view(ViewMeta {
             name: name.to_string(),
             definition: definition.clone(),
             materialized: true,

@@ -280,7 +280,7 @@ impl CacheServer {
         {
             let mut db = self.db.write();
             db.create_table(name, Schema::new(cols), &pk)?;
-            db.catalog.create_view(ViewMeta {
+            db.catalog_mut().create_view(ViewMeta {
                 name: name.to_string(),
                 definition: definition.clone(),
                 materialized: true,
@@ -318,9 +318,9 @@ impl CacheServer {
         };
         self.hub.lock().unsubscribe(sub);
         let mut db = self.db.write();
-        db.catalog.drop_view(name)?; // bumps the catalog version
+        db.catalog_mut().drop_view(name)?; // bumps the catalog version
         db.drop_table(name)?;
-        db.catalog.remove_stats(name);
+        db.catalog_mut().remove_stats(name);
         Ok(())
     }
 
@@ -328,8 +328,11 @@ impl CacheServer {
     /// view's backing table ("all indexes on the cache servers were
     /// identical to indexes on the backend server", §6.1).
     pub fn create_index_on_view(&self, index: &str, view: &str, columns: &[String]) -> Result<()> {
-        self.db.write().create_index(index, view, columns, false)?;
-        self.db.write().analyze_table(view);
+        // One write batch, one publication: no reader plans against an
+        // epoch that has the index but not yet the statistics.
+        let mut db = self.db.write();
+        db.create_index(index, view, columns, false)?;
+        db.analyze_table(view);
         Ok(())
     }
 
@@ -344,7 +347,7 @@ impl CacheServer {
             .procedure(name)
             .cloned()
             .ok_or_else(|| Error::catalog(format!("backend procedure `{name}` not found")))?;
-        self.db.write().catalog.create_procedure(def)
+        self.db.write().catalog_mut().create_procedure(def)
     }
 
     /// Re-imports backend statistics and newly created backend procedures
@@ -352,7 +355,7 @@ impl CacheServer {
     pub fn refresh_shadow_catalog(&self) -> Result<()> {
         let backend_db = self.backend.db.read();
         let mut db = self.db.write();
-        db.catalog.import_stats_from(&backend_db.catalog);
+        db.catalog_mut().import_stats_from(&backend_db.catalog);
         // Preserve fresher statistics for locally populated cached views.
         let views: Vec<String> = self
             .subscriptions
@@ -476,7 +479,7 @@ impl CacheServer {
                 object,
                 principal: grantee,
             } => {
-                self.db.write().catalog.grant(grantee, object, *permission);
+                self.db.write().catalog_mut().grant(grantee, object, *permission);
                 Ok(QueryResult::default())
             }
             other => Err(Error::catalog(format!(
@@ -750,7 +753,7 @@ impl CacheServer {
         let mut db = self.db.write();
         for t in &victims {
             db.drop_table(t)?;
-            db.catalog.remove_stats(t);
+            db.catalog_mut().remove_stats(t);
         }
         Ok(victims)
     }
@@ -1033,6 +1036,17 @@ mod tests {
         assert!(db.table_ref("customer").unwrap().is_shadow());
         assert_eq!(db.table_ref("cust1000").unwrap().row_count(), 1000);
         assert_eq!(db.catalog.stats("customer").unwrap().row_count, 2000);
+    }
+
+    #[test]
+    fn index_on_view_is_published_with_its_statistics() {
+        let (backend, hub, _clock) = setup();
+        let c = cache(&backend, &hub);
+        let before = c.db.epoch();
+        c.create_index_on_view("cx_cname", "cust1000", &["cname".into()])
+            .unwrap();
+        assert_eq!(c.db.epoch(), before + 1, "index and statistics in one publication");
+        assert!(c.db.read().index("cx_cname").is_some());
     }
 
     #[test]

@@ -396,7 +396,7 @@ mod tests {
         else {
             panic!()
         };
-        db.catalog
+        db.catalog_mut()
             .create_view(mtc_storage::ViewMeta {
                 name: "cheap_items".into(),
                 definition: def,

@@ -626,7 +626,7 @@ mod tests {
         else {
             panic!()
         };
-        db.catalog
+        db.catalog_mut()
             .create_view(mtc_storage::ViewMeta {
                 name,
                 definition: query,

@@ -26,6 +26,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
+use std::sync::Arc;
 
 use mtc_sql::{Expr, JoinKind};
 use mtc_storage::Database;
@@ -335,7 +336,7 @@ fn run(plan: &PhysicalPlan, ctx: &ExecContext<'_>, m: &mut ExecMetrics) -> Resul
             high,
             predicate,
         } => {
-            let table = ctx.db.table_ref(object)?;
+            ctx.db.table_ref(object)?;
             let ix = ctx
                 .db
                 .index(index)
@@ -348,19 +349,17 @@ fn run(plan: &PhysicalPlan, ctx: &ExecContext<'_>, m: &mut ExecMetrics) -> Resul
                 Some(k) => Bound::Included(k),
                 None => Bound::Unbounded,
             };
-            // Seed behavior: materialize the whole PK range before probing.
+            // Seed behavior: materialize the whole range before filtering.
             // (The streaming executor walks the borrowed range instead.)
-            let pks: Vec<Row> = ix.range(lo, hi).cloned().collect();
-            m.rows_cloned += pks.len() as u64;
+            let rows: Vec<Arc<Row>> = ix.range(lo, hi).cloned().collect();
+            m.rows_cloned += rows.len() as u64;
             let mut out = Vec::new();
-            for pk in &pks {
-                if let Some(row) = table.get(pk) {
-                    if passes(predicate, row, schema, ctx)? {
-                        out.push(row.clone());
-                    }
+            for row in &rows {
+                if passes(predicate, row, schema, ctx)? {
+                    out.push(Row::clone(row));
                 }
             }
-            m.local_work += ctx.work.seek(pks.len() as f64);
+            m.local_work += ctx.work.seek(rows.len() as f64);
             m.local_rows += out.len() as u64;
             m.rows_cloned += out.len() as u64;
             Ok(out)
@@ -674,11 +673,7 @@ fn run(plan: &PhysicalPlan, ctx: &ExecContext<'_>, m: &mut ExecMetrics) -> Resul
                     let key_row = Row::new(vec![key]);
                     // Collect matching inner rows via the chosen access path.
                     let inner_matches: Vec<&Row> = match index {
-                        Some(ix) => ix
-                            .seek(&key_row)
-                            .iter()
-                            .filter_map(|pk| table.get(pk))
-                            .collect(),
+                        Some(ix) => ix.seek(&key_row).map(|r| &**r).collect(),
                         None => table.get(&key_row).into_iter().collect(),
                     };
                     for irow in inner_matches {

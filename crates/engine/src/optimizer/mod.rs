@@ -695,7 +695,7 @@ mod tests {
             panic!()
         };
         cache
-            .catalog
+            .catalog_mut()
             .create_view(ViewMeta {
                 name: "cust1000".into(),
                 definition: def,

@@ -773,7 +773,7 @@ mod tests {
         .unwrap() else {
             panic!()
         };
-        db.catalog
+        db.catalog_mut()
             .create_view(ViewMeta {
                 name: "cust1000".into(),
                 definition: def,
@@ -930,13 +930,13 @@ mod tests {
         let db = db_with_view(true);
         // View lacks a column the query needs? Create narrower view.
         let mut db2 = db;
-        db2.catalog.drop_view("cust1000").unwrap();
+        db2.catalog_mut().drop_view("cust1000").unwrap();
         let Statement::Select(def) =
             parse_statement("SELECT cid, cname FROM customer WHERE cid <= 1000").unwrap()
         else {
             panic!()
         };
-        db2.catalog
+        db2.catalog_mut()
             .create_view(ViewMeta {
                 name: "cust1000".into(),
                 definition: def,

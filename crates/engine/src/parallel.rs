@@ -237,12 +237,10 @@ pub(crate) fn parallel_index_seek(
         let env = oenv.env();
         let mut touched = 0usize;
         let mut out = RowBatchBuilder::with_capacity(table.schema().len(), len);
-        for pk in ix.range(low.clone(), high.clone()).skip(start).take(len) {
+        for row in ix.range(low.clone(), high.clone()).skip(start).take(len) {
             touched += 1;
-            if let Some(row) = table.get(pk) {
-                if predicate_passes(pred.as_ref(), row, env)? {
-                    out.push_row_ref(row);
-                }
+            if predicate_passes(pred.as_ref(), row, env)? {
+                out.push_row_ref(row);
             }
         }
         Ok((touched, out.finish()))

@@ -499,10 +499,9 @@ fn build_op<'e>(
                 return Ok(prefetched(batches, touched, cx, m));
             }
             Box::new(IndexSeekStream {
-                table,
-                // Stream the borrowed PK range — no `Vec<Row>` of cloned
-                // keys, touched keys counted per batch.
-                pks: Box::new(ix.range(lo, hi)),
+                // Stream the borrowed range — the index entries are the
+                // table's rows — touched entries counted per batch.
+                rows: Box::new(ix.range(lo, hi).map(|r| &**r)),
                 predicate: predicate.as_ref(),
                 width: table.schema().len(),
                 target: FIRST_BATCH,
@@ -940,8 +939,7 @@ impl<'e> BatchStream<'e> for ScanStream<'e> {
 /// table per key. Touched keys are counted incrementally — the seed
 /// executor's `Vec<Row>` of cloned PKs is gone.
 struct IndexSeekStream<'e> {
-    table: &'e Table,
-    pks: Box<dyn Iterator<Item = &'e Row> + 'e>,
+    rows: Box<dyn Iterator<Item = &'e Row> + 'e>,
     predicate: Option<&'e CompiledExpr>,
     width: usize,
     /// Row target for the next batch (adaptive, like [`ScanStream`]).
@@ -959,11 +957,9 @@ impl<'e> BatchStream<'e> for IndexSeekStream<'e> {
         let mut touched = 0usize;
         let mut out = RowBatchBuilder::with_capacity(self.width, target);
         while touched < target {
-            let Some(pk) = self.pks.next() else { break };
+            let Some(row) = self.rows.next() else { break };
             touched += 1;
-            if let Some(row) = self.table.get(pk) {
-                out.push_row_ref(row);
-            }
+            out.push_row_ref(row);
         }
         if touched == 0 {
             return Ok(None);
@@ -1555,11 +1551,7 @@ impl<'e> BatchStream<'e> for IndexNlJoinStream<'e> {
                 seeks += 1;
                 let key_row = Row::new(vec![key]);
                 let inner_matches: Vec<&Row> = match self.index {
-                    Some(ix) => ix
-                        .seek(&key_row)
-                        .iter()
-                        .filter_map(|pk| self.table.get(pk))
-                        .collect(),
+                    Some(ix) => ix.seek(&key_row).map(|r| &**r).collect(),
                     None => self.table.get(&key_row).into_iter().collect(),
                 };
                 for irow in inner_matches {

@@ -340,18 +340,26 @@ impl ReplicationHub {
         self.subscriptions.iter().filter(|s| !s.detached).count()
     }
 
-    /// Log-reader pass: collects newly committed transactions from the
-    /// publisher's log into the distribution database.
+    /// Log-reader pass: moves newly committed transactions out of the
+    /// publisher's log into the distribution database and truncates the log
+    /// behind itself, so the publisher keeps no transaction this reader has
+    /// collected (redelivery is served from the distribution database).
+    /// A disabled reader truncates nothing.
     pub fn run_log_reader(&mut self) {
         if !self.log_reader_enabled {
             return;
         }
-        let pub_db = self.publisher.read();
-        let new: Vec<CommittedTransaction> = pub_db
-            .log()
-            .read_from(self.last_read).to_vec();
-        drop(pub_db);
+        let new = {
+            let mut pub_db = self.publisher.write();
+            let head = pub_db.log().head();
+            pub_db.log_mut().truncate_before(head)
+        };
         for txn in new {
+            if txn.lsn < self.last_read {
+                // Committed before this hub existed: subscribers get its
+                // effects with their initial snapshots.
+                continue;
+            }
             self.last_read = txn.lsn.next();
             self.metrics.txns_read.inc();
             self.metrics.changes_read.add(txn.changes.len() as u64);
@@ -740,8 +748,7 @@ pub fn resolve_idempotent(db: &Database, change: &RowChange) -> Result<Vec<RowCh
     let mut out = Vec::new();
     match change {
         RowChange::Insert { table: name, row } => {
-            let key = table.key_of(row).expect("keyed table");
-            match table.get(&key) {
+            match table.find(row) {
                 Some(existing) if existing == row => {}
                 Some(existing) => out.push(RowChange::Update {
                     table: name.clone(),
@@ -752,8 +759,7 @@ pub fn resolve_idempotent(db: &Database, change: &RowChange) -> Result<Vec<RowCh
             }
         }
         RowChange::Delete { table: name, row } => {
-            let key = table.key_of(row).expect("keyed table");
-            if let Some(existing) = table.get(&key) {
+            if let Some(existing) = table.find(row) {
                 out.push(RowChange::Delete {
                     table: name.clone(),
                     row: existing.clone(),
@@ -765,17 +771,16 @@ pub fn resolve_idempotent(db: &Database, change: &RowChange) -> Result<Vec<RowCh
             before,
             after,
         } => {
-            let before_key = table.key_of(before).expect("keyed table");
-            let after_key = table.key_of(after).expect("keyed table");
-            if before_key != after_key {
-                if let Some(existing) = table.get(&before_key) {
+            let key_moved = table.primary_key().iter().any(|&c| before[c] != after[c]);
+            if key_moved {
+                if let Some(existing) = table.find(before) {
                     out.push(RowChange::Delete {
                         table: name.clone(),
                         row: existing.clone(),
                     });
                 }
             }
-            match table.get(&after_key) {
+            match table.find(after) {
                 Some(existing) if existing == after => {}
                 Some(existing) => out.push(RowChange::Update {
                     table: name.clone(),
@@ -975,10 +980,56 @@ mod tests {
             "no propagation with reader off"
         );
         assert_eq!(hub.metrics.reader_work.get(), 0.0);
+        assert_eq!(backend.read().log().len(), 2, "a disabled reader truncates nothing");
         // Re-enable: change flows.
         hub.log_reader_enabled = true;
         hub.pump(300).unwrap();
         assert_eq!(cache.read().table_ref("cust50").unwrap().row_count(), 49);
+    }
+
+    #[test]
+    fn log_reader_truncates_the_publisher_log_behind_itself() {
+        let (backend, cache, mut hub) = setup();
+        hub.subscribe(article(), cache.clone(), "cust50", 0).unwrap();
+        let delete = |cid: i64| RowChange::Delete {
+            table: "customer".into(),
+            row: row![cid, format!("c{cid}"), 0.0],
+        };
+        for cid in 1..=3 {
+            backend.write().apply(cid * 10, vec![delete(cid)]).unwrap();
+        }
+        let head = backend.read().log().head();
+        // The load transaction of `setup` predates the hub: it is dropped
+        // with the rest, not redistributed.
+        assert_eq!(backend.read().log().len(), 4);
+        hub.pump(100).unwrap();
+        assert!(backend.read().log().is_empty(), "read transactions leave the publisher");
+        assert_eq!(backend.read().log().head(), head, "LSNs keep counting from the head");
+        assert_eq!(hub.metrics.txns_read.get(), 3);
+        assert_eq!(cache.read().table_ref("cust50").unwrap().row_count(), 47);
+
+        // A view subscribed after the truncation snapshots the publisher's
+        // current state and catches up from the log like any other.
+        let mut late_db = Database::new("late");
+        late_db
+            .create_table(
+                "cust50",
+                cache.read().table_ref("cust50").unwrap().schema().clone(),
+                &["cid".into()],
+            )
+            .unwrap();
+        let late = Arc::new(SnapshotDb::new(late_db));
+        hub.subscribe(article(), late.clone(), "cust50", 100).unwrap();
+        assert_eq!(late.read().table_ref("cust50").unwrap().row_count(), 47);
+        assert_eq!(backend.write().apply(200, vec![delete(4)]).unwrap(), head);
+        hub.pump(300).unwrap();
+        assert!(hub.drained());
+        assert!(backend.read().log().is_empty());
+        for target in [&cache, &late] {
+            let db = target.read();
+            assert_eq!(db.table_ref("cust50").unwrap().row_count(), 46);
+            assert_eq!(db.applied_lsn("cust50"), Some(head.next()));
+        }
     }
 
     #[test]

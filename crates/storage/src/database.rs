@@ -1,6 +1,7 @@
 //! A database: catalog + table data + secondary indexes + commit log.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use mtc_types::{normalize_ident, Column, Error, Result, Row, Schema};
 
@@ -26,15 +27,23 @@ pub enum WriteOp {
 /// transaction's [`RowChange`] list atomically (all-or-nothing, with undo on
 /// failure), maintains secondary indexes, and appends the transaction to the
 /// commit log for replication to sniff.
+///
+/// Every part sits behind an `Arc` and is written through `Arc::make_mut`,
+/// so `clone` copies the two name maps and bumps reference counts: a clone
+/// (a published snapshot, see [`SnapshotDb`](crate::SnapshotDb)) shares
+/// each table, index, the catalog and the log with the original until one
+/// of them writes to that part, and a written table or index in turn shares
+/// all but the chunks written to.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
     name: String,
-    tables: BTreeMap<String, Table>,
-    indexes: BTreeMap<String, Index>,
+    tables: BTreeMap<String, Arc<Table>>,
+    indexes: BTreeMap<String, Arc<Index>>,
     /// table name → names of its secondary indexes.
     table_indexes: BTreeMap<String, Vec<String>>,
-    pub catalog: Catalog,
-    log: CommitLog,
+    /// Read through the field; write through [`Database::catalog_mut`].
+    pub catalog: Arc<Catalog>,
+    log: Arc<CommitLog>,
 }
 
 impl Database {
@@ -47,6 +56,11 @@ impl Database {
 
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The catalog, for writing.
+    pub fn catalog_mut(&mut self) -> &mut Catalog {
+        Arc::make_mut(&mut self.catalog)
     }
 
     // -- DDL ------------------------------------------------------------
@@ -66,9 +80,10 @@ impl Database {
             .iter()
             .map(|c| schema.index_of(c))
             .collect::<Result<_>>()?;
-        self.tables.insert(name.clone(), Table::new(&name, schema, pk));
+        self.tables
+            .insert(name.clone(), Arc::new(Table::new(&name, schema, pk)));
         self.table_indexes.entry(name.clone()).or_default();
-        self.catalog.set_stats(&name, TableStats::empty());
+        self.catalog_mut().set_stats(&name, TableStats::empty());
         Ok(())
     }
 
@@ -80,7 +95,7 @@ impl Database {
         for ix in self.table_indexes.remove(&name).unwrap_or_default() {
             self.indexes.remove(&ix);
         }
-        self.catalog.bump_version();
+        self.catalog_mut().bump_version();
         Ok(())
     }
 
@@ -103,19 +118,13 @@ impl Database {
             .map(|c| t.schema().index_of(c))
             .collect::<Result<_>>()?;
         let mut ix = Index::new(&name, &table_name, cols, unique);
-        // scan_with_keys avoids the per-row `key_of` full scan (O(n²) on
-        // rowid tables) the seed build performed.
-        let pairs: Vec<(Row, Row)> = t
-            .scan_with_keys()
-            .map(|(k, r)| (r.clone(), k.clone()))
-            .collect();
-        ix.rebuild(pairs.iter().map(|(r, k)| (r, k.clone())))?;
-        self.indexes.insert(name.clone(), ix);
+        ix.rebuild(t.stored_rows())?;
+        self.indexes.insert(name.clone(), Arc::new(ix));
         self.table_indexes
             .entry(table_name)
             .or_default()
             .push(name);
-        self.catalog.bump_version();
+        self.catalog_mut().bump_version();
         Ok(())
     }
 
@@ -124,12 +133,16 @@ impl Database {
     pub fn table_ref(&self, name: &str) -> Result<&Table> {
         self.tables
             .get(&normalize_ident(name))
+            .map(|t| &**t)
             .ok_or_else(|| Error::catalog(format!("table `{name}` not found")))
     }
 
+    /// The table, for writing: unshares it from any clone of this database
+    /// first (its row chunks stay shared until written).
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         self.tables
             .get_mut(&normalize_ident(name))
+            .map(Arc::make_mut)
             .ok_or_else(|| Error::catalog(format!("table `{name}` not found")))
     }
 
@@ -138,11 +151,11 @@ impl Database {
     }
 
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
-        self.tables.values()
+        self.tables.values().map(|t| &**t)
     }
 
     pub fn index(&self, name: &str) -> Option<&Index> {
-        self.indexes.get(&normalize_ident(name))
+        self.indexes.get(&normalize_ident(name)).map(|ix| &**ix)
     }
 
     /// Secondary indexes of `table`.
@@ -151,7 +164,7 @@ impl Database {
             .get(&normalize_ident(table))
             .into_iter()
             .flatten()
-            .filter_map(|n| self.indexes.get(n))
+            .filter_map(|n| self.indexes.get(n).map(|ix| &**ix))
     }
 
     /// Index metadata, for scripting a shadow database.
@@ -197,70 +210,53 @@ impl Database {
     /// On any failure the already-applied prefix is rolled back and the log
     /// is untouched. Returns the assigned LSN.
     pub fn apply(&mut self, commit_ts_ms: i64, changes: Vec<RowChange>) -> Result<Lsn> {
-        let mut applied: Vec<RowChange> = Vec::with_capacity(changes.len());
-        for change in &changes {
-            if let Err(e) = self.apply_one(change) {
-                // Undo in reverse order.
-                for done in applied.iter().rev() {
-                    self.undo_one(done);
-                }
-                return Err(e);
-            }
-            applied.push(change.clone());
-        }
-        Ok(self.log.append(commit_ts_ms, changes))
+        self.apply_unlogged(&changes)?;
+        Ok(Arc::make_mut(&mut self.log).append(commit_ts_ms, changes))
     }
 
     /// Applies changes *without logging* — used by replication subscribers,
     /// whose applied changes must not be re-published.
     pub fn apply_unlogged(&mut self, changes: &[RowChange]) -> Result<()> {
-        let mut applied: Vec<&RowChange> = Vec::with_capacity(changes.len());
-        for change in changes {
+        for (done, change) in changes.iter().enumerate() {
             if let Err(e) = self.apply_one(change) {
-                for done in applied.iter().rev() {
-                    self.undo_one(done);
+                // Undo in reverse order.
+                for applied in changes[..done].iter().rev() {
+                    self.undo_one(applied);
                 }
                 return Err(e);
             }
-            applied.push(change);
         }
         Ok(())
     }
 
     fn apply_one(&mut self, change: &RowChange) -> Result<()> {
-        // The clustering key is threaded through each arm instead of being
-        // rediscovered per step: `Table::key_of` is a full scan on rowid
-        // tables, and the seed paid it up to three times per change.
+        let name = normalize_ident(change.table());
+        let t = self
+            .tables
+            .get_mut(&name)
+            .map(Arc::make_mut)
+            .ok_or_else(|| Error::catalog(format!("table `{name}` not found")))?;
+        let index_names = self.table_indexes.get(&name).map_or(&[][..], Vec::as_slice);
+        let indexes = &mut self.indexes;
+        // Index entries are the table's own stored rows: each arm registers
+        // and unregisters exactly what the table handed out.
         match change {
-            RowChange::Insert { table, row } => {
-                let t = self.table_mut(table)?;
-                let (row, pk) = t.insert_keyed(row.clone())?;
-                self.index_insert(table, &row, pk)
+            RowChange::Insert { row, .. } => {
+                let stored = t.insert(row)?;
+                index_insert(t, indexes, index_names, &stored)
             }
-            RowChange::Update {
-                table,
-                before,
-                after,
-            } => {
-                let t = self.table_mut(table)?;
-                let old_pk = t.key_of(before).ok_or_else(|| {
-                    Error::execution(format!("update target not found in `{table}`"))
-                })?;
-                let new_pk = t.update_with_key(&old_pk, after.clone())?;
-                self.index_remove(table, before, &old_pk);
-                self.index_insert(table, after, new_pk)
-            }
-            RowChange::Delete { table, row } => {
-                let t = self.table_mut(table)?;
-                let pk = t.key_of(row).ok_or_else(|| {
-                    Error::execution(format!("delete target not found in `{table}`"))
-                })?;
-                if t.delete_by_key(&pk).is_none() {
-                    return Err(Error::execution(format!(
-                        "delete target not found in `{table}`"
-                    )));
+            RowChange::Update { before, after, .. } => {
+                let (old, new) = t.replace(before, after)?;
+                if let Some(old) = old {
+                    index_remove(indexes, index_names, &old);
                 }
-                self.index_remove(table, row, &pk);
+                index_insert(t, indexes, index_names, &new)
+            }
+            RowChange::Delete { row, .. } => {
+                let old = t.delete(row).ok_or_else(|| {
+                    Error::execution(format!("delete target not found in `{name}`"))
+                })?;
+                index_remove(indexes, index_names, &old);
                 Ok(())
             }
         }
@@ -284,44 +280,6 @@ impl Database {
         let _ = self.apply_one(&inverse);
     }
 
-    fn index_insert(&mut self, table: &str, row: &Row, pk: Row) -> Result<()> {
-        let names = self
-            .table_indexes
-            .get(&normalize_ident(table))
-            .cloned()
-            .unwrap_or_default();
-        for (i, n) in names.iter().enumerate() {
-            if let Some(ix) = self.indexes.get_mut(n) {
-                if let Err(e) = ix.insert(row, pk.clone()) {
-                    // Roll back index entries made so far plus the base row.
-                    for prev in &names[..i] {
-                        if let Some(p) = self.indexes.get_mut(prev) {
-                            p.remove(row, &pk);
-                        }
-                    }
-                    if let Ok(t) = self.table_mut(table) {
-                        t.delete_by_key(&pk);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn index_remove(&mut self, table: &str, row: &Row, pk: &Row) {
-        let names = self
-            .table_indexes
-            .get(&normalize_ident(table))
-            .cloned()
-            .unwrap_or_default();
-        for n in names {
-            if let Some(ix) = self.indexes.get_mut(&n) {
-                ix.remove(row, pk);
-            }
-        }
-    }
-
     // -- log ------------------------------------------------------------
 
     pub fn log(&self) -> &CommitLog {
@@ -329,7 +287,7 @@ impl Database {
     }
 
     pub fn log_mut(&mut self) -> &mut CommitLog {
-        &mut self.log
+        Arc::make_mut(&mut self.log)
     }
 
     // -- statistics -----------------------------------------------------
@@ -357,7 +315,7 @@ impl Database {
                 .columns
                 .insert(col.name.clone(), ColumnStats::compute(&mut values));
         }
-        self.catalog.set_stats(name, stats);
+        self.catalog_mut().set_stats(name, stats);
     }
 
     // -- shadowing --------------------------------------------------------
@@ -368,12 +326,19 @@ impl Database {
     pub fn shadow_clone(&self) -> Database {
         let mut shadow = Database::new(&self.name);
         for t in self.tables.values() {
-            shadow.tables.insert(t.name().to_string(), t.to_shadow());
+            shadow
+                .tables
+                .insert(t.name().to_string(), Arc::new(t.to_shadow()));
         }
         for (name, ix) in &self.indexes {
             shadow.indexes.insert(
                 name.clone(),
-                Index::new(ix.name(), ix.table(), ix.columns().to_vec(), ix.is_unique()),
+                Arc::new(Index::new(
+                    ix.name(),
+                    ix.table(),
+                    ix.columns().to_vec(),
+                    ix.is_unique(),
+                )),
             );
         }
         shadow.table_indexes = self.table_indexes.clone();
@@ -381,8 +346,7 @@ impl Database {
         // "By default stored procedures are not copied from the backend
         // server to the MTCache server" (§5.2) — the DBA copies them
         // selectively.
-        shadow.catalog.clear_procedures();
-        shadow.log = CommitLog::new();
+        shadow.catalog_mut().clear_procedures();
         shadow
     }
 
@@ -395,6 +359,34 @@ impl Database {
         primary_key: &[String],
     ) -> Result<()> {
         self.create_table(name, Schema::new(columns), primary_key)
+    }
+}
+
+/// Registers `row`, which `table` has just stored, in each named index. On
+/// a failure (a unique index refusing the key) the entries made so far and
+/// the base row are taken out again.
+fn index_insert(
+    table: &mut Table,
+    indexes: &mut BTreeMap<String, Arc<Index>>,
+    names: &[String],
+    row: &Arc<Row>,
+) -> Result<()> {
+    for (i, n) in names.iter().enumerate() {
+        let Some(ix) = indexes.get_mut(n) else { continue };
+        if let Err(e) = Arc::make_mut(ix).insert(row.clone()) {
+            index_remove(indexes, &names[..i], row);
+            table.take_back(row);
+            return Err(e);
+        }
+    }
+    Ok(())
+}
+
+fn index_remove(indexes: &mut BTreeMap<String, Arc<Index>>, names: &[String], row: &Arc<Row>) {
+    for n in names {
+        if let Some(ix) = indexes.get_mut(n) {
+            Arc::make_mut(ix).remove(row);
+        }
     }
 }
 
@@ -436,7 +428,7 @@ mod tests {
         assert_eq!(lsn, Lsn(0));
         assert_eq!(db.table_ref("item").unwrap().row_count(), 2);
         let ix = db.index("ix_item_subject").unwrap();
-        assert_eq!(ix.seek(&row!["ARTS"]).len(), 2);
+        assert_eq!(ix.seek(&row!["ARTS"]).count(), 2);
         assert_eq!(db.log().read_from(Lsn(0)).len(), 1);
         assert_eq!(db.log().read_from(Lsn(0))[0].commit_ts_ms, 100);
     }
@@ -449,7 +441,7 @@ mod tests {
         let err = db.apply(1, vec![ins(2, "b", "SPORTS"), ins(1, "dup", "ARTS")]);
         assert!(err.is_err());
         assert_eq!(db.table_ref("item").unwrap().row_count(), 1);
-        assert!(db.index("ix_item_subject").unwrap().seek(&row!["SPORTS"]).is_empty());
+        assert_eq!(db.index("ix_item_subject").unwrap().seek(&row!["SPORTS"]).count(), 0);
         assert_eq!(db.log().len(), 1, "failed txn must not be logged");
     }
 
@@ -467,8 +459,8 @@ mod tests {
         )
         .unwrap();
         let ix = db.index("ix_item_subject").unwrap();
-        assert!(ix.seek(&row!["ARTS"]).is_empty());
-        assert_eq!(ix.seek(&row!["HISTORY"]).len(), 1);
+        assert_eq!(ix.seek(&row!["ARTS"]).count(), 0);
+        assert_eq!(ix.seek(&row!["HISTORY"]).count(), 1);
     }
 
     #[test]

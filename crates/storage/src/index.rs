@@ -1,15 +1,20 @@
 //! Secondary indexes.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::ops::Bound;
+use std::sync::Arc;
 
-use mtc_types::{Error, Result, Row};
+use mtc_types::{Error, Result, Row, Value};
 
-/// A secondary B-tree index mapping key columns to primary keys.
+use crate::pmap::{PMap, Pos};
+
+/// A secondary index over some columns of a table.
 ///
-/// The index stores, for each key value, the clustering keys of the matching
-/// rows (non-unique indexes can have many). Lookups return clustering keys;
-/// the executor fetches full rows from the table.
+/// An entry is the stored row itself — a clone of the `Arc` the table holds
+/// it by — and the index is those pointers ordered by the key columns, rows
+/// with equal keys in the order they were registered. Lookups therefore
+/// yield rows, with no second lookup in the table, and an entry costs one
+/// pointer.
 #[derive(Debug, Clone)]
 pub struct Index {
     name: String,
@@ -17,7 +22,7 @@ pub struct Index {
     /// Indices of the key columns in the table schema, in key order.
     columns: Vec<usize>,
     unique: bool,
-    map: BTreeMap<Row, Vec<Row>>,
+    map: PMap<Arc<Row>>,
 }
 
 impl Index {
@@ -27,7 +32,7 @@ impl Index {
             table: mtc_types::normalize_ident(table),
             columns,
             unique,
-            map: BTreeMap::new(),
+            map: PMap::new(),
         }
     }
 
@@ -47,65 +52,89 @@ impl Index {
         self.unique
     }
 
+    /// Number of rows registered.
     pub fn len(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
+        self.map.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
-    fn key_of(&self, row: &Row) -> Row {
-        row.project(&self.columns)
+    /// Orders a registered row's key against `key`, a row of key values,
+    /// the way rows of key values order among themselves.
+    fn key_cmp(&self, row: &Row, key: &[Value]) -> Ordering {
+        self.columns.iter().map(|&c| &row[c]).cmp(key)
     }
 
-    /// Registers `row` (with clustering key `pk`).
-    pub fn insert(&mut self, row: &Row, pk: Row) -> Result<()> {
-        let key = self.key_of(row);
-        let entry = self.map.entry(key.clone()).or_default();
-        if self.unique && !entry.is_empty() {
+    /// Where the rows whose key is `key` begin and end.
+    fn run_of(&self, key: &[Value]) -> (Pos, Pos) {
+        (
+            self.map.partition_point(|r| self.key_cmp(r, key).is_lt()),
+            self.map.partition_point(|r| self.key_cmp(r, key).is_le()),
+        )
+    }
+
+    /// Registers a stored row.
+    pub fn insert(&mut self, row: Arc<Row>) -> Result<()> {
+        let key = row.project(&self.columns);
+        let (first, end) = self.run_of(key.values());
+        if self.unique && first != end {
             return Err(Error::constraint(format!(
                 "duplicate key {key} in unique index `{}`",
                 self.name
             )));
         }
-        entry.push(pk);
+        self.map.insert(end, row);
         Ok(())
     }
 
-    /// Unregisters `row` (with clustering key `pk`).
-    pub fn remove(&mut self, row: &Row, pk: &Row) {
-        let key = self.key_of(row);
-        if let Some(entry) = self.map.get_mut(&key) {
-            entry.retain(|p| p != pk);
-            if entry.is_empty() {
-                self.map.remove(&key);
-            }
+    /// Unregisters exactly the stored row `row`.
+    pub fn remove(&mut self, row: &Arc<Row>) {
+        let key = row.project(&self.columns);
+        let (first, _) = self.run_of(key.values());
+        let found = self
+            .map
+            .entries_from(first)
+            .take_while(|(_, r)| self.key_cmp(r, key.values()).is_eq())
+            .find(|(_, r)| Arc::ptr_eq(r, row))
+            .map(|(pos, _)| pos);
+        if let Some(pos) = found {
+            self.map.remove(pos);
         }
     }
 
-    /// Equality lookup: clustering keys of rows whose index key equals `key`.
-    pub fn seek(&self, key: &Row) -> &[Row] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
+    /// Equality lookup: the rows whose index key equals `key`.
+    pub fn seek(&self, key: &Row) -> impl Iterator<Item = &Arc<Row>> + '_ {
+        let (first, end) = self.run_of(key.values());
+        self.map.between(first, end)
     }
 
-    /// Range lookup over the index key order.
+    /// Range lookup over the index key order. Bounds that select nothing
+    /// (`low` above `high`) give the empty iterator.
     pub fn range(
         &self,
         low: Bound<Row>,
         high: Bound<Row>,
-    ) -> impl Iterator<Item = &Row> + '_ {
-        self.map.range((low, high)).flat_map(|(_, pks)| pks.iter())
+    ) -> impl Iterator<Item = &Arc<Row>> + '_ {
+        let from = match &low {
+            Bound::Unbounded => self.map.start(),
+            Bound::Included(k) => self.run_of(k.values()).0,
+            Bound::Excluded(k) => self.run_of(k.values()).1,
+        };
+        let to = match &high {
+            Bound::Unbounded => self.map.end(),
+            Bound::Included(k) => self.run_of(k.values()).1,
+            Bound::Excluded(k) => self.run_of(k.values()).0,
+        };
+        self.map.between(from, to)
     }
 
-    /// Rebuilds from scratch over `(row, pk)` pairs.
-    pub fn rebuild<'a>(
-        &mut self,
-        rows: impl Iterator<Item = (&'a Row, Row)>,
-    ) -> Result<()> {
+    /// Rebuilds from scratch over the table's stored rows.
+    pub fn rebuild<'a>(&mut self, rows: impl Iterator<Item = &'a Arc<Row>>) -> Result<()> {
         self.map.clear();
-        for (row, pk) in rows {
-            self.insert(row, pk)?;
+        for row in rows {
+            self.insert(row.clone())?;
         }
         Ok(())
     }
@@ -116,47 +145,67 @@ mod tests {
     use super::*;
     use mtc_types::row;
 
+    fn rows_of<'a>(it: impl Iterator<Item = &'a Arc<Row>>) -> Vec<Row> {
+        it.map(|r| Row::clone(r)).collect()
+    }
+
     #[test]
     fn seek_and_range() {
         let mut ix = Index::new("ix", "t", vec![1], false);
         // rows: (pk, category)
-        ix.insert(&row![1, "a"], row![1]).unwrap();
-        ix.insert(&row![2, "b"], row![2]).unwrap();
-        ix.insert(&row![3, "a"], row![3]).unwrap();
-        assert_eq!(ix.seek(&row!["a"]).len(), 2);
-        assert_eq!(ix.seek(&row!["zzz"]).len(), 0);
-        let in_range: Vec<&Row> = ix
-            .range(Bound::Included(row!["a"]), Bound::Excluded(row!["b"]))
-            .collect();
-        assert_eq!(in_range.len(), 2);
+        ix.insert(Arc::new(row![1, "a"])).unwrap();
+        ix.insert(Arc::new(row![2, "b"])).unwrap();
+        ix.insert(Arc::new(row![3, "a"])).unwrap();
+        assert_eq!(ix.seek(&row!["a"]).count(), 2);
+        assert_eq!(ix.seek(&row!["zzz"]).count(), 0);
+        let in_range = ix.range(Bound::Included(row!["a"]), Bound::Excluded(row!["b"]));
+        assert_eq!(rows_of(in_range), [row![1, "a"], row![3, "a"]]);
+        // Inverted bounds select nothing.
+        let inverted = ix.range(Bound::Included(row!["b"]), Bound::Included(row!["a"]));
+        assert_eq!(inverted.count(), 0);
+    }
+
+    #[test]
+    fn equal_keys_keep_registration_order() {
+        let mut ix = Index::new("ix", "t", vec![1], false);
+        for pk in [5, 1, 9, 3] {
+            ix.insert(Arc::new(row![pk, "k"])).unwrap();
+        }
+        let pks: Vec<Row> = ix.seek(&row!["k"]).map(|r| r.project(&[0])).collect();
+        assert_eq!(pks, [row![5], row![1], row![9], row![3]]);
     }
 
     #[test]
     fn unique_violation() {
         let mut ix = Index::new("ix", "t", vec![0], true);
-        ix.insert(&row!["x"], row![1]).unwrap();
-        assert!(ix.insert(&row!["x"], row![2]).is_err());
+        ix.insert(Arc::new(row!["x", 1])).unwrap();
+        assert!(ix.insert(Arc::new(row!["x", 2])).is_err());
+        assert_eq!(ix.len(), 1);
     }
 
     #[test]
-    fn remove_cleans_up() {
+    fn remove_takes_out_that_row_only() {
         let mut ix = Index::new("ix", "t", vec![0], false);
-        ix.insert(&row!["x"], row![1]).unwrap();
-        ix.insert(&row!["x"], row![2]).unwrap();
-        ix.remove(&row!["x"], &row![1]);
-        assert_eq!(ix.seek(&row!["x"]), &[row![2]]);
-        ix.remove(&row!["x"], &row![2]);
+        let one = Arc::new(row!["x", 1]);
+        let two = Arc::new(row!["x", 2]);
+        ix.insert(one.clone()).unwrap();
+        ix.insert(two.clone()).unwrap();
+        // An equal row that was never registered is not there to remove.
+        ix.remove(&Arc::new(row!["x", 1]));
+        assert_eq!(ix.len(), 2);
+        ix.remove(&one);
+        assert_eq!(rows_of(ix.seek(&row!["x"])), [row!["x", 2]]);
+        ix.remove(&two);
         assert!(ix.is_empty());
     }
 
     #[test]
     fn rebuild_replaces_contents() {
         let mut ix = Index::new("ix", "t", vec![0], false);
-        ix.insert(&row!["stale"], row![0]).unwrap();
-        let rows = [row!["a"], row!["b"]];
-        ix.rebuild(rows.iter().enumerate().map(|(i, r)| (r, row![i as i64])))
-            .unwrap();
+        ix.insert(Arc::new(row!["stale"])).unwrap();
+        let rows = [Arc::new(row!["a"]), Arc::new(row!["b"])];
+        ix.rebuild(rows.iter()).unwrap();
         assert_eq!(ix.len(), 2);
-        assert!(ix.seek(&row!["stale"]).is_empty());
+        assert_eq!(ix.seek(&row!["stale"]).count(), 0);
     }
 }

@@ -15,6 +15,7 @@ pub mod catalog;
 pub mod database;
 pub mod index;
 pub mod log;
+pub mod pmap;
 pub mod snapshot;
 pub mod stats;
 pub mod table;

@@ -213,15 +213,17 @@ impl CommitLog {
         }
     }
 
-    /// Drops entries with `lsn < upto` (changes already propagated to every
-    /// subscriber are deleted from the distribution database, §2.2).
-    pub fn truncate_before(&mut self, upto: Lsn) {
-        if upto.0 <= self.base {
-            return;
+    /// Removes the entries with `lsn < upto` and hands them to the caller
+    /// (the replication log reader moves them into its distribution
+    /// database). [`head`](CommitLog::head) does not move.
+    pub fn truncate_before(&mut self, upto: Lsn) -> Vec<CommittedTransaction> {
+        let upto = upto.0.min(self.head().0);
+        if upto <= self.base {
+            return Vec::new();
         }
-        let drop_n = ((upto.0 - self.base) as usize).min(self.entries.len());
-        self.entries.drain(..drop_n);
-        self.base = upto.0;
+        let removed = self.entries.drain(..(upto - self.base) as usize).collect();
+        self.base = upto;
+        removed
     }
 
     pub fn len(&self) -> usize {
@@ -271,16 +273,20 @@ mod tests {
         for i in 0..5 {
             log.append(i, vec![change(i)]);
         }
-        log.truncate_before(Lsn(3));
+        let removed = log.truncate_before(Lsn(3));
+        assert_eq!(removed.iter().map(|t| t.lsn).collect::<Vec<_>>(), [Lsn(0), Lsn(1), Lsn(2)]);
         assert_eq!(log.len(), 2);
+        assert_eq!(log.head(), Lsn(5));
         assert_eq!(log.read_from(Lsn(0))[0].lsn, Lsn(3));
         assert_eq!(log.read_from(Lsn(4))[0].lsn, Lsn(4));
         // Idempotent / no-op truncations.
-        log.truncate_before(Lsn(1));
+        assert!(log.truncate_before(Lsn(1)).is_empty());
         assert_eq!(log.len(), 2);
-        log.truncate_before(Lsn(100));
+        // Truncating past the head stops at the head: it stays monotone
+        // and the next append gets the next LSN.
+        assert_eq!(log.truncate_before(Lsn(100)).len(), 2);
         assert!(log.is_empty());
-        assert_eq!(log.head(), Lsn(100));
+        assert_eq!(log.head(), Lsn(5));
     }
 
     #[test]

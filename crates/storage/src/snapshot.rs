@@ -23,6 +23,20 @@
 //! the router later compares that stamp — not the live subscription state,
 //! which may have advanced since — against the backend's commit LSN.
 //!
+//! # What a publication costs
+//!
+//! Master and snapshots hold the database as an `Arc<Database>`, and the
+//! database holds its tables, indexes, catalog and log behind `Arc`s of
+//! their own (rows and postings in [`PMap`](crate::pmap::PMap) chunks).
+//! Publishing is a reference-count bump of the master's `Arc` plus a copy of
+//! the watermark map; nothing is copied at that moment. The copying happens
+//! in the *next* batch, lazily and only where it writes: the first mutable
+//! access unshares the `Database` shell (two name maps of pointers), the
+//! first write to a table or index unshares its chunk directory, and each
+//! write copies the one chunk it lands in, once per batch. A batch that
+//! only stamps a watermark never touches the database, so the snapshot it
+//! publishes carries the very `Arc<Database>` the previous one carried.
+//!
 //! [`ArcSwap`]: mtc_util::sync::ArcSwap
 
 use std::collections::BTreeMap;
@@ -53,7 +67,7 @@ pub struct Watermark {
 /// current when this image was published.
 #[derive(Debug, Clone)]
 pub struct DbSnapshot {
-    db: Database,
+    db: Arc<Database>,
     epoch: u64,
     watermarks: BTreeMap<String, Watermark>,
 }
@@ -94,7 +108,7 @@ impl Deref for DbSnapshot {
 /// map and epoch counter the next publication will carry.
 #[derive(Debug)]
 struct Master {
-    db: Database,
+    db: Arc<Database>,
     watermarks: BTreeMap<String, Watermark>,
     epoch: u64,
 }
@@ -115,6 +129,7 @@ pub struct SnapshotDb {
 impl SnapshotDb {
     /// Wraps `db`, publishing it as epoch 0.
     pub fn new(db: Database) -> SnapshotDb {
+        let db = Arc::new(db);
         let snapshot = DbSnapshot {
             db: db.clone(),
             epoch: 0,
@@ -191,7 +206,7 @@ impl Deref for SnapshotWriteGuard<'_> {
 
 impl DerefMut for SnapshotWriteGuard<'_> {
     fn deref_mut(&mut self) -> &mut Database {
-        &mut self.master.db
+        Arc::make_mut(&mut self.master.db)
     }
 }
 

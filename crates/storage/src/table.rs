@@ -1,23 +1,32 @@
-//! Table storage: a clustered B-tree keyed on the primary key.
+//! Table storage: rows clustered on the primary key.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 use mtc_types::{Error, Result, Row, Schema, Value};
 
+use crate::pmap::{PMap, Pos};
+
 /// A stored table.
 ///
-/// Rows live in a `BTreeMap` keyed by the primary-key columns (a clustered
-/// index, like SQL Server's default). Tables without a declared primary key
-/// get a hidden monotonically increasing row id as the clustering key.
+/// Rows live in a [`PMap`] ordered by the primary-key columns (a clustered
+/// index, like SQL Server's default), so cloning a table shares its rows
+/// with the clone. Tables without a declared primary key keep their rows in
+/// insertion order.
+///
+/// A stored row is one allocation behind an `Arc`, and there is no separate
+/// key: the table orders the row by its own key columns, and every
+/// secondary-index entry of the row is a clone of the same pointer. That
+/// pointer is what [`Table::insert`], [`Table::replace`] and
+/// [`Table::delete`] hand out for index maintenance.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
     /// Indices (into `schema`) of the primary-key columns; empty if the
-    /// table is clustered on the hidden row id.
+    /// table has none and keeps insertion order.
     primary_key: Vec<usize>,
-    rows: BTreeMap<Row, Row>,
-    next_rowid: i64,
+    rows: PMap<Arc<Row>>,
     /// Shadow tables hold no data; scans are refused (the cache server's
     /// optimizer must route around them).
     is_shadow: bool,
@@ -29,8 +38,7 @@ impl Table {
             name: mtc_types::normalize_ident(name),
             schema,
             primary_key,
-            rows: BTreeMap::new(),
-            next_rowid: 0,
+            rows: PMap::new(),
             is_shadow: false,
         }
     }
@@ -41,8 +49,7 @@ impl Table {
             name: self.name.clone(),
             schema: self.schema.clone(),
             primary_key: self.primary_key.clone(),
-            rows: BTreeMap::new(),
-            next_rowid: 0,
+            rows: PMap::new(),
             is_shadow: true,
         }
     }
@@ -67,29 +74,42 @@ impl Table {
         self.rows.len()
     }
 
-    /// Extracts the clustering key for a row, allocating a fresh hidden row
-    /// id when the table has no declared primary key.
-    fn key_for_insert(&mut self, row: &Row) -> Row {
-        if self.primary_key.is_empty() {
-            let id = self.next_rowid;
-            self.next_rowid += 1;
-            Row::new(vec![Value::Int(id)])
-        } else {
-            row.project(&self.primary_key)
-        }
+    /// Orders a stored row's key against `key`, a row of key values: column
+    /// by column, a key that runs out first sorting first — so a prefix of
+    /// the key columns is a valid range bound.
+    fn key_cmp(&self, row: &Row, key: &[Value]) -> Ordering {
+        self.primary_key.iter().map(|&c| &row[c]).cmp(key)
     }
 
-    /// The clustering key of an existing (full) row. For rowid tables this
-    /// performs a scan — callers on hot paths should keep the key around.
-    pub fn key_of(&self, row: &Row) -> Option<Row> {
+    /// Where a row with `image`'s primary key is or would go, and whether
+    /// one is there. Without a primary key: the end, and no.
+    fn slot_for(&self, image: &Row) -> (Pos, bool) {
+        let by_key = |row: &Row| {
+            let columns = self.primary_key.iter().map(|&c| row[c].cmp(&image[c]));
+            columns.fold(Ordering::Equal, Ordering::then)
+        };
         if self.primary_key.is_empty() {
-            self.rows
-                .iter()
-                .find(|(_, r)| *r == row)
-                .map(|(k, _)| k.clone())
-        } else {
-            Some(row.project(&self.primary_key))
+            return (self.rows.end(), false);
         }
+        let pos = self.rows.partition_point(|r| by_key(r).is_lt());
+        (pos, self.rows.get(pos).is_some_and(|r| by_key(r).is_eq()))
+    }
+
+    /// Where the first stored row `is_it` accepts is — a full scan, the
+    /// only way to address a row of a table without a primary key.
+    fn scan_for(&self, mut is_it: impl FnMut(&Arc<Row>) -> bool) -> Option<Pos> {
+        let mut entries = self.rows.entries_from(self.rows.start());
+        entries.find(|(_, r)| is_it(r)).map(|(pos, _)| pos)
+    }
+
+    /// Where the row with `image`'s primary key is; without a primary key,
+    /// where the first row equal to `image` is.
+    fn locate(&self, image: &Row) -> Option<Pos> {
+        if self.primary_key.is_empty() {
+            return self.scan_for(|r| **r == *image);
+        }
+        let (pos, found) = self.slot_for(image);
+        found.then_some(pos)
     }
 
     /// Validates a row against the schema: arity, types (with coercion) and
@@ -126,138 +146,143 @@ impl Table {
         Ok(Row::new(out))
     }
 
-    /// Inserts a validated row; errors on duplicate primary key.
-    pub fn insert(&mut self, row: Row) -> Result<Row> {
-        self.insert_keyed(row).map(|(row, _)| row)
+    fn duplicate_key(&self, row: &Row) -> Error {
+        Error::constraint(format!(
+            "duplicate primary key {} in `{}`",
+            row.project(&self.primary_key),
+            self.name
+        ))
     }
 
-    /// Inserts a validated row and returns `(row, clustering key)`. Callers
-    /// that need the key afterwards (index maintenance) must use this
-    /// instead of `insert` + [`Table::key_of`]: for rowid tables the latter
-    /// rediscovers the freshly allocated rowid with a full scan.
-    pub fn insert_keyed(&mut self, row: Row) -> Result<(Row, Row)> {
+    /// Validates and stores a row, returning the stored row; errors on a
+    /// duplicate primary key.
+    pub fn insert(&mut self, row: &Row) -> Result<Arc<Row>> {
         if self.is_shadow {
             return Err(Error::execution(format!(
                 "cannot insert into shadow table `{}`",
                 self.name
             )));
         }
-        let row = self.validate(&row)?;
-        let key = self.key_for_insert(&row);
-        if self.rows.contains_key(&key) {
-            return Err(Error::constraint(format!(
-                "duplicate primary key {key} in `{}`",
-                self.name
-            )));
+        let row = Arc::new(self.validate(row)?);
+        let (pos, taken) = self.slot_for(&row);
+        if taken {
+            return Err(self.duplicate_key(&row));
         }
-        self.rows.insert(key.clone(), row.clone());
-        Ok((row, key))
-    }
-
-    /// Inserts, replacing any existing row with the same key (replication
-    /// apply uses this for idempotence).
-    pub fn upsert(&mut self, row: Row) -> Result<Row> {
-        let row = self.validate(&row)?;
-        let key = self.key_for_insert(&row);
-        self.rows.insert(key, row.clone());
+        self.rows.insert(pos, row.clone());
         Ok(row)
     }
 
-    /// Deletes by full row equality; returns whether a row was removed.
-    pub fn delete(&mut self, row: &Row) -> bool {
-        match self.key_of(row) {
-            Some(key) => self.rows.remove(&key).is_some(),
-            None => false,
+    /// Replaces the row `before` names (see [`Table::delete`]) with
+    /// `after`, handling key changes. Returns the row that was stored and
+    /// the one that is now; the first is `None` when a table with a primary
+    /// key held no row under `before`'s key, in which case `after` is
+    /// simply inserted.
+    pub fn replace(&mut self, before: &Row, after: &Row) -> Result<(Option<Arc<Row>>, Arc<Row>)> {
+        let after = Arc::new(self.validate(after)?);
+        let old = self.locate(before);
+        if self.primary_key.is_empty() {
+            let old = old.ok_or_else(|| {
+                Error::execution(format!("update target row not found in `{}`", self.name))
+            })?;
+            return Ok((Some(self.rows.replace(old, after.clone())), after));
         }
+        let same_key = self.primary_key.iter().all(|&c| before[c] == after[c]);
+        if let (Some(old), true) = (old, same_key) {
+            // The common case: the row changes where it stands.
+            return Ok((Some(self.rows.replace(old, after.clone())), after));
+        }
+        if self.slot_for(&after).1 {
+            return Err(self.duplicate_key(&after));
+        }
+        let old = old.map(|pos| self.rows.remove(pos));
+        let (pos, _) = self.slot_for(&after);
+        self.rows.insert(pos, after.clone());
+        Ok((old, after))
     }
 
-    /// Deletes by primary key.
-    pub fn delete_by_key(&mut self, key: &Row) -> Option<Row> {
-        self.rows.remove(key)
+    /// Removes the row with `image`'s primary key — in a table without
+    /// one, the first row equal to `image` — and returns it.
+    pub fn delete(&mut self, image: &Row) -> Option<Arc<Row>> {
+        self.locate(image).map(|pos| self.rows.remove(pos))
     }
 
-    /// Replaces `before` with `after`; handles key changes.
-    pub fn update(&mut self, before: &Row, after: Row) -> Result<()> {
-        let Some(old_key) = self.key_of(before) else {
-            return Err(Error::execution(format!(
-                "update target row not found in `{}`",
-                self.name
-            )));
-        };
-        self.update_with_key(&old_key, after).map(|_| ())
-    }
-
-    /// Replaces the row stored under `old_key` with `after`, returning the
-    /// new clustering key. This is the hot-path form: callers that already
-    /// know the key (UPDATE/DELETE executors, index maintenance) skip the
-    /// rowid-table full scan [`Table::key_of`] would otherwise perform.
-    pub fn update_with_key(&mut self, old_key: &Row, after: Row) -> Result<Row> {
-        let after = self.validate(&after)?;
-        let new_key = if self.primary_key.is_empty() {
-            old_key.clone()
+    /// Removes exactly the stored row `row` (what a failed index insert
+    /// takes back); `false` if the table does not hold it.
+    pub fn take_back(&mut self, row: &Arc<Row>) -> bool {
+        let pos = if self.primary_key.is_empty() {
+            self.scan_for(|r| Arc::ptr_eq(r, row))
         } else {
-            after.project(&self.primary_key)
+            self.locate(row)
         };
-        if new_key != *old_key && self.rows.contains_key(&new_key) {
-            return Err(Error::constraint(format!(
-                "duplicate primary key {new_key} in `{}`",
-                self.name
-            )));
-        }
-        self.rows.remove(old_key);
-        self.rows.insert(new_key.clone(), after);
-        Ok(new_key)
+        pos.map(|pos| self.rows.remove(pos)).is_some()
     }
 
     /// Point lookup by primary key.
     pub fn get(&self, key: &Row) -> Option<&Row> {
-        self.rows.get(key)
+        let pos = self
+            .rows
+            .partition_point(|r| self.key_cmp(r, key.values()).is_lt());
+        let row = self.rows.get(pos)?;
+        self.key_cmp(row, key.values()).is_eq().then_some(&**row)
+    }
+
+    /// The stored row with `image`'s primary key (in a table without one,
+    /// the first row equal to `image`).
+    pub fn find(&self, image: &Row) -> Option<&Row> {
+        self.locate(image)
+            .and_then(|pos| self.rows.get(pos))
+            .map(|r| &**r)
     }
 
     /// Full scan in clustering-key order.
     pub fn scan(&self) -> impl Iterator<Item = &Row> + '_ {
-        self.rows.values()
+        self.rows.iter().map(|r| &**r)
     }
 
-    /// Full scan yielding `(clustering key, row)` pairs — index builds use
-    /// this instead of `scan` + per-row [`Table::key_of`] (which is a full
-    /// scan per row, O(n²) total, on rowid tables).
-    pub fn scan_with_keys(&self) -> impl Iterator<Item = (&Row, &Row)> + '_ {
+    /// Full scan yielding the shared pointers — what an index build
+    /// registers.
+    pub fn stored_rows(&self) -> impl Iterator<Item = &Arc<Row>> + '_ {
         self.rows.iter()
     }
 
-    /// The row with the smallest clustering key (O(log n)).
+    /// The row with the smallest clustering key (O(1)).
     pub fn first_row(&self) -> Option<&Row> {
-        self.rows.values().next()
+        self.scan().next()
     }
 
-    /// The row with the largest clustering key (O(log n)).
+    /// The row with the largest clustering key (O(1)).
     pub fn last_row(&self) -> Option<&Row> {
-        self.rows.values().next_back()
+        self.rows.iter().next_back().map(|r| &**r)
     }
 
-    /// Range scan over the clustering key.
+    /// Range scan over the clustering key. A range with `low` above
+    /// `high_inclusive` is empty.
     pub fn scan_range(
         &self,
         low: Option<&Row>,
         high_inclusive: Option<&Row>,
     ) -> impl Iterator<Item = &Row> + '_ {
-        use std::ops::Bound;
-        let lo = match low {
-            Some(l) => Bound::Included(l.clone()),
-            None => Bound::Unbounded,
-        };
-        let hi = match high_inclusive {
-            Some(h) => Bound::Included(h.clone()),
-            None => Bound::Unbounded,
-        };
-        self.rows.range((lo, hi)).map(|(_, r)| r)
+        let from = low.map_or(self.rows.start(), |k| {
+            self.rows
+                .partition_point(|r| self.key_cmp(r, k.values()).is_lt())
+        });
+        let to = high_inclusive.map_or(self.rows.end(), |k| {
+            self.rows
+                .partition_point(|r| self.key_cmp(r, k.values()).is_le())
+        });
+        self.rows.between(from, to).map(|r| &**r)
     }
 
     /// Drops every row (used when re-snapshotting a cached view).
     pub fn truncate(&mut self) {
         self.rows.clear();
-        self.next_rowid = 0;
+    }
+
+    /// Addresses of the storage chunks holding the rows; two tables share
+    /// a chunk exactly when they report the same address for it. For tests
+    /// that pin what a snapshot publication copies.
+    pub fn chunk_addrs(&self) -> impl Iterator<Item = usize> + '_ {
+        self.rows.chunk_addrs()
     }
 }
 
@@ -281,8 +306,8 @@ mod tests {
     #[test]
     fn insert_get_scan() {
         let mut t = item_table();
-        t.insert(row![2, "b", 2.0]).unwrap();
-        t.insert(row![1, "a", 1.0]).unwrap();
+        t.insert(&row![2, "b", 2.0]).unwrap();
+        t.insert(&row![1, "a", 1.0]).unwrap();
         assert_eq!(t.row_count(), 2);
         assert_eq!(t.get(&row![1]).unwrap()[1], Value::str("a"));
         // Scan is key-ordered.
@@ -293,15 +318,15 @@ mod tests {
     #[test]
     fn duplicate_pk_rejected() {
         let mut t = item_table();
-        t.insert(row![1, "a", 1.0]).unwrap();
-        let err = t.insert(row![1, "b", 2.0]).unwrap_err();
+        t.insert(&row![1, "a", 1.0]).unwrap();
+        let err = t.insert(&row![1, "b", 2.0]).unwrap_err();
         assert_eq!(err.kind(), "constraint");
     }
 
     #[test]
     fn not_null_enforced() {
         let mut t = item_table();
-        let err = t.insert(Row::new(vec![Value::Null, Value::str("x"), Value::Null]));
+        let err = t.insert(&Row::new(vec![Value::Null, Value::str("x"), Value::Null]));
         assert!(err.is_err());
     }
 
@@ -309,15 +334,15 @@ mod tests {
     fn type_coercion_on_insert() {
         let mut t = item_table();
         // i_cost is FLOAT; an int literal should coerce.
-        t.insert(row![1, "a", 5]).unwrap();
+        t.insert(&row![1, "a", 5]).unwrap();
         assert_eq!(t.get(&row![1]).unwrap()[2], Value::Float(5.0));
     }
 
     #[test]
     fn update_changes_key() {
         let mut t = item_table();
-        t.insert(row![1, "a", 1.0]).unwrap();
-        t.update(&row![1, "a", 1.0], row![9, "a", 1.0]).unwrap();
+        t.insert(&row![1, "a", 1.0]).unwrap();
+        t.replace(&row![1, "a", 1.0], &row![9, "a", 1.0]).unwrap();
         assert!(t.get(&row![1]).is_none());
         assert!(t.get(&row![9]).is_some());
     }
@@ -325,9 +350,10 @@ mod tests {
     #[test]
     fn update_to_existing_key_rejected() {
         let mut t = item_table();
-        t.insert(row![1, "a", 1.0]).unwrap();
-        t.insert(row![2, "b", 2.0]).unwrap();
-        assert!(t.update(&row![1, "a", 1.0], row![2, "a", 1.0]).is_err());
+        t.insert(&row![1, "a", 1.0]).unwrap();
+        t.insert(&row![2, "b", 2.0]).unwrap();
+        assert!(t.replace(&row![1, "a", 1.0], &row![2, "a", 1.0]).is_err());
+        assert_eq!(t.row_count(), 2);
     }
 
     #[test]
@@ -337,18 +363,22 @@ mod tests {
             Schema::new(vec![Column::new("msg", DataType::Str)]),
             vec![],
         );
-        t.insert(row!["x"]).unwrap();
-        t.insert(row!["x"]).unwrap();
-        assert_eq!(t.row_count(), 2);
-        assert!(t.delete(&row!["x"]));
-        assert_eq!(t.row_count(), 1);
+        t.insert(&row!["x"]).unwrap();
+        t.insert(&row!["x"]).unwrap();
+        t.insert(&row!["y"]).unwrap();
+        assert_eq!(t.row_count(), 3);
+        // Insertion order, and a delete takes the first equal row.
+        assert!(t.delete(&row!["x"]).is_some());
+        let left: Vec<&Row> = t.scan().collect();
+        assert_eq!(left, [&row!["x"], &row!["y"]]);
+        assert!(t.delete(&row!["z"]).is_none());
     }
 
     #[test]
     fn range_scan() {
         let mut t = item_table();
         for i in 1..=10 {
-            t.insert(row![i, format!("t{i}"), i as f64]).unwrap();
+            t.insert(&row![i, format!("t{i}"), i as f64]).unwrap();
         }
         let got: Vec<i64> = t
             .scan_range(Some(&row![3]), Some(&row![6]))
@@ -370,14 +400,14 @@ mod tests {
         );
         for o in 1..=3 {
             for l in 1..=3 {
-                t.insert(row![o, l, o * 10 + l]).unwrap();
+                t.insert(&row![o, l, o * 10 + l]).unwrap();
             }
         }
         assert_eq!(t.row_count(), 9);
         // Same o_id with a different l_id is a distinct key...
-        t.insert(row![1, 9, 0]).unwrap();
+        t.insert(&row![1, 9, 0]).unwrap();
         // ...but the full composite must be unique.
-        assert!(t.insert(row![1, 9, 5]).is_err());
+        assert!(t.insert(&row![1, 9, 5]).is_err());
         // Point lookup by the full key.
         assert_eq!(t.get(&row![2, 3]).unwrap()[2], Value::Int(23));
         // Range scan over an o_id prefix: lexicographic key order means
@@ -390,12 +420,37 @@ mod tests {
     }
 
     #[test]
+    fn inverted_and_empty_ranges_are_empty() {
+        let mut t = item_table();
+        for i in 1..=10 {
+            t.insert(&row![i, "t", 0.0]).unwrap();
+        }
+        assert_eq!(t.scan_range(Some(&row![7]), Some(&row![3])).count(), 0);
+        assert_eq!(t.scan_range(Some(&row![11]), None).count(), 0);
+        assert_eq!(t.scan_range(Some(&row![4]), Some(&row![4])).count(), 1);
+    }
+
+    #[test]
+    fn replace_in_place_shares_nothing_with_the_old_row() {
+        let mut t = item_table();
+        let stored = t.insert(&row![1, "a", 1.0]).unwrap();
+        let (old, new) = t.replace(&row![1, "ignored", 0.0], &row![1, "b", 2.0]).unwrap();
+        assert!(Arc::ptr_eq(&old.unwrap(), &stored));
+        assert_eq!(t.get(&row![1]), Some(&*new));
+        assert_eq!(*stored, row![1, "a", 1.0], "a held row never changes");
+        // No row under the old key: the new image is simply inserted.
+        let (old, _) = t.replace(&row![5, "x", 0.0], &row![5, "e", 5.0]).unwrap();
+        assert!(old.is_none());
+        assert_eq!(t.row_count(), 2);
+    }
+
+    #[test]
     fn shadow_refuses_inserts() {
         let mut t = item_table();
-        t.insert(row![1, "a", 1.0]).unwrap();
+        t.insert(&row![1, "a", 1.0]).unwrap();
         let mut s = t.to_shadow();
         assert!(s.is_shadow());
         assert_eq!(s.row_count(), 0);
-        assert!(s.insert(row![2, "b", 2.0]).is_err());
+        assert!(s.insert(&row![2, "b", 2.0]).is_err());
     }
 }

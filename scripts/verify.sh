@@ -33,6 +33,12 @@ cargo test -q --test placement_smoke
 echo "==> cargo test -q --test advisor_smoke (adaptive-advisor floors vs committed BENCH_advisor.json)"
 cargo test -q --test advisor_smoke
 
+# Structural sharing between consecutive snapshots, pinned by pointer
+# identity: a change that reintroduces a per-publication copy of the cache
+# database fails here, on any machine, without a timer.
+echo "==> cargo test -q --test snapshot_sharing (a publication copies only what its batch wrote)"
+cargo test -q --test snapshot_sharing
+
 # Tier-2: release-mode perf gate. The full-size hot-path run must stay
 # within 20% of the committed streaming floor (tests/hotpath_smoke.rs,
 # STREAMING_US_FLOOR); debug timings are meaningless, hence --release.

@@ -65,11 +65,11 @@ fn mixed_workload_preserves_business_invariants() {
             .unwrap()
             .get(&mtcache_repro::types::Row::new(vec![Value::Int(*o_id)]));
         assert!(cc.is_some(), "order {o_id} has no credit-card transaction");
-        let lines = db
+        let mut lines = db
             .index("ix_orderline_order")
             .unwrap()
             .seek(&mtcache_repro::types::Row::new(vec![Value::Int(*o_id)]));
-        assert!(!lines.is_empty(), "order {o_id} has no order lines");
+        assert!(lines.next().is_some(), "order {o_id} has no order lines");
     }
     drop(db);
 
