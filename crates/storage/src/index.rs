@@ -67,19 +67,21 @@ impl Index {
         self.columns.iter().map(|&c| &row[c]).cmp(key)
     }
 
-    /// Where the rows whose key is `key` begin and end.
-    fn run_of(&self, key: &[Value]) -> (Pos, Pos) {
-        (
-            self.map.partition_point(|r| self.key_cmp(r, key).is_lt()),
-            self.map.partition_point(|r| self.key_cmp(r, key).is_le()),
-        )
+    /// Where the rows whose key is `key` begin.
+    fn first_of(&self, key: &[Value]) -> Pos {
+        self.map.partition_point(|r| self.key_cmp(r, key).is_lt())
+    }
+
+    /// Where the rows whose key is `key` end.
+    fn end_of(&self, key: &[Value]) -> Pos {
+        self.map.partition_point(|r| self.key_cmp(r, key).is_le())
     }
 
     /// Registers a stored row.
     pub fn insert(&mut self, row: Arc<Row>) -> Result<()> {
         let key = row.project(&self.columns);
-        let (first, end) = self.run_of(key.values());
-        if self.unique && first != end {
+        let end = self.end_of(key.values());
+        if self.unique && self.first_of(key.values()) != end {
             return Err(Error::constraint(format!(
                 "duplicate key {key} in unique index `{}`",
                 self.name
@@ -92,7 +94,7 @@ impl Index {
     /// Unregisters exactly the stored row `row`.
     pub fn remove(&mut self, row: &Arc<Row>) {
         let key = row.project(&self.columns);
-        let (first, _) = self.run_of(key.values());
+        let first = self.first_of(key.values());
         let found = self
             .map
             .entries_from(first)
@@ -106,8 +108,8 @@ impl Index {
 
     /// Equality lookup: the rows whose index key equals `key`.
     pub fn seek(&self, key: &Row) -> impl Iterator<Item = &Arc<Row>> + '_ {
-        let (first, end) = self.run_of(key.values());
-        self.map.between(first, end)
+        self.map
+            .between(self.first_of(key.values()), self.end_of(key.values()))
     }
 
     /// Range lookup over the index key order. Bounds that select nothing
@@ -119,13 +121,13 @@ impl Index {
     ) -> impl Iterator<Item = &Arc<Row>> + '_ {
         let from = match &low {
             Bound::Unbounded => self.map.start(),
-            Bound::Included(k) => self.run_of(k.values()).0,
-            Bound::Excluded(k) => self.run_of(k.values()).1,
+            Bound::Included(k) => self.first_of(k.values()),
+            Bound::Excluded(k) => self.end_of(k.values()),
         };
         let to = match &high {
             Bound::Unbounded => self.map.end(),
-            Bound::Included(k) => self.run_of(k.values()).1,
-            Bound::Excluded(k) => self.run_of(k.values()).0,
+            Bound::Included(k) => self.end_of(k.values()),
+            Bound::Excluded(k) => self.first_of(k.values()),
         };
         self.map.between(from, to)
     }

@@ -27,14 +27,15 @@
 //!
 //! Master and snapshots hold the database as an `Arc<Database>`, and the
 //! database holds its tables, indexes, catalog and log behind `Arc`s of
-//! their own (rows and postings in [`PMap`](crate::pmap::PMap) chunks).
-//! Publishing is a reference-count bump of the master's `Arc` plus a copy of
-//! the watermark map; nothing is copied at that moment. The copying happens
-//! in the *next* batch, lazily and only where it writes: the first mutable
-//! access unshares the `Database` shell (two name maps of pointers), the
-//! first write to a table or index unshares its chunk directory, and each
-//! write copies the one chunk it lands in, once per batch. A batch that
-//! only stamps a watermark never touches the database, so the snapshot it
+//! their own (table rows and index entries in [`PMap`](crate::pmap::PMap)
+//! chunks of shared row pointers). Publishing is a reference-count bump of
+//! the master's `Arc` plus a copy of the watermark map; nothing else is
+//! copied at that moment. The copying happens in the *next* batch, lazily
+//! and only where it writes: the first mutable access unshares the
+//! `Database` shell (two name maps of pointers), the first write to a table
+//! or index unshares its chunk directory, and each write copies the one
+//! chunk of pointers it lands in, once per batch. A batch that only stamps
+//! a watermark never takes the database mutably, so the snapshot it
 //! publishes carries the very `Arc<Database>` the previous one carried.
 //!
 //! [`ArcSwap`]: mtc_util::sync::ArcSwap

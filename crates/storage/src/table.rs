@@ -74,23 +74,25 @@ impl Table {
         self.rows.len()
     }
 
-    /// Orders a stored row's key against `key`, a row of key values: column
-    /// by column, a key that runs out first sorting first — so a prefix of
-    /// the key columns is a valid range bound.
-    fn key_cmp(&self, row: &Row, key: &[Value]) -> Ordering {
-        self.primary_key.iter().map(|&c| &row[c]).cmp(key)
+    /// The primary-key values of `row`, in key order.
+    fn key_of<'a>(&'a self, row: &'a Row) -> impl Iterator<Item = &'a Value> + 'a {
+        self.primary_key.iter().map(move |&c| &row[c])
+    }
+
+    /// Orders a stored row's key against `key`, a sequence of key values:
+    /// value by value, a key that runs out first sorting first — so a
+    /// prefix of the key columns is a valid range bound.
+    fn key_cmp<'a>(&'a self, row: &'a Row, key: impl IntoIterator<Item = &'a Value>) -> Ordering {
+        self.key_of(row).cmp(key)
     }
 
     /// Where a row with `image`'s primary key is or would go, and whether
     /// one is there. Without a primary key: the end, and no.
     fn slot_for(&self, image: &Row) -> (Pos, bool) {
-        let by_key = |row: &Row| {
-            let columns = self.primary_key.iter().map(|&c| row[c].cmp(&image[c]));
-            columns.fold(Ordering::Equal, Ordering::then)
-        };
         if self.primary_key.is_empty() {
             return (self.rows.end(), false);
         }
+        let by_key = |row: &Arc<Row>| self.key_cmp(row, self.key_of(image));
         let pos = self.rows.partition_point(|r| by_key(r).is_lt());
         (pos, self.rows.get(pos).is_some_and(|r| by_key(r).is_eq()))
     }
