@@ -114,11 +114,7 @@ impl Index {
 
     /// Range lookup over the index key order. Bounds that select nothing
     /// (`low` above `high`) give the empty iterator.
-    pub fn range(
-        &self,
-        low: Bound<Row>,
-        high: Bound<Row>,
-    ) -> impl Iterator<Item = &Arc<Row>> + '_ {
+    pub fn range(&self, low: Bound<Row>, high: Bound<Row>) -> impl Iterator<Item = &Arc<Row>> + '_ {
         let from = match &low {
             Bound::Unbounded => self.map.start(),
             Bound::Included(k) => self.first_of(k.values()),

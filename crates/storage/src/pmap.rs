@@ -228,7 +228,11 @@ impl<E: Clone> PMap<E> {
         // Fold the chunk and a neighbour into one when together they fill
         // no more than half of it, so deletions cannot leave the directory
         // full of near-empty chunks.
-        let left = if c + 1 < self.chunks.len() { c } else { c.saturating_sub(1) };
+        let left = if c + 1 < self.chunks.len() {
+            c
+        } else {
+            c.saturating_sub(1)
+        };
         if left + 1 < self.chunks.len()
             && self.chunks[left].len() + self.chunks[left + 1].len() <= CHUNK / 2
         {

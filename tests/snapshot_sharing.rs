@@ -69,7 +69,10 @@ fn a_publication_copies_only_what_the_batch_wrote() {
 
     let (tables_then, indexes_then) = parts(&idle);
     let (tables_now, indexes_now) = parts(&after);
-    assert!(tables_now.len() >= 10 && indexes_now.len() >= 7, "the TPC-W shadow database");
+    assert!(
+        tables_now.len() >= 10 && indexes_now.len() >= 7,
+        "the TPC-W shadow database"
+    );
     for (name, at) in &tables_now {
         assert_eq!(
             *at != tables_then[name],
@@ -91,7 +94,11 @@ fn a_publication_copies_only_what_the_batch_wrote() {
     let now: Vec<usize> = after.table_ref("cv_item").unwrap().chunk_addrs().collect();
     assert!(then.len() >= 2, "cv_item spans several chunks");
     let replaced = now.iter().filter(|a| !then.contains(a)).count();
-    assert!((1..=2).contains(&replaced), "{replaced} of {} chunks replaced", now.len());
+    assert!(
+        (1..=2).contains(&replaced),
+        "{replaced} of {} chunks replaced",
+        now.len()
+    );
 
     // The snapshot held across all of it still reads what it read then.
     assert_eq!(item_5(&before), item_5(&idle));
