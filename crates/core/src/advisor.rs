@@ -97,7 +97,7 @@ fn gather_traffic(db: &Database, workload: &[WorkloadEntry]) -> BTreeMap<String,
                 Statement::Exec { proc, .. } => {
                     if let Some(def) = db.catalog.procedure(proc) {
                         for s in &def.body {
-                            match s {
+                            match &s.statement {
                                 Statement::Select(sel) => {
                                     record_select(db, sel, entry.frequency, &mut traffic)
                                 }

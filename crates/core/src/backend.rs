@@ -7,16 +7,18 @@ use mtc_util::sync::{Mutex, RwLock};
 
 use mtc_engine::eval::Bindings;
 use mtc_engine::{
-    bind_select, execute, ExecContext, OptimizerOptions, QueryResult, RemoteExecutor,
+    bind_select, execute, ExecContext, Optimized, OptimizerOptions, QueryResult, RemoteExecutor,
+    RemoteOutcome, RemoteSite,
 };
 use mtc_replication::{Clock, WallClock};
-use mtc_sql::{parse_statement, parse_statements, Permission, Select, Statement, TableRef};
+use mtc_sql::{parse_statements, Permission, Prepared, Select, Statement, TableRef};
 use mtc_storage::{Database, ProcedureDef, RowChange, ViewMeta};
 use mtc_types::{Column, Error, Result, Row, Schema};
 
-use crate::dml::{compile_dml, derive_view_changes, DML_STATEMENT_OVERHEAD, WORK_PER_CHANGE};
-use crate::plan_cache::{param_signature, CachedPlan, PlanCache};
-use crate::procs::{bind_proc_args, parse_proc_body};
+use crate::dml::{derive_view_changes, plan_dml, DML_STATEMENT_OVERHEAD, WORK_PER_CHANGE};
+use crate::plan_cache::{param_signature, CachedPlan, Compiled, PlanCache};
+use crate::procs::{bind_proc_args, prepare_proc_body};
+use crate::statements::StatementCache;
 use crate::stats::SharedServerStats;
 
 /// The backend server: database of record, local execution of everything,
@@ -30,8 +32,11 @@ pub struct BackendServer {
     /// read with `stats.snapshot()`).
     pub stats: SharedServerStats,
     /// Compiled-plan cache keyed by statement text + parameter signature,
-    /// invalidated by catalog version (see [`crate::plan_cache`]).
+    /// invalidated by catalog version (see [`crate::plan_cache`]). Holds the
+    /// plans of SELECTs and of INSERT/UPDATE/DELETE statements alike.
     pub plan_cache: PlanCache,
+    /// Statement text → prepared statement (see [`crate::statements`]).
+    pub statements: StatementCache,
     /// Statement trace for the cache advisor: normalized statement text →
     /// execution count. `None` when tracing is off.
     trace: Mutex<Option<BTreeMap<String, u64>>>,
@@ -50,6 +55,7 @@ impl BackendServer {
             clock,
             stats: SharedServerStats::default(),
             plan_cache: PlanCache::default(),
+            statements: StatementCache::default(),
             trace: Mutex::new(None),
         })
     }
@@ -61,18 +67,25 @@ impl BackendServer {
     /// Runs a multi-statement script as `dbo` (setup convenience).
     pub fn run_script(&self, sql: &str) -> Result<()> {
         for stmt in parse_statements(sql)? {
-            self.execute_statement(&stmt, &Bindings::new(), "dbo")?;
+            self.execute_prepared(&Prepared::from_statement(stmt), &Bindings::new(), "dbo")?;
         }
         Ok(())
     }
 
-    /// Parses and executes one statement.
+    /// The prepared form of `sql`, from this server's statement cache: a
+    /// text is parsed the first time it is seen (counted in
+    /// `stats.prepares`), not on every execution.
+    pub fn prepare(&self, sql: &str) -> Result<Arc<Prepared>> {
+        self.statements.prepare(sql, &self.stats.prepares)
+    }
+
+    /// Prepares (once per text) and executes one statement.
     pub fn execute(&self, sql: &str, params: &Bindings, principal: &str) -> Result<QueryResult> {
-        let stmt = parse_statement(sql)?;
+        let stmt = self.prepare(sql)?;
         if let Some(trace) = self.trace.lock().as_mut() {
-            *trace.entry(stmt.to_string()).or_insert(0) += 1;
+            *trace.entry(stmt.key.clone()).or_insert(0) += 1;
         }
-        self.execute_statement(&stmt, params, principal)
+        self.execute_prepared(&stmt, params, principal)
     }
 
     /// Starts recording a workload trace (normalized statement text and
@@ -96,28 +109,24 @@ impl BackendServer {
             .collect()
     }
 
-    /// Executes a parsed statement.
-    pub fn execute_statement(
+    /// Executes a prepared statement: a client's, a stored procedure's, a
+    /// script's, or one a cache server forwards or ships.
+    pub fn execute_prepared(
         &self,
-        stmt: &Statement,
+        stmt: &Prepared,
         params: &Bindings,
         principal: &str,
     ) -> Result<QueryResult> {
-        match stmt {
-            Statement::Select(sel) => self.execute_select(sel, params, principal),
-            Statement::Insert { table, .. }
-            | Statement::Update { table, .. }
-            | Statement::Delete { table, .. } => {
-                let perm = match stmt {
-                    Statement::Insert { .. } => Permission::Insert,
-                    Statement::Update { .. } => Permission::Update,
-                    _ => Permission::Delete,
-                };
-                self.db
-                    .read()
-                    .catalog
-                    .check_permission(principal, table, perm)?;
-                self.execute_dml(stmt, params)
+        match &stmt.statement {
+            Statement::Select(sel) => self.execute_select(stmt, sel, params, principal),
+            Statement::Insert { table, .. } => {
+                self.execute_dml(stmt, table, Permission::Insert, params, principal)
+            }
+            Statement::Update { table, .. } => {
+                self.execute_dml(stmt, table, Permission::Update, params, principal)
+            }
+            Statement::Delete { table, .. } => {
+                self.execute_dml(stmt, table, Permission::Delete, params, principal)
             }
             Statement::CreateTable {
                 name,
@@ -192,21 +201,23 @@ impl BackendServer {
     /// Runs a SELECT entirely locally (the backend is the data of record).
     ///
     /// Plans come from the parameterized plan cache when a compiled plan
-    /// for this statement text + parameter signature is resident and still
-    /// valid at the current catalog version; otherwise the statement is
-    /// bound, optimized, compiled and cached. Permission checks run on
-    /// every execution, cached or not.
-    pub fn execute_select(
+    /// for this statement's canonical key + parameter signature is resident
+    /// and still valid at the current catalog version; otherwise the
+    /// statement is bound, optimized, compiled and cached. Permission checks
+    /// run on every execution, cached or not.
+    fn execute_select(
         &self,
+        stmt: &Prepared,
         sel: &Select,
         params: &Bindings,
         principal: &str,
     ) -> Result<QueryResult> {
         let db = self.db.read();
-        check_select_permissions(&db, sel, principal)?;
-        let key = sel.to_string();
-        let sig = param_signature(params);
-        let version = db.catalog.version();
+        check_select_permissions(&db, &stmt.objects, principal)?;
+        let plan = self.plan_for(stmt, params, &db, || {
+            let opt = mtc_engine::optimize(bind_select(sel, &db)?, &db, &self.options)?;
+            Ok((Compiled::Query(mtc_engine::compile(&opt.physical)?), Some(opt)))
+        })?;
         let ctx = ExecContext {
             db: &db,
             remote: None,
@@ -214,45 +225,71 @@ impl BackendServer {
             work: &self.options.cost,
             parallel: None,
         };
-        let result = match self.plan_cache.lookup(&key, &sig, version, 0) {
-            Some(hit) => mtc_engine::execute_compiled(&hit.compiled, &ctx)?,
-            None => {
-                let plan = bind_select(sel, &db)?;
-                let opt = mtc_engine::optimize(plan, &db, &self.options)?;
-                let cached = self.plan_cache.insert(
-                    &key,
-                    &sig,
-                    CachedPlan {
-                        compiled: mtc_engine::compile(&opt.physical)?,
-                        est_cost: opt.est_cost,
-                        est_rows: opt.est_rows,
-                        catalog_version: version,
-                        topology_version: 0,
-                    },
-                );
-                mtc_engine::execute_compiled(&cached.compiled, &ctx)?
-            }
-        };
+        let result = mtc_engine::execute_compiled(plan.query()?, &ctx)?;
         self.stats.record_query(&result.metrics, result.rows.len());
         Ok(result)
     }
 
-    /// Compiles and applies a DML statement as one transaction, including
-    /// eager maintenance of select-project materialized views.
-    pub fn execute_dml(&self, stmt: &Statement, params: &Bindings) -> Result<QueryResult> {
+    /// The statement's plan: from the plan cache when one compiled for this
+    /// canonical key + parameter signature is resident and valid at `db`'s
+    /// catalog version, else built by `compile` (which also returns the
+    /// optimizer's estimates, if it ran the optimizer) and cached.
+    fn plan_for(
+        &self,
+        stmt: &Prepared,
+        params: &Bindings,
+        db: &Database,
+        compile: impl FnOnce() -> Result<(Compiled, Option<Optimized>)>,
+    ) -> Result<Arc<CachedPlan>> {
+        let sig = param_signature(params);
+        let version = db.catalog.version();
+        if let Some(hit) = self.plan_cache.lookup(&stmt.key, &sig, version, 0) {
+            return Ok(hit);
+        }
+        let (compiled, opt) = compile()?;
+        Ok(self.plan_cache.insert(
+            &stmt.key,
+            &sig,
+            CachedPlan {
+                compiled,
+                est_cost: opt.as_ref().map_or(0.0, |o| o.est_cost),
+                est_rows: opt.as_ref().map_or(0.0, |o| o.est_rows),
+                catalog_version: version,
+                topology_version: 0,
+            },
+        ))
+    }
+
+    /// Runs an INSERT/UPDATE/DELETE as one transaction, including eager
+    /// maintenance of select-project materialized views. The statement's
+    /// compiled form (target location, assignment and `VALUES` expressions)
+    /// comes from the plan cache under the rules a SELECT's plan does; the
+    /// permission check runs on every execution.
+    fn execute_dml(
+        &self,
+        stmt: &Prepared,
+        table: &str,
+        permission: Permission,
+        params: &Bindings,
+        principal: &str,
+    ) -> Result<QueryResult> {
         let mut db = self.db.write();
-        let (mut changes, locate_work) = compile_dml(stmt, &db, params, &self.options)?;
-        let derived = derive_view_changes(&db, &changes)?;
+        db.catalog.check_permission(principal, table, permission)?;
+        let plan = self.plan_for(stmt, params, &db, || {
+            let planned = plan_dml(&stmt.statement, &db, &self.options)?;
+            Ok((Compiled::Dml(planned.compiled), planned.query))
+        })?;
+        let (mut changes, locate_work) = plan.dml()?.changes(&db, params, &self.options.cost)?;
         let affected = changes.len();
-        changes.extend(derived);
-        if !changes.is_empty() {
-            db.apply(self.clock.now_ms(), changes.clone())?;
+        changes.extend(derive_view_changes(&db, &changes)?);
+        let written = changes.len();
+        if written > 0 {
+            db.apply(self.clock.now_ms(), changes)?;
         }
         drop(db);
         // Statement overhead (parse/lock/log-flush/commit) + target lookup
         // + per-row write and index maintenance.
-        let work =
-            DML_STATEMENT_OVERHEAD + locate_work + WORK_PER_CHANGE * changes.len() as f64;
+        let work = DML_STATEMENT_OVERHEAD + locate_work + WORK_PER_CHANGE * written as f64;
         self.stats.record_dml(work);
         let mut result = QueryResult::default();
         result.metrics.local_rows = affected as u64;
@@ -260,15 +297,18 @@ impl BackendServer {
         Ok(result)
     }
 
-    /// Registers a stored procedure.
+    /// Registers a stored procedure; its body is prepared here, once.
     pub fn create_procedure(&self, name: &str, params: &[&str], body_sql: &str) -> Result<()> {
         let params: Vec<String> = params.iter().map(|p| mtc_types::normalize_ident(p)).collect();
-        let body = parse_proc_body(name, &params, body_sql)?;
-        self.db.write().catalog_mut().create_procedure(ProcedureDef {
-            name: name.to_string(),
-            params,
-            body,
-        })
+        let body = prepare_proc_body(name, &params, body_sql)?;
+        self.db
+            .write()
+            .catalog_mut()
+            .create_procedure(Arc::new(ProcedureDef {
+                name: name.to_string(),
+                params,
+                body,
+            }))
     }
 
     /// Executes a stored procedure; the result is that of its last SELECT.
@@ -291,9 +331,9 @@ impl BackendServer {
         let mut last = QueryResult::default();
         let mut accumulated = mtc_engine::ExecMetrics::default();
         for stmt in &def.body {
-            let r = self.execute_statement(stmt, &bound, principal)?;
+            let r = self.execute_prepared(stmt, &bound, principal)?;
             accumulated.absorb(&r.metrics);
-            if matches!(stmt, Statement::Select(_)) {
+            if stmt.select().is_some() {
                 last = r;
             }
         }
@@ -409,17 +449,29 @@ impl BackendServer {
         self.db.read().log().head()
     }
 
-    /// Optimizes a SELECT and returns its physical plan text (EXPLAIN).
+    /// Optimizes a statement and returns its physical plan text (EXPLAIN):
+    /// a SELECT's plan, or the plan that locates the rows an UPDATE or
+    /// DELETE targets.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let Statement::Select(sel) = parse_statement(sql)? else {
-            return Err(Error::plan("EXPLAIN supports SELECT statements"));
-        };
+        let stmt = Prepared::new(sql)?;
         let db = self.db.read();
-        let plan = bind_select(&sel, &db)?;
-        let opt = mtc_engine::optimize(plan, &db, &self.options)?;
+        let opt = match &stmt.statement {
+            Statement::Select(sel) => {
+                Some(mtc_engine::optimize(bind_select(sel, &db)?, &db, &self.options)?)
+            }
+            Statement::Update { .. } | Statement::Delete { .. } => {
+                plan_dml(&stmt.statement, &db, &self.options)?.query
+            }
+            _ => None,
+        };
+        let Some(opt) = opt else {
+            return Err(Error::plan(
+                "EXPLAIN supports SELECT, UPDATE and DELETE statements",
+            ));
+        };
         let cached = self
             .plan_cache
-            .contains_sql(&sel.to_string(), db.catalog.version(), 0);
+            .contains_sql(&stmt.key, db.catalog.version(), 0);
         let cs = self.plan_cache.stats();
         Ok(format!(
             "estimated cost: {:.1}\nestimated rows: {:.0}\nplan cache: {} (hits {}, misses {}, invalidations {})\n{}",
@@ -434,46 +486,37 @@ impl BackendServer {
     }
 }
 
-/// The backend acts as the remote executor for cache servers: shipped SQL
-/// is re-parsed and re-optimized here, exactly as in the paper.
+/// The backend is the remote executor of the cache servers. A compiled plan
+/// ships the prepared form of its SQL, which runs as it is; text (from an
+/// executor that has only text) goes through the statement cache first, so
+/// a shipped text is parsed at most once here too.
 impl RemoteExecutor for BackendServer {
     fn execute_remote(&self, sql: &str, params: &Bindings) -> Result<QueryResult> {
-        let stmt = parse_statement(sql)?;
-        match stmt {
-            Statement::Select(sel) => self.execute_select(&sel, params, "dbo"),
-            other => self.execute_statement(&other, params, "dbo"),
-        }
+        self.execute_prepared(&*self.prepare(sql)?, params, "dbo")
+    }
+
+    fn execute_shipped(
+        &self,
+        _site: &RemoteSite,
+        stmt: &Arc<Prepared>,
+        params: &Bindings,
+    ) -> Result<RemoteOutcome> {
+        Ok(RemoteOutcome::fetched(
+            self.execute_prepared(stmt, params, "dbo")?,
+        ))
     }
 }
 
-/// Every object named in the FROM clause, in order.
-pub(crate) fn select_objects(sel: &Select) -> Vec<String> {
-    fn objects(t: &TableRef, out: &mut Vec<String>) {
-        match t {
-            TableRef::Table { name, .. } => out.push(name.clone()),
-            TableRef::Join { left, right, .. } => {
-                objects(left, out);
-                objects(right, out);
-            }
-        }
-    }
-    let mut names = Vec::new();
-    for t in &sel.from {
-        objects(t, &mut names);
-    }
-    names
-}
-
-/// Checks SELECT permission on every object named in the FROM clause.
+/// Checks SELECT permission on every object a statement's FROM clause names
+/// ([`Prepared::objects`]).
 pub(crate) fn check_select_permissions(
     db: &Database,
-    sel: &Select,
+    objects: &[String],
     principal: &str,
 ) -> Result<()> {
-    for name in select_objects(sel) {
-        let local = name.rsplit('.').next().unwrap_or(&name);
+    for object in objects {
         db.catalog
-            .check_permission(principal, local, Permission::Select)?;
+            .check_permission(principal, object, Permission::Select)?;
     }
     Ok(())
 }
@@ -588,10 +631,10 @@ mod tests {
         let b = backend();
         b.create_materialized_view(
             "cost_by_title",
-            &match parse_statement("SELECT i_title, SUM(i_cost) AS total FROM item GROUP BY i_title").unwrap() {
-                Statement::Select(s) => s,
-                _ => panic!(),
-            },
+            Prepared::new("SELECT i_title, SUM(i_cost) AS total FROM item GROUP BY i_title")
+                .unwrap()
+                .select()
+                .unwrap(),
         )
         .unwrap();
         assert_eq!(b.db.read().table_ref("cost_by_title").unwrap().row_count(), 3);

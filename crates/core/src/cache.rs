@@ -10,14 +10,15 @@ use mtc_engine::{
     bind_select, execute, ExecContext, OptimizerOptions, PeerSite, PlacementEnv, QueryResult,
 };
 use mtc_replication::{Article, Clock, ReplicationHub, SubscriptionId};
-use mtc_sql::{parse_statement, Select, Statement, TableRef};
+use mtc_sql::{Permission, Prepared, Select, Statement, TableRef};
 use mtc_storage::{DbSnapshot, Lsn, ProcedureDef, SnapshotDb, ViewMeta};
 use mtc_types::{Column, Error, Result, Schema};
 
-use crate::backend::{check_select_permissions, select_objects, BackendServer};
+use crate::backend::{check_select_permissions, BackendServer};
 use crate::fragment::FragmentGateway;
-use crate::plan_cache::{param_signature, CachedPlan, PlanCache};
+use crate::plan_cache::{param_signature, CachedPlan, Compiled, PlanCache};
 use crate::result_cache::{RemoteGateway, ResultCache, ResultCacheConfig};
+use crate::statements::StatementCache;
 use crate::stats::SharedServerStats;
 
 /// An MTCache server: shadow database + cached views + transparent routing.
@@ -42,6 +43,10 @@ pub struct CacheServer {
     /// invalidated by the shadow catalog's version (see
     /// [`crate::plan_cache`]). Statements with currency bounds bypass it.
     pub plan_cache: PlanCache,
+    /// Statement text → prepared statement (see [`crate::statements`]):
+    /// client SQL and the fragments peers ship here are parsed once per
+    /// text, not once per execution.
+    pub statements: StatementCache,
     /// Currency-aware remote **result** cache (see
     /// [`crate::result_cache`]): materialized answers of shipped remote
     /// subqueries, keyed by SQL text + bound parameter values, invalidated
@@ -135,6 +140,7 @@ impl CacheServer {
             options: OptimizerOptions::default(),
             stats: SharedServerStats::default(),
             plan_cache: PlanCache::default(),
+            statements: StatementCache::default(),
             result_cache,
             fragment_cache,
             l2: Mutex::new(None),
@@ -235,7 +241,7 @@ impl CacheServer {
     /// over a backend table or materialized view, automatically creating
     /// the matching replication subscription and populating the view (§3).
     pub fn create_cached_view(&self, name: &str, definition_sql: &str) -> Result<()> {
-        let Statement::Select(definition) = parse_statement(definition_sql)? else {
+        let Statement::Select(definition) = mtc_sql::parse_statement(definition_sql)? else {
             return Err(Error::catalog("cached view definition must be a SELECT"));
         };
         let [TableRef::Table { name: source, .. }] = definition.from.as_slice() else {
@@ -338,8 +344,10 @@ impl CacheServer {
 
     /// Copies a stored procedure from the backend so it runs mid-tier
     /// (§5.2: the DBA selectively copies procedures she wants local).
+    ///
+    /// The copy shares the backend's definition, prepared body included.
     pub fn copy_procedure(&self, name: &str) -> Result<()> {
-        let def: ProcedureDef = self
+        let def: Arc<ProcedureDef> = self
             .backend
             .db
             .read()
@@ -382,26 +390,33 @@ impl CacheServer {
         })
     }
 
-    /// Parses and executes one statement with full transparency: queries
-    /// are optimized here and run local/remote/mixed; DML and unknown
-    /// procedures are forwarded to the backend.
+    /// The prepared form of `sql`, from this server's statement cache: a
+    /// text is parsed the first time it is seen (counted in
+    /// `stats.prepares`), not on every execution.
+    pub fn prepare(&self, sql: &str) -> Result<Arc<Prepared>> {
+        self.statements.prepare(sql, &self.stats.prepares)
+    }
+
+    /// Prepares (once per text) and executes one statement with full
+    /// transparency: queries are optimized here and run local/remote/mixed;
+    /// DML and unknown procedures are forwarded to the backend.
     pub fn execute(&self, sql: &str, params: &Bindings, principal: &str) -> Result<QueryResult> {
-        let stmt = parse_statement(sql)?;
+        let stmt = self.prepare(sql)?;
         if let Some(advisor) = self.advisor.lock().as_ref() {
             advisor.observe(sql);
         }
-        self.execute_statement(&stmt, params, principal)
+        self.execute_prepared(&stmt, params, principal)
     }
 
     /// Statement dispatch (see [`CacheServer::execute`]).
-    pub fn execute_statement(
+    pub fn execute_prepared(
         &self,
-        stmt: &Statement,
+        stmt: &Prepared,
         params: &Bindings,
         principal: &str,
     ) -> Result<QueryResult> {
-        match stmt {
-            Statement::Select(sel) => self.execute_select(sel, params, principal),
+        match &stmt.statement {
+            Statement::Select(sel) => self.select_impl(stmt, sel, params, principal, true),
             // "All insert, delete and update requests against a shadow
             // table are immediately converted to remote ... and forwarded
             // to the backend server" (§5).
@@ -410,16 +425,16 @@ impl CacheServer {
             | Statement::Delete { table, .. } => {
                 // Permission check happens locally against the shadowed
                 // catalog before forwarding.
-                let perm = match stmt {
-                    Statement::Insert { .. } => mtc_sql::Permission::Insert,
-                    Statement::Update { .. } => mtc_sql::Permission::Update,
-                    _ => mtc_sql::Permission::Delete,
+                let perm = match &stmt.statement {
+                    Statement::Insert { .. } => Permission::Insert,
+                    Statement::Update { .. } => Permission::Update,
+                    _ => Permission::Delete,
                 };
                 self.db
                     .read()
                     .catalog
                     .check_permission(principal, table, perm)?;
-                let result = self.backend.execute_statement(stmt, params, principal)?;
+                let result = self.backend.execute_prepared(stmt, params, principal)?;
                 // Our own forwarded write is visible on the backend *now*;
                 // don't wait for the replication stream to tell us about it.
                 // Entries over `table` must be at least as new as the head
@@ -444,13 +459,17 @@ impl CacheServer {
                             self.backend.execute_proc(proc, args, params, principal)?;
                         // A forwarded procedure may have written on the
                         // backend: invalidate cached results over every
-                        // table its body's DML touches.
-                        if let Some(def) = self.backend.db.read().catalog.procedure(proc) {
+                        // table its body's DML touches. (The definition is
+                        // taken out from under the read lock first:
+                        // `commit_lsn` reads the same lock, and a second
+                        // read behind a waiting writer never returns.)
+                        let def = self.backend.db.read().catalog.procedure(proc).cloned();
+                        if let Some(def) = def {
                             let head = self.backend.commit_lsn().0;
                             for stmt in &def.body {
                                 if let Statement::Insert { table, .. }
                                 | Statement::Update { table, .. }
-                                | Statement::Delete { table, .. } = stmt
+                                | Statement::Delete { table, .. } = &stmt.statement
                                 {
                                     self.invalidate_write(table, head);
                                 }
@@ -488,28 +507,17 @@ impl CacheServer {
         }
     }
 
-    /// Optimizes and executes a SELECT. The plan may be fully local, fully
-    /// remote, or mixed; parameterized queries get dynamic plans; in a
-    /// fleet, fragments may be placed on peer nodes' cached views.
-    pub fn execute_select(
-        &self,
-        sel: &Select,
-        params: &Bindings,
-        principal: &str,
-    ) -> Result<QueryResult> {
-        self.select_impl(sel, params, principal, true)
-    }
-
     /// Executes a plan fragment that a *peer's* multi-site placement routed
-    /// to this node. Placement is disabled for the nested execution — a
-    /// fragment never hops twice — so this terminates; everything else
-    /// (plan cache, L1 result cache, backend fallback) behaves exactly like
-    /// a session query. Runs as `dbo`, like backend-shipped SQL.
-    pub fn execute_for_peer(&self, sql: &str, params: &Bindings) -> Result<QueryResult> {
-        let Statement::Select(sel) = parse_statement(sql)? else {
+    /// to this node, in the prepared form the peer's compiled plan carries.
+    /// Placement is disabled for the nested execution — a fragment never
+    /// hops twice — so this terminates; everything else (plan cache, L1
+    /// result cache, backend fallback) behaves exactly like a session query.
+    /// Runs as `dbo`, like backend-shipped SQL.
+    pub fn execute_for_peer(&self, stmt: &Prepared, params: &Bindings) -> Result<QueryResult> {
+        let Some(sel) = stmt.select() else {
             return Err(Error::plan("peers only ship SELECT fragments"));
         };
-        self.select_impl(&sel, params, "dbo", false)
+        self.select_impl(stmt, sel, params, "dbo", false)
     }
 
     /// Upgraded placement peers: `(name, server)` for every live peer.
@@ -521,20 +529,25 @@ impl CacheServer {
             .collect()
     }
 
+    /// Optimizes and executes a SELECT. The plan may be fully local, fully
+    /// remote, or mixed; parameterized queries get dynamic plans; in a
+    /// fleet (`allow_placement`), fragments may be placed on peer nodes'
+    /// cached views.
     fn select_impl(
         &self,
+        stmt: &Prepared,
         sel: &Select,
         params: &Bindings,
         principal: &str,
         allow_placement: bool,
     ) -> Result<QueryResult> {
-        let options = self.options.clone();
+        let options = &self.options;
         let db = self.db.read();
         // Statements carrying a currency bound are never plan-cached: their
         // routing depends on replication staleness *at execution time*, not
         // just on metadata, so they re-optimize every invocation.
         let cacheable = sel.freshness_seconds.is_none();
-        let key = sel.to_string();
+        let key = &stmt.key;
         let sig = param_signature(params);
         let version = db.catalog.version();
         let topology = self.topology_version();
@@ -574,9 +587,9 @@ impl CacheServer {
             .map(|f| f as &dyn mtc_engine::FragmentMemo);
 
         // Permission checks run on every execution, cached plan or not.
-        let perm = check_select_permissions(&db, sel, principal);
+        let perm = check_select_permissions(&db, &stmt.objects, principal);
         if cacheable && perm.is_ok() {
-            if let Some(hit) = self.plan_cache.lookup(&key, &sig, version, topology) {
+            if let Some(hit) = self.plan_cache.lookup(key, &sig, version, topology) {
                 let ctx = ExecContext {
                     db: &db,
                     remote: Some(&gateway),
@@ -584,13 +597,13 @@ impl CacheServer {
                     work: &options.cost,
                     parallel: self.parallel_ctx(&db),
                 };
-                let result = mtc_engine::execute_compiled_with_memo(&hit.compiled, &ctx, memo)?;
+                let result = mtc_engine::execute_compiled_with_memo(hit.query()?, &ctx, memo)?;
                 self.stats.record_query(&result.metrics, result.rows.len());
                 return Ok(result);
             }
         }
 
-        let opt = match perm.and_then(|()| self.plan_select(&db, sel, &peers))? {
+        let opt = match perm.and_then(|()| self.plan_select(&db, stmt, sel, &peers))? {
             Planned::Here { opt, currency } => {
                 if currency.is_some() {
                     // The routing reason is observable via explain().
@@ -601,7 +614,7 @@ impl CacheServer {
             // The backend parses, authorizes and executes it.
             Planned::BlindForward { .. } => {
                 drop(db);
-                let result = self.backend.execute_select(sel, params, principal)?;
+                let result = self.backend.execute_prepared(stmt, params, principal)?;
                 self.stats.queries.inc();
                 self.stats.remote_calls.inc();
                 self.stats.remote_work.add(result.metrics.local_work);
@@ -624,17 +637,17 @@ impl CacheServer {
             // versions seen under this read lock), and execute the
             // compiled form.
             let cached = self.plan_cache.insert(
-                &key,
+                key,
                 &sig,
                 CachedPlan {
-                    compiled: mtc_engine::compile(&opt.physical)?,
+                    compiled: Compiled::Query(mtc_engine::compile(&opt.physical)?),
                     est_cost: opt.est_cost,
                     est_rows: opt.est_rows,
                     catalog_version: version,
                     topology_version: topology,
                 },
             );
-            mtc_engine::execute_compiled_with_memo(&cached.compiled, &ctx, memo)?
+            mtc_engine::execute_compiled_with_memo(cached.query()?, &ctx, memo)?
         } else {
             // Freshness-routed plan: computed fresh, executed, never cached.
             execute(&opt.physical, &ctx)?
@@ -649,6 +662,7 @@ impl CacheServer {
     fn plan_select(
         &self,
         db: &DbSnapshot,
+        stmt: &Prepared,
         sel: &Select,
         peers: &[(String, Arc<CacheServer>)],
     ) -> Result<Planned> {
@@ -658,10 +672,11 @@ impl CacheServer {
         let plan = match bind_select(sel, db) {
             Ok(plan) => plan,
             Err(e) if e.kind() == "catalog" => {
-                let object = select_objects(sel).into_iter().find(|name| {
-                    let local = name.rsplit('.').next().unwrap_or(name);
-                    !db.has_table(local) && db.catalog.view(local).is_none()
-                });
+                let object = stmt
+                    .objects
+                    .iter()
+                    .find(|o| !db.has_table(o) && db.catalog.view(o).is_none())
+                    .cloned();
                 return Ok(Planned::BlindForward { object });
             }
             Err(e) => return Err(e),
@@ -714,9 +729,9 @@ impl CacheServer {
         let mut last = QueryResult::default();
         let mut accumulated = mtc_engine::ExecMetrics::default();
         for stmt in &def.body {
-            let r = self.execute_statement(stmt, &bound, principal)?;
+            let r = self.execute_prepared(stmt, &bound, principal)?;
             accumulated.absorb(&r.metrics);
-            if matches!(stmt, Statement::Select(_)) {
+            if stmt.select().is_some() {
                 last = r;
             }
         }
@@ -763,16 +778,17 @@ impl CacheServer {
     /// boundaries, dynamic-plan guards, and (for currency-bounded
     /// statements) the freshness routing decision.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let Statement::Select(sel) = parse_statement(sql)? else {
+        let stmt = Prepared::new(sql)?;
+        let Some(sel) = stmt.select() else {
             return Err(Error::plan("EXPLAIN supports SELECT statements"));
         };
         let db = self.db.read();
-        let (opt, currency) = match self.plan_select(&db, &sel, &self.live_peers())? {
+        let (opt, currency) = match self.plan_select(&db, &stmt, sel, &self.live_peers())? {
             Planned::Here { opt, currency } => (opt, currency),
             Planned::BlindForward { object } => {
                 // The backend binds what it is sent: a statement it cannot
                 // bind either fails exactly as executing it would.
-                bind_select(&sel, &self.backend.db.read())?;
+                bind_select(sel, &self.backend.db.read())?;
                 let what = object.unwrap_or_else(|| "a column it names".to_string());
                 return Ok(format!(
                     "routing: backend (blind forward — {what} not in shadow catalog)\n"
@@ -792,7 +808,7 @@ impl CacheServer {
         let version = db.catalog.version();
         let cached = self
             .plan_cache
-            .contains_sql(&sel.to_string(), version, self.topology_version());
+            .contains_sql(&stmt.key, version, self.topology_version());
         let cs = self.plan_cache.stats();
         // Result-cache visibility, mirroring the plan-cache line: per
         // remote subexpression, would the shipped SQL (probed with no bound
@@ -1158,6 +1174,25 @@ mod tests {
         // The authorized principal still hits the cached plan.
         c.execute(sql, &Bindings::new(), "app").unwrap();
         assert_eq!(c.plan_cache.stats().hits, hits_before + 1);
+
+        // Forwarded DML and EXEC are prepared and (on the backend) planned
+        // once as well, and checked on every execution just the same.
+        backend
+            .create_procedure("rename", &["id"], "UPDATE customer SET cname = 'r' WHERE cid = @id")
+            .unwrap();
+        c.copy_procedure("rename").unwrap();
+        for sql in [
+            "UPDATE customer SET cname = 'u' WHERE cid = 42",
+            "EXEC rename @id = 42",
+        ] {
+            c.execute(sql, &Bindings::new(), "app").unwrap();
+            let planned = backend.plan_cache.stats();
+            let err = c.execute(sql, &Bindings::new(), "nobody").unwrap_err();
+            assert_eq!(err.kind(), "permission", "{sql}");
+            assert_eq!(backend.plan_cache.stats(), planned, "denied before the backend");
+            c.execute(sql, &Bindings::new(), "app").unwrap();
+            assert_eq!(backend.plan_cache.stats().hits, planned.hits + 1, "{sql}");
+        }
     }
 
     #[test]

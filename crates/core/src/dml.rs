@@ -1,13 +1,27 @@
-//! DML compilation: INSERT/UPDATE/DELETE statements → row-change lists,
-//! plus eager maintenance of select-project materialized views on the
-//! backend (so cached views defined over backend MVs replicate correctly).
+//! DML: INSERT/UPDATE/DELETE statements compiled once into a [`CompiledDml`]
+//! and run per execution into row-change lists, plus eager maintenance of
+//! select-project materialized views on the backend (so cached views defined
+//! over backend MVs replicate correctly).
+//!
+//! Compiling is everything that depends on the statement and the catalog but
+//! not on the parameter values: resolving the table and its columns,
+//! optimizing and compiling the query that locates an UPDATE's or DELETE's
+//! target rows (through the full optimizer, so a point update is an index
+//! seek, not a table scan), compiling the assignment and `VALUES`
+//! expressions. The backend keeps the result in its plan cache under the
+//! rules SELECT plans live by; [`CompiledDml::changes`] is what runs on
+//! every execution.
 
-use mtc_engine::eval::{eval, Bindings};
-use mtc_engine::{bind_select, execute, ExecContext, OptimizerOptions};
+use mtc_engine::compile::{compile_expr, CompiledExpr, EvalEnv, ParamSlots};
+use mtc_engine::eval::Bindings;
+use mtc_engine::{
+    bind_select, compile, execute_compiled, CompiledQuery, CostModel, ExecContext, Optimized,
+    OptimizerOptions,
+};
 use mtc_replication::Article;
 use mtc_sql::{Expr, InsertSource, Select, SelectItem, Statement, TableRef};
 use mtc_storage::{Database, RowChange};
-use mtc_types::{Error, Result, Row, Value};
+use mtc_types::{Error, Result, Row, Schema, Value};
 
 /// Work units per changed row: base-table write plus secondary-index
 /// maintenance.
@@ -21,125 +35,68 @@ pub const WORK_PER_CHANGE: f64 = 10.0;
 /// EXPERIMENTS.md ("Methodology") for the calibration discussion.
 pub const DML_STATEMENT_OVERHEAD: f64 = 100.0;
 
-/// Compiles a DML statement into the row changes it performs, evaluating
-/// expressions against current data, plus the *work* spent locating target
-/// rows (update/delete targets are found through the query engine, so a
-/// point update pays an index seek, not a table scan). Does not apply
-/// anything.
-pub fn compile_dml(
-    stmt: &Statement,
-    db: &Database,
-    params: &Bindings,
-    options: &OptimizerOptions,
-) -> Result<(Vec<RowChange>, f64)> {
-    match stmt {
-        Statement::Insert {
-            table,
-            columns,
-            source,
-        } => compile_insert(table, columns, source, db, params, options),
-        Statement::Update {
-            table,
-            assignments,
-            selection,
-        } => compile_update(table, assignments, selection.as_ref(), db, params, options),
-        Statement::Delete { table, selection } => {
-            compile_delete(table, selection.as_ref(), db, params, options)
-        }
-        other => Err(Error::execution(format!(
-            "not a DML statement: {other}"
-        ))),
-    }
+/// A DML statement compiled against one catalog version.
+#[derive(Debug)]
+pub enum CompiledDml {
+    Insert {
+        table: String,
+        /// Columns of the target table.
+        width: usize,
+        /// Target column of each supplied value, in value order.
+        columns: Vec<usize>,
+        source: InsertRows,
+    },
+    Update {
+        table: String,
+        /// Yields the target rows, whole.
+        locate: CompiledQuery,
+        /// `(column, new value)`; the expressions see the row as it was and
+        /// share `locate`'s parameter slots.
+        set: Vec<(usize, CompiledExpr)>,
+    },
+    Delete {
+        table: String,
+        locate: CompiledQuery,
+    },
 }
 
-fn compile_insert(
-    table: &str,
-    columns: &[String],
-    source: &InsertSource,
-    db: &Database,
-    params: &Bindings,
-    options: &OptimizerOptions,
-) -> Result<(Vec<RowChange>, f64)> {
-    let t = db.table_ref(table)?;
-    let schema = t.schema().clone();
-    let col_indices: Vec<usize> = if columns.is_empty() {
-        (0..schema.len()).collect()
-    } else {
-        columns
-            .iter()
-            .map(|c| schema.index_of(c))
-            .collect::<Result<_>>()?
-    };
-
-    let mut locate_work = 0.0f64;
-    let value_rows: Vec<Row> = match source {
-        InsertSource::Values(rows) => {
-            let empty = Row::new(vec![]);
-            let empty_schema = mtc_types::Schema::empty();
-            let mut out = Vec::with_capacity(rows.len());
-            for exprs in rows {
-                if exprs.len() != col_indices.len() {
-                    return Err(Error::execution(format!(
-                        "INSERT expects {} values, got {}",
-                        col_indices.len(),
-                        exprs.len()
-                    )));
-                }
-                let vals: Vec<Value> = exprs
-                    .iter()
-                    .map(|e| eval(e, &empty, &empty_schema, params))
-                    .collect::<Result<_>>()?;
-                out.push(Row::new(vals));
-            }
-            out
-        }
-        InsertSource::Query(select) => {
-            let plan = bind_select(select, db)?;
-            let opt = mtc_engine::optimize(plan, db, options)?;
-            let ctx = ExecContext {
-                db,
-                remote: None,
-                params,
-                work: &options.cost,
-                parallel: None,
-            };
-            let result = execute(&opt.physical, &ctx)?;
-            if result.schema.len() != col_indices.len() {
-                return Err(Error::execution(format!(
-                    "INSERT ... SELECT arity mismatch: {} vs {}",
-                    col_indices.len(),
-                    result.schema.len()
-                )));
-            }
-            locate_work += result.metrics.local_work;
-            result.rows
-        }
-    };
-
-    let mut changes = Vec::with_capacity(value_rows.len());
-    for vals in value_rows {
-        let mut full = vec![Value::Null; schema.len()];
-        for (i, &ci) in col_indices.iter().enumerate() {
-            full[ci] = vals[i].clone();
-        }
-        changes.push(RowChange::Insert {
-            table: t.name().to_string(),
-            row: Row::new(full),
-        });
-    }
-    Ok((changes, locate_work))
+/// Where an INSERT's rows come from.
+#[derive(Debug)]
+pub enum InsertRows {
+    /// `VALUES (…), (…)`: one compiled expression per value.
+    Values {
+        rows: Vec<Vec<CompiledExpr>>,
+        slots: ParamSlots,
+    },
+    /// `INSERT … SELECT`.
+    Query(Box<CompiledQuery>),
 }
 
-/// Locates the rows a DML statement targets, through the full query engine
-/// (binder → optimizer → executor), so sargable predicates use index seeks.
-/// Returns the matched (full) rows and the work spent finding them.
-fn matching_rows(
+/// A freshly compiled DML statement, with the optimizer's output for the
+/// query inside it (`None` for `INSERT … VALUES`, which has none).
+pub struct PlannedDml {
+    pub compiled: CompiledDml,
+    pub query: Option<Optimized>,
+}
+
+/// Optimizes and compiles `select` on `db`.
+fn plan_query(
+    select: &Select,
+    db: &Database,
+    options: &OptimizerOptions,
+) -> Result<(CompiledQuery, Optimized)> {
+    let opt = mtc_engine::optimize(bind_select(select, db)?, db, options)?;
+    Ok((compile(&opt.physical)?, opt))
+}
+
+/// The query locating the rows an UPDATE or DELETE targets:
+/// `SELECT * FROM table [WHERE selection]`.
+fn locate_query(
     table: &str,
     selection: Option<&Expr>,
     db: &Database,
-    params: &Bindings,
     options: &OptimizerOptions,
-) -> Result<(Vec<Row>, f64)> {
+) -> Result<(CompiledQuery, Optimized)> {
     let select = Select {
         projection: vec![SelectItem::Wildcard],
         from: vec![TableRef::Table {
@@ -149,66 +106,207 @@ fn matching_rows(
         selection: selection.cloned(),
         ..Select::default()
     };
-    let plan = bind_select(&select, db)?;
-    let opt = mtc_engine::optimize(plan, db, options)?;
-    let ctx = ExecContext {
-        db,
-        remote: None,
-        params,
-        work: &options.cost,
-        parallel: None,
-    };
-    let result = execute(&opt.physical, &ctx)?;
-    Ok((result.rows, result.metrics.local_work))
+    plan_query(&select, db, options)
 }
 
-fn compile_update(
-    table: &str,
-    assignments: &[(String, Expr)],
-    selection: Option<&Expr>,
-    db: &Database,
-    params: &Bindings,
-    options: &OptimizerOptions,
-) -> Result<(Vec<RowChange>, f64)> {
-    let t = db.table_ref(table)?;
-    let schema = t.schema().clone();
-    let (targets, locate_work) = matching_rows(table, selection, db, params, options)?;
-    let mut changes = Vec::with_capacity(targets.len());
-    for before in targets {
-        let mut after = before.clone();
-        for (col, expr) in assignments {
-            let idx = schema.index_of(col)?;
-            // Assignments see the *before* image, as SQL requires.
-            after.0[idx] = eval(expr, &before, &schema, params)?;
-        }
-        changes.push(RowChange::Update {
-            table: t.name().to_string(),
-            before,
-            after,
-        });
-    }
-    Ok((changes, locate_work))
-}
-
-fn compile_delete(
-    table: &str,
-    selection: Option<&Expr>,
-    db: &Database,
-    params: &Bindings,
-    options: &OptimizerOptions,
-) -> Result<(Vec<RowChange>, f64)> {
-    let t = db.table_ref(table)?;
-    let (targets, locate_work) = matching_rows(table, selection, db, params, options)?;
-    Ok((
-        targets
-            .into_iter()
-            .map(|row| RowChange::Delete {
+/// Compiles a DML statement against `db`'s catalog. Evaluates nothing and
+/// applies nothing.
+pub fn plan_dml(stmt: &Statement, db: &Database, options: &OptimizerOptions) -> Result<PlannedDml> {
+    let planned = |compiled, query| PlannedDml { compiled, query };
+    match stmt {
+        Statement::Insert {
+            table,
+            columns,
+            source,
+        } => {
+            let t = db.table_ref(table)?;
+            let schema = t.schema();
+            let columns: Vec<usize> = if columns.is_empty() {
+                (0..schema.len()).collect()
+            } else {
+                columns
+                    .iter()
+                    .map(|c| schema.index_of(c))
+                    .collect::<Result<_>>()?
+            };
+            let (source, opt) = match source {
+                InsertSource::Values(value_rows) => {
+                    let mut slots = ParamSlots::default();
+                    let mut rows = Vec::with_capacity(value_rows.len());
+                    for exprs in value_rows {
+                        if exprs.len() != columns.len() {
+                            return Err(Error::execution(format!(
+                                "INSERT expects {} values, got {}",
+                                columns.len(),
+                                exprs.len()
+                            )));
+                        }
+                        // Values see no row: compiled against no columns.
+                        rows.push(
+                            exprs
+                                .iter()
+                                .map(|e| compile_expr(e, &Schema::empty(), &mut slots))
+                                .collect::<Result<_>>()?,
+                        );
+                    }
+                    (InsertRows::Values { rows, slots }, None)
+                }
+                InsertSource::Query(select) => {
+                    let (query, opt) = plan_query(select, db, options)?;
+                    if query.schema.len() != columns.len() {
+                        return Err(Error::execution(format!(
+                            "INSERT ... SELECT arity mismatch: {} vs {}",
+                            columns.len(),
+                            query.schema.len()
+                        )));
+                    }
+                    (InsertRows::Query(Box::new(query)), Some(opt))
+                }
+            };
+            let compiled = CompiledDml::Insert {
                 table: t.name().to_string(),
-                row,
-            })
-            .collect(),
-        locate_work,
-    ))
+                width: schema.len(),
+                columns,
+                source,
+            };
+            Ok(planned(compiled, opt))
+        }
+        Statement::Update {
+            table,
+            assignments,
+            selection,
+        } => {
+            let t = db.table_ref(table)?;
+            let (mut locate, opt) = locate_query(table, selection.as_ref(), db, options)?;
+            let set = assignments
+                .iter()
+                .map(|(col, expr)| {
+                    Ok((
+                        t.schema().index_of(col)?,
+                        compile_expr(expr, t.schema(), &mut locate.slots)?,
+                    ))
+                })
+                .collect::<Result<_>>()?;
+            let compiled = CompiledDml::Update {
+                table: t.name().to_string(),
+                locate,
+                set,
+            };
+            Ok(planned(compiled, Some(opt)))
+        }
+        Statement::Delete { table, selection } => {
+            let t = db.table_ref(table)?;
+            let (locate, opt) = locate_query(table, selection.as_ref(), db, options)?;
+            let compiled = CompiledDml::Delete {
+                table: t.name().to_string(),
+                locate,
+            };
+            Ok(planned(compiled, Some(opt)))
+        }
+        other => Err(Error::execution(format!("not a DML statement: {other}"))),
+    }
+}
+
+impl CompiledDml {
+    /// The row changes this statement performs on `db` under `params`, plus
+    /// the *work* spent locating or producing rows. Applies nothing.
+    pub fn changes(
+        &self,
+        db: &Database,
+        params: &Bindings,
+        work: &CostModel,
+    ) -> Result<(Vec<RowChange>, f64)> {
+        let run = |query: &CompiledQuery| {
+            let ctx = ExecContext {
+                db,
+                remote: None,
+                params,
+                work,
+                parallel: None,
+            };
+            execute_compiled(query, &ctx).map(|r| (r.rows, r.metrics.local_work))
+        };
+        match self {
+            CompiledDml::Insert {
+                table,
+                width,
+                columns,
+                source,
+            } => {
+                let insert = |values: Vec<Value>| {
+                    let mut full = vec![Value::Null; *width];
+                    for (value, &column) in values.into_iter().zip(columns) {
+                        full[column] = value;
+                    }
+                    RowChange::Insert {
+                        table: table.clone(),
+                        row: Row::new(full),
+                    }
+                };
+                match source {
+                    InsertRows::Values { rows, slots } => {
+                        let resolved = slots.resolve(params);
+                        let env = EvalEnv {
+                            params: &resolved,
+                            names: slots.names(),
+                        };
+                        let no_row = Row::new(vec![]);
+                        let changes = rows
+                            .iter()
+                            .map(|exprs| {
+                                let values = exprs
+                                    .iter()
+                                    .map(|e| e.eval(&no_row, env))
+                                    .collect::<Result<_>>()?;
+                                Ok(insert(values))
+                            })
+                            .collect::<Result<_>>()?;
+                        Ok((changes, 0.0))
+                    }
+                    InsertRows::Query(query) => {
+                        let (rows, work) = run(query)?;
+                        Ok((rows.into_iter().map(|r| insert(r.0)).collect(), work))
+                    }
+                }
+            }
+            CompiledDml::Update { table, locate, set } => {
+                let (targets, work) = run(locate)?;
+                let resolved = locate.slots.resolve(params);
+                let env = EvalEnv {
+                    params: &resolved,
+                    names: locate.slots.names(),
+                };
+                let changes = targets
+                    .into_iter()
+                    .map(|before| {
+                        let mut after = before.clone();
+                        for (column, expr) in set {
+                            // Assignments see the *before* image, as SQL
+                            // requires.
+                            after.0[*column] = expr.eval(&before, env)?;
+                        }
+                        Ok(RowChange::Update {
+                            table: table.clone(),
+                            before,
+                            after,
+                        })
+                    })
+                    .collect::<Result<_>>()?;
+                Ok((changes, work))
+            }
+            CompiledDml::Delete { table, locate } => {
+                let (targets, work) = run(locate)?;
+                let changes = targets
+                    .into_iter()
+                    .map(|row| RowChange::Delete {
+                        table: table.clone(),
+                        row,
+                    })
+                    .collect();
+                Ok((changes, work))
+            }
+        }
+    }
 }
 
 /// Derives the maintenance changes for every *select-project* materialized
@@ -322,13 +420,12 @@ mod tests {
 
     fn compile(db: &Database, sql: &str) -> Vec<RowChange> {
         let stmt = parse_statement(sql).unwrap();
-        let (changes, _work) = compile_dml(
-            &stmt,
-            db,
-            &Bindings::new(),
-            &OptimizerOptions::default(),
-        )
-        .unwrap();
+        let options = OptimizerOptions::default();
+        let planned = plan_dml(&stmt, db, &options).unwrap();
+        let (changes, _work) = planned
+            .compiled
+            .changes(db, &Bindings::new(), &options.cost)
+            .unwrap();
         changes
     }
 

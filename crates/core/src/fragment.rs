@@ -115,7 +115,7 @@ impl FragmentMemo for FragmentGateway<'_> {
             key,
             "",
             &result,
-            tables,
+            tables.into(),
             commit_lsn,
             self.now_ms,
             self.catalog_version,

@@ -59,10 +59,12 @@ pub mod connection;
 pub mod dml;
 pub mod fleet;
 pub mod fragment;
+mod key;
 pub mod plan_cache;
 pub mod procs;
 pub mod result_cache;
 pub mod scripting;
+pub mod statements;
 pub mod stats;
 
 pub use advisor::{AdaptiveAdvisor, AdvisorConfig, AdvisorStats};
@@ -71,12 +73,13 @@ pub use cache::{CacheServer, CurrencyDecision, PeerHandle};
 pub use fragment::FragmentGateway;
 pub use connection::{Connection, ServerHandle};
 pub use fleet::{fnv1a64, Fleet, FleetConfig, Router};
-pub use plan_cache::{param_signature, CachedPlan, CacheStats, PlanCache};
+pub use plan_cache::{param_signature, CachedPlan, CacheStats, Compiled, PlanCache};
 pub use result_cache::{
     param_values_signature, PromotableResult, RemoteGateway, ResultCache, ResultCacheConfig,
     ResultCacheStats,
 };
 pub use scripting::script_shadow_database;
+pub use statements::{StatementCache, STATEMENT_CACHE_CAPACITY};
 pub use stats::ServerStats;
 
 pub use mtc_engine::{Bindings, QueryResult};

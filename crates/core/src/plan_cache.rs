@@ -5,16 +5,19 @@
 //! ChoosePlan dynamic plans of §5.1 — and re-executed with fresh parameter
 //! values. This module gives our servers the same hot path:
 //!
-//! * **Key** — the normalized statement text (`Select::to_string()`, which
-//!   canonicalizes identifiers) plus a *parameter signature*: the sorted
-//!   `name=type` list of the bound parameters. The same text bound with
-//!   `@x` as an `INT` and as a `VARCHAR` occupies two entries, exactly like
-//!   SQL Server's cache keyed on parameter types.
-//! * **Value** — the [`CompiledQuery`] (ordinals resolved, constants
-//!   folded, parameters slotted) produced by `mtc_engine::compile`,
-//!   stamped with the catalog version it was optimized under. Dynamic
-//!   ChoosePlan plans cache as-is: their startup predicates re-evaluate on
-//!   every execution, so one cached entry serves all parameter values.
+//! * **Key** — the normalized statement text (`Prepared::key`, the
+//!   statement's canonical rendering, made once when the text is prepared)
+//!   plus a *parameter signature*: the sorted `name=type` list of the bound
+//!   parameters. The same text bound with `@x` as an `INT` and as a
+//!   `VARCHAR` occupies two entries, exactly like SQL Server's cache keyed
+//!   on parameter types.
+//! * **Value** — for a SELECT the [`CompiledQuery`] (ordinals resolved,
+//!   constants folded, parameters slotted) produced by
+//!   `mtc_engine::compile`; on the backend, for an INSERT/UPDATE/DELETE the
+//!   [`CompiledDml`] of `crate::dml`. Either is stamped with the catalog
+//!   version it was optimized under. Dynamic ChoosePlan plans cache as-is:
+//!   their startup predicates re-evaluate on every execution, so one cached
+//!   entry serves all parameter values.
 //! * **Invalidation** — versioned. Every plan-relevant metadata change
 //!   (CREATE/DROP TABLE, CREATE INDEX, view creation/removal, statistics
 //!   refresh) bumps [`mtc_storage::Catalog::version`]; a lookup that finds
@@ -29,8 +32,9 @@
 //! the LRU bound stays exact), and concurrent sessions probing different
 //! statements take different locks. Counters are relaxed atomics shared by
 //! all shards, so bumping a hit count never serializes two sessions. LRU
-//! eviction is per shard — each shard bounds its own slice of the
-//! capacity, which bounds the whole.
+//! eviction is per shard — each shard is an [`LruMap`] bounding its own
+//! slice of the capacity, which bounds the whole — and a probe borrows the
+//! two key parts, so a hit allocates nothing.
 //!
 //! Plans for statements carrying a `WITH FRESHNESS` bound are **never
 //! cached**: their routing depends on replication staleness at execution
@@ -43,16 +47,17 @@
 //! never stall other sessions' cache probes, and a denied principal never
 //! touches LRU state.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use mtc_util::atomic::Counter;
+use mtc_util::lru::LruMap;
 use mtc_util::sync::Mutex;
 
 use mtc_engine::{Bindings, CompiledQuery};
-use mtc_types::Value;
+use mtc_types::{Error, Result, Value};
+
+use crate::dml::CompiledDml;
+use crate::key::{hash_of, KeyParts, TextKey};
 
 /// Observable plan-cache counters, surfaced through `CacheStats` consumers
 /// (server stats APIs and `EXPLAIN` output).
@@ -72,10 +77,18 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
+/// What a cached plan executes.
+#[derive(Debug)]
+pub enum Compiled {
+    /// A SELECT: execute via `mtc_engine::execute_compiled`.
+    Query(CompiledQuery),
+    /// An INSERT/UPDATE/DELETE (backend only).
+    Dml(CompiledDml),
+}
+
 /// One cached, compiled, ready-to-execute plan.
 pub struct CachedPlan {
-    /// The compiled plan: execute via `mtc_engine::execute_compiled`.
-    pub compiled: CompiledQuery,
+    pub compiled: Compiled,
     /// Optimizer cost estimate at compile time (for EXPLAIN).
     pub est_cost: f64,
     /// Optimizer cardinality estimate at compile time (for EXPLAIN).
@@ -90,14 +103,27 @@ pub struct CachedPlan {
     pub topology_version: u64,
 }
 
-type Key = (String, String);
+impl CachedPlan {
+    /// The compiled query of a SELECT's plan. A statement's kind is part of
+    /// its text and so of its key: a SELECT never finds a DML plan.
+    pub fn query(&self) -> Result<&CompiledQuery> {
+        match &self.compiled {
+            Compiled::Query(query) => Ok(query),
+            Compiled::Dml(_) => Err(Error::plan("cached plan is not a query plan")),
+        }
+    }
 
-#[derive(Default)]
-struct Shard {
-    entries: HashMap<Key, Arc<CachedPlan>>,
-    /// LRU order, least-recently-used first.
-    order: Vec<Key>,
+    /// The compiled form of an INSERT/UPDATE/DELETE's plan.
+    pub fn dml(&self) -> Result<&CompiledDml> {
+        match &self.compiled {
+            Compiled::Dml(dml) => Ok(dml),
+            Compiled::Query(_) => Err(Error::plan("cached plan is not a DML plan")),
+        }
+    }
 }
+
+/// One shard: its plans, least recently used first.
+type Shard = LruMap<Arc<TextKey>, Arc<CachedPlan>>;
 
 /// Shared relaxed counters — no shard lock needed to bump or read them.
 #[derive(Default)]
@@ -132,16 +158,14 @@ impl PlanCache {
         let capacity = capacity.max(1);
         let n_shards = if capacity < 64 { 1 } else { 8 };
         PlanCache {
-            shards: (0..n_shards).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..n_shards).map(|_| Mutex::new(Shard::new())).collect(),
             shard_capacity: (capacity / n_shards).max(1),
             stats: SharedStats::default(),
         }
     }
 
-    fn shard_of(&self, key: &Key) -> &Mutex<Shard> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    fn shard_of(&self, sql: &str, sig: &str) -> &Mutex<Shard> {
+        &self.shards[(hash_of(sql, sig) as usize) % self.shards.len()]
     }
 
     /// Looks up a plan for `(sql, sig)` valid at `current_version` and
@@ -157,28 +181,21 @@ impl PlanCache {
         current_version: u64,
         topology: u64,
     ) -> Option<Arc<CachedPlan>> {
-        let key = (sql.to_string(), sig.to_string());
-        let mut shard = self.shard_of(&key).lock();
-        match shard.entries.get(&key) {
-            Some(plan)
-                if plan.catalog_version == current_version
-                    && plan.topology_version == topology =>
-            {
-                let plan = plan.clone();
-                // Move to the back of the LRU order.
-                if let Some(pos) = shard.order.iter().position(|k| *k == key) {
-                    shard.order.remove(pos);
-                    shard.order.push(key);
-                }
+        let key: &dyn KeyParts = &(sql, sig);
+        let mut shard = self.shard_of(sql, sig).lock();
+        // A hit moves the plan to the recently-used end.
+        let found = shard.get(key).map(|plan| {
+            (plan.catalog_version == current_version && plan.topology_version == topology)
+                .then(|| plan.clone())
+        });
+        match found {
+            Some(Some(plan)) => {
                 drop(shard);
                 self.stats.hits.inc();
                 Some(plan)
             }
-            Some(_) => {
-                shard.entries.remove(&key);
-                if let Some(pos) = shard.order.iter().position(|k| *k == key) {
-                    shard.order.remove(pos);
-                }
+            Some(None) => {
+                shard.remove(key);
                 drop(shard);
                 self.stats.invalidations.inc();
                 self.stats.misses.inc();
@@ -195,22 +212,10 @@ impl PlanCache {
     /// Inserts a freshly compiled plan, evicting the least-recently-used
     /// entry of the key's shard if that shard is full.
     pub fn insert(&self, sql: &str, sig: &str, plan: CachedPlan) -> Arc<CachedPlan> {
-        let key = (sql.to_string(), sig.to_string());
         let plan = Arc::new(plan);
-        let mut shard = self.shard_of(&key).lock();
-        let mut evicted = false;
-        if !shard.entries.contains_key(&key) && shard.entries.len() >= self.shard_capacity {
-            if !shard.order.is_empty() {
-                let victim = shard.order.remove(0);
-                shard.entries.remove(&victim);
-                evicted = true;
-            }
-        }
-        if let Some(pos) = shard.order.iter().position(|k| *k == key) {
-            shard.order.remove(pos);
-        }
-        shard.order.push(key.clone());
-        shard.entries.insert(key, plan.clone());
+        let mut shard = self.shard_of(sql, sig).lock();
+        let replaced = shard.insert(TextKey::new(sql, sig), plan.clone()).is_some();
+        let evicted = !replaced && shard.len() > self.shard_capacity && shard.pop_lru().is_some();
         drop(shard);
         if evicted {
             self.stats.evictions.inc();
@@ -224,8 +229,10 @@ impl PlanCache {
     /// parameter signature it was compiled for)?
     pub fn contains_sql(&self, sql: &str, current_version: u64, topology: u64) -> bool {
         self.shards.iter().any(|shard| {
-            shard.lock().entries.iter().any(|((s, _), p)| {
-                s == sql && p.catalog_version == current_version && p.topology_version == topology
+            shard.lock().iter().any(|(key, p)| {
+                key.text == sql
+                    && p.catalog_version == current_version
+                    && p.topology_version == topology
             })
         })
     }
@@ -245,14 +252,12 @@ impl PlanCache {
     /// Drops every cached plan (counters are preserved).
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut shard = shard.lock();
-            shard.entries.clear();
-            shard.order.clear();
+            shard.lock().clear();
         }
     }
 
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().entries.len()).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -326,7 +331,7 @@ mod tests {
         let plan = bind_select(&sel, db).unwrap();
         let opt = optimize(plan, db, &OptimizerOptions::default()).unwrap();
         CachedPlan {
-            compiled: compile(&opt.physical).unwrap(),
+            compiled: Compiled::Query(compile(&opt.physical).unwrap()),
             est_cost: opt.est_cost,
             est_rows: opt.est_rows,
             catalog_version: db.catalog.version(),

@@ -1,7 +1,9 @@
 //! Stored procedure helpers shared by backend and cache servers.
 
+use std::sync::Arc;
+
 use mtc_engine::eval::{eval, Bindings};
-use mtc_sql::{Expr, Statement};
+use mtc_sql::{Expr, Prepared, Statement};
 use mtc_storage::ProcedureDef;
 use mtc_types::{Error, Result, Row, Schema, Value};
 
@@ -32,9 +34,14 @@ pub fn bind_proc_args(
     Ok(bound)
 }
 
-/// Parses a procedure body script into statements, validating that every
-/// referenced parameter is declared.
-pub fn parse_proc_body(name: &str, params: &[String], body_sql: &str) -> Result<Vec<Statement>> {
+/// Parses a procedure body script and prepares its statements — once, for
+/// every later `EXEC` — validating that every referenced parameter is
+/// declared.
+pub fn prepare_proc_body(
+    name: &str,
+    params: &[String],
+    body_sql: &str,
+) -> Result<Vec<Arc<Prepared>>> {
     let body = mtc_sql::parse_statements(body_sql)?;
     for stmt in &body {
         for p in statement_params(stmt) {
@@ -45,7 +52,10 @@ pub fn parse_proc_body(name: &str, params: &[String], body_sql: &str) -> Result<
             }
         }
     }
-    Ok(body)
+    Ok(body
+        .into_iter()
+        .map(|stmt| Arc::new(Prepared::from_statement(stmt)))
+        .collect())
 }
 
 /// All parameter names referenced by a statement.
@@ -139,7 +149,7 @@ mod tests {
         ProcedureDef {
             name: "getitem".into(),
             params: vec!["id".into(), "kind".into()],
-            body: vec![parse_statement("SELECT 1").unwrap()],
+            body: vec![Arc::new(Prepared::new("SELECT 1").unwrap())],
         }
     }
 
@@ -171,14 +181,14 @@ mod tests {
 
     #[test]
     fn body_validation_catches_undeclared_params() {
-        let err = parse_proc_body(
+        let err = prepare_proc_body(
             "p",
             &["a".into()],
             "SELECT * FROM t WHERE x = @a AND y = @b",
         )
         .unwrap_err();
         assert!(err.to_string().contains("@b"), "{err}");
-        assert!(parse_proc_body("p", &["a".into()], "SELECT 1 WHERE 1 = @a").is_ok());
+        assert!(prepare_proc_body("p", &["a".into()], "SELECT 1 WHERE 1 = @a").is_ok());
     }
 
     #[test]

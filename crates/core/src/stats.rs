@@ -43,6 +43,9 @@ pub struct ServerStats {
     /// Queries whose local plan was rejected because a cached view violated
     /// the statement's currency bound (graceful degradation to the backend).
     pub freshness_fallbacks: u64,
+    /// Statement texts parsed and prepared here: the statement cache's
+    /// misses. A text that recurs is prepared once, however often it runs.
+    pub prepares: u64,
 }
 
 /// The live, lock-free form of [`ServerStats`]: every field is a relaxed
@@ -60,6 +63,7 @@ pub struct SharedServerStats {
     pub remote_rows: Counter,
     pub coalesced_calls: Counter,
     pub freshness_fallbacks: Counter,
+    pub prepares: Counter,
 }
 
 impl SharedServerStats {
@@ -95,6 +99,7 @@ impl SharedServerStats {
             remote_rows: self.remote_rows.get(),
             coalesced_calls: self.coalesced_calls.get(),
             freshness_fallbacks: self.freshness_fallbacks.get(),
+            prepares: self.prepares.get(),
         }
     }
 
@@ -112,6 +117,7 @@ impl SharedServerStats {
             remote_rows: self.remote_rows.take(),
             coalesced_calls: self.coalesced_calls.take(),
             freshness_fallbacks: self.freshness_fallbacks.take(),
+            prepares: self.prepares.take(),
         }
     }
 }

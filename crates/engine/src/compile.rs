@@ -29,7 +29,9 @@
 //! parameterized plan cache (mtcache's `plan_cache`) safe: one compiled
 //! plan, many concurrent executions, each with its own parameter slots.
 
-use mtc_sql::{BinOp, Expr, JoinKind, UnaryOp};
+use std::sync::Arc;
+
+use mtc_sql::{BinOp, Expr, JoinKind, Prepared, UnaryOp};
 use mtc_types::{Error, Result, Row, Schema, Value};
 
 use crate::eval::{apply_cmp_arith, like_match, truth, Bindings};
@@ -844,7 +846,10 @@ pub enum CompiledPlan {
         is_max: bool,
     },
     Remote {
-        sql: String,
+        /// The shipped statement, prepared when the plan was compiled: its
+        /// text keys the result cache, its AST and canonical key are what
+        /// the remote site executes — nobody parses the text again.
+        sql: Arc<Prepared>,
         /// Expected column count of shipped results (positional contract).
         arity: usize,
         /// Estimated row width in bytes, for transfer-cost accounting.
@@ -1108,7 +1113,7 @@ fn compile_plan(plan: &PhysicalPlan, slots: &mut ParamSlots) -> Result<CompiledP
             est_rows: _,
             site,
         } => CompiledPlan::Remote {
-            sql: sql.clone(),
+            sql: Arc::new(Prepared::new(sql)?),
             arity: schema.len(),
             row_width: schema.estimated_row_width() as f64,
             site: site.clone(),

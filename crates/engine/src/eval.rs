@@ -272,22 +272,38 @@ fn eval_scalar_function(
 
 /// SQL `LIKE` matcher: `%` matches any run, `_` matches one character.
 /// Matching is case-insensitive, following SQL Server's default collation.
+///
+/// Two pointers over the bytes, no allocation and no recursion: on a
+/// mismatch the match resumes one byte after where the most recent `%`
+/// last took up the subject. Every `%` before that one is settled for
+/// good — whatever it matched, the last one can absorb the difference.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    fn rec(s: &[u8], p: &[u8]) -> bool {
-        match p.first() {
-            None => s.is_empty(),
+    let (s, p) = (s.as_bytes(), pattern.as_bytes());
+    let (mut si, mut pi) = (0, 0);
+    // Pattern position after the most recent `%`, and the subject position
+    // it is currently assumed to have matched up to.
+    let mut resume: Option<(usize, usize)> = None;
+    while si < s.len() {
+        match p.get(pi) {
             Some(b'%') => {
-                // Try consuming 0..=len bytes.
-                (0..=s.len()).any(|k| rec(&s[k..], &p[1..]))
+                pi += 1;
+                resume = Some((pi, si));
             }
-            Some(b'_') => !s.is_empty() && rec(&s[1..], &p[1..]),
-            Some(&c) => !s.is_empty() && s[0] == c && rec(&s[1..], &p[1..]),
+            Some(&c) if c == b'_' || c.eq_ignore_ascii_case(&s[si]) => {
+                si += 1;
+                pi += 1;
+            }
+            _ => match resume {
+                Some((after_percent, taken_to)) => {
+                    pi = after_percent;
+                    si = taken_to + 1;
+                    resume = Some((after_percent, si));
+                }
+                None => return false,
+            },
         }
     }
-    rec(
-        s.to_ascii_lowercase().as_bytes(),
-        pattern.to_ascii_lowercase().as_bytes(),
-    )
+    p[pi..].iter().all(|&c| c == b'%')
 }
 
 #[cfg(test)]
@@ -407,5 +423,42 @@ mod tests {
         assert!(!like_match("", "_"));
         assert!(like_match("abc", "%%c"));
         assert!(like_match("ABC", "abc"), "LIKE is case-insensitive");
+    }
+
+    /// The matcher this one replaced: lower-case both sides, backtrack
+    /// recursively. Kept as the reference the iterative matcher must equal.
+    fn like_reference(s: &str, pattern: &str) -> bool {
+        fn rec(s: &[u8], p: &[u8]) -> bool {
+            match p.first() {
+                None => s.is_empty(),
+                Some(b'%') => (0..=s.len()).any(|k| rec(&s[k..], &p[1..])),
+                Some(b'_') => !s.is_empty() && rec(&s[1..], &p[1..]),
+                Some(&c) => !s.is_empty() && s[0] == c && rec(&s[1..], &p[1..]),
+            }
+        }
+        rec(
+            s.to_ascii_lowercase().as_bytes(),
+            pattern.to_ascii_lowercase().as_bytes(),
+        )
+    }
+
+    #[test]
+    fn like_matches_the_recursive_reference() {
+        use mtc_util::check::{self, Config};
+        // A small alphabet in both cases, so patterns match often and the
+        // backtracking cases (`%a%b`, `%_a`) come up.
+        const SUBJECT: &[char] = &['a', 'b', 'A', 'B', 'c'];
+        const PATTERN: &[char] = &['a', 'b', 'A', 'c', '%', '%', '_'];
+        check::run(
+            &Config::cases(2000),
+            "like_matches_the_recursive_reference",
+            |rng| {
+                (
+                    check::string_from(rng, SUBJECT, 0..10),
+                    check::string_from(rng, PATTERN, 0..8),
+                )
+            },
+            |(s, p)| assert_eq!(like_match(s, p), like_reference(s, p), "{s:?} LIKE {p:?}"),
+        );
     }
 }

@@ -28,14 +28,14 @@ use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::Arc;
 
-use mtc_sql::{Expr, JoinKind};
+use mtc_sql::{Expr, JoinKind, Prepared};
 use mtc_storage::Database;
 use mtc_types::{Error, Result, Row, Schema, Value};
 
 use crate::eval::{eval, eval_predicate, Bindings};
 use crate::logical::AggFunc;
 use crate::optimizer::cost::CostModel;
-use crate::physical::{KeyBound, PhysicalPlan};
+use crate::physical::{KeyBound, PhysicalPlan, RemoteSite};
 
 /// Execution metrics for one query.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -191,6 +191,13 @@ impl RemoteOutcome {
 /// Executes SQL shipped through a DataTransfer boundary. On a cache server
 /// this is implemented by a connection to the backend; the backend itself
 /// runs with `remote: None`.
+///
+/// A compiled plan ships the *prepared* form of its SQL
+/// ([`execute_shipped`](Self::execute_shipped)): the text `sqlgen` produced
+/// was parsed once, when the plan was compiled, so neither the gateway that
+/// caches the result nor the server that runs it parses it again. The
+/// text-taking methods are what an executor that only has text implements;
+/// the prepared ones fall back to them.
 pub trait RemoteExecutor {
     /// Parses, optimizes and executes `sql` (with `params` bound) on the
     /// remote server, returning rows plus the work the remote spent.
@@ -204,16 +211,6 @@ pub trait RemoteExecutor {
         Ok(RemoteOutcome::fetched(self.execute_remote(sql, params)?))
     }
 
-    /// Ships several statements toward the backend at once. Implementations
-    /// that can pipeline charge one round trip for the whole batch; the
-    /// default degrades to sequential fetches (one round trip each), so
-    /// plain executors keep their semantics without opting in.
-    fn execute_remote_batch(&self, sqls: &[&str], params: &Bindings) -> Result<Vec<RemoteOutcome>> {
-        sqls.iter()
-            .map(|sql| self.execute_remote_outcome(sql, params))
-            .collect()
-    }
-
     /// Executes a fragment that multi-site placement assigned to cache peer
     /// `node`. The default ignores the placement and falls back to the
     /// backend path, so executors without fleet wiring stay correct (the
@@ -222,6 +219,37 @@ pub trait RemoteExecutor {
     fn execute_peer(&self, node: &str, sql: &str, params: &Bindings) -> Result<RemoteOutcome> {
         let _ = node;
         self.execute_remote_outcome(sql, params)
+    }
+
+    /// Executes the prepared statement a compiled `Remote` operator carries
+    /// at the site placement chose for it. The default hands its text to
+    /// [`execute_remote_outcome`](Self::execute_remote_outcome) or
+    /// [`execute_peer`](Self::execute_peer).
+    fn execute_shipped(
+        &self,
+        site: &RemoteSite,
+        stmt: &Arc<Prepared>,
+        params: &Bindings,
+    ) -> Result<RemoteOutcome> {
+        match site {
+            RemoteSite::Backend => self.execute_remote_outcome(&stmt.text, params),
+            RemoteSite::Peer { node, .. } => self.execute_peer(node, &stmt.text, params),
+        }
+    }
+
+    /// Ships several statements toward the backend at once. Implementations
+    /// that can pipeline charge one round trip for the whole batch; the
+    /// default degrades to sequential fetches (one round trip each), so
+    /// plain executors keep their semantics without opting in.
+    fn execute_remote_batch(
+        &self,
+        stmts: &[&Arc<Prepared>],
+        params: &Bindings,
+    ) -> Result<Vec<RemoteOutcome>> {
+        stmts
+            .iter()
+            .map(|stmt| self.execute_shipped(&RemoteSite::Backend, stmt, params))
+            .collect()
     }
 }
 

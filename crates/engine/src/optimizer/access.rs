@@ -284,11 +284,16 @@ pub fn best_access(
             }
         }
     };
-    let total_rows = db
+    let mut total_rows = db
         .catalog
         .stats(object)
         .map(|s| s.row_count as f64)
         .unwrap_or(1000.0);
+    // Statistics date from the last ANALYZE; a table that holds its rows
+    // here may have grown since (a shadow table has only the statistics).
+    if !table.is_shadow() {
+        total_rows = total_rows.max(table.row_count() as f64);
+    }
     let conjuncts: Vec<&Expr> = predicate.split_conjuncts();
 
     let mut best = Access {
@@ -303,11 +308,18 @@ pub fn best_access(
             let matching = total_rows
                 * consumed_selectivity(&consumed, input_for_stats, db);
             let cost = cm.seek(matching) + cm.filter(matching);
-            if cost < best.cost {
+            // Equality on the whole clustering key finds at most one row
+            // however large the table grows: taken outright, because a
+            // cached plan outlives the row count it was costed with.
+            let point = is_point(&low, &high);
+            if point || cost < best.cost {
                 best = Access {
                     kind: AccessKind::Clustered { low, high },
                     cost,
                 };
+            }
+            if point {
+                return best;
             }
         }
     }
@@ -336,6 +348,11 @@ pub fn best_access(
     }
 
     best
+}
+
+/// Do the bounds pin the key to one value (`key = E`)?
+fn is_point(low: &Option<KeyBound>, high: &Option<KeyBound>) -> bool {
+    matches!((low, high), (Some(l), Some(h)) if l.inclusive && h.inclusive && l.expr == h.expr)
 }
 
 fn consumed_selectivity(consumed: &[Expr], input: &LogicalPlan, db: &Database) -> f64 {

@@ -41,7 +41,7 @@ use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use mtc_sql::JoinKind;
+use mtc_sql::{JoinKind, Prepared};
 use mtc_storage::{Database, Index, Table};
 use mtc_types::batch::HASH_SEED;
 use mtc_types::{Error, Result, Row, RowBatch, RowBatchBuilder, Value};
@@ -160,12 +160,12 @@ pub fn execute_compiled_with_memo(
     };
     let mut metrics = ExecMetrics::default();
     if let Some(remote) = cx.remote {
-        let mut sqls: Vec<&str> = Vec::new();
-        collect_certain_remotes(&query.root, cx.env, &mut sqls)?;
-        if sqls.len() >= 2 {
-            let outcomes = remote.execute_remote_batch(&sqls, cx.params)?;
+        let mut stmts: Vec<&Arc<Prepared>> = Vec::new();
+        collect_certain_remotes(&query.root, cx.env, &mut stmts)?;
+        if stmts.len() >= 2 {
+            let outcomes = remote.execute_remote_batch(&stmts, cx.params)?;
             let mut map = cx.prefetched.borrow_mut();
-            for (sql, outcome) in sqls.iter().zip(outcomes) {
+            for (stmt, outcome) in stmts.iter().zip(outcomes) {
                 // Remote-side charging happens here, where the round trip
                 // was paid; the consuming stream charges only the local
                 // transfer cost.
@@ -181,7 +181,9 @@ pub fn execute_compiled_with_memo(
                     .sum::<u64>();
                 metrics.remote_work +=
                     outcome.result.metrics.local_work + outcome.result.metrics.remote_work;
-                map.entry(sql).or_default().push_back(outcome.result);
+                map.entry(&*stmt.text)
+                    .or_default()
+                    .push_back(outcome.result);
             }
         }
     }
@@ -198,7 +200,7 @@ pub fn execute_compiled_with_memo(
     })
 }
 
-/// Collects the shipped SQL of every [`CompiledPlan::Remote`] node that is
+/// Collects the shipped statement of every [`CompiledPlan::Remote`] node that is
 /// *certain* to execute under the resolved parameter environment:
 ///
 /// * UnionAll branches behind a closed startup guard are skipped — exactly
@@ -210,7 +212,7 @@ pub fn execute_compiled_with_memo(
 fn collect_certain_remotes<'p>(
     plan: &'p CompiledPlan,
     env: EvalEnv<'_>,
-    out: &mut Vec<&'p str>,
+    out: &mut Vec<&'p Arc<Prepared>>,
 ) -> Result<()> {
     match plan {
         // Only backend-bound remotes are batched into the pipelined
@@ -1006,7 +1008,7 @@ impl<'e> BatchStream<'e> for ExtremeSeekStream<'e> {
 }
 
 struct RemoteStream<'e> {
-    sql: &'e str,
+    sql: &'e Arc<Prepared>,
     arity: usize,
     row_width: f64,
     site: &'e crate::physical::RemoteSite,
@@ -1028,7 +1030,7 @@ impl<'e> BatchStream<'e> for RemoteStream<'e> {
         let prefetched = cx
             .prefetched
             .borrow_mut()
-            .get_mut(self.sql)
+            .get_mut(&*self.sql.text)
             .and_then(|q| q.pop_front());
         let result = match prefetched {
             Some(result) => result,
@@ -1036,14 +1038,7 @@ impl<'e> BatchStream<'e> for RemoteStream<'e> {
                 let remote = cx.remote.ok_or_else(|| {
                     Error::execution("plan requires a backend connection but none is configured")
                 })?;
-                let outcome = match self.site {
-                    crate::physical::RemoteSite::Backend => {
-                        remote.execute_remote_outcome(self.sql, cx.params)?
-                    }
-                    crate::physical::RemoteSite::Peer { node, .. } => {
-                        remote.execute_peer(node, self.sql, cx.params)?
-                    }
-                };
+                let outcome = remote.execute_shipped(self.site, self.sql, cx.params)?;
                 m.remote_calls += outcome.calls;
                 m.remote_rtts += outcome.rtts;
                 m.coalesced_calls += outcome.coalesced;

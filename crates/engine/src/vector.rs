@@ -35,7 +35,7 @@ use std::hash::Hasher;
 use std::sync::Arc;
 
 use mtc_sql::BinOp;
-use mtc_types::{ColBuilder, ColData, ColumnVec, Result, Row, RowBatch, Value};
+use mtc_types::{ColBuilder, ColData, ColumnVec, Result, Row, RowBatch, Text, Value};
 
 use crate::compile::{CompiledExpr, EvalEnv, ValueSource};
 use crate::eval::truth;
@@ -297,7 +297,7 @@ fn cmp_filter(col: &ColumnVec, op: BinOp, k: &Value, cands: Vec<u32>) -> Vec<u32
             typed!(v, |x: &f64| x.total_cmp(&kf))
         }
         (ColData::Bool(v), Value::Bool(k)) => typed!(v, |x: &bool| x.cmp(k)),
-        (ColData::Str(v), Value::Str(k)) => typed!(v, |x: &Arc<str>| (**x).cmp(&**k)),
+        (ColData::Str(v), Value::Str(k)) => typed!(v, |x: &Text| (**x).cmp(&**k)),
         (ColData::Timestamp(v), Value::Timestamp(k)) => typed!(v, |x: &i64| x.cmp(k)),
         // Mixed storage or a cross-family comparison: go through sql_cmp,
         // which encodes the type-rank ordering.

@@ -24,10 +24,12 @@
 pub mod ast;
 pub mod lexer;
 pub mod parser;
+pub mod prepared;
 pub mod token;
 
 pub use ast::*;
 pub use parser::{parse_expression, parse_statement, parse_statements, Parser};
+pub use prepared::Prepared;
 
 #[cfg(test)]
 mod roundtrip_tests {

@@ -1,0 +1,141 @@
+//! A prepared statement: everything that is a function of the text alone.
+//!
+//! A server that executes the same text again — a parameterized client
+//! statement, a stored-procedure body, a fragment the cache ships on every
+//! remote miss — needs the AST, the canonical rendering its plan is cached
+//! under and the objects its permission check and its cached results depend
+//! on. None of that depends on the catalog, the data, the principal or the
+//! parameter values, so it is computed once here and shared behind an `Arc`;
+//! nothing ever invalidates it.
+
+use std::fmt;
+use std::sync::Arc;
+
+use mtc_types::{normalize_ident, Result};
+
+use crate::ast::{Select, Statement, TableRef};
+use crate::parser::parse_statement;
+
+/// One parsed statement and what its text determines.
+#[derive(Clone, PartialEq)]
+pub struct Prepared {
+    /// The text as it was received (for a statement prepared from an AST:
+    /// its canonical rendering).
+    pub text: Arc<str>,
+    pub statement: Statement,
+    /// The canonical rendering (`Statement::to_string`, which normalizes
+    /// identifiers and spacing): the statement half of a plan-cache key.
+    pub key: String,
+    /// The objects a SELECT names in its FROM clause, in FROM order, schema
+    /// prefixes stripped: what the per-execution permission check walks.
+    /// Empty for every other statement.
+    pub objects: Vec<String>,
+    /// `objects`, normalized, sorted and deduplicated: the tables whose
+    /// writes invalidate a cached result of this statement.
+    pub tables: Arc<[String]>,
+}
+
+impl Prepared {
+    /// Parses `text`. A text that does not parse prepares nothing.
+    pub fn new(text: &str) -> Result<Prepared> {
+        let statement = parse_statement(text)?;
+        let key = statement.to_string();
+        Ok(Prepared::build(text.into(), statement, key))
+    }
+
+    /// Prepares an already parsed statement (a script or procedure-body
+    /// statement, which has no text of its own).
+    pub fn from_statement(statement: Statement) -> Prepared {
+        let key = statement.to_string();
+        Prepared::build(key.as_str().into(), statement, key)
+    }
+
+    fn build(text: Arc<str>, statement: Statement, key: String) -> Prepared {
+        let mut objects = Vec::new();
+        if let Statement::Select(select) = &statement {
+            for from in &select.from {
+                from_objects(from, &mut objects);
+            }
+        }
+        let mut tables: Vec<String> = objects.iter().map(|o| normalize_ident(o)).collect();
+        tables.sort();
+        tables.dedup();
+        Prepared {
+            text,
+            statement,
+            key,
+            objects,
+            tables: tables.into(),
+        }
+    }
+
+    /// The statement, if it is a SELECT.
+    pub fn select(&self) -> Option<&Select> {
+        match &self.statement {
+            Statement::Select(select) => Some(select),
+            _ => None,
+        }
+    }
+}
+
+fn from_objects(from: &TableRef, out: &mut Vec<String>) {
+    match from {
+        TableRef::Table { name, .. } => {
+            out.push(name.rsplit('.').next().unwrap_or(name).to_string());
+        }
+        TableRef::Join { left, right, .. } => {
+            from_objects(left, out);
+            from_objects(right, out);
+        }
+    }
+}
+
+/// Prints the text only: a `Prepared` sits inside compiled plans, whose
+/// `Debug` form is read by people and compared by tests.
+impl fmt::Debug for Prepared {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Prepared({:?})", self.text)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn select_derives_key_objects_and_tables() {
+        let p = Prepared::new(
+            "select  I_ID from dbo.Item, author JOIN item ON a_id = i_a_id where i_id = @id",
+        )
+        .unwrap();
+        assert_eq!(p.key, p.statement.to_string());
+        assert_eq!(p.key, p.select().unwrap().to_string());
+        assert_eq!(p.objects, ["item", "author", "item"]);
+        assert_eq!(&*p.tables, ["author", "item"]);
+        assert!(
+            p.text.starts_with("select  I_ID"),
+            "text is kept as received"
+        );
+    }
+
+    #[test]
+    fn other_statements_name_no_objects() {
+        let p = Prepared::new("UPDATE item SET i_cost = 1 WHERE i_id = 2").unwrap();
+        assert!(p.select().is_none());
+        assert!(p.objects.is_empty() && p.tables.is_empty());
+        assert_eq!(p.key, "UPDATE item SET i_cost = 1 WHERE i_id = 2");
+    }
+
+    #[test]
+    fn from_statement_renders_its_own_text() {
+        let stmt = parse_statement("EXEC  getBook @i_id = 3").unwrap();
+        let p = Prepared::from_statement(stmt.clone());
+        assert_eq!(&*p.text, stmt.to_string());
+        assert_eq!(p, Prepared::new(&p.text).unwrap());
+    }
+
+    #[test]
+    fn unparsable_text_prepares_nothing() {
+        assert!(Prepared::new("SELEKT 1").is_err());
+    }
+}

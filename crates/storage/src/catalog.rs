@@ -6,8 +6,9 @@
 //! and cost-optimize queries locally, but no rows.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
-use mtc_sql::{Permission, Select, Statement};
+use mtc_sql::{Permission, Prepared, Select};
 use mtc_types::{normalize_ident, Error, Result};
 
 use crate::stats::TableStats;
@@ -43,12 +44,16 @@ impl ViewMeta {
 /// T-SQL procedures in the paper carry application logic; ours are a list of
 /// statements over `@param` placeholders. A procedure whose body cannot run
 /// on the cache server is transparently forwarded (§5.2).
+///
+/// The body is prepared once, when the procedure is created, and the
+/// catalog holds the definition behind an `Arc`: an `EXEC` — and a copy of
+/// the procedure onto a cache server — shares it instead of cloning ASTs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProcedureDef {
     pub name: String,
     /// Parameter names (without `@`), in declaration order.
     pub params: Vec<String>,
-    pub body: Vec<Statement>,
+    pub body: Vec<Arc<Prepared>>,
 }
 
 /// Index metadata kept in the catalog (the index *data* lives in
@@ -73,7 +78,7 @@ pub struct TableMeta {
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     views: BTreeMap<String, ViewMeta>,
-    procedures: BTreeMap<String, ProcedureDef>,
+    procedures: BTreeMap<String, Arc<ProcedureDef>>,
     /// (principal, object) → granted permissions.
     permissions: BTreeMap<(String, String), BTreeSet<Permission>>,
     /// Per table / materialized view statistics.
@@ -139,7 +144,7 @@ impl Catalog {
 
     // -- procedures ---------------------------------------------------------
 
-    pub fn create_procedure(&mut self, proc: ProcedureDef) -> Result<()> {
+    pub fn create_procedure(&mut self, proc: Arc<ProcedureDef>) -> Result<()> {
         let name = normalize_ident(&proc.name);
         if self.procedures.contains_key(&name) {
             return Err(Error::catalog(format!(
@@ -157,12 +162,12 @@ impl Catalog {
             .ok_or_else(|| Error::catalog(format!("procedure `{name}` not found")))
     }
 
-    pub fn procedure(&self, name: &str) -> Option<&ProcedureDef> {
+    pub fn procedure(&self, name: &str) -> Option<&Arc<ProcedureDef>> {
         self.procedures.get(&normalize_ident(name))
     }
 
     pub fn procedures(&self) -> impl Iterator<Item = &ProcedureDef> {
-        self.procedures.values()
+        self.procedures.values().map(|p| &**p)
     }
 
     /// Removes every stored procedure (shadow databases start without any;
@@ -252,7 +257,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtc_sql::parse_statement;
+    use mtc_sql::{parse_statement, Statement};
 
     fn select(sql: &str) -> Select {
         match parse_statement(sql).unwrap() {
@@ -325,13 +330,15 @@ mod tests {
     #[test]
     fn procedures() {
         let mut c = Catalog::new();
-        c.create_procedure(ProcedureDef {
+        let def = Arc::new(ProcedureDef {
             name: "getItem".into(),
             params: vec!["id".into()],
-            body: vec![parse_statement("SELECT * FROM item WHERE i_id = @id").unwrap()],
-        })
-        .unwrap();
-        assert!(c.procedure("GETITEM").is_some());
+            body: vec![Arc::new(
+                Prepared::new("SELECT * FROM item WHERE i_id = @id").unwrap(),
+            )],
+        });
+        c.create_procedure(def.clone()).unwrap();
+        assert!(Arc::ptr_eq(c.procedure("GETITEM").unwrap(), &def));
         assert!(c.drop_procedure("getitem").is_ok());
         assert!(c.drop_procedure("getitem").is_err());
     }

@@ -3,7 +3,7 @@
 //!
 //! A [`RowBatch`] holds up to a pipeline batch of rows *column-wise*:
 //! fixed-width `Value` variants (`Int`, `Float`, `Bool`, `Timestamp`) live
-//! in dense typed vectors, strings as `Arc<str>` handles (cloning a string
+//! in dense typed vectors, strings as [`Text`] handles (cloning a string
 //! cell bumps a refcount, never copies bytes), and heterogeneous columns
 //! degrade to a `Mixed` vector of `Value`s with identical semantics.
 //! Columns sit behind `Arc`s, so
@@ -30,6 +30,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::row::Row;
+use crate::text::Text;
 use crate::value::Value;
 
 /// Initial accumulator for the column-major cell hashing below
@@ -90,7 +91,7 @@ pub enum ColData {
     Int(Vec<i64>),
     Float(Vec<f64>),
     Bool(Vec<bool>),
-    Str(Vec<Arc<str>>),
+    Str(Vec<Text>),
     Timestamp(Vec<i64>),
     Mixed(Vec<Value>),
 }
@@ -269,7 +270,7 @@ impl ColumnVec {
             ColData::Int(v) => fold!(v, |h, x: &i64| fnv_u64(fnv_u8(h, 2), (*x as f64).to_bits())),
             ColData::Float(v) => fold!(v, |h, x: &f64| fnv_u64(fnv_u8(h, 2), x.to_bits())),
             ColData::Bool(v) => fold!(v, |h, x: &bool| fnv_u8(fnv_u8(h, 1), *x as u8)),
-            ColData::Str(v) => fold!(v, |h, x: &Arc<str>| fold_str(h, x)),
+            ColData::Str(v) => fold!(v, |h, x: &Text| fold_str(h, x)),
             ColData::Timestamp(v) => fold!(v, |h, x: &i64| fnv_u64(fnv_u8(h, 4), *x as u64)),
             ColData::Mixed(v) => fold!(v, |h, x: &Value| fold_value(h, x)),
         }
@@ -310,7 +311,7 @@ enum BuilderData {
     Int(Vec<i64>),
     Float(Vec<f64>),
     Bool(Vec<bool>),
-    Str(Vec<Arc<str>>),
+    Str(Vec<Text>),
     Timestamp(Vec<i64>),
     Mixed(Vec<Value>),
 }
@@ -415,7 +416,7 @@ impl ColBuilder {
                     BuilderData::Int(v) | BuilderData::Timestamp(v) => v.push(0),
                     BuilderData::Float(v) => v.push(0.0),
                     BuilderData::Bool(v) => v.push(false),
-                    BuilderData::Str(v) => v.push(Arc::from("")),
+                    BuilderData::Str(v) => v.push(Text::new("")),
                     BuilderData::Mixed(v) => v.push(Value::Null),
                 }
                 self.mark_null(true);
@@ -446,7 +447,7 @@ impl ColBuilder {
                         BuilderData::Bool(c)
                     }
                     Value::Str(s) => {
-                        let mut c: Vec<Arc<str>> = Vec::with_capacity(cap);
+                        let mut c: Vec<Text> = Vec::with_capacity(cap);
                         c.push(s.clone());
                         BuilderData::Str(c)
                     }

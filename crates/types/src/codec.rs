@@ -17,7 +17,6 @@
 //! buffer. Decoding is strict: trailing bytes, truncated payloads, bad
 //! tags and invalid UTF-8 are all errors, never panics.
 
-use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::row::Row;
@@ -203,7 +202,7 @@ impl BinCodec for Value {
             TAG_BOOL_TRUE => Value::Bool(true),
             TAG_INT => Value::Int(r.read_zigzag()?),
             TAG_FLOAT => Value::Float(r.read_f64()?),
-            TAG_STR => Value::Str(Arc::from(r.read_str()?)),
+            TAG_STR => Value::str(r.read_str()?),
             TAG_TIMESTAMP => Value::Timestamp(r.read_zigzag()?),
             tag => return Err(Error::encoding(format!("unknown Value tag {tag}"))),
         })

@@ -11,6 +11,7 @@ pub mod codec;
 pub mod error;
 pub mod row;
 pub mod schema;
+pub mod text;
 pub mod value;
 
 pub use batch::{ColBuilder, ColData, ColumnVec, RowBatch, RowBatchBuilder};
@@ -18,6 +19,7 @@ pub use codec::{BinCodec, ByteReader};
 pub use error::{Error, Result};
 pub use row::Row;
 pub use schema::{Column, Schema};
+pub use text::Text;
 pub use value::{DataType, Value};
 
 /// Normalizes a SQL identifier: identifiers in this dialect are

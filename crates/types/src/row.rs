@@ -8,7 +8,7 @@ use crate::value::Value;
 /// A tuple of values.
 ///
 /// Rows flow through physical operators by value; cloning a row clones its
-/// `Vec` but string payloads are `Arc<str>`, so clones are cheap in the
+/// `Vec` but string payloads are shared [`Text`](crate::Text) handles, so clones are cheap in the
 /// common string-heavy TPC-W rows.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Row(pub Vec<Value>);

@@ -17,7 +17,8 @@
 //! Beyond the replacements, [`fault`] provides the workspace's deterministic
 //! failure substrate: seeded [`fault::FaultPlan`] decisions (drop /
 //! duplicate / delay / corrupt / crash) and the jittered-exponential
-//! [`fault::RetryPolicy`] the replication agents recover with.
+//! [`fault::RetryPolicy`] the replication agents recover with. [`lru`] is
+//! the one recency-ordered map behind the statement, plan and result caches.
 //!
 //! The invariant is enforced by the root `tests/hermetic.rs` guard, which
 //! fails if any `Cargo.toml` in the workspace declares a non-`path`
@@ -27,6 +28,7 @@ pub mod atomic;
 pub mod bench;
 pub mod check;
 pub mod fault;
+pub mod lru;
 pub mod pool;
 pub mod rng;
 pub mod sync;

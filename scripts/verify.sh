@@ -39,6 +39,14 @@ cargo test -q --test advisor_smoke
 echo "==> cargo test -q --test snapshot_sharing (a publication copies only what its batch wrote)"
 cargo test -q --test snapshot_sharing
 
+# Prepare once, run many, pinned by counters: a recurring text is parsed
+# once per server and planned once (SELECT and DML alike), a procedure body
+# is shared behind one Arc, and a result a write has overtaken leaves the
+# result cache at the write. A change that reintroduces a parse or an
+# optimize per execution fails here, on any machine, without a timer.
+echo "==> cargo test -q --test prepared_layer (a recurring statement is prepared and planned once)"
+cargo test -q --test prepared_layer
+
 # Tier-2: release-mode perf gate. The full-size hot-path run must stay
 # within 20% of the committed streaming floor (tests/hotpath_smoke.rs,
 # STREAMING_US_FLOOR); debug timings are meaningless, hence --release.
