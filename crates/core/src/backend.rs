@@ -18,7 +18,7 @@ use mtc_types::{Column, Error, Result, Row, Schema};
 use crate::dml::{derive_view_changes, plan_dml, DML_STATEMENT_OVERHEAD, WORK_PER_CHANGE};
 use crate::plan_cache::{param_signature, CachedPlan, Compiled, PlanCache};
 use crate::procs::{bind_proc_args, prepare_proc_body};
-use crate::statements::StatementCache;
+use crate::statements::{Resolved, StatementCache};
 use crate::stats::SharedServerStats;
 
 /// The backend server: database of record, local execution of everything,
@@ -37,7 +37,7 @@ pub struct BackendServer {
     pub plan_cache: PlanCache,
     /// Statement text → prepared statement (see [`crate::statements`]).
     pub statements: StatementCache,
-    /// Statement trace for the cache advisor: normalized statement text →
+    /// Statement trace for the cache advisor: statement text as sent →
     /// execution count. `None` when tracing is off.
     trace: Mutex<Option<BTreeMap<String, u64>>>,
 }
@@ -73,24 +73,25 @@ impl BackendServer {
     }
 
     /// The prepared form of `sql`, from this server's statement cache: a
-    /// text is parsed the first time it is seen (counted in
-    /// `stats.prepares`), not on every execution.
-    pub fn prepare(&self, sql: &str) -> Result<Arc<Prepared>> {
-        self.statements.prepare(sql, &self.stats.prepares)
+    /// text — or the template its literals lift into — is parsed the first
+    /// time it is seen (counted in `stats.prepares`), not on every
+    /// execution.
+    pub fn prepare(&self, sql: &str) -> Result<Resolved> {
+        self.statements.prepare(sql, &self.stats)
     }
 
-    /// Prepares (once per text) and executes one statement.
+    /// Prepares (once per shape) and executes one statement.
     pub fn execute(&self, sql: &str, params: &Bindings, principal: &str) -> Result<QueryResult> {
-        let stmt = self.prepare(sql)?;
+        let resolved = self.prepare(sql)?;
         if let Some(trace) = self.trace.lock().as_mut() {
-            *trace.entry(stmt.key.clone()).or_insert(0) += 1;
+            *trace.entry(sql.to_string()).or_insert(0) += 1;
         }
-        self.execute_prepared(&stmt, params, principal)
+        self.execute_prepared(&resolved.stmt, &resolved.bindings(params), principal)
     }
 
-    /// Starts recording a workload trace (normalized statement text and
-    /// counts) for the cache advisor — the paper's §7 workflow: observe the
-    /// workload on the backend, then decide what to cache.
+    /// Starts recording a workload trace (statement texts as they were sent,
+    /// and counts) for the cache advisor — the paper's §7 workflow: observe
+    /// the workload on the backend, then decide what to cache.
     pub fn start_statement_trace(&self) {
         *self.trace.lock() = Some(BTreeMap::new());
     }
@@ -453,7 +454,8 @@ impl BackendServer {
     /// a SELECT's plan, or the plan that locates the rows an UPDATE or
     /// DELETE targets.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let stmt = Prepared::new(sql)?;
+        let resolved = Resolved::new(sql)?;
+        let stmt = &*resolved.stmt;
         let db = self.db.read();
         let opt = match &stmt.statement {
             Statement::Select(sel) => {
@@ -474,7 +476,8 @@ impl BackendServer {
             .contains_sql(&stmt.key, db.catalog.version(), 0);
         let cs = self.plan_cache.stats();
         Ok(format!(
-            "estimated cost: {:.1}\nestimated rows: {:.0}\nplan cache: {} (hits {}, misses {}, invalidations {})\n{}",
+            "{}estimated cost: {:.1}\nestimated rows: {:.0}\nplan cache: {} (hits {}, misses {}, invalidations {})\n{}",
+            resolved.describe(),
             opt.est_cost,
             opt.est_rows,
             if cached { "cached" } else { "cold" },
@@ -492,7 +495,8 @@ impl BackendServer {
 /// a shipped text is parsed at most once here too.
 impl RemoteExecutor for BackendServer {
     fn execute_remote(&self, sql: &str, params: &Bindings) -> Result<QueryResult> {
-        self.execute_prepared(&*self.prepare(sql)?, params, "dbo")
+        let resolved = self.prepare(sql)?;
+        self.execute_prepared(&resolved.stmt, &resolved.bindings(params), "dbo")
     }
 
     fn execute_shipped(

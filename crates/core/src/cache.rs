@@ -17,8 +17,10 @@ use mtc_types::{Column, Error, Result, Schema};
 use crate::backend::{check_select_permissions, BackendServer};
 use crate::fragment::FragmentGateway;
 use crate::plan_cache::{param_signature, CachedPlan, Compiled, PlanCache};
-use crate::result_cache::{RemoteGateway, ResultCache, ResultCacheConfig};
-use crate::statements::StatementCache;
+use crate::result_cache::{
+    referenced_values_signature, RemoteGateway, ResultCache, ResultCacheConfig,
+};
+use crate::statements::{Resolved, StatementCache};
 use crate::stats::SharedServerStats;
 
 /// An MTCache server: shadow database + cached views + transparent routing.
@@ -391,21 +393,23 @@ impl CacheServer {
     }
 
     /// The prepared form of `sql`, from this server's statement cache: a
-    /// text is parsed the first time it is seen (counted in
-    /// `stats.prepares`), not on every execution.
-    pub fn prepare(&self, sql: &str) -> Result<Arc<Prepared>> {
-        self.statements.prepare(sql, &self.stats.prepares)
+    /// text — or the template its literals lift into — is parsed the first
+    /// time it is seen (counted in `stats.prepares`), not on every
+    /// execution.
+    pub fn prepare(&self, sql: &str) -> Result<Resolved> {
+        self.statements.prepare(sql, &self.stats)
     }
 
-    /// Prepares (once per text) and executes one statement with full
+    /// Prepares (once per shape) and executes one statement with full
     /// transparency: queries are optimized here and run local/remote/mixed;
     /// DML and unknown procedures are forwarded to the backend.
     pub fn execute(&self, sql: &str, params: &Bindings, principal: &str) -> Result<QueryResult> {
-        let stmt = self.prepare(sql)?;
+        let resolved = self.prepare(sql)?;
+        // The advisor reads predicate ranges off the text as it was sent.
         if let Some(advisor) = self.advisor.lock().as_ref() {
             advisor.observe(sql);
         }
-        self.execute_prepared(&stmt, params, principal)
+        self.execute_prepared(&resolved.stmt, &resolved.bindings(params), principal)
     }
 
     /// Statement dispatch (see [`CacheServer::execute`]).
@@ -778,12 +782,13 @@ impl CacheServer {
     /// boundaries, dynamic-plan guards, and (for currency-bounded
     /// statements) the freshness routing decision.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let stmt = Prepared::new(sql)?;
+        let resolved = Resolved::new(sql)?;
+        let stmt = &*resolved.stmt;
         let Some(sel) = stmt.select() else {
             return Err(Error::plan("EXPLAIN supports SELECT statements"));
         };
         let db = self.db.read();
-        let (opt, currency) = match self.plan_select(&db, &stmt, sel, &self.live_peers())? {
+        let (opt, currency) = match self.plan_select(&db, stmt, sel, &self.live_peers())? {
             Planned::Here { opt, currency } => (opt, currency),
             Planned::BlindForward { object } => {
                 // The backend binds what it is sent: a statement it cannot
@@ -811,17 +816,27 @@ impl CacheServer {
             .contains_sql(&stmt.key, version, self.topology_version());
         let cs = self.plan_cache.stats();
         // Result-cache visibility, mirroring the plan-cache line: per
-        // remote subexpression, would the shipped SQL (probed with no bound
-        // parameters, as EXPLAIN has none) be answered from the result
-        // cache right now — and under this statement's currency bound?
-        // Each fragment also names its chosen site, so multi-site placement
-        // decisions are observable (`placed: cache2 (view ord_cache)`).
+        // remote subexpression, would the shipped SQL (probed with the
+        // lifted bindings; EXPLAIN has no others) be answered from the
+        // result cache right now — and under this statement's currency
+        // bound? Each fragment also names its chosen site, so multi-site
+        // placement decisions are observable (`placed: cache2 (view
+        // ord_cache)`). Every ChoosePlan branch is listed: a `placed:` line
+        // is a site that executing this text contacts, a `closed:` line the
+        // site of a branch the lifted values keep shut.
         let bound_ms = sel.freshness_seconds.map(|s| s as i64 * 1000);
         let now = self.clock.now_ms();
-        for (site, sql) in remote_fragments(&opt.physical) {
+        let none = Bindings::new();
+        let lifted = resolved.bindings(&none);
+        for RemoteFragment { site, sql, open } in remote_fragments(&opt.physical, &lifted) {
+            if !open {
+                routing.push_str(&format!("closed: {site}: {sql}\n"));
+                continue;
+            }
+            let psig = referenced_values_signature(&Prepared::new(&sql)?, &lifted);
             let served = self
                 .result_cache
-                .would_hit(&sql, "", version, bound_ms, now);
+                .would_hit(&sql, &psig, version, bound_ms, now);
             routing.push_str(&format!(
                 "routing: {}: {sql}\nplaced: {site}\n",
                 if served { "remote(cached)" } else { "remote(fetched)" }
@@ -846,7 +861,8 @@ impl CacheServer {
             }
         }
         Ok(format!(
-            "estimated cost: {:.1}\nestimated rows: {:.0}\nplan cache: {} (hits {}, misses {}, invalidations {})\nresult cache: {} entries, {} bytes (hits {}, misses {}, currency rejects {}, invalidations {})\n{advisor}{routing}{}",
+            "{}estimated cost: {:.1}\nestimated rows: {:.0}\nplan cache: {} (hits {}, misses {}, invalidations {})\nresult cache: {} entries, {} bytes (hits {}, misses {}, currency rejects {}, invalidations {})\n{advisor}{routing}{}",
+            resolved.describe(),
             opt.est_cost,
             opt.est_rows,
             if cached { "cached" } else { "cold" },
@@ -970,19 +986,56 @@ enum Planned {
     BlindForward { object: Option<String> },
 }
 
-/// `(site description, shipped SQL)` of every Remote node in a physical
-/// plan, in plan order.
-fn remote_fragments(plan: &mtc_engine::PhysicalPlan) -> Vec<(String, String)> {
-    fn walk(p: &mtc_engine::PhysicalPlan, out: &mut Vec<(String, String)>) {
-        if let mtc_engine::PhysicalPlan::Remote { sql, site, .. } = p {
-            out.push((site.describe(), sql.clone()));
-        }
-        for c in p.children() {
-            walk(c, out);
+/// One Remote node of a physical plan, as EXPLAIN reports it.
+struct RemoteFragment {
+    /// Where placement put it (`backend`, `cache2 (view ord_cache)`).
+    site: String,
+    sql: String,
+    /// False when the fragment sits in a ChoosePlan branch whose startup
+    /// predicate is closed under the bindings EXPLAIN knows: execution with
+    /// those bindings never ships it.
+    open: bool,
+}
+
+/// Every Remote node in a physical plan, in plan order — of every ChoosePlan
+/// branch, each marked with whether its guards open under `params`. A guard
+/// that cannot be evaluated (it names a parameter EXPLAIN has no value for)
+/// counts as open.
+fn remote_fragments(plan: &mtc_engine::PhysicalPlan, params: &Bindings) -> Vec<RemoteFragment> {
+    use mtc_engine::PhysicalPlan as P;
+    fn walk(p: &P, params: &Bindings, open: bool, out: &mut Vec<RemoteFragment>) {
+        match p {
+            P::Remote { sql, site, .. } => out.push(RemoteFragment {
+                site: site.describe(),
+                sql: sql.clone(),
+                open,
+            }),
+            P::UnionAll {
+                inputs,
+                startup_predicates,
+                ..
+            } => {
+                for (input, guard) in inputs.iter().zip(startup_predicates) {
+                    // Startup predicates are parameter-only: no row to read.
+                    let (row, schema) = (mtc_types::Row::new(Vec::new()), Schema::empty());
+                    let closed = guard.as_ref().is_some_and(|g| {
+                        matches!(
+                            mtc_engine::eval_predicate(g, &row, &schema, params),
+                            Ok(Some(false) | None)
+                        )
+                    });
+                    walk(input, params, open && !closed, out);
+                }
+            }
+            _ => {
+                for c in p.children() {
+                    walk(c, params, open, out);
+                }
+            }
         }
     }
     let mut out = Vec::new();
-    walk(plan, &mut out);
+    walk(plan, params, true, &mut out);
     out
 }
 

@@ -37,6 +37,8 @@ impl From<Arc<CacheServer>> for ServerHandle {
 /// A client connection bound to a principal.
 pub struct Connection {
     server: ServerHandle,
+    /// Normalized here, once, so the permission check each statement runs
+    /// compares names as they are.
     principal: String,
 }
 
@@ -53,7 +55,7 @@ impl Connection {
     pub fn connect_as(server: impl Into<ServerHandle>, principal: &str) -> Connection {
         Connection {
             server: server.into(),
-            principal: principal.to_string(),
+            principal: mtc_types::normalize_ident(principal),
         }
     }
 

@@ -34,7 +34,7 @@
 //! let backend = BackendServer::new("backend");
 //! backend.run_script(
 //!     "CREATE TABLE customer (cid INT NOT NULL PRIMARY KEY, cname VARCHAR);
-//!      INSERT INTO customer VALUES (1, 'alice'), (2, 'bob');",
+//!      INSERT INTO customer VALUES (1, 'alice'), (2, 'bob'), (3, 'carol');",
 //! )?;
 //! backend.analyze();
 //!
@@ -42,7 +42,7 @@
 //! // kept fresh by replication.
 //! let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
 //! let cache = CacheServer::create("cache1", backend.clone(), hub.clone());
-//! cache.create_cached_view("cust1", "SELECT cid, cname FROM customer WHERE cid <= 1")?;
+//! cache.create_cached_view("cust1", "SELECT cid, cname FROM customer WHERE cid <= 2")?;
 //!
 //! // The application is oblivious: same code, either handle.
 //! let conn = Connection::connect(cache);
@@ -75,11 +75,11 @@ pub use connection::{Connection, ServerHandle};
 pub use fleet::{fnv1a64, Fleet, FleetConfig, Router};
 pub use plan_cache::{param_signature, CachedPlan, CacheStats, Compiled, PlanCache};
 pub use result_cache::{
-    param_values_signature, PromotableResult, RemoteGateway, ResultCache, ResultCacheConfig,
-    ResultCacheStats,
+    param_values_signature, referenced_values_signature, PromotableResult, RemoteGateway,
+    ResultCache, ResultCacheConfig, ResultCacheStats,
 };
 pub use scripting::script_shadow_database;
-pub use statements::{StatementCache, STATEMENT_CACHE_CAPACITY};
+pub use statements::{Resolved, StatementCache, STATEMENT_CACHE_CAPACITY};
 pub use stats::ServerStats;
 
 pub use mtc_engine::{Bindings, QueryResult};

@@ -46,6 +46,9 @@ pub struct ServerStats {
     /// Statement texts parsed and prepared here: the statement cache's
     /// misses. A text that recurs is prepared once, however often it runs.
     pub prepares: u64,
+    /// Raw-text misses of the statement cache that resolved to a template:
+    /// ad-hoc statements executed with their literals lifted into bindings.
+    pub auto_parameterized: u64,
 }
 
 /// The live, lock-free form of [`ServerStats`]: every field is a relaxed
@@ -64,6 +67,7 @@ pub struct SharedServerStats {
     pub coalesced_calls: Counter,
     pub freshness_fallbacks: Counter,
     pub prepares: Counter,
+    pub auto_parameterized: Counter,
 }
 
 impl SharedServerStats {
@@ -100,6 +104,7 @@ impl SharedServerStats {
             coalesced_calls: self.coalesced_calls.get(),
             freshness_fallbacks: self.freshness_fallbacks.get(),
             prepares: self.prepares.get(),
+            auto_parameterized: self.auto_parameterized.get(),
         }
     }
 
@@ -118,6 +123,7 @@ impl SharedServerStats {
             coalesced_calls: self.coalesced_calls.take(),
             freshness_fallbacks: self.freshness_fallbacks.take(),
             prepares: self.prepares.take(),
+            auto_parameterized: self.auto_parameterized.take(),
         }
     }
 }

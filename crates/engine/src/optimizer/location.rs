@@ -366,13 +366,9 @@ pub(crate) fn place(
                         }
                     }
                     // A column-pruning Project over a shadow leaf narrows
-                    // what a peer's view must provide: `SELECT a, b FROM t
-                    // WHERE p` can match a view that lacks t's other
-                    // columns, even though the bare leaf (which outputs
-                    // every column) cannot.
-                    LogicalPlan::Project { input, exprs, .. } => {
-                        if let Some(leaf) = scan_leaf(input).filter(ScanLeaf::is_shadow) {
-                            let required = project_required(exprs, &leaf.conjuncts(), leaf.schema);
+                    // what a peer's view must provide.
+                    LogicalPlan::Project { .. } => {
+                        if let Some((leaf, required)) = pruned_shadow_leaf(plan) {
                             let (leaf_costs, views) =
                                 peer_leaf_matches(&leaf, &required, env, cm, guards);
                             for (i, leaf_cost) in leaf_costs.into_iter().enumerate() {
@@ -637,21 +633,45 @@ fn peer_leaf_matches(
         .unzip()
 }
 
-/// The first *guarded* match of any peer's cached views against `plan`, if
-/// it is a shadow leaf — what placement ChoosePlan synthesis asks per leaf —
-/// with the guard's estimated probability.
-pub(crate) fn guarded_peer_match(
+/// The shadow leaf under a column-pruning Project, with the leaf columns the
+/// Project (and the leaf's own filter) consumes: `SELECT a, b FROM t WHERE p`
+/// can be answered from a peer's view that lacks t's other columns, though
+/// the bare leaf (which outputs every column) cannot.
+fn pruned_shadow_leaf(plan: &LogicalPlan) -> Option<(ScanLeaf<'_>, Vec<String>)> {
+    let LogicalPlan::Project { input, exprs, .. } = plan else {
+        return None;
+    };
+    let leaf = scan_leaf(input).filter(ScanLeaf::is_shadow)?;
+    let required = project_required(exprs, &leaf.conjuncts(), leaf.schema);
+    Some((leaf, required))
+}
+
+/// Every distinct parameter guard under which some peer's cached view
+/// answers `plan` — a shadow leaf, or a column-pruning Project over one,
+/// probed for the columns [`place`] prices the same node with — and the
+/// guard's estimated probability, in peer order. What placement ChoosePlan
+/// synthesis asks per node.
+pub(crate) fn guarded_peer_matches(
     plan: &LogicalPlan,
     env: &PlacementEnv,
     cm: &CostModel,
-) -> Option<(Expr, f64)> {
-    let leaf = scan_leaf(plan).filter(ScanLeaf::is_shadow)?;
-    let required = full_required(leaf.schema);
-    probe_leaf(&leaf, &required, env, cm)
-        .views
-        .iter()
-        .flatten()
-        .find_map(|v| v.guard.clone())
+) -> Vec<(Expr, f64)> {
+    let Some((leaf, required)) = pruned_shadow_leaf(plan).or_else(|| {
+        let leaf = scan_leaf(plan).filter(ScanLeaf::is_shadow)?;
+        let required = full_required(leaf.schema);
+        Some((leaf, required))
+    }) else {
+        return Vec::new();
+    };
+    let mut guards: Vec<(Expr, f64)> = Vec::new();
+    for view in probe_leaf(&leaf, &required, env, cm).views.iter().flatten() {
+        if let Some(guard) = &view.guard {
+            if !guards.iter().any(|(seen, _)| *seen == guard.0) {
+                guards.push(guard.clone());
+            }
+        }
+    }
+    guards
 }
 
 /// The views of peer `p` a fragment placed there would be served from — for
@@ -875,12 +895,37 @@ fn backtrack(plan: &LogicalPlan, placed: &Placed) -> Result<PhysicalPlan> {
             ..
         } => PhysicalPlan::UnionAll {
             inputs: (inputs.iter().enumerate())
-                .map(|(i, input)| child(i, input).map(|built| *built))
+                .map(|(i, input)| child(i, input).map(|built| in_schema_order(*built, schema)))
                 .collect::<Result<_>>()?,
             startup_predicates: startup_predicates.clone(),
             schema: schema.clone(),
         },
     })
+}
+
+/// A UnionAll hands its branches' rows on as they come, and everything above
+/// it resolves columns against the union's one schema. A branch that
+/// delivers the same columns in another order — its join was built with the
+/// sides swapped, which its siblings' need not be — is projected back into
+/// the union's order.
+fn in_schema_order(branch: PhysicalPlan, schema: &Schema) -> PhysicalPlan {
+    let names =
+        |s: &Schema| -> Vec<String> { s.columns().iter().map(|c| c.name.clone()).collect() };
+    let (have, want) = (names(branch.schema()), names(schema));
+    let permuted = have != want && {
+        let (mut h, mut w) = (have, want.clone());
+        h.sort();
+        w.sort();
+        h == w
+    };
+    if !permuted {
+        return branch;
+    }
+    PhysicalPlan::Project {
+        input: Box::new(branch),
+        exprs: want.iter().map(|c| (Expr::col(c), c.clone())).collect(),
+        schema: schema.clone(),
+    }
 }
 
 // ---------------------------------------------------------------------------

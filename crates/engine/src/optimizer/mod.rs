@@ -271,54 +271,70 @@ fn apply_view_matching(
 }
 
 /// Builds *placement ChoosePlans*: for every remote leaf that no local view
-/// rewrote, but that some peer's cached view matches **under a parameter
-/// guard**, wrap the leaf in a two-branch UnionAll whose startup predicates
-/// are the guard and its negation. Both branches are textually the same
-/// remote leaf — what differs is *placement*: under the open guard the
-/// placement DP can route the fragment to the peer's view over the cheap
-/// peer link; under the closed guard the peer match is unusable and the
-/// fragment ships to the backend. At run time exactly one branch opens.
+/// rewrote (or column-pruning Project over one — the unit the placement pass
+/// prices against a peer's narrower view), but that a peer's cached view
+/// matches **under a parameter guard**, chain one guarded branch per such
+/// view: `UnionAll[g₁: node | UnionAll[g₂: node | node]]`. Every branch is
+/// textually the same fragment — what differs is *placement*: under an open
+/// guard the placement DP can route the fragment to that peer's view over
+/// the cheap peer link; with every guard closed no peer match is usable and
+/// the fragment ships to the backend. At run time exactly one leaf of the
+/// chain opens, so a partitioned fleet degrades local → owning peer →
+/// backend.
 fn synthesize_placement_choices(
     plan: LogicalPlan,
     env: &PlacementEnv<'_>,
     cm: &CostModel,
 ) -> LogicalPlan {
-    let rewrite = |node: LogicalPlan| -> LogicalPlan {
-        // A local match would have rewritten this leaf already; only a
-        // *guarded* peer match creates a genuine placement choice.
-        let Some((guard, fl)) = location::guarded_peer_match(&node, env, cm) else {
-            return node;
-        };
-        LogicalPlan::UnionAll {
-            schema: node.schema().clone(),
-            inputs: vec![node.clone(), node],
-            startup_predicates: vec![Some(guard.clone()), Some(Expr::not(guard))],
-            weights: vec![fl, 1.0 - fl],
+    // Top-down, so a pruning Project is asked before the leaf under it: the
+    // Project needs fewer columns than the leaf delivers, and more views
+    // can supply them. A local match would have rewritten the leaf already;
+    // only a *guarded* peer match creates a genuine placement choice.
+    let guards = location::guarded_peer_matches(&plan, env, cm);
+    if guards.is_empty() {
+        if location::scan_leaf(&plan).is_some() {
+            return plan;
         }
-    };
-    rewrite_plan(plan, &rewrite)
+        return map_children(plan, &mut |c| synthesize_placement_choices(c, env, cm));
+    }
+    let schema = plan.schema().clone();
+    guards
+        .into_iter()
+        .rev()
+        .fold(plan.clone(), |otherwise, (guard, fl)| {
+            LogicalPlan::UnionAll {
+                schema: schema.clone(),
+                inputs: vec![plan.clone(), otherwise],
+                startup_predicates: vec![Some(guard.clone()), Some(Expr::not(guard))],
+                weights: vec![fl, 1.0 - fl],
+            }
+        })
 }
 
-/// Bottom-up plan rewriting.
+/// Bottom-up plan rewriting. A `Filter(Get)` pair is the match unit: `f`
+/// sees it whole, never the bare `Get` under the filter.
 fn rewrite_plan(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    let rebuilt = match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            // Don't recurse into a Filter(Get) pair — it's the match unit.
-            if matches!(*input, LogicalPlan::Get { .. }) {
-                LogicalPlan::Filter { input, predicate }
-            } else {
-                LogicalPlan::Filter {
-                    input: Box::new(rewrite_plan(*input, f)),
-                    predicate,
-                }
-            }
-        }
+    let leaf_pair = matches!(&plan, LogicalPlan::Filter { input, .. }
+        if matches!(**input, LogicalPlan::Get { .. }));
+    if leaf_pair {
+        return f(plan);
+    }
+    f(map_children(plan, &mut |c| rewrite_plan(c, f)))
+}
+
+/// Rebuilds `plan` with `f` applied to each of its direct inputs.
+fn map_children(plan: LogicalPlan, f: &mut impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+    match plan {
+        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+            input: Box::new(f(*input)),
+            predicate,
+        },
         LogicalPlan::Project {
             input,
             exprs,
             schema,
         } => LogicalPlan::Project {
-            input: Box::new(rewrite_plan(*input, f)),
+            input: Box::new(f(*input)),
             exprs,
             schema,
         },
@@ -329,8 +345,8 @@ fn rewrite_plan(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> L
             on,
             schema,
         } => LogicalPlan::Join {
-            left: Box::new(rewrite_plan(*left, f)),
-            right: Box::new(rewrite_plan(*right, f)),
+            left: Box::new(f(*left)),
+            right: Box::new(f(*right)),
             kind,
             on,
             schema,
@@ -341,21 +357,21 @@ fn rewrite_plan(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> L
             aggs,
             schema,
         } => LogicalPlan::Aggregate {
-            input: Box::new(rewrite_plan(*input, f)),
+            input: Box::new(f(*input)),
             group_by,
             aggs,
             schema,
         },
         LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(rewrite_plan(*input, f)),
+            input: Box::new(f(*input)),
             keys,
         },
         LogicalPlan::Top { input, n } => LogicalPlan::Top {
-            input: Box::new(rewrite_plan(*input, f)),
+            input: Box::new(f(*input)),
             n,
         },
         LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(rewrite_plan(*input, f)),
+            input: Box::new(f(*input)),
         },
         LogicalPlan::UnionAll {
             inputs,
@@ -363,14 +379,13 @@ fn rewrite_plan(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> L
             weights,
             schema,
         } => LogicalPlan::UnionAll {
-            inputs: inputs.into_iter().map(|i| rewrite_plan(i, f)).collect(),
+            inputs: inputs.into_iter().map(f).collect(),
             startup_predicates,
             weights,
             schema,
         },
         leaf @ LogicalPlan::Get { .. } => leaf,
-    };
-    f(rebuilt)
+    }
 }
 
 /// Pulls guarded UnionAlls (ChoosePlans) above inner/cross joins — the

@@ -544,7 +544,72 @@ pub enum Statement {
     },
 }
 
+impl TableRef {
+    /// Calls `f` on every join condition under this reference.
+    fn visit_exprs<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        if let TableRef::Join {
+            left, right, on, ..
+        } = self
+        {
+            left.visit_exprs(f);
+            right.visit_exprs(f);
+            if let Some(on) = on {
+                f(on);
+            }
+        }
+    }
+}
+
+impl Select {
+    /// Calls `f` on every top-level expression of the statement: select
+    /// list, join conditions, WHERE, GROUP BY, HAVING, ORDER BY.
+    pub fn visit_exprs<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        for item in &self.projection {
+            if let SelectItem::Expr { expr, .. } = item {
+                f(expr);
+            }
+        }
+        for from in &self.from {
+            from.visit_exprs(f);
+        }
+        self.selection.iter().for_each(&mut *f);
+        self.group_by.iter().for_each(&mut *f);
+        self.having.iter().for_each(&mut *f);
+        for item in &self.order_by {
+            f(&item.expr);
+        }
+    }
+}
+
 impl Statement {
+    /// Calls `f` on every top-level expression the statement evaluates.
+    pub fn visit_exprs<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        match self {
+            Statement::Select(select) | Statement::CreateView { query: select, .. } => {
+                select.visit_exprs(f)
+            }
+            Statement::Insert { source, .. } => match source {
+                InsertSource::Values(rows) => rows.iter().flatten().for_each(f),
+                InsertSource::Query(select) => select.visit_exprs(f),
+            },
+            Statement::Update {
+                assignments,
+                selection,
+                ..
+            } => {
+                assignments.iter().for_each(|(_, value)| f(value));
+                selection.iter().for_each(f);
+            }
+            Statement::Delete { selection, .. } => selection.iter().for_each(f),
+            Statement::Exec { args, .. } => args.iter().for_each(|(_, value)| f(value)),
+            Statement::CreateTable { .. }
+            | Statement::CreateIndex { .. }
+            | Statement::DropTable { .. }
+            | Statement::DropView { .. }
+            | Statement::Grant { .. } => {}
+        }
+    }
+
     /// True for statements that modify data (must run on the backend).
     pub fn is_dml_write(&self) -> bool {
         matches!(

@@ -1,5 +1,7 @@
 //! Hand-written SQL lexer.
 
+use std::ops::Range;
+
 use mtc_types::{Error, Result};
 
 use crate::token::{keyword_of, Token};
@@ -83,9 +85,23 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// Produces the next token and the byte range of the source it spans
+    /// (comments and whitespace before it excluded).
+    pub fn next_spanned(&mut self) -> Result<(Token, Range<usize>)> {
+        self.skip_trivia()?;
+        let start = self.pos;
+        let token = self.token()?;
+        Ok((token, start..self.pos))
+    }
+
     /// Produces the next token.
     pub fn next_token(&mut self) -> Result<Token> {
         self.skip_trivia()?;
+        self.token()
+    }
+
+    /// The token starting at the current position (trivia already skipped).
+    fn token(&mut self) -> Result<Token> {
         let Some(c) = self.peek() else {
             return Ok(Token::Eof);
         };

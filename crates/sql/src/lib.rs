@@ -23,11 +23,13 @@
 
 pub mod ast;
 pub mod lexer;
+pub mod lift;
 pub mod parser;
 pub mod prepared;
 pub mod token;
 
 pub use ast::*;
+pub use lift::{lift_literals, lifted_name, Template, LIFTED_PREFIX};
 pub use parser::{parse_expression, parse_statement, parse_statements, Parser};
 pub use prepared::Prepared;
 

@@ -39,6 +39,30 @@ pub fn parse_expression(sql: &str) -> Result<Expr> {
     Ok(expr)
 }
 
+/// The value a numeric or string literal token denotes; `None` for every
+/// other token. The one place a literal's text becomes a typed [`Value`]:
+/// the parser builds `Expr::Literal` from it and auto-parameterization
+/// ([`crate::lift`]) binds it, so `i_id = 5` compares against an `Int` and
+/// `i_srp >= 0.25` against a `Float` whichever way the statement runs.
+pub(crate) fn literal_value(token: &Token) -> Option<Value> {
+    match token {
+        Token::Int(i) => Some(Value::Int(*i)),
+        Token::Float(x) => Some(Value::Float(*x)),
+        Token::Str(s) => Some(Value::str(s.as_str())),
+        _ => None,
+    }
+}
+
+/// A numeric literal under a unary minus: `-1` is the literal `-1`, not a
+/// unary expression. `None` for a value that is not numeric.
+pub(crate) fn negated(value: &Value) -> Option<Value> {
+    match value {
+        Value::Int(i) => Some(Value::Int(-i)),
+        Value::Float(x) => Some(Value::Float(-x)),
+        _ => None,
+    }
+}
+
 /// The parser state: a token buffer and a cursor.
 pub struct Parser {
     tokens: Vec<Token>,
@@ -698,10 +722,11 @@ impl Parser {
     }
 
     fn prefix(&mut self) -> Result<Expr> {
-        match self.bump() {
-            Token::Int(i) => Ok(Expr::Literal(Value::Int(i))),
-            Token::Float(x) => Ok(Expr::Literal(Value::Float(x))),
-            Token::Str(s) => Ok(Expr::Literal(Value::str(s))),
+        let token = self.bump();
+        if let Some(value) = literal_value(&token) {
+            return Ok(Expr::Literal(value));
+        }
+        match token {
             Token::Param(p) => Ok(Expr::Param(normalize_ident(&p))),
             Token::Keyword("NULL") => Ok(Expr::Literal(Value::Null)),
             Token::Keyword("TRUE") => Ok(Expr::Literal(Value::Bool(true))),
@@ -716,14 +741,15 @@ impl Parser {
                 let inner = self.expression(12)?;
                 // Fold negated numeric literals so `-1` is a literal, not a
                 // unary expression (keeps printed trees canonical).
-                match inner {
-                    Expr::Literal(Value::Int(i)) => Ok(Expr::Literal(Value::Int(-i))),
-                    Expr::Literal(Value::Float(x)) => Ok(Expr::Literal(Value::Float(-x))),
-                    other => Ok(Expr::Unary {
-                        op: UnaryOp::Neg,
-                        expr: Box::new(other),
-                    }),
+                if let Expr::Literal(value) = &inner {
+                    if let Some(folded) = negated(value) {
+                        return Ok(Expr::Literal(folded));
+                    }
                 }
+                Ok(Expr::Unary {
+                    op: UnaryOp::Neg,
+                    expr: Box::new(inner),
+                })
             }
             Token::LParen => {
                 let inner = self.expression(0)?;

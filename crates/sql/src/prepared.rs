@@ -33,6 +33,9 @@ pub struct Prepared {
     /// `objects`, normalized, sorted and deduplicated: the tables whose
     /// writes invalidate a cached result of this statement.
     pub tables: Arc<[String]>,
+    /// The parameters the statement references, sorted and deduplicated:
+    /// the bindings its answer can depend on, whatever else is bound.
+    pub params: Vec<String>,
 }
 
 impl Prepared {
@@ -60,12 +63,17 @@ impl Prepared {
         let mut tables: Vec<String> = objects.iter().map(|o| normalize_ident(o)).collect();
         tables.sort();
         tables.dedup();
+        let mut params: Vec<String> = Vec::new();
+        statement.visit_exprs(&mut |e| params.extend(e.params().into_iter().map(String::from)));
+        params.sort();
+        params.dedup();
         Prepared {
             text,
             statement,
             key,
             objects,
             tables: tables.into(),
+            params,
         }
     }
 
@@ -112,6 +120,7 @@ mod tests {
         assert_eq!(p.key, p.select().unwrap().to_string());
         assert_eq!(p.objects, ["item", "author", "item"]);
         assert_eq!(&*p.tables, ["author", "item"]);
+        assert_eq!(p.params, ["id"]);
         assert!(
             p.text.starts_with("select  I_ID"),
             "text is kept as received"
@@ -124,6 +133,27 @@ mod tests {
         assert!(p.select().is_none());
         assert!(p.objects.is_empty() && p.tables.is_empty());
         assert_eq!(p.key, "UPDATE item SET i_cost = 1 WHERE i_id = 2");
+        assert!(p.params.is_empty());
+    }
+
+    #[test]
+    fn params_are_whatever_any_clause_references() {
+        let params = |sql: &str| Prepared::new(sql).unwrap().params;
+        assert_eq!(
+            params(
+                "SELECT a + @sel FROM t INNER JOIN u ON t.k = u.k AND u.z = @on \
+                 WHERE a IN (@w, @W) GROUP BY a HAVING COUNT(*) > @h ORDER BY a + @o ASC"
+            ),
+            ["h", "o", "on", "sel", "w"]
+        );
+        assert_eq!(params("UPDATE t SET a = @v WHERE k = @k"), ["k", "v"]);
+        assert_eq!(params("INSERT INTO t VALUES (@a, 1), (@b, 2)"), ["a", "b"]);
+        assert_eq!(
+            params("DELETE FROM t WHERE k BETWEEN @lo AND @hi"),
+            ["hi", "lo"]
+        );
+        assert_eq!(params("EXEC p @x = @y"), ["y"]);
+        assert!(params("SELECT * FROM author").is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use mtc_sql::{Permission, Prepared, Select};
-use mtc_types::{normalize_ident, Error, Result};
+use mtc_types::{normalize_ident, normalized, Error, Result};
 
 use crate::stats::TableStats;
 
@@ -79,8 +79,9 @@ pub struct TableMeta {
 pub struct Catalog {
     views: BTreeMap<String, ViewMeta>,
     procedures: BTreeMap<String, Arc<ProcedureDef>>,
-    /// (principal, object) → granted permissions.
-    permissions: BTreeMap<(String, String), BTreeSet<Permission>>,
+    /// principal → object → granted permissions (both normalized): nested
+    /// so a check probes with the borrowed names it is handed.
+    permissions: BTreeMap<String, BTreeMap<String, BTreeSet<Permission>>>,
     /// Per table / materialized view statistics.
     stats: BTreeMap<String, TableStats>,
     /// Monotonic counter bumped on every change that can affect plan choice
@@ -181,27 +182,32 @@ impl Catalog {
     /// Grants `permission` on `object` to `principal`.
     pub fn grant(&mut self, principal: &str, object: &str, permission: Permission) {
         self.permissions
-            .entry((normalize_ident(principal), normalize_ident(object)))
+            .entry(normalize_ident(principal))
+            .or_default()
+            .entry(normalize_ident(object))
             .or_default()
             .insert(permission);
     }
 
     /// Checks a permission; the built-in `dbo` principal can do anything.
+    /// Runs on every execution of every statement: names that arrive
+    /// normalized (a connection's principal, a prepared statement's objects)
+    /// are probed as they are, nothing is allocated.
     pub fn check_permission(
         &self,
         principal: &str,
         object: &str,
         permission: Permission,
     ) -> Result<()> {
-        let principal = normalize_ident(principal);
+        let principal = normalized(principal);
         if principal == "dbo" {
             return Ok(());
         }
         let allowed = self
             .permissions
-            .get(&(principal.clone(), normalize_ident(object)))
-            .map(|perms| perms.contains(&permission))
-            .unwrap_or(false);
+            .get(&*principal)
+            .and_then(|objects| objects.get(&*normalized(object)))
+            .is_some_and(|perms| perms.contains(&permission));
         if allowed {
             Ok(())
         } else {
@@ -214,10 +220,12 @@ impl Catalog {
 
     /// All grants, for scripting the shadow database.
     pub fn grants(&self) -> impl Iterator<Item = (&str, &str, Permission)> {
-        self.permissions.iter().flat_map(|((principal, object), perms)| {
-            perms
-                .iter()
-                .map(move |p| (principal.as_str(), object.as_str(), *p))
+        self.permissions.iter().flat_map(|(principal, objects)| {
+            objects.iter().flat_map(move |(object, perms)| {
+                perms
+                    .iter()
+                    .map(move |p| (principal.as_str(), object.as_str(), *p))
+            })
         })
     }
 

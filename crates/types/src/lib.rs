@@ -6,6 +6,8 @@
 //! All values carry a total order (`NULL` sorts lowest, as in SQL Server's
 //! index ordering) so they can key B-tree indexes directly.
 
+use std::borrow::Cow;
+
 pub mod batch;
 pub mod codec;
 pub mod error;
@@ -29,6 +31,17 @@ pub fn normalize_ident(ident: &str) -> String {
     ident.to_ascii_lowercase()
 }
 
+/// [`normalize_ident`] without the copy when `ident` is already normalized —
+/// which on a statement's hot path it is: the parser normalizes object names
+/// and a connection normalizes its principal once.
+pub fn normalized(ident: &str) -> Cow<'_, str> {
+    if ident.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(normalize_ident(ident))
+    } else {
+        Cow::Borrowed(ident)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,5 +51,7 @@ mod tests {
         assert_eq!(normalize_ident("Customer"), "customer");
         assert_eq!(normalize_ident("ORDER_LINE"), "order_line");
         assert_eq!(normalize_ident("already_lower"), "already_lower");
+        assert!(matches!(normalized("already_lower"), Cow::Borrowed(_)));
+        assert_eq!(normalized("Order_Line"), "order_line");
     }
 }

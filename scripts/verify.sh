@@ -47,6 +47,14 @@ cargo test -q --test snapshot_sharing
 echo "==> cargo test -q --test prepared_layer (a recurring statement is prepared and planned once)"
 cargo test -q --test prepared_layer
 
+# Plan a shape once, pinned by counters: ad-hoc statements that differ only
+# in predicate literals are one template — one preparation and one plan on
+# the node that receives them, one plan per shipped fragment shape on the
+# peer and the backend — and what must not be lifted keeps its own template.
+# A change that keys any cache on the literal text again fails here.
+echo "==> cargo test -q --test auto_parameterization (ad-hoc statements are planned once per shape, on every tier)"
+cargo test -q --test auto_parameterization
+
 # Tier-2: release-mode perf gate. The full-size hot-path run must stay
 # within 20% of the committed streaming floor (tests/hotpath_smoke.rs,
 # STREAMING_US_FLOOR); debug timings are meaningless, hence --release.

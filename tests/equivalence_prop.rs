@@ -22,7 +22,7 @@ use mtcache_repro::engine::{
     OptimizerOptions, ParallelCtx, QueryResult, RemoteExecutor,
 };
 use mtcache_repro::replication::ReplicationHub;
-use mtcache_repro::sql::{parse_statement, Statement};
+use mtcache_repro::sql::{parse_statement, Prepared, Statement};
 use mtcache_repro::storage::{Database, DbSnapshot, SnapshotDb};
 use mtcache_repro::types::{Row, Value};
 
@@ -65,6 +65,32 @@ fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
     rows
 }
 
+/// `sql` answered three ways: by the cache as a client sends it (predicate
+/// literals lifted into bindings, the template's dynamic plan), by the
+/// cache under the literal plan (`Prepared::new` keeps the text as it is)
+/// and by the backend. Returns `[lifted, literal, backend]`, rows sorted.
+fn three_ways(backend: &Arc<BackendServer>, cache: &Arc<CacheServer>, sql: &str) -> [Vec<Row>; 3] {
+    let lifted = Connection::connect(cache.clone())
+        .query(sql)
+        .unwrap_or_else(|e| panic!("lifted `{sql}`: {e}"));
+    let literal = cache
+        .execute_prepared(&Prepared::new(sql).unwrap(), &Bindings::new(), "dbo")
+        .unwrap_or_else(|e| panic!("literal `{sql}`: {e}"));
+    let truth = Connection::connect(backend.clone())
+        .query(sql)
+        .unwrap_or_else(|e| panic!("backend `{sql}`: {e}"));
+    [lifted, literal, truth].map(|r| sorted(r.rows))
+}
+
+fn assert_three_ways_agree(backend: &Arc<BackendServer>, cache: &Arc<CacheServer>, sql: &str) {
+    let [lifted, literal, truth] = three_ways(backend, cache, sql);
+    assert_eq!(lifted, truth, "lifted form differs from the backend: {sql}");
+    assert_eq!(
+        literal, truth,
+        "literal plan differs from the backend: {sql}"
+    );
+}
+
 /// A randomized single-table query over the fixture schema (old
 /// `query_strategy`).
 fn gen_query(rng: &mut StdRng) -> String {
@@ -83,9 +109,8 @@ fn random_range_queries_agree() {
         gen_query,
         |sql| {
             let (backend, cache) = setup();
-            let b = Connection::connect(backend).query(sql).unwrap();
-            let c = Connection::connect(cache).query(sql).unwrap();
-            assert_eq!(sorted(b.rows), sorted(c.rows), "query: {sql}");
+            assert_three_ways_agree(&backend, &cache, sql);
+            assert_eq!(cache.stats.snapshot().auto_parameterized, 1, "{sql}");
         },
     );
 }
@@ -133,11 +158,134 @@ fn random_conjunctions_agree() {
                 "SELECT id, val FROM t WHERE id >= {lo} AND id <= {} AND grp = {grp}",
                 lo + width
             );
-            let b = Connection::connect(backend).query(&sql).unwrap();
-            let c = Connection::connect(cache).query(&sql).unwrap();
-            assert_eq!(sorted(b.rows), sorted(c.rows), "query: {sql}");
+            assert_three_ways_agree(&backend, &cache, &sql);
         },
     );
+}
+
+/// The typed fixture of [`lifted_and_literal_comparisons_agree_across_types`]:
+/// a timestamp, a float, an int and a string column (with quotes and NULLs
+/// in it), the first 400 ids cached.
+fn typed_setup() -> (Arc<BackendServer>, Arc<CacheServer>) {
+    let backend = BackendServer::new("backend");
+    backend
+        .run_script(
+            "CREATE TABLE ev (id INT NOT NULL PRIMARY KEY, at TIMESTAMP, score FLOAT, qty INT, tag VARCHAR);
+             CREATE INDEX ix_ev_qty ON ev (qty);",
+        )
+        .unwrap();
+    let rows: Vec<String> = (1..=800i64)
+        .map(|i| {
+            let tag = match i % 7 {
+                0 => "NULL".to_string(),
+                1 => "'it''s'".to_string(),
+                k => format!("'tag{k}'"),
+            };
+            format!(
+                "INSERT INTO ev VALUES ({i}, {}, {}.25, {}, {tag})",
+                1_000 * (i % 50),
+                (i % 40) - 20,
+                (i % 11) - 5
+            )
+        })
+        .collect();
+    backend.run_script(&rows.join(";")).unwrap();
+    backend.analyze();
+    let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
+    let cache = CacheServer::create("cache", backend.clone(), hub);
+    cache
+        .create_cached_view(
+            "ev_head",
+            "SELECT id, at, score, qty, tag FROM ev WHERE id <= 400",
+        )
+        .unwrap();
+    (backend, cache)
+}
+
+/// One comparison of a random column with a literal of a random type —
+/// int against float and back, string against timestamp, negative numbers,
+/// quoted strings — in every predicate form whose operands are lifted.
+fn gen_typed_predicate(rng: &mut StdRng) -> String {
+    let col = *rng.choose(&["id", "at", "score", "qty", "tag"]).unwrap();
+    let literal = |rng: &mut StdRng| match rng.gen_range(0..6) {
+        0 => rng.gen_range(-8i64..900).to_string(),
+        1 => format!("{}.25", rng.gen_range(-20i64..20)),
+        2 => format!("{}.0", rng.gen_range(-5i64..400)),
+        3 => format!("{}", 1_000 * rng.gen_range(0i64..50)),
+        4 => "'it''s'".to_string(),
+        _ => format!("'tag{}'", rng.gen_range(0..8)),
+    };
+    let (a, b, c) = (literal(rng), literal(rng), literal(rng));
+    match rng.gen_range(0..4) {
+        0 => {
+            let op = *rng
+                .choose(&["=", "<>", "!=", "<", "<=", ">", ">="])
+                .unwrap();
+            format!("{col} {op} {a}")
+        }
+        1 => format!("{col} BETWEEN {a} AND {b}"),
+        2 => format!("{col} NOT IN ({a}, {b}, {c})"),
+        _ => format!("{col} IN ({a}, {b})"),
+    }
+}
+
+#[test]
+fn lifted_and_literal_comparisons_agree_across_types() {
+    let (backend, cache) = typed_setup();
+    check::run(
+        &Config::cases(96),
+        "lifted_and_literal_comparisons_agree_across_types",
+        |rng| {
+            let bound = rng.gen_range(0i64..900);
+            let op = *rng.choose(&["<=", "<", "=", ">", ">="]).unwrap();
+            format!(
+                "SELECT id, at, score, qty, tag FROM ev WHERE id {op} {bound} AND {}",
+                gen_typed_predicate(rng)
+            )
+        },
+        |sql| assert_three_ways_agree(&backend, &cache, sql),
+    );
+    // Every case was a raw-text miss that resolved to a template, and there
+    // are far fewer templates than cases.
+    let stats = cache.stats.snapshot();
+    assert_eq!(stats.auto_parameterized, 96);
+    assert!(stats.prepares < 96, "{} prepares", stats.prepares);
+    // DML: the lifted and the literal form of an UPDATE write the same value
+    // (coerced to the column's type either way).
+    let written = |column: &str, id: usize| {
+        let sql = format!("SELECT {column} FROM ev WHERE id = {id}");
+        Connection::connect(backend.clone())
+            .query(&sql)
+            .unwrap()
+            .rows
+    };
+    for (i, (column, value)) in [
+        ("qty", "-3"),
+        ("score", "7"),
+        ("tag", "'o''k'"),
+        ("at", "5"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (lifted_row, literal_row) = (10 + i, 110 + i);
+        Connection::connect(cache.clone())
+            .query(&format!(
+                "UPDATE ev SET {column} = {value} WHERE id = {lifted_row}"
+            ))
+            .unwrap();
+        let literal = Prepared::new(&format!(
+            "UPDATE ev SET {column} = {value} WHERE id = {literal_row}"
+        ));
+        cache
+            .execute_prepared(&literal.unwrap(), &Bindings::new(), "dbo")
+            .unwrap();
+        assert_eq!(
+            written(column, lifted_row),
+            written(column, literal_row),
+            "SET {column} = {value}"
+        );
+    }
 }
 
 #[test]
@@ -151,9 +299,7 @@ fn aggregates_agree() {
             let sql = format!(
                 "SELECT COUNT(*) AS n, SUM(val) AS s, MIN(id) AS lo, MAX(id) AS hi FROM t WHERE grp = {grp}"
             );
-            let b = Connection::connect(backend).query(&sql).unwrap();
-            let c = Connection::connect(cache).query(&sql).unwrap();
-            assert_eq!(b.rows, c.rows, "query: {sql}");
+            assert_three_ways_agree(&backend, &cache, &sql);
         },
     );
 }

@@ -279,7 +279,10 @@ fn the_statement_cache_is_bounded_and_keeps_what_recurs() {
     let (_backend, cache) = customers();
     let conn = Connection::connect_as(cache.clone(), "app");
     let hot = "SELECT cname FROM customer WHERE cid = @id";
-    let adhoc = |i: usize| format!("SELECT cname FROM customer WHERE cid = {}", 1 + i);
+    // Distinct *shapes*: a select-list literal stays in the template, so
+    // each of these is a text of its own (texts that differ only in a
+    // predicate literal share one — tests/auto_parameterization.rs).
+    let adhoc = |i: usize| format!("SELECT cname, {i} FROM customer WHERE cid = {}", 1 + i);
     for i in 0..3 * STATEMENT_CACHE_CAPACITY {
         conn.query_with(hot, &id(1)).unwrap();
         conn.query(&adhoc(i)).unwrap();

@@ -7,8 +7,9 @@ use std::sync::Arc;
 
 use mtc_util::sync::Mutex;
 
-use mtcache_repro::cache::{BackendServer, CacheServer, Connection};
+use mtcache_repro::cache::{BackendServer, CacheServer, Connection, Fleet, FleetConfig};
 use mtcache_repro::replication::ReplicationHub;
+use mtcache_repro::tpcw::datagen::{generate, Scale};
 use mtcache_repro::types::{Row, Value};
 
 fn setup() -> (Arc<BackendServer>, Arc<CacheServer>, Arc<Mutex<ReplicationHub>>) {
@@ -181,6 +182,70 @@ fn empty_key_ranges_return_no_rows_on_either_tier() {
             assert!(b.rows.is_empty(), "backend, {what}: {:?}", b.rows);
             assert!(c.rows.is_empty(), "cache dop={dop}, {what}: {:?}", c.rows);
             assert_eq!(c.metrics.remote_calls, remote_calls, "cache dop={dop}, {what}");
+        }
+    }
+}
+
+/// A ChoosePlan's branches may be built differently — here the guarded
+/// branch is an index nested-loop join (item columns first) and the fallback
+/// a hash join with its sides swapped (author columns first) — but they feed
+/// one `Project`/`Sort`/`Top`, so every branch must deliver the union's
+/// column order. The fleet is the benchmark's: `cache0` owns `item` ids up
+/// to 500 and `author`, `cache1` the ids above.
+#[test]
+fn choose_plan_branches_agree_on_column_order() {
+    let backend = BackendServer::new("backend");
+    let scale = Scale {
+        items: 1000,
+        emulated_browsers: 2,
+        seed: 42,
+    };
+    generate(&backend, scale).unwrap();
+    let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
+    let item_cols = "i_id, i_title, i_a_id, i_pub_date, i_publisher, i_subject, i_desc, \
+                     i_srp, i_cost, i_stock, i_related1";
+    let fleet = Fleet::create(
+        backend.clone(),
+        hub,
+        FleetConfig {
+            nodes: 2,
+            ..FleetConfig::default()
+        },
+        Box::new(move |cache: &CacheServer| {
+            if cache.name() == "cache0" {
+                cache.create_cached_view(
+                    "cv_item_lo",
+                    &format!("SELECT {item_cols} FROM item WHERE i_id <= 500"),
+                )?;
+                cache.create_cached_view("cv_author", "SELECT a_id, a_fname, a_lname FROM author")
+            } else {
+                cache.create_cached_view(
+                    "cv_item_hi",
+                    &format!("SELECT {item_cols} FROM item WHERE i_id > 500"),
+                )
+            }
+        }),
+    )
+    .unwrap();
+    let join = "SELECT TOP 20 i_id, i_title, a_lname FROM item, author \
+                WHERE i_a_id = a_id AND i_id >= @p0 AND i_id < @p1 AND i_srp >= @p2 \
+                ORDER BY i_id ASC";
+    let bconn = Connection::connect(backend.clone());
+    for lo in [100, 480, 600, 882] {
+        let params = Connection::params(&[
+            ("p0", Value::Int(lo)),
+            ("p1", Value::Int(lo + 50)),
+            ("p2", Value::Float(0.25)),
+        ]);
+        let want = bconn.query_with(join, &params).unwrap();
+        assert_eq!(want.rows.len(), 20);
+        assert_eq!(want.rows[0][0], Value::Int(lo), "sorted by i_id");
+        for node in fleet.nodes() {
+            let got = Connection::connect(node.clone())
+                .query_with(join, &params)
+                .unwrap();
+            assert_eq!(got.rows, want.rows, "{} at @p0 = {lo}", node.name());
+            assert_eq!(got.schema, want.schema, "{} at @p0 = {lo}", node.name());
         }
     }
 }
