@@ -1015,9 +1015,9 @@ fn remote_fragments(plan: &mtc_engine::PhysicalPlan, params: &Bindings) -> Vec<R
                 startup_predicates,
                 ..
             } => {
+                // Startup predicates are parameter-only: no row to read.
+                let (row, schema) = (mtc_types::Row::new(Vec::new()), Schema::empty());
                 for (input, guard) in inputs.iter().zip(startup_predicates) {
-                    // Startup predicates are parameter-only: no row to read.
-                    let (row, schema) = (mtc_types::Row::new(Vec::new()), Schema::empty());
                     let closed = guard.as_ref().is_some_and(|g| {
                         matches!(
                             mtc_engine::eval_predicate(g, &row, &schema, params),

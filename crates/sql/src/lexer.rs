@@ -160,7 +160,7 @@ impl<'a> Lexer<'a> {
                 if name.is_empty() {
                     return Err(Error::parse("expected parameter name after `@`"));
                 }
-                Ok(Token::Param(name))
+                Ok(Token::Param(name.to_string()))
             }
             b'[' => {
                 // T-SQL bracketed identifier: `[Order Details]`.
@@ -179,10 +179,9 @@ impl<'a> Lexer<'a> {
             c if c.is_ascii_digit() => self.number(),
             c if c.is_ascii_alphabetic() || c == b'_' => {
                 let word = self.ident_chars();
-                if let Some(kw) = keyword_of(&word) {
-                    Ok(Token::Keyword(kw))
-                } else {
-                    Ok(Token::Ident(word))
+                match keyword_of(word) {
+                    Some(kw) => Ok(Token::Keyword(kw)),
+                    None => Ok(Token::Ident(word.to_string())),
                 }
             }
             other => Err(Error::parse(format!(
@@ -197,7 +196,7 @@ impl<'a> Lexer<'a> {
         Ok(tok)
     }
 
-    fn ident_chars(&mut self) -> String {
+    fn ident_chars(&mut self) -> &'a str {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_alphanumeric() || c == b'_' {
@@ -206,7 +205,7 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
+        std::str::from_utf8(&self.src[start..self.pos]).expect("identifier bytes are ASCII")
     }
 
     fn number(&mut self) -> Result<Token> {

@@ -55,12 +55,12 @@ pub struct Template {
     pub values: Vec<Value>,
 }
 
-/// Which clause the scan is in; literals are lifted in the last three only.
+/// Which clause the scan is in; literals are lifted in the last two only.
 #[derive(Clone, Copy, PartialEq)]
 enum Clause {
     Other,
-    Predicate,
-    Set,
+    /// `WHERE`, `ON`, `HAVING`, `SET`: comparison (assignment) operands.
+    Operands,
     Values,
 }
 
@@ -95,20 +95,16 @@ fn is_arithmetic(token: &Token) -> bool {
 /// the lexer's, exactly what parsing the text would report first.
 pub fn lift_literals(sql: &str) -> Result<Option<Template>> {
     let mut lexer = Lexer::new(sql);
-    let mut tokens = Vec::new();
-    loop {
-        let (token, span) = lexer.next_spanned()?;
-        let done = token == Token::Eof;
-        tokens.push((token, span));
-        if done {
-            break;
-        }
-    }
+    let first = lexer.next_spanned()?;
     if !matches!(
-        tokens[0].0,
+        first.0,
         Token::Keyword("SELECT" | "INSERT" | "UPDATE" | "DELETE")
     ) {
         return Ok(None);
+    }
+    let mut tokens = vec![first];
+    while tokens.last().is_some_and(|(token, _)| *token != Token::Eof) {
+        tokens.push(lexer.next_spanned()?);
     }
     let reserved = |t: &Token| {
         matches!(t, Token::Param(p) if p.get(..LIFTED_PREFIX.len())
@@ -133,8 +129,7 @@ pub fn lift_literals(sql: &str) -> Result<Option<Template>> {
         let token = &tokens[i].0;
         match token {
             Token::Keyword(kw) => match *kw {
-                "WHERE" | "ON" | "HAVING" => clause = Clause::Predicate,
-                "SET" => clause = Clause::Set,
+                "WHERE" | "ON" | "HAVING" | "SET" => clause = Clause::Operands,
                 "VALUES" => clause = Clause::Values,
                 "SELECT" | "FROM" | "GROUP" | "ORDER" | "WITH" | "JOIN" | "INNER" | "LEFT"
                 | "RIGHT" | "FULL" | "CROSS" => clause = Clause::Other,

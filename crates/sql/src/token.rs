@@ -89,11 +89,13 @@ pub const KEYWORDS: &[&str] = &[
     "UPDATE", "VALUES", "VIEW", "WHEN", "WHERE", "WITH",
 ];
 
-/// Looks up the canonical spelling if `word` is a keyword.
+/// Looks up the canonical spelling if `word` is a keyword. Compares against
+/// the upper-cased bytes of `word` in place: the lexer asks for every word of
+/// every statement, so nothing is allocated.
 pub fn keyword_of(word: &str) -> Option<&'static str> {
-    let upper = word.to_ascii_uppercase();
+    let upper = || word.bytes().map(|b| b.to_ascii_uppercase());
     KEYWORDS
-        .binary_search(&upper.as_str())
+        .binary_search_by(|kw| kw.bytes().cmp(upper()))
         .ok()
         .map(|i| KEYWORDS[i])
 }
