@@ -909,16 +909,15 @@ fn backtrack(plan: &LogicalPlan, placed: &Placed) -> Result<PhysicalPlan> {
 /// sides swapped, which its siblings' need not be — is projected back into
 /// the union's order.
 fn in_schema_order(branch: PhysicalPlan, schema: &Schema) -> PhysicalPlan {
-    let names =
-        |s: &Schema| -> Vec<String> { s.columns().iter().map(|c| c.name.clone()).collect() };
-    let (have, want) = (names(branch.schema()), names(schema));
-    let permuted = have != want && {
-        let (mut h, mut w) = (have, want.clone());
-        h.sort();
-        w.sort();
-        h == w
+    let (have, want) = (full_required(branch.schema()), full_required(schema));
+    // Only a permutation is reordered: anything else is not this rule's
+    // case, and stays as it was built.
+    let sorted = |names: &[String]| {
+        let mut names = names.to_vec();
+        names.sort();
+        names
     };
-    if !permuted {
+    if have == want || sorted(&have) != sorted(&want) {
         return branch;
     }
     PhysicalPlan::Project {

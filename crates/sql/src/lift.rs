@@ -151,12 +151,12 @@ pub fn lift_literals(sql: &str) -> Result<Option<Template>> {
             }
             _ => {}
         }
-        let Some(value) = literal_value(token) else {
-            continue;
-        };
         if clause == Clause::Other || parens.contains(&Paren::Call) {
             continue;
         }
+        let Some(value) = literal_value(token) else {
+            continue;
+        };
         // A unary minus directly in front belongs to a numeric literal.
         // (Token 0 is the statement keyword, so `i - 1` and `first - 1`
         // exist.)

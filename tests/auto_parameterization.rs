@@ -103,26 +103,21 @@ fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
     rows
 }
 
-/// Counters of one tier before a phase; `delta` reads what the phase added.
-struct Mark {
-    server: ServerStats,
-    plans: CacheStats,
+/// One tier's `[prepares, lifts, plan insertions, plan hits, statements
+/// executed]` so far.
+fn counters(server: ServerStats, plans: CacheStats) -> [u64; 5] {
+    [
+        server.prepares,
+        server.auto_parameterized,
+        plans.insertions,
+        plans.hits,
+        server.queries + server.dml,
+    ]
 }
 
-fn mark(server: ServerStats, plans: CacheStats) -> Mark {
-    Mark { server, plans }
-}
-
-impl Mark {
-    /// `(prepares, plan insertions, plan hits, statements executed)` since.
-    fn delta(&self, server: ServerStats, plans: CacheStats) -> (u64, u64, u64, u64) {
-        (
-            server.prepares - self.server.prepares,
-            plans.insertions - self.plans.insertions,
-            plans.hits - self.plans.hits,
-            (server.queries + server.dml) - (self.server.queries + self.server.dml),
-        )
-    }
+/// What a phase added to a tier's [`counters`].
+fn since(before: [u64; 5], now: [u64; 5]) -> [u64; 5] {
+    std::array::from_fn(|i| now[i] - before[i])
 }
 
 #[test]
@@ -147,9 +142,9 @@ fn a_hundred_instances_of_a_template_are_one_shape_on_every_tier() {
         let node = &nodes[here];
         let peer = &nodes[1 - here];
         let conn = Connection::connect(node.clone());
-        let before_here = mark(node.stats.snapshot(), node.plan_cache.stats());
-        let before_peer = mark(peer.stats.snapshot(), peer.plan_cache.stats());
-        let before_backend = mark(backend.stats.snapshot(), backend.plan_cache.stats());
+        let before_here = counters(node.stats.snapshot(), node.plan_cache.stats());
+        let before_peer = counters(peer.stats.snapshot(), peer.plan_cache.stats());
+        let before_backend = counters(backend.stats.snapshot(), backend.plan_cache.stats());
         for n in 0..INSTANCES {
             for sql in adhoc_instance(n) {
                 let got = conn.query(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
@@ -168,13 +163,12 @@ fn a_hundred_instances_of_a_template_are_one_shape_on_every_tier() {
         // Here: five texts per instance, five templates in all; the four
         // reads are planned once each (the UPDATE is forwarded prepared and
         // planned where it runs).
-        let stats = node.stats.snapshot();
-        let (prepares, planned, plan_hits, _) = before_here.delta(stats, node.plan_cache.stats());
-        assert_eq!(prepares, 5, "{}: one parse per shape", node.name());
-        assert_eq!(
-            stats.auto_parameterized - before_here.server.auto_parameterized,
-            5 * INSTANCES as u64
+        let [prepares, lifted, planned, plan_hits, _] = since(
+            before_here,
+            counters(node.stats.snapshot(), node.plan_cache.stats()),
         );
+        assert_eq!(prepares, 5, "{}: one parse per shape", node.name());
+        assert_eq!(lifted, 5 * INSTANCES as u64);
         assert_eq!(
             (planned, plan_hits),
             (4, 4 * (INSTANCES as u64 - 1)),
@@ -183,15 +177,19 @@ fn a_hundred_instances_of_a_template_are_one_shape_on_every_tier() {
         );
         // The peer and the backend are handed prepared fragments — nothing
         // to parse — and plan one per shape, however many values arrive.
-        let (prepares, planned, plan_hits, ran) =
-            before_peer.delta(peer.stats.snapshot(), peer.plan_cache.stats());
+        let [prepares, _, planned, plan_hits, ran] = since(
+            before_peer,
+            counters(peer.stats.snapshot(), peer.plan_cache.stats()),
+        );
         assert_eq!((prepares, planned), (0, to_peer), "{} as peer", peer.name());
         assert_eq!(planned + plan_hits, ran);
         assert!(ran >= 100, "{ran} fragments reached {}", peer.name());
         // (The truth queries above went to the backend as client texts: they
         // are what it prepared, one template per read shape, once.)
-        let (prepares, planned, plan_hits, ran) =
-            before_backend.delta(backend.stats.snapshot(), backend.plan_cache.stats());
+        let [prepares, _, planned, plan_hits, ran] = since(
+            before_backend,
+            counters(backend.stats.snapshot(), backend.plan_cache.stats()),
+        );
         let truth_shapes = if here == 0 { 4 } else { 0 };
         assert_eq!(
             (prepares, planned),
