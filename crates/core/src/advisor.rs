@@ -844,12 +844,17 @@ mod trace_tests {
                 .unwrap();
         }
         conn.query("INSERT INTO scratch VALUES (1, 0)").unwrap();
-        for _ in 0..30 {
-            conn.query("UPDATE scratch SET s_v = s_v + 1 WHERE s_id = 1")
-                .unwrap();
+        for i in 0..30 {
+            // Differently spelled copies are one statement.
+            let spelled = [
+                "UPDATE scratch SET s_v = s_v + 1 WHERE s_id = 1",
+                "update  SCRATCH set s_v = s_v+1 where s_id=1",
+            ];
+            conn.query(spelled[i % 2]).unwrap();
         }
         let trace = backend.stop_statement_trace();
-        assert!(trace.len() >= 2);
+        // 40 reads with their literals, one insert, one update.
+        assert_eq!(trace.len(), 42);
         // Identical statements aggregate by count.
         let update_entry = trace
             .iter()

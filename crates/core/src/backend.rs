@@ -38,7 +38,8 @@ pub struct BackendServer {
     /// Statement text → prepared statement (see [`crate::statements`]).
     pub statements: StatementCache,
     /// Statement trace for the cache advisor: statement text as sent →
-    /// execution count. `None` when tracing is off.
+    /// execution count, canonicalized when the trace is taken. `None` when
+    /// tracing is off.
     trace: Mutex<Option<BTreeMap<String, u64>>>,
 }
 
@@ -96,12 +97,18 @@ impl BackendServer {
         *self.trace.lock() = Some(BTreeMap::new());
     }
 
-    /// Stops tracing and returns the trace as advisor workload entries.
+    /// Stops tracing and returns the trace as advisor workload entries, one
+    /// per statement: differently spelled copies of a statement (case,
+    /// spacing) aggregate under its canonical rendering, literals kept.
+    /// Canonicalizing costs a parse, so it is done here, once per distinct
+    /// text, not per execution.
     pub fn stop_statement_trace(&self) -> Vec<crate::advisor::WorkloadEntry> {
-        self.trace
-            .lock()
-            .take()
-            .unwrap_or_default()
+        let mut canonical: BTreeMap<String, u64> = BTreeMap::new();
+        for (sql, n) in self.trace.lock().take().unwrap_or_default() {
+            let key = Prepared::new(&sql).map_or(sql, |stmt| stmt.key);
+            *canonical.entry(key).or_insert(0) += n;
+        }
+        canonical
             .into_iter()
             .map(|(sql, n)| crate::advisor::WorkloadEntry {
                 sql,

@@ -34,7 +34,7 @@
 //! let backend = BackendServer::new("backend");
 //! backend.run_script(
 //!     "CREATE TABLE customer (cid INT NOT NULL PRIMARY KEY, cname VARCHAR);
-//!      INSERT INTO customer VALUES (1, 'alice'), (2, 'bob'), (3, 'carol');",
+//!      INSERT INTO customer VALUES (1, 'alice'), (2, 'bob');",
 //! )?;
 //! backend.analyze();
 //!
@@ -42,7 +42,7 @@
 //! // kept fresh by replication.
 //! let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
 //! let cache = CacheServer::create("cache1", backend.clone(), hub.clone());
-//! cache.create_cached_view("cust1", "SELECT cid, cname FROM customer WHERE cid <= 2")?;
+//! cache.create_cached_view("cust1", "SELECT cid, cname FROM customer WHERE cid <= 1")?;
 //!
 //! // The application is oblivious: same code, either handle.
 //! let conn = Connection::connect(cache);

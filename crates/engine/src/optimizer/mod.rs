@@ -162,8 +162,12 @@ pub fn optimize_with_placement(
     })
 }
 
-/// Gathers every column reference in the plan's expressions (used to decide
-/// which columns a substituted view must provide).
+/// Gathers the column references of the plan's expressions *above its scan
+/// leaves* — what a substituted view, and each branch of a dynamic plan, must
+/// deliver. A leaf's own filter is evaluated inside whatever replaces the
+/// leaf (the view scan, the shipped fragment), so a column only it names
+/// (`region` in `SELECT o_id, total … WHERE region = @r`) is not delivered,
+/// and not shipped.
 fn collect_column_refs(plan: &LogicalPlan) -> Vec<String> {
     let mut out: Vec<String> = Vec::new();
     fn exprs_of(plan: &LogicalPlan, out: &mut Vec<String>) {
@@ -173,7 +177,11 @@ fn collect_column_refs(plan: &LogicalPlan) -> Vec<String> {
             }
         };
         match plan {
-            LogicalPlan::Filter { predicate, .. } => push(predicate),
+            LogicalPlan::Filter { input, predicate } => {
+                if !matches!(**input, LogicalPlan::Get { .. }) {
+                    push(predicate);
+                }
+            }
             LogicalPlan::Project { exprs, .. } => {
                 for (e, _) in exprs {
                     push(e);
@@ -238,11 +246,19 @@ fn apply_view_matching(
             return node;
         };
         // Which required columns belong to this Get?
-        let my_required: Vec<String> = required
-            .iter()
-            .filter_map(|c| leaf.schema.index_of(c).ok())
-            .map(|idx| leaf.schema.column(idx).name.clone())
-            .collect();
+        let of_leaf = |cols: &mut dyn Iterator<Item = &str>| -> Vec<String> {
+            cols.filter_map(|c| leaf.schema.index_of(c).ok())
+                .map(|idx| leaf.schema.column(idx).name.clone())
+                .collect()
+        };
+        let mut my_required = of_leaf(&mut required.iter().map(String::as_str));
+        if my_required.is_empty() {
+            // `SELECT COUNT(*) … WHERE region = @r`: nothing above names a
+            // column, but a branch must deliver rows to count, and a
+            // fragment must select something — the filter's columns then.
+            let conjuncts = leaf.conjuncts();
+            my_required = of_leaf(&mut conjuncts.iter().flat_map(|c| c.columns()));
+        }
         let matches = view_match::match_views(
             db,
             leaf.object,

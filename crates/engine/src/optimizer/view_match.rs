@@ -594,10 +594,18 @@ fn guard_prob(db: &Database, view: &ViewMeta, guard: &Expr) -> Option<f64> {
             .and_then(|s| s.columns().first().map(|c| suffix(c).to_string()))?;
         let col_stats = stats.column(&col)?;
         let p_le = col_stats.guard_probability_le(bound);
-        prob *= match op {
+        let p = match op {
             BinOp::Le | BinOp::Lt => p_le,
             BinOp::Ge | BinOp::Gt => 1.0 - p_le,
             _ => 0.5,
+        };
+        // The column holds `distinct_count` values, not a continuum: a
+        // bound at its minimum (`cid <= 1` over cid ∈ {1, 2}) still admits
+        // one of them, where the uniform fraction of the *range* says 0. A
+        // branch priced at 0 can never win, so one value's worth is the floor.
+        prob *= match col_stats.distinct_count {
+            0 => p,
+            ndv => p.max(1.0 / ndv as f64),
         };
     }
     Some(prob.clamp(0.0, 1.0))

@@ -49,7 +49,8 @@ pub fn lifted_name(index: usize) -> String {
 /// A statement text with its eligible literals replaced by `@__pN`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Template {
-    /// The text, verbatim except for the replaced literals.
+    /// The text, verbatim except for the replaced literals (and a space after
+    /// one that an identifier character touched).
     pub text: String,
     /// The lifted values; `values[n]` binds `@__pN`.
     pub values: Vec<Value>,
@@ -183,6 +184,12 @@ pub fn lift_literals(sql: &str) -> Result<Option<Template>> {
         template.text.push('@');
         template.text.push_str(&lifted_name(template.values.len()));
         copied = tokens[i].1.end;
+        // `5x`, `1.5e3`, `'a'b` are two tokens; keep them two, or the tail
+        // would read as part of the parameter's name.
+        let touching = sql.as_bytes().get(copied);
+        if touching.is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_') {
+            template.text.push(' ');
+        }
         template.values.push(value);
     }
     if template.values.is_empty() {
@@ -354,6 +361,27 @@ mod tests {
             lift("select  a from t /* why */ where a=5 -- tail").0,
             "select  a from t /* why */ where a=@__p0 -- tail"
         );
+    }
+
+    #[test]
+    fn a_token_touching_the_literal_stays_its_own_token() {
+        for (sql, template) in [
+            ("SELECT a FROM t WHERE a = 5x", "SELECT a FROM t WHERE a = @__p0 x"),
+            ("SELECT a FROM t WHERE a = 1.5e3", "SELECT a FROM t WHERE a = @__p0 e3"),
+            ("SELECT a FROM t WHERE a = 'a'5", "SELECT a FROM t WHERE a = @__p0 5"),
+            (
+                "SELECT a FROM t WHERE a = 5ORDER BY a",
+                "SELECT a FROM t WHERE a = @__p0 ORDER BY a",
+            ),
+        ] {
+            assert_eq!(lift(sql).0, template);
+            // What did not parse still does not; what did parses alike.
+            assert_eq!(
+                parse_statement(sql).is_ok(),
+                parse_statement(template).is_ok(),
+                "{sql}"
+            );
+        }
     }
 
     #[test]

@@ -358,6 +358,11 @@ fn a_text_that_does_not_parse_fails_as_it_always_did() {
         "SELECT i_id FROM item WHERE i_id = 5 5",
         "SELECT i_id FROM item WHERE i_id = 'open",
         "SELECT i_id FROM WHERE i_id = 5",
+        // A token touching the literal is still its own token, not the tail
+        // of the parameter's name.
+        "SELECT i_id FROM item WHERE i_id = 5x",
+        "SELECT i_id FROM item WHERE i_srp = 1.5e3",
+        "SELECT i_id FROM item WHERE i_title = 'a'b",
     ] {
         let want = mtcache_repro::sql::parse_statement(sql)
             .unwrap_err()
@@ -373,7 +378,8 @@ fn a_text_that_does_not_parse_fails_as_it_always_did() {
         }
     }
     assert!(node.statements.is_empty() && backend.statements.is_empty());
-    assert_eq!(node.stats.snapshot().prepares, 6, "each attempt is a miss");
+    assert_eq!(node.stats.snapshot().prepares, 12, "each attempt is a miss");
+    assert_eq!(node.plan_cache.stats().insertions, 0);
 }
 
 #[test]
@@ -388,6 +394,15 @@ fn a_thousand_ad_hoc_texts_leave_only_their_templates_resident() {
     }
     assert_eq!(node.statements.len(), 5);
     assert_eq!(node.stats.snapshot().prepares, 5);
+    // The one text that keeps coming back joins them at its second sighting
+    // and is a raw-text hit from the third: no lift, same template, same
+    // answer.
+    let recurring = "SELECT i_id, i_title, i_cost, i_stock FROM item WHERE i_id = 33 AND i_srp >= 0.0";
+    let answers: Vec<_> = (0..4).map(|_| conn.query(recurring).unwrap().rows).collect();
+    assert!(answers.iter().all(|rows| *rows == answers[0] && rows.len() == 1));
+    assert_eq!(node.statements.len(), 6);
+    assert_eq!(node.stats.snapshot().auto_parameterized, 1002);
+    assert_eq!(node.stats.snapshot().prepares, 5);
     // Distinct shapes still fill the cache, and it still stops at capacity.
     for n in 0..2 * STATEMENT_CACHE_CAPACITY {
         conn.query(&format!(
@@ -399,6 +414,35 @@ fn a_thousand_ad_hoc_texts_leave_only_their_templates_resident() {
     assert_eq!(node.statements.len(), STATEMENT_CACHE_CAPACITY);
     assert_eq!(
         node.stats.snapshot().auto_parameterized,
-        1000 + 2 * STATEMENT_CACHE_CAPACITY as u64
+        1002 + 2 * STATEMENT_CACHE_CAPACITY as u64
     );
+}
+
+/// The lift must not cost a plan: a literal that sat statically inside a
+/// cached view still reads it when the view's bound is the column's minimum,
+/// where the uniform estimate over `[min, max]` prices the guard at 0 — the
+/// guarded branch is costed at one distinct value's worth at least.
+#[test]
+fn a_read_inside_a_view_bounded_at_the_columns_minimum_stays_local() {
+    let backend = BackendServer::new("backend");
+    backend
+        .run_script(
+            "CREATE TABLE customer (cid INT NOT NULL PRIMARY KEY, cname VARCHAR);
+             INSERT INTO customer VALUES (1, 'alice'), (2, 'bob');",
+        )
+        .unwrap();
+    backend.analyze();
+    let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
+    let cache = CacheServer::create("cache1", backend.clone(), hub);
+    cache
+        .create_cached_view("cust1", "SELECT cid, cname FROM customer WHERE cid <= 1")
+        .unwrap();
+    let conn = Connection::connect(cache.clone());
+    let inside = conn.query("SELECT cname FROM customer WHERE cid = 1").unwrap();
+    assert_eq!(inside.rows.len(), 1);
+    assert_eq!(inside.metrics.remote_calls, 0);
+    // The same plan serves the value outside the view.
+    let outside = conn.query("SELECT cname FROM customer WHERE cid = 2").unwrap();
+    assert_eq!((outside.rows.len(), outside.metrics.remote_calls), (1, 1));
+    assert_eq!(cache.plan_cache.stats().insertions, 1);
 }
