@@ -246,18 +246,19 @@ fn apply_view_matching(
             return node;
         };
         // Which required columns belong to this Get?
-        let of_leaf = |cols: &mut dyn Iterator<Item = &str>| -> Vec<String> {
-            cols.filter_map(|c| leaf.schema.index_of(c).ok())
-                .map(|idx| leaf.schema.column(idx).name.clone())
-                .collect()
+        let of_leaf = |c: &str| {
+            let idx = leaf.schema.index_of(c).ok()?;
+            Some(leaf.schema.column(idx).name.clone())
         };
-        let mut my_required = of_leaf(&mut required.iter().map(String::as_str));
+        let mut my_required: Vec<String> = required.iter().filter_map(|c| of_leaf(c)).collect();
         if my_required.is_empty() {
             // `SELECT COUNT(*) … WHERE region = @r`: nothing above names a
             // column, but a branch must deliver rows to count, and a
             // fragment must select something — the filter's columns then.
             let conjuncts = leaf.conjuncts();
-            my_required = of_leaf(&mut conjuncts.iter().flat_map(|c| c.columns()));
+            my_required = (conjuncts.iter().flat_map(|c| c.columns()))
+                .filter_map(of_leaf)
+                .collect();
         }
         let matches = view_match::match_views(
             db,
