@@ -29,49 +29,31 @@
 
 use std::sync::Arc;
 
-use mtc_replication::{Clock, FaultPlan};
 use mtc_sim::RttModel;
+use mtc_tpcw::datagen::Scale;
 use mtc_tpcw::interactions::run_interaction_with_keys;
 use mtc_tpcw::mix::PhaseSchedule;
-use mtc_tpcw::session::Session;
-use mtc_util::rng::{Rng, SeedableRng, StdRng};
 use mtcache::{AdaptiveAdvisor, AdvisorConfig, AdvisorStats};
 
-use crate::concurrency::{FAULTS, SESSIONS, WORK_RATE};
+use crate::concurrency::SESSIONS;
 use crate::deployment::Deployment;
-use crate::resultcache::{equivalence_probes, REMOTE_ROW_BYTES};
+use crate::json::Json;
+use crate::replay::{
+    equivalence_json, equivalence_probes, equivalence_sweep, fault_plan_json, ratio, PhaseStats,
+    Replay,
+};
+use crate::resultcache::{rtt_model_json, REMOTE_ROW_BYTES};
 
 /// The adaptive config closes one advisor epoch every this many
 /// interactions (a real deployment would tick on a timer).
 pub const TICK_EVERY: usize = 50;
 
-/// Measured stream of one phase under one config.
-#[derive(Debug, Clone, Default)]
-pub struct AdvisorPhaseStats {
-    pub phase: &'static str,
-    pub interactions: usize,
-    pub errors: usize,
-    /// Logical remote statements the plans consumed.
-    pub remote_calls: u64,
-    /// Wire round trips actually paid to the backend.
-    pub remote_rtts: u64,
-    /// Rows shipped back from the backend.
-    pub remote_rows: u64,
-    /// Total CPU work, work units (local + backend).
-    pub total_work: f64,
-    /// Modeled per-interaction latency percentiles, ms.
-    pub p50_ms: f64,
-    pub p95_ms: f64,
-    /// Fragment-memo probes/hits inside this phase's executions.
-    pub fragment_probes: u64,
-    pub fragment_hits: u64,
-}
-
 /// One config's full run over the schedule.
 #[derive(Debug, Clone)]
 pub struct AdvisorRun {
     pub config: &'static str,
-    pub phases: Vec<AdvisorPhaseStats>,
+    /// One entry per phase of the schedule, labelled with its name.
+    pub phases: Vec<PhaseStats>,
     /// Cached views present when the stream ended.
     pub views_end: Vec<String>,
     /// Advisor decision counters (`None` for the static config).
@@ -103,125 +85,78 @@ pub struct AdvisorResults {
     pub advisor_log: Vec<String>,
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 impl AdvisorResults {
-    /// Renders the results as a JSON object (hand-rolled: hermetic build,
-    /// no serde).
+    /// Renders the results as the `BENCH_advisor.json` report.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"experiment\": \"advisor\",\n");
-        s.push_str(&format!("  \"interactions_per_phase\": {},\n", self.per_phase));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"tick_every\": {TICK_EVERY},\n"));
-        s.push_str(&format!(
-            "  \"fault_plan\": {{ \"drop_p\": {:.2}, \"duplicate_p\": {:.2}, \"crash_every\": {} }},\n",
-            FAULTS.drop_p, FAULTS.duplicate_p, FAULTS.crash_every
-        ));
-        s.push_str(&format!(
-            "  \"rtt_model\": {{ \"rtt_ms\": {:.3}, \"per_kib_ms\": {:.3}, \"row_bytes\": {} }},\n",
-            self.rtt.rtt_ms, self.rtt.per_kib_ms, REMOTE_ROW_BYTES
-        ));
-        s.push_str("  \"configs\": [\n");
-        for (ci, run) in [&self.static_run, &self.adaptive_run].into_iter().enumerate() {
-            s.push_str(&format!("    {{ \"config\": \"{}\",\n", run.config));
-            s.push_str("      \"phases\": [\n");
-            for (i, p) in run.phases.iter().enumerate() {
-                s.push_str(&format!(
-                    "        {{ \"phase\": \"{}\", \"interactions\": {}, \"errors\": {}, \
-\"remote_calls\": {}, \"remote_rtts\": {}, \"remote_rows\": {}, \
-\"total_work_units\": {:.0}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-\"fragment_probes\": {}, \"fragment_hits\": {} }}{}\n",
-                    p.phase,
-                    p.interactions,
-                    p.errors,
-                    p.remote_calls,
-                    p.remote_rtts,
-                    p.remote_rows,
-                    p.total_work,
-                    p.p50_ms,
-                    p.p95_ms,
-                    p.fragment_probes,
-                    p.fragment_hits,
-                    if i + 1 == run.phases.len() { "" } else { "," },
-                ));
+        let configs = [&self.static_run, &self.adaptive_run].map(|run| {
+            let phases = run.phases.iter().map(|p| {
+                Json::record()
+                    .put("phase", p.phase)
+                    .put("interactions", p.interactions)
+                    .put("errors", p.errors)
+                    .put("remote_calls", p.metrics.remote_calls)
+                    .put("remote_rtts", p.metrics.remote_rtts)
+                    .put("remote_rows", p.metrics.remote_rows)
+                    .num("total_work_units", p.total_work, 0)
+                    .num("p50_ms", p.p50_ms, 3)
+                    .num("p95_ms", p.p95_ms, 3)
+                    .put("fragment_probes", p.metrics.fragment_probes)
+                    .put("fragment_hits", p.metrics.fragment_hits)
+            });
+            let budgets = Json::inline()
+                .put("l1", run.l1_budget_end)
+                .put("fragment", run.fragment_budget_end);
+            let record = Json::record()
+                .put("config", run.config)
+                .put("phases", Json::rows(phases))
+                .put("views_end", Json::list(&run.views_end))
+                .put("budgets_end", budgets);
+            match &run.advisor {
+                None => record,
+                Some(a) => record.put(
+                    "advisor",
+                    Json::inline()
+                        .put("epochs", a.epochs)
+                        .put("views_created", a.views_created)
+                        .put("views_widened", a.views_widened)
+                        .put("indexes_created", a.indexes_created)
+                        .put("views_dropped", a.views_dropped)
+                        .put("creates_suppressed", a.creates_suppressed)
+                        .put("drops_suppressed", a.drops_suppressed)
+                        .put("budget_moves", a.budget_moves)
+                        .put("bytes_rebalanced", a.bytes_rebalanced),
+                ),
             }
-            s.push_str("      ],\n");
-            s.push_str(&format!(
-                "      \"views_end\": [{}],\n",
-                run.views_end
-                    .iter()
-                    .map(|v| format!("\"{}\"", json_escape(v)))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-            s.push_str(&format!(
-                "      \"budgets_end\": {{ \"l1\": {}, \"fragment\": {} }}",
-                run.l1_budget_end, run.fragment_budget_end
-            ));
-            if let Some(a) = &run.advisor {
-                s.push_str(&format!(
-                    ",\n      \"advisor\": {{ \"epochs\": {}, \"views_created\": {}, \
-\"views_widened\": {}, \"indexes_created\": {}, \"views_dropped\": {}, \
-\"creates_suppressed\": {}, \"drops_suppressed\": {}, \
-\"budget_moves\": {}, \"bytes_rebalanced\": {} }}",
-                    a.epochs,
-                    a.views_created,
-                    a.views_widened,
-                    a.indexes_created,
-                    a.views_dropped,
-                    a.creates_suppressed,
-                    a.drops_suppressed,
-                    a.budget_moves,
-                    a.bytes_rebalanced
-                ));
-            }
-            s.push_str(&format!(
-                " }}{}\n",
-                if ci == 0 { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"post_shift\": {{ \"rtt_ratio\": {:.4}, \"p50_ratio\": {:.4} }},\n",
-            self.post_shift_rtt_ratio, self.post_shift_p50_ratio
-        ));
-        s.push_str(&format!(
-            "  \"fragment\": {{ \"probes\": {}, \"hits\": {} }},\n",
-            self.fragment_probes, self.fragment_hits
-        ));
-        s.push_str(&format!(
-            "  \"equivalence\": {{ \"checked\": {}, \"failures\": {} }},\n",
-            self.equivalence_checked, self.equivalence_failures
-        ));
-        s.push_str("  \"advisor_log\": [\n");
-        for (i, line) in self.advisor_log.iter().enumerate() {
-            s.push_str(&format!(
-                "    \"{}\"{}\n",
-                json_escape(line),
-                if i + 1 == self.advisor_log.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        });
+        let post_shift = Json::inline()
+            .num("rtt_ratio", self.post_shift_rtt_ratio, 4)
+            .num("p50_ratio", self.post_shift_p50_ratio, 4);
+        let fragment = Json::inline()
+            .put("probes", self.fragment_probes)
+            .put("hits", self.fragment_hits);
+        Json::root()
+            .put("experiment", "advisor")
+            .put("interactions_per_phase", self.per_phase)
+            .put("seed", self.seed)
+            .put("tick_every", TICK_EVERY)
+            .put("fault_plan", fault_plan_json())
+            .put("rtt_model", rtt_model_json(&self.rtt))
+            .put("configs", Json::rows(configs))
+            .put("post_shift", post_shift)
+            .put("fragment", fragment)
+            .put(
+                "equivalence",
+                equivalence_json((self.equivalence_checked, self.equivalence_failures)),
+            )
+            .put("advisor_log", Json::rows(&self.advisor_log))
+            .render()
     }
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Runs the phase schedule once through `deployment` ([`SESSIONS`]
-/// closed-loop sessions round-robin, replication pumped under the standard
-/// fault plan every 8 interactions). With `adaptive`, closes an advisor
-/// epoch every [`TICK_EVERY`] interactions. Per-phase stats come back
-/// separately, so the shift is observable in the numbers.
+/// closed-loop sessions, see [`Replay`]), one lane per phase so the shift
+/// is observable in the numbers. With `adaptive`, closes an advisor epoch
+/// after every [`TICK_EVERY`] interactions.
 fn run_schedule(
     deployment: &Deployment,
     sched: &PhaseSchedule,
@@ -230,63 +165,27 @@ fn run_schedule(
     adaptive: bool,
     config: &'static str,
 ) -> AdvisorRun {
-    let conn = deployment.connection();
     let scale = deployment.scale;
     let cache = deployment.cache.clone().expect("cached deployment");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sessions: Vec<Session> = (0..SESSIONS)
-        .map(|_| {
-            Session::new(
-                rng.gen_range(1..=scale.customers() as i64 / 2).max(1),
-                deployment.ids.clone(),
-            )
-        })
-        .collect();
-
-    let mut phases: Vec<AdvisorPhaseStats> = sched
-        .phases
-        .iter()
-        .map(|p| AdvisorPhaseStats {
-            phase: p.name,
-            ..Default::default()
-        })
-        .collect();
-    let mut latencies: Vec<Vec<f64>> = vec![Vec::new(); sched.phases.len()];
-
-    for i in 0..sched.total() {
-        let (pidx, phase) = sched.phase_at(i);
-        let interaction = phase.mix.sample(&mut rng);
-        let session = &mut sessions[i % SESSIONS];
-        let stats = &mut phases[pidx];
-        match run_interaction_with_keys(interaction, &conn, session, &scale, &mut rng, &phase.keys)
-        {
-            Ok(out) => {
-                let m = &out.metrics;
-                stats.interactions += 1;
-                stats.remote_calls += m.remote_calls;
-                stats.remote_rtts += m.remote_rtts;
-                stats.remote_rows += m.remote_rows;
-                stats.fragment_probes += m.fragment_probes;
-                stats.fragment_hits += m.fragment_hits;
-                let work = m.local_work + m.remote_work;
-                stats.total_work += work;
-                let wire = rtt.latency_ms(m.remote_rtts, m.remote_rows * REMOTE_ROW_BYTES);
-                latencies[pidx].push(work / WORK_RATE * 1e3 + wire);
+    let names: Vec<&'static str> = sched.phases.iter().map(|p| p.name).collect();
+    let phases = Replay {
+        deployment,
+        sessions: SESSIONS,
+        seed,
+        boundary: &mut |i| {
+            if adaptive && i > 0 && i % TICK_EVERY == 0 {
+                cache.advisor_tick();
             }
-            Err(_) => stats.errors += 1,
-        }
-        if i % 8 == 7 {
-            deployment.pump_replication(5);
-        }
-        if adaptive && i % TICK_EVERY == TICK_EVERY - 1 {
-            cache.advisor_tick();
-        }
+        },
+        connect: &mut |i| (sched.phase_at(i).0, deployment.connection()),
+        step: &mut |i, conn, session, rng| {
+            let phase = sched.phase_at(i).1;
+            let interaction = phase.mix.sample(rng);
+            run_interaction_with_keys(interaction, conn, session, &scale, rng, &phase.keys)
+        },
+        wire_ms: &mut |m| rtt.latency_ms(m.remote_rtts, m.remote_rows * REMOTE_ROW_BYTES),
     }
-    for (pidx, lat) in latencies.iter_mut().enumerate() {
-        lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        phases[pidx].p50_ms = percentile(lat, 50.0);
-        phases[pidx].p95_ms = percentile(lat, 95.0);
-    }
+    .run(sched.total(), &names);
     AdvisorRun {
         config,
         phases,
@@ -297,56 +196,22 @@ fn run_schedule(
     }
 }
 
-/// Pumps the hub until every subscription has drained.
-fn drain(deployment: &Deployment) {
-    for _ in 0..100_000 {
-        deployment.clock.advance(50);
-        let mut h = deployment.hub.lock();
-        let _ = h.pump(deployment.clock.now_ms());
-        if h.drained() {
-            break;
-        }
-    }
-}
-
 /// Post-drain equivalence sweep on the adaptive deployment: every probe is
 /// answered with BOTH caches (statement results + fragments) on, then with
 /// both off, and the row sets must match bit-for-bit.
 fn check_equivalence(deployment: &Deployment) -> (usize, usize) {
     let cache = deployment.cache.clone().expect("cached deployment");
-    let conn = deployment.connection();
-    let probes = equivalence_probes(&deployment.scale);
-    let mut failures = 0usize;
-    for sql in &probes {
-        cache.result_cache.set_enabled(true);
-        cache.fragment_cache.set_enabled(true);
-        let _warm = conn.query(sql);
-        let served = conn.query(sql);
-        cache.result_cache.set_enabled(false);
-        cache.fragment_cache.set_enabled(false);
-        let fresh = conn.query(sql);
-        cache.result_cache.set_enabled(true);
-        cache.fragment_cache.set_enabled(true);
-        let ok = match (&served, &fresh) {
-            (Ok(a), Ok(b)) => a.rows == b.rows && a.schema == b.schema,
-            (Err(_), Err(_)) => true,
-            _ => false,
-        };
-        if !ok {
-            failures += 1;
-        }
-    }
-    (probes.len(), failures)
+    let toggles = vec![cache.result_cache.clone(), cache.fragment_cache.clone()];
+    equivalence_sweep(
+        &equivalence_probes(&deployment.scale),
+        &[(deployment.connection(), toggles)],
+        None,
+    )
 }
 
 /// Builds the standard cached deployment under the standard fault plan.
 fn build(seed: u64) -> Deployment {
-    let deployment = Deployment::new(mtc_tpcw::Scale::tiny(), true);
-    deployment
-        .hub
-        .lock()
-        .set_fault_plan(FaultPlan::new(seed, FAULTS));
-    deployment
+    Deployment::new(Scale::tiny(), true).with_standard_faults(seed)
 }
 
 /// Runs the full experiment: the shifting-working-set schedule through the
@@ -373,16 +238,13 @@ pub fn run_advisor(per_phase: usize, seed: u64) -> AdvisorResults {
     let last = sched.phases.len() - 1;
     let s_last = &static_run.phases[last];
     let a_last = &adaptive_run.phases[last];
-    let post_shift_rtt_ratio = s_last.remote_rtts as f64 / a_last.remote_rtts.max(1) as f64;
-    let post_shift_p50_ratio = if a_last.p50_ms > 0.0 {
-        s_last.p50_ms / a_last.p50_ms
-    } else {
-        0.0
-    };
-    let fragment_probes: u64 = adaptive_run.phases.iter().map(|p| p.fragment_probes).sum();
-    let fragment_hits: u64 = adaptive_run.phases.iter().map(|p| p.fragment_hits).sum();
+    let post_shift_rtt_ratio =
+        s_last.metrics.remote_rtts as f64 / a_last.metrics.remote_rtts.max(1) as f64;
+    let post_shift_p50_ratio = ratio(s_last.p50_ms, a_last.p50_ms);
+    let fragments = PhaseStats::total(&adaptive_run.phases).metrics;
+    let (fragment_probes, fragment_hits) = (fragments.fragment_probes, fragments.fragment_hits);
 
-    drain(&adaptive_dep);
+    adaptive_dep.drain();
     let (equivalence_checked, equivalence_failures) = check_equivalence(&adaptive_dep);
 
     AdvisorResults {

@@ -8,12 +8,12 @@
 //!
 //! Usage: `cargo run --release -p mtc-bench --bin exp_advisor [per_phase] [seed]`
 
-use mtc_bench::run_advisor;
+use mtc_bench::{arg, run_advisor, write_artifact};
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let per_phase: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1_000);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(42);
+    let per_phase: usize = arg(&mut args, 1_000);
+    let seed: u64 = arg(&mut args, 42);
 
     let r = run_advisor(per_phase, seed);
 
@@ -28,12 +28,12 @@ fn main() {
                 "    {:>13}: rtts {:>6}  rows {:>7}  p50 {:>7.3} ms  p95 {:>7.3} ms  \
 fragments {}/{} hit  errors {}",
                 p.phase,
-                p.remote_rtts,
-                p.remote_rows,
+                p.metrics.remote_rtts,
+                p.metrics.remote_rows,
                 p.p50_ms,
                 p.p95_ms,
-                p.fragment_hits,
-                p.fragment_probes,
+                p.metrics.fragment_hits,
+                p.metrics.fragment_probes,
                 p.errors,
             );
         }
@@ -74,7 +74,5 @@ fragments {}/{} hit  errors {}",
         println!("    {line}");
     }
 
-    let path = "BENCH_advisor.json";
-    std::fs::write(path, r.to_json()).expect("write BENCH_advisor.json");
-    println!("wrote {path}");
+    write_artifact("advisor", &r.to_json());
 }

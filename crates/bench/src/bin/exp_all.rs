@@ -2,14 +2,14 @@
 //!
 //! Usage: `exp_all [items] [emulated_browsers] [samples]`
 
-use mtc_bench::{render_experiments, run_all};
+use mtc_bench::{arg, render_experiments, run_all};
 use mtc_tpcw::datagen::Scale;
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let items = args.next().and_then(|a| a.parse().ok()).unwrap_or(1000);
-    let ebs = args.next().and_then(|a| a.parse().ok()).unwrap_or(100);
-    let samples = args.next().and_then(|a| a.parse().ok()).unwrap_or(400);
+    let items = arg(&mut args, 1000);
+    let ebs = arg(&mut args, 100);
+    let samples = arg(&mut args, 400);
     let scale = Scale {
         items,
         emulated_browsers: ebs,

@@ -4,12 +4,12 @@
 //!
 //! Usage: `cargo run --release -p mtc-bench --bin exp_concurrency [interactions] [seed]`
 
-use mtc_bench::run_concurrency;
+use mtc_bench::{arg, run_concurrency, write_artifact};
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let interactions: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1_200);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(42);
+    let interactions: usize = arg(&mut args, 1_200);
+    let seed: u64 = arg(&mut args, 42);
 
     let r = run_concurrency(interactions, seed, &[1, 2, 4, 8]);
 
@@ -31,15 +31,13 @@ fn main() {
             p.errors,
             p.wall_s,
             p.max_epoch,
-            p.txns_applied,
-            p.deliveries_dropped,
-            p.duplicates_delivered,
-            p.crashes_injected,
-            p.retries,
+            p.replication.txns_applied,
+            p.replication.deliveries_dropped,
+            p.replication.duplicates_delivered,
+            p.replication.crashes_injected,
+            p.replication.retries,
         );
     }
 
-    let path = "BENCH_concurrency.json";
-    std::fs::write(path, r.to_json()).expect("write BENCH_concurrency.json");
-    println!("wrote {path}");
+    write_artifact("concurrency", &r.to_json());
 }

@@ -6,13 +6,13 @@
 //!
 //! Usage: `cargo run --release -p mtc-bench --bin exp_fleet [interactions] [seed] [nodes]`
 
-use mtc_bench::run_fleet;
+use mtc_bench::{arg, run_fleet, write_artifact};
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let interactions: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1_200);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(42);
-    let nodes: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4).max(1);
+    let interactions: usize = arg(&mut args, 1_200);
+    let seed: u64 = arg(&mut args, 42);
+    let nodes: usize = arg(&mut args, 4).max(1);
 
     let r = run_fleet(interactions, seed, nodes);
 
@@ -34,8 +34,8 @@ p95 {:.3} -> {:.3} ms  rerouted {}  equivalence {}/{} ok",
             w.speedup,
             w.single.offload_ratio * 100.0,
             w.fleet.offload_ratio * 100.0,
-            w.single.p95_ms,
-            w.fleet.p95_ms,
+            w.single.stream.p95_ms,
+            w.fleet.stream.p95_ms,
             w.fleet.sessions_rerouted,
             w.equivalence_checked - w.equivalence_failures,
             w.equivalence_checked,
@@ -43,16 +43,14 @@ p95 {:.3} -> {:.3} ms  rerouted {}  equivalence {}/{} ok",
         println!(
             "             L1 {} hits / {} misses   L2 {} hits / {} misses / {} invalidations   \
 per-node interactions {:?}",
-            w.fleet.l1_hits,
-            w.fleet.l1_misses,
-            w.fleet.l2_hits,
-            w.fleet.l2_misses,
-            w.fleet.l2_invalidations,
+            w.fleet.l1.hits,
+            w.fleet.l1.misses,
+            w.fleet.l2.hits,
+            w.fleet.l2.misses,
+            w.fleet.l2.invalidations,
             w.fleet.per_node_interactions,
         );
     }
 
-    let path = "BENCH_fleet.json";
-    std::fs::write(path, r.to_json()).expect("write BENCH_fleet.json");
-    println!("wrote {path}");
+    write_artifact("fleet", &r.to_json());
 }

@@ -4,15 +4,14 @@
 //!
 //! Usage: `cargo run --release -p mtc-bench --bin exp_hotpath [rows] [queries]`
 
-use mtc_bench::run_hotpath;
+use mtc_bench::{arg, run_hotpath, write_artifact};
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let rows: i64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(9_000);
-    let queries: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2_000);
+    let rows: i64 = arg(&mut args, 9_000);
+    let queries: usize = arg(&mut args, 2_000);
 
     let r = run_hotpath(rows, queries);
-    let json = r.to_json();
 
     println!("hot path, {} rows, {} queries per stream", r.table_rows, r.queries);
     println!(
@@ -30,7 +29,5 @@ fn main() {
         100.0 * r.rows_cloned_reduction()
     );
 
-    let path = "BENCH_hotpath.json";
-    std::fs::write(path, &json).expect("write BENCH_hotpath.json");
-    println!("wrote {path}");
+    write_artifact("hotpath", &r.to_json());
 }

@@ -7,12 +7,12 @@
 //!
 //! Usage: `cargo run --release -p mtc-bench --bin exp_placement [queries] [seed]`
 
-use mtc_bench::run_placement;
+use mtc_bench::{arg, run_placement, write_artifact};
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let queries: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2_000);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(42);
+    let queries: usize = arg(&mut args, 2_000);
+    let seed: u64 = arg(&mut args, 42);
 
     let r = run_placement(queries, seed);
 
@@ -25,15 +25,15 @@ fn main() {
             "  {:>10}: p50 {:.4} ms  p95 {:.4} ms  mean {:.4} ms  backend {} rtts / {} B  \
 peer {} rtts / {} B  ({} queries, {} errors)",
             label,
-            p.p50_ms,
-            p.p95_ms,
-            p.mean_ms,
-            p.backend_rtts,
-            p.backend_bytes,
-            p.peer_rtts,
-            p.peer_bytes,
-            p.queries,
-            p.errors,
+            p.stream.p50_ms,
+            p.stream.p95_ms,
+            p.mean_ms(),
+            p.backend_rtts(),
+            p.backend_bytes(),
+            p.stream.metrics.peer_rtts,
+            p.stream.metrics.peer_bytes,
+            p.stream.interactions,
+            p.stream.errors,
         );
     }
     println!(
@@ -45,7 +45,5 @@ equivalence {}/{} ok",
         r.equivalence_checked,
     );
 
-    let path = "BENCH_placement.json";
-    std::fs::write(path, r.to_json()).expect("write BENCH_placement.json");
-    println!("wrote {path}");
+    write_artifact("placement", &r.to_json());
 }

@@ -6,12 +6,12 @@
 //!
 //! Usage: `cargo run --release -p mtc-bench --bin exp_resultcache [interactions] [seed]`
 
-use mtc_bench::run_resultcache;
+use mtc_bench::{arg, run_resultcache, write_artifact};
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let interactions: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1_200);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(42);
+    let interactions: usize = arg(&mut args, 1_200);
+    let seed: u64 = arg(&mut args, 42);
 
     let r = run_resultcache(interactions, seed);
 
@@ -24,8 +24,8 @@ fn main() {
             "  {:>9}: rtts {} -> {} ({:.1}% eliminated)  hit rate {:.1}% (warm {:.1}%)  \
 p50 {:.3} -> {:.3} ms  p95 {:.3} -> {:.3} ms  equivalence {}/{} ok",
             w.workload,
-            w.baseline.remote_rtts,
-            w.cached.remote_rtts,
+            w.baseline.metrics.remote_rtts,
+            w.cached.metrics.remote_rtts,
             w.rtt_reduction * 100.0,
             w.hit_rate * 100.0,
             w.warm_hit_rate * 100.0,
@@ -46,14 +46,12 @@ p50 {:.3} -> {:.3} ms  p95 {:.3} -> {:.3} ms  equivalence {}/{} ok",
             b.hit_rate * 100.0,
             b.remote_rtts,
             b.rtt_reduction * 100.0,
-            b.entries,
-            b.bytes,
-            b.evictions,
-            b.admission_rejects,
+            b.cache.entries,
+            b.cache.bytes,
+            b.cache.evictions,
+            b.cache.admission_rejects,
         );
     }
 
-    let path = "BENCH_resultcache.json";
-    std::fs::write(path, r.to_json()).expect("write BENCH_resultcache.json");
-    println!("wrote {path}");
+    write_artifact("resultcache", &r.to_json());
 }

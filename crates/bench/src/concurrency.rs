@@ -27,16 +27,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use mtc_util::rng::{Rng, SeedableRng, StdRng};
+use mtc_util::rng::{SeedableRng, StdRng};
 
-use mtc_replication::{Clock, FaultPlan, FaultSpec};
+use mtc_replication::{Clock, FaultSpec, ReplicationMetrics};
 use mtc_tpcw::datagen::Scale;
 use mtc_tpcw::interactions::run_interaction;
 use mtc_tpcw::mix::Workload;
-use mtc_tpcw::session::Session;
 use mtcache::Connection;
 
 use crate::deployment::Deployment;
+use crate::json::Json;
+use crate::replay::{fault_plan_json, new_session, percentile};
 
 /// Model-CPU service rate, in work units per modeled second. One
 /// calibration constant for the whole experiment; it scales absolute
@@ -84,12 +85,7 @@ pub struct WorkerPoint {
     pub max_epoch: u64,
     /// Replication-under-fault counters for the run, read lock-free from
     /// the hub's shared metrics.
-    pub txns_applied: u64,
-    pub deliveries_dropped: u64,
-    pub duplicates_delivered: u64,
-    pub crashes_injected: u64,
-    pub retries: u64,
-    pub redeliveries: u64,
+    pub replication: ReplicationMetrics,
 }
 
 /// Everything `exp_concurrency` reports.
@@ -108,50 +104,39 @@ impl ConcurrencyResults {
         self.points.iter().find(|p| p.workers == workers)
     }
 
-    /// Renders the results as a JSON object (hand-rolled: the build is
-    /// hermetic, there is no serde).
+    /// Renders the results as the `BENCH_concurrency.json` report.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"experiment\": \"concurrency\",\n");
-        s.push_str(&format!("  \"interactions_per_point\": {},\n", self.interactions));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"sessions\": {},\n", SESSIONS));
-        s.push_str(&format!("  \"work_rate_units_per_s\": {:.0},\n", WORK_RATE));
-        s.push_str(&format!(
-            "  \"fault_plan\": {{ \"drop_p\": {:.2}, \"duplicate_p\": {:.2}, \"crash_every\": {} }},\n",
-            FAULTS.drop_p, FAULTS.duplicate_p, FAULTS.crash_every
-        ));
-        s.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{ \"workers\": {}, \"interactions\": {}, \"errors\": {}, \
-\"modeled_throughput_ips\": {:.1}, \"speedup_vs_1\": {:.2}, \
-\"p50_ms\": {:.2}, \"p95_ms\": {:.2}, \"p99_ms\": {:.2}, \
-\"total_work_units\": {:.0}, \"wall_s\": {:.3}, \"max_epoch\": {}, \
-\"replication\": {{ \"txns_applied\": {}, \"dropped\": {}, \"duplicated\": {}, \
-\"crashes\": {}, \"retries\": {}, \"redeliveries\": {} }} }}{}\n",
-                p.workers,
-                p.interactions,
-                p.errors,
-                p.modeled_throughput,
-                p.speedup_vs_1,
-                p.p50_ms,
-                p.p95_ms,
-                p.p99_ms,
-                p.total_work,
-                p.wall_s,
-                p.max_epoch,
-                p.txns_applied,
-                p.deliveries_dropped,
-                p.duplicates_delivered,
-                p.crashes_injected,
-                p.retries,
-                p.redeliveries,
-                if i + 1 == self.points.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let points = self.points.iter().map(|p| {
+            let replication = Json::inline()
+                .put("txns_applied", p.replication.txns_applied)
+                .put("dropped", p.replication.deliveries_dropped)
+                .put("duplicated", p.replication.duplicates_delivered)
+                .put("crashes", p.replication.crashes_injected)
+                .put("retries", p.replication.retries)
+                .put("redeliveries", p.replication.redeliveries);
+            Json::inline()
+                .put("workers", p.workers)
+                .put("interactions", p.interactions)
+                .put("errors", p.errors)
+                .num("modeled_throughput_ips", p.modeled_throughput, 1)
+                .num("speedup_vs_1", p.speedup_vs_1, 2)
+                .num("p50_ms", p.p50_ms, 2)
+                .num("p95_ms", p.p95_ms, 2)
+                .num("p99_ms", p.p99_ms, 2)
+                .num("total_work_units", p.total_work, 0)
+                .num("wall_s", p.wall_s, 3)
+                .put("max_epoch", p.max_epoch)
+                .put("replication", replication)
+        });
+        Json::root()
+            .put("experiment", "concurrency")
+            .put("interactions_per_point", self.interactions)
+            .put("seed", self.seed)
+            .put("sessions", SESSIONS)
+            .num("work_rate_units_per_s", WORK_RATE, 0)
+            .put("fault_plan", fault_plan_json())
+            .put("points", Json::rows(points))
+            .render()
     }
 }
 
@@ -204,24 +189,12 @@ fn schedule(work: &[f64], workers: usize) -> (f64, Vec<f64>) {
     (throughput, latencies)
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Runs one worker count: a real threaded execution (workload threads plus
 /// a continuously pumping replication thread) that yields the
 /// per-interaction service demands, then the deterministic schedule model
 /// over those demands.
 fn run_point(n: usize, seed: u64, workers: usize) -> WorkerPoint {
-    let deployment = Deployment::new(Scale::tiny(), true);
-    deployment
-        .hub
-        .lock()
-        .set_fault_plan(FaultPlan::new(seed, FAULTS));
+    let deployment = Deployment::new(Scale::tiny(), true).with_standard_faults(seed);
     let cache = deployment.cache.clone().expect("cached deployment");
     // This experiment isolates the morsel-parallel/concurrency speedup: the
     // result cache would otherwise collapse repeated remote interactions
@@ -259,10 +232,7 @@ fn run_point(n: usize, seed: u64, workers: usize) -> WorkerPoint {
                     seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1),
                 );
                 let mix = Workload::Shopping.mix();
-                let mut session = Session::new(
-                    rng.gen_range(1..=scale.customers() as i64 / 2).max(1),
-                    ids,
-                );
+                let mut session = new_session(&mut rng, &scale, &ids, 1);
                 let mut work = Vec::with_capacity(per_thread);
                 let mut errors = 0usize;
                 let mut last_epoch = 0u64;
@@ -298,18 +268,8 @@ fn run_point(n: usize, seed: u64, workers: usize) -> WorkerPoint {
     rep.join().expect("replication thread");
 
     // Drain the remaining deliveries so the counters cover the whole run.
-    for _ in 0..100_000 {
-        deployment.clock.advance(50);
-        let mut h = deployment.hub.lock();
-        let _ = h.pump(deployment.clock.now_ms());
-        if h.drained() {
-            break;
-        }
-    }
-    let metrics = {
-        let m = deployment.hub.lock().metrics.clone();
-        m.snapshot()
-    };
+    deployment.drain();
+    let replication = deployment.hub.lock().metrics.snapshot();
 
     let (throughput, latencies) = schedule(&work, workers);
     WorkerPoint {
@@ -324,12 +284,7 @@ fn run_point(n: usize, seed: u64, workers: usize) -> WorkerPoint {
         p99_ms: percentile(&latencies, 99.0) * 1e3,
         wall_s,
         max_epoch,
-        txns_applied: metrics.txns_applied,
-        deliveries_dropped: metrics.deliveries_dropped,
-        duplicates_delivered: metrics.duplicates_delivered,
-        crashes_injected: metrics.crashes_injected,
-        retries: metrics.retries,
-        redeliveries: metrics.redeliveries,
+        replication,
     }
 }
 

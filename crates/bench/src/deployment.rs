@@ -1,15 +1,19 @@
-//! Deployment builder: backend + distributor + cache, loaded with TPC-W.
+//! Deployment builder: backend + distributor + cache tier, loaded with TPC-W.
 
 use std::sync::Arc;
 
 use mtc_util::sync::Mutex;
 
-use mtc_replication::{Clock, ManualClock, ReplicationHub};
+use mtc_replication::{Clock, FaultPlan, ManualClock, ReplicationHub};
 use mtc_tpcw::datagen::{generate, Scale};
 use mtc_tpcw::deploy::configure_cache;
 use mtc_tpcw::procs::register_all;
 use mtc_tpcw::session::IdAllocator;
-use mtcache::{BackendServer, CacheServer, Connection, ResultCache, ResultCacheConfig};
+use mtcache::{
+    BackendServer, CacheServer, Connection, Fleet, FleetConfig, ResultCache, ResultCacheConfig,
+};
+
+use crate::concurrency::FAULTS;
 
 /// A complete test deployment.
 pub struct Deployment {
@@ -17,11 +21,22 @@ pub struct Deployment {
     pub hub: Arc<Mutex<ReplicationHub>>,
     /// A representative cache server (the capacity model multiplies it to
     /// `k` identical ones, exactly as the paper ran identical web/cache
-    /// machines).
+    /// machines). `None` for a baseline and for a fleet deployment.
     pub cache: Option<Arc<CacheServer>>,
+    /// The cache fleet of a [`Deployment::new_fleet`] deployment.
+    pub fleet: Option<Arc<Fleet>>,
     pub scale: Scale,
     pub clock: ManualClock,
     pub ids: Arc<IdAllocator>,
+}
+
+/// The cache tier in front of the backend.
+enum Tier {
+    None,
+    /// One cache server; `Some(bytes)` sizes its result cache explicitly.
+    Node(Option<usize>),
+    /// A fleet of this many nodes behind the front-door router.
+    Fleet(usize),
 }
 
 impl Deployment {
@@ -29,46 +44,71 @@ impl Deployment {
     /// with `cached`, also one fully configured cache server (§6.1.2
     /// cached views, indexes and copied procedures).
     pub fn new(scale: Scale, cached: bool) -> Deployment {
-        Deployment::build(scale, cached, None)
+        Deployment::build(scale, if cached { Tier::Node(None) } else { Tier::None })
     }
 
     /// Like [`Deployment::new`] with `cached = true`, but the cache server's
     /// mid-tier result cache is built with an explicit byte budget
     /// (`exp_resultcache`'s budget sweep).
     pub fn new_with_result_cache_budget(scale: Scale, budget_bytes: usize) -> Deployment {
-        Deployment::build(scale, true, Some(budget_bytes))
+        Deployment::build(scale, Tier::Node(Some(budget_bytes)))
     }
 
-    fn build(scale: Scale, cached: bool, result_cache_budget: Option<usize>) -> Deployment {
+    /// A deployment fronted by a fleet of `nodes` cache servers, every node
+    /// provisioned with the §6.1.2 cache configuration.
+    pub fn new_fleet(scale: Scale, nodes: usize) -> Deployment {
+        Deployment::build(scale, Tier::Fleet(nodes))
+    }
+
+    fn build(scale: Scale, tier: Tier) -> Deployment {
         let clock = ManualClock::new(0);
         let backend = BackendServer::with_clock("backend", Arc::new(clock.clone()));
         generate(&backend, scale).expect("TPC-W data generation");
         register_all(&backend).expect("procedure registration");
         let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
-        let cache = if cached {
-            let cache = match result_cache_budget {
-                Some(budget) => CacheServer::create_with_result_cache(
-                    "cache1",
-                    backend.clone(),
-                    hub.clone(),
-                    ResultCache::new(ResultCacheConfig::with_budget(budget as u64)),
-                ),
-                None => CacheServer::create("cache1", backend.clone(), hub.clone()),
-            };
-            configure_cache(&cache).expect("cache configuration");
-            Some(cache)
-        } else {
-            None
+        let (cache, fleet) = match tier {
+            Tier::None => (None, None),
+            Tier::Node(budget) => {
+                let cache = match budget {
+                    Some(budget) => CacheServer::create_with_result_cache(
+                        "cache1",
+                        backend.clone(),
+                        hub.clone(),
+                        ResultCache::new(ResultCacheConfig::with_budget(budget as u64)),
+                    ),
+                    None => CacheServer::create("cache1", backend.clone(), hub.clone()),
+                };
+                configure_cache(&cache).expect("cache configuration");
+                (Some(cache), None)
+            }
+            Tier::Fleet(nodes) => {
+                let cfg = FleetConfig {
+                    nodes,
+                    ..FleetConfig::default()
+                };
+                let fleet =
+                    Fleet::create(backend.clone(), hub.clone(), cfg, Box::new(configure_cache))
+                        .expect("fleet creation");
+                (None, Some(fleet))
+            }
         };
         let ids = IdAllocator::new(&scale);
         Deployment {
             backend,
             hub,
             cache,
+            fleet,
             scale,
             clock,
             ids,
         }
+    }
+
+    /// Installs the standard fault plan ([`FAULTS`]: 10% dropped deliveries,
+    /// 5% duplicates, a distributor crash every 200) seeded with `seed`.
+    pub fn with_standard_faults(self, seed: u64) -> Deployment {
+        self.hub.lock().set_fault_plan(FaultPlan::new(seed, FAULTS));
+        self
     }
 
     /// An application connection: to the cache when one exists (the
@@ -86,10 +126,24 @@ impl Deployment {
         Connection::connect_as(self.backend.clone(), "app")
     }
 
-    /// Advances simulated time and runs one replication pass.
+    /// Advances simulated time and runs one replication pass (faults and
+    /// all — errors are injected-crash returns, retried on the next pass).
     pub fn pump_replication(&self, advance_ms: i64) {
         self.clock.advance(advance_ms);
         let _ = self.hub.lock().pump(self.clock.now_ms());
+    }
+
+    /// Pumps until every live subscription has drained (faulted deliveries
+    /// retry until applied).
+    pub fn drain(&self) {
+        for _ in 0..100_000 {
+            self.clock.advance(50);
+            let mut h = self.hub.lock();
+            let _ = h.pump(self.clock.now_ms());
+            if h.drained() {
+                break;
+            }
+        }
     }
 }
 

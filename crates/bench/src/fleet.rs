@@ -19,8 +19,9 @@
 //!
 //! * **aggregate throughput** — each node serves its sessions serially and
 //!   the nodes run in parallel, so modeled makespan is the *slowest node's*
-//!   busy time (CPU work at [`WORK_RATE`] plus the [`FleetLinks`] wire
-//!   charge: backend RTTs on the far link, L2 serves on the cheap peer
+//!   busy time (CPU work at
+//!   [`WORK_RATE`](crate::concurrency::WORK_RATE) plus the [`FleetLinks`]
+//!   wire charge: backend RTTs on the far link, L2 serves on the cheap peer
 //!   link). The ISSUE's acceptance floor is ≥ 2× the single-node
 //!   throughput at 4 nodes;
 //! * **backend-offload ratio** — the fraction of logical remote statements
@@ -32,23 +33,21 @@
 //!   every live node (cache on), by the fleet with caches off, and by the
 //!   backend directly; all three must match bit-for-bit on every node.
 
-use std::sync::Arc;
+use std::cell::Cell;
 
-use mtc_util::sync::Mutex;
-
-use mtc_replication::{Clock, FaultPlan, ManualClock, ReplicationHub};
 use mtc_sim::FleetLinks;
-use mtc_tpcw::datagen::{generate, Scale};
-use mtc_tpcw::deploy::configure_cache;
+use mtc_tpcw::datagen::Scale;
 use mtc_tpcw::interactions::run_interaction;
 use mtc_tpcw::mix::Workload;
-use mtc_tpcw::procs::register_all;
-use mtc_tpcw::session::{IdAllocator, Session};
-use mtc_util::rng::{Rng, SeedableRng, StdRng};
-use mtcache::{BackendServer, Connection, Fleet, FleetConfig};
+use mtcache::{Connection, ResultCacheStats};
 
-use crate::concurrency::{FAULTS, WORK_RATE};
-use crate::resultcache::{equivalence_probes, REMOTE_ROW_BYTES};
+use crate::deployment::Deployment;
+use crate::json::Json;
+use crate::replay::{
+    equivalence_json, equivalence_probes, equivalence_sweep, fault_plan_json, ratio, reduction,
+    PhaseStats, Replay,
+};
+use crate::resultcache::REMOTE_ROW_BYTES;
 
 /// Closed-loop sessions per cache node (the ISSUE's "4 nodes × 8
 /// sessions").
@@ -59,94 +58,24 @@ pub const SESSIONS_PER_NODE: usize = 8;
 const CRASH_AT: f64 = 0.50;
 const REJOIN_AT: f64 = 0.75;
 
-/// A TPC-W deployment fronted by a cache fleet.
-pub struct FleetDeployment {
-    pub backend: Arc<BackendServer>,
-    pub hub: Arc<Mutex<ReplicationHub>>,
-    pub fleet: Arc<Fleet>,
-    pub scale: Scale,
-    pub clock: ManualClock,
-    pub ids: Arc<IdAllocator>,
-}
-
-impl FleetDeployment {
-    /// Backend with TPC-W data + hub + an `nodes`-node fleet, every node
-    /// provisioned with the §6.1.2 cache configuration.
-    pub fn new(scale: Scale, nodes: usize) -> FleetDeployment {
-        let clock = ManualClock::new(0);
-        let backend = BackendServer::with_clock("backend", Arc::new(clock.clone()));
-        generate(&backend, scale).expect("TPC-W data generation");
-        register_all(&backend).expect("procedure registration");
-        let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
-        let fleet = Fleet::create(
-            backend.clone(),
-            hub.clone(),
-            FleetConfig {
-                nodes,
-                ..FleetConfig::default()
-            },
-            Box::new(|cache| configure_cache(cache)),
-        )
-        .expect("fleet creation");
-        let ids = IdAllocator::new(&scale);
-        FleetDeployment {
-            backend,
-            hub,
-            fleet,
-            scale,
-            clock,
-            ids,
-        }
-    }
-
-    /// Advances simulated time and runs one replication pass (faults and
-    /// all — errors are injected-crash returns, retried on the next pass).
-    pub fn pump_replication(&self, advance_ms: i64) {
-        self.clock.advance(advance_ms);
-        let _ = self.hub.lock().pump(self.clock.now_ms());
-    }
-
-    /// Pumps until every live subscription has drained.
-    pub fn drain(&self) {
-        for _ in 0..100_000 {
-            self.clock.advance(50);
-            let mut h = self.hub.lock();
-            let _ = h.pump(self.clock.now_ms());
-            if h.drained() {
-                break;
-            }
-        }
-    }
-}
-
 /// One phase (single or fleet) of one workload's stream.
 #[derive(Debug, Clone, Default)]
 pub struct FleetPhase {
     pub nodes: usize,
-    pub interactions: usize,
-    pub errors: usize,
-    /// Logical remote statements the plans consumed.
-    pub remote_calls: u64,
-    /// Wire round trips actually paid to the backend.
-    pub remote_rtts: u64,
-    pub remote_rows: u64,
-    pub coalesced_calls: u64,
-    /// Summed L1 counters across nodes at end of stream.
-    pub l1_hits: u64,
-    pub l1_misses: u64,
-    /// Shared-L2 counters (fleet phase only; zero for a 1-node fleet with
-    /// nothing to share).
-    pub l2_hits: u64,
-    pub l2_misses: u64,
-    pub l2_invalidations: u64,
+    /// The whole stream: interactions, errors, summed metrics (logical
+    /// remote statements, backend round trips actually paid, …) and the
+    /// modeled latency percentiles.
+    pub stream: PhaseStats,
+    /// Summed L1 counters across the live nodes at end of stream.
+    pub l1: ResultCacheStats,
+    /// Shared-L2 counters (zero without the tier).
+    pub l2: ResultCacheStats,
     /// `1 − remote_rtts / remote_calls`: remote statements answered
     /// without a backend wire trip.
     pub offload_ratio: f64,
     /// Modeled aggregate interactions/second (nodes run in parallel;
     /// makespan = slowest node's busy time).
     pub throughput_ips: f64,
-    pub p50_ms: f64,
-    pub p95_ms: f64,
     /// Interactions each slot served (crashed slots keep their count).
     pub per_node_interactions: Vec<usize>,
     /// Sessions evicted and rerouted by the mid-stream crash.
@@ -179,92 +108,67 @@ pub struct FleetResults {
 }
 
 impl FleetResults {
-    pub fn workload(&self, name: &str) -> Option<&FleetWorkloadPoint> {
-        self.workloads.iter().find(|w| w.workload == name)
-    }
-
-    /// Hand-rolled JSON (hermetic build, no serde).
+    /// Renders the results as the `BENCH_fleet.json` report.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"experiment\": \"fleet\",\n");
-        s.push_str(&format!("  \"interactions_per_phase\": {},\n", self.interactions));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"nodes\": {},\n", self.nodes));
-        s.push_str(&format!("  \"sessions\": {},\n", self.sessions));
-        s.push_str(&format!(
-            "  \"fault_plan\": {{ \"drop_p\": {:.2}, \"duplicate_p\": {:.2}, \"crash_every\": {} }},\n",
-            FAULTS.drop_p, FAULTS.duplicate_p, FAULTS.crash_every
-        ));
-        s.push_str(&format!(
-            "  \"links\": {{ \"backend_rtt_ms\": {:.3}, \"peer_rtt_ms\": {:.3}, \
-\"per_kib_ms\": {:.3}, \"row_bytes\": {} }},\n",
-            self.links.backend.rtt_ms, self.links.peer.rtt_ms, self.links.backend.per_kib_ms,
-            REMOTE_ROW_BYTES
-        ));
-        s.push_str("  \"workloads\": [\n");
-        for (i, w) in self.workloads.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{ \"workload\": \"{}\", \"speedup_vs_single\": {:.4},\n",
-                w.workload, w.speedup
-            ));
-            for (label, p) in [("single", &w.single), ("fleet", &w.fleet)] {
-                s.push_str(&format!(
-                    "      \"{}\": {{ \"nodes\": {}, \"interactions\": {}, \"errors\": {}, \
-\"remote_calls\": {}, \"remote_rtts\": {}, \"remote_rows\": {}, \"coalesced_calls\": {}, \
-\"offload_ratio\": {:.4}, \"throughput_ips\": {:.2}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-\"l1_hits\": {}, \"l1_misses\": {}, \"l2_hits\": {}, \"l2_misses\": {}, \
-\"l2_invalidations\": {}, \"sessions_rerouted\": {}, \"per_node_interactions\": [{}] }},\n",
-                    label,
-                    p.nodes,
-                    p.interactions,
-                    p.errors,
-                    p.remote_calls,
-                    p.remote_rtts,
-                    p.remote_rows,
-                    p.coalesced_calls,
-                    p.offload_ratio,
-                    p.throughput_ips,
-                    p.p50_ms,
-                    p.p95_ms,
-                    p.l1_hits,
-                    p.l1_misses,
-                    p.l2_hits,
-                    p.l2_misses,
-                    p.l2_invalidations,
-                    p.sessions_rerouted,
-                    p.per_node_interactions
-                        .iter()
-                        .map(|c| c.to_string())
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                ));
-            }
-            s.push_str(&format!(
-                "      \"equivalence\": {{ \"checked\": {}, \"failures\": {} }} }}{}\n",
-                w.equivalence_checked,
-                w.equivalence_failures,
-                if i + 1 == self.workloads.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let phase = |p: &FleetPhase| {
+            Json::inline()
+                .put("nodes", p.nodes)
+                .put("interactions", p.stream.interactions)
+                .put("errors", p.stream.errors)
+                .put("remote_calls", p.stream.metrics.remote_calls)
+                .put("remote_rtts", p.stream.metrics.remote_rtts)
+                .put("remote_rows", p.stream.metrics.remote_rows)
+                .put("coalesced_calls", p.stream.metrics.coalesced_calls)
+                .num("offload_ratio", p.offload_ratio, 4)
+                .num("throughput_ips", p.throughput_ips, 2)
+                .num("p50_ms", p.stream.p50_ms, 3)
+                .num("p95_ms", p.stream.p95_ms, 3)
+                .put("l1_hits", p.l1.hits)
+                .put("l1_misses", p.l1.misses)
+                .put("l2_hits", p.l2.hits)
+                .put("l2_misses", p.l2.misses)
+                .put("l2_invalidations", p.l2.invalidations)
+                .put("sessions_rerouted", p.sessions_rerouted)
+                .put(
+                    "per_node_interactions",
+                    Json::list(p.per_node_interactions.iter().copied()),
+                )
+        };
+        let workloads = self.workloads.iter().map(|w| {
+            Json::record()
+                .put("workload", w.workload)
+                .num("speedup_vs_single", w.speedup, 4)
+                .put("single", phase(&w.single))
+                .put("fleet", phase(&w.fleet))
+                .put(
+                    "equivalence",
+                    equivalence_json((w.equivalence_checked, w.equivalence_failures)),
+                )
+        });
+        let links = Json::inline()
+            .num("backend_rtt_ms", self.links.backend.rtt_ms, 3)
+            .num("peer_rtt_ms", self.links.peer.rtt_ms, 3)
+            .num("per_kib_ms", self.links.backend.per_kib_ms, 3)
+            .put("row_bytes", REMOTE_ROW_BYTES);
+        Json::root()
+            .put("experiment", "fleet")
+            .put("interactions_per_phase", self.interactions)
+            .put("seed", self.seed)
+            .put("nodes", self.nodes)
+            .put("sessions", self.sessions)
+            .put("fault_plan", fault_plan_json())
+            .put("links", links)
+            .put("workloads", Json::rows(workloads))
+            .render()
     }
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Runs one seeded closed-loop stream of `n` interactions over `sessions`
 /// sessions against the fleet, routing every interaction through the front
-/// door. With `with_faults`, a mid-stream crash + cold rejoin of slot 1 is
-/// injected when the fleet has more than one node.
+/// door (see [`Replay`]). When the fleet has more than one node, slot 1 is
+/// crashed mid-stream and cold-rejoined later.
 fn run_fleet_stream(
-    deployment: &FleetDeployment,
+    deployment: &Deployment,
     workload: Workload,
     n: usize,
     sessions: usize,
@@ -272,146 +176,76 @@ fn run_fleet_stream(
     links: &FleetLinks,
 ) -> FleetPhase {
     let scale = deployment.scale;
-    let fleet = &deployment.fleet;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let fleet = deployment.fleet.as_ref().expect("fleet deployment");
     let mix = workload.mix();
-    let mut session_state: Vec<Session> = (0..sessions)
-        .map(|_| {
-            Session::new(
-                rng.gen_range(1..=scale.customers() as i64 / 2).max(1),
-                deployment.ids.clone(),
-            )
-        })
-        .collect();
+    let nodes = fleet.node_count();
 
     let crash_at = (n as f64 * CRASH_AT) as usize;
     let rejoin_at = (n as f64 * REJOIN_AT) as usize;
     let crash_slot = 1usize;
-    let multi = fleet.node_count() > 1;
+    let mut sessions_rerouted = 0;
 
-    let mut phase = FleetPhase {
-        nodes: fleet.node_count(),
-        per_node_interactions: vec![0; fleet.node_count()],
-        ..FleetPhase::default()
-    };
-    // Per-node busy time (ms): each node serves its sessions serially,
-    // nodes run in parallel.
-    let mut node_busy_ms = vec![0.0f64; fleet.node_count()];
-    let mut latencies: Vec<f64> = Vec::with_capacity(n);
+    // L2 serves cross the cheap peer link; backend trips cross the far
+    // link with their payload. An interaction's L2 serves are the hits the
+    // shared tier counted while it ran.
     let l2 = fleet.l2();
-    for i in 0..n {
-        if multi {
-            if i == crash_at {
-                phase.sessions_rerouted = fleet.crash_node(crash_slot).expect("crash slot 1");
+    let l2_hits = || l2.as_ref().map_or(0, |c| c.stats().hits);
+    let l2_hits_before = Cell::new(0);
+
+    // One lane per node slot: each node serves its sessions serially and
+    // the nodes run in parallel, so a lane's busy time is its node's.
+    let lanes = Replay {
+        deployment,
+        sessions,
+        seed,
+        boundary: &mut |i| {
+            if nodes > 1 && i == crash_at {
+                sessions_rerouted = fleet.crash_node(crash_slot).expect("crash slot 1");
             }
-            if i == rejoin_at {
+            if nodes > 1 && i == rejoin_at {
                 fleet.rejoin_node(crash_slot).expect("rejoin slot 1");
             }
-        }
-        let (slot, server) = fleet.route(i as u64 % sessions as u64).expect("live node");
-        let conn = Connection::connect_as(server, "app");
-        let session = &mut session_state[i % sessions];
-        let interaction = mix.sample(&mut rng);
-        let l2_hits_before = l2.as_ref().map_or(0, |c| c.stats().hits);
-        match run_interaction(interaction, &conn, session, &scale, &mut rng) {
-            Ok(out) => {
-                let m = &out.metrics;
-                phase.interactions += 1;
-                phase.per_node_interactions[slot] += 1;
-                phase.remote_calls += m.remote_calls;
-                phase.remote_rtts += m.remote_rtts;
-                phase.remote_rows += m.remote_rows;
-                phase.coalesced_calls += m.coalesced_calls;
-                let work = m.local_work + m.remote_work;
-                // L2 serves cross the cheap peer link; backend trips cross
-                // the far link with their payload.
-                let peer_rtts = l2.as_ref().map_or(0, |c| c.stats().hits) - l2_hits_before;
-                let wire = links.latency_ms(
-                    m.remote_rtts,
-                    m.remote_rows * REMOTE_ROW_BYTES,
-                    peer_rtts,
-                    0,
-                );
-                let service_ms = work / WORK_RATE * 1e3 + wire;
-                node_busy_ms[slot] += service_ms;
-                latencies.push(service_ms);
-            }
-            Err(_) => phase.errors += 1,
-        }
-        if i % 8 == 7 {
-            deployment.pump_replication(5);
-        }
+        },
+        connect: &mut |i| {
+            let (slot, server) = fleet.route(i as u64 % sessions as u64).expect("live node");
+            l2_hits_before.set(l2_hits());
+            (slot, Connection::connect_as(server, "app"))
+        },
+        step: &mut |_, conn, session, rng| {
+            run_interaction(mix.sample(rng), conn, session, &scale, rng)
+        },
+        wire_ms: &mut |m| {
+            links.latency_ms(
+                m.remote_rtts,
+                m.remote_rows * REMOTE_ROW_BYTES,
+                l2_hits() - l2_hits_before.get(),
+                0,
+            )
+        },
     }
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    phase.p50_ms = percentile(&latencies, 50.0);
-    phase.p95_ms = percentile(&latencies, 95.0);
-    let makespan_ms = node_busy_ms.iter().cloned().fold(0.0f64, f64::max);
-    phase.throughput_ips = if makespan_ms > 0.0 {
-        phase.interactions as f64 / (makespan_ms / 1e3)
-    } else {
-        0.0
-    };
-    for node in fleet.nodes() {
-        let s = node.result_cache.stats();
-        phase.l1_hits += s.hits;
-        phase.l1_misses += s.misses;
-    }
-    if let Some(l2) = &l2 {
-        let s = l2.stats();
-        phase.l2_hits = s.hits;
-        phase.l2_misses = s.misses;
-        phase.l2_invalidations = s.invalidations;
-    }
-    phase.offload_ratio = if phase.remote_calls > 0 {
-        1.0 - phase.remote_rtts as f64 / phase.remote_calls as f64
-    } else {
-        0.0
-    };
-    phase
-}
+    .run(n, &vec![""; nodes]);
 
-/// After the hub drains, every probe must be answered identically by every
-/// live node with caches on, by the same node with caches off, and by the
-/// backend directly. Returns `(checked, failures)`.
-pub fn check_fleet_equivalence(deployment: &FleetDeployment) -> (usize, usize) {
-    let probes = equivalence_probes(&deployment.scale);
-    let backend_conn = Connection::connect_as(deployment.backend.clone(), "app");
-    let mut checked = 0usize;
-    let mut failures = 0usize;
-    for sql in &probes {
-        let reference = backend_conn.query(sql);
-        for node in deployment.fleet.nodes() {
-            checked += 1;
-            let conn = Connection::connect_as(node.clone(), "app");
-            node.result_cache.set_enabled(true);
-            let _warm = conn.query(sql);
-            let served = conn.query(sql);
-            node.result_cache.set_enabled(false);
-            let fresh = conn.query(sql);
-            node.result_cache.set_enabled(true);
-            let ok = match (&served, &fresh, &reference) {
-                (Ok(a), Ok(b), Ok(r)) => {
-                    a.rows == b.rows && a.schema == b.schema && a.rows == r.rows
-                }
-                (Err(_), Err(_), Err(_)) => true,
-                _ => false,
-            };
-            if !ok {
-                failures += 1;
-            }
-        }
+    let stream = PhaseStats::total(&lanes);
+    let makespan_ms = lanes.iter().map(|l| l.busy_ms).fold(0.0f64, f64::max);
+    let mut l1 = ResultCacheStats::default();
+    for node in fleet.nodes() {
+        l1.absorb(&node.result_cache.stats());
     }
-    (checked, failures)
+    FleetPhase {
+        nodes,
+        l1,
+        l2: l2.map(|l2| l2.stats()).unwrap_or_default(),
+        offload_ratio: reduction(stream.metrics.remote_rtts, stream.metrics.remote_calls),
+        throughput_ips: ratio(stream.interactions as f64, makespan_ms / 1e3),
+        per_node_interactions: lanes.iter().map(|l| l.interactions).collect(),
+        sessions_rerouted,
+        stream,
+    }
 }
 
 /// Builds an `nodes`-node fleet deployment under the standard fault plan.
-pub fn build_fleet(seed: u64, nodes: usize) -> FleetDeployment {
-    let deployment = FleetDeployment::new(Scale::tiny(), nodes);
-    deployment
-        .hub
-        .lock()
-        .set_fault_plan(FaultPlan::new(seed, FAULTS));
-    deployment
+pub fn build_fleet(seed: u64, nodes: usize) -> Deployment {
+    Deployment::new_fleet(Scale::tiny(), nodes).with_standard_faults(seed)
 }
 
 /// Runs one workload single-vs-fleet: same seeded session mix, same fault
@@ -426,19 +260,29 @@ fn run_fleet_workload(workload: Workload, n: usize, nodes: usize, seed: u64) -> 
     let fleet_dep = build_fleet(seed, nodes);
     let fleet = run_fleet_stream(&fleet_dep, workload, n, sessions, seed, &links);
 
+    // After the hub drains, every probe must be answered identically by
+    // every live node with caches on, by the same node with caches off,
+    // and by the backend directly.
     fleet_dep.drain();
-    let (equivalence_checked, equivalence_failures) = check_fleet_equivalence(&fleet_dep);
+    let live = fleet_dep.fleet.as_ref().expect("fleet deployment").nodes();
+    let targets: Vec<_> = live
+        .into_iter()
+        .map(|node| {
+            let l1 = node.result_cache.clone();
+            (Connection::connect_as(node, "app"), vec![l1])
+        })
+        .collect();
+    let (equivalence_checked, equivalence_failures) = equivalence_sweep(
+        &equivalence_probes(&fleet_dep.scale),
+        &targets,
+        Some(&fleet_dep.backend_connection()),
+    );
 
-    let speedup = if single.throughput_ips > 0.0 {
-        fleet.throughput_ips / single.throughput_ips
-    } else {
-        0.0
-    };
     FleetWorkloadPoint {
         workload: workload.name(),
+        speedup: ratio(fleet.throughput_ips, single.throughput_ips),
         single,
         fleet,
-        speedup,
         equivalence_checked,
         equivalence_failures,
     }
@@ -471,10 +315,10 @@ mod tests {
         let r = run_fleet(240, 7, 4);
         assert_eq!(r.workloads.len(), 2);
         for w in &r.workloads {
-            assert_eq!(w.single.errors, 0, "{}: single stream must run clean", w.workload);
-            assert_eq!(w.fleet.errors, 0, "{}: fleet stream must run clean", w.workload);
+            assert_eq!(w.single.stream.errors, 0, "{}: single stream must run clean", w.workload);
+            assert_eq!(w.fleet.stream.errors, 0, "{}: fleet stream must run clean", w.workload);
             assert_eq!(
-                w.fleet.interactions, 240,
+                w.fleet.stream.interactions, 240,
                 "{}: rerouting must not lose or duplicate interactions",
                 w.workload
             );

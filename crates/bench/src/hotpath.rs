@@ -33,6 +33,8 @@ use mtcache::{BackendServer, CacheServer, Connection};
 use mtc_replication::ReplicationHub;
 use mtc_types::Value;
 
+use crate::json::Json;
+
 /// Everything `exp_hotpath` reports.
 #[derive(Debug, Clone)]
 pub struct HotpathResults {
@@ -71,26 +73,27 @@ impl HotpathResults {
         }
     }
 
-    /// Renders the results as a JSON object (hand-rolled: the build is
-    /// hermetic, there is no serde).
+    /// Renders the results as the `BENCH_hotpath.json` report.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"experiment\": \"hotpath\",\n  \"table_rows\": {},\n  \"queries\": {},\n  \"warm_qps\": {:.1},\n  \"cold_qps\": {:.1},\n  \"plan_cache_speedup\": {:.2},\n  \"plan_cache\": {{ \"hits\": {}, \"misses\": {}, \"invalidations\": {} }},\n  \"streaming_us_per_query\": {:.2},\n  \"materialized_us_per_query\": {:.2},\n  \"executor_speedup\": {:.2},\n  \"rows_cloned_streaming\": {},\n  \"rows_cloned_materialized\": {},\n  \"rows_cloned_reduction\": {:.3}\n}}\n",
-            self.table_rows,
-            self.queries,
-            self.warm_qps,
-            self.cold_qps,
-            self.plan_cache_speedup,
-            self.hits,
-            self.misses,
-            self.invalidations,
-            self.streaming_us,
-            self.materialized_us,
-            self.executor_speedup,
-            self.rows_cloned_streaming,
-            self.rows_cloned_materialized,
-            self.rows_cloned_reduction(),
-        )
+        let plan_cache = Json::inline()
+            .put("hits", self.hits)
+            .put("misses", self.misses)
+            .put("invalidations", self.invalidations);
+        Json::root()
+            .put("experiment", "hotpath")
+            .put("table_rows", self.table_rows)
+            .put("queries", self.queries)
+            .num("warm_qps", self.warm_qps, 1)
+            .num("cold_qps", self.cold_qps, 1)
+            .num("plan_cache_speedup", self.plan_cache_speedup, 2)
+            .put("plan_cache", plan_cache)
+            .num("streaming_us_per_query", self.streaming_us, 2)
+            .num("materialized_us_per_query", self.materialized_us, 2)
+            .num("executor_speedup", self.executor_speedup, 2)
+            .put("rows_cloned_streaming", self.rows_cloned_streaming)
+            .put("rows_cloned_materialized", self.rows_cloned_materialized)
+            .num("rows_cloned_reduction", self.rows_cloned_reduction(), 3)
+            .render()
     }
 }
 

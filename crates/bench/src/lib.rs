@@ -18,19 +18,23 @@ pub mod deployment;
 pub mod experiments;
 pub mod fleet;
 pub mod hotpath;
+pub mod json;
 pub mod measure;
 pub mod placement;
+pub mod replay;
 pub mod report;
 pub mod resultcache;
 
-pub use advisor::{run_advisor, AdvisorPhaseStats, AdvisorResults, AdvisorRun};
+pub use advisor::{run_advisor, AdvisorResults, AdvisorRun};
 pub use concurrency::{run_concurrency, ConcurrencyResults, WorkerPoint};
 pub use deployment::Deployment;
 pub use experiments::{run_all, ExperimentResults};
-pub use fleet::{run_fleet, FleetDeployment, FleetResults, FleetWorkloadPoint};
+pub use fleet::{run_fleet, FleetResults, FleetWorkloadPoint};
 pub use hotpath::{run_hotpath, HotpathResults};
+pub use json::{arg, field, field_at, write_artifact, Json};
 pub use measure::{measure_demands, MeasuredDemands};
 pub use placement::{run_placement, PlacementPhase, PlacementResults};
+pub use replay::{PhaseStats, Replay};
 pub use report::render_experiments;
 pub use resultcache::{run_resultcache, ResultCacheResults, WorkloadPoint};
 

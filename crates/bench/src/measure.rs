@@ -3,15 +3,15 @@
 
 use std::collections::BTreeMap;
 
-use mtc_util::rng::StdRng;
-use mtc_util::rng::{Rng, SeedableRng};
+use mtc_util::rng::{Rng, SeedableRng, StdRng};
 
 use mtc_sim::TierDemands;
-use mtc_tpcw::interactions::{run_interaction, Interaction};
+use mtc_tpcw::interactions::run_interaction;
 use mtc_tpcw::mix::Workload;
 use mtc_tpcw::session::Session;
 
 use crate::deployment::Deployment;
+use crate::replay::new_session;
 
 /// Fixed page-generation work per interaction at the web server, as a
 /// fraction of the measured *baseline Browsing* backend demand.
@@ -90,12 +90,7 @@ pub fn measure_demands_routed(
 
     // A small pool of sessions, like a load driver's emulated browsers.
     let mut sessions: Vec<Session> = (1..=8)
-        .map(|i| {
-            Session::new(
-                rng.gen_range(1..=deployment.scale.customers() as i64 / 2).max(i),
-                deployment.ids.clone(),
-            )
-        })
+        .map(|i| new_session(&mut rng, &deployment.scale, &deployment.ids, i))
         .collect();
 
     // Reset counters.
@@ -164,11 +159,6 @@ pub fn measure_demands_routed(
             .map(|(k, (sum, count))| (k, sum / count.max(1) as f64))
             .collect(),
     }
-}
-
-/// Convenience: the per-interaction types seen in a run.
-pub fn interaction_names() -> Vec<&'static str> {
-    Interaction::ALL.iter().map(|i| i.name()).collect()
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //!
 //! Both phases run the *same* seeded read stream with result caching
 //! disabled, so the comparison isolates plan placement from result reuse.
-//! Per-query service time is modeled CPU work at [`WORK_RATE`] plus the
-//! [`FleetLinks`] wire charge, split per link: backend RTTs/bytes on the
+//! Per-query service time is modeled CPU work at
+//! [`WORK_RATE`](crate::concurrency::WORK_RATE) plus the [`FleetLinks`] wire
+//! charge, split per link: backend RTTs/bytes on the
 //! far link (`remote_* − peer_*`), peer RTTs/bytes on the LAN link.
 //!
 //! Reported per phase: p50/p95 latency, backend round trips, and bytes per
@@ -26,7 +27,8 @@ use mtc_util::rng::{Rng, SeedableRng, StdRng};
 use mtc_util::sync::Mutex;
 use mtcache::{BackendServer, CacheServer, Connection, Fleet, FleetConfig};
 
-use crate::concurrency::WORK_RATE;
+use crate::json::Json;
+use crate::replay::{equivalence_json, equivalence_sweep, ratio, reduction, PhaseStats};
 
 /// Partitions (and fleet nodes): `cache{i}` caches region `i`.
 pub const REGIONS: usize = 4;
@@ -37,21 +39,26 @@ const ORDER_ROWS: i64 = 4000;
 #[derive(Debug, Clone, Default)]
 pub struct PlacementPhase {
     pub multisite: bool,
-    pub queries: usize,
-    pub errors: usize,
-    /// Logical remote statements the plans consumed.
-    pub remote_calls: u64,
-    /// Wire round trips to the backend (far link).
-    pub backend_rtts: u64,
-    /// Wire round trips to cache peers (LAN link).
-    pub peer_rtts: u64,
+    /// Queries, errors, summed metrics (logical remote statements, round
+    /// trips and bytes in total and on peer links) and modeled latencies.
+    pub stream: PhaseStats,
+}
+
+impl PlacementPhase {
+    /// Wire round trips to the backend (far link): all minus the peers'.
+    pub fn backend_rtts(&self) -> u64 {
+        self.stream.metrics.remote_rtts - self.stream.metrics.peer_rtts
+    }
+
     /// Payload bytes pulled over the backend link.
-    pub backend_bytes: u64,
-    /// Payload bytes pulled over peer links.
-    pub peer_bytes: u64,
-    pub p50_ms: f64,
-    pub p95_ms: f64,
-    pub mean_ms: f64,
+    pub fn backend_bytes(&self) -> u64 {
+        self.stream.metrics.bytes_transferred - self.stream.metrics.peer_bytes
+    }
+
+    /// Mean modeled latency of a completed query, ms.
+    pub fn mean_ms(&self) -> f64 {
+        ratio(self.stream.busy_ms, self.stream.interactions as f64)
+    }
 }
 
 /// Everything `exp_placement` reports.
@@ -73,46 +80,40 @@ pub struct PlacementResults {
 }
 
 impl PlacementResults {
-    /// Hand-rolled JSON (hermetic build, no serde).
+    /// Renders the results as the `BENCH_placement.json` report.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"experiment\": \"placement\",\n");
-        s.push_str(&format!("  \"queries_per_phase\": {},\n", self.queries));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"nodes\": {},\n", self.nodes));
-        s.push_str(&format!(
-            "  \"links\": {{ \"backend_rtt_ms\": {:.3}, \"peer_rtt_ms\": {:.3}, \
-\"per_kib_ms\": {:.3} }},\n",
-            self.links.backend.rtt_ms, self.links.peer.rtt_ms, self.links.backend.per_kib_ms
-        ));
-        s.push_str(&format!("  \"p50_speedup\": {:.4},\n", self.p50_speedup));
-        s.push_str(&format!(
-            "  \"backend_rtt_reduction\": {:.4},\n",
-            self.backend_rtt_reduction
-        ));
-        for (label, p) in [("twosite", &self.twosite), ("multisite", &self.multisite)] {
-            s.push_str(&format!(
-                "  \"{}\": {{ \"queries\": {}, \"errors\": {}, \"remote_calls\": {}, \
-\"backend_rtts\": {}, \"peer_rtts\": {}, \"backend_bytes\": {}, \"peer_bytes\": {}, \
-\"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"mean_ms\": {:.4} }},\n",
-                label,
-                p.queries,
-                p.errors,
-                p.remote_calls,
-                p.backend_rtts,
-                p.peer_rtts,
-                p.backend_bytes,
-                p.peer_bytes,
-                p.p50_ms,
-                p.p95_ms,
-                p.mean_ms,
-            ));
-        }
-        s.push_str(&format!(
-            "  \"equivalence\": {{ \"checked\": {}, \"failures\": {} }}\n}}\n",
-            self.equivalence_checked, self.equivalence_failures
-        ));
-        s
+        let phase = |p: &PlacementPhase| {
+            Json::inline()
+                .put("queries", p.stream.interactions)
+                .put("errors", p.stream.errors)
+                .put("remote_calls", p.stream.metrics.remote_calls)
+                .put("backend_rtts", p.backend_rtts())
+                .put("peer_rtts", p.stream.metrics.peer_rtts)
+                .put("backend_bytes", p.backend_bytes())
+                .put("peer_bytes", p.stream.metrics.peer_bytes)
+                .num("p50_ms", p.stream.p50_ms, 4)
+                .num("p95_ms", p.stream.p95_ms, 4)
+                .num("mean_ms", p.mean_ms(), 4)
+        };
+        let links = Json::inline()
+            .num("backend_rtt_ms", self.links.backend.rtt_ms, 3)
+            .num("peer_rtt_ms", self.links.peer.rtt_ms, 3)
+            .num("per_kib_ms", self.links.backend.per_kib_ms, 3);
+        Json::root()
+            .put("experiment", "placement")
+            .put("queries_per_phase", self.queries)
+            .put("seed", self.seed)
+            .put("nodes", self.nodes)
+            .put("links", links)
+            .num("p50_speedup", self.p50_speedup, 4)
+            .num("backend_rtt_reduction", self.backend_rtt_reduction, 4)
+            .put("twosite", phase(&self.twosite))
+            .put("multisite", phase(&self.multisite))
+            .put(
+                "equivalence",
+                equivalence_json((self.equivalence_checked, self.equivalence_failures)),
+            )
+            .render()
     }
 }
 
@@ -184,13 +185,19 @@ fn gen_read(rng: &mut StdRng) -> String {
 }
 
 /// Runs the seeded stream through the fleet's front door and aggregates
-/// per-link wire traffic + modeled latency.
-fn run_placement_stream(fleet: &Arc<Fleet>, n: usize, seed: u64, links: &FleetLinks) -> PlacementPhase {
+/// per-link wire traffic + modeled latency. Its own loop, not a
+/// [`crate::replay::Replay`] script: bare SQL reads with no sessions and
+/// nothing to replicate.
+fn run_placement_stream(
+    fleet: &Arc<Fleet>,
+    n: usize,
+    seed: u64,
+    links: &FleetLinks,
+    multisite: bool,
+) -> PlacementPhase {
     let mut rng = StdRng::seed_from_u64(seed);
     let sessions = (REGIONS * 8) as u64;
-    let mut phase = PlacementPhase::default();
-    let mut latencies: Vec<f64> = Vec::with_capacity(n);
-    let mut total_ms = 0.0f64;
+    let mut stats = PhaseStats::default();
     for i in 0..n {
         let (_, server) = fleet.route(i as u64 % sessions).expect("live node");
         let conn = Connection::connect(server);
@@ -198,41 +205,22 @@ fn run_placement_stream(fleet: &Arc<Fleet>, n: usize, seed: u64, links: &FleetLi
         match conn.query(&sql) {
             Ok(r) => {
                 let m = &r.metrics;
-                phase.queries += 1;
-                phase.remote_calls += m.remote_calls;
-                phase.backend_rtts += m.remote_rtts - m.peer_rtts;
-                phase.peer_rtts += m.peer_rtts;
-                phase.backend_bytes += m.bytes_transferred - m.peer_bytes;
-                phase.peer_bytes += m.peer_bytes;
                 let wire = links.latency_ms(
                     m.remote_rtts - m.peer_rtts,
                     m.bytes_transferred - m.peer_bytes,
                     m.peer_rtts,
                     m.peer_bytes,
                 );
-                let service_ms = (m.local_work + m.remote_work) / WORK_RATE * 1e3 + wire;
-                latencies.push(service_ms);
-                total_ms += service_ms;
+                stats.record(m, wire);
             }
-            Err(_) => phase.errors += 1,
+            Err(_) => stats.errors += 1,
         }
     }
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let pct = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((p / 100.0) * (latencies.len() - 1) as f64).round() as usize;
-        latencies[idx.min(latencies.len() - 1)]
-    };
-    phase.p50_ms = pct(50.0);
-    phase.p95_ms = pct(95.0);
-    phase.mean_ms = if phase.queries > 0 {
-        total_ms / phase.queries as f64
-    } else {
-        0.0
-    };
-    phase
+    stats.finish();
+    PlacementPhase {
+        multisite,
+        stream: stats,
+    }
 }
 
 /// Every probe on every node of the multi-site fleet must equal the
@@ -246,25 +234,18 @@ fn check_placement_equivalence(
     let mut probes: Vec<String> = (0..12).map(|_| gen_read(&mut rng)).collect();
     probes.push("SELECT COUNT(*) AS n FROM orders WHERE region = 2".to_string());
     probes.push("SELECT o_id, total FROM orders WHERE region = 1 AND o_id < 900 ORDER BY o_id ASC".to_string());
-    let reference = Connection::connect(backend.clone());
-    let mut checked = 0usize;
-    let mut failures = 0usize;
-    for sql in &probes {
-        let want = reference.query(sql);
-        for node in fleet.nodes() {
-            checked += 1;
-            let got = Connection::connect(node).query(sql);
-            let ok = match (&want, &got) {
-                (Ok(a), Ok(b)) => a.rows == b.rows && a.schema == b.schema,
-                (Err(_), Err(_)) => true,
-                _ => false,
-            };
-            if !ok {
-                failures += 1;
-            }
-        }
-    }
-    (checked, failures)
+    // Result caching is off on every node: nothing to toggle, the sweep
+    // compares each node's answer with the backend's.
+    let targets: Vec<_> = fleet
+        .nodes()
+        .into_iter()
+        .map(|node| (Connection::connect(node), Vec::new()))
+        .collect();
+    equivalence_sweep(
+        &probes,
+        &targets,
+        Some(&Connection::connect(backend.clone())),
+    )
 }
 
 /// Runs the full placement experiment: the same seeded stream under strict
@@ -273,39 +254,23 @@ pub fn run_placement(n: usize, seed: u64) -> PlacementResults {
     let links = FleetLinks::default();
 
     let (_two_backend, two_fleet) = build_placement_fleet(false);
-    let twosite = run_placement_stream(&two_fleet, n, seed, &links);
+    let twosite = run_placement_stream(&two_fleet, n, seed, &links, false);
 
     let (backend, multi_fleet) = build_placement_fleet(true);
-    let multisite = run_placement_stream(&multi_fleet, n, seed, &links);
+    let multisite = run_placement_stream(&multi_fleet, n, seed, &links, true);
 
     let (equivalence_checked, equivalence_failures) =
         check_placement_equivalence(&backend, &multi_fleet, seed);
 
-    let p50_speedup = if multisite.p50_ms > 0.0 {
-        twosite.p50_ms / multisite.p50_ms
-    } else {
-        0.0
-    };
-    let backend_rtt_reduction = if twosite.backend_rtts > 0 {
-        1.0 - multisite.backend_rtts as f64 / twosite.backend_rtts as f64
-    } else {
-        0.0
-    };
     PlacementResults {
         queries: n,
         seed,
         nodes: REGIONS,
         links,
-        twosite: PlacementPhase {
-            multisite: false,
-            ..twosite
-        },
-        multisite: PlacementPhase {
-            multisite: true,
-            ..multisite
-        },
-        p50_speedup,
-        backend_rtt_reduction,
+        p50_speedup: ratio(twosite.stream.p50_ms, multisite.stream.p50_ms),
+        backend_rtt_reduction: reduction(multisite.backend_rtts(), twosite.backend_rtts()),
+        twosite,
+        multisite,
         equivalence_checked,
         equivalence_failures,
     }
@@ -318,14 +283,14 @@ mod tests {
     #[test]
     fn placement_experiment_smoke() {
         let r = run_placement(400, 7);
-        assert_eq!(r.twosite.errors, 0, "two-site stream must run clean");
-        assert_eq!(r.multisite.errors, 0, "multi-site stream must run clean");
+        assert_eq!(r.twosite.stream.errors, 0, "two-site stream must run clean");
+        assert_eq!(r.multisite.stream.errors, 0, "multi-site stream must run clean");
         assert_eq!(r.equivalence_failures, 0, "placement must not change answers");
         assert!(
-            r.multisite.peer_rtts > 0,
+            r.multisite.stream.metrics.peer_rtts > 0,
             "partitioned views must trigger peer placements"
         );
-        assert_eq!(r.twosite.peer_rtts, 0, "two-site planning never hops to a peer");
+        assert_eq!(r.twosite.stream.metrics.peer_rtts, 0, "two-site planning never hops to a peer");
         assert!(
             r.p50_speedup >= 1.3,
             "tier-2 floor: p50 speedup {:.2}x < 1.3x",

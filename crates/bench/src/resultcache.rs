@@ -29,16 +29,19 @@
 //! budgets to show the hit-rate / memory trade-off the cost-aware admission
 //! policy navigates.
 
-use mtc_replication::{Clock, FaultPlan};
 use mtc_sim::RttModel;
 use mtc_tpcw::datagen::Scale;
 use mtc_tpcw::interactions::run_interaction;
 use mtc_tpcw::mix::Workload;
-use mtc_tpcw::session::Session;
-use mtc_util::rng::{Rng, SeedableRng, StdRng};
 
-use crate::concurrency::{FAULTS, SESSIONS, WORK_RATE};
+use crate::concurrency::SESSIONS;
 use crate::deployment::Deployment;
+use crate::json::Json;
+use crate::replay::{
+    equivalence_json, equivalence_probes, equivalence_sweep, fault_plan_json, reduction,
+    PhaseStats, Replay,
+};
+use mtcache::ResultCacheStats;
 
 /// Modeled result-row width on the wire, bytes. `ExecMetrics` counts rows
 /// shipped from the backend; the payload term of the [`RttModel`] charge
@@ -46,29 +49,6 @@ use crate::deployment::Deployment;
 /// strings — ~128 bytes is the right order of magnitude, and the constant
 /// cancels out of every baseline-vs-cached comparison.
 pub const REMOTE_ROW_BYTES: u64 = 128;
-
-/// One phase (baseline or cached) of one workload's stream.
-#[derive(Debug, Clone, Default)]
-pub struct PhaseStats {
-    /// Interactions that completed.
-    pub interactions: usize,
-    /// Interactions that returned an error (counted, not retried).
-    pub errors: usize,
-    /// Logical remote statements the plans consumed.
-    pub remote_calls: u64,
-    /// Wire round trips actually paid to the backend.
-    pub remote_rtts: u64,
-    /// Rows shipped back from the backend.
-    pub remote_rows: u64,
-    /// Remote statements that rode along on another statement's round trip.
-    pub coalesced_calls: u64,
-    /// Total CPU work, work units (local + backend).
-    pub total_work: f64,
-    /// Modeled per-interaction latency percentiles, milliseconds
-    /// (CPU service + wire charge).
-    pub p50_ms: f64,
-    pub p95_ms: f64,
-}
 
 /// Baseline-vs-cached comparison for one workload mix.
 #[derive(Debug, Clone)]
@@ -83,13 +63,7 @@ pub struct WorkloadPoint {
     /// `1 - rtts(cached)/rtts(baseline)`.
     pub rtt_reduction: f64,
     /// Result-cache counters at the end of the cached stream.
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_entries: u64,
-    pub cache_bytes: u64,
-    pub cache_invalidations: u64,
-    pub cache_currency_rejects: u64,
-    pub cache_evictions: u64,
+    pub cache: ResultCacheStats,
     /// Post-drain equivalence probes: queries run cache-on vs cache-off.
     pub equivalence_checked: usize,
     pub equivalence_failures: usize,
@@ -102,10 +76,8 @@ pub struct BudgetPoint {
     pub hit_rate: f64,
     pub rtt_reduction: f64,
     pub remote_rtts: u64,
-    pub entries: u64,
-    pub bytes: u64,
-    pub evictions: u64,
-    pub admission_rejects: u64,
+    /// Result-cache counters at the end of the stream.
+    pub cache: ResultCacheStats,
 }
 
 /// Everything `exp_resultcache` reports.
@@ -124,200 +96,124 @@ impl ResultCacheResults {
         self.workloads.iter().find(|w| w.workload == name)
     }
 
-    /// Renders the results as a JSON object (hand-rolled: the build is
-    /// hermetic, there is no serde).
+    /// Renders the results as the `BENCH_resultcache.json` report.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"experiment\": \"resultcache\",\n");
-        s.push_str(&format!(
-            "  \"interactions_per_phase\": {},\n",
-            self.interactions
-        ));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!(
-            "  \"fault_plan\": {{ \"drop_p\": {:.2}, \"duplicate_p\": {:.2}, \"crash_every\": {} }},\n",
-            FAULTS.drop_p, FAULTS.duplicate_p, FAULTS.crash_every
-        ));
-        s.push_str(&format!(
-            "  \"rtt_model\": {{ \"rtt_ms\": {:.3}, \"per_kib_ms\": {:.3}, \"row_bytes\": {} }},\n",
-            self.rtt.rtt_ms, self.rtt.per_kib_ms, REMOTE_ROW_BYTES
-        ));
-        s.push_str("  \"workloads\": [\n");
-        for (i, w) in self.workloads.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{ \"workload\": \"{}\", \"hit_rate\": {:.4}, \"warm_hit_rate\": {:.4}, \
-\"rtt_reduction\": {:.4},\n",
-                w.workload, w.hit_rate, w.warm_hit_rate, w.rtt_reduction
-            ));
-            for (label, p) in [("baseline", &w.baseline), ("cached", &w.cached)] {
-                s.push_str(&format!(
-                    "      \"{}\": {{ \"interactions\": {}, \"errors\": {}, \"remote_calls\": {}, \
-\"remote_rtts\": {}, \"remote_rows\": {}, \"coalesced_calls\": {}, \
-\"total_work_units\": {:.0}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3} }},\n",
-                    label,
-                    p.interactions,
-                    p.errors,
-                    p.remote_calls,
-                    p.remote_rtts,
-                    p.remote_rows,
-                    p.coalesced_calls,
-                    p.total_work,
-                    p.p50_ms,
-                    p.p95_ms,
-                ));
-            }
-            s.push_str(&format!(
-                "      \"cache\": {{ \"hits\": {}, \"misses\": {}, \"entries\": {}, \"bytes\": {}, \
-\"invalidations\": {}, \"currency_rejects\": {}, \"evictions\": {} }},\n",
-                w.cache_hits,
-                w.cache_misses,
-                w.cache_entries,
-                w.cache_bytes,
-                w.cache_invalidations,
-                w.cache_currency_rejects,
-                w.cache_evictions,
-            ));
-            s.push_str(&format!(
-                "      \"equivalence\": {{ \"checked\": {}, \"failures\": {} }} }}{}\n",
-                w.equivalence_checked,
-                w.equivalence_failures,
-                if i + 1 == self.workloads.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ],\n  \"budget_sweep\": [\n");
-        for (i, b) in self.budget_sweep.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{ \"budget_bytes\": {}, \"hit_rate\": {:.4}, \"rtt_reduction\": {:.4}, \
-\"remote_rtts\": {}, \"entries\": {}, \"bytes\": {}, \"evictions\": {}, \
-\"admission_rejects\": {} }}{}\n",
-                b.budget_bytes,
-                b.hit_rate,
-                b.rtt_reduction,
-                b.remote_rtts,
-                b.entries,
-                b.bytes,
-                b.evictions,
-                b.admission_rejects,
-                if i + 1 == self.budget_sweep.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let phase = |p: &PhaseStats| {
+            Json::inline()
+                .put("interactions", p.interactions)
+                .put("errors", p.errors)
+                .put("remote_calls", p.metrics.remote_calls)
+                .put("remote_rtts", p.metrics.remote_rtts)
+                .put("remote_rows", p.metrics.remote_rows)
+                .put("coalesced_calls", p.metrics.coalesced_calls)
+                .num("total_work_units", p.total_work, 0)
+                .num("p50_ms", p.p50_ms, 3)
+                .num("p95_ms", p.p95_ms, 3)
+        };
+        let workloads = self.workloads.iter().map(|w| {
+            let cache = Json::inline()
+                .put("hits", w.cache.hits)
+                .put("misses", w.cache.misses)
+                .put("entries", w.cache.entries)
+                .put("bytes", w.cache.bytes)
+                .put("invalidations", w.cache.invalidations)
+                .put("currency_rejects", w.cache.currency_rejects)
+                .put("evictions", w.cache.evictions);
+            Json::record()
+                .put("workload", w.workload)
+                .num("hit_rate", w.hit_rate, 4)
+                .num("warm_hit_rate", w.warm_hit_rate, 4)
+                .num("rtt_reduction", w.rtt_reduction, 4)
+                .put("baseline", phase(&w.baseline))
+                .put("cached", phase(&w.cached))
+                .put("cache", cache)
+                .put(
+                    "equivalence",
+                    equivalence_json((w.equivalence_checked, w.equivalence_failures)),
+                )
+        });
+        let budget_sweep = self.budget_sweep.iter().map(|b| {
+            Json::record()
+                .put("budget_bytes", b.budget_bytes)
+                .num("hit_rate", b.hit_rate, 4)
+                .num("rtt_reduction", b.rtt_reduction, 4)
+                .put("remote_rtts", b.remote_rtts)
+                .put("entries", b.cache.entries)
+                .put("bytes", b.cache.bytes)
+                .put("evictions", b.cache.evictions)
+                .put("admission_rejects", b.cache.admission_rejects)
+        });
+        Json::root()
+            .put("experiment", "resultcache")
+            .put("interactions_per_phase", self.interactions)
+            .put("seed", self.seed)
+            .put("fault_plan", fault_plan_json())
+            .put("rtt_model", rtt_model_json(&self.rtt))
+            .put("workloads", Json::rows(workloads))
+            .put("budget_sweep", Json::rows(budget_sweep))
+            .render()
     }
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+/// The [`RttModel`] as the reports record it.
+pub(crate) fn rtt_model_json(rtt: &RttModel) -> Json {
+    Json::inline()
+        .num("rtt_ms", rtt.rtt_ms, 3)
+        .num("per_kib_ms", rtt.per_kib_ms, 3)
+        .put("row_bytes", REMOTE_ROW_BYTES)
 }
 
 /// Runs one seeded stream of `n` interactions against `deployment`'s cache
-/// server: [`SESSIONS`] closed-loop sessions round-robin, replication
-/// pumped (with whatever fault plan is installed) every 8 interactions.
-/// Returns the phase stats; the stream is a pure function of `(workload,
-/// n, seed)` plus the rows the server returns, so an equivalent server
-/// yields an identical stream.
+/// server ([`SESSIONS`] closed-loop sessions, see [`Replay`]), snapshotting
+/// the result-cache counters after `snapshot_at` interactions (the
+/// warm-rate split; `usize::MAX` for never). The stream is a pure function
+/// of `(workload, n, seed)` plus the rows the server returns, so an
+/// equivalent server yields an identical stream.
 fn run_stream(
     deployment: &Deployment,
     workload: Workload,
     n: usize,
     seed: u64,
     rtt: &RttModel,
-) -> PhaseStats {
-    run_stream_partial(deployment, workload, n, seed, rtt, usize::MAX).0
-}
-
-/// Pumps the hub until every subscription has drained (faulted deliveries
-/// retry until applied).
-fn drain(deployment: &Deployment) {
-    for _ in 0..100_000 {
-        deployment.clock.advance(50);
-        let mut h = deployment.hub.lock();
-        let _ = h.pump(deployment.clock.now_ms());
-        if h.drained() {
-            break;
-        }
-    }
-}
-
-/// Read-only probe statements spanning remote-only tables (customer,
-/// address, country, cc_xacts — not covered by any cached view, so they
-/// exercise the result cache) and locally answerable ones (item, orders).
-/// Shared with the fleet experiment, which runs them per node.
-pub(crate) fn equivalence_probes(scale: &Scale) -> Vec<String> {
-    let mut probes = Vec::new();
-    for k in 1..=8i64 {
-        let c = (k * 7) % scale.customers() as i64 + 1;
-        probes.push(format!(
-            "SELECT c_id, c_uname, c_fname, c_lname, c_balance FROM customer WHERE c_id = {c}"
-        ));
-        let a = (k * 5) % scale.addresses() as i64 + 1;
-        probes.push(format!(
-            "SELECT addr_id, addr_street1, addr_city, addr_co_id FROM address WHERE addr_id = {a}"
-        ));
-        let co = (k * 3) % scale.countries() as i64 + 1;
-        probes.push(format!(
-            "SELECT co_id, co_name, co_exchange FROM country WHERE co_id = {co}"
-        ));
-        let o = (k * 11) % scale.orders() as i64 + 1;
-        probes.push(format!(
-            "SELECT cx_o_id, cx_type, cx_xact_amt FROM cc_xacts WHERE cx_o_id = {o}"
-        ));
-        let i = (k * 13) % scale.items as i64 + 1;
-        probes.push(format!(
-            "SELECT i_id, i_title, i_srp, i_stock FROM item WHERE i_id = {i}"
-        ));
-        probes.push(format!(
-            "SELECT o_id, o_c_id, o_total, o_status FROM orders WHERE o_id = {o}"
-        ));
-    }
-    probes
-}
-
-/// After the replication queue drains, every probe is answered twice —
-/// cache enabled (warming it first, so the second read is a genuine cache
-/// serve when the statement is remote) and cache disabled — and the row
-/// sets must match bit-for-bit. Returns `(checked, failures)`.
-fn check_equivalence(deployment: &Deployment) -> (usize, usize) {
+    snapshot_at: usize,
+) -> (PhaseStats, ResultCacheStats) {
     let cache = deployment.cache.clone().expect("cached deployment");
-    let conn = deployment.connection();
-    let probes = equivalence_probes(&deployment.scale);
-    let mut failures = 0usize;
-    for sql in &probes {
-        cache.result_cache.set_enabled(true);
-        let _warm = conn.query(sql);
-        let served = conn.query(sql);
-        cache.result_cache.set_enabled(false);
-        let fresh = conn.query(sql);
-        cache.result_cache.set_enabled(true);
-        let ok = match (&served, &fresh) {
-            (Ok(a), Ok(b)) => a.rows == b.rows && a.schema == b.schema,
-            (Err(_), Err(_)) => true,
-            _ => false,
-        };
-        if !ok {
-            failures += 1;
-        }
+    let mix = workload.mix();
+    let scale = deployment.scale;
+    let mut mid = ResultCacheStats::default();
+    let mut lanes = Replay {
+        deployment,
+        sessions: SESSIONS,
+        seed,
+        boundary: &mut |i| {
+            if i == snapshot_at {
+                mid = cache.result_cache.stats();
+            }
+        },
+        connect: &mut |_| (0, deployment.connection()),
+        step: &mut |_, conn, session, rng| {
+            run_interaction(mix.sample(rng), conn, session, &scale, rng)
+        },
+        wire_ms: &mut |m| rtt.latency_ms(m.remote_rtts, m.remote_rows * REMOTE_ROW_BYTES),
     }
-    (probes.len(), failures)
+    .run(n, &[""]);
+    (lanes.remove(0), mid)
+}
+
+/// Result-cache hit rate: hits over probes.
+fn hit_rate(hits: u64, misses: u64) -> f64 {
+    hits as f64 / (hits + misses).max(1) as f64
 }
 
 /// Builds a cached deployment under the standard fault plan. `budget`
 /// selects an explicit result-cache byte budget (the sweep); `None` keeps
 /// the default configuration.
 fn build(seed: u64, budget: Option<usize>) -> Deployment {
-    let deployment = match budget {
+    match budget {
         Some(b) => Deployment::new_with_result_cache_budget(Scale::tiny(), b),
         None => Deployment::new(Scale::tiny(), true),
-    };
-    deployment
-        .hub
-        .lock()
-        .set_fault_plan(FaultPlan::new(seed, FAULTS));
-    deployment
+    }
+    .with_standard_faults(seed)
 }
 
 /// Runs baseline (cache off) and cached phases of one workload and the
@@ -327,105 +223,34 @@ fn run_workload(workload: Workload, n: usize, seed: u64, rtt: &RttModel) -> Work
     let base_dep = build(seed, None);
     let base_cache = base_dep.cache.clone().expect("cached deployment");
     base_cache.result_cache.set_enabled(false);
-    let baseline = run_stream(&base_dep, workload, n, seed, rtt);
+    let (baseline, _) = run_stream(&base_dep, workload, n, seed, rtt, usize::MAX);
 
     // Cached: same seeds, same fault plan, cache on. A mid-stream snapshot
     // separates cold-start misses from the warm regime.
     let dep = build(seed, None);
     let cache = dep.cache.clone().expect("cached deployment");
-    let (cached, mid_stats) = run_stream_partial(&dep, workload, n, seed, rtt, n / 2);
-    let end_stats = cache.result_cache.stats();
-    let lookups = |h: u64, m: u64| (h + m).max(1) as f64;
-    let hit_rate = end_stats.hits as f64 / lookups(end_stats.hits, end_stats.misses);
-    let warm_hits = end_stats.hits - mid_stats.hits;
-    let warm_misses = end_stats.misses - mid_stats.misses;
-    let warm_hit_rate = warm_hits as f64 / lookups(warm_hits, warm_misses);
+    let (cached, mid) = run_stream(&dep, workload, n, seed, rtt, n / 2);
+    let end = cache.result_cache.stats();
 
-    drain(&dep);
-    let (equivalence_checked, equivalence_failures) = check_equivalence(&dep);
-
-    let rtt_reduction = if baseline.remote_rtts > 0 {
-        1.0 - cached.remote_rtts as f64 / baseline.remote_rtts as f64
-    } else {
-        0.0
-    };
+    // After the replication queue drains, every probe is answered cache-on
+    // and cache-off and the row sets must match bit-for-bit.
+    dep.drain();
+    let (equivalence_checked, equivalence_failures) = equivalence_sweep(
+        &equivalence_probes(&dep.scale),
+        &[(dep.connection(), vec![cache.result_cache.clone()])],
+        None,
+    );
     WorkloadPoint {
         workload: workload.name(),
+        hit_rate: hit_rate(end.hits, end.misses),
+        warm_hit_rate: hit_rate(end.hits - mid.hits, end.misses - mid.misses),
+        rtt_reduction: reduction(cached.metrics.remote_rtts, baseline.metrics.remote_rtts),
         baseline,
         cached,
-        hit_rate,
-        warm_hit_rate,
-        rtt_reduction,
-        cache_hits: end_stats.hits,
-        cache_misses: end_stats.misses,
-        cache_entries: end_stats.entries,
-        cache_bytes: end_stats.bytes,
-        cache_invalidations: end_stats.invalidations,
-        cache_currency_rejects: end_stats.currency_rejects,
-        cache_evictions: end_stats.evictions,
+        cache: end,
         equivalence_checked,
         equivalence_failures,
     }
-}
-
-/// [`run_stream`] with a result-cache stats snapshot taken after
-/// `snapshot_at` interactions (the warm-rate split). Returns the full
-/// stream's phase stats plus the mid-stream cache counters.
-fn run_stream_partial(
-    deployment: &Deployment,
-    workload: Workload,
-    n: usize,
-    seed: u64,
-    rtt: &RttModel,
-    snapshot_at: usize,
-) -> (PhaseStats, mtcache::ResultCacheStats) {
-    let conn = deployment.connection();
-    let scale = deployment.scale;
-    let cache = deployment.cache.clone().expect("cached deployment");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mix = workload.mix();
-    let mut sessions: Vec<Session> = (0..SESSIONS)
-        .map(|_| {
-            Session::new(
-                rng.gen_range(1..=scale.customers() as i64 / 2).max(1),
-                deployment.ids.clone(),
-            )
-        })
-        .collect();
-
-    let mut stats = PhaseStats::default();
-    let mut latencies: Vec<f64> = Vec::with_capacity(n);
-    let mut mid = mtcache::ResultCacheStats::default();
-    for i in 0..n {
-        if i == snapshot_at {
-            mid = cache.result_cache.stats();
-        }
-        let interaction = mix.sample(&mut rng);
-        let session = &mut sessions[i % SESSIONS];
-        match run_interaction(interaction, &conn, session, &scale, &mut rng) {
-            Ok(out) => {
-                let m = &out.metrics;
-                stats.interactions += 1;
-                stats.remote_calls += m.remote_calls;
-                stats.remote_rtts += m.remote_rtts;
-                stats.remote_rows += m.remote_rows;
-                stats.coalesced_calls += m.coalesced_calls;
-                let work = m.local_work + m.remote_work;
-                stats.total_work += work;
-                let wire =
-                    rtt.latency_ms(m.remote_rtts, m.remote_rows * REMOTE_ROW_BYTES);
-                latencies.push(work / WORK_RATE * 1e3 + wire);
-            }
-            Err(_) => stats.errors += 1,
-        }
-        if i % 8 == 7 {
-            deployment.pump_replication(5);
-        }
-    }
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    stats.p50_ms = percentile(&latencies, 50.0);
-    stats.p95_ms = percentile(&latencies, 95.0);
-    (stats, mid)
 }
 
 /// Byte budgets the Browsing sweep visits, smallest to largest.
@@ -449,30 +274,21 @@ pub fn run_resultcache(n: usize, seed: u64) -> ResultCacheResults {
     let baseline_rtts = workloads
         .iter()
         .find(|w| w.workload == "Browsing")
-        .map(|w| w.baseline.remote_rtts)
+        .map(|w| w.baseline.metrics.remote_rtts)
         .unwrap_or(0);
     let budget_sweep: Vec<BudgetPoint> = BUDGET_SWEEP
         .iter()
         .map(|&budget| {
             let dep = build(seed, Some(budget));
-            let phase = run_stream(&dep, Workload::Browsing, n, seed, &rtt);
-            let cache = dep.cache.clone().expect("cached deployment");
-            let s = cache.result_cache.stats();
-            let hit_rate = s.hits as f64 / (s.hits + s.misses).max(1) as f64;
-            let rtt_reduction = if baseline_rtts > 0 {
-                1.0 - phase.remote_rtts as f64 / baseline_rtts as f64
-            } else {
-                0.0
-            };
+            let (phase, _) = run_stream(&dep, Workload::Browsing, n, seed, &rtt, usize::MAX);
+            let cache = dep.cache.as_ref().expect("cached deployment");
+            let stats = cache.result_cache.stats();
             BudgetPoint {
                 budget_bytes: budget,
-                hit_rate,
-                rtt_reduction,
-                remote_rtts: phase.remote_rtts,
-                entries: s.entries,
-                bytes: s.bytes,
-                evictions: s.evictions,
-                admission_rejects: s.admission_rejects,
+                hit_rate: hit_rate(stats.hits, stats.misses),
+                rtt_reduction: reduction(phase.metrics.remote_rtts, baseline_rtts),
+                remote_rtts: phase.metrics.remote_rtts,
+                cache: stats,
             }
         })
         .collect();
@@ -502,15 +318,15 @@ mod tests {
             "identical seeded streams"
         );
         assert_eq!(
-            b.baseline.remote_calls, b.cached.remote_calls,
+            b.baseline.metrics.remote_calls, b.cached.metrics.remote_calls,
             "the cache changes where answers come from, not how many remote \
              statements the plans consume"
         );
         assert!(
-            b.cached.remote_rtts < b.baseline.remote_rtts,
+            b.cached.metrics.remote_rtts < b.baseline.metrics.remote_rtts,
             "the cache must eliminate round trips: {} vs {}",
-            b.cached.remote_rtts,
-            b.baseline.remote_rtts
+            b.cached.metrics.remote_rtts,
+            b.baseline.metrics.remote_rtts
         );
         assert!(b.rtt_reduction > 0.0);
         assert_eq!(b.equivalence_failures, 0, "cache-on == cache-off rows");

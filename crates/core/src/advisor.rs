@@ -298,31 +298,33 @@ impl Default for AdvisorConfig {
     }
 }
 
-/// Lifetime counters of one advisor instance — every decision class it can
-/// take, plus the suppressions (hysteresis at work is observable, not
-/// silent).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct AdvisorStats {
-    /// Epochs closed by [`AdaptiveAdvisor::tick`].
-    pub epochs: u64,
-    /// Cached views created at runtime.
-    pub views_created: u64,
-    /// Existing cached views widened (dropped and re-created with extra
-    /// columns) because the working set's column footprint grew.
-    pub views_widened: u64,
-    /// Supporting indexes created on advisor-managed views.
-    pub indexes_created: u64,
-    /// Advisor-created views dropped again after going cold.
-    pub views_dropped: u64,
-    /// Creations withheld by hysteresis (recently dropped) or the per-epoch
-    /// limit.
-    pub creates_suppressed: u64,
-    /// Drops withheld by the grace period or remaining patience.
-    pub drops_suppressed: u64,
-    /// L1 ↔ fragment budget rebalance decisions taken.
-    pub budget_moves: u64,
-    /// Total bytes of budget moved by those decisions.
-    pub bytes_rebalanced: u64,
+mtc_util::counter_set! {
+    /// Lifetime counters of one advisor instance — every decision class it
+    /// can take, plus the suppressions (hysteresis at work is observable,
+    /// not silent).
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct AdvisorStats {
+        /// Epochs closed by [`AdaptiveAdvisor::tick`].
+        pub epochs: u64,
+        /// Cached views created at runtime.
+        pub views_created: u64,
+        /// Existing cached views widened (dropped and re-created with extra
+        /// columns) because the working set's column footprint grew.
+        pub views_widened: u64,
+        /// Supporting indexes created on advisor-managed views.
+        pub indexes_created: u64,
+        /// Advisor-created views dropped again after going cold.
+        pub views_dropped: u64,
+        /// Creations withheld by hysteresis (recently dropped) or the
+        /// per-epoch limit.
+        pub creates_suppressed: u64,
+        /// Drops withheld by the grace period or remaining patience.
+        pub drops_suppressed: u64,
+        /// L1 ↔ fragment budget rebalance decisions taken.
+        pub budget_moves: u64,
+        /// Total bytes of budget moved by those decisions.
+        pub bytes_rebalanced: u64,
+    }
 }
 
 /// An advisor-created view under observation.

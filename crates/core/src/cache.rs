@@ -1,9 +1,9 @@
 //! The MTCache cache server.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
-use mtc_util::sync::Mutex;
+use mtc_util::sync::{ArcSwap, Mutex};
 
 use mtc_engine::eval::Bindings;
 use mtc_engine::{
@@ -63,35 +63,41 @@ pub struct CacheServer {
     /// on. Shared (`Arc`) because the replication hub holds it as a second
     /// [`mtc_replication::InvalidationSink`] on this server's database.
     pub fragment_cache: Arc<ResultCache>,
-    /// Fleet wiring: the peer-shared L2 result-cache tier, probed on L1
-    /// misses and written through on backend fetches. `None` outside a
-    /// fleet (single-node behaviour unchanged).
-    l2: Mutex<Option<Arc<ResultCache>>>,
-    /// Fleet wiring: peer nodes' L1 result caches. A write forwarded
-    /// through THIS node invalidates them synchronously — before the DML
-    /// statement returns — so no peer can serve a pre-write result to a
-    /// reader that has already seen the write's LSN.
-    peer_caches: Mutex<Vec<Arc<ResultCache>>>,
-    /// Fleet wiring: peer nodes this server may *place plan fragments on*
-    /// (multi-site placement). Weak — a crashed peer must not be kept alive
-    /// by its neighbours' placement wiring.
-    peers: Mutex<Vec<PeerHandle>>,
-    /// Fleet-wide placement-topology version, shared by every node of a
-    /// fleet and bumped on crash/rejoin. Plan-cache entries are stamped
-    /// with it exactly like the catalog version, so a plan that routes a
-    /// fragment to a vanished peer is discarded, never executed.
-    /// Single-node servers keep their private counter pinned at 0.
-    topology: Mutex<Arc<AtomicU64>>,
+    /// Fleet wiring: what this node knows of its fleet, published as one
+    /// immutable value so a statement reads one consistent membership.
+    wiring: ArcSwap<Wiring>,
     /// The attached online advisor, if any: observes this server's
     /// statement stream and, on [`CacheServer::advisor_tick`], adapts the
     /// cached-view set and cache budgets (see [`crate::advisor`]).
     advisor: Mutex<Option<Arc<crate::advisor::AdaptiveAdvisor>>>,
 }
 
-/// A named, weakly-held peer a cache server can route plan fragments to.
-pub struct PeerHandle {
-    pub name: String,
-    pub server: Weak<CacheServer>,
+/// A cache server's fleet wiring. A membership change (crash, rejoin)
+/// publishes a whole new value per node ([`CacheServer::set_wiring`]); a
+/// statement loads it once, so it can never pair the new L2 with the old
+/// peer list. The default is a server outside any fleet.
+#[derive(Clone, Default)]
+pub struct Wiring {
+    /// The peer-shared L2 result-cache tier, probed on L1 misses and
+    /// written through on backend fetches. `None` outside a fleet
+    /// (single-node behaviour unchanged).
+    pub l2: Option<Arc<ResultCache>>,
+    /// Peer nodes' L1 result caches. A write forwarded through THIS node
+    /// invalidates them synchronously — before the DML statement returns —
+    /// so no peer can serve a pre-write result to a reader that has already
+    /// seen the write's LSN.
+    pub peer_caches: Vec<Arc<ResultCache>>,
+    /// Peer nodes this server may *place plan fragments on* (multi-site
+    /// placement), by name. Peers hold each other strongly, so whoever
+    /// wires nodes together unwires them when done ([`crate::Fleet`] does
+    /// on every membership change and when it is dropped).
+    pub peers: Vec<(String, Arc<CacheServer>)>,
+    /// Fleet-wide placement-topology version, shared by every node of a
+    /// fleet and bumped on crash/rejoin. Plan-cache entries are stamped
+    /// with it exactly like the catalog version, so a plan that routes a
+    /// fragment to a vanished peer is discarded, never executed.
+    /// Single-node servers keep their private counter pinned at 0.
+    pub topology: Arc<AtomicU64>,
 }
 
 impl CacheServer {
@@ -145,10 +151,7 @@ impl CacheServer {
             statements: StatementCache::default(),
             result_cache,
             fragment_cache,
-            l2: Mutex::new(None),
-            peer_caches: Mutex::new(Vec::new()),
-            peers: Mutex::new(Vec::new()),
-            topology: Mutex::new(Arc::new(AtomicU64::new(0))),
+            wiring: ArcSwap::from_value(Wiring::default()),
             advisor: Mutex::new(None),
         })
     }
@@ -183,38 +186,30 @@ impl CacheServer {
         }
     }
 
-    /// Attaches (or clears) the fleet's shared L2 result-cache tier.
-    pub fn set_l2(&self, l2: Option<Arc<ResultCache>>) {
-        *self.l2.lock() = l2;
+    /// Publishes this node's fleet wiring, replacing the previous one.
+    pub fn set_wiring(&self, wiring: Wiring) {
+        self.wiring.store(Arc::new(wiring));
     }
 
     /// The attached L2 tier, if any.
     pub fn l2(&self) -> Option<Arc<ResultCache>> {
-        self.l2.lock().clone()
-    }
-
-    /// Replaces the set of peer L1 caches this node synchronously
-    /// invalidates on forwarded writes (fleet membership changes reset it).
-    pub fn set_peer_caches(&self, peers: Vec<Arc<ResultCache>>) {
-        *self.peer_caches.lock() = peers;
-    }
-
-    /// Replaces the set of peers multi-site placement may route plan
-    /// fragments to (fleet membership changes reset it).
-    pub fn set_peers(&self, peers: Vec<PeerHandle>) {
-        *self.peers.lock() = peers;
+        self.wiring.load().l2.clone()
     }
 
     /// Attaches the fleet's shared placement-topology counter; every node
     /// of a fleet shares one, so a crash observed anywhere invalidates
     /// placement-bearing plans everywhere.
     pub fn set_topology(&self, topology: Arc<AtomicU64>) {
-        *self.topology.lock() = topology;
+        let current = self.wiring.load();
+        self.set_wiring(Wiring {
+            topology,
+            ..(*current).clone()
+        });
     }
 
     /// The placement-topology version plans are currently stamped with.
     pub fn topology_version(&self) -> u64 {
-        self.topology.lock().load(Ordering::Acquire)
+        self.wiring.load().topology.load(Ordering::Acquire)
     }
 
     /// Raises the invalidation watermark for `table` on this node's L1,
@@ -223,10 +218,11 @@ impl CacheServer {
     /// a result missing it to a reader at `required` or beyond.
     fn invalidate_write(&self, table: &str, required: u64) {
         self.result_cache.note_write(table, required);
-        for peer in self.peer_caches.lock().iter() {
+        let wiring = self.wiring.load();
+        for peer in &wiring.peer_caches {
             peer.note_write(table, required);
         }
-        if let Some(l2) = self.l2.lock().as_ref() {
+        if let Some(l2) = &wiring.l2 {
             l2.note_write(table, required);
         }
     }
@@ -524,15 +520,6 @@ impl CacheServer {
         self.select_impl(stmt, sel, params, "dbo", false)
     }
 
-    /// Upgraded placement peers: `(name, server)` for every live peer.
-    fn live_peers(&self) -> Vec<(String, Arc<CacheServer>)> {
-        self.peers
-            .lock()
-            .iter()
-            .filter_map(|p| p.server.upgrade().map(|s| (p.name.clone(), s)))
-            .collect()
-    }
-
     /// Optimizes and executes a SELECT. The plan may be fully local, fully
     /// remote, or mixed; parameterized queries get dynamic plans; in a
     /// fleet (`allow_placement`), fragments may be placed on peer nodes'
@@ -554,18 +541,17 @@ impl CacheServer {
         let key = &stmt.key;
         let sig = param_signature(params);
         let version = db.catalog.version();
-        let topology = self.topology_version();
+        // One wiring for the whole statement: topology stamp, L2 and peers
+        // all belong to the same fleet membership.
+        let wiring = self.wiring.load();
+        let topology = wiring.topology.load(Ordering::Acquire);
         // The statement's currency bound travels with the remote gateway:
         // a cached remote result is only served if its age satisfies it.
         let bound_ms = sel.freshness_seconds.map(|s| s as i64 * 1000);
-        let l2 = self.l2.lock().clone();
         // Peers pinned for this statement: the placement DP costs their
         // snapshots, and the gateway routes peer-placed fragments to them.
-        let peers = if allow_placement {
-            self.live_peers()
-        } else {
-            Vec::new()
-        };
+        let peers: &[(String, Arc<CacheServer>)] =
+            if allow_placement { &wiring.peers } else { &[] };
         let mut gateway = RemoteGateway::new(
             &self.result_cache,
             &self.backend,
@@ -573,11 +559,11 @@ impl CacheServer {
             bound_ms,
             self.clock.now_ms(),
         );
-        if let Some(l2) = l2.as_deref() {
+        if let Some(l2) = wiring.l2.as_deref() {
             gateway = gateway.with_l2(l2);
         }
         if !peers.is_empty() {
-            gateway = gateway.with_peers(&peers);
+            gateway = gateway.with_peers(peers);
         }
 
         // Fragment memo for this execution, pinned to the same snapshot the
@@ -607,7 +593,7 @@ impl CacheServer {
             }
         }
 
-        let opt = match perm.and_then(|()| self.plan_select(&db, stmt, sel, &peers))? {
+        let opt = match perm.and_then(|()| self.plan_select(&db, stmt, sel, peers))? {
             Planned::Here { opt, currency } => {
                 if currency.is_some() {
                     // The routing reason is observable via explain().
@@ -788,7 +774,8 @@ impl CacheServer {
             return Err(Error::plan("EXPLAIN supports SELECT statements"));
         };
         let db = self.db.read();
-        let (opt, currency) = match self.plan_select(&db, stmt, sel, &self.live_peers())? {
+        let wiring = self.wiring.load();
+        let (opt, currency) = match self.plan_select(&db, stmt, sel, &wiring.peers)? {
             Planned::Here { opt, currency } => (opt, currency),
             Planned::BlindForward { object } => {
                 // The backend binds what it is sent: a statement it cannot
@@ -813,7 +800,7 @@ impl CacheServer {
         let version = db.catalog.version();
         let cached = self
             .plan_cache
-            .contains_sql(&stmt.key, version, self.topology_version());
+            .contains_sql(&stmt.key, version, wiring.topology.load(Ordering::Acquire));
         let cs = self.plan_cache.stats();
         // Result-cache visibility, mirroring the plan-cache line: per
         // remote subexpression, would the shipped SQL (probed with the

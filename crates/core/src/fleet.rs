@@ -50,7 +50,7 @@ use mtc_types::{Error, Result};
 
 use crate::advisor::{AdaptiveAdvisor, AdvisorConfig};
 use crate::backend::BackendServer;
-use crate::cache::{CacheServer, PeerHandle};
+use crate::cache::{CacheServer, Wiring};
 use crate::result_cache::{ResultCache, ResultCacheConfig};
 
 /// 64-bit FNV-1a. Used for ring and session placement because it is
@@ -217,6 +217,18 @@ pub struct Fleet {
     advisor_marks: Mutex<Vec<u64>>,
 }
 
+/// Nodes hold their placement peers strongly (see [`Wiring`]); a fleet that
+/// goes away unwires them so they are freed.
+impl Drop for Fleet {
+    fn drop(&mut self) {
+        for slot in self.slots.lock().iter() {
+            if let Some(server) = &slot.server {
+                server.set_wiring(Wiring::default());
+            }
+        }
+    }
+}
+
 impl Fleet {
     /// Spawns `cfg.nodes` cache servers named `cache0…`, provisions each
     /// with `provision`, wires the L1/L2 hierarchy and the peer
@@ -281,7 +293,6 @@ impl Fleet {
             self.hub
                 .lock()
                 .register_invalidation_sink(&server.db, l2.clone());
-            server.set_l2(Some(l2.clone()));
         }
         (self.provision)(&server)?;
         // A node (re)joining an advisor-enabled fleet adapts from scratch:
@@ -293,8 +304,10 @@ impl Fleet {
         Ok(server)
     }
 
-    /// Refreshes peer-invalidation wiring and the routing ring from the
-    /// current live set. Called after every membership change.
+    /// Publishes every live node's wiring — one value per node: the L2, the
+    /// peer L1s it invalidates, its placement peers, the topology counter —
+    /// and rebuilds the routing ring from the current live set. Called
+    /// after every membership change.
     fn rewire(&self) {
         let slots = self.slots.lock();
         let live: Vec<(usize, Arc<CacheServer>)> = slots
@@ -303,29 +316,21 @@ impl Fleet {
             .filter_map(|(i, s)| s.server.clone().map(|srv| (i, srv)))
             .collect();
         for (i, server) in &live {
-            let peers: Vec<Arc<ResultCache>> = live
-                .iter()
-                .filter(|(j, _)| j != i)
-                .map(|(_, p)| p.result_cache.clone())
-                .collect();
-            server.set_peer_caches(peers);
-            // Placement wiring: every node shares the fleet topology
-            // counter and (when multi-site planning is on) holds weak
-            // handles to its peers so its optimizer can place fragments on
-            // them.
-            server.set_topology(self.topology.clone());
-            let placement_peers: Vec<PeerHandle> = if self.cfg.multisite {
-                live.iter()
-                    .filter(|(j, _)| j != i)
-                    .map(|(_, p)| PeerHandle {
-                        name: p.name().to_string(),
-                        server: Arc::downgrade(p),
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            server.set_peers(placement_peers);
+            let others = || live.iter().filter(|(j, _)| j != i).map(|(_, p)| p);
+            server.set_wiring(Wiring {
+                l2: self.l2.clone(),
+                peer_caches: others().map(|p| p.result_cache.clone()).collect(),
+                // Placement wiring: with multi-site planning on, a node's
+                // optimizer may place fragments on any live peer.
+                peers: if self.cfg.multisite {
+                    others()
+                        .map(|p| (p.name().to_string(), p.clone()))
+                        .collect()
+                } else {
+                    Vec::new()
+                },
+                topology: self.topology.clone(),
+            });
         }
         let names: Vec<(usize, String)> = live
             .iter()

@@ -49,7 +49,6 @@
 
 use std::sync::Arc;
 
-use mtc_util::atomic::Counter;
 use mtc_util::lru::LruMap;
 use mtc_util::sync::Mutex;
 
@@ -59,22 +58,28 @@ use mtc_types::{Error, Result, Value};
 use crate::dml::CompiledDml;
 use crate::key::{hash_of, KeyParts, TextKey};
 
-/// Observable plan-cache counters, surfaced through `CacheStats` consumers
-/// (server stats APIs and `EXPLAIN` output).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that found nothing usable (includes invalidations).
-    pub misses: u64,
-    /// Entries discarded because the catalog version moved past them.
-    pub invalidations: u64,
-    /// Plans inserted.
-    pub insertions: u64,
-    /// Entries evicted to respect the capacity bound.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: u64,
+mtc_util::counter_set! {
+    /// Observable plan-cache counters, surfaced through `CacheStats`
+    /// consumers (server stats APIs and `EXPLAIN` output).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Lookups answered from the cache.
+        pub hits: u64,
+        /// Lookups that found nothing usable (includes invalidations).
+        pub misses: u64,
+        /// Entries discarded because the catalog version moved past them.
+        pub invalidations: u64,
+        /// Plans inserted.
+        pub insertions: u64,
+        /// Entries evicted to respect the capacity bound.
+        pub evictions: u64,
+        /// Entries currently resident (a gauge [`PlanCache::stats`]
+        /// computes; the live counter of this name stays zero).
+        pub entries: u64,
+    }
+    /// Shared relaxed counters — no shard lock needed to bump or read them.
+    #[derive(Default)]
+    live struct SharedStats;
 }
 
 /// What a cached plan executes.
@@ -124,16 +129,6 @@ impl CachedPlan {
 
 /// One shard: its plans, least recently used first.
 type Shard = LruMap<Arc<TextKey>, Arc<CachedPlan>>;
-
-/// Shared relaxed counters — no shard lock needed to bump or read them.
-#[derive(Default)]
-struct SharedStats {
-    hits: Counter,
-    misses: Counter,
-    invalidations: Counter,
-    insertions: Counter,
-    evictions: Counter,
-}
 
 /// A bounded, versioned, sharded cache of compiled plans keyed by
 /// `(statement text, parameter signature)`.
@@ -240,12 +235,8 @@ impl PlanCache {
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.stats.hits.get(),
-            misses: self.stats.misses.get(),
-            invalidations: self.stats.invalidations.get(),
-            insertions: self.stats.insertions.get(),
-            evictions: self.stats.evictions.get(),
             entries: self.len() as u64,
+            ..self.stats.snapshot()
         }
     }
 

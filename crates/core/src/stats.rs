@@ -7,67 +7,58 @@
 //! [`SharedServerStats::take`] between experiment phases).
 
 use mtc_engine::ExecMetrics;
-use mtc_util::atomic::{Counter, FloatCounter};
 
-/// Cumulative counters for one server, used by the experiments to derive
-/// CPU loads and by operators to watch a deployment.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ServerStats {
-    /// SELECT statements executed (including those arriving via EXEC).
-    pub queries: u64,
-    /// INSERT/UPDATE/DELETE statements executed here.
-    pub dml: u64,
-    /// Stored procedure calls dispatched here.
-    pub procs: u64,
-    /// Rows returned to clients.
-    pub rows_returned: u64,
-    /// Work units this server spent.
-    pub local_work: f64,
-    /// Work units spent on the backend on behalf of this server (only
-    /// nonzero on cache servers).
-    pub remote_work: f64,
-    /// Remote statements this server consumed (shipped subqueries,
-    /// forwarded DML/procedures) — counted whether the answer came over the
-    /// wire or out of the result cache.
-    pub remote_calls: u64,
-    /// Network round trips actually *paid* to the backend — below
-    /// `remote_calls` when the result cache answers from memory and when
-    /// round-trip coalescing batches several remote subexpressions into one
-    /// wire exchange.
-    pub remote_rtts: u64,
-    /// Rows shipped back from the backend.
-    pub remote_rows: u64,
-    /// Remote statements that rode along on another statement's round trip
-    /// (batched siblings, single-flight followers) instead of paying one.
-    pub coalesced_calls: u64,
-    /// Queries whose local plan was rejected because a cached view violated
-    /// the statement's currency bound (graceful degradation to the backend).
-    pub freshness_fallbacks: u64,
-    /// Statement texts parsed and prepared here: the statement cache's
-    /// misses. A text that recurs is prepared once, however often it runs.
-    pub prepares: u64,
-    /// Raw-text misses of the statement cache that resolved to a template:
-    /// ad-hoc statements executed with their literals lifted into bindings.
-    pub auto_parameterized: u64,
-}
-
-/// The live, lock-free form of [`ServerStats`]: every field is a relaxed
-/// atomic, so many sessions can record queries concurrently without a lock.
-#[derive(Debug, Default)]
-pub struct SharedServerStats {
-    pub queries: Counter,
-    pub dml: Counter,
-    pub procs: Counter,
-    pub rows_returned: Counter,
-    pub local_work: FloatCounter,
-    pub remote_work: FloatCounter,
-    pub remote_calls: Counter,
-    pub remote_rtts: Counter,
-    pub remote_rows: Counter,
-    pub coalesced_calls: Counter,
-    pub freshness_fallbacks: Counter,
-    pub prepares: Counter,
-    pub auto_parameterized: Counter,
+mtc_util::counter_set! {
+    /// Cumulative counters for one server, used by the experiments to derive
+    /// CPU loads and by operators to watch a deployment.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct ServerStats {
+        /// SELECT statements executed (including those arriving via EXEC).
+        pub queries: u64,
+        /// INSERT/UPDATE/DELETE statements executed here.
+        pub dml: u64,
+        /// Stored procedure calls dispatched here.
+        pub procs: u64,
+        /// Rows returned to clients.
+        pub rows_returned: u64,
+        /// Work units this server spent.
+        pub local_work: f64,
+        /// Work units spent on the backend on behalf of this server (only
+        /// nonzero on cache servers).
+        pub remote_work: f64,
+        /// Remote statements this server consumed (shipped subqueries,
+        /// forwarded DML/procedures) — counted whether the answer came over
+        /// the wire or out of the result cache.
+        pub remote_calls: u64,
+        /// Network round trips actually *paid* to the backend — below
+        /// `remote_calls` when the result cache answers from memory and when
+        /// round-trip coalescing batches several remote subexpressions into
+        /// one wire exchange.
+        pub remote_rtts: u64,
+        /// Rows shipped back from the backend.
+        pub remote_rows: u64,
+        /// Remote statements that rode along on another statement's round
+        /// trip (batched siblings, single-flight followers) instead of
+        /// paying one.
+        pub coalesced_calls: u64,
+        /// Queries whose local plan was rejected because a cached view
+        /// violated the statement's currency bound (graceful degradation to
+        /// the backend).
+        pub freshness_fallbacks: u64,
+        /// Statement texts parsed and prepared here: the statement cache's
+        /// misses. A text that recurs is prepared once, however often it runs.
+        pub prepares: u64,
+        /// Raw-text misses of the statement cache that resolved to a
+        /// template: ad-hoc statements executed with their literals lifted
+        /// into bindings.
+        pub auto_parameterized: u64,
+    }
+    /// The live, lock-free form of [`ServerStats`]: every field is a relaxed
+    /// atomic, so many sessions can record queries concurrently without a
+    /// lock. `snapshot()` copies the counters, `take()` copies and clears
+    /// them (used between experiment phases).
+    #[derive(Debug, Default)]
+    live pub struct SharedServerStats;
 }
 
 impl SharedServerStats {
@@ -87,44 +78,6 @@ impl SharedServerStats {
     pub fn record_dml(&self, work: f64) {
         self.dml.inc();
         self.local_work.add(work);
-    }
-
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            queries: self.queries.get(),
-            dml: self.dml.get(),
-            procs: self.procs.get(),
-            rows_returned: self.rows_returned.get(),
-            local_work: self.local_work.get(),
-            remote_work: self.remote_work.get(),
-            remote_calls: self.remote_calls.get(),
-            remote_rtts: self.remote_rtts.get(),
-            remote_rows: self.remote_rows.get(),
-            coalesced_calls: self.coalesced_calls.get(),
-            freshness_fallbacks: self.freshness_fallbacks.get(),
-            prepares: self.prepares.get(),
-            auto_parameterized: self.auto_parameterized.get(),
-        }
-    }
-
-    /// Returns and clears the counters (used between experiment phases).
-    pub fn take(&self) -> ServerStats {
-        ServerStats {
-            queries: self.queries.take(),
-            dml: self.dml.take(),
-            procs: self.procs.take(),
-            rows_returned: self.rows_returned.take(),
-            local_work: self.local_work.take(),
-            remote_work: self.remote_work.take(),
-            remote_calls: self.remote_calls.take(),
-            remote_rtts: self.remote_rtts.take(),
-            remote_rows: self.remote_rows.take(),
-            coalesced_calls: self.coalesced_calls.take(),
-            freshness_fallbacks: self.freshness_fallbacks.take(),
-            prepares: self.prepares.take(),
-            auto_parameterized: self.auto_parameterized.take(),
-        }
     }
 }
 

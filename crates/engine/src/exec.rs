@@ -37,96 +37,77 @@ use crate::logical::AggFunc;
 use crate::optimizer::cost::CostModel;
 use crate::physical::{KeyBound, PhysicalPlan, RemoteSite};
 
-/// Execution metrics for one query.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ExecMetrics {
-    /// Rows produced by local operators.
-    pub local_rows: u64,
-    /// Rows received through DataTransfer boundaries.
-    pub remote_rows: u64,
-    /// Estimated bytes received through DataTransfer boundaries.
-    pub bytes_transferred: u64,
-    /// Remote statements the plan consumed (shipped SQL subexpressions) —
-    /// counted whether the rows came from a backend round trip, a mid-tier
-    /// result-cache hit, or a shared in-flight fetch. The *paid* wire
-    /// exchanges are `remote_rtts`.
-    pub remote_calls: u64,
-    /// Work units spent on this server.
-    pub local_work: f64,
-    /// Work units spent on the backend on behalf of this query.
-    pub remote_work: f64,
-    /// Full `Row` (or key-tuple) deep clones made *while executing* — scan
-    /// copies, join spills, distinct/agg key copies. Materializing the
-    /// final owned result at the client boundary is not counted here (see
-    /// `bytes_materialized`); the streaming executor exists to push this
-    /// number to zero on read paths.
-    pub rows_cloned: u64,
-    /// Estimated bytes of owned row data materialized at the final
-    /// client/result-cache boundary. Both executors charge this once, for
-    /// the finished result only — it measures the unavoidable boundary
-    /// copy, separating it from the per-operator churn `rows_cloned`
-    /// tracks.
-    pub bytes_materialized: u64,
-    /// Batches exchanged between operators (streaming) or operator
-    /// invocations (materialized).
-    pub batches: u64,
-    /// The slice of `local_work` that was executed inside parallel morsels
-    /// (see [`crate::parallel`]): with `dop` workers it overlaps, so the
-    /// query's critical path shrinks by `parallel_work * (1 - 1/dop)`.
-    /// Always `<= local_work`; zero for serial execution.
-    pub parallel_work: f64,
-    /// Network round trips actually paid to the backend. Differs from
-    /// `remote_calls` when statements are pipelined into one round trip
-    /// (batching) or served without any backend contact (result-cache hits,
-    /// single-flight sharing): `remote_rtts <= remote_calls`.
-    pub remote_rtts: u64,
-    /// Remote statements that rode along on someone else's round trip —
-    /// batched siblings and single-flight followers. Each coalesced call is
-    /// a round trip the network never saw.
-    pub coalesced_calls: u64,
-    /// Statements shipped to a cache *peer* (multi-site placement) instead
-    /// of the backend. Every peer call is also counted in `remote_calls`;
-    /// this splits out the share the backend never saw.
-    pub peer_calls: u64,
-    /// Round trips actually paid on peer links. Like `remote_rtts`, cache
-    /// hits and fallbacks can make this smaller than `peer_calls`.
-    pub peer_rtts: u64,
-    /// Rows received over peer links (subset of `remote_rows`).
-    pub peer_rows: u64,
-    /// Estimated bytes received over peer links (subset of
-    /// `bytes_transferred`).
-    pub peer_bytes: u64,
-    /// Join/aggregate subtrees probed against the intermediate-result memo
-    /// (see [`crate::stream::FragmentMemo`]). Zero when no memo is attached.
-    pub fragment_probes: u64,
-    /// Fragment probes answered from the memo: the subtree's compute was
-    /// skipped and its memoized rows were replayed.
-    pub fragment_hits: u64,
+mtc_util::counter_set! {
+    /// Execution metrics for one query. `absorb` merges the metrics of a
+    /// nested execution.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct ExecMetrics {
+        /// Rows produced by local operators.
+        pub local_rows: u64,
+        /// Rows received through DataTransfer boundaries.
+        pub remote_rows: u64,
+        /// Estimated bytes received through DataTransfer boundaries.
+        pub bytes_transferred: u64,
+        /// Remote statements the plan consumed (shipped SQL subexpressions) —
+        /// counted whether the rows came from a backend round trip, a mid-tier
+        /// result-cache hit, or a shared in-flight fetch. The *paid* wire
+        /// exchanges are `remote_rtts`.
+        pub remote_calls: u64,
+        /// Work units spent on this server.
+        pub local_work: f64,
+        /// Work units spent on the backend on behalf of this query.
+        pub remote_work: f64,
+        /// Full `Row` (or key-tuple) deep clones made *while executing* — scan
+        /// copies, join spills, distinct/agg key copies. Materializing the
+        /// final owned result at the client boundary is not counted here (see
+        /// `bytes_materialized`); the streaming executor exists to push this
+        /// number to zero on read paths.
+        pub rows_cloned: u64,
+        /// Estimated bytes of owned row data materialized at the final
+        /// client/result-cache boundary. Both executors charge this once, for
+        /// the finished result only — it measures the unavoidable boundary
+        /// copy, separating it from the per-operator churn `rows_cloned`
+        /// tracks.
+        pub bytes_materialized: u64,
+        /// Batches exchanged between operators (streaming) or operator
+        /// invocations (materialized).
+        pub batches: u64,
+        /// The slice of `local_work` that was executed inside parallel morsels
+        /// (see [`crate::parallel`]): with `dop` workers it overlaps, so the
+        /// query's critical path shrinks by `parallel_work * (1 - 1/dop)`.
+        /// Always `<= local_work`; zero for serial execution.
+        pub parallel_work: f64,
+        /// Network round trips actually paid to the backend. Differs from
+        /// `remote_calls` when statements are pipelined into one round trip
+        /// (batching) or served without any backend contact (result-cache hits,
+        /// single-flight sharing): `remote_rtts <= remote_calls`.
+        pub remote_rtts: u64,
+        /// Remote statements that rode along on someone else's round trip —
+        /// batched siblings and single-flight followers. Each coalesced call is
+        /// a round trip the network never saw.
+        pub coalesced_calls: u64,
+        /// Statements shipped to a cache *peer* (multi-site placement) instead
+        /// of the backend. Every peer call is also counted in `remote_calls`;
+        /// this splits out the share the backend never saw.
+        pub peer_calls: u64,
+        /// Round trips actually paid on peer links. Like `remote_rtts`, cache
+        /// hits and fallbacks can make this smaller than `peer_calls`.
+        pub peer_rtts: u64,
+        /// Rows received over peer links (subset of `remote_rows`).
+        pub peer_rows: u64,
+        /// Estimated bytes received over peer links (subset of
+        /// `bytes_transferred`).
+        pub peer_bytes: u64,
+        /// Join/aggregate subtrees probed against the intermediate-result memo
+        /// (see [`crate::stream::FragmentMemo`]). Zero when no memo is attached.
+        pub fragment_probes: u64,
+        /// Fragment probes answered from the memo: the subtree's compute was
+        /// skipped and its memoized rows were replayed.
+        pub fragment_hits: u64,
+    }
 }
 
 impl ExecMetrics {
-    /// Merges metrics from a nested execution.
-    pub fn absorb(&mut self, other: &ExecMetrics) {
-        self.local_rows += other.local_rows;
-        self.remote_rows += other.remote_rows;
-        self.bytes_transferred += other.bytes_transferred;
-        self.remote_calls += other.remote_calls;
-        self.local_work += other.local_work;
-        self.remote_work += other.remote_work;
-        self.rows_cloned += other.rows_cloned;
-        self.bytes_materialized += other.bytes_materialized;
-        self.batches += other.batches;
-        self.parallel_work += other.parallel_work;
-        self.remote_rtts += other.remote_rtts;
-        self.coalesced_calls += other.coalesced_calls;
-        self.peer_calls += other.peer_calls;
-        self.peer_rtts += other.peer_rtts;
-        self.fragment_probes += other.fragment_probes;
-        self.fragment_hits += other.fragment_hits;
-        self.peer_rows += other.peer_rows;
-        self.peer_bytes += other.peer_bytes;
-    }
-
     /// Local work units on the query's critical path when its parallel
     /// slice overlaps across `dop` workers: the serial remainder runs at
     /// full length, the parallel slice shrinks `dop`-fold. This is the

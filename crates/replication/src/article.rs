@@ -1,8 +1,9 @@
 //! Articles: select-project replication units.
 
+use mtc_engine::compile::{compile_expr, CompiledExpr, EvalEnv, ParamSlots};
 use mtc_engine::eval::{eval_predicate, Bindings};
 use mtc_sql::{Expr, Select, SelectItem, TableRef};
-use mtc_types::{Error, Result, Row, Schema};
+use mtc_types::{normalize_ident, Error, Result, Row, Schema};
 
 /// An article: "a select-project expression over a table or a materialized
 /// view. In other words, an article may contain only a subset of the columns
@@ -69,6 +70,25 @@ impl Article {
         })
     }
 
+    /// Resolves the article against its source's schema — once, when a
+    /// subscription is created. Distribution runs per subscription × per
+    /// row change, so what it evaluates is the resolved form: no name
+    /// lookup, no allocation beyond the projected row.
+    pub fn resolve(&self, source_schema: &Schema) -> Result<ResolvedArticle> {
+        let mut slots = ParamSlots::default();
+        let filter = self
+            .predicate
+            .as_ref()
+            .map(|p| compile_expr(p, source_schema, &mut slots))
+            .transpose()?;
+        Ok(ResolvedArticle {
+            source: normalize_ident(&self.source),
+            projection: self.projection_indices(source_schema)?,
+            filter,
+            slots,
+        })
+    }
+
     /// Column indices of the projection within the source schema.
     pub fn projection_indices(&self, source_schema: &Schema) -> Result<Vec<usize>> {
         self.columns
@@ -91,6 +111,47 @@ impl Article {
     pub fn project(&self, row: &Row, source_schema: &Schema) -> Result<Row> {
         let idx = self.projection_indices(source_schema)?;
         Ok(row.project(&idx))
+    }
+}
+
+/// An [`Article`] resolved against its source schema (see
+/// [`Article::resolve`]): the filter lowered to a compiled expression over
+/// column ordinals, the projection as ordinals. [`Article::matches`] and
+/// [`Article::project`] stay the reference it is tested against.
+#[derive(Debug, Clone)]
+pub struct ResolvedArticle {
+    /// Normalized source object name.
+    source: String,
+    /// Ordinals of the projected columns within a source row.
+    projection: Vec<usize>,
+    /// Row filter over source rows; `None` = all rows.
+    filter: Option<CompiledExpr>,
+    /// Parameters the filter names. An article binds none, so evaluating
+    /// one is the same unbound-parameter error the reference raises.
+    slots: ParamSlots,
+}
+
+impl ResolvedArticle {
+    /// Is `table` (any case) this article's source?
+    pub fn reads(&self, table: &str) -> bool {
+        table.eq_ignore_ascii_case(&self.source)
+    }
+
+    /// Does `row` (a full source row) satisfy the article's row filter?
+    pub fn matches(&self, row: &Row) -> Result<bool> {
+        let env = EvalEnv {
+            params: &[],
+            names: self.slots.names(),
+        };
+        match &self.filter {
+            None => Ok(true),
+            Some(f) => Ok(f.eval_predicate(row, env)? == Some(true)),
+        }
+    }
+
+    /// Projects a full source row onto the article's columns.
+    pub fn project(&self, row: &Row) -> Row {
+        row.project(&self.projection)
     }
 }
 
@@ -155,6 +216,95 @@ mod tests {
             &schema()
         )
         .is_err());
+    }
+
+    /// The resolved form is what distribution runs; `Article::matches` /
+    /// `project` (tree-walking evaluator, by-name lookup) are the reference.
+    #[test]
+    fn resolved_article_agrees_with_the_reference() {
+        use mtc_types::Value;
+        use mtc_util::check::{self, Config};
+        use mtc_util::rng::Rng;
+
+        const FILTERS: [&str; 10] = [
+            "cid <= {k}",
+            "cname = 'n{k}' OR cbalance > {k}.5",
+            "cbalance IS NULL",
+            "cname IS NOT NULL AND cid <> {k}",
+            "NOT (cid > {k} AND cbalance < 3.0)",
+            "cname LIKE 'n1%'",
+            "cid + 1 > {k} - cbalance",
+            "cbalance / (cid - {k}) > 0.5",
+            "cid BETWEEN {k} AND {k} + 3",
+            "cid <= @bound",
+        ];
+        const COLUMNS: [&str; 3] = ["cid", "cname", "cbalance"];
+
+        #[derive(Debug)]
+        struct Case {
+            sql: String,
+            rows: Vec<Row>,
+        }
+
+        let generate = |rng: &mut mtc_util::rng::StdRng| {
+            let mut columns: Vec<&str> =
+                COLUMNS.into_iter().filter(|_| rng.gen_bool(0.7)).collect();
+            if columns.is_empty() {
+                columns.push("cid");
+            }
+            if rng.gen_bool(0.5) {
+                columns.reverse();
+            }
+            let k = rng.gen_range(0i64..12);
+            let filter = match rng.gen_range(0..=FILTERS.len()) {
+                0 => String::new(),
+                i => format!(" WHERE {}", FILTERS[i - 1].replace("{k}", &k.to_string())),
+            };
+            let rows = (0..12)
+                .map(|_| {
+                    let name = match rng.gen_range(0u32..4) {
+                        0 => Value::Null,
+                        _ => Value::Str(format!("n{}", rng.gen_range(0i64..12)).into()),
+                    };
+                    let balance = match rng.gen_range(0u32..4) {
+                        0 => Value::Null,
+                        _ => Value::Float(rng.gen_range(0i64..24) as f64 / 2.0),
+                    };
+                    Row::new(vec![Value::Int(rng.gen_range(0i64..12)), name, balance])
+                })
+                .collect();
+            Case {
+                sql: format!("SELECT {} FROM customer{filter}", columns.join(", ")),
+                rows,
+            }
+        };
+        check::run(
+            &Config::cases(256),
+            "resolved_article_agrees_with_the_reference",
+            generate,
+            |case| {
+                let s = schema();
+                let a = Article::from_select("a", &select(&case.sql), &s).unwrap();
+                let r = a.resolve(&s).unwrap();
+                assert!(r.reads("Customer") && !r.reads("customers"));
+                for row in &case.rows {
+                    match (r.matches(row), a.matches(row, &s)) {
+                        (Ok(got), Ok(want)) => assert_eq!(got, want, "{row:?}"),
+                        (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+                        (got, want) => panic!("{row:?}: resolved {got:?}, reference {want:?}"),
+                    }
+                    assert_eq!(r.project(row), a.project(row, &s).unwrap(), "{row:?}");
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn resolving_rejects_a_column_the_source_lacks() {
+        let mut a =
+            Article::from_select("a", &select("SELECT cid FROM customer"), &schema()).unwrap();
+        a.predicate = select("SELECT cid FROM customer WHERE nope = 1").selection;
+        assert!(a.resolve(&schema()).is_err());
     }
 
     #[test]

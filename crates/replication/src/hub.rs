@@ -19,9 +19,9 @@ use mtc_util::fault::{FaultDecision, FaultPlan};
 use mtc_util::sync::RwLock;
 
 use mtc_storage::{CommittedTransaction, Database, Lsn, RowChange, SnapshotDb, Watermark};
-use mtc_types::{Error, Result, Row, Schema};
+use mtc_types::{Error, Result, Row};
 
-use crate::article::Article;
+use crate::article::{Article, ResolvedArticle};
 use crate::metrics::{LatencyStats, SharedReplicationMetrics};
 
 /// Work-unit cost knobs for the pipeline (used by Experiment 2).
@@ -89,8 +89,10 @@ pub struct SubscriptionInfo {
 }
 
 struct Subscription {
+    /// The declarative definition, and what distribution evaluates: the
+    /// definition resolved against the source schema at `subscribe`.
     article: Article,
-    source_schema: Schema,
+    resolved: ResolvedArticle,
     /// Snapshot-published target: deliveries mutate its master copy and
     /// each delivery publishes a fresh immutable snapshot on guard drop, so
     /// concurrent readers never block on (or observe a torn) apply.
@@ -207,7 +209,7 @@ impl ReplicationHub {
         let publisher = self.publisher.clone();
         let pub_db = publisher.read();
         let source = pub_db.table_ref(&article.source)?;
-        let source_schema = source.schema().clone();
+        let resolved = article.resolve(source.schema())?;
 
         // Validate the projection covers the target's primary key so
         // deletes/updates can locate rows.
@@ -231,9 +233,9 @@ impl ReplicationHub {
         let snapshot_lsn = pub_db.log().head();
         let rows: Vec<Row> = source
             .scan()
-            .filter(|r| article.matches(r, &source_schema).unwrap_or(false))
-            .map(|r| article.project(r, &source_schema))
-            .collect::<Result<_>>()?;
+            .filter(|r| resolved.matches(r).unwrap_or(false))
+            .map(|r| resolved.project(r))
+            .collect();
         drop(pub_db);
 
         let mark = Watermark {
@@ -265,7 +267,7 @@ impl ReplicationHub {
         let id = SubscriptionId(self.subscriptions.len());
         self.subscriptions.push(Subscription {
             article,
-            source_schema,
+            resolved,
             target,
             target_table: target_table.to_string(),
             next_lsn: snapshot_lsn,
@@ -400,12 +402,7 @@ impl ReplicationHub {
                 if txn.lsn < sub.next_lsn {
                     continue;
                 }
-                let changes = filter_changes(
-                    &sub.article,
-                    &sub.source_schema,
-                    &sub.target_table,
-                    &txn.changes,
-                )?;
+                let changes = filter_changes(&sub.resolved, &sub.target_table, &txn.changes)?;
                 if changes.is_empty() {
                     // Nothing for this article: advance past it fault-free
                     // (there is no delivery to fault). The publisher write
@@ -655,49 +652,47 @@ fn notify_sinks(
 /// article: filtering rows, projecting columns, and handling rows that move
 /// in/out of the article's row filter on update.
 fn filter_changes(
-    article: &Article,
-    source_schema: &Schema,
+    article: &ResolvedArticle,
     target_table: &str,
     changes: &[RowChange],
 ) -> Result<Vec<RowChange>> {
+    let table = || target_table.to_string();
     let mut out = Vec::new();
     for change in changes {
-        if mtc_types::normalize_ident(change.table()) != article.source {
+        if !article.reads(change.table()) {
             continue;
         }
         match change {
             RowChange::Insert { row, .. } => {
-                if article.matches(row, source_schema)? {
+                if article.matches(row)? {
                     out.push(RowChange::Insert {
-                        table: target_table.to_string(),
-                        row: article.project(row, source_schema)?,
+                        table: table(),
+                        row: article.project(row),
                     });
                 }
             }
             RowChange::Delete { row, .. } => {
-                if article.matches(row, source_schema)? {
+                if article.matches(row)? {
                     out.push(RowChange::Delete {
-                        table: target_table.to_string(),
-                        row: article.project(row, source_schema)?,
+                        table: table(),
+                        row: article.project(row),
                     });
                 }
             }
             RowChange::Update { before, after, .. } => {
-                let was_in = article.matches(before, source_schema)?;
-                let is_in = article.matches(after, source_schema)?;
-                match (was_in, is_in) {
+                match (article.matches(before)?, article.matches(after)?) {
                     (true, true) => out.push(RowChange::Update {
-                        table: target_table.to_string(),
-                        before: article.project(before, source_schema)?,
-                        after: article.project(after, source_schema)?,
+                        table: table(),
+                        before: article.project(before),
+                        after: article.project(after),
                     }),
                     (true, false) => out.push(RowChange::Delete {
-                        table: target_table.to_string(),
-                        row: article.project(before, source_schema)?,
+                        table: table(),
+                        row: article.project(before),
                     }),
                     (false, true) => out.push(RowChange::Insert {
-                        table: target_table.to_string(),
-                        row: article.project(after, source_schema)?,
+                        table: table(),
+                        row: article.project(after),
                     }),
                     (false, false) => {}
                 }
@@ -801,7 +796,7 @@ pub fn resolve_idempotent(db: &Database, change: &RowChange) -> Result<Vec<RowCh
 mod tests {
     use super::*;
     use mtc_sql::{parse_statement, Statement};
-    use mtc_types::{row, Column, DataType, Value};
+    use mtc_types::{row, Column, DataType, Schema, Value};
 
     fn customer_schema() -> Schema {
         Schema::new(vec![

@@ -26,7 +26,7 @@ pub mod metrics;
 pub mod wire;
 
 pub use agent::{spawn_agent, spawn_agent_with, AgentHandle, AgentOptions, StopReport};
-pub use article::Article;
+pub use article::{Article, ResolvedArticle};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use hub::{
     apply_idempotent, resolve_idempotent, InvalidationSink, ReplicationHub, SubscriptionId,

@@ -7,98 +7,59 @@
 //! at counters must never queue behind it. [`ReplicationMetrics`] is the
 //! plain point-in-time snapshot form.
 
-use mtc_util::atomic::{Counter, FloatCounter};
-
-/// Cumulative work/volume counters for the replication pipeline.
-///
-/// `reader_work` accrues on the *publisher* (log reader + distributor run
-/// there in our single-distributor setup); `apply_work` accrues on each
-/// *subscriber*. The simulator charges these against the respective CPUs to
-/// reproduce Experiment 2's overhead measurements.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ReplicationMetrics {
-    /// Committed transactions read from the publisher's log.
-    pub txns_read: u64,
-    /// Row changes read from the publisher's log.
-    pub changes_read: u64,
-    /// Transactions applied across all subscriptions.
-    pub txns_applied: u64,
-    /// Row changes applied across all subscriptions.
-    pub changes_applied: u64,
-    /// Work units consumed on the publisher (log sniffing + distribution).
-    pub reader_work: f64,
-    /// Work units consumed on subscribers (applying changes).
-    pub apply_work: f64,
-    /// Bytes of encoded wire frames shipped from the distributor to
-    /// subscribers (every delivered transaction crosses the codec).
-    pub wire_bytes: u64,
-    // -- fault & recovery accounting ------------------------------------
-    /// Deliveries lost in flight (fault-injected drops); each one blocks
-    /// its subscription until redelivered.
-    pub deliveries_dropped: u64,
-    /// Deliveries held by a fault-injected delay.
-    pub deliveries_delayed: u64,
-    /// Redundant second deliveries of an already-applied frame (idempotent
-    /// apply makes their net effect zero).
-    pub duplicates_delivered: u64,
-    /// Frames damaged in flight and rejected by the strict wire decoder.
-    pub corrupt_frames: u64,
-    /// Injected agent crashes (delivery applied, progress record lost).
-    pub crashes_injected: u64,
-    /// Delivery attempts beyond the first for a given transaction —
-    /// the cost of drops/delays/corruption/crashes.
-    pub retries: u64,
-    /// Transactions whose *successful* apply needed more than one attempt.
-    pub redeliveries: u64,
-    /// Worst read-but-unapplied transaction backlog observed for any
-    /// subscription (a lag gauge, in transactions).
-    pub max_lag_txns: u64,
-}
-
-/// The live, lock-free form of [`ReplicationMetrics`]: every field is a
-/// relaxed atomic, so readers never contend with the apply path. The hub
-/// hands this out as an `Arc` — clone it once and read counters without
-/// ever locking the hub.
-#[derive(Debug, Default)]
-pub struct SharedReplicationMetrics {
-    pub txns_read: Counter,
-    pub changes_read: Counter,
-    pub txns_applied: Counter,
-    pub changes_applied: Counter,
-    pub reader_work: FloatCounter,
-    pub apply_work: FloatCounter,
-    pub wire_bytes: Counter,
-    pub deliveries_dropped: Counter,
-    pub deliveries_delayed: Counter,
-    pub duplicates_delivered: Counter,
-    pub corrupt_frames: Counter,
-    pub crashes_injected: Counter,
-    pub retries: Counter,
-    pub redeliveries: Counter,
-    pub max_lag_txns: Counter,
-}
-
-impl SharedReplicationMetrics {
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> ReplicationMetrics {
-        ReplicationMetrics {
-            txns_read: self.txns_read.get(),
-            changes_read: self.changes_read.get(),
-            txns_applied: self.txns_applied.get(),
-            changes_applied: self.changes_applied.get(),
-            reader_work: self.reader_work.get(),
-            apply_work: self.apply_work.get(),
-            wire_bytes: self.wire_bytes.get(),
-            deliveries_dropped: self.deliveries_dropped.get(),
-            deliveries_delayed: self.deliveries_delayed.get(),
-            duplicates_delivered: self.duplicates_delivered.get(),
-            corrupt_frames: self.corrupt_frames.get(),
-            crashes_injected: self.crashes_injected.get(),
-            retries: self.retries.get(),
-            redeliveries: self.redeliveries.get(),
-            max_lag_txns: self.max_lag_txns.get(),
-        }
+mtc_util::counter_set! {
+    /// Cumulative work/volume counters for the replication pipeline.
+    ///
+    /// `reader_work` accrues on the *publisher* (log reader + distributor run
+    /// there in our single-distributor setup); `apply_work` accrues on each
+    /// *subscriber*. The simulator charges these against the respective CPUs
+    /// to reproduce Experiment 2's overhead measurements.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct ReplicationMetrics {
+        /// Committed transactions read from the publisher's log.
+        pub txns_read: u64,
+        /// Row changes read from the publisher's log.
+        pub changes_read: u64,
+        /// Transactions applied across all subscriptions.
+        pub txns_applied: u64,
+        /// Row changes applied across all subscriptions.
+        pub changes_applied: u64,
+        /// Work units consumed on the publisher (log sniffing + distribution).
+        pub reader_work: f64,
+        /// Work units consumed on subscribers (applying changes).
+        pub apply_work: f64,
+        /// Bytes of encoded wire frames shipped from the distributor to
+        /// subscribers (every delivered transaction crosses the codec).
+        pub wire_bytes: u64,
+        // -- fault & recovery accounting --------------------------------
+        /// Deliveries lost in flight (fault-injected drops); each one blocks
+        /// its subscription until redelivered.
+        pub deliveries_dropped: u64,
+        /// Deliveries held by a fault-injected delay.
+        pub deliveries_delayed: u64,
+        /// Redundant second deliveries of an already-applied frame
+        /// (idempotent apply makes their net effect zero).
+        pub duplicates_delivered: u64,
+        /// Frames damaged in flight and rejected by the strict wire decoder.
+        pub corrupt_frames: u64,
+        /// Injected agent crashes (delivery applied, progress record lost).
+        pub crashes_injected: u64,
+        /// Delivery attempts beyond the first for a given transaction —
+        /// the cost of drops/delays/corruption/crashes.
+        pub retries: u64,
+        /// Transactions whose *successful* apply needed more than one
+        /// attempt.
+        pub redeliveries: u64,
+        /// Worst read-but-unapplied transaction backlog observed for any
+        /// subscription (a lag gauge, in transactions).
+        pub max_lag_txns: u64,
     }
+    /// The live, lock-free form of [`ReplicationMetrics`]: every field is a
+    /// relaxed atomic, so readers never contend with the apply path. The hub
+    /// hands this out as an `Arc` — clone it once and read counters (or
+    /// `snapshot()` all of them) without ever locking the hub.
+    #[derive(Debug, Default)]
+    live pub struct SharedReplicationMetrics;
 }
 
 /// Commit-to-apply latency distribution (Experiment 3's metric: time from

@@ -114,10 +114,180 @@ impl std::fmt::Debug for FloatCounter {
     }
 }
 
+/// Maps a counter's snapshot type to its live, lock-free form: `u64` is
+/// kept in a [`Counter`], `f64` in a [`FloatCounter`]. [`counter_set!`]
+/// reads it so a declaration names each counter's type once.
+pub trait CounterKind {
+    type Live;
+}
+
+impl CounterKind for u64 {
+    type Live = Counter;
+}
+
+impl CounterKind for f64 {
+    type Live = FloatCounter;
+}
+
+/// Declares a set of counters once.
+///
+/// ```
+/// mtc_util::counter_set! {
+///     /// What one probe stream did.
+///     #[derive(Debug, Clone, Copy, Default, PartialEq)]
+///     pub struct ProbeStats {
+///         /// Probes answered.
+///         pub hits: u64,
+///         /// Work units spent answering them.
+///         pub work: f64,
+///     }
+///     /// The live form of [`ProbeStats`].
+///     #[derive(Debug, Default)]
+///     live pub struct SharedProbeStats;
+/// }
+/// let live = SharedProbeStats::default();
+/// live.hits.inc();
+/// live.work.add(2.5);
+/// let mut total = live.take();
+/// total.absorb(&ProbeStats { hits: 1, work: 0.5 });
+/// assert_eq!(total, ProbeStats { hits: 2, work: 3.0 });
+/// assert_eq!(live.snapshot(), ProbeStats::default());
+/// ```
+///
+/// The field list (`name: u64` or `name: f64`, each with its doc comment
+/// and visibility) expands to the plain snapshot struct exactly as written
+/// plus `absorb(&other)`, which adds every counter of `other` into `self`.
+/// With a `live` line it also expands to the struct of relaxed atomics
+/// ([`Counter`] / [`FloatCounter`], same field names, docs and visibility)
+/// with `snapshot()` (a point-in-time copy) and `take()` (copy and reset to
+/// zero). Adding a counter is therefore one line in one place. Attributes —
+/// derives included — are the declaration's own: the macro adds none.
+#[macro_export]
+macro_rules! counter_set {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $kind:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $kind, )*
+        }
+
+        #[allow(dead_code)]
+        impl $name {
+            /// Adds every counter of `other` into `self`.
+            pub fn absorb(&mut self, other: &$name) {
+                $( self.$field += other.$field; )*
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $kind:ty ),* $(,)?
+        }
+        $(#[$lmeta:meta])*
+        live $lvis:vis struct $live:ident;
+    ) => {
+        $crate::counter_set! {
+            $(#[$meta])*
+            $vis struct $name {
+                $( $(#[$fmeta])* $fvis $field : $kind ),*
+            }
+        }
+
+        $(#[$lmeta])*
+        $lvis struct $live {
+            $( $(#[$fmeta])* $fvis $field: <$kind as $crate::atomic::CounterKind>::Live, )*
+        }
+
+        #[allow(dead_code)]
+        impl $live {
+            /// A point-in-time copy of every counter.
+            pub fn snapshot(&self) -> $name {
+                $name { $( $field: self.$field.get(), )* }
+            }
+
+            /// Returns every counter and resets it to zero.
+            pub fn take(&self) -> $name {
+                $name { $( $field: self.$field.take(), )* }
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    counter_set! {
+        /// A three-field set of both kinds.
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        struct Tally {
+            /// Things counted.
+            calls: u64,
+            rows: u64,
+            work: f64,
+        }
+        #[derive(Debug, Default)]
+        live struct SharedTally;
+    }
+
+    counter_set! {
+        /// A set with no live form: the snapshot struct and `absorb` only.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        struct Plain {
+            seen: u64,
+        }
+    }
+
+    #[test]
+    fn counter_set_declares_snapshot_live_and_absorb_from_one_list() {
+        let live = SharedTally::default();
+        live.calls.inc();
+        live.rows.add(7);
+        live.work.add(1.5);
+        live.work.add(0.25);
+        let snap = live.snapshot();
+        assert_eq!(
+            snap,
+            Tally {
+                calls: 1,
+                rows: 7,
+                work: 1.75
+            }
+        );
+        assert_eq!(live.snapshot(), snap, "snapshot leaves the counters alone");
+
+        assert_eq!(live.take(), snap);
+        assert_eq!(
+            live.snapshot(),
+            Tally::default(),
+            "take resets every counter"
+        );
+
+        let mut sum = snap;
+        sum.absorb(&Tally {
+            calls: 2,
+            rows: 3,
+            work: 0.25,
+        });
+        assert_eq!(
+            sum,
+            Tally {
+                calls: 3,
+                rows: 10,
+                work: 2.0
+            }
+        );
+
+        let mut plain = Plain { seen: 1 };
+        plain.absorb(&Plain { seen: 4 });
+        assert_eq!(plain, Plain { seen: 5 });
+    }
 
     #[test]
     fn counter_basics() {

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 verification (ROADMAP.md): build + full test suite, the benchmark
-# package's own tests, then the explicit experiment smoke hooks. The
+# package's own tests, then the explicit experiment smoke hooks and the
+# artifact-freshness gate. The
 # workspace sets `[workspace.lints.rust] warnings = "deny"`, so the
 # deny-warnings check is a clean build: any warning anywhere fails the build
 # step itself.
@@ -32,6 +33,15 @@ cargo test -q --test placement_smoke
 
 echo "==> cargo test -q --test advisor_smoke (adaptive-advisor floors vs committed BENCH_advisor.json)"
 cargo test -q --test advisor_smoke
+
+# Artifact freshness: the bit-reproducible BENCH_*.json (resultcache, fleet,
+# placement, advisor — bench_all.sh holds the list) are regenerated into a
+# scratch directory and must equal the committed files byte for byte, so a
+# change that moves a modeled number commits the moved artifact.
+# BENCH_hotpath.json and BENCH_concurrency.json carry wall-clock readings
+# and are not compared.
+echo "==> scripts/bench_all.sh --check (committed BENCH_*.json are what HEAD generates)"
+scripts/bench_all.sh --check
 
 # Structural sharing between consecutive snapshots, pinned by pointer
 # identity: a change that reintroduces a per-publication copy of the cache

@@ -10,7 +10,7 @@
 //! targets: post-shift adaptive ≥ 1.3× better than static (backend RTTs or
 //! p50), fragment hits > 0, zero equivalence failures.
 
-use mtc_bench::run_advisor;
+use mtc_bench::{field_at, run_advisor};
 
 #[test]
 fn advisor_mini_run_invariants() {
@@ -54,28 +54,6 @@ fn advisor_mini_run_invariants() {
         "{:?}",
         r.advisor_log
     );
-}
-
-fn field_at(json: &str, key: &str, n: usize) -> f64 {
-    let pat = format!("\"{key}\":");
-    let mut from = 0;
-    for _ in 0..n {
-        let at = json[from..]
-            .find(&pat)
-            .unwrap_or_else(|| panic!("BENCH_advisor.json lacks occurrence {n} of `{key}`"));
-        from += at + pat.len();
-    }
-    let at = json[from..]
-        .find(&pat)
-        .unwrap_or_else(|| panic!("BENCH_advisor.json missing `{key}`"));
-    let rest = &json[from + at + pat.len()..];
-    let end = rest
-        .find([',', '\n', '}'])
-        .unwrap_or_else(|| panic!("unterminated `{key}`"));
-    rest[..end]
-        .trim()
-        .parse()
-        .unwrap_or_else(|e| panic!("`{key}` is not numeric: {e}"))
 }
 
 #[test]

@@ -46,7 +46,7 @@ fn four_workers_model_at_least_1p5x_over_one() {
     // Replication really ran alongside the sessions: snapshots were
     // published (epochs advanced) and faulted deliveries were applied.
     assert!(one.max_epoch > 0, "no snapshot was ever published");
-    assert!(one.txns_applied > 0, "replication applied nothing");
+    assert!(one.replication.txns_applied > 0, "replication applied nothing");
 }
 
 /// Pulls the value of `key` out of the JSON line describing `workers = w`.

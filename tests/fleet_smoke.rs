@@ -10,7 +10,7 @@
 //! single-node baseline on both workloads, a reported backend-offload
 //! ratio, zero equivalence failures.
 
-use mtc_bench::run_fleet;
+use mtc_bench::{field_at, run_fleet};
 
 #[test]
 fn fleet_mini_run_invariants() {
@@ -21,21 +21,21 @@ fn fleet_mini_run_invariants() {
     assert_eq!(r.sessions, nodes * 8);
     assert_eq!(r.workloads.len(), 2, "Browsing and Shopping");
     for w in &r.workloads {
-        assert_eq!(w.single.errors, 0, "{}: single stream must run clean", w.workload);
-        assert_eq!(w.fleet.errors, 0, "{}: fleet stream must run clean", w.workload);
+        assert_eq!(w.single.stream.errors, 0, "{}: single stream must run clean", w.workload);
+        assert_eq!(w.fleet.stream.errors, 0, "{}: fleet stream must run clean", w.workload);
         assert_eq!(
-            w.fleet.interactions, interactions,
+            w.fleet.stream.interactions, interactions,
             "{}: the crash + rejoin must not lose or duplicate interactions",
             w.workload
         );
         assert_eq!(
-            w.single.interactions, w.fleet.interactions,
+            w.single.stream.interactions, w.fleet.stream.interactions,
             "{}: both phases replay one identical seeded stream",
             w.workload
         );
         assert_eq!(
             w.fleet.per_node_interactions.iter().sum::<usize>(),
-            w.fleet.interactions,
+            w.fleet.stream.interactions,
             "{}: per-node counts partition the stream",
             w.workload
         );
@@ -81,30 +81,6 @@ fn fleet_mini_run_invariants() {
     ] {
         assert!(json.contains(key), "report lacks {key}");
     }
-}
-
-/// Pulls the `n`-th numeric occurrence of `key` out of the hand-rolled
-/// JSON report (0-based).
-fn field_at(json: &str, key: &str, n: usize) -> f64 {
-    let pat = format!("\"{key}\":");
-    let mut from = 0usize;
-    for _ in 0..n {
-        let at = json[from..]
-            .find(&pat)
-            .unwrap_or_else(|| panic!("BENCH_fleet.json lacks occurrence {n} of `{key}`"));
-        from += at + pat.len();
-    }
-    let at = json[from..]
-        .find(&pat)
-        .unwrap_or_else(|| panic!("BENCH_fleet.json missing `{key}`"));
-    let rest = &json[from + at + pat.len()..];
-    let end = rest
-        .find([',', '\n', '}'])
-        .unwrap_or_else(|| panic!("unterminated `{key}`"));
-    rest[..end]
-        .trim()
-        .parse()
-        .unwrap_or_else(|e| panic!("`{key}` is not numeric: {e}"))
 }
 
 fn count_of(json: &str, key: &str) -> usize {

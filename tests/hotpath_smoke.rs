@@ -7,7 +7,7 @@
 //! `BENCH_hotpath.json` artifact so a stale or regressed report fails the
 //! build rather than going unnoticed.
 
-use mtc_bench::run_hotpath;
+use mtc_bench::{field, run_hotpath};
 use mtc_types::{row, Row, RowBatch};
 
 /// Committed streaming latency for the full-size run (µs per warm suite
@@ -81,22 +81,6 @@ fn full_size_run_meets_streaming_floor() {
         STREAMING_US_FLOOR
     );
     assert_eq!(r.rows_cloned_streaming, 0, "zero-copy contract broken: {r:?}");
-}
-
-/// Pulls a numeric field out of the hand-rolled JSON report.
-fn field(json: &str, key: &str) -> f64 {
-    let pat = format!("\"{key}\":");
-    let at = json
-        .find(&pat)
-        .unwrap_or_else(|| panic!("BENCH_hotpath.json missing `{key}`"));
-    let rest = &json[at + pat.len()..];
-    let end = rest
-        .find([',', '\n', '}'])
-        .unwrap_or_else(|| panic!("unterminated `{key}`"));
-    rest[..end]
-        .trim()
-        .parse()
-        .unwrap_or_else(|e| panic!("`{key}` is not numeric: {e}"))
 }
 
 #[test]

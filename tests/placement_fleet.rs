@@ -236,6 +236,32 @@ fn crash_and_rejoin_bump_topology_and_invalidate_cached_placements() {
 }
 
 #[test]
+fn a_crash_and_a_dropped_fleet_release_the_nodes_their_peers_held() {
+    // Placement peers hold each other strongly in their published wiring;
+    // every membership change republishes it and a dropped fleet clears it.
+    let (_backend, fleet, _hub) = setup_partitioned_fleet(FleetConfig {
+        nodes: 3,
+        ..FleetConfig::default()
+    });
+    let nodes: Vec<_> = fleet.nodes().iter().map(Arc::downgrade).collect();
+    assert!(nodes.iter().all(|n| n.upgrade().is_some()));
+
+    fleet.crash_node(1).unwrap();
+    assert!(
+        nodes[1].upgrade().is_none(),
+        "the survivors' new wiring no longer names the victim"
+    );
+    let explain = fleet.node(0).unwrap().explain(IN_VIEW_READ).unwrap();
+    assert!(!explain.contains("placed: cache1"), "{explain}");
+
+    drop(fleet);
+    assert!(
+        nodes.iter().all(|n| n.upgrade().is_none()),
+        "a dropped fleet unwires its nodes"
+    );
+}
+
+#[test]
 fn peer_placement_is_bit_identical_across_fleet_shapes() {
     // The same probes through a viewless node (peer-placed), the view
     // owner (local), and a multisite-off fleet (backend) must all equal

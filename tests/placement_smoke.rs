@@ -9,29 +9,29 @@
 //! p50 speedup ≥ 1.3×, backend-RTT reduction ≥ 25%, zero equivalence
 //! failures.
 
-use mtc_bench::run_placement;
+use mtc_bench::{field_at, run_placement};
 
 #[test]
 fn placement_mini_run_invariants() {
     let r = run_placement(300, 11);
     assert_eq!(r.nodes, 4, "one node per region slice");
-    assert_eq!(r.twosite.errors, 0, "two-site stream must run clean");
-    assert_eq!(r.multisite.errors, 0, "multi-site stream must run clean");
+    assert_eq!(r.twosite.stream.errors, 0, "two-site stream must run clean");
+    assert_eq!(r.multisite.stream.errors, 0, "multi-site stream must run clean");
     assert_eq!(
-        r.twosite.queries, r.multisite.queries,
+        r.twosite.stream.interactions, r.multisite.stream.interactions,
         "both phases replay one identical seeded stream"
     );
-    assert_eq!(r.twosite.peer_rtts, 0, "two-site planning never hops to a peer");
+    assert_eq!(r.twosite.stream.metrics.peer_rtts, 0, "two-site planning never hops to a peer");
     assert!(
-        r.multisite.peer_rtts > 0,
+        r.multisite.stream.metrics.peer_rtts > 0,
         "partitioned views must trigger peer placements"
     );
     assert!(
-        r.multisite.backend_rtts < r.twosite.backend_rtts,
+        r.multisite.backend_rtts() < r.twosite.backend_rtts(),
         "peer placement must shed backend round trips \
          ({} -> {})",
-        r.twosite.backend_rtts,
-        r.multisite.backend_rtts
+        r.twosite.backend_rtts(),
+        r.multisite.backend_rtts()
     );
     assert_eq!(
         r.equivalence_failures, 0,
@@ -50,30 +50,6 @@ fn placement_mini_run_invariants() {
     ] {
         assert!(json.contains(key), "report lacks {key}");
     }
-}
-
-/// Pulls the `n`-th numeric occurrence of `key` out of the hand-rolled
-/// JSON report (0-based).
-fn field_at(json: &str, key: &str, n: usize) -> f64 {
-    let pat = format!("\"{key}\":");
-    let mut from = 0usize;
-    for _ in 0..n {
-        let at = json[from..]
-            .find(&pat)
-            .unwrap_or_else(|| panic!("BENCH_placement.json lacks occurrence {n} of `{key}`"));
-        from += at + pat.len();
-    }
-    let at = json[from..]
-        .find(&pat)
-        .unwrap_or_else(|| panic!("BENCH_placement.json missing `{key}`"));
-    let rest = &json[from + at + pat.len()..];
-    let end = rest
-        .find([',', '\n', '}'])
-        .unwrap_or_else(|| panic!("unterminated `{key}`"));
-    rest[..end]
-        .trim()
-        .parse()
-        .unwrap_or_else(|e| panic!("`{key}` is not numeric: {e}"))
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! targets: ≥ 60% of Browsing round trips eliminated, ≥ 40% warm hit
 //! rate, zero equivalence failures.
 
-use mtc_bench::run_resultcache;
+use mtc_bench::{field_at, run_resultcache};
 
 #[test]
 fn resultcache_mini_run_invariants() {
@@ -24,17 +24,17 @@ fn resultcache_mini_run_invariants() {
             w.workload
         );
         assert_eq!(
-            w.baseline.remote_calls, w.cached.remote_calls,
+            w.baseline.metrics.remote_calls, w.cached.metrics.remote_calls,
             "{}: the cache changes where answers come from, not how many \
              remote statements the plans consume",
             w.workload
         );
         assert!(
-            w.cached.remote_rtts < w.baseline.remote_rtts,
+            w.cached.metrics.remote_rtts < w.baseline.metrics.remote_rtts,
             "{}: the cache must eliminate wire round trips ({} vs {})",
             w.workload,
-            w.cached.remote_rtts,
-            w.baseline.remote_rtts
+            w.cached.metrics.remote_rtts,
+            w.baseline.metrics.remote_rtts
         );
         assert_eq!(
             w.equivalence_failures, 0,
@@ -44,30 +44,6 @@ fn resultcache_mini_run_invariants() {
         assert!(w.equivalence_checked > 0);
         assert!(w.cached.p50_ms <= w.baseline.p50_ms + 1e-9, "{}", w.workload);
     }
-}
-
-/// Pulls the `n`-th numeric occurrence of `key` out of the hand-rolled
-/// JSON report (0-based).
-fn field_at(json: &str, key: &str, n: usize) -> f64 {
-    let pat = format!("\"{key}\":");
-    let mut from = 0usize;
-    for _ in 0..n {
-        let at = json[from..]
-            .find(&pat)
-            .unwrap_or_else(|| panic!("BENCH_resultcache.json lacks occurrence {n} of `{key}`"));
-        from += at + pat.len();
-    }
-    let at = json[from..]
-        .find(&pat)
-        .unwrap_or_else(|| panic!("BENCH_resultcache.json missing `{key}`"));
-    let rest = &json[from + at + pat.len()..];
-    let end = rest
-        .find([',', '\n', '}'])
-        .unwrap_or_else(|| panic!("unterminated `{key}`"));
-    rest[..end]
-        .trim()
-        .parse()
-        .unwrap_or_else(|e| panic!("`{key}` is not numeric: {e}"))
 }
 
 fn count_of(json: &str, key: &str) -> usize {
