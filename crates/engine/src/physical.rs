@@ -250,30 +250,29 @@ impl PhysicalPlan {
             PhysicalPlan::Nothing { .. } => out.push_str("Nothing\n"),
             PhysicalPlan::SeqScan {
                 object, predicate, ..
-            } => {
-                out.push_str(&format!(
-                    "SeqScan {object}{}\n",
-                    predicate
-                        .as_ref()
-                        .map(|p| format!(" filter: {p}"))
-                        .unwrap_or_default()
-                ));
-            }
+            } => out.push_str(&format!("SeqScan {object}{}\n", filter_str(predicate))),
             PhysicalPlan::ClusteredSeek {
-                object, low, high, ..
+                object,
+                low,
+                high,
+                predicate,
+                ..
             } => out.push_str(&format!(
-                "ClusteredSeek {object} {}\n",
-                bounds_str(low, high)
+                "ClusteredSeek {object} {}{}\n",
+                bounds_str(low, high),
+                filter_str(predicate)
             )),
             PhysicalPlan::IndexSeek {
                 object,
                 index,
                 low,
                 high,
+                predicate,
                 ..
             } => out.push_str(&format!(
-                "IndexSeek {object}.{index} {}\n",
-                bounds_str(low, high)
+                "IndexSeek {object}.{index} {}{}\n",
+                bounds_str(low, high),
+                filter_str(predicate)
             )),
             PhysicalPlan::Filter { predicate, .. } => {
                 out.push_str(&format!("Filter {predicate}\n"))
@@ -368,6 +367,14 @@ impl PhysicalPlan {
     }
 }
 
+/// The residual an access path re-checks over every row it touches.
+fn filter_str(predicate: &Option<Expr>) -> String {
+    predicate
+        .as_ref()
+        .map(|p| format!(" filter: {p}"))
+        .unwrap_or_default()
+}
+
 fn bounds_str(low: &Option<KeyBound>, high: &Option<KeyBound>) -> String {
     let lo = low
         .as_ref()
@@ -438,5 +445,35 @@ mod tests {
         let text = plan.explain();
         assert!(text.contains("[startup: @cid <= 1000]"), "{text}");
         assert!(text.contains("[always]"), "{text}");
+    }
+
+    #[test]
+    fn explain_shows_seek_residuals() {
+        let schema = Schema::new(vec![Column::new("a", DataType::Int)]);
+        let residual = Expr::binary(Expr::col("a"), mtc_sql::BinOp::Gt, Expr::param("lo"));
+        let bound = Some(KeyBound {
+            expr: Expr::param("lo"),
+            inclusive: false,
+        });
+        let seeks = [
+            PhysicalPlan::ClusteredSeek {
+                object: "t".into(),
+                schema: schema.clone(),
+                low: bound.clone(),
+                high: None,
+                predicate: Some(residual.clone()),
+            },
+            PhysicalPlan::IndexSeek {
+                object: "t".into(),
+                index: "ix".into(),
+                schema,
+                low: bound,
+                high: None,
+                predicate: Some(residual),
+            },
+        ];
+        let [clustered, index] = seeks.map(|p| p.explain());
+        assert_eq!(clustered, "ClusteredSeek t [> @lo ] filter: a > @lo\n");
+        assert_eq!(index, "IndexSeek t.ix [> @lo ] filter: a > @lo\n");
     }
 }
