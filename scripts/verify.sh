@@ -65,6 +65,16 @@ cargo test -q --test prepared_layer
 echo "==> cargo test -q --test auto_parameterization (ad-hoc statements are planned once per shape, on every tier)"
 cargo test -q --test auto_parameterization
 
+# Warm reads build only the columns they return, pinned by a counter
+# (`ExecMetrics::cells_built`): a cv_item point read builds 4 of 11
+# columns, hotpoint's TOP 10 range 2, an L1 hit none, a subject search's
+# index seek its projected and residual columns, and the view match's
+# Project(Project(seek)) runs as one operator. A change that builds whole
+# rows again, or unfolds the projection chain, fails here, on any machine,
+# without a timer.
+echo "==> cargo test -q --test pruned_leaves (an access path builds only the columns a read needs)"
+cargo test -q --test pruned_leaves
+
 # Tier-2: release-mode perf gate. The full-size hot-path run must stay
 # within 20% of the committed streaming floor (tests/hotpath_smoke.rs,
 # STREAMING_US_FLOOR); debug timings are meaningless, hence --release.
