@@ -17,7 +17,6 @@ pub mod concurrency;
 pub mod deployment;
 pub mod experiments;
 pub mod fleet;
-pub mod hotpath;
 pub mod json;
 pub mod measure;
 pub mod placement;
@@ -30,7 +29,6 @@ pub use concurrency::{run_concurrency, ConcurrencyResults, WorkerPoint};
 pub use deployment::Deployment;
 pub use experiments::{run_all, ExperimentResults};
 pub use fleet::{run_fleet, FleetResults, FleetWorkloadPoint};
-pub use hotpath::{run_hotpath, HotpathResults};
 pub use json::{arg, field, field_at, write_artifact, Json};
 pub use measure::{measure_demands, MeasuredDemands};
 pub use placement::{run_placement, PlacementPhase, PlacementResults};

@@ -1,41 +1,33 @@
 //! Physical plan execution.
 //!
-//! Two executors live here:
+//! [`execute`] is the one executor, local, remote and dynamic plans alike.
+//! It lowers the physical plan through [`crate::compile`] (column ordinals
+//! resolved once, constants folded, parameters slotted) and drives the
+//! pull-based batch streams in [`crate::stream`]. Operators exchange
+//! batches of up to [`crate::stream::BATCH_SIZE`] rows instead of cloning
+//! whole intermediate `Vec<Row>`s, and `TOP n` stops pulling — and
+//! therefore stops scanning — as soon as `n` rows have been produced.
 //!
-//! * [`execute`] — the production hot path. It lowers the physical plan
-//!   through [`crate::compile`] (column ordinals resolved once, constants
-//!   folded, parameters slotted) and drives the pull-based batch streams in
-//!   [`crate::stream`]. Operators exchange batches of up to
-//!   [`crate::stream::BATCH_SIZE`] rows instead of cloning whole
-//!   intermediate `Vec<Row>`s, and `TOP n` stops pulling — and therefore
-//!   stops scanning — as soon as `n` rows have been produced.
-//! * [`execute_materialized`] — the seed's recursive materialize-everything
-//!   interpreter, kept as the differential-testing baseline and instrumented
-//!   with the same [`ExecMetrics`] counters so the streaming win is
-//!   observable (`rows_cloned`, `batches`).
+//! One crucial behavior: **startup predicates**. A UnionAll branch whose
+//! startup predicate evaluates to false is *never opened* (§5.1) — that is
+//! what makes dynamic plans cheap at run time.
 //!
-//! One crucial behavior is faithfully preserved in both: **startup
-//! predicates**. A UnionAll branch whose startup predicate evaluates to
-//! false is *never opened* (§5.1) — that is what makes dynamic plans cheap
-//! at run time.
-//!
-//! The executors accumulate [`ExecMetrics`]: work units per server, rows
+//! The executor accumulates [`ExecMetrics`]: work units per server, rows
 //! and bytes crossing DataTransfer boundaries. The multi-tier simulator
 //! charges these against CPU capacities to reproduce the paper's
 //! throughput experiments.
 
-use std::collections::{HashMap, HashSet};
-use std::ops::Bound;
+use std::collections::HashSet;
 use std::sync::Arc;
 
-use mtc_sql::{Expr, JoinKind, Prepared};
+use mtc_sql::Prepared;
 use mtc_storage::Database;
-use mtc_types::{Error, Result, Row, Schema, Value};
+use mtc_types::{Result, Row, Schema, Value};
 
-use crate::eval::{eval, eval_predicate, Bindings};
+use crate::eval::Bindings;
 use crate::logical::AggFunc;
 use crate::optimizer::cost::CostModel;
-use crate::physical::{KeyBound, PhysicalPlan, RemoteSite};
+use crate::physical::{PhysicalPlan, RemoteSite};
 
 mtc_util::counter_set! {
     /// Execution metrics for one query. `absorb` merges the metrics of a
@@ -60,17 +52,16 @@ mtc_util::counter_set! {
         /// Full `Row` (or key-tuple) deep clones made *while executing* — scan
         /// copies, join spills, distinct/agg key copies. Materializing the
         /// final owned result at the client boundary is not counted here (see
-        /// `bytes_materialized`); the streaming executor exists to push this
-        /// number to zero on read paths.
+        /// `bytes_materialized`); on read paths the executor keeps this
+        /// number at zero.
         pub rows_cloned: u64,
         /// Estimated bytes of owned row data materialized at the final
-        /// client/result-cache boundary. Both executors charge this once, for
-        /// the finished result only — it measures the unavoidable boundary
-        /// copy, separating it from the per-operator churn `rows_cloned`
-        /// tracks.
+        /// client/result-cache boundary: Σ `Row::estimated_width` of the
+        /// finished result, charged once — it measures the unavoidable
+        /// boundary copy, separating it from the per-operator churn
+        /// `rows_cloned` tracks.
         pub bytes_materialized: u64,
-        /// Batches exchanged between operators (streaming) or operator
-        /// invocations (materialized).
+        /// Batches exchanged between operators.
         pub batches: u64,
         /// Cells (rows × columns) the streaming executor's access-path
         /// leaves built from storage: each row a serial leaf touches (a
@@ -110,20 +101,6 @@ mtc_util::counter_set! {
         /// Fragment probes answered from the memo: the subtree's compute was
         /// skipped and its memoized rows were replayed.
         pub fragment_hits: u64,
-    }
-}
-
-impl ExecMetrics {
-    /// Local work units on the query's critical path when its parallel
-    /// slice overlaps across `dop` workers: the serial remainder runs at
-    /// full length, the parallel slice shrinks `dop`-fold. This is the
-    /// machine-independent quantity the concurrency experiment scales by —
-    /// wall-clock speedups on a box with fewer cores than `dop` would
-    /// understate (and on this repo's work-unit simulator, misstate) the
-    /// achievable overlap.
-    pub fn critical_path_work(&self, dop: usize) -> f64 {
-        let dop = dop.max(1) as f64;
-        (self.local_work - self.parallel_work).max(0.0) + self.parallel_work / dop
     }
 }
 
@@ -253,10 +230,6 @@ pub struct ExecContext<'a> {
     pub parallel: Option<crate::parallel::ParallelCtx>,
 }
 
-/// Marker type re-exported for the public API: local table data access is
-/// mediated entirely through [`ExecContext::db`].
-pub struct LocalData;
-
 /// Executes a physical plan to completion on the hot path: compile once
 /// (ordinal resolution, constant folding, parameter slots), then stream
 /// batches through the pull-based executor.
@@ -266,605 +239,6 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext<'_>) -> Result<QueryResult
 }
 
 pub use crate::stream::execute_compiled;
-
-/// Executes a physical plan with the seed's recursive materialize-everything
-/// interpreter. Kept as the differential baseline for the streaming
-/// executor; instrumented with the same `rows_cloned`/`batches` counters.
-pub fn execute_materialized(plan: &PhysicalPlan, ctx: &ExecContext<'_>) -> Result<QueryResult> {
-    let mut metrics = ExecMetrics::default();
-    let rows = run(plan, ctx, &mut metrics)?;
-    // The root's output Vec *is* the owned result here — charge the same
-    // boundary-materialization volume the streaming executor charges when
-    // it converts its final batches to rows.
-    metrics.bytes_materialized += rows.iter().map(Row::estimated_width).sum::<u64>();
-    Ok(QueryResult {
-        schema: plan.schema().clone(),
-        rows,
-        metrics,
-    })
-}
-
-fn run(plan: &PhysicalPlan, ctx: &ExecContext<'_>, m: &mut ExecMetrics) -> Result<Vec<Row>> {
-    m.batches += 1;
-    match plan {
-        PhysicalPlan::Nothing { .. } => Ok(vec![Row::new(vec![])]),
-
-        PhysicalPlan::SeqScan {
-            object,
-            schema,
-            predicate,
-        } => {
-            let table = ctx.db.table_ref(object)?;
-            if table.is_shadow() {
-                return Err(Error::execution(format!(
-                    "attempted local scan of shadow table `{object}`"
-                )));
-            }
-            let mut out = Vec::new();
-            let mut scanned = 0u64;
-            for row in table.scan() {
-                scanned += 1;
-                if passes(predicate, row, schema, ctx)? {
-                    out.push(row.clone());
-                }
-            }
-            m.local_work += ctx.work.scan(scanned as f64);
-            m.local_rows += out.len() as u64;
-            m.rows_cloned += out.len() as u64;
-            Ok(out)
-        }
-
-        PhysicalPlan::ClusteredSeek {
-            object,
-            schema,
-            low,
-            high,
-            predicate,
-        } => {
-            let table = ctx.db.table_ref(object)?;
-            if table.is_shadow() {
-                return Err(Error::execution(format!(
-                    "attempted local seek on shadow table `{object}`"
-                )));
-            }
-            let low_key = bound_key(low, ctx)?;
-            let high_key = bound_key(high, ctx)?;
-            let mut out = Vec::new();
-            let mut touched = 0u64;
-            for row in table.scan_range(low_key.as_ref(), high_key.as_ref()) {
-                touched += 1;
-                if passes(predicate, row, schema, ctx)? {
-                    out.push(row.clone());
-                }
-            }
-            m.local_work += ctx.work.seek(touched as f64);
-            m.local_rows += out.len() as u64;
-            m.rows_cloned += out.len() as u64;
-            Ok(out)
-        }
-
-        PhysicalPlan::IndexSeek {
-            object,
-            index,
-            schema,
-            low,
-            high,
-            predicate,
-        } => {
-            ctx.db.table_ref(object)?;
-            let ix = ctx
-                .db
-                .index(index)
-                .ok_or_else(|| Error::catalog(format!("index `{index}` not found")))?;
-            let lo = match bound_key(low, ctx)? {
-                Some(k) => Bound::Included(k),
-                None => Bound::Unbounded,
-            };
-            let hi = match bound_key(high, ctx)? {
-                Some(k) => Bound::Included(k),
-                None => Bound::Unbounded,
-            };
-            // Seed behavior: materialize the whole range before filtering.
-            // (The streaming executor walks the borrowed range instead.)
-            let rows: Vec<Arc<Row>> = ix.range(lo, hi).cloned().collect();
-            m.rows_cloned += rows.len() as u64;
-            let mut out = Vec::new();
-            for row in &rows {
-                if passes(predicate, row, schema, ctx)? {
-                    out.push(Row::clone(row));
-                }
-            }
-            m.local_work += ctx.work.seek(rows.len() as f64);
-            m.local_rows += out.len() as u64;
-            m.rows_cloned += out.len() as u64;
-            Ok(out)
-        }
-
-        PhysicalPlan::Filter { input, predicate } => {
-            let rows = run(input, ctx, m)?;
-            let schema = input.schema();
-            m.local_work += ctx.work.filter(rows.len() as f64);
-            let mut out = Vec::new();
-            for row in rows {
-                if eval_predicate(predicate, &row, schema, ctx.params)? == Some(true) {
-                    out.push(row);
-                }
-            }
-            m.local_rows += out.len() as u64;
-            Ok(out)
-        }
-
-        PhysicalPlan::Project {
-            input,
-            exprs,
-            schema: _,
-        } => {
-            let rows = run(input, ctx, m)?;
-            let in_schema = input.schema();
-            m.local_work += ctx.work.project(rows.len() as f64);
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                let mut vals = Vec::with_capacity(exprs.len());
-                for (e, _) in exprs {
-                    vals.push(eval(e, &row, in_schema, ctx.params)?);
-                }
-                out.push(Row::new(vals));
-            }
-            m.local_rows += out.len() as u64;
-            Ok(out)
-        }
-
-        PhysicalPlan::NestedLoopJoin {
-            left,
-            right,
-            kind,
-            on,
-            schema,
-        } => {
-            let lrows = run(left, ctx, m)?;
-            let rrows = run(right, ctx, m)?;
-            m.local_work += ctx
-                .work
-                .nl_join(lrows.len() as f64, rrows.len() as f64, 0.0);
-            let lw = left.schema().len();
-            let rw = right.schema().len();
-            let mut out = Vec::new();
-            let mut right_matched = vec![false; rrows.len()];
-            for l in &lrows {
-                let mut matched = false;
-                for (ri, r) in rrows.iter().enumerate() {
-                    let joined = l.join(r);
-                    let ok = match on {
-                        None => true,
-                        Some(p) => eval_predicate(p, &joined, schema, ctx.params)? == Some(true),
-                    };
-                    if ok {
-                        matched = true;
-                        right_matched[ri] = true;
-                        out.push(joined);
-                    }
-                }
-                if !matched && matches!(kind, JoinKind::Left | JoinKind::Full) {
-                    out.push(null_extend(l, rw, false));
-                }
-            }
-            if matches!(kind, JoinKind::Right | JoinKind::Full) {
-                for (ri, r) in rrows.iter().enumerate() {
-                    if !right_matched[ri] {
-                        out.push(null_extend(r, lw, true));
-                    }
-                }
-            }
-            m.local_work += ctx.work.cpu_per_row * out.len() as f64;
-            m.local_rows += out.len() as u64;
-            Ok(out)
-        }
-
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            kind,
-            residual,
-            schema,
-        } => {
-            let lrows = run(left, ctx, m)?;
-            let rrows = run(right, ctx, m)?;
-            let lschema = left.schema();
-            let rschema = right.schema();
-            // Build on the right side, probe with the left.
-            let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-            for (i, r) in rrows.iter().enumerate() {
-                if let Some(key) = key_of(right_keys, r, rschema, ctx)? {
-                    table.entry(key).or_default().push(i);
-                }
-            }
-            let mut out = Vec::new();
-            let mut right_matched = vec![false; rrows.len()];
-            let lw = lschema.len();
-            let rw = rschema.len();
-            for l in &lrows {
-                let mut matched = false;
-                if let Some(key) = key_of(left_keys, l, lschema, ctx)? {
-                    if let Some(entries) = table.get(&key) {
-                        for &ri in entries {
-                            let joined = l.join(&rrows[ri]);
-                            let ok = match residual {
-                                None => true,
-                                Some(p) => {
-                                    eval_predicate(p, &joined, schema, ctx.params)? == Some(true)
-                                }
-                            };
-                            if ok {
-                                matched = true;
-                                right_matched[ri] = true;
-                                out.push(joined);
-                            }
-                        }
-                    }
-                }
-                if !matched && matches!(kind, JoinKind::Left | JoinKind::Full) {
-                    out.push(null_extend(l, rw, false));
-                }
-            }
-            if matches!(kind, JoinKind::Right | JoinKind::Full) {
-                for (ri, r) in rrows.iter().enumerate() {
-                    if !right_matched[ri] {
-                        out.push(null_extend(r, lw, true));
-                    }
-                }
-            }
-            m.local_work +=
-                ctx.work
-                    .hash_join(rrows.len() as f64, lrows.len() as f64, out.len() as f64);
-            m.local_rows += out.len() as u64;
-            Ok(out)
-        }
-
-        PhysicalPlan::HashAggregate {
-            input,
-            group_by,
-            aggs,
-            schema: _,
-        } => {
-            let rows = run(input, ctx, m)?;
-            let in_schema = input.schema();
-            let n_in = rows.len();
-            let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-            let mut order: Vec<Vec<Value>> = Vec::new();
-            for row in &rows {
-                let mut key = Vec::with_capacity(group_by.len());
-                for g in group_by {
-                    key.push(eval(g, row, in_schema, ctx.params)?);
-                }
-                let states = match groups.get_mut(&key) {
-                    Some(s) => s,
-                    None => {
-                        // Seed behavior: the key is cloned twice per new
-                        // group (order vector + map entry).
-                        m.rows_cloned += 2;
-                        order.push(key.clone());
-                        groups
-                            .entry(key.clone())
-                            .or_insert_with(|| aggs.iter().map(AggState::new).collect())
-                    }
-                };
-                for (state, call) in states.iter_mut().zip(aggs) {
-                    let v = match &call.arg {
-                        Some(e) => Some(eval(e, row, in_schema, ctx.params)?),
-                        None => None,
-                    };
-                    state.update(v);
-                }
-            }
-            // Global aggregate over an empty input still yields one row.
-            if groups.is_empty() && group_by.is_empty() {
-                order.push(vec![]);
-                groups.insert(vec![], aggs.iter().map(AggState::new).collect());
-            }
-            let mut out = Vec::with_capacity(order.len());
-            for key in order {
-                let states = &groups[&key];
-                // Third key-tuple clone per group: the emit copy. The seed
-                // hardcoded 2 and missed this one.
-                m.rows_cloned += 1;
-                let mut vals = key.clone();
-                for s in states {
-                    vals.push(s.finish());
-                }
-                out.push(Row::new(vals));
-            }
-            m.local_work += ctx.work.aggregate(n_in as f64, out.len() as f64);
-            m.local_rows += out.len() as u64;
-            Ok(out)
-        }
-
-        PhysicalPlan::Sort { input, keys } => {
-            let mut rows = run(input, ctx, m)?;
-            let schema = input.schema();
-            m.local_work += ctx.work.sort(rows.len() as f64);
-            // Precompute sort keys to keep comparator infallible.
-            let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
-            for row in rows.drain(..) {
-                let mut k = Vec::with_capacity(keys.len());
-                for key in keys {
-                    k.push(eval(&key.expr, &row, schema, ctx.params)?);
-                }
-                keyed.push((k, row));
-            }
-            keyed.sort_by(|(a, _), (b, _)| {
-                for (i, key) in keys.iter().enumerate() {
-                    let ord = a[i].cmp(&b[i]);
-                    let ord = if key.asc { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            Ok(keyed.into_iter().map(|(_, r)| r).collect())
-        }
-
-        PhysicalPlan::Top { input, n } => {
-            let mut rows = run(input, ctx, m)?;
-            rows.truncate(*n as usize);
-            Ok(rows)
-        }
-
-        PhysicalPlan::Distinct { input } => {
-            let rows = run(input, ctx, m)?;
-            m.local_work += ctx.work.aggregate(rows.len() as f64, rows.len() as f64);
-            let mut seen: HashSet<Row> = HashSet::with_capacity(rows.len());
-            let mut out = Vec::new();
-            // Seed behavior: every row is cloned into the seen-set, even
-            // duplicates that are then dropped.
-            m.rows_cloned += rows.len() as u64;
-            for row in rows {
-                if seen.insert(row.clone()) {
-                    out.push(row);
-                }
-            }
-            Ok(out)
-        }
-
-        PhysicalPlan::UnionAll {
-            inputs,
-            startup_predicates,
-            schema: _,
-        } => {
-            let empty_schema = Schema::empty();
-            let empty_row = Row::new(vec![]);
-            let mut out = Vec::new();
-            for (branch, guard) in inputs.iter().zip(startup_predicates) {
-                // Startup predicate: parameter-only, evaluated once before
-                // the branch opens. False or UNKNOWN ⇒ branch never opens.
-                if let Some(g) = guard {
-                    let open =
-                        eval_predicate(g, &empty_row, &empty_schema, ctx.params)? == Some(true);
-                    if !open {
-                        continue;
-                    }
-                }
-                out.extend(run(branch, ctx, m)?);
-            }
-            Ok(out)
-        }
-
-        PhysicalPlan::IndexNlJoin {
-            outer,
-            inner_object,
-            inner_index,
-            outer_key,
-            inner_exprs,
-            inner_row_schema,
-            inner_schema,
-            kind,
-            residual,
-            schema,
-        } => {
-            let outer_rows = run(outer, ctx, m)?;
-            let outer_schema = outer.schema();
-            let table = ctx.db.table_ref(inner_object)?;
-            if table.is_shadow() {
-                return Err(Error::execution(format!(
-                    "attempted local seek on shadow table `{inner_object}`"
-                )));
-            }
-            let index = match inner_index {
-                Some(name) => Some(ctx.db.index(name).ok_or_else(|| {
-                    Error::catalog(format!("index `{name}` not found"))
-                })?),
-                None => None,
-            };
-            let mut out = Vec::new();
-            let mut seeks = 0u64;
-            let mut fetched = 0u64;
-            for orow in &outer_rows {
-                let key = eval(outer_key, orow, outer_schema, ctx.params)?;
-                let mut matched = false;
-                if !key.is_null() {
-                    seeks += 1;
-                    let key_row = Row::new(vec![key]);
-                    // Collect matching inner rows via the chosen access path.
-                    let inner_matches: Vec<&Row> = match index {
-                        Some(ix) => ix.seek(&key_row).map(|r| &**r).collect(),
-                        None => table.get(&key_row).into_iter().collect(),
-                    };
-                    for irow in inner_matches {
-                        fetched += 1;
-                        let projected = match inner_exprs {
-                            Some(exprs) => {
-                                let mut vals = Vec::with_capacity(exprs.len());
-                                for (e, _) in exprs {
-                                    vals.push(eval(e, irow, inner_row_schema, ctx.params)?);
-                                }
-                                Row::new(vals)
-                            }
-                            None => {
-                                m.rows_cloned += 1;
-                                irow.clone()
-                            }
-                        };
-                        let joined = orow.join(&projected);
-                        let ok = match residual {
-                            None => true,
-                            Some(p) => {
-                                eval_predicate(p, &joined, schema, ctx.params)? == Some(true)
-                            }
-                        };
-                        if ok {
-                            matched = true;
-                            out.push(joined);
-                        }
-                    }
-                }
-                if !matched && *kind == JoinKind::Left {
-                    out.push(null_extend(orow, inner_schema.len(), false));
-                }
-            }
-            m.local_work += ctx.work.seek_cost * seeks as f64
-                + ctx.work.cpu_per_row * fetched as f64
-                + ctx.work.cpu_per_row * out.len() as f64;
-            m.local_rows += out.len() as u64;
-            Ok(out)
-        }
-
-        PhysicalPlan::ExtremeSeek {
-            object,
-            key_index,
-            is_max,
-            schema: _,
-        } => {
-            let table = ctx.db.table_ref(object)?;
-            if table.is_shadow() {
-                return Err(Error::execution(format!(
-                    "attempted local seek on shadow table `{object}`"
-                )));
-            }
-            let row = if *is_max {
-                table.last_row()
-            } else {
-                table.first_row()
-            };
-            // MIN/MAX over an empty table is NULL (one output row).
-            let v = row.map(|r| r[*key_index].clone()).unwrap_or(Value::Null);
-            m.local_work += ctx.work.seek(1.0);
-            m.local_rows += 1;
-            Ok(vec![Row::new(vec![v])])
-        }
-
-        PhysicalPlan::Remote {
-            sql,
-            schema,
-            est_rows: _,
-            site,
-        } => {
-            let remote = ctx.remote.ok_or_else(|| {
-                Error::execution("plan requires a backend connection but none is configured")
-            })?;
-            let outcome = match site {
-                crate::physical::RemoteSite::Backend => {
-                    remote.execute_remote_outcome(sql, ctx.params)?
-                }
-                crate::physical::RemoteSite::Peer { node, .. } => {
-                    remote.execute_peer(node, sql, ctx.params)?
-                }
-            };
-            let result = outcome.result;
-            // Positional contract: the shipped SELECT list matches our
-            // schema column-for-column.
-            if let Some(bad) = result.rows.iter().find(|r| r.len() != schema.len()) {
-                return Err(Error::execution(format!(
-                    "remote result arity mismatch: expected {} columns, got {} in {bad}",
-                    schema.len(),
-                    bad.len(),
-                )));
-            }
-            m.remote_calls += outcome.calls;
-            m.remote_rtts += outcome.rtts;
-            m.coalesced_calls += outcome.coalesced;
-            m.remote_rows += result.rows.len() as u64;
-            let bytes = result
-                .rows
-                .iter()
-                .map(Row::estimated_width)
-                .sum::<u64>();
-            m.bytes_transferred += bytes;
-            if outcome.peer {
-                m.peer_calls += outcome.calls;
-                m.peer_rtts += outcome.rtts;
-                m.peer_rows += result.rows.len() as u64;
-                m.peer_bytes += bytes;
-            }
-            // Work the backend spent executing the shipped statement.
-            m.remote_work += result.metrics.local_work + result.metrics.remote_work;
-            // Local cost of receiving the transfer.
-            m.local_work += ctx.work.transfer(
-                result.rows.len() as f64,
-                schema.estimated_row_width() as f64,
-            ) * 0.01;
-            Ok(result.rows)
-        }
-    }
-}
-
-fn passes(
-    predicate: &Option<Expr>,
-    row: &Row,
-    schema: &Schema,
-    ctx: &ExecContext<'_>,
-) -> Result<bool> {
-    match predicate {
-        None => Ok(true),
-        Some(p) => Ok(eval_predicate(p, row, schema, ctx.params)? == Some(true)),
-    }
-}
-
-/// Evaluates a seek bound to a single-column key row.
-fn bound_key(bound: &Option<KeyBound>, ctx: &ExecContext<'_>) -> Result<Option<Row>> {
-    match bound {
-        None => Ok(None),
-        Some(kb) => {
-            let v = eval(
-                &kb.expr,
-                &Row::new(vec![]),
-                &Schema::empty(),
-                ctx.params,
-            )?;
-            Ok(Some(Row::new(vec![v])))
-        }
-    }
-}
-
-/// Join keys for hashing; `None` when any key is NULL (never matches).
-fn key_of(
-    keys: &[Expr],
-    row: &Row,
-    schema: &Schema,
-    ctx: &ExecContext<'_>,
-) -> Result<Option<Vec<Value>>> {
-    let mut out = Vec::with_capacity(keys.len());
-    for k in keys {
-        let v = eval(k, row, schema, ctx.params)?;
-        if v.is_null() {
-            return Ok(None);
-        }
-        out.push(v);
-    }
-    Ok(Some(out))
-}
-
-/// Pads a row with NULLs for outer-join non-matches. `on_left` pads on the
-/// left side (for right-outer unmatched build rows).
-pub(crate) fn null_extend(row: &Row, width: usize, on_left: bool) -> Row {
-    let nulls = std::iter::repeat_n(Value::Null, width);
-    if on_left {
-        nulls.chain(row.values().iter().cloned()).collect()
-    } else {
-        row.values().iter().cloned().chain(nulls).collect()
-    }
-}
 
 /// Incremental aggregate state.
 pub(crate) enum AggState {
@@ -877,10 +251,6 @@ pub(crate) enum AggState {
 }
 
 impl AggState {
-    fn new(call: &crate::logical::AggCall) -> AggState {
-        AggState::from_parts(call.func, call.distinct)
-    }
-
     /// Builds state from the pre-resolved pieces a compiled plan carries.
     pub(crate) fn from_parts(func: AggFunc, distinct: bool) -> AggState {
         match (func, distinct) {
@@ -1241,36 +611,25 @@ mod tests {
 
     #[test]
     fn agg_states_direct() {
-        use crate::logical::AggCall;
-        let call = |f: AggFunc| AggCall {
-            func: f,
-            arg: Some(Expr::col("x")),
-            distinct: false,
-            output_name: "o".into(),
-        };
-        let mut s = AggState::new(&call(AggFunc::Sum));
+        let mut s = AggState::from_parts(AggFunc::Sum, false);
         s.update(Some(Value::Int(3)));
         s.update(Some(Value::Int(4)));
         s.update(Some(Value::Null));
         assert_eq!(s.finish(), Value::Int(7));
 
-        let mut s = AggState::new(&call(AggFunc::Avg));
+        let mut s = AggState::from_parts(AggFunc::Avg, false);
         s.update(Some(Value::Int(3)));
         s.update(Some(Value::Int(5)));
         assert_eq!(s.finish(), Value::Float(4.0));
 
-        let mut s = AggState::new(&call(AggFunc::Min));
+        let mut s = AggState::from_parts(AggFunc::Min, false);
         assert_eq!(s.finish(), Value::Null);
         s.update(Some(Value::Int(9)));
         s.update(Some(Value::Int(2)));
         assert_eq!(s.finish(), Value::Int(2));
 
-        let mut s = AggState::new(&AggCall {
-            func: AggFunc::Count,
-            arg: None,
-            distinct: false,
-            output_name: "o".into(),
-        });
+        // COUNT(*): the argument-less form counts every row.
+        let mut s = AggState::from_parts(AggFunc::Count, false);
         s.update(None);
         s.update(None);
         assert_eq!(s.finish(), Value::Int(2));

@@ -35,7 +35,7 @@
 //! the built children. It takes no catalog, cost model or environment, so
 //! it cannot re-derive a decision — the pass is the only place one is made.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use mtc_sql::{BinOp, Expr, JoinKind};
@@ -81,6 +81,9 @@ pub struct PlacementEnv<'a> {
     /// once. A handful of entries per statement: a linear scan, no key to
     /// build.
     probes: RefCell<Vec<Rc<LeafProbe>>>,
+    /// Logical nodes [`place`] has visited under this env: what a planning
+    /// change costs, counted instead of timed.
+    visits: Cell<u64>,
 }
 
 /// Every view of every peer that can answer one shadow leaf (a bare `Get`
@@ -115,6 +118,7 @@ impl PlacementEnv<'_> {
             peers: Vec::new(),
             backend_link: cm.backend_link(),
             probes: Default::default(),
+            visits: Default::default(),
         }
     }
 }
@@ -216,6 +220,7 @@ pub(crate) fn place(
     env: &PlacementEnv,
     guards: &[Expr],
 ) -> Placed {
+    env.visits.set(env.visits.get() + 1);
     let n_peers = env.peers.len();
     let here_only = |cost: f64| (cost, INF, vec![INF; n_peers]);
     let mut strategy = Strategy::Operator;
@@ -1493,6 +1498,145 @@ mod tests {
             &cm,
         );
         assert!(fast.local * 20.0 < slow.local, "{} vs {}", fast.local, slow.local);
+    }
+
+    /// Multi-site planning overhead, counted rather than timed: the join a
+    /// cache node plans for `customer ⋈ orders WHERE c.cid <= @v` (it caches
+    /// `cid <= 400` itself), with three peers caching `cid <= 1000·(i+1)`.
+    /// Each shadow leaf is matched against the peers' views once per env,
+    /// however many candidates share it, and the placement pass visits a
+    /// pinned number of nodes per `optimize`.
+    #[test]
+    fn multi_site_planning_probes_each_leaf_once_and_visits_a_pinned_count() {
+        use crate::optimizer::{optimize_with_placement, OptimizerOptions};
+        use mtc_storage::{RowChange, ViewMeta};
+        use mtc_types::Value;
+
+        let customer = Schema::new(vec![
+            Column::not_null("cid", DataType::Int),
+            Column::new("cname", DataType::Str),
+            Column::new("caddress", DataType::Str),
+        ]);
+        let mut backend = Database::new("d");
+        backend
+            .create_table("customer", customer.clone(), &["cid".into()])
+            .unwrap();
+        backend
+            .create_table(
+                "orders",
+                Schema::new(vec![
+                    Column::not_null("oid", DataType::Int),
+                    Column::new("ckey", DataType::Int),
+                    Column::new("total", DataType::Float),
+                ]),
+                &["oid".into()],
+            )
+            .unwrap();
+        backend
+            .create_index("ix_orders_ckey", "orders", &["ckey".into()], false)
+            .unwrap();
+        let rows = 4_000;
+        let changes = (1..=rows)
+            .flat_map(|i| {
+                [
+                    RowChange::Insert {
+                        table: "customer".into(),
+                        row: row![i, format!("c{i}"), format!("addr{i}")],
+                    },
+                    RowChange::Insert {
+                        table: "orders".into(),
+                        row: row![i, i % rows + 1, (i % 97) as f64],
+                    },
+                ]
+            })
+            .collect();
+        backend.apply(0, changes).unwrap();
+        backend.analyze();
+        // A node's shadow of the backend plus one cached view of `customer`.
+        let node = |view: &str, bound: i64| {
+            let mut db = backend.shadow_clone();
+            db.create_table(view, customer.clone(), &["cid".into()])
+                .unwrap();
+            let slice = (backend.table_ref("customer").unwrap().scan())
+                .filter(|r| r[0] <= Value::Int(bound))
+                .map(|r| RowChange::Insert {
+                    table: view.into(),
+                    row: r.clone(),
+                })
+                .collect();
+            db.apply(0, slice).unwrap();
+            db.analyze_table(view);
+            let sql = format!("SELECT cid, cname, caddress FROM customer WHERE cid <= {bound}");
+            let Statement::Select(definition) = parse_statement(&sql).unwrap() else {
+                panic!()
+            };
+            db.catalog_mut()
+                .create_view(ViewMeta {
+                    name: view.into(),
+                    definition,
+                    materialized: true,
+                    is_cached: true,
+                })
+                .unwrap();
+            db
+        };
+        let cache = node("cust400", 400);
+        let peers: Vec<Database> = (0..3)
+            .map(|i| node(&format!("cust_slice{i}"), 1000 * (i + 1)))
+            .collect();
+
+        let options = OptimizerOptions::default();
+        let Statement::Select(sel) = parse_statement(
+            "SELECT c.cname, o.total FROM customer AS c, orders AS o \
+             WHERE c.cid = o.ckey AND c.cid <= @v",
+        )
+        .unwrap() else {
+            panic!()
+        };
+        // Visits one optimize adds to `env`.
+        let optimize = |env: &PlacementEnv| {
+            let before = env.visits.get();
+            let plan = bind_select(&sel, &cache).unwrap();
+            optimize_with_placement(plan, &cache, &options, env).unwrap();
+            env.visits.get() - before
+        };
+        let two_site = PlacementEnv::two_site(&options.cost);
+        let mut env = PlacementEnv::two_site(&options.cost);
+        for (i, db) in peers.iter().enumerate() {
+            env.peers.push(PeerSite {
+                name: format!("peer{i}"),
+                db,
+                link: options.cost.peer_link(),
+            });
+        }
+
+        // (a) One probe per distinct shadow leaf: `customer` whole and
+        // pruned to what the join's Project reads, and `orders` whole.
+        let first = optimize(&env);
+        let probes: Vec<Rc<LeafProbe>> = env.probes.borrow().clone();
+        let leaves: Vec<String> = probes
+            .iter()
+            .map(|p| format!("{} {}", p.object, p.required.join(",")))
+            .collect();
+        assert_eq!(
+            leaves,
+            [
+                "customer c.cid,c.cname,c.caddress",
+                "customer c.cid,c.cname",
+                "orders o.oid,o.ckey,o.total",
+            ]
+        );
+        // (b) Planning the statement again on the same env probes nothing.
+        let second = optimize(&env);
+        assert!(
+            (env.probes.borrow().iter().map(Rc::as_ptr)).eq(probes.iter().map(Rc::as_ptr)),
+            "a second optimize built new probes"
+        );
+        // (c) Nodes placed per optimize. Two-site places two candidates (the
+        // matched plan and its pulled-up form, 9 visits each); three peers
+        // add a placement ChoosePlan and its pulled-up form. Each candidate
+        // is placed exactly once.
+        assert_eq!((optimize(&two_site), first, second), (18, 60, 60));
     }
 
     #[test]

@@ -39,9 +39,9 @@
 //! Work accounting: the work units a morsel performs are charged to
 //! [`ExecMetrics::local_work`] exactly as the serial operator would charge
 //! them, *and* mirrored into [`ExecMetrics::parallel_work`] — the share of
-//! the query's work that overlapped across workers. The concurrency bench
-//! derives its machine-independent scaling numbers from that split (see
-//! `ExecMetrics::critical_path_work`).
+//! the query's work that overlapped across workers: with `dop` workers the
+//! critical path is `local_work - parallel_work + parallel_work / dop`, a
+//! machine-independent bound on the speedup.
 //!
 //! [`WorkerPool`]: mtc_util::pool::WorkerPool
 //! [`ExecMetrics::local_work`]: crate::exec::ExecMetrics

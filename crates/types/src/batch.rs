@@ -943,6 +943,13 @@ mod tests {
 
         let top = batch.clone().take_first(1);
         assert_eq!(top.to_rows(), vec![rows[0].clone()]);
+        // TOP narrows by selection: every column is shared, none copied.
+        for c in 0..batch.width() {
+            assert!(
+                Arc::ptr_eq(&batch.col_arc(c), &top.col_arc(c)),
+                "take_first must share column {c}, not copy it"
+            );
+        }
     }
 
     #[test]

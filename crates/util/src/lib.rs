@@ -11,7 +11,6 @@
 //! | `parking_lot`  | [`sync`] — poison-free `Mutex`/`RwLock` over `std::sync` |
 //! | `rand`         | [`rng`] — SplitMix64-seeded PCG32, `gen_range`/`gen_bool`/`shuffle` |
 //! | `proptest`     | [`check`] — seeded generators + N-case runner with failing-seed replay |
-//! | `criterion`    | [`bench`] — warmup + iterate + report timer harness |
 //! | `serde`        | `mtc_types::codec` — compact binary `to_bytes`/`from_bytes` |
 //!
 //! Beyond the replacements, [`fault`] provides the workspace's deterministic
@@ -25,7 +24,6 @@
 //! dependency.
 
 pub mod atomic;
-pub mod bench;
 pub mod check;
 pub mod fault;
 pub mod lru;

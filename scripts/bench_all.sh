@@ -1,10 +1,8 @@
 #!/usr/bin/env sh
 # Regenerates every committed benchmark artifact (BENCH_*.json) from
 # release binaries. Run after any executor, cache, or fleet change that
-# moves performance, then update the floors pinned in
-# tests/hotpath_smoke.rs (STREAMING_US_FLOOR) and tests/fleet_smoke.rs if
-# the new numbers shifted legitimately — the tier-2 gate in
-# scripts/verify.sh fails on a >20% regression against them.
+# moves a modeled number, then update the floors pinned in the
+# tests/*_smoke.rs guards if the new numbers shifted legitimately.
 #
 # `bench_all.sh --check` is the freshness gate scripts/verify.sh runs: it
 # regenerates the bit-reproducible artifacts into a scratch directory (the
@@ -18,7 +16,7 @@ root=$PWD
 # The one list of experiments. Same seed, same bytes:
 REPRODUCIBLE="resultcache fleet placement advisor"
 # Carry wall-clock readings, so they are regenerated but never compared:
-WALL_CLOCK="hotpath concurrency"
+WALL_CLOCK="concurrency"
 
 run() {
     cargo run --release -q --manifest-path "$root/Cargo.toml" -p mtc-bench --bin "exp_$1"

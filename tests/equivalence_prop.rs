@@ -2,15 +2,16 @@
 //! the cache server answers exactly what the backend answers — the
 //! observable definition of transparency.
 //!
-//! Since the executor rewrite this file also pins the *internal*
-//! equivalence: the compiled streaming executor (`execute`) returns exactly
-//! what the seed's materialized interpreter (`execute_materialized`)
-//! returns — same rows, same order — across every query shape (joins,
-//! outer joins, GROUP BY, TOP, DISTINCT, scalar functions/CASE, and
-//! ChoosePlan dynamic plans on both branches), while cloning no more rows.
+//! It also pins the executor itself: the compiled streaming executor
+//! (`execute`) returns exactly what the naive reference in `oracle/`
+//! returns from the same physical plan — same rows, same order — across
+//! every query shape (joins, outer joins, GROUP BY, TOP, DISTINCT, scalar
+//! functions/CASE, and ChoosePlan dynamic plans on both branches).
 //! Access-path leaves pruned to the columns a read needs, and projection
 //! chains folded into one operator, are held to the same answers at dop 1
 //! and 4.
+
+mod oracle;
 
 use std::sync::Arc;
 
@@ -21,8 +22,8 @@ use mtc_util::sync::Mutex;
 
 use mtcache_repro::cache::{BackendServer, CacheServer, Connection};
 use mtcache_repro::engine::{
-    bind_select, execute, execute_materialized, optimize, Bindings, ExecContext,
-    OptimizerOptions, ParallelCtx, QueryResult, RemoteExecutor,
+    bind_select, execute, optimize, Bindings, ExecContext, OptimizerOptions, ParallelCtx,
+    QueryResult, RemoteExecutor,
 };
 use mtcache_repro::replication::ReplicationHub;
 use mtcache_repro::sql::{parse_statement, Prepared, Statement};
@@ -308,12 +309,12 @@ fn aggregates_agree() {
 }
 
 // ---------------------------------------------------------------------------
-// Internal equivalence: compiled streaming executor vs seed interpreter.
+// Internal equivalence: compiled streaming executor vs the naive oracle.
 //
-// These tests pin the executor rewrite: `execute` (compile + stream) must
-// produce exactly the rows `execute_materialized` (the instrumented seed
-// interpreter) produces — same rows, same order — from the *same* physical
-// plan, and must never clone more rows doing it.
+// `execute` (compile + stream) must produce exactly the rows `oracle::run`
+// produces — same rows, same order — from the *same* physical plan. The
+// order is the executor's contract: first-appearance groups and DISTINCT,
+// index order for index seeks, right-unmatched rows last.
 // ---------------------------------------------------------------------------
 
 /// Smaller two-table database for executor-level shape tests: `t` as in
@@ -349,7 +350,7 @@ fn join_db() -> Arc<BackendServer> {
 }
 
 /// Parses, binds, and optimizes `sql` against `db`, then runs the single
-/// resulting physical plan through both executors.
+/// resulting physical plan through the executor and the oracle.
 fn both_ways(
     db: &Database,
     sql: &str,
@@ -370,23 +371,18 @@ fn both_ways(
         parallel: None,
     };
     let streamed = execute(&opt.physical, &ctx).unwrap();
-    let seed = execute_materialized(&opt.physical, &ctx).unwrap();
-    (streamed, seed)
+    let reference = oracle::run(&opt.physical, &ctx).unwrap();
+    (streamed, reference)
 }
 
-fn assert_equivalent(sql: &str, streamed: &QueryResult, seed: &QueryResult) {
-    assert_eq!(streamed.schema, seed.schema, "schema differs: {sql}");
-    assert_eq!(streamed.rows, seed.rows, "rows differ: {sql}");
-    assert!(
-        streamed.metrics.rows_cloned <= seed.metrics.rows_cloned,
-        "streaming cloned more rows ({} > {}): {sql}",
-        streamed.metrics.rows_cloned,
-        seed.metrics.rows_cloned
-    );
-    // Both executors materialize the same final rows exactly once at the
-    // client boundary, so their boundary-volume accounting must agree.
+fn assert_equivalent(sql: &str, streamed: &QueryResult, reference: &QueryResult) {
+    assert_eq!(streamed.schema, reference.schema, "schema differs: {sql}");
+    assert_eq!(streamed.rows, reference.rows, "rows differ: {sql}");
+    // The executor materializes the final rows exactly once, at the client
+    // boundary: the volume it charges is the result's.
     assert_eq!(
-        streamed.metrics.bytes_materialized, seed.metrics.bytes_materialized,
+        streamed.metrics.bytes_materialized,
+        streamed.rows.iter().map(Row::estimated_width).sum::<u64>(),
         "boundary materialization volume differs: {sql}"
     );
 }
@@ -438,8 +434,54 @@ fn streaming_matches_seed_across_shapes() {
         gen_shape,
         |sql| {
             let db = backend.db.read();
-            let (streamed, seed) = both_ways(&db, sql, &params, None);
-            assert_equivalent(sql, &streamed, &seed);
+            let (streamed, reference) = both_ways(&db, sql, &params, None);
+            assert_equivalent(sql, &streamed, &reference);
+        },
+    );
+}
+
+/// Shapes without ORDER BY, so the order the operators themselves produce
+/// — groups and DISTINCT rows in order of first appearance, index order
+/// for a secondary-index seek, the probe side's order for a join and its
+/// unmatched build rows last — reaches the comparison with the oracle.
+fn gen_unordered_shape(rng: &mut StdRng) -> String {
+    let bound = rng.gen_range(2i64..700);
+    let grp = rng.gen_range(0i64..17);
+    let top = rng.gen_range(1i64..40);
+    match rng.gen_range(0u64..6) {
+        0 => format!(
+            "SELECT grp, COUNT(*) AS n, SUM(val) AS s, MAX(name) AS hi FROM t \
+             WHERE id <= {bound} GROUP BY grp"
+        ),
+        1 => format!("SELECT DISTINCT name FROM t WHERE id <= {bound}"),
+        2 => format!(
+            "SELECT name, COUNT(DISTINCT grp) AS g, MIN(val) AS lo FROM t \
+             WHERE grp >= {grp} GROUP BY name"
+        ),
+        3 => format!(
+            "SELECT TOP {top} id, name FROM t WHERE grp >= {grp} AND grp <= {}",
+            grp + 2
+        ),
+        4 => format!(
+            "SELECT u.label, COUNT(*) AS n FROM t INNER JOIN u ON t.grp = u.t_grp \
+             WHERE t.id <= {bound} GROUP BY u.label"
+        ),
+        _ => "SELECT t.id, u.uid FROM t FULL JOIN u ON t.grp = u.t_grp".to_string(),
+    }
+}
+
+#[test]
+fn streaming_matches_oracle_row_order_without_order_by() {
+    let backend = join_db();
+    let params = Bindings::new();
+    check::run(
+        &Config::cases(24),
+        "streaming_matches_oracle_row_order_without_order_by",
+        gen_unordered_shape,
+        |sql| {
+            let db = backend.db.read();
+            let (streamed, reference) = both_ways(&db, sql, &params, None);
+            assert_equivalent(sql, &streamed, &reference);
         },
     );
 }
@@ -618,18 +660,18 @@ fn streaming_matches_seed_on_choose_plan_branches() {
     // The cache database holds `t_head` with guard `id <= 1000`, so a
     // parameterized probe optimizes to a ChoosePlan whose branches are a
     // local view scan and a remote fallback. Both branches must agree
-    // between executors — including the remote-call count.
+    // between the executor and the oracle — including the remote-call count.
     let (backend, cache) = setup();
     for v in [500i64, 1_500i64] {
         let db = cache.db.read();
         let params = Connection::params(&[("v", Value::Int(v))]);
         let remote: &dyn RemoteExecutor = &*backend;
         let sql = "SELECT id, grp, val, name FROM t WHERE id <= @v";
-        let (streamed, seed) = both_ways(&db, sql, &params, Some(remote));
-        assert_equivalent(sql, &streamed, &seed);
+        let (streamed, reference) = both_ways(&db, sql, &params, Some(remote));
+        assert_equivalent(sql, &streamed, &reference);
         assert_eq!(
-            streamed.metrics.remote_calls, seed.metrics.remote_calls,
-            "@v = {v}: executors disagree on routing"
+            streamed.metrics.remote_calls, reference.metrics.remote_calls,
+            "@v = {v}: executor and oracle disagree on routing"
         );
         if v <= VIEW_BOUND {
             assert_eq!(streamed.metrics.remote_calls, 0, "@v = {v} should stay local");
@@ -1032,7 +1074,7 @@ fn gen_pruned(rng: &mut StdRng) -> PrunedCase {
 /// The cache at dop 1 and 4 answers the ordered form exactly as the
 /// backend does; on the cache's snapshot the streaming executor — serial
 /// and with every leaf forced onto morsels at dop 4 — answers the
-/// unordered form exactly as the seed interpreter does on the same plan.
+/// unordered form exactly as the oracle does on the same plan.
 fn assert_pruned_agrees(
     backend: &Arc<BackendServer>,
     caches: &[Arc<CacheServer>; 2],
@@ -1059,8 +1101,8 @@ fn assert_pruned_agrees(
     let snap = caches[0].db.read();
     let remote: &dyn RemoteExecutor = &**backend;
     let params = Bindings::new();
-    let (streamed, seed) = both_ways(&snap, &sql, &params, Some(remote));
-    assert_equivalent(&sql, &streamed, &seed);
+    let (streamed, reference) = both_ways(&snap, &sql, &params, Some(remote));
+    assert_equivalent(&sql, &streamed, &reference);
     let (serial, parallel) = serial_vs_parallel(&snap, &sql, &params, Some(remote), 4);
     assert_eq!(serial.schema, parallel.schema, "dop 4 schema: {sql}");
     assert_eq!(

@@ -1,6 +1,6 @@
 //! Smoke guard for the result-cache experiment (DESIGN.md §10).
 //!
-//! Two layers, in the spirit of `tests/hotpath_smoke.rs`: a live mini-run
+//! Two layers, like the other `*_smoke.rs` guards: a live mini-run
 //! of `run_resultcache` pinning the experiment's structural invariants
 //! (identical seeded streams, round trips eliminated, zero equivalence
 //! failures), and a validation of the committed `BENCH_resultcache.json`
