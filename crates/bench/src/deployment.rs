@@ -133,7 +133,7 @@ impl Deployment {
         let _ = self.hub.lock().pump(self.clock.now_ms());
     }
 
-    /// Pumps until every live subscription has drained (faulted deliveries
+    /// Pumps until every live node has drained (faulted deliveries
     /// retry until applied).
     pub fn drain(&self) {
         for _ in 0..100_000 {

@@ -10,7 +10,7 @@
 //!   serial baseline;
 //! * **fleet** — `nodes` (default 4) cache servers. Sessions place via the
 //!   consistent-hash router with affinity; halfway through the stream one
-//!   node is crashed (hub subscriptions tombstoned, its sessions rerouted
+//!   node is crashed (removed from the hub, its sessions rerouted
 //!   to ring successors) and later cold-rejoined (fresh shadow DB + caches,
 //!   snapshot-rehydrated). Every interaction completes exactly once —
 //!   rerouting never loses or duplicates work.

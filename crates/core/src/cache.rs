@@ -9,7 +9,7 @@ use mtc_engine::eval::Bindings;
 use mtc_engine::{
     bind_select, execute, ExecContext, OptimizerOptions, PeerSite, PlacementEnv, QueryResult,
 };
-use mtc_replication::{Article, Clock, ReplicationHub, SubscriptionId};
+use mtc_replication::{Article, Clock, ReplicationHub};
 use mtc_sql::{Permission, Prepared, Select, Statement, TableRef};
 use mtc_storage::{DbSnapshot, Lsn, ProcedureDef, SnapshotDb, ViewMeta};
 use mtc_types::{Column, Error, Result, Schema};
@@ -34,8 +34,6 @@ pub struct CacheServer {
     pub db: Arc<SnapshotDb>,
     backend: Arc<BackendServer>,
     hub: Arc<Mutex<ReplicationHub>>,
-    /// (view name, subscription) pairs owned by this cache server.
-    subscriptions: Mutex<Vec<(String, SubscriptionId)>>,
     pub options: OptimizerOptions,
     pub clock: Arc<dyn Clock>,
     /// Live execution counters (relaxed atomics — no lock on the hot path;
@@ -144,7 +142,6 @@ impl CacheServer {
             clock: backend.clock.clone(),
             backend,
             hub,
-            subscriptions: Mutex::new(Vec::new()),
             options: OptimizerOptions::default(),
             stats: SharedServerStats::default(),
             plan_cache: PlanCache::default(),
@@ -281,46 +278,38 @@ impl CacheServer {
                 "cached view `{name}` must project the source key columns {source_pk:?}"
             )));
         }
-        {
-            let mut db = self.db.write();
-            db.create_table(name, Schema::new(cols), &pk)?;
-            db.catalog_mut().create_view(ViewMeta {
-                name: name.to_string(),
-                definition: definition.clone(),
-                materialized: true,
-                is_cached: true,
-            })?;
-        }
-
+        // One write batch, one publication: no reader plans against an
+        // epoch that lists the view before it has its rows, its watermark
+        // and its statistics. The hub lock comes first, as in distribution.
+        let mut hub = self.hub.lock();
+        let mut db = self.db.write();
+        db.create_table(name, Schema::new(cols), &pk)?;
+        db.catalog_mut().create_view(ViewMeta {
+            name: name.to_string(),
+            definition: definition.clone(),
+            materialized: true,
+            is_cached: true,
+        })?;
         // "When a cached view is created, we automatically create a
         // replication subscription matching the view" — this also bulk-
         // populates it.
-        let sub = self.hub.lock().subscribe(
-            article,
-            self.db.clone(),
-            name,
-            self.clock.now_ms(),
-        )?;
-        self.subscriptions.lock().push((name.to_string(), sub));
-        self.db.write().analyze_table(name);
+        hub.subscribe(article, &self.db, &mut db, name, self.clock.now_ms())?;
+        db.analyze_table(name);
         Ok(())
     }
 
-    /// Drops a cached view at runtime: tombstones its replication
-    /// subscription, removes the view and its backing table from the shadow
+    /// Drops a cached view at runtime: removes it from this node's
+    /// replication, removes the view and its backing table from the shadow
     /// database, and bumps the catalog version so every plan, statement
     /// result and memoized fragment compiled against the old catalog is
     /// discarded. The inverse of [`CacheServer::create_cached_view`] — the
     /// adaptive advisor's eviction path.
     pub fn drop_cached_view(&self, name: &str) -> Result<()> {
-        let sub = {
-            let mut subs = self.subscriptions.lock();
-            let pos = subs.iter().position(|(v, _)| v == name).ok_or_else(|| {
-                Error::catalog(format!("`{name}` is not a cached view of this server"))
-            })?;
-            subs.remove(pos).1
-        };
-        self.hub.lock().unsubscribe(sub);
+        if !self.hub.lock().unsubscribe(&self.db, name) {
+            return Err(Error::catalog(format!(
+                "`{name}` is not a cached view of this server"
+            )));
+        }
         let mut db = self.db.write();
         db.catalog_mut().drop_view(name)?; // bumps the catalog version
         db.drop_table(name)?;
@@ -354,26 +343,6 @@ impl CacheServer {
             .cloned()
             .ok_or_else(|| Error::catalog(format!("backend procedure `{name}` not found")))?;
         self.db.write().catalog_mut().create_procedure(def)
-    }
-
-    /// Re-imports backend statistics and newly created backend procedures
-    /// into the shadow catalog (§7's catalog-refresh future work).
-    pub fn refresh_shadow_catalog(&self) -> Result<()> {
-        let backend_db = self.backend.db.read();
-        let mut db = self.db.write();
-        db.catalog_mut().import_stats_from(&backend_db.catalog);
-        // Preserve fresher statistics for locally populated cached views.
-        let views: Vec<String> = self
-            .subscriptions
-            .lock()
-            .iter()
-            .map(|(v, _)| v.clone())
-            .collect();
-        drop(backend_db);
-        for v in views {
-            db.analyze_table(&v);
-        }
-        Ok(())
     }
 
     /// Morsel-parallel context for one query execution, pinned to the
@@ -690,8 +659,8 @@ impl CacheServer {
 
         // Freshness routing (§7 extension): if the statement carries a
         // staleness bound, check it against the cached views the chosen
-        // plan *actually reads* (per-view staleness, not a server-wide
-        // worst case). If any is too stale, the local plan is rejected and
+        // plan *actually reads* (the node's watermark, as stamped on the
+        // snapshot planned against). If it is too stale, the local plan is rejected and
         // the statement degrades gracefully to the backend — backend data
         // is always fresh. Queries without a bound are untouched.
         let currency = self.currency_violation(db, sel, &opt.physical);
@@ -867,36 +836,36 @@ impl CacheServer {
     }
 
     /// Checks a statement's currency bound against the cached views its
-    /// chosen plan actually reads — using the watermarks stamped on `snap`,
-    /// the snapshot the query will *actually scan*, not the live
-    /// subscription state (which may have advanced past what this snapshot
-    /// contains). Returns the first violation (the reason the local plan
-    /// must be rejected), or `None` when the plan is admissible — including
-    /// for statements without a bound.
+    /// chosen plan actually reads — using the node watermark stamped on
+    /// `snap`, the snapshot the query will *actually scan*, not the live
+    /// cursor (which may have advanced past what this snapshot contains).
+    /// Every cached view of a node is as current as the node, so the mark
+    /// is checked once. Returns the violation (the reason the local plan
+    /// must be rejected, naming the first cached view it reads), or `None`
+    /// when the plan is admissible — including for statements without a
+    /// bound or reading no cached view.
     fn currency_violation(
         &self,
         snap: &DbSnapshot,
         sel: &Select,
         physical: &mtc_engine::PhysicalPlan,
     ) -> Option<CurrencyDecision> {
-        let bound_s = sel.freshness_seconds?;
-        let bound_ms = (bound_s as i64) * 1000;
-        let now = self.clock.now_ms();
-        for obj in local_objects(physical) {
-            if let Some(mark) = snap.watermark(&obj) {
-                let staleness_ms = (now - mark.synced_through_ms).max(0);
-                if staleness_ms > bound_ms {
-                    let head = self.backend.db.read().log().head();
-                    return Some(CurrencyDecision {
-                        view: obj,
-                        staleness_ms,
-                        bound_ms,
-                        lag_txns: head.0.saturating_sub(mark.lsn.0),
-                    });
-                }
-            }
+        let bound_ms = (sel.freshness_seconds? as i64) * 1000;
+        let mark = snap.node_watermark()?;
+        let staleness_ms = (self.clock.now_ms() - mark.synced_through_ms).max(0);
+        if staleness_ms <= bound_ms {
+            return None;
         }
-        None
+        let view = local_objects(physical)
+            .into_iter()
+            .find(|obj| snap.watermark(obj).is_some())?;
+        let head = self.backend.db.read().log().head();
+        Some(CurrencyDecision {
+            view,
+            staleness_ms,
+            bound_ms,
+            lag_txns: head.0.saturating_sub(mark.lsn.0),
+        })
     }
 
     /// Replication staleness of one cached view, in milliseconds, as
@@ -917,26 +886,23 @@ impl CacheServer {
         Some(head.0.saturating_sub(applied.0))
     }
 
-    /// Worst-case replication staleness over this server's cached views, as
-    /// stamped on the currently published snapshot.
+    /// Replication staleness of this server's cached views — one number,
+    /// since they share one cursor — as stamped on the currently published
+    /// snapshot; 0 before any view was created.
     pub fn max_staleness_ms(&self) -> i64 {
-        let now = self.clock.now_ms();
         self.db
             .read()
-            .watermarks()
-            .values()
-            .map(|m| (now - m.synced_through_ms).max(0))
-            .max()
-            .unwrap_or(0)
+            .node_watermark()
+            .map_or(0, |m| (self.clock.now_ms() - m.synced_through_ms).max(0))
     }
 
-    /// Names of the cached views this server maintains.
+    /// Names of the cached views this server maintains, in creation order.
     pub fn cached_views(&self) -> Vec<String> {
-        self.subscriptions
+        self.hub
             .lock()
-            .iter()
-            .map(|(v, _)| v.clone())
-            .collect()
+            .node_info(&self.db)
+            .map(|n| n.views)
+            .unwrap_or_default()
     }
 }
 
@@ -1297,7 +1263,7 @@ mod tests {
     }
 
     #[test]
-    fn freshness_is_checked_per_view_not_server_wide() {
+    fn freshness_is_checked_node_wide() {
         let (backend, hub, clock) = setup();
         backend
             .run_script(
@@ -1308,37 +1274,54 @@ mod tests {
             .unwrap();
         backend.analyze();
         let c = CacheServer::create("cache_f", backend.clone(), hub.clone());
-        // View A over customer.
         c.create_cached_view("cust_v", "SELECT cid, cname FROM customer WHERE cid <= 100")
             .unwrap();
-        // Make A stale: an unreplicated customer write, then time passes.
+        // The node lags: an unreplicated customer write, then time passes.
         backend
             .run_script("UPDATE customer SET cname = 'x' WHERE cid = 1")
             .unwrap();
         clock.advance(60_000);
-        // View B over product, created NOW — fresh by construction.
+        // A view created now holds fresh rows, but it reports its node's
+        // watermark until the node's cursor catches up.
         c.create_cached_view("prod_v", "SELECT p_id, p_name FROM product")
             .unwrap();
+        let bounded = [
+            ("SELECT p_name FROM product WHERE p_id = 1 WITH FRESHNESS 10 SECONDS", "widget"),
+            ("SELECT cname FROM customer WHERE cid = 1 WITH FRESHNESS 10 SECONDS", "x"),
+        ];
+        for (sql, answer) in bounded {
+            let r = c.execute(sql, &Bindings::new(), "app").unwrap();
+            assert!(r.metrics.remote_calls > 0, "a lagging node is bypassed: {sql}");
+            assert_eq!(r.rows[0][0], Value::str(answer), "and the answer is fresh");
+        }
+        // The first pass applies the write; the second, idle one marks the
+        // node in sync through now.
+        for _ in 0..2 {
+            hub.lock().pump(clock.now_ms()).unwrap();
+        }
+        for (sql, answer) in bounded {
+            let r = c.execute(sql, &Bindings::new(), "app").unwrap();
+            assert_eq!(r.metrics.remote_calls, 0, "a current node serves locally: {sql}");
+            assert_eq!(r.rows[0][0], Value::str(answer));
+        }
+    }
 
-        // A bounded query touching only the FRESH view stays local...
-        let r = c
-            .execute(
-                "SELECT p_name FROM product WHERE p_id = 1 WITH FRESHNESS 10 SECONDS",
-                &Bindings::new(),
-                "app",
-            )
+    #[test]
+    fn a_cached_view_is_created_in_one_publication() {
+        let (backend, hub, clock) = setup();
+        let c = CacheServer::create("cache_e", backend.clone(), hub.clone());
+        clock.advance(5);
+        let before = c.db.epoch();
+        c.create_cached_view("cust_v", "SELECT cid, cname FROM customer WHERE cid <= 100")
             .unwrap();
-        assert_eq!(r.metrics.remote_calls, 0, "fresh view satisfies the bound");
-        // ...while the same bound on the STALE view's table goes remote.
-        let r = c
-            .execute(
-                "SELECT cname FROM customer WHERE cid = 1 WITH FRESHNESS 10 SECONDS",
-                &Bindings::new(),
-                "app",
-            )
-            .unwrap();
-        assert!(r.metrics.remote_calls > 0, "stale view must be bypassed");
-        assert_eq!(r.rows[0][0], Value::str("x"), "and the answer is fresh");
+        assert_eq!(c.db.epoch(), before + 1, "table, rows, statistics and watermark at once");
+        let db = c.db.read();
+        assert_eq!(db.table_ref("cust_v").unwrap().row_count(), 100);
+        assert_eq!(db.catalog.stats("cust_v").unwrap().row_count, 100);
+        let mark = db.watermark("cust_v").expect("the node's watermark");
+        assert_eq!(mark.lsn, backend.db.read().log().head());
+        assert_eq!(mark.synced_through_ms, 5);
+        assert_eq!(c.cached_views(), ["cust_v"]);
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //!   bound, and no reader at-or-past a write's LSN can hit a pre-write
 //!   entry anywhere in the fleet.
 //!
-//! * **Failure semantics.** [`Fleet::crash_node`] kills a node: its hub
-//!   subscriptions are detached (tombstoned — a dead node must not pin the
-//!   distribution queue), its sessions are evicted from the affinity map
+//! * **Failure semantics.** [`Fleet::crash_node`] kills a node: it is
+//!   removed from the hub (a dead node must not pin the distribution
+//!   queue), its sessions are evicted from the affinity map
 //!   and reroute to ring successors on their next statement.
 //!   [`Fleet::rejoin_node`] brings the slot back **cold**: a fresh server,
 //!   fresh shadow DB, fresh caches, re-provisioned cached views — the
@@ -395,9 +395,9 @@ impl Fleet {
         self.router.lock().ring_node(session)
     }
 
-    /// Kills the node in slot `idx`: detaches its hub subscriptions
-    /// (tombstoned, so the dead node stops pinning distribution
-    /// truncation), drops the server, evicts its sessions, and rewires the
+    /// Kills the node in slot `idx`: removes it from the hub (so the dead
+    /// node stops pinning distribution truncation), drops the server,
+    /// evicts its sessions, and rewires the
     /// survivors. Returns how many sessions were evicted for rerouting.
     pub fn crash_node(&self, idx: usize) -> Result<usize> {
         let server = {
@@ -443,9 +443,9 @@ impl Fleet {
         Ok(server)
     }
 
-    /// The LSN past the last transaction fully applied to every live
-    /// subscription of node `idx` — its replication progress. `None` for a
-    /// crashed slot or a node with no cached views.
+    /// The LSN past the last transaction fully applied to node `idx` — its
+    /// replication cursor. `None` for a crashed slot or a node with no
+    /// cached views.
     pub fn applied_lsn(&self, idx: usize) -> Option<Lsn> {
         let server = self.node(idx)?;
         self.hub.lock().applied_lsn_for_target(&server.db)

@@ -10,10 +10,10 @@
 //! stamps each entry with the same currency lineage the statement-level
 //! result cache uses:
 //!
-//! * **commit LSN** — the minimum applied-watermark LSN over every cached
-//!   view the fragment scanned, taken from the *same immutable snapshot*
-//!   the query executed against. A fragment is exactly as fresh as the
-//!   laggiest view it read.
+//! * **commit LSN** — the node's applied-watermark LSN, taken from the
+//!   *same immutable snapshot* the query executed against. Replication
+//!   advances all of a node's cached views together, so a fragment is
+//!   exactly as fresh as every view it read.
 //! * **invalidation tables** — the backend *source* tables behind those
 //!   views (via [`ViewMeta::base_object`]), so the replication hub's
 //!   publisher-side invalidation stream and locally forwarded DML raise
@@ -21,8 +21,8 @@
 //! * **catalog version** — DDL (new views, drops) flushes fragments like
 //!   it flushes plans and statement results.
 //!
-//! A fragment scanning any object without a replication watermark (a
-//! shadow table populated by some non-replicated path) is never admitted:
+//! A fragment scanning any object that is not a cached view (a shadow
+//! table populated by some non-replicated path) is never admitted:
 //! we could not invalidate it correctly, so we refuse to remember it.
 //!
 //! Serving a memoized fragment is *not* a staleness upgrade: the memo
@@ -38,8 +38,8 @@ use crate::result_cache::ResultCache;
 
 /// Per-execution fragment-memo gateway: borrows the server's fragment
 /// cache and the snapshot the query scans, so admitted entries carry the
-/// snapshot's watermarks (never the live subscription state, which may
-/// have advanced past what this execution observed).
+/// snapshot's watermark (never the live cursor, which may have advanced
+/// past what this execution observed).
 pub struct FragmentGateway<'a> {
     cache: &'a ResultCache,
     snap: &'a DbSnapshot,
@@ -86,20 +86,18 @@ impl FragmentMemo for FragmentGateway<'_> {
     }
 
     fn admit(&self, key: &str, objects: &[String], rows: &[Row], work: f64) {
+        // A constant fragment scanning nothing is not worth an entry.
+        let Some(mark) = self.snap.node_watermark().filter(|_| !objects.is_empty()) else {
+            return;
+        };
         let mut tables = Vec::with_capacity(objects.len());
-        let mut commit_lsn = u64::MAX;
         for obj in objects {
             // Refuse to memoize anything we cannot invalidate: every
-            // scanned object must carry a replication watermark.
-            let Some(mark) = self.snap.watermark(obj) else {
+            // scanned object must be a cached view.
+            if self.snap.watermark(obj).is_none() {
                 return;
-            };
-            commit_lsn = commit_lsn.min(mark.lsn.0);
+            }
             tables.push(self.source_table(obj));
-        }
-        if commit_lsn == u64::MAX {
-            // Constant fragment scanning nothing: not worth an entry.
-            return;
         }
         tables.sort();
         tables.dedup();
@@ -116,7 +114,7 @@ impl FragmentMemo for FragmentGateway<'_> {
             "",
             &result,
             tables.into(),
-            commit_lsn,
+            mark.lsn.0,
             self.now_ms,
             self.catalog_version,
         );

@@ -7,8 +7,8 @@
 //! a fresh server recreates every table, index, virtual view and grant.
 //! (Statistics are not expressible in SQL — the programmatic path,
 //! [`mtc_storage::Database::shadow_clone`], carries them directly; a
-//! scripted setup follows up with
-//! [`crate::CacheServer::refresh_shadow_catalog`].)
+//! scripted setup imports them with
+//! [`mtc_storage::Catalog::import_stats_from`].)
 
 use std::fmt::Write as _;
 

@@ -8,7 +8,7 @@
 //! The agent is *fault-tolerant*: a failed pump (corrupt frame, injected
 //! crash, mid-schema-change error) does not kill the thread. The agent
 //! restarts the pump after an exponential-backoff-with-jitter pause
-//! ([`RetryPolicy`]); because the hub only advances a subscription's
+//! ([`RetryPolicy`]); because the hub only advances a node's
 //! `next_lsn` after a fully successful delivery, the restarted pump resumes
 //! from the last applied LSN and idempotent apply makes any replay converge.
 //!
@@ -27,7 +27,7 @@ use mtc_util::rng::{SeedableRng, StdRng};
 use mtc_util::sync::Mutex;
 
 use crate::clock::Clock;
-use crate::hub::{ReplicationHub, SubscriptionId};
+use crate::hub::ReplicationHub;
 
 /// Tuning for a background agent.
 #[derive(Debug, Clone, Copy)]
@@ -55,11 +55,11 @@ impl Default for AgentOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StopReport {
     /// True when the pipeline held no undelivered work at shutdown: log
-    /// reader caught up, distribution database empty, all subscriptions
-    /// applied everything read.
+    /// reader caught up, distribution database empty, every node applied
+    /// everything read.
     pub drained: bool,
-    /// Read-but-unapplied transactions left behind (summed over
-    /// subscriptions; 0 when drained).
+    /// Read-but-unapplied transactions left behind (summed over nodes; 0
+    /// when drained).
     pub pending_txns: u64,
 }
 
@@ -109,12 +109,9 @@ impl AgentHandle {
             std::thread::sleep(Duration::from_millis(self.retry.backoff_ms(attempt, &mut rng)));
         }
         let hub = self.hub.lock();
-        let pending_txns = (0..hub.subscriptions().len())
-            .filter_map(|i| hub.lag_txns(SubscriptionId(i)))
-            .sum();
         StopReport {
             drained: hub.drained(),
-            pending_txns,
+            pending_txns: hub.pending_txns(),
         }
     }
 }
@@ -251,7 +248,7 @@ mod tests {
             panic!()
         };
         let article = Article::from_select("t_all", &def, &schema()).unwrap();
-        hub.subscribe(article, cache.clone(), "t_cache", 0).unwrap();
+        hub.subscribe(article, &cache, &mut cache.write(), "t_cache", 0).unwrap();
         (backend, cache, Arc::new(Mutex::new(hub)))
     }
 

@@ -71,8 +71,8 @@ impl Article {
     }
 
     /// Resolves the article against its source's schema — once, when a
-    /// subscription is created. Distribution runs per subscription × per
-    /// row change, so what it evaluates is the resolved form: no name
+    /// subscription is created. Distribution runs per view × per row
+    /// change, so what it evaluates is the resolved form: no name
     /// lookup, no allocation beyond the projected row.
     pub fn resolve(&self, source_schema: &Schema) -> Result<ResolvedArticle> {
         let mut slots = ParamSlots::default();

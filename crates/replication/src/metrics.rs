@@ -20,9 +20,9 @@ mtc_util::counter_set! {
         pub txns_read: u64,
         /// Row changes read from the publisher's log.
         pub changes_read: u64,
-        /// Transactions applied across all subscriptions.
+        /// Transactions applied, counted once per node delivery.
         pub txns_applied: u64,
-        /// Row changes applied across all subscriptions.
+        /// Row changes applied across all nodes.
         pub changes_applied: u64,
         /// Work units consumed on the publisher (log sniffing + distribution).
         pub reader_work: f64,
@@ -33,7 +33,7 @@ mtc_util::counter_set! {
         pub wire_bytes: u64,
         // -- fault & recovery accounting --------------------------------
         /// Deliveries lost in flight (fault-injected drops); each one blocks
-        /// its subscription until redelivered.
+        /// its node until redelivered.
         pub deliveries_dropped: u64,
         /// Deliveries held by a fault-injected delay.
         pub deliveries_delayed: u64,
@@ -51,7 +51,7 @@ mtc_util::counter_set! {
         /// attempt.
         pub redeliveries: u64,
         /// Worst read-but-unapplied transaction backlog observed for any
-        /// subscription (a lag gauge, in transactions).
+        /// node (a lag gauge, in transactions).
         pub max_lag_txns: u64,
     }
     /// The live, lock-free form of [`ReplicationMetrics`]: every field is a

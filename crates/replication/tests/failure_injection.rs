@@ -42,7 +42,7 @@ fn setup() -> (Arc<RwLock<Database>>, Arc<SnapshotDb>, ReplicationHub) {
         unreachable!()
     };
     let article = Article::from_select("t_all", &def, &schema()).unwrap();
-    hub.subscribe(article, subscriber.clone(), "t_cache", 0).unwrap();
+    hub.subscribe(article, &subscriber, &mut subscriber.write(), "t_cache", 0).unwrap();
     (publisher, subscriber, hub)
 }
 
@@ -201,7 +201,7 @@ fn subscription_snapshot_is_consistent_under_concurrent_log_position() {
         unreachable!()
     };
     let article = Article::from_select("t_all2", &def, &schema()).unwrap();
-    hub.subscribe(article, sub2.clone(), "t_cache", 6).unwrap();
+    hub.subscribe(article, &sub2, &mut sub2.write(), "t_cache", 6).unwrap();
     // The snapshot already contains row 77; pumping must not re-insert it.
     hub.pump(10).unwrap();
     hub.pump(20).unwrap();

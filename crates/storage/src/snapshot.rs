@@ -13,15 +13,17 @@
 //!   [`ArcSwap`] in a single pointer swap.
 //! * Readers call [`SnapshotDb::read`] and get an `Arc<DbSnapshot>`: a
 //!   consistent, immutable image stamped with a monotonically increasing
-//!   publication **epoch** and per-object **applied-LSN watermarks**. A
+//!   publication **epoch** and the node's one **applied-LSN watermark**. A
 //!   reader holds no lock while it executes; a concurrent apply publishes
 //!   *around* it and can never tear the image out from under it.
 //!
-//! The watermarks are how the currency router reads its staleness off the
-//! snapshot *it actually scanned*: the replication distributor stamps each
-//! target table's applied LSN on the write guard before publishing, and
-//! the router later compares that stamp — not the live subscription state,
-//! which may have advanced since — against the backend's commit LSN.
+//! The watermark is how the currency router reads its staleness off the
+//! snapshot *it actually scanned*: the replication distributor stamps the
+//! node's applied LSN on the write guard before publishing, and the router
+//! later compares that stamp — not the live cursor, which may have
+//! advanced since — against the backend's commit LSN. Replication applies
+//! whole transactions to all of a node's cached views at once, so one mark
+//! covers them all.
 //!
 //! # What a publication costs
 //!
@@ -29,7 +31,7 @@
 //! database holds its tables, indexes, catalog and log behind `Arc`s of
 //! their own (table rows and index entries in [`PMap`](crate::pmap::PMap)
 //! chunks of shared row pointers). Publishing is a reference-count bump of
-//! the master's `Arc` plus a copy of the watermark map; nothing else is
+//! the master's `Arc` plus a copy of the one watermark; nothing else is
 //! copied at that moment. The copying happens in the *next* batch, lazily
 //! and only where it writes: the first mutable access unshares the
 //! `Database` shell (two name maps of pointers), the first write to a table
@@ -40,7 +42,6 @@
 //!
 //! [`ArcSwap`]: mtc_util::sync::ArcSwap
 
-use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
@@ -49,14 +50,14 @@ use mtc_util::sync::{ArcSwap, Mutex, MutexGuard};
 use crate::database::Database;
 use crate::log::Lsn;
 
-/// Replication progress stamped on a snapshot for one target object: the
-/// LSN *past* the last transaction whose effects are contained in the
-/// image, and the publisher-clock instant the object is synced through.
+/// Replication progress stamped on a node's snapshot: the LSN *past* the
+/// last transaction whose effects are contained in the image, and the
+/// publisher-clock instant the node is synced through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Watermark {
     /// Transactions with `lsn < self.lsn` are fully reflected in the image.
     pub lsn: Lsn,
-    /// Publisher-clock commit time through which the object is in sync.
+    /// Publisher-clock commit time through which the node is in sync.
     pub synced_through_ms: i64,
 }
 
@@ -64,13 +65,13 @@ pub struct Watermark {
 ///
 /// Derefs to [`Database`], so everything that reads a database reads a
 /// snapshot unchanged. Carries the publication [`epoch`](DbSnapshot::epoch)
-/// and the per-object [`watermark`](DbSnapshot::watermark)s that were
+/// and the replication [`watermark`](DbSnapshot::watermark) that was
 /// current when this image was published.
 #[derive(Debug, Clone)]
 pub struct DbSnapshot {
     db: Arc<Database>,
     epoch: u64,
-    watermarks: BTreeMap<String, Watermark>,
+    watermark: Option<Watermark>,
 }
 
 impl DbSnapshot {
@@ -80,21 +81,23 @@ impl DbSnapshot {
         self.epoch
     }
 
-    /// The replication watermark stamped for `object` (a cached view's
-    /// backing table) when this snapshot was published, or `None` if no
-    /// delivery has ever stamped it.
+    /// The node's replication watermark as of this snapshot, or `None` if
+    /// replication has never stamped it.
+    pub fn node_watermark(&self) -> Option<Watermark> {
+        self.watermark
+    }
+
+    /// The watermark that covers `object` in this snapshot: the node's,
+    /// when `object` is a cached view of this snapshot's catalog, and
+    /// `None` otherwise.
     pub fn watermark(&self, object: &str) -> Option<Watermark> {
-        self.watermarks.get(&mtc_types::normalize_ident(object)).copied()
+        let view = self.catalog.view(object)?;
+        self.watermark.filter(|_| view.is_cached)
     }
 
     /// The applied-LSN half of [`watermark`](DbSnapshot::watermark).
     pub fn applied_lsn(&self, object: &str) -> Option<Lsn> {
         self.watermark(object).map(|w| w.lsn)
-    }
-
-    /// All watermarks carried by this snapshot.
-    pub fn watermarks(&self) -> &BTreeMap<String, Watermark> {
-        &self.watermarks
     }
 }
 
@@ -106,11 +109,11 @@ impl Deref for DbSnapshot {
 }
 
 /// The writer-side state: the authoritative database plus the watermark
-/// map and epoch counter the next publication will carry.
+/// and epoch counter the next publication will carry.
 #[derive(Debug)]
 struct Master {
     db: Arc<Database>,
-    watermarks: BTreeMap<String, Watermark>,
+    watermark: Option<Watermark>,
     epoch: u64,
 }
 
@@ -134,12 +137,12 @@ impl SnapshotDb {
         let snapshot = DbSnapshot {
             db: db.clone(),
             epoch: 0,
-            watermarks: BTreeMap::new(),
+            watermark: None,
         };
         SnapshotDb {
             master: Mutex::new(Master {
                 db,
-                watermarks: BTreeMap::new(),
+                watermark: None,
                 epoch: 0,
             }),
             published: ArcSwap::from_value(snapshot),
@@ -179,7 +182,7 @@ impl From<Database> for SnapshotDb {
 /// Exclusive write access to the master database; publishes on drop.
 ///
 /// Derefs to [`Database`] so existing mutation code compiles unchanged.
-/// Use [`set_applied_lsn`](SnapshotWriteGuard::set_applied_lsn) to stamp a
+/// Use [`set_watermark`](SnapshotWriteGuard::set_watermark) to stamp a
 /// replication watermark that the published snapshot (and every later one)
 /// will carry.
 pub struct SnapshotWriteGuard<'a> {
@@ -188,13 +191,11 @@ pub struct SnapshotWriteGuard<'a> {
 }
 
 impl SnapshotWriteGuard<'_> {
-    /// Records replication progress for `object`. The stamp rides on the
+    /// Records the node's replication progress. The stamp rides on the
     /// snapshot published when this guard drops (and on every later one,
     /// until restamped).
-    pub fn set_watermark(&mut self, object: &str, mark: Watermark) {
-        self.master
-            .watermarks
-            .insert(mtc_types::normalize_ident(object), mark);
+    pub fn set_watermark(&mut self, mark: Watermark) {
+        self.master.watermark = Some(mark);
     }
 }
 
@@ -217,7 +218,7 @@ impl Drop for SnapshotWriteGuard<'_> {
         let snapshot = DbSnapshot {
             db: self.master.db.clone(),
             epoch: self.master.epoch,
-            watermarks: self.master.watermarks.clone(),
+            watermark: self.master.watermark,
         };
         self.published.store(Arc::new(snapshot));
     }
@@ -292,35 +293,59 @@ mod tests {
     #[test]
     fn watermarks_ride_on_publication() {
         let sdb = SnapshotDb::new(db_with_t());
-        assert_eq!(sdb.read().applied_lsn("t"), None);
+        assert_eq!(sdb.read().node_watermark(), None);
         {
             let mut g = sdb.write();
             g.apply_unlogged(&[ins(1, "a")]).unwrap();
-            g.set_watermark(
-                "t",
-                Watermark {
-                    lsn: Lsn(5),
-                    synced_through_ms: 100,
-                },
-            );
+            g.set_watermark(Watermark {
+                lsn: Lsn(5),
+                synced_through_ms: 100,
+            });
         }
         let snap = sdb.read();
-        assert_eq!(snap.applied_lsn("t"), Some(Lsn(5)));
-        assert_eq!(snap.watermark("t").unwrap().synced_through_ms, 100);
+        assert_eq!(snap.node_watermark().map(|w| w.lsn), Some(Lsn(5)));
+        assert_eq!(snap.node_watermark().unwrap().synced_through_ms, 100);
         // A later, unrelated publication keeps the stamp.
         sdb.write().apply_unlogged(&[ins(2, "b")]).unwrap();
-        assert_eq!(sdb.read().applied_lsn("t"), Some(Lsn(5)));
+        assert_eq!(sdb.read().node_watermark().map(|w| w.lsn), Some(Lsn(5)));
         // But the snapshot captured earlier still shows its own stamp even
         // after the watermark advances.
-        sdb.write().set_watermark(
-            "t",
-            Watermark {
-                lsn: Lsn(9),
-                synced_through_ms: 900,
-            },
-        );
-        assert_eq!(snap.applied_lsn("t"), Some(Lsn(5)));
-        assert_eq!(sdb.read().applied_lsn("t"), Some(Lsn(9)));
+        sdb.write().set_watermark(Watermark {
+            lsn: Lsn(9),
+            synced_through_ms: 900,
+        });
+        assert_eq!(snap.node_watermark().map(|w| w.lsn), Some(Lsn(5)));
+        assert_eq!(sdb.read().node_watermark().map(|w| w.lsn), Some(Lsn(9)));
+    }
+
+    #[test]
+    fn only_cached_views_carry_the_node_watermark() {
+        let sdb = SnapshotDb::new(db_with_t());
+        let mark = Watermark {
+            lsn: Lsn(3),
+            synced_through_ms: 30,
+        };
+        {
+            let mut g = sdb.write();
+            let mtc_sql::Statement::Select(definition) =
+                mtc_sql::parse_statement("SELECT id, v FROM src").unwrap()
+            else {
+                unreachable!()
+            };
+            g.catalog_mut()
+                .create_view(crate::catalog::ViewMeta {
+                    name: "t".into(),
+                    definition,
+                    materialized: true,
+                    is_cached: true,
+                })
+                .unwrap();
+            g.set_watermark(mark);
+        }
+        let snap = sdb.read();
+        assert_eq!(snap.watermark("T"), Some(mark));
+        assert_eq!(snap.applied_lsn("t"), Some(Lsn(3)));
+        assert_eq!(snap.watermark("src"), None, "not a cached view");
     }
 
     #[test]

@@ -48,6 +48,14 @@ scripts/bench_all.sh --check
 echo "==> cargo test -q --test snapshot_sharing (a publication copies only what its batch wrote)"
 cargo test -q --test snapshot_sharing
 
+# One replication cursor per cache node, pinned by a seeded property: under
+# random drops, duplicates, delays, corrupt frames and crashes, every view
+# equals the backend replayed to its node's watermark after every pump, and
+# the watermark never regresses. A change that lets one view of a node run
+# ahead of another fails here, on any machine, without a timer.
+echo "==> cargo test -q -p mtc-replication --lib prefix_consistency (every node snapshot is the backend at one LSN)"
+cargo test -q -p mtc-replication --lib prefix_consistency
+
 # Prepare once, run many, pinned by counters: a recurring text is parsed
 # once per server and planned once (SELECT and DML alike), a procedure body
 # is shared behind one Arc, and a result a write has overtaken leaves the

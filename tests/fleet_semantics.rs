@@ -189,16 +189,12 @@ fn crashed_node_detaches_from_replication_without_wedging_the_hub() {
     );
     drain(&hub);
     // The hub drained and truncated even though slot 1 never applied the
-    // write: detached subscriptions are excluded from both.
+    // write: a detached node is excluded from both.
     assert!(hub.lock().drained());
     assert_eq!(fleet.lag_txns(0), Some(0), "the live node caught up fully");
-    let h = hub.lock();
-    let infos = h.subscriptions();
-    assert!(
-        infos.iter().any(|s| s.detached),
-        "the crashed node's subscriptions stay tombstoned in place"
-    );
-    drop(h);
+    let nodes = hub.lock().subscriptions();
+    assert_eq!(nodes.len(), 1, "the crashed node's views are gone from the hub");
+    assert_eq!(nodes[0].views, fleet.node(0).unwrap().cached_views());
     assert_eq!(
         view_rows(&fleet.node(0).unwrap())
             .iter()
