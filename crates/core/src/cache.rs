@@ -7,7 +7,7 @@ use mtc_util::sync::{ArcSwap, Mutex};
 
 use mtc_engine::eval::Bindings;
 use mtc_engine::{
-    bind_select, execute, ExecContext, OptimizerOptions, PeerSite, PlacementEnv, QueryResult,
+    bind_select, CompiledQuery, ExecContext, OptimizerOptions, PeerSite, PlacementEnv, QueryResult,
 };
 use mtc_replication::{Article, Clock, ReplicationHub};
 use mtc_sql::{Permission, Prepared, Select, Statement, TableRef};
@@ -41,7 +41,8 @@ pub struct CacheServer {
     pub stats: SharedServerStats,
     /// Compiled-plan cache keyed by statement text + parameter signature,
     /// invalidated by the shadow catalog's version (see
-    /// [`crate::plan_cache`]). Statements with currency bounds bypass it.
+    /// [`crate::plan_cache`]). Currency-bounded statements are cached like
+    /// any other: their bound is checked per execution, before the probe.
     pub plan_cache: PlanCache,
     /// Statement text → prepared statement (see [`crate::statements`]):
     /// client SQL and the fragments peers ship here are parsed once per
@@ -385,7 +386,9 @@ impl CacheServer {
         principal: &str,
     ) -> Result<QueryResult> {
         match &stmt.statement {
-            Statement::Select(sel) => self.select_impl(stmt, sel, params, principal, true),
+            Statement::Select(sel) => {
+                self.select_impl(stmt, sel, params, principal, bound_ms_of(sel), false)
+            }
             // "All insert, delete and update requests against a shadow
             // table are immediately converted to remote ... and forwarded
             // to the backend server" (§5).
@@ -477,36 +480,44 @@ impl CacheServer {
     }
 
     /// Executes a plan fragment that a *peer's* multi-site placement routed
-    /// to this node, in the prepared form the peer's compiled plan carries.
-    /// Placement is disabled for the nested execution — a fragment never
-    /// hops twice — so this terminates; everything else (plan cache, L1
-    /// result cache, backend fallback) behaves exactly like a session query.
-    /// Runs as `dbo`, like backend-shipped SQL.
-    pub fn execute_for_peer(&self, stmt: &Prepared, params: &Bindings) -> Result<QueryResult> {
+    /// to this node, in the prepared form the peer's compiled plan carries,
+    /// under the currency bound of the statement it was cut from. Placement
+    /// is disabled for the nested execution — a fragment never hops twice —
+    /// so this terminates; everything else (plan cache, L1 result cache)
+    /// behaves exactly like a session query, except that a node past
+    /// `bound_ms` refuses with a freshness error instead of forwarding: the
+    /// sender then serves the fragment its own way. Runs as `dbo`, like
+    /// backend-shipped SQL.
+    pub fn execute_for_peer(
+        &self,
+        stmt: &Prepared,
+        params: &Bindings,
+        bound_ms: Option<i64>,
+    ) -> Result<QueryResult> {
         let Some(sel) = stmt.select() else {
             return Err(Error::plan("peers only ship SELECT fragments"));
         };
-        self.select_impl(stmt, sel, params, "dbo", false)
+        self.select_impl(stmt, sel, params, "dbo", bound_ms, true)
     }
 
-    /// Optimizes and executes a SELECT. The plan may be fully local, fully
-    /// remote, or mixed; parameterized queries get dynamic plans; in a
-    /// fleet (`allow_placement`), fragments may be placed on peer nodes'
-    /// cached views.
+    /// Executes a SELECT on one path: permission check, currency check,
+    /// plan-cache probe, and on a miss plan, compile and insert. The plan
+    /// may be fully local, fully remote, or mixed; parameterized queries get
+    /// dynamic plans; a session statement (not `for_peer`) may have
+    /// fragments placed on peer nodes' cached views. `bound_ms` is the
+    /// statement's currency bound.
     fn select_impl(
         &self,
         stmt: &Prepared,
         sel: &Select,
         params: &Bindings,
         principal: &str,
-        allow_placement: bool,
+        bound_ms: Option<i64>,
+        for_peer: bool,
     ) -> Result<QueryResult> {
-        let options = &self.options;
         let db = self.db.read();
-        // Statements carrying a currency bound are never plan-cached: their
-        // routing depends on replication staleness *at execution time*, not
-        // just on metadata, so they re-optimize every invocation.
-        let cacheable = sel.freshness_seconds.is_none();
+        // Permission checks run on every execution, cached plan or not.
+        check_select_permissions(&db, &stmt.objects, principal)?;
         let key = &stmt.key;
         let sig = param_signature(params);
         let version = db.catalog.version();
@@ -514,65 +525,72 @@ impl CacheServer {
         // all belong to the same fleet membership.
         let wiring = self.wiring.load();
         let topology = wiring.topology.load(Ordering::Acquire);
-        // The statement's currency bound travels with the remote gateway:
-        // a cached remote result is only served if its age satisfies it.
-        let bound_ms = sel.freshness_seconds.map(|s| s as i64 * 1000);
         // Peers pinned for this statement: the placement DP costs their
         // snapshots, and the gateway routes peer-placed fragments to them.
-        let peers: &[(String, Arc<CacheServer>)] =
-            if allow_placement { &wiring.peers } else { &[] };
-        let mut gateway = RemoteGateway::new(
-            &self.result_cache,
-            &self.backend,
-            version,
-            bound_ms,
-            self.clock.now_ms(),
-        );
-        if let Some(l2) = wiring.l2.as_deref() {
-            gateway = gateway.with_l2(l2);
-        }
-        if !peers.is_empty() {
-            gateway = gateway.with_peers(peers);
-        }
-
-        // Fragment memo for this execution, pinned to the same snapshot the
-        // query scans. `None` while fragment caching is disabled: the
-        // engine then takes the exact pre-memo code path.
-        let fragment = self.fragment_cache.is_enabled().then(|| {
-            FragmentGateway::new(&self.fragment_cache, &db, version, self.clock.now_ms())
-        });
-        let memo = fragment
-            .as_ref()
-            .map(|f| f as &dyn mtc_engine::FragmentMemo);
-
-        // Permission checks run on every execution, cached plan or not.
-        let perm = check_select_permissions(&db, &stmt.objects, principal);
-        if cacheable && perm.is_ok() {
-            if let Some(hit) = self.plan_cache.lookup(key, &sig, version, topology) {
-                let ctx = ExecContext {
-                    db: &db,
-                    remote: Some(&gateway),
-                    params,
-                    work: &options.cost,
-                    parallel: self.parallel_ctx(&db),
-                };
-                let result = mtc_engine::execute_compiled_with_memo(hit.query()?, &ctx, memo)?;
-                self.stats.record_query(&result.metrics, result.rows.len());
-                return Ok(result);
+        let peers: &[(String, Arc<CacheServer>)] = if for_peer { &[] } else { &wiring.peers };
+        let run = |query: &CompiledQuery| -> Result<QueryResult> {
+            // The statement's currency bound travels with the remote
+            // gateway: a cached remote result is only served if its age
+            // satisfies it, and a peer only serves a fragment within it.
+            let now = self.clock.now_ms();
+            let mut gateway =
+                RemoteGateway::new(&self.result_cache, &self.backend, version, bound_ms, now);
+            if let Some(l2) = wiring.l2.as_deref() {
+                gateway = gateway.with_l2(l2);
             }
-        }
+            if !peers.is_empty() {
+                gateway = gateway.with_peers(peers);
+            }
+            // Fragment memo for this execution, pinned to the same snapshot
+            // the query scans. `None` while fragment caching is disabled:
+            // the engine then takes the exact pre-memo code path.
+            let fragment = self
+                .fragment_cache
+                .is_enabled()
+                .then(|| FragmentGateway::new(&self.fragment_cache, &db, version, now));
+            let memo = fragment
+                .as_ref()
+                .map(|f| f as &dyn mtc_engine::FragmentMemo);
+            let ctx = ExecContext {
+                db: &db,
+                remote: Some(&gateway),
+                params,
+                work: &self.options.cost,
+                parallel: self.parallel_ctx(&db),
+            };
+            let result = mtc_engine::execute_compiled_with_memo(query, &ctx, memo)?;
+            self.stats.record_query(&result.metrics, result.rows.len());
+            Ok(result)
+        };
 
-        let opt = match perm.and_then(|()| self.plan_select(&db, stmt, sel, peers))? {
-            Planned::Here { opt, currency } => {
-                if currency.is_some() {
-                    // The routing reason is observable via explain().
-                    self.stats.freshness_fallbacks.inc();
+        // Currency (§7 extension): every cached view of this node is
+        // exactly as current as the watermark stamped on the snapshot this
+        // execution pinned, so a bound is one comparison made before any
+        // plan is looked up — not a plan property. A bounded statement is
+        // plan-cached like any other; its text carries the bound.
+        let planned = match bound_ms.and_then(|bound| self.staleness_past(&db, bound)) {
+            Some(staleness_ms) => {
+                self.stats.freshness_fallbacks.inc();
+                if for_peer {
+                    return Err(Error::freshness(format!(
+                        "`{}` is {staleness_ms}ms stale, past the fragment's bound",
+                        self.name
+                    )));
                 }
-                opt
+                // Nothing here is current enough: backend data always is.
+                Planned::BlindForward { object: None }
             }
+            None => {
+                if let Some(hit) = self.plan_cache.lookup(key, &sig, version, topology) {
+                    return run(hit.query()?);
+                }
+                self.plan_select(&db, stmt, sel, peers)?
+            }
+        };
+        let opt = match planned {
+            Planned::Here { opt } => opt,
             // The backend parses, authorizes and executes it.
             Planned::BlindForward { .. } => {
-                drop(db);
                 let result = self.backend.execute_prepared(stmt, params, principal)?;
                 self.stats.queries.inc();
                 self.stats.remote_calls.inc();
@@ -584,35 +602,31 @@ impl CacheServer {
                 return Ok(out);
             }
         };
-        let ctx = ExecContext {
-            db: &db,
-            remote: Some(&gateway),
-            params,
-            work: &options.cost,
-            parallel: self.parallel_ctx(&db),
-        };
-        let result = if cacheable {
-            // Compile once, cache (stamped with the catalog and topology
-            // versions seen under this read lock), and execute the
-            // compiled form.
-            let cached = self.plan_cache.insert(
-                key,
-                &sig,
-                CachedPlan {
-                    compiled: Compiled::Query(mtc_engine::compile(&opt.physical)?),
-                    est_cost: opt.est_cost,
-                    est_rows: opt.est_rows,
-                    catalog_version: version,
-                    topology_version: topology,
-                },
-            );
-            mtc_engine::execute_compiled_with_memo(cached.query()?, &ctx, memo)?
-        } else {
-            // Freshness-routed plan: computed fresh, executed, never cached.
-            execute(&opt.physical, &ctx)?
-        };
-        self.stats.record_query(&result.metrics, result.rows.len());
-        Ok(result)
+        // Compile once, cache (stamped with the catalog and topology
+        // versions this execution pinned), and execute the compiled form.
+        let cached = self.plan_cache.insert(
+            key,
+            &sig,
+            CachedPlan {
+                compiled: Compiled::Query(mtc_engine::compile(&opt.physical)?),
+                est_cost: opt.est_cost,
+                est_rows: opt.est_rows,
+                catalog_version: version,
+                topology_version: topology,
+            },
+        );
+        run(cached.query()?)
+    }
+
+    /// How stale this node is on `snap`, if that is past `bound_ms`. Every
+    /// cached view of a node shares one watermark, so this is the staleness
+    /// (publisher clock) of whatever the node would read. `None` within the
+    /// bound, and on a node holding no cached view: it reads nothing a bound
+    /// could reject.
+    fn staleness_past(&self, snap: &DbSnapshot, bound_ms: i64) -> Option<i64> {
+        let mark = snap.node_watermark()?;
+        let staleness_ms = self.clock.now_ms() - mark.synced_through_ms;
+        (staleness_ms > bound_ms).then_some(staleness_ms)
     }
 
     /// Plans a SELECT on this server — the one planning path `select_impl`
@@ -655,23 +669,8 @@ impl CacheServer {
                 link: self.options.cost.peer_link(),
             });
         }
-        let mut opt = mtc_engine::optimize_with_placement(plan, db, &self.options, &env)?;
-
-        // Freshness routing (§7 extension): if the statement carries a
-        // staleness bound, check it against the cached views the chosen
-        // plan *actually reads* (the node's watermark, as stamped on the
-        // snapshot planned against). If it is too stale, the local plan is rejected and
-        // the statement degrades gracefully to the backend — backend data
-        // is always fresh. Queries without a bound are untouched.
-        let currency = self.currency_violation(db, sel, &opt.physical);
-        if currency.is_some() {
-            let no_views = OptimizerOptions {
-                enable_view_matching: false,
-                ..self.options.clone()
-            };
-            opt = mtc_engine::optimize(bind_select(sel, db)?, db, &no_views)?;
-        }
-        Ok(Planned::Here { opt, currency })
+        let opt = mtc_engine::optimize_with_placement(plan, db, &self.options, &env)?;
+        Ok(Planned::Here { opt })
     }
 
     /// Runs a copied procedure locally: its queries go through this cache's
@@ -734,8 +733,9 @@ impl CacheServer {
 
     /// Optimizes a SELECT on this cache server and returns its physical
     /// plan text (EXPLAIN) — shows local/remote routing, DataTransfer
-    /// boundaries, dynamic-plan guards, and (for currency-bounded
-    /// statements) the freshness routing decision.
+    /// boundaries and dynamic-plan guards. A statement execution would
+    /// forward (blind, or past its currency bound) prints the forward
+    /// instead of a plan.
     pub fn explain(&self, sql: &str) -> Result<String> {
         let resolved = Resolved::new(sql)?;
         let stmt = &*resolved.stmt;
@@ -744,27 +744,42 @@ impl CacheServer {
         };
         let db = self.db.read();
         let wiring = self.wiring.load();
-        let (opt, currency) = match self.plan_select(&db, stmt, sel, &wiring.peers)? {
-            Planned::Here { opt, currency } => (opt, currency),
+        // The same currency check and planning as an execution makes.
+        let bound_ms = bound_ms_of(sel);
+        let stale = bound_ms.and_then(|bound| Some((self.staleness_past(&db, bound)?, bound)));
+        let planned = match stale {
+            Some(_) => Planned::BlindForward { object: None },
+            None => self.plan_select(&db, stmt, sel, &wiring.peers)?,
+        };
+        let opt = match planned {
+            Planned::Here { opt } => opt,
             Planned::BlindForward { object } => {
                 // The backend binds what it is sent: a statement it cannot
                 // bind either fails exactly as executing it would.
                 bind_select(sel, &self.backend.db.read())?;
-                let what = object.unwrap_or_else(|| "a column it names".to_string());
+                let Some((staleness_ms, bound)) = stale else {
+                    let what = object.unwrap_or_else(|| "a column it names".to_string());
+                    return Ok(format!(
+                        "routing: backend (blind forward — {what} not in shadow catalog)\n"
+                    ));
+                };
+                let applied = db.node_watermark().map_or(0, |m| m.lsn.0);
+                let lag = self.backend.db.read().log().head().0.saturating_sub(applied);
+                let views: Vec<&str> = db
+                    .catalog
+                    .views()
+                    .filter(|v| v.is_cached)
+                    .map(|v| v.name.as_str())
+                    .collect();
                 return Ok(format!(
-                    "routing: backend (blind forward — {what} not in shadow catalog)\n"
+                    "routing: backend fallback — node stale {staleness_ms}ms > bound {bound}ms (lag {lag} txns; cached views: {})\nplaced: backend\n",
+                    views.join(", ")
                 ));
             }
         };
-        let mut routing = match (sel.freshness_seconds, currency) {
-            (_, Some(d)) => format!(
-                "routing: backend fallback — cached view `{}` stale {}ms > bound {}ms (lag {} txns)\n",
-                d.view, d.staleness_ms, d.bound_ms, d.lag_txns
-            ),
-            (Some(bound_s), None) => {
-                format!("routing: local (currency bound {bound_s}s satisfied)\n")
-            }
-            (None, None) => String::new(),
+        let mut routing = match sel.freshness_seconds {
+            Some(bound_s) => format!("routing: local (currency bound {bound_s}s satisfied)\n"),
+            None => String::new(),
         };
         let version = db.catalog.version();
         let cached = self
@@ -780,7 +795,6 @@ impl CacheServer {
         // ord_cache)`). Every ChoosePlan branch is listed: a `placed:` line
         // is a site that executing this text contacts, a `closed:` line the
         // site of a branch the lifted values keep shut.
-        let bound_ms = sel.freshness_seconds.map(|s| s as i64 * 1000);
         let now = self.clock.now_ms();
         let none = Bindings::new();
         let lifted = resolved.bindings(&none);
@@ -835,39 +849,6 @@ impl CacheServer {
         ))
     }
 
-    /// Checks a statement's currency bound against the cached views its
-    /// chosen plan actually reads — using the node watermark stamped on
-    /// `snap`, the snapshot the query will *actually scan*, not the live
-    /// cursor (which may have advanced past what this snapshot contains).
-    /// Every cached view of a node is as current as the node, so the mark
-    /// is checked once. Returns the violation (the reason the local plan
-    /// must be rejected, naming the first cached view it reads), or `None`
-    /// when the plan is admissible — including for statements without a
-    /// bound or reading no cached view.
-    fn currency_violation(
-        &self,
-        snap: &DbSnapshot,
-        sel: &Select,
-        physical: &mtc_engine::PhysicalPlan,
-    ) -> Option<CurrencyDecision> {
-        let bound_ms = (sel.freshness_seconds? as i64) * 1000;
-        let mark = snap.node_watermark()?;
-        let staleness_ms = (self.clock.now_ms() - mark.synced_through_ms).max(0);
-        if staleness_ms <= bound_ms {
-            return None;
-        }
-        let view = local_objects(physical)
-            .into_iter()
-            .find(|obj| snap.watermark(obj).is_some())?;
-        let head = self.backend.db.read().log().head();
-        Some(CurrencyDecision {
-            view,
-            staleness_ms,
-            bound_ms,
-            lag_txns: head.0.saturating_sub(mark.lsn.0),
-        })
-    }
-
     /// Replication staleness of one cached view, in milliseconds, as
     /// stamped on the currently published snapshot; `None` if `view` is not
     /// one of this server's cached views.
@@ -906,36 +887,22 @@ impl CacheServer {
     }
 }
 
-/// Why a currency-bounded statement's local plan was rejected: the cached
-/// view it would read is further behind the backend than the statement
-/// tolerates. Surfaced through `explain` ("routing: backend fallback — …").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CurrencyDecision {
-    /// The cached view that violated the bound.
-    pub view: String,
-    /// Observed staleness (publisher clock) when the statement was planned.
-    pub staleness_ms: i64,
-    /// The statement's `WITH FRESHNESS n SECONDS` bound, in milliseconds.
-    pub bound_ms: i64,
-    /// Backend-commit-LSN vs. applied-LSN backlog behind the violation, in
-    /// transactions.
-    pub lag_txns: u64,
+/// A statement's `WITH FRESHNESS` bound, in milliseconds.
+fn bound_ms_of(sel: &Select) -> Option<i64> {
+    sel.freshness_seconds.map(|s| s as i64 * 1000)
 }
 
 /// How a SELECT runs on this server, as decided by
-/// [`CacheServer::plan_select`]. Matched and consumed by the caller at once,
-/// never stored, so the plan is not boxed.
+/// [`CacheServer::plan_select`] or by the currency check before it. Matched
+/// and consumed by the caller at once, never stored, so the plan is not
+/// boxed.
 #[allow(clippy::large_enum_variant)]
 enum Planned {
-    /// Optimized here (the plan may be local, remote or mixed). `currency`
-    /// is set when the statement's currency bound rejected the view-backed
-    /// plan; `opt` is then the no-views re-plan.
-    Here {
-        opt: mtc_engine::Optimized,
-        currency: Option<CurrencyDecision>,
-    },
-    /// The statement does not bind against the shadow catalog and is
-    /// forwarded whole; `object` is the FROM object the catalog lacks.
+    /// Optimized here (the plan may be local, remote or mixed).
+    Here { opt: mtc_engine::Optimized },
+    /// Forwarded whole to the backend: the statement does not bind against
+    /// the shadow catalog (`object` is the FROM object the catalog lacks),
+    /// or the node is past the statement's currency bound.
     BlindForward { object: Option<String> },
 }
 
@@ -989,29 +956,6 @@ fn remote_fragments(plan: &mtc_engine::PhysicalPlan, params: &Bindings) -> Vec<R
     }
     let mut out = Vec::new();
     walk(plan, params, true, &mut out);
-    out
-}
-
-/// Local data objects a physical plan reads (cached views and their
-/// indexes' tables).
-fn local_objects(plan: &mtc_engine::PhysicalPlan) -> Vec<String> {
-    use mtc_engine::PhysicalPlan as P;
-    let mut out = Vec::new();
-    fn walk(p: &mtc_engine::PhysicalPlan, out: &mut Vec<String>) {
-        match p {
-            P::SeqScan { object, .. }
-            | P::ClusteredSeek { object, .. }
-            | P::IndexSeek { object, .. }
-            | P::ExtremeSeek { object, .. } => out.push(object.clone()),
-            _ => {}
-        }
-        for c in p.children() {
-            walk(c, out);
-        }
-    }
-    walk(plan, &mut out);
-    out.sort();
-    out.dedup();
     out
 }
 
@@ -1248,6 +1192,13 @@ mod tests {
             .unwrap();
         assert_eq!(r.rows[0][0], Value::str("fresh!"));
         assert_eq!(r.metrics.remote_calls, 1);
+        // EXPLAIN makes the same check and names the one site it forwards to.
+        assert_eq!(
+            c.explain("SELECT cname FROM customer WHERE cid = 5 WITH FRESHNESS 10 SECONDS")
+                .unwrap(),
+            "routing: backend fallback — node stale 60000ms > bound 10000ms \
+             (lag 1 txns; cached views: cust1000)\nplaced: backend\n"
+        );
         // After replication catches up, the bound is satisfiable locally.
         hub.lock().pump(clock.now_ms()).unwrap();
         hub.lock().pump(clock.now_ms()).unwrap();

@@ -69,7 +69,7 @@ pub mod stats;
 
 pub use advisor::{AdaptiveAdvisor, AdvisorConfig, AdvisorStats};
 pub use backend::BackendServer;
-pub use cache::{CacheServer, CurrencyDecision, Wiring};
+pub use cache::{CacheServer, Wiring};
 pub use fragment::FragmentGateway;
 pub use connection::{Connection, ServerHandle};
 pub use fleet::{fnv1a64, Fleet, FleetConfig, Router};

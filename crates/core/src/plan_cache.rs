@@ -36,14 +36,17 @@
 //! slice of the capacity, which bounds the whole — and a probe borrows the
 //! two key parts, so a hit allocates nothing.
 //!
-//! Plans for statements carrying a `WITH FRESHNESS` bound are **never
-//! cached**: their routing depends on replication staleness at execution
-//! time, not just on metadata (see `CacheServer::execute_select`).
+//! Statements carrying a `WITH FRESHNESS` bound are cached like any other:
+//! no plan depends on replication staleness. The bound stays in the
+//! statement's text (so each shape-and-bound pair is one entry), and
+//! `CacheServer::select_impl` compares it with the node's watermark on every
+//! execution, before the probe: a node past it forwards the statement
+//! without probing.
 //!
 //! Permission checks still run on every execution, cached or not — the
 //! cache stores *plans*, not authorization decisions — and they run
-//! **before** the shard lock is taken (see `CacheServer::execute_select`
-//! and `BackendServer::execute_select`), so a slow authorization path can
+//! **before** the shard lock is taken (see `CacheServer::select_impl` and
+//! `BackendServer::execute_select`), so a slow authorization path can
 //! never stall other sessions' cache probes, and a denied principal never
 //! touches LRU state.
 

@@ -32,18 +32,17 @@ mtc_util::counter_set! {
         pub remote_calls: u64,
         /// Network round trips actually *paid* to the backend — below
         /// `remote_calls` when the result cache answers from memory and when
-        /// round-trip coalescing batches several remote subexpressions into
-        /// one wire exchange.
+        /// a miss shares another session's in-flight fetch.
         pub remote_rtts: u64,
         /// Rows shipped back from the backend.
         pub remote_rows: u64,
-        /// Remote statements that rode along on another statement's round
-        /// trip (batched siblings, single-flight followers) instead of
-        /// paying one.
+        /// Remote statements that shared another session's in-flight fetch
+        /// (single-flight followers) instead of paying a round trip.
         pub coalesced_calls: u64,
-        /// Queries whose local plan was rejected because a cached view
-        /// violated the statement's currency bound (graceful degradation to
-        /// the backend).
+        /// Executions of a currency-bounded SELECT on this node while it was
+        /// past the bound: a session statement forwarded whole to the
+        /// backend, or a peer's fragment refused. Each is one comparison
+        /// with the node's watermark, made before any plan is looked up.
         pub freshness_fallbacks: u64,
         /// Statement texts parsed and prepared here: the statement cache's
         /// misses. A text that recurs is prepared once, however often it runs.

@@ -75,13 +75,13 @@ mtc_util::counter_set! {
         /// Always `<= local_work`; zero for serial execution.
         pub parallel_work: f64,
         /// Network round trips actually paid to the backend. Differs from
-        /// `remote_calls` when statements are pipelined into one round trip
-        /// (batching) or served without any backend contact (result-cache hits,
-        /// single-flight sharing): `remote_rtts <= remote_calls`.
+        /// `remote_calls` when statements are served without any backend
+        /// contact (result-cache hits, single-flight sharing):
+        /// `remote_rtts <= remote_calls`.
         pub remote_rtts: u64,
-        /// Remote statements that rode along on someone else's round trip —
-        /// batched siblings and single-flight followers. Each coalesced call is
-        /// a round trip the network never saw.
+        /// Remote statements that shared another session's in-flight fetch
+        /// (single-flight followers). Each coalesced call is a round trip the
+        /// network never saw.
         pub coalesced_calls: u64,
         /// Statements shipped to a cache *peer* (multi-site placement) instead
         /// of the backend. Every peer call is also counted in `remote_calls`;
@@ -123,11 +123,11 @@ pub struct RemoteOutcome {
     /// satisfied (backend execution, result-cache hit, shared in-flight
     /// fetch). `rtts` says what the network actually saw.
     pub calls: u64,
-    /// Network round trips actually paid (0 on a cache hit or when riding
-    /// along on another statement's pipelined round trip).
+    /// Network round trips actually paid (0 on a cache hit or when sharing
+    /// another session's in-flight fetch).
     pub rtts: u64,
-    /// Fetches folded into someone else's round trip: batched siblings and
-    /// single-flight followers.
+    /// Fetches folded into someone else's round trip: single-flight
+    /// followers.
     pub coalesced: u64,
     /// True when the rows came out of a mid-tier result cache.
     pub cached: bool,
@@ -138,8 +138,8 @@ pub struct RemoteOutcome {
 }
 
 impl RemoteOutcome {
-    /// The plain outcome of an uncached, unpipelined fetch: one statement,
-    /// one round trip.
+    /// The plain outcome of an uncached, unshared fetch: one statement, one
+    /// round trip.
     pub fn fetched(result: QueryResult) -> RemoteOutcome {
         RemoteOutcome {
             result,
@@ -199,21 +199,6 @@ pub trait RemoteExecutor {
             RemoteSite::Backend => self.execute_remote_outcome(&stmt.text, params),
             RemoteSite::Peer { node, .. } => self.execute_peer(node, &stmt.text, params),
         }
-    }
-
-    /// Ships several statements toward the backend at once. Implementations
-    /// that can pipeline charge one round trip for the whole batch; the
-    /// default degrades to sequential fetches (one round trip each), so
-    /// plain executors keep their semantics without opting in.
-    fn execute_remote_batch(
-        &self,
-        stmts: &[&Arc<Prepared>],
-        params: &Bindings,
-    ) -> Result<Vec<RemoteOutcome>> {
-        stmts
-            .iter()
-            .map(|stmt| self.execute_shipped(&RemoteSite::Backend, stmt, params))
-            .collect()
     }
 }
 

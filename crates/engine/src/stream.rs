@@ -84,12 +84,6 @@ pub(crate) struct StreamCtx<'e> {
     pub env: EvalEnv<'e>,
     /// Morsel-parallel context; `None` keeps every operator serial.
     pub parallel: Option<&'e ParallelCtx>,
-    /// Remote results prefetched in one pipelined round trip before the
-    /// root was pulled (see [`execute_compiled`]). Keyed by shipped SQL;
-    /// each [`RemoteStream`] consumes its entry instead of paying its own
-    /// round trip. `RefCell` is fine: streams run on the driving thread —
-    /// morsel parallelism happens *inside* local operators, never here.
-    pub prefetched: std::cell::RefCell<HashMap<&'e str, std::collections::VecDeque<QueryResult>>>,
     /// Intermediate-result memo probed for fully local join/aggregate
     /// subtrees (see [`FragmentMemo`]); `None` executes every fragment.
     pub memo: Option<&'e dyn FragmentMemo>,
@@ -124,14 +118,9 @@ pub(crate) trait BatchStream<'e> {
 
 type BoxStream<'e> = Box<dyn BatchStream<'e> + 'e>;
 
-/// Executes a compiled query by streaming batches from the root.
-///
-/// Before the root is pulled, the plan is walked for [`CompiledPlan::Remote`]
-/// nodes that are certain to execute (closed UnionAll guards are skipped,
-/// nothing below a `Top` counts — early termination may never open it). When
-/// two or more are found they are shipped in **one pipelined round trip**
-/// via [`RemoteExecutor::execute_remote_batch`]; each `RemoteStream` then
-/// consumes its prefetched result instead of paying its own round trip.
+/// Executes a compiled query by streaming batches from the root. A
+/// [`CompiledPlan::Remote`] ships its statement when it is first pulled, so
+/// a closed UnionAll branch or a satisfied `TOP n` never ships one.
 pub fn execute_compiled(query: &CompiledQuery, ctx: &ExecContext<'_>) -> Result<QueryResult> {
     execute_compiled_with_memo(query, ctx, None)
 }
@@ -156,38 +145,9 @@ pub fn execute_compiled_with_memo(
         work: ctx.work,
         env,
         parallel: ctx.parallel.as_ref().filter(|p| p.dop > 1),
-        prefetched: std::cell::RefCell::new(HashMap::new()),
         memo,
     };
     let mut metrics = ExecMetrics::default();
-    if let Some(remote) = cx.remote {
-        let mut stmts: Vec<&Arc<Prepared>> = Vec::new();
-        collect_certain_remotes(&query.root, cx.env, &mut stmts)?;
-        if stmts.len() >= 2 {
-            let outcomes = remote.execute_remote_batch(&stmts, cx.params)?;
-            let mut map = cx.prefetched.borrow_mut();
-            for (stmt, outcome) in stmts.iter().zip(outcomes) {
-                // Remote-side charging happens here, where the round trip
-                // was paid; the consuming stream charges only the local
-                // transfer cost.
-                metrics.remote_calls += outcome.calls;
-                metrics.remote_rtts += outcome.rtts;
-                metrics.coalesced_calls += outcome.coalesced;
-                metrics.remote_rows += outcome.result.rows.len() as u64;
-                metrics.bytes_transferred += outcome
-                    .result
-                    .rows
-                    .iter()
-                    .map(Row::estimated_width)
-                    .sum::<u64>();
-                metrics.remote_work +=
-                    outcome.result.metrics.local_work + outcome.result.metrics.remote_work;
-                map.entry(&*stmt.text)
-                    .or_default()
-                    .push_back(outcome.result);
-            }
-        }
-    }
     let mut root = build(&query.root, &cx, &mut metrics)?;
     // The one place owned rows are materialized: the client boundary.
     let mut rows = Vec::new();
@@ -199,61 +159,6 @@ pub fn execute_compiled_with_memo(
         rows,
         metrics,
     })
-}
-
-/// Collects the shipped statement of every [`CompiledPlan::Remote`] node that is
-/// *certain* to execute under the resolved parameter environment:
-///
-/// * UnionAll branches behind a closed startup guard are skipped — exactly
-///   the branches the executor never opens (§5.1), so prefetching them
-///   would execute backend work the serial path provably avoids.
-/// * Nothing below a `Top` is collected: `TOP n` may stop pulling before a
-///   later sibling branch opens, so remotes beneath it are only *probably*
-///   needed. They fall back to their own round trip on demand.
-fn collect_certain_remotes<'p>(
-    plan: &'p CompiledPlan,
-    env: EvalEnv<'_>,
-    out: &mut Vec<&'p Arc<Prepared>>,
-) -> Result<()> {
-    match plan {
-        // Only backend-bound remotes are batched into the pipelined
-        // prefetch round trip; peer-placed fragments cross their own (much
-        // cheaper) peer link on demand.
-        CompiledPlan::Remote { sql, site, .. } => {
-            if matches!(site, crate::physical::RemoteSite::Backend) {
-                out.push(sql);
-            }
-        }
-        CompiledPlan::UnionAll { inputs, guards } => {
-            for (input, guard) in inputs.iter().zip(guards) {
-                let open = match guard {
-                    Some(g) => g.eval_predicate(&Row::new(vec![]), env)? == Some(true),
-                    None => true,
-                };
-                if open {
-                    collect_certain_remotes(input, env, out)?;
-                }
-            }
-        }
-        CompiledPlan::Top { .. } => {}
-        CompiledPlan::Filter { input, .. }
-        | CompiledPlan::Project { input, .. }
-        | CompiledPlan::HashAggregate { input, .. }
-        | CompiledPlan::Sort { input, .. }
-        | CompiledPlan::Distinct { input } => collect_certain_remotes(input, env, out)?,
-        CompiledPlan::NestedLoopJoin { left, right, .. }
-        | CompiledPlan::HashJoin { left, right, .. } => {
-            collect_certain_remotes(left, env, out)?;
-            collect_certain_remotes(right, env, out)?;
-        }
-        CompiledPlan::IndexNlJoin { outer, .. } => collect_certain_remotes(outer, env, out)?,
-        CompiledPlan::Nothing
-        | CompiledPlan::SeqScan { .. }
-        | CompiledPlan::ClusteredSeek { .. }
-        | CompiledPlan::IndexSeek { .. }
-        | CompiledPlan::ExtremeSeek { .. } => {}
-    }
-    Ok(())
 }
 
 /// Builds the stream for `plan`, first consulting the attached
@@ -382,7 +287,7 @@ fn replay<'e>(rows: Vec<Row>) -> BoxStream<'e> {
         let width = rows[0].len();
         vec![RowBatch::from_rows(rows, width)]
     };
-    Box::new(PrefetchedStream {
+    Box::new(BuiltStream {
         batches: batches.into_iter(),
     })
 }
@@ -638,7 +543,7 @@ fn build_leaf<'e>(
         let n = range.clone().rows(cx.db, table)?.count();
         if p.eligible(n) {
             let (batches, touched) = parallel_leaf(p, object, range, cols, predicate, cx.env, n)?;
-            return Ok(prefetched(batches, touched, cx, m));
+            return Ok(parallel_stream(batches, touched, cx, m));
         }
     }
     Ok(Box::new(ScanStream {
@@ -655,7 +560,7 @@ fn build_leaf<'e>(
 /// and mirroring them into `parallel_work`, since they overlapped across
 /// the pool's workers. The workers built column batches directly from the
 /// borrowed snapshot rows, so nothing here was cloned.
-fn prefetched<'e>(
+fn parallel_stream<'e>(
     batches: Vec<RowBatch>,
     touched: usize,
     cx: &StreamCtx<'e>,
@@ -668,17 +573,17 @@ fn prefetched<'e>(
         m.local_rows += b.len() as u64;
         m.cells_built += (b.phys_rows() * b.width()) as u64;
     }
-    Box::new(PrefetchedStream {
+    Box::new(BuiltStream {
         batches: batches.into_iter(),
     })
 }
 
 /// Emits already-built batches one at a time.
-struct PrefetchedStream {
+struct BuiltStream {
     batches: std::vec::IntoIter<RowBatch>,
 }
 
-impl<'e> BatchStream<'e> for PrefetchedStream {
+impl<'e> BatchStream<'e> for BuiltStream {
     fn next_batch(
         &mut self,
         _cx: &StreamCtx<'e>,
@@ -893,43 +798,30 @@ impl<'e> BatchStream<'e> for RemoteStream<'e> {
             return Ok(None);
         }
         self.done = true;
-        // A prefetched batch result already charged its remote-side metrics
-        // in `execute_compiled`; only the local receive cost is paid here.
-        let prefetched = cx
-            .prefetched
-            .borrow_mut()
-            .get_mut(&*self.sql.text)
-            .and_then(|q| q.pop_front());
-        let result = match prefetched {
-            Some(result) => result,
-            None => {
-                let remote = cx.remote.ok_or_else(|| {
-                    Error::execution("plan requires a backend connection but none is configured")
-                })?;
-                let outcome = remote.execute_shipped(self.site, self.sql, cx.params)?;
-                m.remote_calls += outcome.calls;
-                m.remote_rtts += outcome.rtts;
-                m.coalesced_calls += outcome.coalesced;
-                m.remote_rows += outcome.result.rows.len() as u64;
-                let bytes = outcome
-                    .result
-                    .rows
-                    .iter()
-                    .map(Row::estimated_width)
-                    .sum::<u64>();
-                m.bytes_transferred += bytes;
-                if outcome.peer {
-                    m.peer_calls += outcome.calls;
-                    m.peer_rtts += outcome.rtts;
-                    m.peer_rows += outcome.result.rows.len() as u64;
-                    m.peer_bytes += bytes;
-                }
-                // Work the remote site spent executing the shipped statement.
-                m.remote_work +=
-                    outcome.result.metrics.local_work + outcome.result.metrics.remote_work;
-                outcome.result
-            }
-        };
+        let remote = cx.remote.ok_or_else(|| {
+            Error::execution("plan requires a backend connection but none is configured")
+        })?;
+        let outcome = remote.execute_shipped(self.site, self.sql, cx.params)?;
+        m.remote_calls += outcome.calls;
+        m.remote_rtts += outcome.rtts;
+        m.coalesced_calls += outcome.coalesced;
+        m.remote_rows += outcome.result.rows.len() as u64;
+        let bytes = outcome
+            .result
+            .rows
+            .iter()
+            .map(Row::estimated_width)
+            .sum::<u64>();
+        m.bytes_transferred += bytes;
+        if outcome.peer {
+            m.peer_calls += outcome.calls;
+            m.peer_rtts += outcome.rtts;
+            m.peer_rows += outcome.result.rows.len() as u64;
+            m.peer_bytes += bytes;
+        }
+        // Work the remote site spent executing the shipped statement.
+        m.remote_work += outcome.result.metrics.local_work + outcome.result.metrics.remote_work;
+        let result = outcome.result;
         // Positional contract: the shipped SELECT list matches our schema
         // column-for-column.
         if let Some(bad) = result.rows.iter().find(|r| r.len() != self.arity) {

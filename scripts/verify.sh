@@ -91,4 +91,13 @@ cargo test -q --test pruned_leaves
 echo "==> cargo test -q -p mtc-engine --lib multi_site_planning (placement probes each leaf once, visits a pinned count)"
 cargo test -q -p mtc-engine --lib multi_site_planning
 
+# A currency bound is checked at every site that would read a cached view,
+# pinned by a manual clock and counters: a bounded read whose fragment is
+# placed on a peer past the bound is refused by that peer (its
+# `freshness_fallbacks` rises by one, no peer call serves it) and answered
+# with the backend's rows. A change that lets a stale peer answer a bounded
+# fragment from its view fails here, on any machine, without a timer.
+echo "==> cargo test -q --test placement_fleet a_bounded_read_placed_on_a_stale_peer_is_served_by_the_backend (a stale peer refuses a bounded fragment)"
+cargo test -q --test placement_fleet a_bounded_read_placed_on_a_stale_peer_is_served_by_the_backend
+
 echo "verify: OK"

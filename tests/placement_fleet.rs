@@ -15,15 +15,17 @@
 //! * `multisite: false` restores strict two-site planning on every node;
 //! * crash AND rejoin bump the fleet-wide topology version, and the plan
 //!   cache treats it exactly like `Catalog::version()` — a cached
-//!   peer-placed plan never executes against a changed membership.
+//!   peer-placed plan never executes against a changed membership;
+//! * a currency-bounded fragment placed on a peer past the bound is refused
+//!   by that peer and served from backend truth instead.
 
 use std::sync::Arc;
 
 use mtc_util::sync::Mutex;
 
 use mtcache_repro::cache::{BackendServer, CacheServer, Connection, Fleet, FleetConfig};
-use mtcache_repro::replication::ReplicationHub;
-use mtcache_repro::types::Row;
+use mtcache_repro::replication::{ManualClock, ReplicationHub};
+use mtcache_repro::types::{Row, Value};
 
 const VIEW_BOUND: i64 = 150;
 const ROWS: i64 = 200;
@@ -39,7 +41,15 @@ const OUT_OF_VIEW_READ: &str = "SELECT i_qty FROM item WHERE i_id = 180";
 fn setup_partitioned_fleet(
     cfg: FleetConfig,
 ) -> (Arc<BackendServer>, Arc<Fleet>, Arc<Mutex<ReplicationHub>>) {
-    let backend = BackendServer::new("backend");
+    partitioned_fleet_on(BackendServer::new("backend"), cfg)
+}
+
+/// [`setup_partitioned_fleet`] over `backend`, which has the clock the test
+/// needs.
+fn partitioned_fleet_on(
+    backend: Arc<BackendServer>,
+    cfg: FleetConfig,
+) -> (Arc<BackendServer>, Arc<Fleet>, Arc<Mutex<ReplicationHub>>) {
     backend
         .run_script("CREATE TABLE item (i_id INT NOT NULL PRIMARY KEY, i_qty INT, i_note VARCHAR)")
         .unwrap();
@@ -134,19 +144,19 @@ fn explain_names_exactly_the_sites_execution_contacts() {
     // EXPLAIN and execution plan through the same path, so the `placed:`
     // lines must be the sites the statement then ships fragments to: as
     // many peer-placed lines as peer calls, as many backend-placed lines
-    // as the remaining remote calls — for plan-cached reads and for the
-    // currency-bounded one, which re-plans on every execution.
-    let (_backend, fleet, _hub) = setup_partitioned_fleet(FleetConfig {
-        nodes: 2,
-        ..FleetConfig::default()
-    });
+    // as the remaining remote calls — for plan-cached reads, for a
+    // currency-bounded one, and for a bounded read on the view owner while
+    // it is past the bound, which forwards the whole statement.
+    let clock = ManualClock::new(0);
+    let (backend, fleet, hub) = partitioned_fleet_on(
+        BackendServer::with_clock("backend", Arc::new(clock.clone())),
+        FleetConfig {
+            nodes: 2,
+            ..FleetConfig::default()
+        },
+    );
     let bounded = format!("{IN_VIEW_READ} WITH FRESHNESS 60 SECONDS");
-    for (slot, sql) in [
-        (0, IN_VIEW_READ),
-        (0, OUT_OF_VIEW_READ),
-        (0, bounded.as_str()),
-        (1, bounded.as_str()),
-    ] {
+    let sites_match = |slot: usize, sql: &str| {
         let node = fleet.node(slot).unwrap();
         let explain = node.explain(sql).unwrap();
         let placed: Vec<&str> = explain
@@ -162,7 +172,61 @@ fn explain_names_exactly_the_sites_execution_contacts() {
             on_backend,
             "node {slot}: {sql}\n{explain}"
         );
+        explain
+    };
+    for (slot, sql) in [
+        (0, IN_VIEW_READ),
+        (0, OUT_OF_VIEW_READ),
+        (0, bounded.as_str()),
+        (1, bounded.as_str()),
+    ] {
+        sites_match(slot, sql);
     }
+    hub.lock().log_reader_enabled = false;
+    backend
+        .run_script("UPDATE item SET i_qty = 999 WHERE i_id = 7")
+        .unwrap();
+    clock.advance(120_000);
+    let explain = sites_match(1, &bounded);
+    assert!(
+        explain.starts_with("routing: backend fallback — node stale 120000ms > bound 60000ms"),
+        "{explain}"
+    );
+}
+
+#[test]
+fn a_bounded_read_placed_on_a_stale_peer_is_served_by_the_backend() {
+    // Only `cache1` holds `item_head`, and it misses a write for a minute.
+    // `cache0` holds no view, so it is never past a bound itself; it places
+    // the bounded read's fragment on `cache1`, which must refuse it rather
+    // than answer from its stale view.
+    let clock = ManualClock::new(0);
+    let (backend, fleet, hub) = partitioned_fleet_on(
+        BackendServer::with_clock("backend", Arc::new(clock.clone())),
+        FleetConfig {
+            nodes: 2,
+            ..FleetConfig::default()
+        },
+    );
+    hub.lock().log_reader_enabled = false;
+    backend
+        .run_script("UPDATE item SET i_qty = 999 WHERE i_id = 7")
+        .unwrap();
+    clock.advance(60_000);
+    let sql = "SELECT i_id, i_qty FROM item WHERE i_id < 10 AND i_id > 5 ORDER BY i_id ASC WITH FRESHNESS 5 SECONDS";
+    let want = ground_truth(&backend, sql);
+    assert!(want.iter().any(|r| r[1] == Value::Int(999)), "{want:?}");
+    let owner = fleet.node(1).unwrap();
+    let fallbacks = owner.stats.freshness_fallbacks.get();
+
+    let r = Connection::connect(fleet.node(0).unwrap()).query(sql).unwrap();
+    assert_eq!(r.rows, want, "the answer is the backend's, not the stale view's");
+    assert_eq!(
+        owner.stats.freshness_fallbacks.get(),
+        fallbacks + 1,
+        "the stale peer refused the fragment"
+    );
+    assert_eq!(r.metrics.peer_calls, 0, "no peer served any of it");
 }
 
 #[test]

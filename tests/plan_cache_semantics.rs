@@ -4,9 +4,10 @@
 //! counted, parameter signatures separate plans, any catalog change (new
 //! index, new cached view, refreshed statistics) invalidates stale entries
 //! so an outdated plan is never executed, permission checks still run on
-//! every execution, and freshness-bounded statements bypass the cache
-//! entirely. A property test pins that cached-plan results are identical to
-//! freshly optimized plans across random parameters.
+//! every execution, and a freshness-bounded statement is planned once while
+//! its node is current and never probed while the node is past the bound.
+//! A property test pins that cached-plan results are identical to freshly
+//! optimized plans across random parameters.
 
 use std::sync::Arc;
 
@@ -15,14 +16,18 @@ use mtc_util::rng::Rng;
 use mtc_util::sync::Mutex;
 
 use mtcache_repro::cache::{BackendServer, CacheServer, Connection};
-use mtcache_repro::replication::ReplicationHub;
+use mtcache_repro::replication::{Clock, ManualClock, ReplicationHub};
 use mtcache_repro::types::{Row, Value};
 
 const N_ROWS: i64 = 400;
 const VIEW_BOUND: i64 = 200;
 
 fn backend_only() -> Arc<BackendServer> {
-    let backend = BackendServer::new("backend");
+    seeded(BackendServer::new("backend"))
+}
+
+/// Creates and fills `t` on `backend`.
+fn seeded(backend: Arc<BackendServer>) -> Arc<BackendServer> {
     backend
         .run_script(
             "CREATE TABLE t (id INT NOT NULL PRIMARY KEY, grp INT, val FLOAT, name VARCHAR);
@@ -204,22 +209,52 @@ fn permissions_are_checked_on_cache_hits() {
 }
 
 #[test]
-fn freshness_bounded_statements_bypass_the_cache() {
-    let (_backend, cache) = backend_and_cache();
+fn freshness_bounded_statements_plan_once_and_forward_while_stale() {
+    // A currency bound is checked per execution against the node's
+    // watermark, before the plan-cache probe: it is not part of the plan.
+    const N: u64 = 5;
+    let clock = ManualClock::new(0);
+    let backend = seeded(BackendServer::with_clock("backend", Arc::new(clock.clone())));
+    let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
+    let cache = CacheServer::create("cache", backend.clone(), hub.clone());
     cache
         .create_cached_view("t_head", &format!("SELECT id, grp, val, name FROM t WHERE id <= {VIEW_BOUND}"))
         .unwrap();
     let conn = Connection::connect(cache.clone());
+    let sql = "SELECT id, name FROM t WHERE id <= 10 ORDER BY id ASC WITH FRESHNESS 5 SECONDS";
 
-    let before = cache.plan_cache.len();
-    let sql = "SELECT id FROM t WHERE id <= 10 WITH FRESHNESS 5 SECONDS";
-    conn.query(sql).unwrap();
-    conn.query(sql).unwrap();
-    assert_eq!(
-        cache.plan_cache.len(),
-        before,
-        "freshness-bounded plans depend on runtime staleness and must not be cached"
-    );
+    // A current node: one insertion, then hits, all served locally.
+    let before = cache.plan_cache.stats();
+    for _ in 0..N {
+        assert_eq!(conn.query(sql).unwrap().metrics.remote_calls, 0);
+    }
+    let planned = cache.plan_cache.stats();
+    assert_eq!(planned.insertions - before.insertions, 1, "planned once");
+    assert_eq!(planned.hits - before.hits, N - 1);
+
+    // Past the bound: every execution forwards, without a probe.
+    hub.lock().log_reader_enabled = false;
+    backend
+        .run_script("UPDATE t SET name = 'fresh' WHERE id = 3")
+        .unwrap();
+    clock.advance(60_000);
+    let want = Connection::connect(backend.clone()).query(sql).unwrap().rows;
+    let fallbacks = cache.stats.freshness_fallbacks.get();
+    for _ in 0..N {
+        assert_eq!(conn.query(sql).unwrap().rows, want, "the backend's answer");
+    }
+    assert_eq!(cache.plan_cache.stats(), planned, "no probe, no insertion");
+    assert_eq!(cache.stats.freshness_fallbacks.get(), fallbacks + N);
+
+    // Caught up: the entry planned before the lag hits again.
+    hub.lock().log_reader_enabled = true;
+    for _ in 0..2 {
+        hub.lock().pump(clock.now_ms()).unwrap();
+    }
+    let r = conn.query(sql).unwrap();
+    assert_eq!((r.rows, r.metrics.remote_calls), (want, 0));
+    let s = cache.plan_cache.stats();
+    assert_eq!((s.insertions, s.hits), (planned.insertions, planned.hits + 1));
 }
 
 #[test]

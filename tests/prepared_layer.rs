@@ -22,7 +22,7 @@ use mtcache_repro::cache::{
     STATEMENT_CACHE_CAPACITY,
 };
 use mtcache_repro::engine::{QueryResult, RemoteExecutor};
-use mtcache_repro::replication::ReplicationHub;
+use mtcache_repro::replication::{Clock, ManualClock, ReplicationHub};
 use mtcache_repro::tpcw::datagen::{generate, Scale};
 use mtcache_repro::tpcw::deploy::configure_cache;
 use mtcache_repro::tpcw::procs::register_all;
@@ -30,7 +30,14 @@ use mtcache_repro::types::{Column, DataType, Row, Schema, Value};
 
 /// `customer` (2 000 rows) on the backend, the first 1 000 cached.
 fn customers() -> (Arc<BackendServer>, Arc<CacheServer>) {
-    let backend = BackendServer::new("backend");
+    let (backend, cache, _hub) = customers_on(BackendServer::new("backend"));
+    (backend, cache)
+}
+
+/// [`customers`] on `backend`, with the hub that keeps the view current.
+fn customers_on(
+    backend: Arc<BackendServer>,
+) -> (Arc<BackendServer>, Arc<CacheServer>, Arc<Mutex<ReplicationHub>>) {
     backend
         .run_script(
             "CREATE TABLE customer (cid INT NOT NULL PRIMARY KEY, cname VARCHAR, region INT);
@@ -44,14 +51,14 @@ fn customers() -> (Arc<BackendServer>, Arc<CacheServer>) {
     backend.run_script(&rows.join(";")).unwrap();
     backend.analyze();
     let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
-    let cache = CacheServer::create("cache", backend.clone(), hub);
+    let cache = CacheServer::create("cache", backend.clone(), hub.clone());
     cache
         .create_cached_view(
             "cust1000",
             "SELECT cid, cname, region FROM customer WHERE cid <= 1000",
         )
         .unwrap();
-    (backend, cache)
+    (backend, cache, hub)
 }
 
 /// The TPC-W deployment of the benchmark: backend, one configured cache.
@@ -246,16 +253,45 @@ fn ddl_and_topology_rebuild_the_plan_not_the_prepared_statement() {
 }
 
 #[test]
-fn freshness_bounded_statements_are_prepared_but_never_plan_cached() {
-    let (_backend, cache) = customers();
+fn freshness_bounded_statements_are_prepared_and_planned_once() {
+    // The currency bound is checked per execution, not captured in the
+    // plan: a current node plans the bounded text once, a node past the
+    // bound forwards it without a probe, and the plan outlives the lag.
+    const N: u64 = 3;
+    let clock = ManualClock::new(0);
+    let (backend, cache, hub) =
+        customers_on(BackendServer::with_clock("backend", Arc::new(clock.clone())));
     let conn = Connection::connect_as(cache.clone(), "app");
     let sql = "SELECT cname FROM customer WHERE cid = @id WITH FRESHNESS 30 SECONDS";
-    for _ in 0..3 {
-        assert_eq!(conn.query_with(sql, &id(5)).unwrap().rows.len(), 1);
+    for _ in 0..N {
+        let r = conn.query_with(sql, &id(5)).unwrap();
+        assert_eq!((r.rows[0][0].clone(), r.metrics.remote_calls), (Value::str("c5"), 0));
     }
-    assert_eq!(cache.stats.snapshot().prepares, 1);
+    let planned = cache.plan_cache.stats();
+    assert_eq!((planned.insertions, planned.hits), (1, N - 1));
+
+    hub.lock().log_reader_enabled = false;
+    backend
+        .run_script("UPDATE customer SET cname = 'moved' WHERE cid = 5")
+        .unwrap();
+    clock.advance(60_000);
+    for _ in 0..N {
+        let r = conn.query_with(sql, &id(5)).unwrap();
+        assert_eq!(r.rows[0][0], Value::str("moved"), "the backend's answer");
+    }
+    assert_eq!(cache.plan_cache.stats(), planned, "no probe, no insertion");
+    let s = cache.stats.snapshot();
+    assert_eq!((s.prepares, s.freshness_fallbacks), (1, N));
+
+    hub.lock().log_reader_enabled = true;
+    for _ in 0..2 {
+        hub.lock().pump(clock.now_ms()).unwrap();
+    }
+    let r = conn.query_with(sql, &id(5)).unwrap();
+    assert_eq!((r.rows[0][0].clone(), r.metrics.remote_calls), (Value::str("moved"), 0));
     let s = cache.plan_cache.stats();
-    assert_eq!((s.insertions, s.hits, s.entries), (0, 0, 0));
+    assert_eq!((s.insertions, s.hits), (1, N));
+    assert_eq!(cache.stats.snapshot().prepares, 1, "parsed once throughout");
 }
 
 #[test]
