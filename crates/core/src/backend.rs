@@ -7,8 +7,8 @@ use mtc_util::sync::{Mutex, RwLock};
 
 use mtc_engine::eval::Bindings;
 use mtc_engine::{
-    bind_select, execute, ExecContext, Optimized, OptimizerOptions, QueryResult, RemoteExecutor,
-    RemoteOutcome, RemoteSite,
+    bind_select, execute, Answer, Collect, ExecContext, Optimized, OptimizerOptions, QueryResult,
+    RemoteExecutor, RemoteOutcome, RemoteSite,
 };
 use mtc_replication::{Clock, WallClock};
 use mtc_sql::{parse_statements, Permission, Prepared, Select, Statement, TableRef};
@@ -206,6 +206,21 @@ impl BackendServer {
         }
     }
 
+    /// [`execute_prepared`](Self::execute_prepared), with a SELECT's answer
+    /// collected as `O`: owned rows for a client, the root's batches for a
+    /// cache tier. Any other statement's result is rows either way.
+    pub fn execute_prepared_as<O: Collect>(
+        &self,
+        stmt: &Prepared,
+        params: &Bindings,
+        principal: &str,
+    ) -> Result<O> {
+        match stmt.select() {
+            Some(sel) => self.execute_select(stmt, sel, params, principal),
+            None => O::from_result(self.execute_prepared(stmt, params, principal)?),
+        }
+    }
+
     /// Runs a SELECT entirely locally (the backend is the data of record).
     ///
     /// Plans come from the parameterized plan cache when a compiled plan
@@ -213,13 +228,13 @@ impl BackendServer {
     /// and still valid at the current catalog version; otherwise the
     /// statement is bound, optimized, compiled and cached. Permission checks
     /// run on every execution, cached or not.
-    fn execute_select(
+    fn execute_select<O: Collect>(
         &self,
         stmt: &Prepared,
         sel: &Select,
         params: &Bindings,
         principal: &str,
-    ) -> Result<QueryResult> {
+    ) -> Result<O> {
         let db = self.db.read();
         check_select_permissions(&db, &stmt.objects, principal)?;
         let plan = self.plan_for(stmt, params, &db, || {
@@ -233,8 +248,9 @@ impl BackendServer {
             work: &self.options.cost,
             parallel: None,
         };
-        let result = mtc_engine::execute_compiled(plan.query()?, &ctx)?;
-        self.stats.record_query(&result.metrics, result.rows.len());
+        let mut result: O = O::execute(plan.query()?, &ctx, None)?;
+        let rows = result.row_count();
+        self.stats.record_query(result.metrics_mut(), rows);
         Ok(result)
     }
 
@@ -497,9 +513,10 @@ impl BackendServer {
 }
 
 /// The backend is the remote executor of the cache servers. A compiled plan
-/// ships the prepared form of its SQL, which runs as it is; text (from an
-/// executor that has only text) goes through the statement cache first, so
-/// a shipped text is parsed at most once here too.
+/// ships the prepared form of its SQL, which runs as it is and answers with
+/// its root's batches; text (from an executor that has only text) goes
+/// through the statement cache first, so a shipped text is parsed at most
+/// once here too.
 impl RemoteExecutor for BackendServer {
     fn execute_remote(&self, sql: &str, params: &Bindings) -> Result<QueryResult> {
         let resolved = self.prepare(sql)?;
@@ -511,9 +528,9 @@ impl RemoteExecutor for BackendServer {
         _site: &RemoteSite,
         stmt: &Arc<Prepared>,
         params: &Bindings,
-    ) -> Result<RemoteOutcome> {
+    ) -> Result<RemoteOutcome<Answer>> {
         Ok(RemoteOutcome::fetched(
-            self.execute_prepared(stmt, params, "dbo")?,
+            self.execute_prepared_as(stmt, params, "dbo")?,
         ))
     }
 }

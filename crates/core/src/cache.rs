@@ -7,7 +7,8 @@ use mtc_util::sync::{ArcSwap, Mutex};
 
 use mtc_engine::eval::Bindings;
 use mtc_engine::{
-    bind_select, CompiledQuery, ExecContext, OptimizerOptions, PeerSite, PlacementEnv, QueryResult,
+    bind_select, Answer, Collect, CompiledQuery, ExecContext, OptimizerOptions, PeerSite,
+    PlacementEnv, QueryResult,
 };
 use mtc_replication::{Article, Clock, ReplicationHub};
 use mtc_sql::{Permission, Prepared, Select, Statement, TableRef};
@@ -387,7 +388,8 @@ impl CacheServer {
     ) -> Result<QueryResult> {
         match &stmt.statement {
             Statement::Select(sel) => {
-                self.select_impl(stmt, sel, params, principal, bound_ms_of(sel), false)
+                let bound_ms = bound_ms_of(sel);
+                self.select_impl::<QueryResult>(stmt, sel, params, principal, bound_ms, false)
             }
             // "All insert, delete and update requests against a shadow
             // table are immediately converted to remote ... and forwarded
@@ -487,13 +489,13 @@ impl CacheServer {
     /// behaves exactly like a session query, except that a node past
     /// `bound_ms` refuses with a freshness error instead of forwarding: the
     /// sender then serves the fragment its own way. Runs as `dbo`, like
-    /// backend-shipped SQL.
+    /// backend-shipped SQL, and answers with its root's batches.
     pub fn execute_for_peer(
         &self,
         stmt: &Prepared,
         params: &Bindings,
         bound_ms: Option<i64>,
-    ) -> Result<QueryResult> {
+    ) -> Result<Answer> {
         let Some(sel) = stmt.select() else {
             return Err(Error::plan("peers only ship SELECT fragments"));
         };
@@ -505,8 +507,9 @@ impl CacheServer {
     /// may be fully local, fully remote, or mixed; parameterized queries get
     /// dynamic plans; a session statement (not `for_peer`) may have
     /// fragments placed on peer nodes' cached views. `bound_ms` is the
-    /// statement's currency bound.
-    fn select_impl(
+    /// statement's currency bound. A session collects owned rows, a peer
+    /// the root's batches (`O`).
+    fn select_impl<O: Collect>(
         &self,
         stmt: &Prepared,
         sel: &Select,
@@ -514,7 +517,7 @@ impl CacheServer {
         principal: &str,
         bound_ms: Option<i64>,
         for_peer: bool,
-    ) -> Result<QueryResult> {
+    ) -> Result<O> {
         let db = self.db.read();
         // Permission checks run on every execution, cached plan or not.
         check_select_permissions(&db, &stmt.objects, principal)?;
@@ -528,7 +531,7 @@ impl CacheServer {
         // Peers pinned for this statement: the placement DP costs their
         // snapshots, and the gateway routes peer-placed fragments to them.
         let peers: &[(String, Arc<CacheServer>)] = if for_peer { &[] } else { &wiring.peers };
-        let run = |query: &CompiledQuery| -> Result<QueryResult> {
+        let run = |query: &CompiledQuery| -> Result<O> {
             // The statement's currency bound travels with the remote
             // gateway: a cached remote result is only served if its age
             // satisfies it, and a peer only serves a fragment within it.
@@ -558,8 +561,9 @@ impl CacheServer {
                 work: &self.options.cost,
                 parallel: self.parallel_ctx(&db),
             };
-            let result = mtc_engine::execute_compiled_with_memo(query, &ctx, memo)?;
-            self.stats.record_query(&result.metrics, result.rows.len());
+            let mut result: O = O::execute(query, &ctx, memo)?;
+            let rows = result.row_count();
+            self.stats.record_query(result.metrics_mut(), rows);
             Ok(result)
         };
 
@@ -591,14 +595,14 @@ impl CacheServer {
             Planned::Here { opt } => opt,
             // The backend parses, authorizes and executes it.
             Planned::BlindForward { .. } => {
-                let result = self.backend.execute_prepared(stmt, params, principal)?;
+                let mut out: O = self.backend.execute_prepared_as(stmt, params, principal)?;
+                let m = out.metrics_mut();
                 self.stats.queries.inc();
                 self.stats.remote_calls.inc();
-                self.stats.remote_work.add(result.metrics.local_work);
-                let mut out = result;
-                out.metrics.remote_work += out.metrics.local_work;
-                out.metrics.local_work = 0.0;
-                out.metrics.remote_calls += 1;
+                self.stats.remote_work.add(m.local_work);
+                m.remote_work += m.local_work;
+                m.local_work = 0.0;
+                m.remote_calls += 1;
                 return Ok(out);
             }
         };

@@ -30,7 +30,7 @@
 //! backend by design (§4); invalidation keeps the memo no staler than the
 //! local views themselves.
 
-use mtc_engine::{FragmentMemo, QueryResult};
+use mtc_engine::{Answer, FragmentMemo, QueryResult};
 use mtc_storage::DbSnapshot;
 use mtc_types::{normalize_ident, Row, Schema};
 
@@ -82,7 +82,7 @@ impl FragmentMemo for FragmentGateway<'_> {
         // re-route before execution, so a bound never reaches a fragment).
         self.cache
             .lookup(key, "", self.catalog_version, None, self.now_ms)
-            .map(|r| r.rows)
+            .map(|answer| answer.to_result().rows)
     }
 
     fn admit(&self, key: &str, objects: &[String], rows: &[Row], work: f64) {
@@ -109,10 +109,13 @@ impl FragmentMemo for FragmentGateway<'_> {
             metrics: Default::default(),
         };
         result.metrics.local_work = work;
+        let Ok(answer) = Answer::from_result(result) else {
+            return;
+        };
         self.cache.admit(
             key,
             "",
-            &result,
+            &answer,
             tables.into(),
             mark.lsn.0,
             self.now_ms,

@@ -22,10 +22,12 @@ use std::sync::Arc;
 
 use mtc_sql::Prepared;
 use mtc_storage::Database;
-use mtc_types::{Result, Row, Schema, Value};
+use mtc_types::{Error, Result, Row, RowBatch, Schema, Value};
 
+use crate::compile::CompiledQuery;
 use crate::eval::Bindings;
 use crate::logical::AggFunc;
+use crate::stream::FragmentMemo;
 use crate::optimizer::cost::CostModel;
 use crate::physical::{PhysicalPlan, RemoteSite};
 
@@ -52,14 +54,15 @@ mtc_util::counter_set! {
         /// Full `Row` (or key-tuple) deep clones made *while executing* — scan
         /// copies, join spills, distinct/agg key copies. Materializing the
         /// final owned result at the client boundary is not counted here (see
-        /// `bytes_materialized`); on read paths the executor keeps this
-        /// number at zero.
+        /// `bytes_materialized`), nor is compacting an [`Answer`] for a
+        /// result cache (cells, not rows); on read paths the executor keeps
+        /// this number at zero.
         pub rows_cloned: u64,
-        /// Estimated bytes of owned row data materialized at the final
-        /// client/result-cache boundary: Σ `Row::estimated_width` of the
-        /// finished result, charged once — it measures the unavoidable
-        /// boundary copy, separating it from the per-operator churn
-        /// `rows_cloned` tracks.
+        /// Estimated bytes of owned row data materialized at the client
+        /// boundary — a [`QueryResult`], or [`Answer::to_result`]:
+        /// Σ `Row::estimated_width` of the finished result, charged once.
+        /// An [`Answer`] crossing tiers (backend, peer, result cache)
+        /// materializes nothing and charges nothing here.
         pub bytes_materialized: u64,
         /// Batches exchanged between operators.
         pub batches: u64,
@@ -104,7 +107,8 @@ mtc_util::counter_set! {
     }
 }
 
-/// A completed query: schema, rows, and what it cost to run.
+/// A completed query as a client receives it: schema, owned rows, and
+/// what it cost to run. Sessions get this; tiers pass an [`Answer`].
 #[derive(Debug, Clone, Default)]
 pub struct QueryResult {
     pub schema: Schema,
@@ -112,13 +116,189 @@ pub struct QueryResult {
     pub metrics: ExecMetrics,
 }
 
+/// A query's answer as it crosses tiers — backend to gateway, peer to
+/// peer, into and out of the result caches, leader to single-flight
+/// followers: the compiled query's schema, the root's batches and what the
+/// execution cost. The schema and the columns are `Arc`-shared, so a clone
+/// is two reference counts; owned rows are built from it only at the
+/// client boundary ([`Answer::to_result`]).
+#[derive(Debug, Clone)]
+pub struct Answer {
+    pub schema: Schema,
+    batches: Arc<[RowBatch]>,
+    pub metrics: ExecMetrics,
+    rows: u64,
+    bytes: u64,
+}
+
+impl Answer {
+    /// Takes the root's batches; counts their rows and estimated bytes once.
+    fn new(schema: Schema, batches: Vec<RowBatch>, metrics: ExecMetrics) -> Answer {
+        let rows = batches.iter().map(|b| b.len() as u64).sum();
+        let bytes = batches.iter().map(RowBatch::estimated_bytes).sum();
+        Answer {
+            schema,
+            batches: batches.into(),
+            metrics,
+            rows,
+            bytes,
+        }
+    }
+
+    /// Wraps a result that exists only as rows (a text-only executor's, a
+    /// forwarded statement's) in one batch as wide as its rows. Rows of
+    /// different widths are an error.
+    pub fn from_result(result: QueryResult) -> Result<Answer> {
+        let width = result.rows.first().map_or(0, Row::len);
+        if let Some(bad) = result.rows.iter().find(|r| r.len() != width) {
+            return Err(Error::execution(format!(
+                "remote result arity mismatch: rows of {width} and {} columns in {bad}",
+                bad.len()
+            )));
+        }
+        let batches = if result.rows.is_empty() {
+            Vec::new()
+        } else {
+            vec![RowBatch::from_rows(result.rows, width)]
+        };
+        Ok(Answer::new(result.schema, batches, result.metrics))
+    }
+
+    pub fn batches(&self) -> &[RowBatch] {
+        &self.batches
+    }
+
+    /// Rows in the answer.
+    pub fn len(&self) -> usize {
+        self.rows as usize
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Σ `Row::estimated_width` of the rows, counted when the answer was
+    /// built: a clone (a cache hit, a follower's copy) reuses it.
+    pub fn estimated_bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// The copy a cache keeps: one dense batch whose columns are sized
+    /// exactly to the rows, so it pins none of the executor batches'
+    /// spare capacity. Metrics travel unchanged.
+    pub fn compacted(&self) -> Answer {
+        let width = self.batches.first().map_or(self.schema.len(), RowBatch::width);
+        let batch = RowBatch::concat(&self.batches, width);
+        Answer {
+            schema: self.schema.clone(),
+            batches: Arc::new([batch]),
+            ..*self
+        }
+    }
+
+    /// The client boundary: owned rows, and their bytes charged to
+    /// `bytes_materialized`.
+    pub fn to_result(&self) -> QueryResult {
+        let mut rows = Vec::with_capacity(self.len());
+        let mut metrics = self.metrics;
+        for batch in self.batches.iter() {
+            metrics.bytes_materialized += batch.append_rows(&mut rows);
+        }
+        QueryResult {
+            schema: self.schema.clone(),
+            rows,
+            metrics,
+        }
+    }
+}
+
+/// What the root of an execution feeds: owned rows for a client
+/// ([`QueryResult`]) or the root's batches for another tier ([`Answer`]).
+/// Both run the one execution loop, [`crate::stream::run_compiled`].
+pub trait Collect: Sized {
+    /// Executes `query` into this collector. The loop is instantiated in
+    /// this crate, next to the operators it drives, so a generic caller in
+    /// another crate does not compile a copy that cannot inline them.
+    fn execute(
+        query: &CompiledQuery,
+        ctx: &ExecContext<'_>,
+        memo: Option<&dyn FragmentMemo>,
+    ) -> Result<Self>;
+    /// Takes a result that exists only as rows (a forwarded statement's).
+    fn from_result(result: QueryResult) -> Result<Self>;
+    fn metrics_mut(&mut self) -> &mut ExecMetrics;
+    fn row_count(&self) -> usize;
+}
+
+/// The client boundary: the one place owned rows are materialized.
+impl Collect for QueryResult {
+    fn execute(
+        query: &CompiledQuery,
+        ctx: &ExecContext<'_>,
+        memo: Option<&dyn FragmentMemo>,
+    ) -> Result<QueryResult> {
+        let mut rows = Vec::new();
+        let metrics = crate::stream::run_compiled(query, ctx, memo, |batch, m| {
+            m.bytes_materialized += batch.append_rows(&mut rows);
+        })?;
+        Ok(QueryResult {
+            schema: query.schema.clone(),
+            rows,
+            metrics,
+        })
+    }
+
+    fn from_result(result: QueryResult) -> Result<QueryResult> {
+        Ok(result)
+    }
+
+    fn metrics_mut(&mut self) -> &mut ExecMetrics {
+        &mut self.metrics
+    }
+
+    fn row_count(&self) -> usize {
+        self.rows.len()
+    }
+}
+
+/// Between tiers: the root's batches are kept as they are.
+impl Collect for Answer {
+    fn execute(
+        query: &CompiledQuery,
+        ctx: &ExecContext<'_>,
+        memo: Option<&dyn FragmentMemo>,
+    ) -> Result<Answer> {
+        let mut batches = Vec::new();
+        let metrics = crate::stream::run_compiled(query, ctx, memo, |batch, _| {
+            if !batch.is_empty() {
+                batches.push(batch);
+            }
+        })?;
+        Ok(Answer::new(query.schema.clone(), batches, metrics))
+    }
+
+    fn from_result(result: QueryResult) -> Result<Answer> {
+        Answer::from_result(result)
+    }
+
+    fn metrics_mut(&mut self) -> &mut ExecMetrics {
+        &mut self.metrics
+    }
+
+    fn row_count(&self) -> usize {
+        self.len()
+    }
+}
+
 /// One remote fetch with its round-trip accounting attached. Produced by
 /// [`RemoteExecutor::execute_remote_outcome`] so the executor can charge
 /// `remote_calls` / `remote_rtts` / `coalesced_calls` from where the rows
 /// actually came from instead of assuming every fetch paid a round trip.
+/// `T` is what carries the rows: a [`QueryResult`] on the text-taking
+/// methods, an [`Answer`] on [`RemoteExecutor::execute_shipped`].
 #[derive(Debug, Clone)]
-pub struct RemoteOutcome {
-    pub result: QueryResult,
+pub struct RemoteOutcome<T = QueryResult> {
+    pub result: T,
     /// Remote statements consumed by this fetch — 1 however the rows were
     /// satisfied (backend execution, result-cache hit, shared in-flight
     /// fetch). `rtts` says what the network actually saw.
@@ -137,10 +317,10 @@ pub struct RemoteOutcome {
     pub peer: bool,
 }
 
-impl RemoteOutcome {
+impl<T> RemoteOutcome<T> {
     /// The plain outcome of an uncached, unshared fetch: one statement, one
     /// round trip.
-    pub fn fetched(result: QueryResult) -> RemoteOutcome {
+    pub fn fetched(result: T) -> RemoteOutcome<T> {
         RemoteOutcome {
             result,
             calls: 1,
@@ -149,6 +329,18 @@ impl RemoteOutcome {
             cached: false,
             peer: false,
         }
+    }
+
+    /// The same accounting over another carrier of the rows.
+    pub fn try_map<U>(self, f: impl FnOnce(T) -> Result<U>) -> Result<RemoteOutcome<U>> {
+        Ok(RemoteOutcome {
+            result: f(self.result)?,
+            calls: self.calls,
+            rtts: self.rtts,
+            coalesced: self.coalesced,
+            cached: self.cached,
+            peer: self.peer,
+        })
     }
 }
 
@@ -186,19 +378,21 @@ pub trait RemoteExecutor {
     }
 
     /// Executes the prepared statement a compiled `Remote` operator carries
-    /// at the site placement chose for it. The default hands its text to
+    /// at the site placement chose for it, and hands back the answer's
+    /// batches. The default hands its text to
     /// [`execute_remote_outcome`](Self::execute_remote_outcome) or
-    /// [`execute_peer`](Self::execute_peer).
+    /// [`execute_peer`](Self::execute_peer) and wraps their rows once.
     fn execute_shipped(
         &self,
         site: &RemoteSite,
         stmt: &Arc<Prepared>,
         params: &Bindings,
-    ) -> Result<RemoteOutcome> {
-        match site {
-            RemoteSite::Backend => self.execute_remote_outcome(&stmt.text, params),
-            RemoteSite::Peer { node, .. } => self.execute_peer(node, &stmt.text, params),
-        }
+    ) -> Result<RemoteOutcome<Answer>> {
+        let outcome = match site {
+            RemoteSite::Backend => self.execute_remote_outcome(&stmt.text, params)?,
+            RemoteSite::Peer { node, .. } => self.execute_peer(node, &stmt.text, params)?,
+        };
+        outcome.try_map(Answer::from_result)
     }
 }
 

@@ -35,8 +35,8 @@ pub use binder::{bind_select, Binder};
 pub use compile::{compile, CompiledExpr, CompiledPlan, CompiledQuery, EvalEnv, ParamSlots};
 pub use eval::{eval, eval_predicate, Bindings};
 pub use exec::{
-    execute, execute_compiled, ExecContext, ExecMetrics, QueryResult, RemoteExecutor,
-    RemoteOutcome,
+    execute, execute_compiled, Answer, Collect, ExecContext, ExecMetrics, QueryResult,
+    RemoteExecutor, RemoteOutcome,
 };
 pub use logical::{AggCall, AggFunc, DataLocation, LogicalPlan};
 pub use stream::{execute_compiled_with_memo, FragmentMemo};

@@ -22,9 +22,11 @@
 //! * blocking operators (DISTINCT, hash-agg, hash-join builds, sort)
 //!   retain whole input batches and reference rows as `(batch, row)`
 //!   handles instead of cloning them,
-//! * owned `Row`s are materialized exactly once, at the root of
-//!   [`execute_compiled`] — the client/result-cache boundary — where the
-//!   volume is tallied into [`ExecMetrics::bytes_materialized`].
+//! * owned `Row`s are materialized exactly once, at the root of a client
+//!   statement's execution, where the volume is tallied into
+//!   [`ExecMetrics::bytes_materialized`]; an execution whose answer
+//!   crosses a tier keeps the root's batches instead
+//!   ([`crate::exec::Answer`]).
 //!
 //! `Top` still stops pulling — and its whole subtree stops scanning — as
 //! soon as the limit is reached, and UnionAll branches are only *built*
@@ -53,7 +55,9 @@ use crate::compile::{
     EvalEnv, ValueSource,
 };
 use crate::eval::Bindings;
-use crate::exec::{AggState, ExecContext, ExecMetrics, QueryResult, RemoteExecutor};
+use crate::exec::{
+    AggState, Answer, Collect, ExecContext, ExecMetrics, QueryResult, RemoteExecutor,
+};
 use crate::optimizer::cost::CostModel;
 use crate::parallel::{
     parallel_build_hash_table, parallel_hash_aggregate, parallel_leaf, LeafRange, ParallelCtx,
@@ -133,6 +137,19 @@ pub fn execute_compiled_with_memo(
     ctx: &ExecContext<'_>,
     memo: Option<&dyn FragmentMemo>,
 ) -> Result<QueryResult> {
+    QueryResult::execute(query, ctx, memo)
+}
+
+/// The one execution loop: pulls the root's batches into `collect` —
+/// appended as owned rows for a client ([`QueryResult`]), kept as they are
+/// for another tier ([`crate::exec::Answer`]) — and returns what the
+/// execution cost.
+pub(crate) fn run_compiled(
+    query: &CompiledQuery,
+    ctx: &ExecContext<'_>,
+    memo: Option<&dyn FragmentMemo>,
+    mut collect: impl FnMut(RowBatch, &mut ExecMetrics),
+) -> Result<ExecMetrics> {
     let resolved = query.slots.resolve(ctx.params);
     let env = EvalEnv {
         params: &resolved,
@@ -149,16 +166,10 @@ pub fn execute_compiled_with_memo(
     };
     let mut metrics = ExecMetrics::default();
     let mut root = build(&query.root, &cx, &mut metrics)?;
-    // The one place owned rows are materialized: the client boundary.
-    let mut rows = Vec::new();
     while let Some(batch) = root.next_batch(&cx, &mut metrics)? {
-        metrics.bytes_materialized += batch.append_rows(&mut rows);
+        collect(batch, &mut metrics);
     }
-    Ok(QueryResult {
-        schema: query.schema.clone(),
-        rows,
-        metrics,
-    })
+    Ok(metrics)
 }
 
 /// Builds the stream for `plan`, first consulting the attached
@@ -489,7 +500,7 @@ fn build_op<'e>(
             arity: *arity,
             row_width: *row_width,
             site,
-            done: false,
+            answer: None,
         }),
     })
 }
@@ -785,7 +796,9 @@ struct RemoteStream<'e> {
     arity: usize,
     row_width: f64,
     site: &'e crate::physical::RemoteSite,
-    done: bool,
+    /// The shipped statement's answer once fetched, and how many of its
+    /// batches have been emitted.
+    answer: Option<(Answer, usize)>,
 }
 
 impl<'e> BatchStream<'e> for RemoteStream<'e> {
@@ -794,48 +807,55 @@ impl<'e> BatchStream<'e> for RemoteStream<'e> {
         cx: &StreamCtx<'e>,
         m: &mut ExecMetrics,
     ) -> Result<Option<RowBatch>> {
-        if self.done {
+        let (answer, emitted) = match &mut self.answer {
+            Some(shipped) => shipped,
+            None => self.answer.insert((self.fetch(cx, m)?, 0)),
+        };
+        // Emitting a batch shares its columns: one refcount each.
+        let Some(batch) = answer.batches().get(*emitted) else {
             return Ok(None);
-        }
-        self.done = true;
+        };
+        *emitted += 1;
+        m.batches += 1;
+        Ok(Some(batch.clone()))
+    }
+}
+
+impl RemoteStream<'_> {
+    /// Ships the statement and charges the transfer.
+    fn fetch(&self, cx: &StreamCtx<'_>, m: &mut ExecMetrics) -> Result<Answer> {
         let remote = cx.remote.ok_or_else(|| {
             Error::execution("plan requires a backend connection but none is configured")
         })?;
         let outcome = remote.execute_shipped(self.site, self.sql, cx.params)?;
+        let answer = outcome.result;
+        // Positional contract: the shipped SELECT list matches our schema
+        // column-for-column.
+        if let Some(bad) = answer.batches().iter().find(|b| b.width() != self.arity) {
+            return Err(Error::execution(format!(
+                "remote result arity mismatch: expected {} columns, got {}",
+                self.arity,
+                bad.width(),
+            )));
+        }
+        let rows = answer.len() as u64;
+        let bytes = answer.estimated_bytes();
         m.remote_calls += outcome.calls;
         m.remote_rtts += outcome.rtts;
         m.coalesced_calls += outcome.coalesced;
-        m.remote_rows += outcome.result.rows.len() as u64;
-        let bytes = outcome
-            .result
-            .rows
-            .iter()
-            .map(Row::estimated_width)
-            .sum::<u64>();
+        m.remote_rows += rows;
         m.bytes_transferred += bytes;
         if outcome.peer {
             m.peer_calls += outcome.calls;
             m.peer_rtts += outcome.rtts;
-            m.peer_rows += outcome.result.rows.len() as u64;
+            m.peer_rows += rows;
             m.peer_bytes += bytes;
         }
         // Work the remote site spent executing the shipped statement.
-        m.remote_work += outcome.result.metrics.local_work + outcome.result.metrics.remote_work;
-        let result = outcome.result;
-        // Positional contract: the shipped SELECT list matches our schema
-        // column-for-column.
-        if let Some(bad) = result.rows.iter().find(|r| r.len() != self.arity) {
-            return Err(Error::execution(format!(
-                "remote result arity mismatch: expected {} columns, got {} in {bad}",
-                self.arity,
-                bad.len(),
-            )));
-        }
+        m.remote_work += answer.metrics.local_work + answer.metrics.remote_work;
         // Local cost of receiving the transfer.
-        m.local_work += cx.work.transfer(result.rows.len() as f64, self.row_width) * 0.01;
-        m.batches += 1;
-        // Owned remote rows are *moved* into columnar storage, not cloned.
-        Ok(Some(RowBatch::from_rows(result.rows, self.arity)))
+        m.local_work += cx.work.transfer(rows as f64, self.row_width) * 0.01;
+        Ok(answer)
     }
 }
 

@@ -136,6 +136,18 @@ impl ColumnVec {
         &self.data
     }
 
+    /// Cells the typed storage has room for: `len()` plus whatever spare
+    /// capacity the builder that made the column reserved.
+    pub fn capacity(&self) -> usize {
+        match &self.data {
+            ColData::Int(v) | ColData::Timestamp(v) => v.capacity(),
+            ColData::Float(v) => v.capacity(),
+            ColData::Bool(v) => v.capacity(),
+            ColData::Str(v) => v.capacity(),
+            ColData::Mixed(v) => v.capacity(),
+        }
+    }
+
     /// The null mask, if any cell is NULL.
     pub fn null_mask(&self) -> Option<&[bool]> {
         self.nulls.as_deref()
@@ -274,6 +286,70 @@ impl ColumnVec {
             ColData::Timestamp(v) => fold!(v, |h, x: &i64| fnv_u64(fnv_u8(h, 4), *x as u64)),
             ColData::Mixed(v) => fold!(v, |h, x: &Value| fold_value(h, x)),
         }
+    }
+
+    /// Σ `Value::estimated_width` over the cells at `live`, read off the
+    /// typed storage: no `Value` is built.
+    fn estimated_bytes(&self, live: LiveIndices<'_>) -> u64 {
+        let width = |i: usize, w: u64| if self.is_null(i) { 1 } else { w };
+        match &self.data {
+            ColData::Int(_) | ColData::Float(_) | ColData::Timestamp(_) => match self.nulls {
+                None => 8 * live.len() as u64,
+                Some(_) => live.map(|i| width(i, 8)).sum(),
+            },
+            ColData::Bool(_) => live.len() as u64,
+            ColData::Str(v) => live.map(|i| width(i, v[i].len() as u64)).sum(),
+            ColData::Mixed(v) => live.map(|i| width(i, v[i].estimated_width())).sum(),
+        }
+    }
+
+    /// One dense column holding the live cells of `parts`, in order, in
+    /// storage sized exactly to them — so the copy pins none of the spare
+    /// capacity its source batches were built with. Parts stored alike
+    /// concatenate typed; a mix degrades to `Mixed`, which holds the same
+    /// values.
+    pub fn concat<'a, I>(parts: I) -> ColumnVec
+    where
+        I: Iterator<Item = (&'a ColumnVec, LiveIndices<'a>)> + Clone,
+    {
+        let len = parts.clone().map(|(_, live)| live.len()).sum();
+        let nulls = parts.clone().any(|(c, _)| c.nulls.is_some()).then(|| {
+            let mut mask = Vec::with_capacity(len);
+            for (c, live) in parts.clone() {
+                mask.extend(live.map(|i| c.is_null(i)));
+            }
+            mask
+        });
+        let mut kinds = parts.clone().map(|(c, _)| std::mem::discriminant(&c.data));
+        let first = kinds.next();
+        let alike = kinds.all(|k| Some(k) == first);
+        macro_rules! typed {
+            ($variant:ident) => {{
+                let mut out = Vec::with_capacity(len);
+                for (c, live) in parts {
+                    let ColData::$variant(v) = &c.data else {
+                        unreachable!("parts are stored alike")
+                    };
+                    out.extend(live.map(|i| v[i].clone()));
+                }
+                ColData::$variant(out)
+            }};
+        }
+        let data = match parts.clone().next().map(|(c, _)| &c.data) {
+            Some(ColData::Int(_)) if alike => typed!(Int),
+            Some(ColData::Float(_)) if alike => typed!(Float),
+            Some(ColData::Bool(_)) if alike => typed!(Bool),
+            Some(ColData::Str(_)) if alike => typed!(Str),
+            Some(ColData::Timestamp(_)) if alike => typed!(Timestamp),
+            _ => {
+                let mut out = Vec::with_capacity(len);
+                for (c, live) in parts {
+                    out.extend(live.map(|i| c.value(i)));
+                }
+                ColData::Mixed(out)
+            }
+        };
+        ColumnVec { data, nulls }
     }
 
     /// Copies the cells at `idx` (physical indices) into a new dense
@@ -630,22 +706,6 @@ impl RowBatch {
         }
     }
 
-    /// Densifies: drops the selection vector by gathering live rows into
-    /// fresh columns. No-op (returns `self`) when already dense.
-    pub fn compacted(self) -> RowBatch {
-        let Some(sel) = self.sel else { return self };
-        let cols = self
-            .cols
-            .iter()
-            .map(|c| Arc::new(c.gather(&sel)))
-            .collect();
-        RowBatch {
-            cols,
-            rows: sel.len(),
-            sel: None,
-        }
-    }
-
     /// The values of one physical row, in column order.
     pub fn values_iter(&self, phys: usize) -> impl Iterator<Item = Value> + '_ {
         self.cols.iter().map(move |c| c.value(phys))
@@ -680,21 +740,30 @@ impl RowBatch {
         b.finish()
     }
 
-    /// Estimated wire size of the live rows, for transfer costing.
+    /// Estimated wire size of the live rows: Σ `Row::estimated_width` of
+    /// the rows [`append_rows`](Self::append_rows) would build, summed per
+    /// typed column without building them.
     pub fn estimated_bytes(&self) -> u64 {
-        let mut bytes = 0u64;
-        for phys in self.live() {
-            bytes += self
-                .cols
-                .iter()
-                .map(|c| c.value(phys).estimated_width())
-                .sum::<u64>();
+        self.cols.iter().map(|c| c.estimated_bytes(self.live())).sum()
+    }
+
+    /// One dense batch of `width` columns holding the live rows of
+    /// `batches`, in order, each column exactly sized
+    /// ([`ColumnVec::concat`]).
+    pub fn concat(batches: &[RowBatch], width: usize) -> RowBatch {
+        let cols = (0..width)
+            .map(|c| Arc::new(ColumnVec::concat(batches.iter().map(|b| (b.col(c), b.live())))))
+            .collect();
+        RowBatch {
+            cols,
+            rows: batches.iter().map(RowBatch::len).sum(),
+            sel: None,
         }
-        bytes
     }
 }
 
 /// Iterator over a batch's live physical row indices.
+#[derive(Clone)]
 pub enum LiveIndices<'a> {
     Sel(std::slice::Iter<'a, u32>),
     Range(std::ops::Range<usize>),
@@ -718,6 +787,8 @@ impl Iterator for LiveIndices<'_> {
         }
     }
 }
+
+impl ExactSizeIterator for LiveIndices<'_> {}
 
 /// Builds a dense [`RowBatch`] row-at-a-time.
 pub struct RowBatchBuilder {
@@ -937,7 +1008,7 @@ mod tests {
         assert_eq!(narrowed.len(), 2);
         assert_eq!(narrowed.to_rows(), vec![rows[0].clone(), rows[2].clone()]);
 
-        let compact = narrowed.compacted();
+        let compact = RowBatch::concat(std::slice::from_ref(&narrowed), 3);
         assert!(compact.sel().is_none());
         assert_eq!(compact.to_rows(), vec![rows[0].clone(), rows[2].clone()]);
 
@@ -1031,6 +1102,65 @@ mod tests {
         assert_eq!(hs[0], hs[2]);
         assert_eq!(hs[1], fold_value(HASH_SEED, &Value::Null));
         assert_ne!(hs[0], hs[1]);
+    }
+
+    fn column(values: Vec<Value>) -> Arc<ColumnVec> {
+        let mut b = ColBuilder::with_capacity(values.len());
+        for v in values {
+            b.push(v);
+        }
+        Arc::new(b.finish())
+    }
+
+    #[test]
+    fn estimated_bytes_is_the_rows_estimated_width() {
+        // Typed columns with and without NULLs, strings with a NULL and an
+        // empty one, a Mixed column, then a selection over all of them.
+        let (i, f, b) = (Value::Int, Value::Float, Value::Bool);
+        let batch = RowBatch::from_cols(vec![
+            column(vec![i(1), i(2), i(3), i(4)]),
+            column(vec![f(1.5), Value::Null, f(2.5), Value::Null]),
+            column(["hello", "", "xy"].map(Value::str).into_iter().chain([Value::Null]).collect()),
+            column(vec![i(1), Value::str("abc"), Value::Null, b(true)]),
+            column(vec![b(true), b(false), b(true), b(false)]),
+        ]);
+        assert!(matches!(batch.col(2).data(), ColData::Str(_)));
+        assert!(matches!(batch.col(3).data(), ColData::Mixed(_)));
+        let width = |b: &RowBatch| b.to_rows().iter().map(Row::estimated_width).sum::<u64>();
+        assert_eq!(batch.estimated_bytes(), width(&batch));
+        let narrowed = batch.with_sel(vec![1, 3]);
+        assert_eq!(narrowed.estimated_bytes(), width(&narrowed));
+        assert_eq!(RowBatch::empty_rows(3).estimated_bytes(), 0);
+    }
+
+    #[test]
+    fn concat_is_dense_exactly_sized_and_exact() {
+        // A typed part with spare capacity, a narrowed part, and a part of
+        // another storage type (forcing Mixed) in the second column.
+        let mut wide = RowBatchBuilder::with_capacity(2, 64);
+        wide.push_row(row![1, "a"]);
+        wide.push_row(row![2, "b"]);
+        let a = wide.finish();
+        assert!(a.col(0).capacity() > a.col(0).len());
+        let b = RowBatch::from_rows(vec![row![3, "c"], row![4, "d"], row![5, "e"]], 2)
+            .with_sel(vec![0, 2]);
+        let c = RowBatch::from_rows(vec![row![6, 7]], 2);
+        let all = RowBatch::concat(&[a.clone(), b.clone(), c.clone()], 2);
+        let mut rows = a.to_rows();
+        rows.extend(b.to_rows());
+        rows.extend(c.to_rows());
+        assert_eq!(all.to_rows(), rows);
+        assert!(all.sel().is_none());
+        assert!(matches!(all.col(0).data(), ColData::Int(_)));
+        assert!(matches!(all.col(1).data(), ColData::Mixed(_)));
+        for i in 0..2 {
+            assert_eq!(all.col(i).len(), all.col(i).capacity());
+        }
+        // Nulls survive, and an empty input is an empty dense batch.
+        let nulls = vec![row![1], Row::new(vec![Value::Null])];
+        let n = RowBatch::concat(&[RowBatch::from_rows(nulls.clone(), 1)], 1);
+        assert_eq!(n.to_rows(), nulls);
+        assert_eq!(RowBatch::concat(&[], 3).len(), 0);
     }
 
     #[test]

@@ -100,4 +100,14 @@ cargo test -q -p mtc-engine --lib multi_site_planning
 echo "==> cargo test -q --test placement_fleet a_bounded_read_placed_on_a_stale_peer_is_served_by_the_backend (a stale peer refuses a bounded fragment)"
 cargo test -q --test placement_fleet a_bounded_read_placed_on_a_stale_peer_is_served_by_the_backend
 
+# Answers cross tiers as shared column batches, pinned by pointer identity:
+# two L1 hits of one key share the admitted entry's columns, an L2 hit
+# promoted into L1 shares the L2 entry's, a single-flight follower gets the
+# leader's, and L1 and L2 keep one dense batch sized exactly to its rows. A
+# change that copies rows on a hit, a promotion or a follower, or that keeps
+# an executor batch's spare capacity in a cache, fails here, on any machine,
+# without a timer.
+echo "==> cargo test -q --test answer_sharing (a cached answer is shared, never copied)"
+cargo test -q --test answer_sharing
+
 echo "verify: OK"

@@ -21,7 +21,7 @@ use mtcache_repro::cache::{
     BackendServer, CacheServer, Connection, ResultCache, ResultCacheConfig,
     STATEMENT_CACHE_CAPACITY,
 };
-use mtcache_repro::engine::{QueryResult, RemoteExecutor};
+use mtcache_repro::engine::{Answer, QueryResult, RemoteExecutor};
 use mtcache_repro::replication::{Clock, ManualClock, ReplicationHub};
 use mtcache_repro::tpcw::datagen::{generate, Scale};
 use mtcache_repro::tpcw::deploy::configure_cache;
@@ -483,7 +483,8 @@ fn purge_at_the_write_serves_exactly_what_lazy_validation_served() {
             let (mut hits, mut model_hits) = (0u64, 0u64);
             let one_entry = {
                 let probe = ResultCache::default();
-                probe.admit("k", "", &result_for(0, 0), Vec::new().into(), 0, 0, 0);
+                let answer = Answer::from_result(result_for(0, 0)).unwrap();
+                probe.admit("k", "", &answer, Vec::new().into(), 0, 0, 0);
                 probe.stats().bytes
             };
             for op in ops {
@@ -493,7 +494,7 @@ fn purge_at_the_write_serves_exactly_what_lazy_validation_served() {
                         let admitted = cache.admit(
                             &format!("q{key}"),
                             "",
-                            &result_for(*key, *lsn),
+                            &Answer::from_result(result_for(*key, *lsn)).unwrap(),
                             names.into(),
                             *lsn,
                             0,
@@ -515,7 +516,7 @@ fn purge_at_the_write_serves_exactly_what_lazy_validation_served() {
                         let got = cache.lookup(&format!("q{key}"), "", 0, None, 0);
                         let want = model.lookup(*key);
                         assert_eq!(
-                            got.as_ref().map(|r| r.rows.clone()),
+                            got.as_ref().map(|answer| answer.to_result().rows),
                             want.map(|lsn| result_for(*key, lsn).rows),
                             "{op:?}"
                         );

@@ -316,7 +316,7 @@ fn single_flight_has_one_leader_and_publishing_followers() {
             let role = cache.begin_flight("SELECT 1", "");
             joined_tx.send(()).unwrap();
             match role {
-                FlightRole::Follower(f) => f.wait().unwrap().rows.len(),
+                FlightRole::Follower(f) => f.wait().unwrap().len(),
                 FlightRole::Leader(_) => panic!("second concurrent caller must follow"),
             }
         })
@@ -334,7 +334,8 @@ fn single_flight_has_one_leader_and_publishing_followers() {
             .collect(),
         metrics: Default::default(),
     };
-    cache.finish_flight("SELECT 1", "", &flight, Ok(result));
+    let answer = mtcache_repro::engine::Answer::from_result(result).unwrap();
+    cache.finish_flight("SELECT 1", "", &flight, Ok(answer));
     assert_eq!(follower.join().unwrap(), 3);
     assert_eq!(cache.stats().single_flight_waits, 1);
 }
