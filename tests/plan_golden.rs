@@ -6,8 +6,10 @@
 //! byte for byte.
 //!
 //! Corpus: every SELECT in `mtc_tpcw::procs::PROCEDURES`, the `hotpoint`
-//! and `fleet_adhoc` read templates of `mtc_benchmark`, and the query
-//! shapes of `tests/placement_fleet.rs` / `tests/placement_prop.rs`.
+//! and `fleet_adhoc` read templates of `mtc_benchmark`, the query shapes of
+//! `tests/placement_fleet.rs` / `tests/placement_prop.rs`, and LEFT JOINs
+//! over each fixture (no workload issues one, yet every rewrite pass has to
+//! carry an outer join through unchanged).
 //! Each is planned two-site and under a 3-peer partitioned
 //! `PlacementEnv`, with default options and with `enable_dynamic_plans` /
 //! `enable_choose_plan_pullup` switched off in turn.
@@ -51,6 +53,19 @@ const BENCH_TEMPLATES: &[&str] = &[
     "SELECT c_id, c_uname, c_balance FROM customer WHERE c_id >= 129 AND c_id < 193",
 ];
 
+/// LEFT JOINs over the TPC-W schema: a parameterized predicate over a
+/// cached table above the outer join, an outer join whose preserved input
+/// is an inner-join region, and an outer join under an inner join whose
+/// other input a parameter guards (the guarded union is pulled above the
+/// inner join and carries the outer join into each branch).
+const OUTER_JOINS: &[&str] = &[
+    "SELECT i_id, i_title, a_lname FROM item LEFT JOIN author ON i_a_id = a_id WHERE i_id = @id",
+    "SELECT i_id, a_lname, ol_qty FROM item INNER JOIN author ON i_a_id = a_id \
+     LEFT JOIN order_line ON ol_i_id = i_id WHERE i_subject = @subject",
+    "SELECT i_title, o_id, ol_qty FROM item, order_line LEFT JOIN orders ON ol_o_id = o_id \
+     WHERE ol_i_id = i_id AND i_id = @id",
+];
+
 /// `tests/placement_fleet.rs`'s probes.
 const FLEET_PROBES: &[&str] = &[
     "SELECT i_id, i_qty FROM item WHERE i_id < 100 ORDER BY i_id ASC",
@@ -79,6 +94,8 @@ fn prop_shapes() -> Vec<String> {
     }
     out.push("SELECT id, grp FROM t WHERE id < @k".into());
     out.push("SELECT t.id, u.tag FROM t JOIN u ON t.id = u.id WHERE t.id < @k".into());
+    out.push("SELECT t.id, u.tag FROM t LEFT JOIN u ON t.id = u.id WHERE t.id < @k".into());
+    out.push("SELECT t.id, u.tag FROM u, t LEFT JOIN u AS w ON t.id = w.id WHERE u.id = t.grp AND u.id < @k".into());
     out
 }
 
@@ -181,6 +198,7 @@ fn render() -> String {
     let hub = hub_of(&backend);
     let mut tpcw: Vec<String> = PROCEDURES.iter().map(|(_, _, body)| body.to_string()).collect();
     tpcw.extend(BENCH_TEMPLATES.iter().map(|s| s.to_string()));
+    tpcw.extend(OUTER_JOINS.iter().map(|s| s.to_string()));
 
     // The backend itself (every table local): the plans DML `WHERE`
     // clauses and backend-executed fragments get.
