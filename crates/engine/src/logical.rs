@@ -181,6 +181,75 @@ impl LogicalPlan {
         }
     }
 
+    /// Rebuilds this node with `f` applied to each of its direct inputs,
+    /// left to right, and everything else kept as it is (a cached schema
+    /// included). This is the one place that knows each node's children: a
+    /// rewrite matches the nodes it changes and hands every other node here.
+    pub fn map_children(self, mut f: impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+        match self {
+            LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+                input: Box::new(f(*input)),
+                predicate,
+            },
+            LogicalPlan::Project {
+                input,
+                exprs,
+                schema,
+            } => LogicalPlan::Project {
+                input: Box::new(f(*input)),
+                exprs,
+                schema,
+            },
+            LogicalPlan::Join {
+                left,
+                right,
+                kind,
+                on,
+                schema,
+            } => LogicalPlan::Join {
+                left: Box::new(f(*left)),
+                right: Box::new(f(*right)),
+                kind,
+                on,
+                schema,
+            },
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+                schema,
+            } => LogicalPlan::Aggregate {
+                input: Box::new(f(*input)),
+                group_by,
+                aggs,
+                schema,
+            },
+            LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
+                input: Box::new(f(*input)),
+                keys,
+            },
+            LogicalPlan::Top { input, n } => LogicalPlan::Top {
+                input: Box::new(f(*input)),
+                n,
+            },
+            LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
+                input: Box::new(f(*input)),
+            },
+            LogicalPlan::UnionAll {
+                inputs,
+                startup_predicates,
+                weights,
+                schema,
+            } => LogicalPlan::UnionAll {
+                inputs: inputs.into_iter().map(f).collect(),
+                startup_predicates,
+                weights,
+                schema,
+            },
+            leaf @ LogicalPlan::Get { .. } => leaf,
+        }
+    }
+
     /// All `Get` leaves in the plan.
     pub fn leaves(&self) -> Vec<&LogicalPlan> {
         let mut out = Vec::new();

@@ -27,66 +27,7 @@ pub fn reorder_joins(plan: LogicalPlan, db: &Database) -> LogicalPlan {
                 inputs.into_iter().map(|i| reorder_joins(i, db)).collect();
             rebuild_greedy(inputs, conjuncts, db)
         }
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(reorder_joins(*left, db)),
-            right: Box::new(reorder_joins(*right, db)),
-            kind,
-            on,
-            schema,
-        },
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(reorder_joins(*input, db)),
-            predicate,
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(reorder_joins(*input, db)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(reorder_joins(*input, db)),
-            group_by,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(reorder_joins(*input, db)),
-            keys,
-        },
-        LogicalPlan::Top { input, n } => LogicalPlan::Top {
-            input: Box::new(reorder_joins(*input, db)),
-            n,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(reorder_joins(*input, db)),
-        },
-        LogicalPlan::UnionAll {
-            inputs,
-            startup_predicates,
-            weights,
-            schema,
-        } => LogicalPlan::UnionAll {
-            inputs: inputs.into_iter().map(|i| reorder_joins(i, db)).collect(),
-            startup_predicates,
-            weights,
-            schema,
-        },
-        leaf @ LogicalPlan::Get { .. } => leaf,
+        other => other.map_children(|c| reorder_joins(c, db)),
     }
 }
 

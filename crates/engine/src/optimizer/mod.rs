@@ -9,7 +9,7 @@ pub mod location;
 pub mod pushdown;
 pub mod view_match;
 
-use mtc_sql::Expr;
+use mtc_sql::{Expr, JoinKind};
 use mtc_storage::Database;
 use mtc_types::Result;
 
@@ -312,7 +312,7 @@ fn synthesize_placement_choices(
         if location::scan_leaf(&plan).is_some() {
             return plan;
         }
-        return map_children(plan, &mut |c| synthesize_placement_choices(c, env, cm));
+        return plan.map_children(|c| synthesize_placement_choices(c, env, cm));
     }
     let schema = plan.schema().clone();
     guards
@@ -336,73 +336,7 @@ fn rewrite_plan(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> L
     if leaf_pair {
         return f(plan);
     }
-    f(map_children(plan, &mut |c| rewrite_plan(c, f)))
-}
-
-/// Rebuilds `plan` with `f` applied to each of its direct inputs.
-fn map_children(plan: LogicalPlan, f: &mut impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(f(*input)),
-            predicate,
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(f(*input)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            kind,
-            on,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(f(*input)),
-            group_by,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(f(*input)),
-            keys,
-        },
-        LogicalPlan::Top { input, n } => LogicalPlan::Top {
-            input: Box::new(f(*input)),
-            n,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(f(*input)),
-        },
-        LogicalPlan::UnionAll {
-            inputs,
-            startup_predicates,
-            weights,
-            schema,
-        } => LogicalPlan::UnionAll {
-            inputs: inputs.into_iter().map(f).collect(),
-            startup_predicates,
-            weights,
-            schema,
-        },
-        leaf @ LogicalPlan::Get { .. } => leaf,
-    }
+    f(plan.map_children(|c| rewrite_plan(c, f)))
 }
 
 /// Pulls guarded UnionAlls (ChoosePlans) above inner/cross joins — the
@@ -425,232 +359,88 @@ fn pull_once(plan: LogicalPlan) -> (LogicalPlan, bool) {
         matches!(p, LogicalPlan::UnionAll { startup_predicates, .. }
             if startup_predicates.iter().any(Option::is_some))
     }
+    // Only inner and cross joins commute with a ChoosePlan: an outer join
+    // is returned as it is, and nothing under it is pulled either.
+    if matches!(&plan, LogicalPlan::Join { kind, .. }
+        if !matches!(kind, JoinKind::Inner | JoinKind::Cross))
+    {
+        return (plan, false);
+    }
+    let mut changed = false;
+    let plan = plan.map_children(|c| {
+        let (c, pulled) = pull_once(c);
+        changed |= pulled;
+        c
+    });
     match plan {
         LogicalPlan::Join {
             left,
             right,
             kind,
             on,
-            schema,
-        } if matches!(kind, mtc_sql::JoinKind::Inner | mtc_sql::JoinKind::Cross) => {
-            let (left, lc) = pull_once(*left);
-            let (right, rc) = pull_once(*right);
-            if is_guarded_union(&left) {
-                let LogicalPlan::UnionAll {
-                    inputs,
-                    startup_predicates,
-                    weights,
-                    ..
-                } = left
-                else {
-                    unreachable!()
-                };
-                let branches: Vec<LogicalPlan> = inputs
-                    .into_iter()
-                    .map(|b| {
-                        let s = b.schema().join(right.schema());
-                        LogicalPlan::Join {
-                            left: Box::new(b),
-                            right: Box::new(right.clone()),
-                            kind,
-                            on: on.clone(),
-                            schema: s,
-                        }
-                    })
-                    .collect();
-                let schema = branches[0].schema().clone();
-                return (
-                    LogicalPlan::UnionAll {
-                        inputs: branches,
-                        startup_predicates,
-                        weights,
-                        schema,
-                    },
-                    true,
-                );
-            }
-            if is_guarded_union(&right) {
-                let LogicalPlan::UnionAll {
-                    inputs,
-                    startup_predicates,
-                    weights,
-                    ..
-                } = right
-                else {
-                    unreachable!()
-                };
-                let branches: Vec<LogicalPlan> = inputs
-                    .into_iter()
-                    .map(|b| {
-                        let s = left.schema().join(b.schema());
-                        LogicalPlan::Join {
-                            left: Box::new(left.clone()),
-                            right: Box::new(b),
-                            kind,
-                            on: on.clone(),
-                            schema: s,
-                        }
-                    })
-                    .collect();
-                let schema = branches[0].schema().clone();
-                return (
-                    LogicalPlan::UnionAll {
-                        inputs: branches,
-                        startup_predicates,
-                        weights,
-                        schema,
-                    },
-                    true,
-                );
-            }
-            rebuild_join(left, right, kind, on, schema, lc || rc)
+            ..
+        } if is_guarded_union(&left) => {
+            let join = |b: LogicalPlan| LogicalPlan::Join {
+                schema: b.schema().join(right.schema()),
+                left: Box::new(b),
+                right: right.clone(),
+                kind,
+                on: on.clone(),
+            };
+            (distribute(*left, join), true)
         }
-        LogicalPlan::Filter { input, predicate } => {
-            let (input, changed) = pull_once(*input);
-            // Filters also commute with guarded unions (same proof shape).
-            if is_guarded_union(&input) {
-                let LogicalPlan::UnionAll {
-                    inputs,
-                    startup_predicates,
-                    weights,
-                    schema,
-                } = input
-                else {
-                    unreachable!()
-                };
-                let branches: Vec<LogicalPlan> = inputs
-                    .into_iter()
-                    .map(|b| LogicalPlan::Filter {
-                        input: Box::new(b),
-                        predicate: predicate.clone(),
-                    })
-                    .collect();
-                return (
-                    LogicalPlan::UnionAll {
-                        inputs: branches,
-                        startup_predicates,
-                        weights,
-                        schema,
-                    },
-                    true,
-                );
-            }
-            (
-                LogicalPlan::Filter {
-                    input: Box::new(input),
-                    predicate,
-                },
-                changed,
-            )
+        LogicalPlan::Join {
+            left,
+            right,
+            kind,
+            on,
+            ..
+        } if is_guarded_union(&right) => {
+            let join = |b: LogicalPlan| LogicalPlan::Join {
+                schema: left.schema().join(b.schema()),
+                left: left.clone(),
+                right: Box::new(b),
+                kind,
+                on: on.clone(),
+            };
+            (distribute(*right, join), true)
         }
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => {
-            let (input, changed) = pull_once(*input);
-            (
-                LogicalPlan::Project {
-                    input: Box::new(input),
-                    exprs,
-                    schema,
-                },
-                changed,
-            )
+        // Filters also commute with guarded unions (same proof shape).
+        LogicalPlan::Filter { input, predicate } if is_guarded_union(&input) => {
+            let filter = |b: LogicalPlan| LogicalPlan::Filter {
+                input: Box::new(b),
+                predicate: predicate.clone(),
+            };
+            (distribute(*input, filter), true)
         }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            schema,
-        } => {
-            let (input, changed) = pull_once(*input);
-            (
-                LogicalPlan::Aggregate {
-                    input: Box::new(input),
-                    group_by,
-                    aggs,
-                    schema,
-                },
-                changed,
-            )
-        }
-        LogicalPlan::Sort { input, keys } => {
-            let (input, changed) = pull_once(*input);
-            (
-                LogicalPlan::Sort {
-                    input: Box::new(input),
-                    keys,
-                },
-                changed,
-            )
-        }
-        LogicalPlan::Top { input, n } => {
-            let (input, changed) = pull_once(*input);
-            (
-                LogicalPlan::Top {
-                    input: Box::new(input),
-                    n,
-                },
-                changed,
-            )
-        }
-        LogicalPlan::Distinct { input } => {
-            let (input, changed) = pull_once(*input);
-            (
-                LogicalPlan::Distinct {
-                    input: Box::new(input),
-                },
-                changed,
-            )
-        }
-        LogicalPlan::UnionAll {
-            inputs,
-            startup_predicates,
-            weights,
-            schema,
-        } => {
-            let mut changed = false;
-            let inputs: Vec<LogicalPlan> = inputs
-                .into_iter()
-                .map(|i| {
-                    let (p, c) = pull_once(i);
-                    changed |= c;
-                    p
-                })
-                .collect();
-            (
-                LogicalPlan::UnionAll {
-                    inputs,
-                    startup_predicates,
-                    weights,
-                    schema,
-                },
-                changed,
-            )
-        }
-        leaf => (leaf, false),
+        other => (other, changed),
     }
 }
 
-fn rebuild_join(
-    left: LogicalPlan,
-    right: LogicalPlan,
-    kind: mtc_sql::JoinKind,
-    on: Option<Expr>,
-    schema: mtc_types::Schema,
-    changed: bool,
-) -> (LogicalPlan, bool) {
-    (
-        LogicalPlan::Join {
-            left: Box::new(left),
-            right: Box::new(right),
-            kind,
-            on,
-            schema,
-        },
-        changed,
-    )
+/// Rebuilds a guarded union with `wrap` around each of its branches,
+/// keeping its guards and weights. A join adds columns, so the new union
+/// takes its first branch's schema; a filter keeps the union's own.
+fn distribute(union: LogicalPlan, wrap: impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+    let LogicalPlan::UnionAll {
+        inputs,
+        startup_predicates,
+        weights,
+        schema,
+    } = union
+    else {
+        unreachable!("only a guarded union is distributed")
+    };
+    let inputs: Vec<LogicalPlan> = inputs.into_iter().map(wrap).collect();
+    let schema = match &inputs[0] {
+        LogicalPlan::Join { schema, .. } => schema.clone(),
+        _ => schema,
+    };
+    LogicalPlan::UnionAll {
+        inputs,
+        startup_predicates,
+        weights,
+        schema,
+    }
 }
 
 #[cfg(test)]
@@ -827,6 +617,59 @@ mod tests {
         );
         let text = with_pullup.physical.explain();
         assert!(text.contains("UnionAll"), "{text}");
+    }
+
+    fn get(name: &str) -> LogicalPlan {
+        LogicalPlan::Get {
+            object: name.into(),
+            alias: name.into(),
+            schema: Schema::new(vec![Column::new(&format!("{name}.k"), DataType::Int)]),
+            location: crate::logical::DataLocation::Remote,
+        }
+    }
+
+    /// `Filter(ChoosePlan[@v <= 10: a | a]) ⋈ b`, the join of `kind`.
+    fn choose_plan_under_join(kind: JoinKind) -> LogicalPlan {
+        let guard = Expr::binary(Expr::param("v"), mtc_sql::BinOp::Le, Expr::lit(10));
+        let union = LogicalPlan::UnionAll {
+            inputs: vec![get("a"), get("a")],
+            startup_predicates: vec![Some(guard.clone()), Some(Expr::not(guard))],
+            weights: vec![0.5, 0.5],
+            schema: get("a").schema().clone(),
+        };
+        LogicalPlan::Join {
+            left: Box::new(LogicalPlan::Filter {
+                input: Box::new(union),
+                predicate: Expr::binary(Expr::col("a.k"), mtc_sql::BinOp::Gt, Expr::lit(0)),
+            }),
+            right: Box::new(get("b")),
+            kind,
+            on: None,
+            schema: get("a").schema().join(get("b").schema()),
+        }
+    }
+
+    #[test]
+    fn pull_up_crosses_filters_and_inner_joins() {
+        let pulled = pull_up_choose_plans(choose_plan_under_join(JoinKind::Cross));
+        let LogicalPlan::UnionAll { inputs, schema, .. } = &pulled else {
+            panic!("ChoosePlan on top: {}", pulled.explain())
+        };
+        assert_eq!(schema, inputs[0].schema(), "a join takes its branch's schema");
+        assert_eq!(schema.len(), 2);
+        for branch in inputs {
+            let LogicalPlan::Join { left, .. } = branch else {
+                panic!("{}", pulled.explain())
+            };
+            assert!(matches!(**left, LogicalPlan::Filter { .. }), "{}", pulled.explain());
+        }
+    }
+
+    #[test]
+    fn pull_up_leaves_an_outer_join_and_everything_under_it_alone() {
+        // Not even the filter inside, which on its own would be crossed.
+        let outer = choose_plan_under_join(JoinKind::Left);
+        assert_eq!(pull_up_choose_plans(outer.clone()), outer);
     }
 
     #[test]

@@ -20,62 +20,7 @@ pub fn push_filters(plan: LogicalPlan) -> LogicalPlan {
                 predicate.split_conjuncts().into_iter().cloned().collect();
             push_conjuncts(input, conjuncts)
         }
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(push_filters(*input)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(push_filters(*left)),
-            right: Box::new(push_filters(*right)),
-            kind,
-            on,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(push_filters(*input)),
-            group_by,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(push_filters(*input)),
-            keys,
-        },
-        LogicalPlan::Top { input, n } => LogicalPlan::Top {
-            input: Box::new(push_filters(*input)),
-            n,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(push_filters(*input)),
-        },
-        LogicalPlan::UnionAll {
-            inputs,
-            startup_predicates,
-            weights,
-            schema,
-        } => LogicalPlan::UnionAll {
-            inputs: inputs.into_iter().map(push_filters).collect(),
-            startup_predicates,
-            weights,
-            schema,
-        },
-        leaf @ LogicalPlan::Get { .. } => leaf,
+        other => other.map_children(push_filters),
     }
 }
 

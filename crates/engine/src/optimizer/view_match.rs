@@ -650,75 +650,25 @@ fn suffix(name: &str) -> &str {
     name.rsplit('.').next().unwrap_or(name)
 }
 
-/// Recomputes derived schemas bottom-up after view substitution (join and
-/// union schemas depend on their children's layouts).
+/// Recomputes join schemas bottom-up after a rewrite that changed a join
+/// input's layout (a view substitution, a reordered region). Every other
+/// node keeps its schema: a union's is the one its branches deliver.
 pub fn recompute_schemas(plan: LogicalPlan) -> LogicalPlan {
-    match plan {
+    match plan.map_children(recompute_schemas) {
         LogicalPlan::Join {
             left,
             right,
             kind,
             on,
             ..
-        } => {
-            let left = recompute_schemas(*left);
-            let right = recompute_schemas(*right);
-            let schema = left.schema().join(right.schema());
-            LogicalPlan::Join {
-                left: Box::new(left),
-                right: Box::new(right),
-                kind,
-                on,
-                schema,
-            }
-        }
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(recompute_schemas(*input)),
-            predicate,
+        } => LogicalPlan::Join {
+            schema: left.schema().join(right.schema()),
+            left,
+            right,
+            kind,
+            on,
         },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(recompute_schemas(*input)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(recompute_schemas(*input)),
-            group_by,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(recompute_schemas(*input)),
-            keys,
-        },
-        LogicalPlan::Top { input, n } => LogicalPlan::Top {
-            input: Box::new(recompute_schemas(*input)),
-            n,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(recompute_schemas(*input)),
-        },
-        LogicalPlan::UnionAll {
-            inputs,
-            startup_predicates,
-            weights,
-            schema,
-        } => LogicalPlan::UnionAll {
-            inputs: inputs.into_iter().map(recompute_schemas).collect(),
-            startup_predicates,
-            weights,
-            schema,
-        },
-        leaf @ LogicalPlan::Get { .. } => leaf,
+        other => other,
     }
 }
 
