@@ -17,7 +17,7 @@ use mtc_types::{Column, Error, Result, Row, Schema};
 
 use crate::dml::{derive_view_changes, plan_dml, DML_STATEMENT_OVERHEAD, WORK_PER_CHANGE};
 use crate::plan_cache::{param_signature, CachedPlan, Compiled, PlanCache};
-use crate::procs::{bind_proc_args, prepare_proc_body};
+use crate::procs::{bind_proc_args, prepare_proc_body, run_body};
 use crate::statements::{Resolved, StatementCache};
 use crate::stats::SharedServerStats;
 
@@ -352,17 +352,7 @@ impl BackendServer {
             .ok_or_else(|| Error::catalog(format!("procedure `{proc}` not found")))?;
         let bound = bind_proc_args(&def, args, caller_params)?;
         self.stats.procs.inc();
-        let mut last = QueryResult::default();
-        let mut accumulated = mtc_engine::ExecMetrics::default();
-        for stmt in &def.body {
-            let r = self.execute_prepared(stmt, &bound, principal)?;
-            accumulated.absorb(&r.metrics);
-            if stmt.select().is_some() {
-                last = r;
-            }
-        }
-        last.metrics = accumulated;
-        Ok(last)
+        run_body(&def, |stmt| self.execute_prepared(stmt, &bound, principal))
     }
 
     /// Creates a materialized view: backing table + initial population.

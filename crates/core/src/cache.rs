@@ -427,7 +427,16 @@ impl CacheServer {
                 // Local if copied, transparently forwarded otherwise (§5.2).
                 let local = self.db.read().catalog.procedure(proc).cloned();
                 match local {
-                    Some(def) => self.execute_local_proc(&def, args, params, principal),
+                    Some(def) => {
+                        // Its queries go through this cache's optimizer
+                        // (and may still touch the backend); its DML
+                        // forwards.
+                        let bound = crate::procs::bind_proc_args(&def, args, params)?;
+                        self.stats.procs.inc();
+                        crate::procs::run_body(&def, |stmt| {
+                            self.execute_prepared(stmt, &bound, principal)
+                        })
+                    }
                     None => {
                         let result =
                             self.backend.execute_proc(proc, args, params, principal)?;
@@ -675,30 +684,6 @@ impl CacheServer {
         }
         let opt = mtc_engine::optimize_with_placement(plan, db, &self.options, &env)?;
         Ok(Planned::Here { opt })
-    }
-
-    /// Runs a copied procedure locally: its queries go through this cache's
-    /// optimizer (and may still touch the backend); its DML forwards.
-    fn execute_local_proc(
-        &self,
-        def: &ProcedureDef,
-        args: &[(String, mtc_sql::Expr)],
-        caller_params: &Bindings,
-        principal: &str,
-    ) -> Result<QueryResult> {
-        let bound = crate::procs::bind_proc_args(def, args, caller_params)?;
-        self.stats.procs.inc();
-        let mut last = QueryResult::default();
-        let mut accumulated = mtc_engine::ExecMetrics::default();
-        for stmt in &def.body {
-            let r = self.execute_prepared(stmt, &bound, principal)?;
-            accumulated.absorb(&r.metrics);
-            if stmt.select().is_some() {
-                last = r;
-            }
-        }
-        last.metrics = accumulated;
-        Ok(last)
     }
 
     /// Prunes the shadow catalog down to what the cached views need (§7:
