@@ -329,55 +329,24 @@ pub fn derive_view_changes(db: &Database, changes: &[RowChange]) -> Result<Vec<R
         let Some(base) = view.base_object() else {
             continue; // join/aggregate views refresh manually
         };
+        // Resolved once per statement, and only when a change touches it.
+        let touching: Vec<&RowChange> = changes
+            .iter()
+            .filter(|c| c.table().eq_ignore_ascii_case(base))
+            .collect();
+        if touching.is_empty() {
+            continue;
+        }
         let Ok(source) = db.table_ref(base) else {
             continue;
         };
-        let schema = source.schema();
-        let Ok(article) = Article::from_select(&view.name, &view.definition, schema) else {
+        let Ok(article) = Article::from_select(&view.name, &view.definition, source.schema())
+        else {
             continue;
         };
-        for change in changes {
-            if mtc_types::normalize_ident(change.table()) != mtc_types::normalize_ident(base) {
-                continue;
-            }
-            match change {
-                RowChange::Insert { row, .. } => {
-                    if article.matches(row, schema)? {
-                        derived.push(RowChange::Insert {
-                            table: view.name.clone(),
-                            row: article.project(row, schema)?,
-                        });
-                    }
-                }
-                RowChange::Delete { row, .. } => {
-                    if article.matches(row, schema)? {
-                        derived.push(RowChange::Delete {
-                            table: view.name.clone(),
-                            row: article.project(row, schema)?,
-                        });
-                    }
-                }
-                RowChange::Update { before, after, .. } => {
-                    let was = article.matches(before, schema)?;
-                    let is = article.matches(after, schema)?;
-                    match (was, is) {
-                        (true, true) => derived.push(RowChange::Update {
-                            table: view.name.clone(),
-                            before: article.project(before, schema)?,
-                            after: article.project(after, schema)?,
-                        }),
-                        (true, false) => derived.push(RowChange::Delete {
-                            table: view.name.clone(),
-                            row: article.project(before, schema)?,
-                        }),
-                        (false, true) => derived.push(RowChange::Insert {
-                            table: view.name.clone(),
-                            row: article.project(after, schema)?,
-                        }),
-                        (false, false) => {}
-                    }
-                }
-            }
+        let article = article.resolve(source.schema())?;
+        for change in touching {
+            article.filter_change(&view.name, change, &mut derived)?;
         }
     }
     Ok(derived)

@@ -151,7 +151,7 @@ impl Node {
         for change in &txn.changes {
             for view in &self.views {
                 if txn.lsn >= view.populated_at && view.article.reads(change.table()) {
-                    filter_change(&view.article, &view.table, change, &mut out)?;
+                    view.article.filter_change(&view.table, change, &mut out)?;
                 }
             }
         }
@@ -646,55 +646,6 @@ impl ReplicationHub {
     pub fn distribution_depth(&self) -> usize {
         self.distribution.len()
     }
-}
-
-/// Converts one publisher row change into subscriber row changes for one
-/// view, appended to `out`: filtering rows, projecting columns, and
-/// handling rows that move in/out of the article's row filter on update.
-fn filter_change(
-    article: &ResolvedArticle,
-    target_table: &str,
-    change: &RowChange,
-    out: &mut Vec<RowChange>,
-) -> Result<()> {
-    let table = || target_table.to_string();
-    match change {
-        RowChange::Insert { row, .. } => {
-            if article.matches(row)? {
-                out.push(RowChange::Insert {
-                    table: table(),
-                    row: article.project(row),
-                });
-            }
-        }
-        RowChange::Delete { row, .. } => {
-            if article.matches(row)? {
-                out.push(RowChange::Delete {
-                    table: table(),
-                    row: article.project(row),
-                });
-            }
-        }
-        RowChange::Update { before, after, .. } => {
-            match (article.matches(before)?, article.matches(after)?) {
-                (true, true) => out.push(RowChange::Update {
-                    table: table(),
-                    before: article.project(before),
-                    after: article.project(after),
-                }),
-                (true, false) => out.push(RowChange::Delete {
-                    table: table(),
-                    row: article.project(before),
-                }),
-                (false, true) => out.push(RowChange::Insert {
-                    table: table(),
-                    row: article.project(after),
-                }),
-                (false, false) => {}
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Applies a delivered transaction *idempotently*: each change is first
