@@ -82,6 +82,16 @@ cargo test -q --test auto_parameterization
 echo "==> cargo test -q --test pruned_leaves (an access path builds only the columns a read needs)"
 cargo test -q --test pruned_leaves
 
+# Same plans, checked byte for byte: every statement of the corpus (TPC-W
+# procedures, the benchmark's read templates, the placement fixtures' shapes,
+# LEFT JOINs over each) is planned two-site and over a 3-peer fleet under
+# three option sets, and each plan's EXPLAIN text and the exact bits of its
+# estimated cost and rows must equal tests/golden/plans.txt. An optimizer
+# refactor that changes any chosen plan or estimate fails here, on any
+# machine, without a timer.
+echo "==> cargo test -q --test plan_golden (every corpus plan equals tests/golden/plans.txt)"
+cargo test -q --test plan_golden
+
 # Multi-site planning overhead, pinned by counters: one optimize of a
 # 3-peer join probes each shadow leaf against the peers' views once, a second
 # optimize on the same placement env probes none, and the placement pass
