@@ -126,9 +126,17 @@ pub fn recommend(
     workload: &[WorkloadEntry],
     options: &AdvisorOptions,
 ) -> Result<Vec<Recommendation>> {
-    let traffic = gather_traffic(db, workload);
+    Ok(recommend_for(db, &gather_traffic(db, workload), options))
+}
+
+/// [`recommend`] over a workload's already gathered traffic.
+fn recommend_for(
+    db: &Database,
+    traffic: &BTreeMap<String, TableTraffic>,
+    options: &AdvisorOptions,
+) -> Vec<Recommendation> {
     let mut recs = Vec::new();
-    for (table, t) in &traffic {
+    for (table, t) in traffic {
         if t.read_freq <= 0.0 {
             continue;
         }
@@ -190,7 +198,7 @@ pub fn recommend(
         });
     }
     recs.sort_by(|a, b| b.benefit.total_cmp(&a.benefit));
-    Ok(recs)
+    recs
 }
 
 fn record_select(
@@ -467,13 +475,11 @@ impl AdaptiveAdvisor {
         };
 
         let backend = server.backend();
-        let traffic = {
+        let (traffic, recs) = {
             let db = backend.db.read();
-            gather_traffic(&db, &window)
-        };
-        let recs = {
-            let db = backend.db.read();
-            recommend(&db, &window, &self.cfg.options).unwrap_or_default()
+            let traffic = gather_traffic(&db, &window);
+            let recs = recommend_for(&db, &traffic, &self.cfg.options);
+            (traffic, recs)
         };
 
         // Base tables already covered by SOME cached view on this server

@@ -7,8 +7,8 @@ use mtc_util::sync::{ArcSwap, Mutex};
 
 use mtc_engine::eval::Bindings;
 use mtc_engine::{
-    bind_select, Answer, Collect, CompiledQuery, ExecContext, OptimizerOptions, PeerSite,
-    PlacementEnv, QueryResult,
+    bind_select, Answer, Collect, CompiledQuery, ExecContext, ExecMetrics, OptimizerOptions,
+    PeerSite, PlacementEnv, QueryResult,
 };
 use mtc_replication::{Article, Clock, ReplicationHub};
 use mtc_sql::{Permission, Prepared, Select, Statement, TableRef};
@@ -408,7 +408,7 @@ impl CacheServer {
                     .read()
                     .catalog
                     .check_permission(principal, table, perm)?;
-                let result = self.backend.execute_prepared(stmt, params, principal)?;
+                let mut out = self.backend.execute_prepared(stmt, params, principal)?;
                 // Our own forwarded write is visible on the backend *now*;
                 // don't wait for the replication stream to tell us about it.
                 // Entries over `table` must be at least as new as the head
@@ -416,11 +416,7 @@ impl CacheServer {
                 // every fleet peer, and in the shared L2.
                 self.invalidate_write(table, self.backend.commit_lsn().0);
                 self.stats.dml.inc();
-                self.stats.remote_calls.inc();
-                self.stats.remote_work.add(result.metrics.local_work);
-                let mut out = result;
-                out.metrics.remote_work = out.metrics.local_work;
-                out.metrics.local_work = 0.0;
+                self.book_forwarded(&mut out.metrics);
                 Ok(out)
             }
             Statement::Exec { proc, args } => {
@@ -438,7 +434,7 @@ impl CacheServer {
                         })
                     }
                     None => {
-                        let result =
+                        let mut out =
                             self.backend.execute_proc(proc, args, params, principal)?;
                         // A forwarded procedure may have written on the
                         // backend: invalidate cached results over every
@@ -459,11 +455,7 @@ impl CacheServer {
                             }
                         }
                         self.stats.procs.inc();
-                        self.stats.remote_calls.inc();
-                        self.stats.remote_work.add(result.metrics.local_work);
-                        let mut out = result;
-                        out.metrics.remote_work += out.metrics.local_work;
-                        out.metrics.local_work = 0.0;
+                        self.book_forwarded(&mut out.metrics);
                         Ok(out)
                     }
                 }
@@ -559,7 +551,7 @@ impl CacheServer {
             let fragment = self
                 .fragment_cache
                 .is_enabled()
-                .then(|| FragmentGateway::new(&self.fragment_cache, &db, version, now));
+                .then(|| FragmentGateway::new(&self.fragment_cache, &db, version));
             let memo = fragment
                 .as_ref()
                 .map(|f| f as &dyn mtc_engine::FragmentMemo);
@@ -607,10 +599,7 @@ impl CacheServer {
                 let mut out: O = self.backend.execute_prepared_as(stmt, params, principal)?;
                 let m = out.metrics_mut();
                 self.stats.queries.inc();
-                self.stats.remote_calls.inc();
-                self.stats.remote_work.add(m.local_work);
-                m.remote_work += m.local_work;
-                m.local_work = 0.0;
+                self.book_forwarded(m);
                 m.remote_calls += 1;
                 return Ok(out);
             }
@@ -631,6 +620,16 @@ impl CacheServer {
         run(cached.query()?)
     }
 
+    /// Books a statement forwarded whole to the backend: one remote call,
+    /// and the backend's work moved from `local_work` into `remote_work`,
+    /// in its metrics and in this server's stats.
+    fn book_forwarded(&self, m: &mut ExecMetrics) {
+        self.stats.remote_calls.inc();
+        self.stats.remote_work.add(m.local_work);
+        m.remote_work += m.local_work;
+        m.local_work = 0.0;
+    }
+
     /// How stale this node is on `snap`, if that is past `bound_ms`. Every
     /// cached view of a node shares one watermark, so this is the staleness
     /// (publisher clock) of whatever the node would read. `None` within the
@@ -638,8 +637,8 @@ impl CacheServer {
     /// could reject.
     fn staleness_past(&self, snap: &DbSnapshot, bound_ms: i64) -> Option<i64> {
         let mark = snap.node_watermark()?;
-        let staleness_ms = self.clock.now_ms() - mark.synced_through_ms;
-        (staleness_ms > bound_ms).then_some(staleness_ms)
+        let now = self.clock.now_ms();
+        (!mark.within(bound_ms, now)).then(|| mark.staleness_ms(now))
     }
 
     /// Plans a SELECT on this server — the one planning path `select_impl`
@@ -843,7 +842,7 @@ impl CacheServer {
     /// one of this server's cached views.
     pub fn staleness_of_view(&self, view: &str) -> Option<i64> {
         let mark = self.db.read().watermark(view)?;
-        Some((self.clock.now_ms() - mark.synced_through_ms).max(0))
+        Some(mark.staleness_ms(self.clock.now_ms()))
     }
 
     /// Replication lag of one cached view in *transactions*: backend commit
@@ -863,7 +862,7 @@ impl CacheServer {
         self.db
             .read()
             .node_watermark()
-            .map_or(0, |m| (self.clock.now_ms() - m.synced_through_ms).max(0))
+            .map_or(0, |m| m.staleness_ms(self.clock.now_ms()))
     }
 
     /// Names of the cached views this server maintains, in creation order.

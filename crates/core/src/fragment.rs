@@ -8,18 +8,19 @@
 //! the *normalized compiled-plan fingerprint* (operator shape with
 //! parameter slots abstracted, plus the resolved parameter values), and
 //! stamps each entry with the same currency lineage the statement-level
-//! result cache uses:
+//! result cache uses (a [`Lineage`]):
 //!
-//! * **commit LSN** — the node's applied-watermark LSN, taken from the
-//!   *same immutable snapshot* the query executed against. Replication
-//!   advances all of a node's cached views together, so a fragment is
-//!   exactly as fresh as every view it read.
+//! * **watermark** — the node's applied watermark, LSN and instant, taken
+//!   from the *same immutable snapshot* the query executed against.
+//!   Replication advances all of a node's cached views together, so a
+//!   fragment is exactly as fresh as every view it read.
 //! * **invalidation tables** — the backend *source* tables behind those
 //!   views (via [`ViewMeta::base_object`]), so the replication hub's
 //!   publisher-side invalidation stream and locally forwarded DML raise
 //!   the same watermarks that flush statement results.
 //! * **catalog version** — DDL (new views, drops) flushes fragments like
 //!   it flushes plans and statement results.
+//! * **work** — what recomputing the fragment costs, the admission benefit.
 //!
 //! A fragment scanning any object that is not a cached view (a shadow
 //! table populated by some non-replicated path) is never admitted:
@@ -32,9 +33,9 @@
 
 use mtc_engine::{Answer, FragmentMemo, QueryResult};
 use mtc_storage::DbSnapshot;
-use mtc_types::{normalize_ident, Row, Schema};
+use mtc_types::{normalize_ident, Row};
 
-use crate::result_cache::ResultCache;
+use crate::result_cache::{Lineage, ResultCache};
 
 /// Per-execution fragment-memo gateway: borrows the server's fragment
 /// cache and the snapshot the query scans, so admitted entries carry the
@@ -44,7 +45,6 @@ pub struct FragmentGateway<'a> {
     cache: &'a ResultCache,
     snap: &'a DbSnapshot,
     catalog_version: u64,
-    now_ms: i64,
 }
 
 impl<'a> FragmentGateway<'a> {
@@ -52,13 +52,11 @@ impl<'a> FragmentGateway<'a> {
         cache: &'a ResultCache,
         snap: &'a DbSnapshot,
         catalog_version: u64,
-        now_ms: i64,
     ) -> FragmentGateway<'a> {
         FragmentGateway {
             cache,
             snap,
             catalog_version,
-            now_ms,
         }
     }
 
@@ -79,10 +77,11 @@ impl FragmentMemo for FragmentGateway<'_> {
     fn lookup(&self, key: &str) -> Option<Vec<Row>> {
         // No currency bound: the memo may be exactly as stale as the local
         // views themselves (bounded statements bypass the plan cache and
-        // re-route before execution, so a bound never reaches a fragment).
+        // re-route before execution, so a bound never reaches a fragment),
+        // and so no instant to compare.
         self.cache
-            .lookup(key, "", self.catalog_version, None, self.now_ms)
-            .map(|answer| answer.to_result().rows)
+            .lookup(key, "", self.catalog_version, None, 0)
+            .map(|(answer, _)| answer.to_result().rows)
     }
 
     fn admit(&self, key: &str, objects: &[String], rows: &[Row], work: f64) {
@@ -101,25 +100,19 @@ impl FragmentMemo for FragmentGateway<'_> {
         }
         tables.sort();
         tables.dedup();
-        // The admission rule wants the recomputation cost in the result's
-        // metrics (`local_work`): that is what a future hit saves.
-        let mut result = QueryResult {
-            schema: Schema::new(vec![]),
+        let Ok(answer) = Answer::from_result(QueryResult {
             rows: rows.to_vec(),
-            metrics: Default::default(),
-        };
-        result.metrics.local_work = work;
-        let Ok(answer) = Answer::from_result(result) else {
+            ..Default::default()
+        }) else {
             return;
         };
-        self.cache.admit(
-            key,
-            "",
-            &answer,
-            tables.into(),
-            mark.lsn.0,
-            self.now_ms,
-            self.catalog_version,
-        );
+        // The recomputation cost is what a future hit saves.
+        let lineage = Lineage {
+            watermark: mark,
+            tables: tables.into(),
+            catalog_version: self.catalog_version,
+            backend_work: work,
+        };
+        self.cache.admit(key, "", &answer, lineage);
     }
 }

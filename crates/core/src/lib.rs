@@ -75,8 +75,8 @@ pub use connection::{Connection, ServerHandle};
 pub use fleet::{fnv1a64, Fleet, FleetConfig, Router};
 pub use plan_cache::{param_signature, CachedPlan, CacheStats, Compiled, PlanCache};
 pub use result_cache::{
-    param_values_signature, referenced_values_signature, PromotableResult, RemoteGateway,
-    ResultCache, ResultCacheConfig, ResultCacheStats,
+    param_values_signature, referenced_values_signature, Lineage, RemoteGateway, ResultCache,
+    ResultCacheConfig, ResultCacheStats,
 };
 pub use scripting::script_shadow_database;
 pub use statements::{Resolved, StatementCache, STATEMENT_CACHE_CAPACITY};

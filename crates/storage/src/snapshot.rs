@@ -61,6 +61,20 @@ pub struct Watermark {
     pub synced_through_ms: i64,
 }
 
+impl Watermark {
+    /// How far behind `now_ms` (publisher clock) the stamped data may be:
+    /// `max(0, now − synced_through_ms)`.
+    pub fn staleness_ms(&self, now_ms: i64) -> i64 {
+        now_ms.saturating_sub(self.synced_through_ms).max(0)
+    }
+
+    /// Whether the stamped data may serve a read bounded by `bound_ms` at
+    /// `now_ms`: staleness ≤ bound, the one currency test of every tier.
+    pub fn within(&self, bound_ms: i64, now_ms: i64) -> bool {
+        self.staleness_ms(now_ms) <= bound_ms
+    }
+}
+
 /// An immutable, consistently published image of a [`Database`].
 ///
 /// Derefs to [`Database`], so everything that reads a database reads a

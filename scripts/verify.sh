@@ -120,4 +120,15 @@ cargo test -q --test placement_fleet a_bounded_read_placed_on_a_stale_peer_is_se
 echo "==> cargo test -q --test answer_sharing (a cached answer is shared, never copied)"
 cargo test -q --test answer_sharing
 
+# A cached answer keeps its lineage across tiers, and one comparison decides
+# currency for a node and an entry alike, pinned by a manual clock and
+# counters: an answer promoted from the L2 into another node's L1 still
+# ages from its fetch instant and is released by the first write past its
+# fetch LSN, and a bound serves a node's views and a cached answer at
+# staleness equal to the bound and refuses both one millisecond later. A
+# change that restamps a promotion, or that moves the bound's edge for
+# either tier, fails here, on any machine, without a timer.
+echo "==> cargo test -q --test currency_lineage (a cached answer keeps its lineage; one bound test for every tier)"
+cargo test -q --test currency_lineage
+
 echo "verify: OK"

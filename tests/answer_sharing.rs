@@ -66,6 +66,7 @@ fn entry(cache: &ResultCache, (stmt, params): &(Arc<Prepared>, Bindings)) -> Ans
     cache
         .lookup(&stmt.text, &psig, 0, None, 0)
         .expect("resident")
+        .0
 }
 
 fn columns(answer: &Answer) -> Vec<Arc<ColumnVec>> {

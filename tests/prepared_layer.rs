@@ -18,11 +18,12 @@ use mtc_util::rng::Rng;
 use mtc_util::sync::Mutex;
 
 use mtcache_repro::cache::{
-    BackendServer, CacheServer, Connection, ResultCache, ResultCacheConfig,
+    BackendServer, CacheServer, Connection, Lineage, ResultCache, ResultCacheConfig,
     STATEMENT_CACHE_CAPACITY,
 };
 use mtcache_repro::engine::{Answer, QueryResult, RemoteExecutor};
 use mtcache_repro::replication::{Clock, ManualClock, ReplicationHub};
+use mtcache_repro::storage::{Lsn, Watermark};
 use mtcache_repro::tpcw::datagen::{generate, Scale};
 use mtcache_repro::tpcw::deploy::configure_cache;
 use mtcache_repro::tpcw::procs::register_all;
@@ -412,6 +413,20 @@ fn table_name(t: u8) -> String {
     format!("t{t}")
 }
 
+/// What a fetch at head `lsn` over `tables` stamps (instant, catalog
+/// version and work zero).
+fn lineage(tables: Vec<String>, lsn: u64) -> Lineage {
+    Lineage {
+        watermark: Watermark {
+            lsn: Lsn(lsn),
+            synced_through_ms: 0,
+        },
+        tables: tables.into(),
+        catalog_version: 0,
+        backend_work: 0.0,
+    }
+}
+
 fn result_for(key: u8, lsn: u64) -> QueryResult {
     QueryResult {
         schema: Schema::new(vec![Column::not_null("x", DataType::Int)]),
@@ -484,7 +499,7 @@ fn purge_at_the_write_serves_exactly_what_lazy_validation_served() {
             let one_entry = {
                 let probe = ResultCache::default();
                 let answer = Answer::from_result(result_for(0, 0)).unwrap();
-                probe.admit("k", "", &answer, Vec::new().into(), 0, 0, 0);
+                probe.admit("k", "", &answer, lineage(Vec::new(), 0));
                 probe.stats().bytes
             };
             for op in ops {
@@ -495,10 +510,7 @@ fn purge_at_the_write_serves_exactly_what_lazy_validation_served() {
                             &format!("q{key}"),
                             "",
                             &Answer::from_result(result_for(*key, *lsn)).unwrap(),
-                            names.into(),
-                            *lsn,
-                            0,
-                            0,
+                            lineage(names, *lsn),
                         );
                         // A result a write has already overtaken is turned
                         // away; whatever the key held stays as it was.
@@ -516,7 +528,7 @@ fn purge_at_the_write_serves_exactly_what_lazy_validation_served() {
                         let got = cache.lookup(&format!("q{key}"), "", 0, None, 0);
                         let want = model.lookup(*key);
                         assert_eq!(
-                            got.as_ref().map(|answer| answer.to_result().rows),
+                            got.as_ref().map(|(answer, _)| answer.to_result().rows),
                             want.map(|lsn| result_for(*key, lsn).rows),
                             "{op:?}"
                         );
