@@ -16,8 +16,8 @@
 //!   attached (ticked every [`TICK_EVERY`] interactions) and
 //!   intermediate-result caching on. The advisor observes the shifted
 //!   statement stream, creates the missing cached views at runtime through
-//!   the ordinary DDL + bulk-populate path, and re-partitions cache
-//!   budgets; memoized join/aggregate fragments absorb the repeated
+//!   the ordinary DDL + bulk-populate path; memoized join/aggregate
+//!   fragments absorb the repeated
 //!   best-seller computation.
 //!
 //! Reported per config and phase: backend round trips, modeled p50/p95
@@ -33,7 +33,7 @@ use mtc_sim::RttModel;
 use mtc_tpcw::datagen::Scale;
 use mtc_tpcw::interactions::run_interaction_with_keys;
 use mtc_tpcw::mix::PhaseSchedule;
-use mtcache::{AdaptiveAdvisor, AdvisorConfig, AdvisorStats};
+use mtcache::{AdaptiveAdvisor, AdvisorStats};
 
 use crate::concurrency::SESSIONS;
 use crate::deployment::Deployment;
@@ -122,9 +122,7 @@ impl AdvisorResults {
                         .put("indexes_created", a.indexes_created)
                         .put("views_dropped", a.views_dropped)
                         .put("creates_suppressed", a.creates_suppressed)
-                        .put("drops_suppressed", a.drops_suppressed)
-                        .put("budget_moves", a.budget_moves)
-                        .put("bytes_rebalanced", a.bytes_rebalanced),
+                        .put("drops_suppressed", a.drops_suppressed),
                 ),
             }
         });
@@ -228,7 +226,7 @@ pub fn run_advisor(per_phase: usize, seed: u64) -> AdvisorResults {
     let adaptive_dep = build(seed);
     let cache = adaptive_dep.cache.clone().expect("cached deployment");
     cache.set_fragment_caching(true);
-    cache.set_advisor(Some(Arc::new(AdaptiveAdvisor::new(AdvisorConfig::default()))));
+    cache.set_advisor(Some(Arc::new(AdaptiveAdvisor::default())));
     let adaptive_run = run_schedule(&adaptive_dep, &sched, seed, &rtt, true, "adaptive");
     let advisor_log = cache
         .advisor()

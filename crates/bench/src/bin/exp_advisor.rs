@@ -2,7 +2,7 @@
 //! configuration under the shifting-working-set TPC-W phase schedule
 //! (Zipf-skewed Browsing, then an abrupt shift to account-heavy traffic).
 //! The adaptive config runs the online advisor — runtime cached-view
-//! create/drop plus cache-budget re-partitioning — and intermediate-result
+//! create/widen/drop — and intermediate-result
 //! (fragment) caching; the headline is the post-shift static ÷ adaptive
 //! ratio of backend round trips and modeled p50 (DESIGN.md §14).
 //!
@@ -46,7 +46,7 @@ fragments {}/{} hit  errors {}",
         if let Some(a) = &run.advisor {
             println!(
                 "    advisor: {} epochs, {} created ({} widened, {} indexes) / {} dropped, \
-{} creates + {} drops suppressed, {} budget moves ({} B)",
+{} creates + {} drops suppressed",
                 a.epochs,
                 a.views_created,
                 a.views_widened,
@@ -54,8 +54,6 @@ fragments {}/{} hit  errors {}",
                 a.views_dropped,
                 a.creates_suppressed,
                 a.drops_suppressed,
-                a.budget_moves,
-                a.bytes_rebalanced,
             );
         }
     }

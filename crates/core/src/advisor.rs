@@ -272,39 +272,16 @@ fn record_select(
 // Online adaptive advisor
 // ---------------------------------------------------------------------------
 
-/// Configuration of the online [`AdaptiveAdvisor`].
-#[derive(Debug, Clone)]
-pub struct AdvisorConfig {
-    /// Offline scoring knobs reused per epoch (benefit/maintenance ratio).
-    pub options: AdvisorOptions,
-    /// At most this many cached views are created per epoch, so one hot
-    /// phase cannot blow up replication churn in a single tick.
-    pub max_creates_per_epoch: usize,
-    /// An advisor-created view must be cold (no reads on its base table)
-    /// for this many consecutive epochs before it is dropped.
-    pub drop_patience: u32,
-    /// A freshly created view is immune to dropping for this many epochs,
-    /// and a freshly dropped view cannot be re-created for the same span —
-    /// the hysteresis that stops create/drop flapping at a phase boundary.
-    pub grace_epochs: u32,
-    /// Fraction of the donor cache's budget moved per rebalance decision.
-    pub rebalance_step: f64,
-    /// Neither cache tier is ever shrunk below this floor.
-    pub min_budget: u64,
-}
-
-impl Default for AdvisorConfig {
-    fn default() -> AdvisorConfig {
-        AdvisorConfig {
-            options: AdvisorOptions::default(),
-            max_creates_per_epoch: 2,
-            drop_patience: 3,
-            grace_epochs: 2,
-            rebalance_step: 0.25,
-            min_budget: 16 * 1024,
-        }
-    }
-}
+/// At most this many cached views are created (or widened) per epoch, so
+/// one hot phase cannot blow up replication churn in a single tick.
+const MAX_CREATES_PER_EPOCH: usize = 2;
+/// An advisor-created view must be cold (no reads on its base table) for
+/// this many consecutive epochs before it is dropped.
+const DROP_PATIENCE: u32 = 3;
+/// A freshly created view is immune to dropping for this many epochs, and a
+/// freshly dropped view cannot be re-created for the same span — the
+/// hysteresis that stops create/drop flapping at a phase boundary.
+const GRACE_EPOCHS: u32 = 2;
 
 mtc_util::counter_set! {
     /// Lifetime counters of one advisor instance — every decision class it
@@ -328,10 +305,6 @@ mtc_util::counter_set! {
         pub creates_suppressed: u64,
         /// Drops withheld by the grace period or remaining patience.
         pub drops_suppressed: u64,
-        /// L1 ↔ fragment budget rebalance decisions taken.
-        pub budget_moves: u64,
-        /// Total bytes of budget moved by those decisions.
-        pub bytes_rebalanced: u64,
     }
 }
 
@@ -343,23 +316,6 @@ struct TrackedView {
     cold: u32,
 }
 
-/// Counter snapshot of one cache tier at the previous epoch boundary, so a
-/// tick reasons about *this epoch's* deltas, not lifetime totals.
-#[derive(Debug, Default, Clone, Copy)]
-struct TierMark {
-    hits: u64,
-    pressure: u64, // evictions + admission rejects
-}
-
-impl TierMark {
-    fn of(s: &crate::result_cache::ResultCacheStats) -> TierMark {
-        TierMark {
-            hits: s.hits,
-            pressure: s.evictions + s.admission_rejects,
-        }
-    }
-}
-
 #[derive(Default)]
 struct AdvisorInner {
     /// Observation window: statement text → occurrences since last tick.
@@ -369,8 +325,6 @@ struct AdvisorInner {
     /// view name → epochs since the advisor dropped it (re-create
     /// hysteresis).
     recently_dropped: BTreeMap<String, u32>,
-    stmt_mark: TierMark,
-    frag_mark: TierMark,
     stats: AdvisorStats,
     log: VecDeque<String>,
 }
@@ -386,24 +340,16 @@ const LOG_CAP: usize = 64;
 /// harness ticks every N interactions; a real deployment would tick on a
 /// timer). Each tick re-runs the offline [`recommend`] analysis over the
 /// statements observed since the last tick and acts on it: cached views
-/// are created through the ordinary DDL + bulk-populate path, cold
-/// advisor-created views are dropped, and the statement/fragment cache
-/// byte budgets are re-partitioned toward the tier showing both hits and
-/// pressure. Every decision — and every hysteresis suppression — is
-/// logged as an `advisor:` line.
+/// are created (with their supporting indexes) through the ordinary DDL +
+/// bulk-populate path, views the workload outgrew are widened, and cold
+/// advisor-created views are dropped. Every decision — and every
+/// hysteresis suppression — is logged as an `advisor:` line.
+#[derive(Default)]
 pub struct AdaptiveAdvisor {
-    cfg: AdvisorConfig,
     inner: Mutex<AdvisorInner>,
 }
 
 impl AdaptiveAdvisor {
-    pub fn new(cfg: AdvisorConfig) -> AdaptiveAdvisor {
-        AdaptiveAdvisor {
-            cfg,
-            inner: Mutex::new(AdvisorInner::default()),
-        }
-    }
-
     /// Records one executed statement into the current window.
     pub fn observe(&self, sql: &str) {
         let mut inner = self.inner.lock();
@@ -469,8 +415,9 @@ impl AdaptiveAdvisor {
             for since in inner.recently_dropped.values_mut() {
                 *since += 1;
             }
-            let grace = self.cfg.grace_epochs;
-            inner.recently_dropped.retain(|_, since| *since <= grace);
+            inner
+                .recently_dropped
+                .retain(|_, since| *since <= GRACE_EPOCHS);
             window
         };
 
@@ -478,7 +425,7 @@ impl AdaptiveAdvisor {
         let (traffic, recs) = {
             let db = backend.db.read();
             let traffic = gather_traffic(&db, &window);
-            let recs = recommend_for(&db, &traffic, &self.cfg.options);
+            let recs = recommend_for(&db, &traffic, &AdvisorOptions::default());
             (traffic, recs)
         };
 
@@ -526,12 +473,11 @@ impl AdaptiveAdvisor {
                 if missing.is_empty() {
                     continue; // fully covered — nothing to decide
                 }
-                if created >= self.cfg.max_creates_per_epoch {
+                if created >= MAX_CREATES_PER_EPOCH {
                     let mut inner = self.inner.lock();
                     inner.stats.creates_suppressed += 1;
                     epoch_log.push(format!(
-                        "advisor: suppress widen {view} (epoch limit {})",
-                        self.cfg.max_creates_per_epoch
+                        "advisor: suppress widen {view} (epoch limit {MAX_CREATES_PER_EPOCH})"
                     ));
                     continue;
                 }
@@ -587,11 +533,11 @@ impl AdaptiveAdvisor {
                 ));
                 continue;
             }
-            if created >= self.cfg.max_creates_per_epoch {
+            if created >= MAX_CREATES_PER_EPOCH {
                 inner.stats.creates_suppressed += 1;
                 epoch_log.push(format!(
-                    "advisor: suppress create {} (epoch limit {})",
-                    rec.view_name, self.cfg.max_creates_per_epoch
+                    "advisor: suppress create {} (epoch limit {MAX_CREATES_PER_EPOCH})",
+                    rec.view_name
                 ));
                 continue;
             }
@@ -634,7 +580,6 @@ impl AdaptiveAdvisor {
         let mut to_drop: Vec<String> = Vec::new();
         {
             let mut inner = self.inner.lock();
-            let cfg = &self.cfg;
             let AdvisorInner { tracked, stats, .. } = &mut *inner;
             let mut suppressed: Vec<String> = Vec::new();
             for (view, t) in tracked.iter_mut() {
@@ -645,11 +590,11 @@ impl AdaptiveAdvisor {
                     continue;
                 }
                 t.cold += 1;
-                if t.age <= cfg.grace_epochs || t.cold < cfg.drop_patience {
+                if t.age <= GRACE_EPOCHS || t.cold < DROP_PATIENCE {
                     stats.drops_suppressed += 1;
                     suppressed.push(format!(
-                        "advisor: suppress drop {view} (cold {}/{} epochs, age {})",
-                        t.cold, cfg.drop_patience, t.age
+                        "advisor: suppress drop {view} (cold {}/{DROP_PATIENCE} epochs, age {})",
+                        t.cold, t.age
                     ));
                 } else {
                     to_drop.push(view.clone());
@@ -665,54 +610,12 @@ impl AdaptiveAdvisor {
                     inner.tracked.remove(&view);
                     inner.recently_dropped.insert(view.clone(), 0);
                     epoch_log.push(format!(
-                        "advisor: drop {view} (cold {} epochs)",
-                        self.cfg.drop_patience
+                        "advisor: drop {view} (cold {DROP_PATIENCE} epochs)"
                     ));
                 }
                 Err(e) => {
                     epoch_log.push(format!("advisor: drop {view} failed: {e}"));
                     self.inner.lock().tracked.remove(&view);
-                }
-            }
-        }
-
-        // --- Budget rebalance ---------------------------------------------
-        // Per-epoch deltas of each tier. The tier that shows BOTH more hits
-        // and real pressure (evictions / admission rejects) this epoch is
-        // starved; feed it from the other tier, one damped step at a time.
-        if server.fragment_cache.is_enabled() {
-            let stmt_now = TierMark::of(&server.result_cache.stats());
-            let frag_now = TierMark::of(&server.fragment_cache.stats());
-            let mut inner = self.inner.lock();
-            let d_stmt_hits = stmt_now.hits.saturating_sub(inner.stmt_mark.hits);
-            let d_frag_hits = frag_now.hits.saturating_sub(inner.frag_mark.hits);
-            let d_stmt_pressure = stmt_now.pressure.saturating_sub(inner.stmt_mark.pressure);
-            let d_frag_pressure = frag_now.pressure.saturating_sub(inner.frag_mark.pressure);
-            inner.stmt_mark = stmt_now;
-            inner.frag_mark = frag_now;
-            drop(inner);
-            // 1.5× margin: a near-tie never moves bytes back and forth.
-            let rebalance = if d_frag_pressure > 0
-                && d_frag_hits as f64 > 1.5 * d_stmt_hits as f64
-            {
-                Some((&server.result_cache, &server.fragment_cache, "L1->fragment"))
-            } else if d_stmt_pressure > 0 && d_stmt_hits as f64 > 1.5 * d_frag_hits as f64 {
-                Some((&server.fragment_cache, &server.result_cache, "fragment->L1"))
-            } else {
-                None
-            };
-            if let Some((donor, taker, dir)) = rebalance {
-                let step = ((donor.budget() as f64 * self.cfg.rebalance_step) as u64)
-                    .min(donor.budget().saturating_sub(self.cfg.min_budget));
-                if step > 0 {
-                    donor.set_budget(donor.budget() - step);
-                    taker.set_budget(taker.budget() + step);
-                    let mut inner = self.inner.lock();
-                    inner.stats.budget_moves += 1;
-                    inner.stats.bytes_rebalanced += step;
-                    epoch_log.push(format!(
-                        "advisor: rebalance {step}B {dir} (hits Δ stmt {d_stmt_hits} frag {d_frag_hits}, pressure Δ stmt {d_stmt_pressure} frag {d_frag_pressure})"
-                    ));
                 }
             }
         }
@@ -1023,7 +926,7 @@ mod deploy_tests {
             .create_cached_view("cv_item", "SELECT i_id, i_title FROM item")
             .unwrap();
 
-        let advisor = Arc::new(AdaptiveAdvisor::new(AdvisorConfig::default()));
+        let advisor = Arc::new(AdaptiveAdvisor::default());
         cache.set_advisor(Some(advisor.clone()));
         // The observed phase needs i_cost, which cv_item doesn't carry.
         for _ in 0..20 {

@@ -68,7 +68,7 @@ pub struct CacheServer {
     wiring: ArcSwap<Wiring>,
     /// The attached online advisor, if any: observes this server's
     /// statement stream and, on [`CacheServer::advisor_tick`], adapts the
-    /// cached-view set and cache budgets (see [`crate::advisor`]).
+    /// cached-view set (see [`crate::advisor`]).
     advisor: Mutex<Option<Arc<crate::advisor::AdaptiveAdvisor>>>,
 }
 
@@ -122,8 +122,7 @@ impl CacheServer {
     ) -> Arc<CacheServer> {
         let result_cache = Arc::new(result_cache);
         // The fragment cache starts with the statement cache's budget but
-        // disabled; the adaptive advisor (or a test) enables it and
-        // re-partitions the budgets at runtime.
+        // disabled; `set_fragment_caching` turns it on.
         let fragment_cache = Arc::new(ResultCache::new(ResultCacheConfig::with_budget(
             result_cache.budget(),
         )));
@@ -175,9 +174,9 @@ impl CacheServer {
     }
 
     /// Closes the current advisor epoch: the attached advisor consumes the
-    /// observation window and this server's counters, then creates/drops
-    /// cached views and re-partitions cache budgets. Returns the decision
-    /// log lines of this epoch (empty without an advisor).
+    /// observation window, then creates, indexes, widens and drops cached
+    /// views. Returns the decision log lines of this epoch (empty without
+    /// an advisor).
     pub fn advisor_tick(&self) -> Vec<String> {
         match self.advisor() {
             Some(a) => a.tick(self),
@@ -802,7 +801,7 @@ impl CacheServer {
         }
         let rs = self.result_cache.stats();
         // Advisor visibility: the decision log of recent epochs, one
-        // `advisor:` line per create/drop/rebalance, plus the live fragment
+        // `advisor:` line per create/widen/drop, plus the live fragment
         // cache counters when intermediate-result caching is on.
         let mut advisor = String::new();
         if self.fragment_cache.is_enabled() {

@@ -48,7 +48,6 @@ use mtc_replication::ReplicationHub;
 use mtc_storage::Lsn;
 use mtc_types::{Error, Result};
 
-use crate::advisor::{AdaptiveAdvisor, AdvisorConfig};
 use crate::backend::BackendServer;
 use crate::cache::{CacheServer, Wiring};
 use crate::result_cache::{ResultCache, ResultCacheConfig};
@@ -66,14 +65,19 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Virtual ring entries per node (placement smoothness).
+const VNODES: usize = 32;
+/// Per-node L1 result-cache budget, bytes.
+const L1_BUDGET: u64 = 256 * 1024;
+
 /// Consistent-hash ring with virtual nodes plus a session-affinity map.
 ///
 /// Placement is two-level: a session already pinned to a live node stays
 /// there (affinity); an unpinned session walks the ring — first vnode with
 /// hash ≥ the session's hash, wrapping — and gets pinned to the node it
 /// lands on. Crashing a node evicts only its pins.
+#[derive(Default)]
 pub struct Router {
-    vnodes: usize,
     /// `(vnode hash, node index)`, sorted by hash. Only live nodes appear.
     ring: Vec<(u64, usize)>,
     /// Session → node-index pins.
@@ -83,13 +87,8 @@ pub struct Router {
 }
 
 impl Router {
-    pub fn new(vnodes: usize) -> Router {
-        Router {
-            vnodes: vnodes.max(1),
-            ring: Vec::new(),
-            affinity: HashMap::new(),
-            reroutes: 0,
-        }
+    pub fn new() -> Router {
+        Router::default()
     }
 
     /// Rebuilds the ring from the live `(node index, node name)` set.
@@ -98,7 +97,7 @@ impl Router {
     pub fn rebuild(&mut self, alive: &[(usize, String)]) {
         self.ring.clear();
         for (idx, name) in alive {
-            for v in 0..self.vnodes {
+            for v in 0..VNODES {
                 self.ring.push((fnv1a64(format!("{name}#{v}").as_bytes()), *idx));
             }
         }
@@ -141,11 +140,6 @@ impl Router {
     pub fn reroutes(&self) -> u64 {
         self.reroutes
     }
-
-    /// Live sessions currently pinned.
-    pub fn pinned_sessions(&self) -> usize {
-        self.affinity.len()
-    }
 }
 
 /// Fleet construction knobs.
@@ -153,10 +147,6 @@ impl Router {
 pub struct FleetConfig {
     /// Cache nodes to spawn.
     pub nodes: usize,
-    /// Virtual ring entries per node (placement smoothness).
-    pub vnodes: usize,
-    /// Per-node L1 result-cache budget, bytes.
-    pub l1_budget: u64,
     /// Shared L2 budget, bytes; 0 disables the L2 tier.
     pub l2_budget: u64,
     /// Per-node degree of intra-query parallelism (1 = serial execution).
@@ -172,8 +162,6 @@ impl Default for FleetConfig {
     fn default() -> FleetConfig {
         FleetConfig {
             nodes: 4,
-            vnodes: 32,
-            l1_budget: 256 * 1024,
             l2_budget: 1024 * 1024,
             dop: 1,
             multisite: true,
@@ -207,14 +195,6 @@ pub struct Fleet {
     /// on crash AND rejoin, so plan-cache entries whose placements
     /// reference the old membership are invalidated everywhere at once.
     topology: Arc<AtomicU64>,
-    /// Advisor configuration once [`Fleet::enable_advisor`] ran (`None`
-    /// before): rejoining nodes get a fresh advisor from it, so adaptation
-    /// survives membership churn.
-    advisor_cfg: Mutex<Option<AdvisorConfig>>,
-    /// Per-slot L1 pressure marks (evictions + admission rejects at the
-    /// last fleet tick) — [`Fleet::advisor_tick`]'s cross-node rebalance
-    /// reasons about this epoch's deltas.
-    advisor_marks: Mutex<Vec<u64>>,
 }
 
 /// Nodes hold their placement peers strongly (see [`Wiring`]); a fleet that
@@ -251,10 +231,8 @@ impl Fleet {
             l2,
             provision,
             slots: Mutex::new(Vec::new()),
-            router: Mutex::new(Router::new(cfg.vnodes)),
+            router: Mutex::new(Router::new()),
             topology: Arc::new(AtomicU64::new(0)),
-            advisor_cfg: Mutex::new(None),
-            advisor_marks: Mutex::new(Vec::new()),
         };
         {
             let mut slots = fleet.slots.lock();
@@ -279,7 +257,7 @@ impl Fleet {
             name,
             self.backend.clone(),
             self.hub.clone(),
-            ResultCache::new(ResultCacheConfig::with_budget(self.cfg.l1_budget)),
+            ResultCache::new(ResultCacheConfig::with_budget(L1_BUDGET)),
         );
         if self.cfg.dop > 1 {
             Arc::get_mut(&mut server)
@@ -295,12 +273,6 @@ impl Fleet {
                 .register_invalidation_sink(&server.db, l2.clone());
         }
         (self.provision)(&server)?;
-        // A node (re)joining an advisor-enabled fleet adapts from scratch:
-        // fresh advisor, fresh window, fragment caching on.
-        if let Some(cfg) = self.advisor_cfg.lock().clone() {
-            server.set_fragment_caching(true);
-            server.set_advisor(Some(Arc::new(AdaptiveAdvisor::new(cfg))));
-        }
         Ok(server)
     }
 
@@ -466,87 +438,14 @@ impl Fleet {
     pub fn topology_version(&self) -> u64 {
         self.topology.load(Ordering::Acquire)
     }
-
-    /// Turns the adaptive advisor on fleet-wide: every live node gets its
-    /// own [`AdaptiveAdvisor`] (independent windows — nodes see different
-    /// session slices) plus fragment caching, and nodes rejoining later
-    /// inherit the same configuration.
-    pub fn enable_advisor(&self, cfg: AdvisorConfig) {
-        *self.advisor_cfg.lock() = Some(cfg.clone());
-        for node in self.nodes() {
-            node.set_fragment_caching(true);
-            node.set_advisor(Some(Arc::new(AdaptiveAdvisor::new(cfg.clone()))));
-        }
-    }
-
-    /// Closes one fleet advisor epoch: ticks every live node's advisor
-    /// (view create/drop + local L1↔fragment rebalance), then runs the
-    /// cross-node step — the slot with the most L1 pressure this epoch
-    /// (evictions + admission rejects) is fed a damped budget step from the
-    /// slot with the least, when the imbalance exceeds 2×. Returns all
-    /// decision lines of the epoch.
-    pub fn advisor_tick(&self) -> Vec<String> {
-        let live: Vec<(usize, Arc<CacheServer>)> = {
-            let slots = self.slots.lock();
-            slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.server.clone().map(|srv| (i, srv)))
-                .collect()
-        };
-        let mut log: Vec<String> = Vec::new();
-        for (_, node) in &live {
-            log.extend(node.advisor_tick());
-        }
-        let Some(cfg) = self.advisor_cfg.lock().clone() else {
-            return log;
-        };
-        let mut marks = self.advisor_marks.lock();
-        marks.resize(self.node_count(), 0);
-        let mut pressures: Vec<(usize, u64)> = Vec::new();
-        for (i, node) in &live {
-            let s = node.result_cache.stats();
-            let now = s.evictions + s.admission_rejects;
-            pressures.push((*i, now.saturating_sub(marks[*i])));
-            marks[*i] = now;
-        }
-        drop(marks);
-        if pressures.len() < 2 {
-            return log;
-        }
-        let &(hi, d_hi) = pressures.iter().max_by_key(|(_, d)| *d).unwrap();
-        let &(lo, d_lo) = pressures.iter().min_by_key(|(_, d)| *d).unwrap();
-        // 2× hysteresis margin, and only when the starved node actually
-        // thrashed this epoch.
-        if hi == lo || d_hi < 2 * d_lo.max(1) {
-            return log;
-        }
-        let (Some(donor), Some(taker)) = (self.node(lo), self.node(hi)) else {
-            return log;
-        };
-        let donor_budget = donor.result_cache.budget();
-        let step = ((donor_budget as f64 * cfg.rebalance_step) as u64)
-            .min(donor_budget.saturating_sub(cfg.min_budget));
-        if step > 0 {
-            donor.result_cache.set_budget(donor_budget - step);
-            let taker_budget = taker.result_cache.budget();
-            taker.result_cache.set_budget(taker_budget + step);
-            log.push(format!(
-                "advisor: fleet rebalance {step}B {}→{} (L1 pressure Δ {d_lo} vs {d_hi})",
-                donor.name(),
-                taker.name()
-            ));
-        }
-        log
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ring_of(names: &[&str], vnodes: usize) -> Router {
-        let mut r = Router::new(vnodes);
+    fn ring_of(names: &[&str]) -> Router {
+        let mut r = Router::new();
         let alive: Vec<(usize, String)> = names
             .iter()
             .enumerate()
@@ -558,8 +457,8 @@ mod tests {
 
     #[test]
     fn ring_placement_is_deterministic_and_total() {
-        let a = ring_of(&["cache0", "cache1", "cache2", "cache3"], 32);
-        let b = ring_of(&["cache0", "cache1", "cache2", "cache3"], 32);
+        let a = ring_of(&["cache0", "cache1", "cache2", "cache3"]);
+        let b = ring_of(&["cache0", "cache1", "cache2", "cache3"]);
         for s in 0..1000u64 {
             assert_eq!(a.ring_node(s), b.ring_node(s));
             assert!(a.ring_node(s).unwrap() < 4);
@@ -568,7 +467,7 @@ mod tests {
 
     #[test]
     fn ring_spreads_sessions_across_nodes() {
-        let r = ring_of(&["cache0", "cache1", "cache2", "cache3"], 32);
+        let r = ring_of(&["cache0", "cache1", "cache2", "cache3"]);
         let mut counts = [0usize; 4];
         for s in 0..4000u64 {
             counts[r.ring_node(s).unwrap()] += 1;
@@ -583,9 +482,9 @@ mod tests {
 
     #[test]
     fn removing_a_node_only_remaps_its_own_sessions() {
-        let full = ring_of(&["cache0", "cache1", "cache2", "cache3"], 32);
+        let full = ring_of(&["cache0", "cache1", "cache2", "cache3"]);
         // cache2 crashes: rebuild without it, same names for the rest.
-        let mut reduced = Router::new(32);
+        let mut reduced = Router::new();
         reduced.rebuild(&[
             (0, "cache0".into()),
             (1, "cache1".into()),
@@ -607,7 +506,7 @@ mod tests {
 
     #[test]
     fn affinity_pins_survive_other_nodes_crashing() {
-        let mut r = ring_of(&["cache0", "cache1", "cache2"], 32);
+        let mut r = ring_of(&["cache0", "cache1", "cache2"]);
         // Pin every session once.
         let placements: Vec<(u64, usize)> =
             (0..300u64).map(|s| (s, r.place(s).unwrap())).collect();

@@ -67,7 +67,7 @@ pub mod scripting;
 pub mod statements;
 pub mod stats;
 
-pub use advisor::{AdaptiveAdvisor, AdvisorConfig, AdvisorStats};
+pub use advisor::{AdaptiveAdvisor, AdvisorStats};
 pub use backend::BackendServer;
 pub use cache::{CacheServer, Wiring};
 pub use fragment::FragmentGateway;

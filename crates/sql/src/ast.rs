@@ -400,13 +400,6 @@ impl TableRef {
         }
     }
 
-    pub fn aliased(name: &str, alias: &str) -> TableRef {
-        TableRef::Table {
-            name: mtc_types::normalize_ident(name),
-            alias: Some(mtc_types::normalize_ident(alias)),
-        }
-    }
-
     /// All base-table names referenced (post-order).
     pub fn base_tables(&self) -> Vec<&str> {
         match self {
@@ -608,14 +601,6 @@ impl Statement {
             | Statement::DropView { .. }
             | Statement::Grant { .. } => {}
         }
-    }
-
-    /// True for statements that modify data (must run on the backend).
-    pub fn is_dml_write(&self) -> bool {
-        matches!(
-            self,
-            Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. }
-        )
     }
 }
 

@@ -240,17 +240,21 @@ impl<'a> Lexer<'a> {
         self.pos += 1;
         let mut out = String::new();
         loop {
-            match self.bump() {
-                Some(b'\'') => {
-                    if self.peek() == Some(b'\'') {
-                        out.push('\'');
-                        self.pos += 1;
-                    } else {
-                        return Ok(Token::Str(out));
-                    }
-                }
-                Some(c) => out.push(c as char),
-                None => return Err(Error::parse("unterminated string literal")),
+            // Copy the run up to the next quote as one slice: the source is
+            // a `str` and `'` is ASCII, so the run is whole UTF-8.
+            let start = self.pos;
+            let Some(len) = self.src[start..].iter().position(|&c| c == b'\'') else {
+                return Err(Error::parse("unterminated string literal"));
+            };
+            let run = std::str::from_utf8(&self.src[start..start + len])
+                .map_err(|_| Error::parse("invalid utf-8 in string literal"))?;
+            out.push_str(run);
+            self.pos = start + len + 1;
+            if self.peek() == Some(b'\'') {
+                out.push('\'');
+                self.pos += 1;
+            } else {
+                return Ok(Token::Str(out));
             }
         }
     }
@@ -330,6 +334,18 @@ mod tests {
                 Token::Eof
             ]
         );
+    }
+
+    #[test]
+    fn string_literals_keep_non_ascii_text() {
+        for (src, text) in [
+            ("'café'", "café"),
+            ("'日本'", "日本"),
+            ("'it''s é'", "it's é"),
+        ] {
+            assert_eq!(lex(src), vec![Token::Str(text.into()), Token::Eof], "{src}");
+        }
+        assert!(Lexer::tokenize("'café").is_err());
     }
 
     #[test]

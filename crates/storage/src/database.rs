@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mtc_types::{normalize_ident, Column, Error, Result, Row, Schema};
+use mtc_types::{normalize_ident, Error, Result, Row, Schema};
 
 use crate::catalog::{Catalog, IndexMeta, TableMeta};
 use crate::index::Index;
@@ -349,17 +349,6 @@ impl Database {
         shadow.catalog_mut().clear_procedures();
         shadow
     }
-
-    /// Creates a regular (non-shadow) empty table with the same shape as an
-    /// existing object's schema — the backing store for a cached view.
-    pub fn create_backing_table(
-        &mut self,
-        name: &str,
-        columns: Vec<Column>,
-        primary_key: &[String],
-    ) -> Result<()> {
-        self.create_table(name, Schema::new(columns), primary_key)
-    }
 }
 
 /// Registers `row`, which `table` has just stored, in each named index. On
@@ -393,7 +382,7 @@ fn index_remove(indexes: &mut BTreeMap<String, Arc<Index>>, names: &[String], ro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtc_types::{row, DataType, Value};
+    use mtc_types::{row, Column, DataType, Value};
 
     fn db_with_item() -> Database {
         let mut db = Database::new("tpcw");

@@ -37,11 +37,6 @@ impl Config {
         }
     }
 
-    pub fn with_seed(mut self, seed: u64) -> Config {
-        self.seed = seed;
-        self
-    }
-
     fn effective_cases(&self) -> u32 {
         match std::env::var("MTC_CHECK_CASES") {
             Ok(v) => v.parse().unwrap_or(self.cases),

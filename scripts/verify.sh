@@ -131,4 +131,11 @@ cargo test -q --test answer_sharing
 echo "==> cargo test -q --test currency_lineage (a cached answer keeps its lineage; one bound test for every tier)"
 cargo test -q --test currency_lineage
 
+# A string literal means the same text on every tier: a non-ASCII pattern
+# shipped from a cache node to the backend selects what it selects on the
+# backend. A lexer that copies a literal byte by byte mangles it once on the
+# cache and again on the backend, and fails here, on any machine.
+echo "==> cargo test -q --test transparency a_non_ascii_literal_selects_the_same_rows_on_every_tier (a literal's text survives shipping)"
+cargo test -q --test transparency a_non_ascii_literal_selects_the_same_rows_on_every_tier
+
 echo "verify: OK"

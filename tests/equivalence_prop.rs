@@ -873,7 +873,7 @@ fn advisor_and_fragment_cache_are_invisible_across_shapes() {
     // rows before a tick, after a tick (when the advisor may have deployed
     // new views), and on the memo-served repeat — all equal to the
     // backend's own answer.
-    use mtcache_repro::cache::{AdaptiveAdvisor, AdvisorConfig};
+    use mtcache_repro::cache::AdaptiveAdvisor;
 
     let backend = join_db();
     let make_cache = |dop: usize| {
@@ -895,9 +895,7 @@ fn advisor_and_fragment_cache_are_invisible_across_shapes() {
                         let cache = make_cache(dop);
                         cache.set_fragment_caching(fragment);
                         if advisor {
-                            cache.set_advisor(Some(Arc::new(AdaptiveAdvisor::new(
-                                AdvisorConfig::default(),
-                            ))));
+                            cache.set_advisor(Some(Arc::new(AdaptiveAdvisor::default())));
                         }
                         let conn = Connection::connect(cache.clone());
                         let cold = conn.query(sql).unwrap();

@@ -186,6 +186,31 @@ fn empty_key_ranges_return_no_rows_on_either_tier() {
     }
 }
 
+/// A string literal means the same text on every tier. `t` is a shadow
+/// table on the cache (no cached view), so the cache node ships the
+/// statement's text to the backend, which lexes it again: a non-ASCII
+/// pattern must select on the cache what it selects on the backend.
+#[test]
+fn a_non_ascii_literal_selects_the_same_rows_on_every_tier() {
+    let backend = BackendServer::new("backend");
+    backend
+        .run_script(
+            "CREATE TABLE t (id INT NOT NULL PRIMARY KEY, name VARCHAR);
+             INSERT INTO t VALUES (1, 'café au lait');
+             INSERT INTO t VALUES (2, 'cafe noir')",
+        )
+        .unwrap();
+    let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
+    let cache = CacheServer::create("cache", backend.clone(), hub);
+    let sql = "SELECT id, name FROM t WHERE name LIKE 'café%'";
+    let b = Connection::connect(backend).query(sql).unwrap();
+    let c = Connection::connect(cache).query(sql).unwrap();
+    let expected = Row::new(vec![Value::Int(1), Value::Str("café au lait".into())]);
+    assert_eq!(b.rows, vec![expected]);
+    assert_eq!(c.rows, b.rows);
+    assert_eq!(c.metrics.remote_calls, 1, "the cache ships the text to the backend");
+}
+
 /// A ChoosePlan's branches may be built differently — here the guarded
 /// branch is an index nested-loop join (item columns first) and the fallback
 /// a hash join with its sides swapped (author columns first) — but they feed
