@@ -1,8 +1,6 @@
 //! Demand measurement: runs the real workload and extracts per-interaction
 //! service demands for the capacity model.
 
-use std::collections::BTreeMap;
-
 use mtc_util::rng::{Rng, SeedableRng, StdRng};
 
 use mtc_sim::TierDemands;
@@ -42,8 +40,6 @@ pub struct MeasuredDemands {
     /// Committed backend transactions per interaction (for the latency
     /// simulation's arrival rate).
     pub txns_per_interaction: f64,
-    /// Per-interaction-type average backend work (diagnostics).
-    pub per_type: BTreeMap<&'static str, f64>,
 }
 
 impl MeasuredDemands {
@@ -104,7 +100,6 @@ pub fn measure_demands_routed(
     };
     let backend_txns0 = deployment.backend.stats.dml.get();
 
-    let mut per_type_sum: BTreeMap<&'static str, (f64, usize)> = BTreeMap::new();
     let mut fully_local = 0usize;
     for i in 0..n {
         let s = rng.gen_range(0..sessions.len());
@@ -122,9 +117,6 @@ pub fn measure_demands_routed(
         if out.metrics.remote_calls == 0 && backend_delta == 0.0 {
             fully_local += 1;
         }
-        let e = per_type_sum.entry(interaction.name()).or_insert((0.0, 0));
-        e.0 += backend_delta;
-        e.1 += 1;
         // Replication agent runs continuously alongside the workload.
         if i % 8 == 7 {
             deployment.pump_replication(50);
@@ -154,10 +146,6 @@ pub fn measure_demands_routed(
         apply_work: apply_work / nf,
         fully_local_fraction: fully_local as f64 / nf,
         txns_per_interaction: txns as f64 / nf,
-        per_type: per_type_sum
-            .into_iter()
-            .map(|(k, (sum, count))| (k, sum / count.max(1) as f64))
-            .collect(),
     }
 }
 

@@ -199,7 +199,7 @@ impl BackendServer {
                 object,
                 principal: grantee,
             } => {
-                self.db.write().catalog_mut().grant(grantee, object, *permission);
+                self.db.write().catalog_mut().grant(principal, grantee, object, *permission)?;
                 Ok(QueryResult::default())
             }
             Statement::Exec { proc, args } => self.execute_proc(proc, args, params, principal),

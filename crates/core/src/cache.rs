@@ -472,7 +472,7 @@ impl CacheServer {
                 object,
                 principal: grantee,
             } => {
-                self.db.write().catalog_mut().grant(grantee, object, *permission);
+                self.db.write().catalog_mut().grant(principal, grantee, object, *permission)?;
                 Ok(QueryResult::default())
             }
             other => Err(Error::catalog(format!(

@@ -213,6 +213,22 @@ pub(crate) fn apply_cmp_arith(l: Value, op: BinOp, r: Value) -> Result<Value> {
             return Ok(Value::str(format!("{a}{b}")));
         }
     }
+    // Two integers stay integers: checked `i64` arithmetic, division
+    // truncating toward zero, and an error on overflow, as in T-SQL.
+    if let (Value::Int(a) | Value::Timestamp(a), Value::Int(b) | Value::Timestamp(b)) = (&l, &r) {
+        let out = match op {
+            BinOp::Div | BinOp::Mod if *b == 0 => return Err(Error::execution("division by zero")),
+            BinOp::Add => a.checked_add(*b),
+            BinOp::Sub => a.checked_sub(*b),
+            BinOp::Mul => a.checked_mul(*b),
+            BinOp::Div => a.checked_div(*b),
+            BinOp::Mod => a.checked_rem(*b),
+            _ => unreachable!(),
+        };
+        return out.map(Value::Int).ok_or_else(|| {
+            Error::execution(format!("arithmetic overflow ({l} {} {r})", op.sql()))
+        });
+    }
     let (a, b) = match (l.as_f64(), r.as_f64()) {
         (Some(a), Some(b)) => (a, b),
         _ => {
@@ -222,35 +238,17 @@ pub(crate) fn apply_cmp_arith(l: Value, op: BinOp, r: Value) -> Result<Value> {
             )))
         }
     };
-    let both_int = matches!(
-        (&l, &r),
-        (Value::Int(_), Value::Int(_)) | (Value::Int(_), Value::Timestamp(_)) | (Value::Timestamp(_), Value::Int(_))
-    );
-    let out = match op {
+    if matches!(op, BinOp::Div | BinOp::Mod) && b == 0.0 {
+        return Err(Error::execution("division by zero"));
+    }
+    Ok(Value::Float(match op {
         BinOp::Add => a + b,
         BinOp::Sub => a - b,
         BinOp::Mul => a * b,
-        BinOp::Div => {
-            if b == 0.0 {
-                return Err(Error::execution("division by zero"));
-            }
-            a / b
-        }
-        BinOp::Mod => {
-            if b == 0.0 {
-                return Err(Error::execution("division by zero"));
-            }
-            a % b
-        }
+        BinOp::Div => a / b,
+        BinOp::Mod => a % b,
         _ => unreachable!(),
-    };
-    if both_int && op != BinOp::Div {
-        Ok(Value::Int(out as i64))
-    } else if both_int && out.fract() == 0.0 {
-        Ok(Value::Int(out as i64))
-    } else {
-        Ok(Value::Float(out))
-    }
+    }))
 }
 
 fn eval_scalar_function(
@@ -331,8 +329,34 @@ mod tests {
         assert_eq!(ev("price * 2", &r), Value::Float(19.0));
         assert_eq!(ev("id <= 3", &r), Value::Bool(true));
         assert_eq!(ev("price > 10", &r), Value::Bool(false));
-        assert_eq!(ev("7 / 2", &r), Value::Float(3.5));
+        assert_eq!(ev("7 / 2", &r), Value::Int(3));
         assert_eq!(ev("7 % 2", &r), Value::Int(1));
+    }
+
+    #[test]
+    fn integer_arithmetic_is_exact_past_two_to_the_53() {
+        let n = (1i64 << 53) + 1;
+        assert_eq!(ev("id + 0", &row![n, "x", 1.0]), Value::Int(n));
+        assert_eq!(ev("id - 1", &row![n, "x", 1.0]), Value::Int(n - 1));
+    }
+
+    #[test]
+    fn integer_division_truncates_toward_zero() {
+        let r = row![-7, "x", 2.0];
+        assert_eq!(ev("7 / 2", &r), Value::Int(3));
+        assert_eq!(ev("id / 2", &r), Value::Int(-3));
+        assert_eq!(ev("id % 2", &r), Value::Int(-1));
+        assert_eq!(ev("id / price", &r), Value::Float(-3.5), "a float operand stays float");
+    }
+
+    #[test]
+    fn integer_overflow_is_an_execution_error() {
+        let r = row![i64::MAX, "x", 1.0];
+        for src in ["id + 1", "id * 2", "0 - id - 2"] {
+            let err = eval(&parse_expression(src).unwrap(), &r, &schema(), &Bindings::new())
+                .expect_err(src);
+            assert_eq!(err.kind(), "execution", "{src}: {err}");
+        }
     }
 
     #[test]

@@ -179,14 +179,24 @@ impl Catalog {
 
     // -- permissions --------------------------------------------------------
 
-    /// Grants `permission` on `object` to `principal`.
-    pub fn grant(&mut self, principal: &str, object: &str, permission: Permission) {
+    /// Grants `permission` on `object` to `grantee`. Only `dbo` may grant.
+    pub fn grant(
+        &mut self,
+        grantor: &str,
+        grantee: &str,
+        object: &str,
+        permission: Permission,
+    ) -> Result<()> {
+        if normalized(grantor) != "dbo" {
+            return Err(Error::permission(format!("principal `{grantor}` may not grant")));
+        }
         self.permissions
-            .entry(normalize_ident(principal))
+            .entry(normalize_ident(grantee))
             .or_default()
             .entry(normalize_ident(object))
             .or_default()
             .insert(permission);
+        Ok(())
     }
 
     /// Checks a permission; the built-in `dbo` principal can do anything.
@@ -312,7 +322,8 @@ mod tests {
     #[test]
     fn permission_checks() {
         let mut c = Catalog::new();
-        c.grant("app", "item", Permission::Select);
+        c.grant("dbo", "app", "item", Permission::Select).unwrap();
+        assert!(c.grant("app", "app", "orders", Permission::Select).is_err());
         assert!(c.check_permission("app", "item", Permission::Select).is_ok());
         assert!(c.check_permission("app", "item", Permission::Update).is_err());
         assert!(c.check_permission("app", "orders", Permission::Select).is_err());

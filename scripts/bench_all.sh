@@ -7,14 +7,16 @@
 # `bench_all.sh --check` is the freshness gate scripts/verify.sh runs: it
 # regenerates the bit-reproducible artifacts into a scratch directory (the
 # binaries write relative to the working directory) and compares them with
-# the committed files. A change that moves one commits the regenerated file.
+# the committed files, EXPERIMENTS.md (which exp_paper generates beside
+# BENCH_paper.json) included. A change that moves one commits the
+# regenerated file.
 set -eu
 
 cd "$(dirname "$0")/.."
 root=$PWD
 
 # The one list of experiments. Same seed, same bytes:
-REPRODUCIBLE="resultcache fleet placement advisor"
+REPRODUCIBLE="paper resultcache fleet placement advisor"
 # Carry wall-clock readings, so they are regenerated but never compared:
 WALL_CLOCK="concurrency"
 
@@ -33,6 +35,10 @@ if [ "${1:-}" = "--check" ]; then
             exit 1
         }
     done
+    cmp "$scratch/EXPERIMENTS.md" EXPERIMENTS.md || {
+        echo "EXPERIMENTS.md is stale: run scripts/bench_all.sh and commit the result" >&2
+        exit 1
+    }
     echo "bench_all --check: OK"
     exit 0
 fi

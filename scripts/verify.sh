@@ -34,12 +34,14 @@ cargo test -q --test placement_smoke
 echo "==> cargo test -q --test advisor_smoke (adaptive-advisor floors vs committed BENCH_advisor.json)"
 cargo test -q --test advisor_smoke
 
-# Artifact freshness: the bit-reproducible BENCH_*.json (resultcache, fleet,
-# placement, advisor — bench_all.sh holds the list) are regenerated into a
-# scratch directory and must equal the committed files byte for byte, so a
-# change that moves a modeled number commits the moved artifact.
-# BENCH_concurrency.json carries wall-clock readings and is not compared.
-echo "==> scripts/bench_all.sh --check (committed BENCH_*.json are what HEAD generates)"
+# Artifact freshness: the bit-reproducible BENCH_*.json (paper, resultcache,
+# fleet, placement, advisor — bench_all.sh holds the list) and the
+# EXPERIMENTS.md that exp_paper generates beside BENCH_paper.json are
+# regenerated into a scratch directory and must equal the committed files
+# byte for byte, so a change that moves a modeled number commits the moved
+# artifact and the report never drifts from it. BENCH_concurrency.json
+# carries wall-clock readings and is not compared.
+echo "==> scripts/bench_all.sh --check (committed BENCH_*.json and EXPERIMENTS.md are what HEAD generates)"
 scripts/bench_all.sh --check
 
 # Structural sharing between consecutive snapshots, pinned by pointer
@@ -137,5 +139,13 @@ cargo test -q --test currency_lineage
 # cache and again on the backend, and fails here, on any machine.
 echo "==> cargo test -q --test transparency a_non_ascii_literal_selects_the_same_rows_on_every_tier (a literal's text survives shipping)"
 cargo test -q --test transparency a_non_ascii_literal_selects_the_same_rows_on_every_tier
+
+# Only `dbo` grants, on every tier: a principal that grants itself access is
+# refused with the same error kind by the backend and by a cache server, and
+# the refused grant gives it nothing, while `dbo` still grants on both. A
+# GRANT arm that skips the grantor's authority on either tier fails here, on
+# any machine.
+echo "==> cargo test -q --test transparency only_dbo_grants_on_the_backend_and_on_a_cache (GRANT needs dbo on every tier)"
+cargo test -q --test transparency only_dbo_grants_on_the_backend_and_on_a_cache
 
 echo "verify: OK"

@@ -211,6 +211,39 @@ fn a_non_ascii_literal_selects_the_same_rows_on_every_tier() {
     assert_eq!(c.metrics.remote_calls, 1, "the cache ships the text to the backend");
 }
 
+/// Only `dbo` grants, on every tier. A principal that grants itself access
+/// is refused with the same error kind by the backend and by a cache server,
+/// and the refused grant gives it nothing; `dbo` still grants on both.
+#[test]
+fn only_dbo_grants_on_the_backend_and_on_a_cache() {
+    let backend = BackendServer::new("backend");
+    backend
+        .run_script(
+            "CREATE TABLE t (id INT NOT NULL PRIMARY KEY, name VARCHAR);
+             INSERT INTO t VALUES (1, 'a')",
+        )
+        .unwrap();
+    let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
+    let cache = CacheServer::create("cache", backend.clone(), hub);
+    let (grant, read) = ("GRANT SELECT ON t TO app", "SELECT id FROM t WHERE id = 1");
+    let app_on = |tier: &str| match tier {
+        "backend" => Connection::connect_as(backend.clone(), "app"),
+        _ => Connection::connect_as(cache.clone(), "app"),
+    };
+    for tier in ["backend", "cache"] {
+        let err = app_on(tier).query(grant).expect_err(tier);
+        assert_eq!(err.kind(), "permission", "{tier}: {err}");
+        let err = app_on(tier).query(read).expect_err(tier);
+        assert_eq!(err.kind(), "permission", "{tier}: the refused grant took effect");
+    }
+    backend.run_script(grant).unwrap();
+    Connection::connect(cache.clone()).query(grant).unwrap();
+    for tier in ["backend", "cache"] {
+        let r = app_on(tier).query(read).unwrap_or_else(|e| panic!("{tier}: {e}"));
+        assert_eq!(r.rows, vec![Row::new(vec![Value::Int(1)])], "{tier}");
+    }
+}
+
 /// A ChoosePlan's branches may be built differently — here the guarded
 /// branch is an index nested-loop join (item columns first) and the fallback
 /// a hash join with its sides swapped (author columns first) — but they feed
