@@ -60,8 +60,6 @@ pub struct Exp3 {
 pub struct ExperimentResults {
     pub scale: Scale,
     pub samples: usize,
-    /// Baseline WIPS (workload, measured).
-    pub baseline: Vec<(Workload, f64)>,
     pub scaleout: Vec<ScaleoutRow>,
     pub summary: Vec<SummaryRow>,
     pub exp2: Exp2,
@@ -115,7 +113,6 @@ pub fn run_all(scale: Scale, samples: usize) -> ExperimentResults {
     model.calibrate(browsing_base.tier(page_work), paper::BASELINE_WIPS[0].1);
 
     // ---- baseline, Figure 6(a)/(b), summary --------------------------------
-    let mut baseline = Vec::new();
     let mut scaleout = Vec::new();
     let mut summary = Vec::new();
     let runs = base_measured.iter().zip(&cached_measured);
@@ -123,7 +120,6 @@ pub fn run_all(scale: Scale, samples: usize) -> ExperimentResults {
         // "We configured all web servers to access the backend directly":
         // five web machines render pages, the backend does all database work.
         let no_cache_wips = model.evaluate(base.tier(page_work), 5).wips;
-        baseline.push((w, no_cache_wips));
         for servers in 1..=5 {
             let report = model.evaluate(cached.tier(page_work), servers);
             scaleout.push(ScaleoutRow {
@@ -204,7 +200,6 @@ pub fn run_all(scale: Scale, samples: usize) -> ExperimentResults {
     ExperimentResults {
         scale,
         samples,
-        baseline,
         scaleout,
         summary,
         exp2,
@@ -225,8 +220,10 @@ mod tests {
 
         // Baseline ordering: Browsing < Shopping < Ordering (read-heavy
         // mixes do more database work per interaction).
-        let wips: BTreeMap<&str, f64> =
-            r.baseline.iter().map(|(w, x)| (w.name(), *x)).collect();
+        let wips: BTreeMap<&str, f64> = Workload::ALL
+            .iter()
+            .map(|&w| (w.name(), r.summary_of(w).no_cache_wips))
+            .collect();
         assert!(
             wips["Browsing"] < wips["Shopping"] && wips["Shopping"] < wips["Ordering"],
             "baseline ordering: {wips:?}"

@@ -26,9 +26,13 @@ pub const FIVE_SERVER: [(&str, f64, f64); 3] = [
 ];
 
 /// §6.2.1 speculative extrapolation: the web/cache servers that saturate
-/// the backend, and the WIPS there. The paper gives none for Ordering.
-pub const EXTRAPOLATION: [(&str, f64, f64); 2] =
-    [("Browsing", 50.0, 1250.0), ("Shopping", 25.0, 1000.0)];
+/// the backend, and the WIPS there. For Ordering the paper gives ranges,
+/// "3–4 more" servers than five and 300–310 WIPS; the midpoints stand in.
+pub const EXTRAPOLATION: [(&str, f64, f64); 3] = [
+    ("Browsing", 50.0, 1250.0),
+    ("Shopping", 25.0, 1000.0),
+    ("Ordering", 8.5, 305.0),
+];
 
 /// §6.2.2: mid-tier CPU% applying changes on an idle subscriber.
 pub const EXP2_MIDTIER_APPLY_CPU: f64 = 15.0;

@@ -87,14 +87,14 @@ pub fn tables(r: &ExperimentResults) -> Vec<Table> {
             rows: per_workload(&|i, w| {
                 let (s, base) = (r.summary_of(w), paper::BASELINE_WIPS[i].1);
                 let (_, wips, load) = paper::FIVE_SERVER[i];
-                let saturation = paper::EXTRAPOLATION.get(i);
+                let (_, servers, saturated) = paper::EXTRAPOLATION[i];
                 vec![
                     (Some(base), s.no_cache_wips),
                     (Some(wips), s.five_server_wips),
                     (Some(wips / base), s.gain()),
                     (Some(load), s.five_server_backend_load_pct),
-                    (saturation.map(|p| p.1), s.saturating_servers),
-                    (saturation.map(|p| p.2), s.saturated_wips),
+                    (Some(servers), s.saturating_servers),
+                    (Some(saturated), s.saturated_wips),
                 ]
             }),
         },
@@ -246,6 +246,12 @@ mod tests {
                 c.key
             );
         }
+        let keys: Vec<&str> = tables(&r).iter().map(|t| t.key).collect();
+        assert_eq!(
+            keys,
+            ["workload_mix", "fig6a", "fig6b", "summary", "replication", "demands"]
+        );
+        assert_eq!(CLAIMS.len(), 7);
         assert!(text.contains("| Browsing |"));
         assert_eq!(field(&json, "items"), 100.0);
     }
@@ -256,6 +262,6 @@ mod tests {
         assert_eq!(paper::MIX.map(|m| m.0), *names);
         assert_eq!(paper::BASELINE_WIPS.map(|m| m.0), *names);
         assert_eq!(paper::FIVE_SERVER.map(|m| m.0), *names);
-        assert_eq!(paper::EXTRAPOLATION.map(|m| m.0), names[..2]);
+        assert_eq!(paper::EXTRAPOLATION.map(|m| m.0), *names);
     }
 }
