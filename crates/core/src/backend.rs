@@ -265,15 +265,14 @@ impl BackendServer {
         db: &Database,
         compile: impl FnOnce() -> Result<(Compiled, Option<Optimized>)>,
     ) -> Result<Arc<CachedPlan>> {
-        let sig = param_signature(params);
         let version = db.catalog.version();
-        if let Some(hit) = self.plan_cache.lookup(&stmt.key, &sig, version, 0) {
+        if let Some(hit) = self.plan_cache.lookup_prepared(stmt, params, version, 0) {
             return Ok(hit);
         }
         let (compiled, opt) = compile()?;
         Ok(self.plan_cache.insert(
             &stmt.key,
-            &sig,
+            &param_signature(params),
             CachedPlan {
                 compiled,
                 est_cost: opt.as_ref().map_or(0.0, |o| o.est_cost),

@@ -8,7 +8,7 @@ use mtc_util::sync::{ArcSwap, Mutex};
 use mtc_engine::eval::Bindings;
 use mtc_engine::{
     bind_select, Answer, Collect, CompiledQuery, ExecContext, ExecMetrics, OptimizerOptions,
-    PeerSite, PlacementEnv, QueryResult,
+    PeerSite, PlacementEnv, QueryResult, RemoteExecutor,
 };
 use mtc_replication::{Article, Clock, ReplicationHub};
 use mtc_sql::{Permission, Prepared, Select, Statement, TableRef};
@@ -467,12 +467,18 @@ impl CacheServer {
                 self.create_cached_view(name, &query.to_string())?;
                 Ok(QueryResult::default())
             }
+            // A grant is the backend's: its `dbo` check decides, and only a
+            // grant it made enters the shadow catalog (idempotently).
             Statement::Grant {
                 permission,
                 object,
                 principal: grantee,
             } => {
-                self.db.write().catalog_mut().grant(principal, grantee, object, *permission)?;
+                self.backend.execute_prepared(stmt, params, principal)?;
+                self.db
+                    .write()
+                    .catalog_mut()
+                    .grant(principal, grantee, object, *permission)?;
                 Ok(QueryResult::default())
             }
             other => Err(Error::catalog(format!(
@@ -521,8 +527,6 @@ impl CacheServer {
         let db = self.db.read();
         // Permission checks run on every execution, cached plan or not.
         check_select_permissions(&db, &stmt.objects, principal)?;
-        let key = &stmt.key;
-        let sig = param_signature(params);
         let version = db.catalog.version();
         // One wiring for the whole statement: topology stamp, L2 and peers
         // all belong to the same fleet membership.
@@ -534,16 +538,21 @@ impl CacheServer {
         let run = |query: &CompiledQuery| -> Result<O> {
             // The statement's currency bound travels with the remote
             // gateway: a cached remote result is only served if its age
-            // satisfies it, and a peer only serves a fragment within it.
-            let now = self.clock.now_ms();
-            let mut gateway =
-                RemoteGateway::new(&self.result_cache, &self.backend, version, bound_ms, now);
-            if let Some(l2) = wiring.l2.as_deref() {
-                gateway = gateway.with_l2(l2);
-            }
-            if !peers.is_empty() {
-                gateway = gateway.with_peers(peers);
-            }
+            // satisfies it, and a peer only serves a fragment within it. A
+            // plan that ships nothing never reaches a gateway, and gets
+            // none (nor the clock reading one is stamped with).
+            let gateway = (!query.root.is_local()).then(|| {
+                let now = self.clock.now_ms();
+                let mut gateway =
+                    RemoteGateway::new(&self.result_cache, &self.backend, version, bound_ms, now);
+                if let Some(l2) = wiring.l2.as_deref() {
+                    gateway = gateway.with_l2(l2);
+                }
+                if !peers.is_empty() {
+                    gateway = gateway.with_peers(peers);
+                }
+                gateway
+            });
             // Fragment memo for this execution, pinned to the same snapshot
             // the query scans. `None` while fragment caching is disabled:
             // the engine then takes the exact pre-memo code path.
@@ -556,7 +565,7 @@ impl CacheServer {
                 .map(|f| f as &dyn mtc_engine::FragmentMemo);
             let ctx = ExecContext {
                 db: &db,
-                remote: Some(&gateway),
+                remote: gateway.as_ref().map(|g| g as &dyn RemoteExecutor),
                 params,
                 work: &self.options.cost,
                 parallel: self.parallel_ctx(&db),
@@ -585,7 +594,10 @@ impl CacheServer {
                 Planned::BlindForward { object: None }
             }
             None => {
-                if let Some(hit) = self.plan_cache.lookup(key, &sig, version, topology) {
+                if let Some(hit) = self
+                    .plan_cache
+                    .lookup_prepared(stmt, params, version, topology)
+                {
                     return run(hit.query()?);
                 }
                 self.plan_select(&db, stmt, sel, peers)?
@@ -606,8 +618,8 @@ impl CacheServer {
         // Compile once, cache (stamped with the catalog and topology
         // versions this execution pinned), and execute the compiled form.
         let cached = self.plan_cache.insert(
-            key,
-            &sig,
+            &stmt.key,
+            &param_signature(params),
             CachedPlan {
                 compiled: Compiled::Query(mtc_engine::compile(&opt.physical)?),
                 est_cost: opt.est_cost,

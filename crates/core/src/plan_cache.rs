@@ -10,7 +10,9 @@
 //!   plus a *parameter signature*: the sorted `name=type` list of the bound
 //!   parameters. The same text bound with `@x` as an `INT` and as a
 //!   `VARCHAR` occupies two entries, exactly like SQL Server's cache keyed
-//!   on parameter types.
+//!   on parameter types. A probe hashes the statement's fingerprint (made
+//!   when it was prepared) and the signature streamed from the bindings
+//!   once, and builds no string (see [`crate::key`]).
 //! * **Value** — for a SELECT the [`CompiledQuery`] (ordinals resolved,
 //!   constants folded, parameters slotted) produced by
 //!   `mtc_engine::compile`; on the backend, for an INSERT/UPDATE/DELETE the
@@ -33,8 +35,8 @@
 //! statements take different locks. Counters are relaxed atomics shared by
 //! all shards, so bumping a hit count never serializes two sessions. LRU
 //! eviction is per shard — each shard is an [`LruMap`] bounding its own
-//! slice of the capacity, which bounds the whole — and a probe borrows the
-//! two key parts, so a hit allocates nothing.
+//! slice of the capacity, which bounds the whole — and a hit allocates
+//! nothing.
 //!
 //! Statements carrying a `WITH FRESHNESS` bound are cached like any other:
 //! no plan depends on replication staleness. The bound stays in the
@@ -52,14 +54,15 @@
 
 use std::sync::Arc;
 
-use mtc_util::lru::LruMap;
+use mtc_util::lru::{LruMap, PreHashedBuild};
 use mtc_util::sync::Mutex;
 
 use mtc_engine::{Bindings, CompiledQuery};
-use mtc_types::{Error, Result, Value};
+use mtc_sql::Prepared;
+use mtc_types::{Error, Result};
 
 use crate::dml::CompiledDml;
-use crate::key::{hash_of, KeyParts, TextKey};
+use crate::key::{Key, Probe, Sig};
 
 mtc_util::counter_set! {
     /// Observable plan-cache counters, surfaced through `CacheStats`
@@ -130,8 +133,14 @@ impl CachedPlan {
     }
 }
 
-/// One shard: its plans, least recently used first.
-type Shard = LruMap<Arc<TextKey>, Arc<CachedPlan>>;
+/// A resident plan and the key it is stored under.
+struct Entry {
+    key: Key,
+    plan: Arc<CachedPlan>,
+}
+
+/// One shard: its plans by key hash, least recently used first.
+type Shard = LruMap<u64, Entry, PreHashedBuild>;
 
 /// A bounded, versioned, sharded cache of compiled plans keyed by
 /// `(statement text, parameter signature)`.
@@ -156,22 +165,20 @@ impl PlanCache {
         let capacity = capacity.max(1);
         let n_shards = if capacity < 64 { 1 } else { 8 };
         PlanCache {
-            shards: (0..n_shards).map(|_| Mutex::new(Shard::new())).collect(),
+            shards: (0..n_shards)
+                .map(|_| Mutex::new(Shard::default()))
+                .collect(),
             shard_capacity: (capacity / n_shards).max(1),
             stats: SharedStats::default(),
         }
     }
 
-    fn shard_of(&self, sql: &str, sig: &str) -> &Mutex<Shard> {
-        &self.shards[(hash_of(sql, sig) as usize) % self.shards.len()]
+    fn shard_of(&self, probe: &Probe) -> &Mutex<Shard> {
+        &self.shards[probe.shard(self.shards.len())]
     }
 
     /// Looks up a plan for `(sql, sig)` valid at `current_version` and
-    /// placement-topology version `topology`.
-    ///
-    /// A resident plan stamped with an older catalog *or topology* version
-    /// is discarded (counted as an invalidation *and* a miss) so a stale
-    /// plan can never be executed. Only the key's shard is locked.
+    /// placement-topology version `topology` (see [`PlanCache::probe`]).
     pub fn lookup(
         &self,
         sql: &str,
@@ -179,40 +186,66 @@ impl PlanCache {
         current_version: u64,
         topology: u64,
     ) -> Option<Arc<CachedPlan>> {
-        let key: &dyn KeyParts = &(sql, sig);
-        let mut shard = self.shard_of(sql, sig).lock();
-        // A hit moves the plan to the recently-used end.
-        let found = shard.get(key).map(|plan| {
-            (plan.catalog_version == current_version && plan.topology_version == topology)
-                .then(|| plan.clone())
-        });
-        match found {
-            Some(Some(plan)) => {
-                drop(shard);
-                self.stats.hits.inc();
-                Some(plan)
-            }
-            Some(None) => {
-                shard.remove(key);
-                drop(shard);
-                self.stats.invalidations.inc();
-                self.stats.misses.inc();
-                None
-            }
-            None => {
-                drop(shard);
-                self.stats.misses.inc();
-                None
-            }
+        self.probe(&Probe::of_text(sql, sig), current_version, topology)
+    }
+
+    /// [`lookup`](Self::lookup) for `stmt` bound with `params`: the entry
+    /// `(stmt.key, param_signature(params))` names, found without hashing
+    /// the text or rendering the signature.
+    pub fn lookup_prepared(
+        &self,
+        stmt: &Prepared,
+        params: &Bindings,
+        current_version: u64,
+        topology: u64,
+    ) -> Option<Arc<CachedPlan>> {
+        self.probe(
+            &Probe::of(stmt, Sig::Types(params)),
+            current_version,
+            topology,
+        )
+    }
+
+    /// A resident plan stamped with an older catalog *or topology* version
+    /// is discarded (counted as an invalidation *and* a miss) so a stale
+    /// plan can never be executed. Only the key's shard is locked.
+    fn probe(&self, probe: &Probe, current_version: u64, topology: u64) -> Option<Arc<CachedPlan>> {
+        let mut shard = self.shard_of(probe).lock();
+        let at = shard
+            .find(&probe.hash)
+            .filter(|&at| probe.is(&shard.at_mut(at).key));
+        let Some(at) = at else {
+            drop(shard);
+            self.stats.misses.inc();
+            return None;
+        };
+        let plan = &shard.at_mut(at).plan;
+        if plan.catalog_version == current_version && plan.topology_version == topology {
+            let plan = plan.clone();
+            // A hit moves the plan to the recently-used end.
+            shard.touch(at);
+            drop(shard);
+            self.stats.hits.inc();
+            return Some(plan);
         }
+        shard.remove_at(at);
+        drop(shard);
+        self.stats.invalidations.inc();
+        self.stats.misses.inc();
+        None
     }
 
     /// Inserts a freshly compiled plan, evicting the least-recently-used
     /// entry of the key's shard if that shard is full.
     pub fn insert(&self, sql: &str, sig: &str, plan: CachedPlan) -> Arc<CachedPlan> {
+        let probe = Probe::of_text(sql, sig);
         let plan = Arc::new(plan);
-        let mut shard = self.shard_of(sql, sig).lock();
-        let replaced = shard.insert(TextKey::new(sql, sig), plan.clone()).is_some();
+        let entry = Entry {
+            key: probe.key(),
+            plan: plan.clone(),
+        };
+        let mut shard = self.shard_of(&probe).lock();
+        let replaced = shard.insert(probe.hash, entry).is_some();
         let evicted = !replaced && shard.len() > self.shard_capacity && shard.pop_lru().is_some();
         drop(shard);
         if evicted {
@@ -227,10 +260,10 @@ impl PlanCache {
     /// parameter signature it was compiled for)?
     pub fn contains_sql(&self, sql: &str, current_version: u64, topology: u64) -> bool {
         self.shards.iter().any(|shard| {
-            shard.lock().iter().any(|(key, p)| {
-                key.text == sql
-                    && p.catalog_version == current_version
-                    && p.topology_version == topology
+            shard.lock().iter().any(|(_, e)| {
+                &*e.key.text == sql
+                    && e.plan.catalog_version == current_version
+                    && e.plan.topology_version == topology
             })
         })
     }
@@ -262,27 +295,7 @@ impl PlanCache {
 /// The parameter signature of a binding set: sorted `name=type` pairs.
 /// `Bindings` is a `BTreeMap`, so iteration order is already canonical.
 pub fn param_signature(params: &Bindings) -> String {
-    let mut out = String::new();
-    for (name, value) in params {
-        if !out.is_empty() {
-            out.push(',');
-        }
-        out.push_str(name);
-        out.push('=');
-        out.push_str(type_tag(value));
-    }
-    out
-}
-
-fn type_tag(v: &Value) -> &'static str {
-    match v {
-        Value::Null => "null",
-        Value::Bool(_) => "bool",
-        Value::Int(_) => "int",
-        Value::Float(_) => "float",
-        Value::Str(_) => "str",
-        Value::Timestamp(_) => "ts",
-    }
+    Sig::Types(params).render()
 }
 
 #[cfg(test)]
@@ -291,7 +304,7 @@ mod tests {
     use mtc_engine::{bind_select, compile, optimize, OptimizerOptions};
     use mtc_sql::{parse_statement, Statement};
     use mtc_storage::Database;
-    use mtc_types::{row, Column, DataType, Schema};
+    use mtc_types::{row, Column, DataType, Schema, Value};
 
     fn db() -> Database {
         let mut db = Database::new("t");
@@ -348,6 +361,31 @@ mod tests {
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 2);
         assert_eq!(s.entries, 1);
+    }
+
+    #[test]
+    fn prepared_and_text_probes_reach_the_same_entries() {
+        let db = db();
+        let cache = PlanCache::new(512);
+        let stmt = Prepared::new("select I_ID from item where i_id <= @n").unwrap();
+        let v = db.catalog.version();
+        let mut params = Bindings::new();
+        params.insert("n".into(), Value::Int(3));
+        cache.insert(
+            &stmt.key,
+            &param_signature(&params),
+            plan_for(&db, &stmt.key),
+        );
+        assert!(cache.lookup(&stmt.key, "n=int", v, 0).is_some());
+        assert!(
+            cache.lookup(&stmt.text, "n=int", v, 0).is_none(),
+            "keyed on the key"
+        );
+        params.insert("n".into(), Value::str("x"));
+        assert!(cache.lookup_prepared(&stmt, &params, v, 0).is_none());
+        cache.insert(&stmt.key, "n=str", plan_for(&db, &stmt.key));
+        assert!(cache.lookup_prepared(&stmt, &params, v, 0).is_some());
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use mtc_sql::{BinOp, Expr, JoinKind, Prepared, UnaryOp};
 use mtc_types::{Error, Result, Row, Schema, Value};
 
-use crate::eval::{apply_cmp_arith, like_match, truth, Bindings};
+use crate::eval::{apply_cmp_arith, like_match, negate, truth, Bindings};
 use crate::logical::AggFunc;
 use crate::physical::{KeyBound, PhysicalPlan, RemoteSite};
 
@@ -82,6 +82,14 @@ impl ParamSlots {
     /// evaluated — an `AND` short-circuit may legitimately never touch it.
     pub fn resolve(&self, params: &Bindings) -> Vec<Option<Value>> {
         self.names.iter().map(|n| params.get(n).cloned()).collect()
+    }
+
+    /// [`resolve`](Self::resolve) into `out`, slot by slot: a statement
+    /// with few parameters resolves them on the stack.
+    pub fn resolve_into(&self, params: &Bindings, out: &mut [Option<Value>]) {
+        for (slot, name) in out.iter_mut().zip(&self.names) {
+            *slot = params.get(name).cloned();
+        }
     }
 }
 
@@ -416,12 +424,7 @@ impl CompiledExpr {
             CompiledExpr::Unary { op, expr } => {
                 let v = expr.eval_src(row, env)?;
                 match op {
-                    UnaryOp::Neg => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(Error::type_error(format!("cannot negate {other}"))),
-                    },
+                    UnaryOp::Neg => negate(v),
                     UnaryOp::Not => match truth(&v) {
                         Some(b) => Ok(Value::Bool(!b)),
                         None => Ok(Value::Null),
@@ -742,7 +745,8 @@ fn compile_rec(
 
 /// A compiled seek bound. `inclusive` is carried for explain parity: both
 /// executors seek every bound inclusively, so a `>` or `<` bound touches
-/// its boundary key too, and the seek's residual — the full predicate —
+/// its boundary key too, and the seek's residual — the predicate, less the
+/// equality a clustered point seek enforces itself (see `seek_residual`) —
 /// drops it, which makes the result exact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledBound {
@@ -876,6 +880,33 @@ pub enum CompiledPlan {
     },
 }
 
+impl CompiledPlan {
+    /// True when the subtree contains no [`CompiledPlan::Remote`] node: it
+    /// executes entirely against the local snapshot, never reaching a
+    /// remote executor, and replaying it is governed by the snapshot's
+    /// replication watermarks alone.
+    pub fn is_local(&self) -> bool {
+        match self {
+            CompiledPlan::Remote { .. } => false,
+            CompiledPlan::Nothing
+            | CompiledPlan::SeqScan { .. }
+            | CompiledPlan::ClusteredSeek { .. }
+            | CompiledPlan::IndexSeek { .. }
+            | CompiledPlan::ExtremeSeek { .. } => true,
+            CompiledPlan::Filter { input, .. }
+            | CompiledPlan::Project { input, .. }
+            | CompiledPlan::HashAggregate { input, .. }
+            | CompiledPlan::Sort { input, .. }
+            | CompiledPlan::Top { input, .. }
+            | CompiledPlan::Distinct { input } => input.is_local(),
+            CompiledPlan::NestedLoopJoin { left, right, .. }
+            | CompiledPlan::HashJoin { left, right, .. } => left.is_local() && right.is_local(),
+            CompiledPlan::IndexNlJoin { outer, .. } => outer.is_local(),
+            CompiledPlan::UnionAll { inputs, .. } => inputs.iter().all(CompiledPlan::is_local),
+        }
+    }
+}
+
 /// A fully compiled, immutable, re-executable query: the artifact the plan
 /// cache stores and hands out.
 #[derive(Debug, Clone, PartialEq)]
@@ -911,6 +942,42 @@ fn compile_bound(
             expr: compile_expr(&kb.expr, &Schema::empty(), slots)?,
             inclusive: kb.inclusive,
         })),
+    }
+}
+
+/// A clustered seek's residual: its predicate less the conjunct a point seek
+/// enforces exactly. The seek of `[E, E]` on the (single-column) clustering
+/// key yields exactly the rows where `key = E` holds (none for a NULL E).
+/// The plan does not name the key column, so the conjunct is found by E:
+/// it is dropped only when it is the one conjunct bounding a column by E.
+fn seek_residual(
+    pred: &Option<Expr>,
+    low: &Option<KeyBound>,
+    high: &Option<KeyBound>,
+) -> Option<Expr> {
+    let (Some(p), Some(low), Some(high)) = (pred, low, high) else {
+        return pred.clone();
+    };
+    let e = &low.expr;
+    let bounds_by_e = |c: &&Expr| match c {
+        Expr::Binary { left, op, right } if op.is_comparison() => {
+            (matches!(**left, Expr::Column(_)) && **right == *e)
+                || (matches!(**right, Expr::Column(_)) && **left == *e)
+        }
+        Expr::Between { low, high, .. } => **low == *e || **high == *e,
+        _ => false,
+    };
+    let conjuncts = p.split_conjuncts();
+    let mut bounding = conjuncts.iter().copied().filter(bounds_by_e);
+    let point = low.inclusive && high.inclusive && high.expr == *e;
+    match (bounding.next(), bounding.next()) {
+        (Some(eq @ Expr::Binary { op: BinOp::Eq, .. }), None) if point => Expr::conjunction(
+            conjuncts
+                .into_iter()
+                .filter(|c| !std::ptr::eq(*c, eq))
+                .cloned(),
+        ),
+        _ => pred.clone(),
     }
 }
 
@@ -950,7 +1017,7 @@ fn compile_plan(plan: &PhysicalPlan, slots: &mut ParamSlots) -> Result<CompiledP
             cols: None,
             low: compile_bound(low, slots)?,
             high: compile_bound(high, slots)?,
-            predicate: compile_opt(predicate, schema, slots)?,
+            predicate: compile_opt(&seek_residual(predicate, low, high), schema, slots)?,
         },
 
         PhysicalPlan::IndexSeek {

@@ -26,12 +26,7 @@ pub fn eval(expr: &Expr, row: &Row, schema: &Schema, params: &Bindings) -> Resul
         Expr::Unary { op, expr } => {
             let v = eval(expr, row, schema, params)?;
             match op {
-                UnaryOp::Neg => match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Int(i) => Ok(Value::Int(-i)),
-                    Value::Float(f) => Ok(Value::Float(-f)),
-                    other => Err(Error::type_error(format!("cannot negate {other}"))),
-                },
+                UnaryOp::Neg => negate(v),
                 UnaryOp::Not => match truth(&v) {
                     Some(b) => Ok(Value::Bool(!b)),
                     None => Ok(Value::Null),
@@ -187,6 +182,20 @@ fn eval_binary(
 /// Applies a comparison or arithmetic operator to two already-evaluated
 /// operands. Shared by the tree-walking interpreter and the compiled
 /// evaluator ([`crate::compile`]) so the two paths cannot drift apart.
+/// Unary minus, shared by both evaluators. An integer negates checked:
+/// `-i64::MIN` does not fit, and is an overflow error like any other.
+pub(crate) fn negate(v: Value) -> Result<Value> {
+    match v {
+        Value::Null => Ok(Value::Null),
+        Value::Int(i) => i
+            .checked_neg()
+            .map(Value::Int)
+            .ok_or_else(|| Error::execution(format!("arithmetic overflow (-({i}))"))),
+        Value::Float(f) => Ok(Value::Float(-f)),
+        other => Err(Error::type_error(format!("cannot negate {other}"))),
+    }
+}
+
 pub(crate) fn apply_cmp_arith(l: Value, op: BinOp, r: Value) -> Result<Value> {
     if op.is_comparison() {
         return Ok(match l.sql_cmp(&r) {

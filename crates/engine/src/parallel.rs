@@ -53,7 +53,7 @@ use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 use std::sync::Arc;
 
-use mtc_storage::{Database, DbSnapshot, Table};
+use mtc_storage::{Database, DbSnapshot, Rows, Table};
 use mtc_types::{Error, Result, Row, RowBatch, RowBatchBuilder, Value};
 use mtc_util::pool::WorkerPool;
 
@@ -141,29 +141,33 @@ fn morsel_ranges(n: usize, dop: usize, min_rows: usize) -> Vec<(usize, usize)> {
 /// The rows an access-path leaf walks.
 #[derive(Clone)]
 pub(crate) enum LeafRange {
-    /// The table in clustering-key order between optional inclusive keys;
-    /// a SeqScan is the unbounded range.
-    Clustered(Option<Row>, Option<Row>),
-    /// A secondary index's range; its entries are the table's rows.
-    Index(Arc<str>, Bound<Row>, Bound<Row>),
+    /// The table in clustering-key order between optional inclusive key
+    /// values; a SeqScan is the unbounded range.
+    Clustered(Option<Value>, Option<Value>),
+    /// A secondary index's range between optional inclusive key values;
+    /// its entries are the table's rows.
+    Index(Arc<str>, Option<Value>, Option<Value>),
 }
 
 impl LeafRange {
-    /// Opens the range over `table`, resolving an index through `db`.
-    pub(crate) fn rows<'d>(
-        self,
-        db: &'d Database,
-        table: &'d Table,
-    ) -> Result<Box<dyn Iterator<Item = &'d Row> + 'd>> {
+    /// Opens the range over `table`, resolving an index through `db`. A
+    /// NULL bound compares with no key: its range is empty.
+    pub(crate) fn rows<'d>(&self, db: &'d Database, table: &'d Table) -> Result<Rows<'d>> {
+        fn key(v: &Option<Value>) -> Option<&[Value]> {
+            v.as_ref().map(std::slice::from_ref)
+        }
+        let (LeafRange::Clustered(low, high) | LeafRange::Index(_, low, high)) = self;
+        if [low, high].iter().any(|b| matches!(b, Some(Value::Null))) {
+            return Ok(Rows::default());
+        }
         Ok(match self {
-            LeafRange::Clustered(low, high) => {
-                Box::new(table.scan_range(low.as_ref(), high.as_ref()))
-            }
+            LeafRange::Clustered(low, high) => table.scan_range(key(low), key(high)),
             LeafRange::Index(index, low, high) => {
                 let ix = db
-                    .index(&index)
+                    .index(index)
                     .ok_or_else(|| Error::catalog(format!("index `{index}` not found")))?;
-                Box::new(ix.range(low, high).map(|r| &**r))
+                let bound = |v| key(v).map_or(Bound::Unbounded, Bound::Included);
+                ix.range(bound(low), bound(high))
             }
         })
     }
@@ -229,7 +233,7 @@ pub(crate) fn parallel_leaf(
         let width = cols.map_or(table.schema().len(), <[usize]>::len);
         let mut touched = 0usize;
         let mut out = RowBatchBuilder::with_capacity(width, len);
-        for row in range.clone().rows(&snap, table)?.skip(start).take(len) {
+        for row in range.rows(&snap, table)?.skip(start).take(len) {
             touched += 1;
             let passes = match &pred {
                 None => true,

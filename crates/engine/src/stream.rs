@@ -42,11 +42,10 @@
 //! cloned rows on this path (pinned by the clone-budget tests).
 
 use std::collections::HashMap;
-use std::ops::Bound;
 use std::sync::Arc;
 
 use mtc_sql::{JoinKind, Prepared};
-use mtc_storage::{Database, Index, Table};
+use mtc_storage::{Database, Index, Rows, Table};
 use mtc_types::batch::HASH_SEED;
 use mtc_types::{Error, Result, Row, RowBatch, RowBatchBuilder, Value};
 
@@ -150,9 +149,20 @@ pub(crate) fn run_compiled(
     memo: Option<&dyn FragmentMemo>,
     mut collect: impl FnMut(RowBatch, &mut ExecMetrics),
 ) -> Result<ExecMetrics> {
-    let resolved = query.slots.resolve(ctx.params);
+    // Parameter slots live on the stack unless there are more of them than
+    // a hand-written statement has.
+    let mut inline: [Option<Value>; 8] = Default::default();
+    let spilled: Vec<Option<Value>>;
+    let n = query.slots.len();
+    let resolved: &[Option<Value>] = if n <= inline.len() {
+        query.slots.resolve_into(ctx.params, &mut inline[..n]);
+        &inline[..n]
+    } else {
+        spilled = query.slots.resolve(ctx.params);
+        &spilled
+    };
     let env = EvalEnv {
-        params: &resolved,
+        params: resolved,
         names: query.slots.names(),
     };
     let cx = StreamCtx {
@@ -187,7 +197,7 @@ fn build<'e>(
         if matches!(
             plan,
             CompiledPlan::HashJoin { .. } | CompiledPlan::HashAggregate { .. }
-        ) && fragment_is_local(plan)
+        ) && plan.is_local()
         {
             let key = fragment_key(plan, cx);
             m.fragment_probes += 1;
@@ -226,32 +236,6 @@ fn build<'e>(
 /// reads (never a false hit, possibly a missed share).
 fn fragment_key(plan: &CompiledPlan, cx: &StreamCtx<'_>) -> String {
     format!("{plan:?}|{:?}", cx.env.params)
-}
-
-/// True when the subtree contains no [`CompiledPlan::Remote`] node: the
-/// fragment executes entirely against the local snapshot, so replaying it
-/// is governed by the snapshot's replication watermarks alone.
-fn fragment_is_local(plan: &CompiledPlan) -> bool {
-    match plan {
-        CompiledPlan::Remote { .. } => false,
-        CompiledPlan::Nothing
-        | CompiledPlan::SeqScan { .. }
-        | CompiledPlan::ClusteredSeek { .. }
-        | CompiledPlan::IndexSeek { .. }
-        | CompiledPlan::ExtremeSeek { .. } => true,
-        CompiledPlan::Filter { input, .. }
-        | CompiledPlan::Project { input, .. }
-        | CompiledPlan::HashAggregate { input, .. }
-        | CompiledPlan::Sort { input, .. }
-        | CompiledPlan::Top { input, .. }
-        | CompiledPlan::Distinct { input } => fragment_is_local(input),
-        CompiledPlan::NestedLoopJoin { left, right, .. }
-        | CompiledPlan::HashJoin { left, right, .. } => {
-            fragment_is_local(left) && fragment_is_local(right)
-        }
-        CompiledPlan::IndexNlJoin { outer, .. } => fragment_is_local(outer),
-        CompiledPlan::UnionAll { inputs, .. } => inputs.iter().all(fragment_is_local),
-    }
 }
 
 /// Collects every table/view a local subtree scans — the objects whose
@@ -341,23 +325,15 @@ fn build_op<'e>(
             input,
             exprs,
             stages,
-        } => {
+        } => Box::new(ProjectStream {
+            input: build(input, cx, m)?,
+            exprs,
             // An all-column-reference projection (the planner's usual
             // output shape) reduces to sharing input columns + selection.
-            let cols: Option<Vec<usize>> = exprs
-                .iter()
-                .map(|e| match e {
-                    CompiledExpr::Col(c) => Some(*c),
-                    _ => None,
-                })
-                .collect();
-            Box::new(ProjectStream {
-                input: build(input, cx, m)?,
-                exprs,
-                cols: cols.filter(|c| !c.is_empty()),
-                stages: *stages,
-            })
-        }
+            shares_cols: !exprs.is_empty()
+                && exprs.iter().all(|e| matches!(e, CompiledExpr::Col(_))),
+            stages: *stages,
+        }),
 
         CompiledPlan::NestedLoopJoin {
             left,
@@ -532,16 +508,15 @@ fn build_leaf<'e>(
     }
     let range = match plan {
         CompiledPlan::ClusteredSeek { low, high, .. } => {
-            LeafRange::Clustered(bound_row(low, cx.env)?, bound_row(high, cx.env)?)
+            LeafRange::Clustered(bound_value(low, cx.env)?, bound_value(high, cx.env)?)
         }
         CompiledPlan::IndexSeek {
             index, low, high, ..
-        } => {
-            let included = |b: &Option<CompiledBound>| -> Result<Bound<Row>> {
-                Ok(bound_row(b, cx.env)?.map_or(Bound::Unbounded, Bound::Included))
-            };
-            LeafRange::Index(index.clone(), included(low)?, included(high)?)
-        }
+        } => LeafRange::Index(
+            index.clone(),
+            bound_value(low, cx.env)?,
+            bound_value(high, cx.env)?,
+        ),
         _ => LeafRange::Clustered(None, None),
     };
     if !matches!(plan, CompiledPlan::SeqScan { .. }) {
@@ -551,7 +526,7 @@ fn build_leaf<'e>(
     // Worth going parallel only when the range is big; counting it is a
     // pointer walk, attempted only on big tables.
     if let Some(p) = cx.parallel.filter(|p| p.eligible(table.row_count())) {
-        let n = range.clone().rows(cx.db, table)?.count();
+        let n = range.rows(cx.db, table)?.count();
         if p.eligible(n) {
             let (batches, touched) = parallel_leaf(p, object, range, cols, predicate, cx.env, n)?;
             return Ok(parallel_stream(batches, touched, cx, m));
@@ -628,15 +603,13 @@ fn filter_scan(
     }
 }
 
-/// Evaluates a compiled seek bound to a single-column key row.
-fn bound_row(bound: &Option<CompiledBound>, env: EvalEnv<'_>) -> Result<Option<Row>> {
-    match bound {
-        None => Ok(None),
-        Some(b) => {
-            let v = b.expr.eval(&Row::new(vec![]), env)?;
-            Ok(Some(Row::new(vec![v])))
-        }
-    }
+/// Evaluates a compiled seek bound: the key value the seek starts or
+/// stops at.
+fn bound_value(bound: &Option<CompiledBound>, env: EvalEnv<'_>) -> Result<Option<Value>> {
+    bound
+        .as_ref()
+        .map(|b| b.expr.eval(&Row::new(Vec::new()), env))
+        .transpose()
 }
 
 /// Join keys for hashing; `None` when any key is NULL (never matches).
@@ -715,7 +688,7 @@ impl<'e> BatchStream<'e> for NothingStream {
 /// and the residual predicate (if any) runs vectorized over the built
 /// columns ([`filter_scan`]).
 struct ScanStream<'e> {
-    rows: Box<dyn Iterator<Item = &'e Row> + 'e>,
+    rows: Rows<'e>,
     /// Reads the built layout: `cols` when pruned, the full row otherwise.
     predicate: Option<&'e CompiledExpr>,
     /// `Some` when pruned: only these source columns are built, in this
@@ -733,20 +706,26 @@ impl<'e> BatchStream<'e> for ScanStream<'e> {
         cx: &StreamCtx<'e>,
         m: &mut ExecMetrics,
     ) -> Result<Option<RowBatch>> {
+        // A drained range ends the stream before a batch is set up.
+        let Some(first) = self.rows.next() else {
+            return Ok(None);
+        };
         let target = self.target;
         self.target = (target * 4).min(BATCH_SIZE);
-        let mut touched = 0usize;
         let mut out = RowBatchBuilder::with_capacity(self.width, target);
-        while touched < target {
-            let Some(row) = self.rows.next() else { break };
+        let mut touched = 0usize;
+        let mut next = Some(first);
+        while let Some(row) = next {
             touched += 1;
             match self.cols {
                 Some(cols) => out.push_row_cols(row, cols),
                 None => out.push_row_ref(row),
             }
-        }
-        if touched == 0 {
-            return Ok(None);
+            next = if touched < target {
+                self.rows.next()
+            } else {
+                None
+            };
         }
         m.local_work += cx.work.cpu_per_row * touched as f64;
         m.cells_built += (touched * self.width) as u64;
@@ -897,10 +876,10 @@ impl<'e> BatchStream<'e> for FilterStream<'e> {
 struct ProjectStream<'e> {
     input: BoxStream<'e>,
     exprs: &'e [CompiledExpr],
-    /// `Some` when every projection is a bare column reference: the output
-    /// batch then *shares* the input's columns and selection vector
+    /// Every projection is a bare column reference: the output batch then
+    /// *shares* the input's columns and selection vector
     /// ([`RowBatch::project`]) — zero evaluation, zero gathers.
-    cols: Option<Vec<usize>>,
+    shares_cols: bool,
     /// The physical projections folded into this one, each charged.
     stages: u32,
 }
@@ -920,8 +899,11 @@ impl<'e> BatchStream<'e> for ProjectStream<'e> {
         for _ in 0..self.stages {
             m.local_work += w;
         }
-        let out = if let Some(idx) = &self.cols {
-            batch.project(idx)
+        let out = if self.shares_cols {
+            batch.project(self.exprs.iter().map(|e| match e {
+                CompiledExpr::Col(c) => *c,
+                _ => unreachable!("a column-sharing projection holds column references only"),
+            }))
         } else {
             let mut cols = Vec::with_capacity(self.exprs.len());
             for e in self.exprs {

@@ -16,12 +16,13 @@
 //! * [`BatchRowSrc`] / [`JoinSrc`] — [`ValueSource`] adapters that let the
 //!   compiled evaluator read cells straight out of batches (and
 //!   batch-pairs, for join predicates) without building a `Row`.
-//! * [`PreHashed`] — an identity hasher for the executor's *internal* hash
-//!   tables (DISTINCT, hash aggregation), which are keyed by `u64` cell
-//!   hashes computed column-at-a-time by [`mtc_types::batch`]'s
-//!   `fold_hash_*` kernels. Only same-key → same-bucket matters there;
-//!   result order is tracked by first-seen indices, so the hasher never
-//!   affects output.
+//! * [`PreHashedBuild`] (from `mtc_util::lru`) — the identity hasher of
+//!   the executor's *internal* hash tables (DISTINCT, hash aggregation),
+//!   which are keyed by `u64` cell hashes computed column-at-a-time by
+//!   [`mtc_types::batch`]'s `fold_hash_*` kernels (a full FNV-style mix
+//!   per cell, so hashing again would only add cost). Only same-key →
+//!   same-bucket matters there; result order is tracked by first-seen
+//!   indices, so the hasher never affects output.
 //!
 //! Semantics match the row-at-a-time path bit-for-bit on results. Two
 //! deliberate divergences exist for *error/evaluation order* only (pinned
@@ -31,10 +32,11 @@
 //! than strict row-major order would pick.
 
 use std::cmp::Ordering;
-use std::hash::Hasher;
 use std::sync::Arc;
 
 use mtc_sql::BinOp;
+pub(crate) use mtc_util::lru::PreHashedBuild;
+
 use mtc_types::{ColBuilder, ColData, ColumnVec, Result, Row, RowBatch, Text, Value};
 
 use crate::compile::{CompiledExpr, EvalEnv, ValueSource};
@@ -95,39 +97,6 @@ impl ValueSource for JoinSrc<'_> {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Identity hasher for pre-hashed u64 keys
-// ---------------------------------------------------------------------------
-
-/// Identity hasher for `HashMap`s keyed by an already-computed `u64` cell
-/// hash (the column-at-a-time `fold_hash_*` kernels in
-/// [`mtc_types::batch`]). Those kernels run a full FNV-style mix per cell,
-/// so the key is already well distributed; feeding it through SipHash again
-/// would only add cost. Used only for internal lookup tables whose
-/// iteration order never reaches the output — result order is tracked by
-/// first-seen indices.
-#[derive(Default)]
-pub(crate) struct PreHashed(u64);
-
-impl Hasher for PreHashed {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        self.0 = x;
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("PreHashed only accepts u64 keys");
-    }
-}
-
-/// `BuildHasher` for `HashMap`s keyed by precomputed `u64` cell hashes.
-pub(crate) type PreHashedBuild = std::hash::BuildHasherDefault<PreHashed>;
 
 // ---------------------------------------------------------------------------
 // Vectorized filter
@@ -577,15 +546,6 @@ mod tests {
             right: Side::Values(&vals),
         };
         assert_eq!(src2.value_at(2), Value::Bool(true));
-    }
-
-    #[test]
-    fn pre_hashed_is_identity_on_u64() {
-        use std::hash::{BuildHasher, Hash};
-        let build = PreHashedBuild::default();
-        let mut h = build.build_hasher();
-        0xdead_beefu64.hash(&mut h);
-        assert_eq!(h.finish(), 0xdead_beef);
     }
 
     #[test]

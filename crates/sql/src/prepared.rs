@@ -11,7 +11,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use mtc_types::{normalize_ident, Result};
+use mtc_types::{fingerprint, normalize_ident, Result};
 
 use crate::ast::{Select, Statement, TableRef};
 use crate::parser::parse_statement;
@@ -24,8 +24,12 @@ pub struct Prepared {
     pub text: Arc<str>,
     pub statement: Statement,
     /// The canonical rendering (`Statement::to_string`, which normalizes
-    /// identifiers and spacing): the statement half of a plan-cache key.
+    /// identifiers and spacing): the statement half of a plan-cache and a
+    /// result-cache key.
     pub key: String,
+    /// `key`'s fingerprint ([`mtc_types::fingerprint`]), hashed once here:
+    /// the caches keyed on `key` probe with it instead of hashing the text.
+    pub fingerprint: u64,
     /// The objects a SELECT names in its FROM clause, in FROM order, schema
     /// prefixes stripped: what the per-execution permission check walks.
     /// Empty for every other statement.
@@ -70,6 +74,7 @@ impl Prepared {
         Prepared {
             text,
             statement,
+            fingerprint: fingerprint(&key),
             key,
             objects,
             tables: tables.into(),
@@ -118,6 +123,7 @@ mod tests {
         .unwrap();
         assert_eq!(p.key, p.statement.to_string());
         assert_eq!(p.key, p.select().unwrap().to_string());
+        assert_eq!(p.fingerprint, mtc_types::fingerprint(&p.key));
         assert_eq!(p.objects, ["item", "author", "item"]);
         assert_eq!(&*p.tables, ["author", "item"]);
         assert_eq!(p.params, ["id"]);

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mtc_types::{normalize_ident, Error, Result, Row, Schema};
+use mtc_types::{normalize_ident, normalized, Error, Result, Row, Schema};
 
 use crate::catalog::{Catalog, IndexMeta, TableMeta};
 use crate::index::Index;
@@ -129,10 +129,13 @@ impl Database {
     }
 
     // -- lookups ----------------------------------------------------------
+    //
+    // A name that arrives normalized — as a compiled plan's object and index
+    // names do, on every execution — is probed as it is, not copied.
 
     pub fn table_ref(&self, name: &str) -> Result<&Table> {
         self.tables
-            .get(&normalize_ident(name))
+            .get(&*normalized(name))
             .map(|t| &**t)
             .ok_or_else(|| Error::catalog(format!("table `{name}` not found")))
     }
@@ -147,7 +150,7 @@ impl Database {
     }
 
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(&normalize_ident(name))
+        self.tables.contains_key(&*normalized(name))
     }
 
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
@@ -155,13 +158,13 @@ impl Database {
     }
 
     pub fn index(&self, name: &str) -> Option<&Index> {
-        self.indexes.get(&normalize_ident(name)).map(|ix| &**ix)
+        self.indexes.get(&*normalized(name)).map(|ix| &**ix)
     }
 
     /// Secondary indexes of `table`.
     pub fn indexes_of(&self, table: &str) -> impl Iterator<Item = &Index> {
         self.table_indexes
-            .get(&normalize_ident(table))
+            .get(&*normalized(table))
             .into_iter()
             .flatten()
             .filter_map(|n| self.indexes.get(n).map(|ix| &**ix))

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use mtc_types::{Error, Result, Row, Value};
 
 use crate::pmap::{PMap, Pos};
+use crate::table::Rows;
 
 /// A secondary index over some columns of a table.
 ///
@@ -107,23 +108,28 @@ impl Index {
     }
 
     /// Equality lookup: the rows whose index key equals `key`.
-    pub fn seek(&self, key: &Row) -> impl Iterator<Item = &Arc<Row>> + '_ {
-        self.map
-            .between(self.first_of(key.values()), self.end_of(key.values()))
+    pub fn seek(&self, key: &Row) -> Rows<'_> {
+        self.range(Bound::Included(key.values()), Bound::Included(key.values()))
     }
 
-    /// Range lookup over the index key order. Bounds that select nothing
-    /// (`low` above `high`) give the empty iterator.
-    pub fn range(&self, low: Bound<Row>, high: Bound<Row>) -> impl Iterator<Item = &Arc<Row>> + '_ {
-        let from = match &low {
+    /// Range lookup over the index key order. One descent finds the low
+    /// end; the high end is galloped to from there (see
+    /// [`Table::scan_range`](crate::Table::scan_range)). Bounds that select
+    /// nothing (`low` above `high`) give the empty range.
+    pub fn range(&self, low: Bound<&[Value]>, high: Bound<&[Value]>) -> Rows<'_> {
+        let from = match low {
             Bound::Unbounded => self.map.start(),
-            Bound::Included(k) => self.first_of(k.values()),
-            Bound::Excluded(k) => self.end_of(k.values()),
+            Bound::Included(k) => self.first_of(k),
+            Bound::Excluded(k) => self.end_of(k),
         };
-        let to = match &high {
+        let to = match high {
             Bound::Unbounded => self.map.end(),
-            Bound::Included(k) => self.end_of(k.values()),
-            Bound::Excluded(k) => self.first_of(k.values()),
+            Bound::Included(k) => self
+                .map
+                .partition_point_from(from, |r| self.key_cmp(r, k).is_le()),
+            Bound::Excluded(k) => self
+                .map
+                .partition_point_from(from, |r| self.key_cmp(r, k).is_lt()),
         };
         self.map.between(from, to)
     }
@@ -156,10 +162,13 @@ mod tests {
         ix.insert(Arc::new(row![3, "a"])).unwrap();
         assert_eq!(ix.seek(&row!["a"]).count(), 2);
         assert_eq!(ix.seek(&row!["zzz"]).count(), 0);
-        let in_range = ix.range(Bound::Included(row!["a"]), Bound::Excluded(row!["b"]));
+        let (a, b) = ([Value::str("a")], [Value::str("b")]);
+        let in_range = ix.range(Bound::Included(&a), Bound::Excluded(&b));
         assert_eq!(rows_of(in_range), [row![1, "a"], row![3, "a"]]);
+        let past_a = ix.range(Bound::Excluded(&a), Bound::Unbounded);
+        assert_eq!(rows_of(past_a), [row![2, "b"]]);
         // Inverted bounds select nothing.
-        let inverted = ix.range(Bound::Included(row!["b"]), Bound::Included(row!["a"]));
+        let inverted = ix.range(Bound::Included(&b), Bound::Included(&a));
         assert_eq!(inverted.count(), 0);
     }
 

@@ -26,4 +26,4 @@ pub use index::Index;
 pub use log::{CommitLog, CommittedTransaction, Lsn, RowChange};
 pub use snapshot::{DbSnapshot, SnapshotDb, SnapshotWriteGuard, Watermark};
 pub use stats::{ColumnStats, Histogram, TableStats};
-pub use table::Table;
+pub use table::{Rows, Table};

@@ -112,6 +112,29 @@ impl<E> PMap<E> {
         }
     }
 
+    /// [`partition_point`](Self::partition_point) over the entries from
+    /// `from` on, galloping forward from `from`: O(log k) calls of
+    /// `precedes` for an answer k entries on, never one per entry.
+    pub fn partition_point_from(&self, from: Pos, mut precedes: impl FnMut(&E) -> bool) -> Pos {
+        let Some(c) = self.chunks.get(from.chunk) else {
+            return self.end();
+        };
+        if !c.last().is_some_and(&mut precedes) {
+            let at = from.at + gallop(&c[from.at..], precedes);
+            return Pos {
+                chunk: from.chunk,
+                at,
+            };
+        }
+        let rest = &self.chunks[from.chunk + 1..];
+        let chunk = from.chunk + 1 + gallop(rest, |c| c.last().is_some_and(&mut precedes));
+        let at = |c: &Chunk<E>| Pos {
+            chunk,
+            at: c.partition_point(precedes),
+        };
+        self.chunks.get(chunk).map_or(self.end(), at)
+    }
+
     pub fn get(&self, pos: Pos) -> Option<&E> {
         self.chunks.get(pos.chunk)?.get(pos.at)
     }
@@ -159,6 +182,17 @@ impl<E> PMap<E> {
     pub fn chunk_addrs(&self) -> impl Iterator<Item = usize> + '_ {
         self.chunks.iter().map(|c| Arc::as_ptr(c) as usize)
     }
+}
+
+/// `items.partition_point(precedes)`, probing items 1, 2, 4, … until one
+/// fails and bisecting the last doubling: ≈ 2·log2(k) calls for answer k.
+fn gallop<T>(items: &[T], mut precedes: impl FnMut(&T) -> bool) -> usize {
+    let mut bound = 1;
+    while bound <= items.len() && precedes(&items[bound - 1]) {
+        bound *= 2;
+    }
+    let (lo, hi) = (bound / 2, bound.min(items.len()));
+    lo + items[lo..hi].partition_point(precedes)
 }
 
 /// Exclusive access to a chunk's entries: in place when this map is the
@@ -244,8 +278,9 @@ impl<E: Clone> PMap<E> {
 }
 
 /// Double-ended iterator over a run of entries: the rest of the first
-/// chunk, whole chunks in between, the start of the last chunk.
-#[derive(Debug)]
+/// chunk, whole chunks in between, the start of the last chunk (by default,
+/// none).
+#[derive(Debug, Default)]
 pub struct Iter<'a, E> {
     front: slice::Iter<'a, E>,
     middle: slice::Iter<'a, Chunk<E>>,
@@ -310,6 +345,10 @@ mod tests {
         map.partition_point(|e| e.0 <= k)
     }
 
+    fn upper_from(map: &Map, from: Pos, k: u16) -> Pos {
+        map.partition_point_from(from, |e| e.0 <= k)
+    }
+
     fn find(map: &Map, k: u16) -> Option<Pos> {
         let pos = lower(map, k);
         map.get(pos).is_some_and(|e| e.0 == k).then_some(pos)
@@ -339,11 +378,15 @@ mod tests {
             Bound::Included(k) => lower(map, k),
             Bound::Excluded(k) => upper(map, k),
         };
-        let to = match high {
-            Bound::Unbounded => map.end(),
-            Bound::Included(k) => upper(map, k),
-            Bound::Excluded(k) => lower(map, k),
+        // The high end gallops from the low one, as `Table` and `Index`
+        // seek; it lands where a descent from the top does, or at `from`
+        // when the range is inverted.
+        let (to, descended) = match high {
+            Bound::Unbounded => (map.end(), map.end()),
+            Bound::Included(k) => (upper_from(map, from, k), upper(map, k)),
+            Bound::Excluded(k) => (map.partition_point_from(from, |e| e.0 < k), lower(map, k)),
         };
+        assert_eq!(to, descended.max(from));
         map.between(from, to)
     }
 

@@ -5,7 +5,11 @@ use std::sync::Arc;
 
 use mtc_types::{Error, Result, Row, Schema, Value};
 
-use crate::pmap::{PMap, Pos};
+use crate::pmap::{Iter, PMap, Pos};
+
+/// Stored rows in order: a table's clustering-key range, or a secondary
+/// index's range (whose entries are the table's rows). The default is none.
+pub type Rows<'a> = Iter<'a, Arc<Row>>;
 
 /// A stored table.
 ///
@@ -257,22 +261,20 @@ impl Table {
         self.rows.iter().next_back().map(|r| &**r)
     }
 
-    /// Range scan over the clustering key. A range with `low` above
-    /// `high_inclusive` is empty.
-    pub fn scan_range(
-        &self,
-        low: Option<&Row>,
-        high_inclusive: Option<&Row>,
-    ) -> impl Iterator<Item = &Row> + '_ {
+    /// Range scan over the clustering key, between optional inclusive key
+    /// bounds (each a key or a prefix of one, see [`Table::key_cmp`]). One
+    /// descent finds the low end; the high end is galloped to from there,
+    /// so a range of k rows costs O(log k) key comparisons on top, not one
+    /// per row. A range with `low` above `high_inclusive` is empty.
+    pub fn scan_range(&self, low: Option<&[Value]>, high_inclusive: Option<&[Value]>) -> Rows<'_> {
         let from = low.map_or(self.rows.start(), |k| {
-            self.rows
-                .partition_point(|r| self.key_cmp(r, k.values()).is_lt())
+            self.rows.partition_point(|r| self.key_cmp(r, k).is_lt())
         });
         let to = high_inclusive.map_or(self.rows.end(), |k| {
             self.rows
-                .partition_point(|r| self.key_cmp(r, k.values()).is_le())
+                .partition_point_from(from, |r| self.key_cmp(r, k).is_le())
         });
-        self.rows.between(from, to).map(|r| &**r)
+        self.rows.between(from, to)
     }
 
     /// Drops every row (used when re-snapshotting a cached view).
@@ -383,7 +385,7 @@ mod tests {
             t.insert(&row![i, format!("t{i}"), i as f64]).unwrap();
         }
         let got: Vec<i64> = t
-            .scan_range(Some(&row![3]), Some(&row![6]))
+            .scan_range(Some(&[Value::Int(3)]), Some(&[Value::Int(6)]))
             .map(|r| r[0].as_i64().unwrap())
             .collect();
         assert_eq!(got, vec![3, 4, 5, 6]);
@@ -415,7 +417,10 @@ mod tests {
         // Range scan over an o_id prefix: lexicographic key order means
         // [o] <= [o, l] < [o+1].
         let got: Vec<i64> = t
-            .scan_range(Some(&row![2]), Some(&row![2, i64::MAX]))
+            .scan_range(
+                Some(&[Value::Int(2)]),
+                Some(&[Value::Int(2), Value::Int(i64::MAX)]),
+            )
             .map(|r| r[2].as_i64().unwrap())
             .collect();
         assert_eq!(got, vec![21, 22, 23]);
@@ -427,9 +432,10 @@ mod tests {
         for i in 1..=10 {
             t.insert(&row![i, "t", 0.0]).unwrap();
         }
-        assert_eq!(t.scan_range(Some(&row![7]), Some(&row![3])).count(), 0);
-        assert_eq!(t.scan_range(Some(&row![11]), None).count(), 0);
-        assert_eq!(t.scan_range(Some(&row![4]), Some(&row![4])).count(), 1);
+        let key = |k: i64| [Value::Int(k)];
+        assert_eq!(t.scan_range(Some(&key(7)), Some(&key(3))).count(), 0);
+        assert_eq!(t.scan_range(Some(&key(11)), None).count(), 0);
+        assert_eq!(t.scan_range(Some(&key(4)), Some(&key(4))).count(), 1);
     }
 
     #[test]

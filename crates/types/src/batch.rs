@@ -672,9 +672,9 @@ impl RowBatch {
     /// Projects onto the given column indices: the output shares the
     /// selected columns (`Arc` bumps) and the selection vector — a pure
     /// metadata operation, no cell moves.
-    pub fn project(&self, indices: &[usize]) -> RowBatch {
+    pub fn project(&self, indices: impl IntoIterator<Item = usize>) -> RowBatch {
         RowBatch {
-            cols: indices.iter().map(|&i| self.cols[i].clone()).collect(),
+            cols: indices.into_iter().map(|i| self.cols[i].clone()).collect(),
             rows: self.rows,
             sel: self.sel.clone(),
         }
@@ -1167,7 +1167,7 @@ mod tests {
     fn project_shares_columns_and_selection() {
         let batch = RowBatch::from_rows(vec![row![1, "a", 10], row![2, "b", 20]], 3)
             .with_sel(vec![1]);
-        let p = batch.project(&[2, 0]);
+        let p = batch.project([2, 0]);
         assert_eq!(p.width(), 2);
         assert_eq!(p.to_rows(), vec![row![20, 2]]);
         assert!(Arc::ptr_eq(&p.col_arc(0), &batch.col_arc(2)));

@@ -11,6 +11,7 @@ use std::borrow::Cow;
 pub mod batch;
 pub mod codec;
 pub mod error;
+pub mod fingerprint;
 pub mod row;
 pub mod schema;
 pub mod text;
@@ -19,6 +20,7 @@ pub mod value;
 pub use batch::{ColBuilder, ColData, ColumnVec, RowBatch, RowBatchBuilder};
 pub use codec::{BinCodec, ByteReader};
 pub use error::{Error, Result};
+pub use fingerprint::fingerprint;
 pub use row::Row;
 pub use schema::{Column, Schema};
 pub use text::Text;

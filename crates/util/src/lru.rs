@@ -9,14 +9,37 @@
 //! unlinks one slot and relinks it at the tail.
 //!
 //! A key is held twice (in the map and in its slot), so `K: Clone`; callers
-//! with long keys use a shared pointer (`Arc<str>`, `Arc<Key>`).
+//! with long keys use a shared pointer (`Arc<str>`) or key the map by a hash
+//! they computed once, with [`PreHashed`] as the map's hasher.
 
 use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// "No slot": the end of the list in either direction.
 const NIL: usize = usize::MAX;
+
+/// The hasher of a map keyed by `u64`s that already are hashes: the key is
+/// its own hash.
+#[derive(Default)]
+pub struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x;
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("PreHashed only accepts u64 keys");
+    }
+}
+
+pub type PreHashedBuild = BuildHasherDefault<PreHashed>;
 
 struct Slot<K, V> {
     key: K,
@@ -27,11 +50,16 @@ struct Slot<K, V> {
     next: usize,
 }
 
+/// Where an entry is ([`LruMap::find`]), until the map's next insert or
+/// removal.
+#[derive(Clone, Copy)]
+pub struct At(usize);
+
 /// A map ordered by recency of use. [`get`](LruMap::get) and
 /// [`insert`](LruMap::insert) make an entry the most recently used;
 /// [`peek`](LruMap::peek) and iteration leave the order alone.
-pub struct LruMap<K, V> {
-    index: HashMap<K, usize>,
+pub struct LruMap<K, V, S = RandomState> {
+    index: HashMap<K, usize, S>,
     slots: Vec<Option<Slot<K, V>>>,
     /// Vacated slots, reused before the slab grows.
     free: Vec<usize>,
@@ -41,10 +69,10 @@ pub struct LruMap<K, V> {
     tail: usize,
 }
 
-impl<K, V> Default for LruMap<K, V> {
-    fn default() -> LruMap<K, V> {
+impl<K, V, S: Default> Default for LruMap<K, V, S> {
+    fn default() -> LruMap<K, V, S> {
         LruMap {
-            index: HashMap::new(),
+            index: HashMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -57,7 +85,9 @@ impl<K: Hash + Eq + Clone, V> LruMap<K, V> {
     pub fn new() -> LruMap<K, V> {
         LruMap::default()
     }
+}
 
+impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> LruMap<K, V, S> {
     pub fn len(&self) -> usize {
         self.index.len()
     }
@@ -111,12 +141,41 @@ impl<K: Hash + Eq + Clone, V> LruMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let at = *self.index.get(key)?;
+        let at = self.find(key)?;
+        self.touch(at);
+        Some(self.at_mut(at))
+    }
+
+    /// Where the entry under `key` is: one probe of the map, after which
+    /// `at_mut`, `touch` and `remove_at` go straight to it.
+    pub fn find<Q>(&self, key: &Q) -> Option<At>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.index.get(key).map(|&at| At(at))
+    }
+
+    /// The value at `at`.
+    pub fn at_mut(&mut self, at: At) -> &mut V {
+        &mut self.slot_mut(at.0).value
+    }
+
+    /// Makes the entry at `at` the most recently used.
+    pub fn touch(&mut self, At(at): At) {
         if at != self.tail {
             self.unlink(at);
             self.link_last(at);
         }
-        Some(&mut self.slot_mut(at).value)
+    }
+
+    /// Removes the entry at `at`.
+    pub fn remove_at(&mut self, At(at): At) -> (K, V) {
+        self.unlink(at);
+        self.free.push(at);
+        let slot = self.slots[at].take().expect("linked slot is occupied");
+        self.index.remove(&slot.key);
+        (slot.key, slot.value)
     }
 
     /// The value under `key`; the recency order is left as it is.
@@ -165,23 +224,13 @@ impl<K: Hash + Eq + Clone, V> LruMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let at = self.index.remove(key)?;
-        self.unlink(at);
-        self.free.push(at);
-        self.slots[at].take().map(|s| s.value)
+        let at = self.find(key)?;
+        Some(self.remove_at(at).1)
     }
 
     /// Removes and returns the least-recently-used entry.
     pub fn pop_lru(&mut self) -> Option<(K, V)> {
-        let at = self.head;
-        if at == NIL {
-            return None;
-        }
-        self.unlink(at);
-        self.free.push(at);
-        let slot = self.slots[at].take().expect("linked slot is occupied");
-        self.index.remove(&slot.key);
-        Some((slot.key, slot.value))
+        (self.head != NIL).then(|| self.remove_at(At(self.head)))
     }
 
     /// Every entry, least recently used first.
@@ -208,6 +257,14 @@ mod tests {
     use super::*;
     use crate::check::{self, Config};
     use crate::rng::Rng;
+
+    #[test]
+    fn pre_hashed_is_identity_on_u64() {
+        assert_eq!(
+            PreHashedBuild::default().hash_one(0xdead_beefu64),
+            0xdead_beef
+        );
+    }
 
     fn keys(m: &LruMap<u32, u32>) -> Vec<u32> {
         m.iter().map(|(k, _)| *k).collect()

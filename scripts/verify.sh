@@ -75,7 +75,7 @@ echo "==> cargo test -q --test auto_parameterization (ad-hoc statements are plan
 cargo test -q --test auto_parameterization
 
 # Warm reads build only the columns they return, pinned by a counter
-# (`ExecMetrics::cells_built`): a cv_item point read builds 4 of 11
+# (`ExecMetrics::cells_built`): a cv_item point read builds 3 of 11
 # columns, hotpoint's TOP 10 range 2, an L1 hit none, a subject search's
 # index seek its projected and residual columns, and the view match's
 # Project(Project(seek)) runs as one operator. A change that builds whole
@@ -147,5 +147,29 @@ cargo test -q --test transparency a_non_ascii_literal_selects_the_same_rows_on_e
 # any machine.
 echo "==> cargo test -q --test transparency only_dbo_grants_on_the_backend_and_on_a_cache (GRANT needs dbo on every tier)"
 cargo test -q --test transparency only_dbo_grants_on_the_backend_and_on_a_cache
+
+# A grant made through a cache is the backend's grant: the cache forwards it
+# and the backend's dbo check decides, so after a grant sent through the
+# cache alone the backend serves the grantee's read too. A cache that keeps
+# a grant in its own shadow catalog fails here, on any machine.
+echo "==> cargo test -q --test transparency a_grant_through_a_cache_is_the_backend_s_grant (GRANT through a cache reaches the backend)"
+cargo test -q --test transparency a_grant_through_a_cache_is_the_backend_s_grant
+
+# Unary minus overflows like the binary operators: `-@x` with `@x` the
+# smallest integer is the same execution error on the backend and on a cache
+# that answers from its own cached view. An evaluator that negates with a
+# bare `-` panics here in a debug build and returns i64::MIN in a release
+# one, on any machine.
+echo "==> cargo test -q --test transparency negating_the_smallest_integer_is_the_same_overflow_error_on_every_tier (-i64::MIN is an overflow error)"
+cargo test -q --test transparency negating_the_smallest_integer_is_the_same_overflow_error_on_every_tier
+
+# What a warm read allocates, pinned by a counting allocator on the calling
+# thread: on TPC-W with the paper's cache, hotpoint's item point read makes
+# at most 14 allocations (its batch and its row, not its setup) and its
+# customer L1 hit at most 4. A change that builds a key string per probe, a
+# row per seek bound, a boxed range iterator or a slot vector per execution
+# fails here, on any machine, without a timer.
+echo "==> cargo test -q --test warm_read_allocs (a warm read allocates its answer and little else)"
+cargo test -q --test warm_read_allocs
 
 echo "verify: OK"

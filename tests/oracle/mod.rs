@@ -9,7 +9,7 @@ use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::ops::Bound;
 
-use mtcache_repro::engine::physical::{KeyBound, PhysicalPlan, RemoteSite};
+use mtcache_repro::engine::physical::{PhysicalPlan, RemoteSite};
 use mtcache_repro::engine::{
     eval, eval_predicate, AggCall, AggFunc, Bindings, ExecContext, ExecMetrics, QueryResult,
     RemoteExecutor,
@@ -27,6 +27,22 @@ pub fn run(plan: &PhysicalPlan, ctx: &ExecContext<'_>) -> Result<QueryResult> {
     Ok(QueryResult { schema: plan.schema().clone(), rows, metrics })
 }
 
+/// The rows, in their order, whose key (the `key` columns) lies between
+/// `low` and `high` — each a key or a prefix of one, ordered value by value
+/// with the shorter first — found by filtering every row: what a seek of
+/// those bounds must return.
+pub fn key_range<'r>(
+    rows: impl Iterator<Item = &'r Row>,
+    key: &[usize],
+    (low, high): (Bound<&[Value]>, Bound<&[Value]>),
+) -> Vec<Row> {
+    let within = |k: &[Value]| {
+        let above = match low { Bound::Included(b) => k >= b, Bound::Excluded(b) => k > b, _ => true };
+        above && match high { Bound::Included(b) => k <= b, Bound::Excluded(b) => k < b, _ => true }
+    };
+    rows.filter(|r| within(&key.iter().map(|&c| r[c].clone()).collect::<Vec<_>>())).cloned().collect()
+}
+
 struct Oracle<'a> {
     db: &'a Database,
     params: &'a Bindings,
@@ -39,20 +55,17 @@ impl<'a> Oracle<'a> {
         use PhysicalPlan as P;
         Ok(match plan {
             P::Nothing { .. } => vec![Row::new(vec![])],
-            P::SeqScan { object, schema, predicate } => {
+            // A seek yields its predicate's rows in key order: the table or index, filtered.
+            P::SeqScan { object, schema, predicate }
+            | P::ClusteredSeek { object, schema, predicate, .. } => {
+                self.check_bounds(plan)?;
                 let rows = self.db.table_ref(object)?.scan().cloned().collect();
                 self.filter(rows, schema, predicate.as_ref())?
             }
-            P::ClusteredSeek { object, schema, low, high, predicate } => {
-                let (low, high) = (self.key(low)?, self.key(high)?);
-                let range = self.db.table_ref(object)?.scan_range(low.as_ref(), high.as_ref());
-                self.filter(range.cloned().collect(), schema, predicate.as_ref())?
-            }
-            P::IndexSeek { index, schema, low, high, predicate, .. } => {
-                let bound = |k: Option<Row>| k.map_or(Bound::Unbounded, Bound::Included);
-                let (low, high) = (bound(self.key(low)?), bound(self.key(high)?));
-                let range = self.index(index)?.range(low, high).map(|r| Row::clone(r));
-                self.filter(range.collect(), schema, predicate.as_ref())?
+            P::IndexSeek { index, schema, predicate, .. } => {
+                self.check_bounds(plan)?;
+                let entries = self.index(index)?.range(Bound::Unbounded, Bound::Unbounded);
+                self.filter(entries.map(|r| Row::clone(r)).collect(), schema, predicate.as_ref())?
             }
             P::Filter { input, predicate } => {
                 self.filter(self.rows(input)?, input.schema(), Some(predicate))?
@@ -185,10 +198,14 @@ impl<'a> Oracle<'a> {
     }
 
     /// A seek bound as an inclusive one-column key; the leaf's predicate re-checks it.
-    fn key(&self, bound: &Option<KeyBound>) -> Result<Option<Row>> {
-        let Some(b) = bound else { return Ok(None) };
-        let key = eval(&b.expr, &Row::new(vec![]), &Schema::empty(), self.params)?;
-        Ok(Some(Row::new(vec![key])))
+    /// Evaluates a seek's bounds for the errors they raise; nothing else.
+    fn check_bounds(&self, seek: &PhysicalPlan) -> Result<()> {
+        if let PhysicalPlan::ClusteredSeek { low, high, .. } | PhysicalPlan::IndexSeek { low, high, .. } = seek {
+            for b in [low, high].into_iter().flatten() {
+                eval(&b.expr, &Row::new(vec![]), &Schema::empty(), self.params)?;
+            }
+        }
+        Ok(())
     }
 
     fn index(&self, name: &str) -> Result<&'a Index> {

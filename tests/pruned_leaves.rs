@@ -6,7 +6,8 @@
 //! paper's §6.1.2 cache, the `hotpoint` templates read `cv_item` (11
 //! columns) through a view-matched `Project(Project(ClusteredSeek))`; the
 //! compiled plan folds the two projections and prunes the seek to the
-//! columns the statement returns plus those its residual re-checks.
+//! columns the statement returns plus those its residual re-checks (a
+//! clustered point seek's key equality is not re-checked).
 
 use std::sync::Arc;
 
@@ -62,7 +63,7 @@ fn subject_search() -> &'static str {
 }
 
 #[test]
-fn a_warm_item_point_builds_four_of_eleven_columns() {
+fn a_warm_item_point_builds_three_of_eleven_columns() {
     let (_backend, cache) = tpcw();
     let conn = Connection::connect(cache);
     for id in [1, 17, 100] {
@@ -72,9 +73,10 @@ fn a_warm_item_point_builds_four_of_eleven_columns() {
             r.metrics.remote_calls, 0,
             "answered from cv_item: i_id = {id}"
         );
-        // One touched row × (i_title, i_cost, i_stock projected + i_id
-        // re-checked by the residual); all 11 before pruning.
-        assert_eq!(r.metrics.cells_built, 4, "i_id = {id}");
+        // One touched row × (i_title, i_cost, i_stock projected); all 11
+        // before pruning. `i_id = @id` is not re-checked: the clustered
+        // point seek enforces it, so i_id is not built.
+        assert_eq!(r.metrics.cells_built, 3, "i_id = {id}");
         // One batch from the seek, one from the projection: the view
         // match's Project(Project(seek)) runs as one operator.
         assert_eq!(r.metrics.batches, 2, "i_id = {id}");

@@ -244,6 +244,62 @@ fn only_dbo_grants_on_the_backend_and_on_a_cache() {
     }
 }
 
+/// A grant made through a cache is made on the backend: the cache forwards
+/// it, so what `app` may read through the cache it may read on the backend
+/// too, and the grant reaches every other cache the way the backend's
+/// permissions do.
+#[test]
+fn a_grant_through_a_cache_is_the_backend_s_grant() {
+    let backend = BackendServer::new("backend");
+    backend
+        .run_script(
+            "CREATE TABLE t (id INT NOT NULL PRIMARY KEY, name VARCHAR);
+             INSERT INTO t VALUES (1, 'a')",
+        )
+        .unwrap();
+    let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
+    let cache = CacheServer::create("cache", backend.clone(), hub);
+    let read = "SELECT id FROM t WHERE id = 1";
+    let app_backend = Connection::connect_as(backend.clone(), "app");
+    assert_eq!(app_backend.query(read).unwrap_err().kind(), "permission");
+    Connection::connect(cache.clone()).query("GRANT SELECT ON t TO app").unwrap();
+    let expected = vec![Row::new(vec![Value::Int(1)])];
+    let r = app_backend.query(read).expect("the backend serves the grant made through the cache");
+    assert_eq!(r.rows, expected);
+    let r = Connection::connect_as(cache, "app").query(read).unwrap();
+    assert_eq!(r.rows, expected);
+}
+
+/// Unary minus overflows like the binary operators: `-@x` with `@x` the
+/// smallest integer is an execution error — not a panic, not a wrapped
+/// value — and the same one on the backend and on a cache that answers from
+/// its own cached view.
+#[test]
+fn negating_the_smallest_integer_is_the_same_overflow_error_on_every_tier() {
+    let backend = BackendServer::new("backend");
+    backend
+        .run_script(
+            "CREATE TABLE t (id INT NOT NULL PRIMARY KEY, name VARCHAR);
+             INSERT INTO t VALUES (1, 'a')",
+        )
+        .unwrap();
+    let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
+    let cache = CacheServer::create("cache", backend.clone(), hub);
+    cache.create_cached_view("cv_t", "SELECT id, name FROM t").unwrap();
+    let sql = "SELECT -@x AS n FROM t WHERE id = 1";
+    let min = Connection::params(&[("x", Value::Int(i64::MIN))]);
+    let cache_conn = Connection::connect(cache);
+    let b = Connection::connect(backend).query_with(sql, &min).expect_err("backend");
+    let c = cache_conn.query_with(sql, &min).expect_err("cache");
+    assert_eq!(b.kind(), "execution", "{b}");
+    assert_eq!((c.kind(), c.to_string()), (b.kind(), b.to_string()));
+    // The cache evaluated it itself: a negatable value is answered locally.
+    let five = Connection::params(&[("x", Value::Int(5))]);
+    let r = cache_conn.query_with(sql, &five).unwrap();
+    assert_eq!(r.rows, vec![Row::new(vec![Value::Int(-5)])]);
+    assert_eq!(r.metrics.remote_calls, 0);
+}
+
 /// A ChoosePlan's branches may be built differently — here the guarded
 /// branch is an index nested-loop join (item columns first) and the fallback
 /// a hash join with its sides swapped (author columns first) — but they feed
