@@ -12,11 +12,12 @@
 //!
 //! Throughput and latency numbers come from a **deterministic closed-loop
 //! schedule model** over the per-interaction work units the real run
-//! measured, not from wall-clock timing: the host this repo grows on has a
-//! single CPU, so wall-clock scaling is physically impossible there, and
-//! the repo's precedent (the capacity model in `mtc-sim`) is to express
-//! performance in machine-independent work units. The model list-schedules
-//! eight closed-loop session streams onto `W` model CPUs serving
+//! measured, not from wall-clock timing: the sweep (1, 2, 4, 8 workers)
+//! goes past the two cores of the machine it was last run on, so wall-clock
+//! scaling stops at two workers there, and the repo's precedent (the
+//! capacity model in `mtc-sim`) is to express performance in
+//! machine-independent work units. The model list-schedules eight
+//! closed-loop session streams onto `W` model CPUs serving
 //! [`WORK_RATE`] work units per second; latency is queueing wait plus
 //! service, throughput is interactions over makespan. On a machine with
 //! `>= W` cores the real executor realizes the modeled scaling because the
@@ -196,7 +197,7 @@ fn schedule(work: &[f64], workers: usize) -> (f64, Vec<f64>) {
 fn run_point(n: usize, seed: u64, workers: usize) -> WorkerPoint {
     let deployment = Deployment::new(Scale::tiny(), true).with_standard_faults(seed);
     let cache = deployment.cache.clone().expect("cached deployment");
-    // This experiment isolates the morsel-parallel/concurrency speedup: the
+    // This experiment isolates the inter-session concurrency speedup: the
     // result cache would otherwise collapse repeated remote interactions
     // into memory hits, shifting the per-interaction demand distribution
     // between worker counts. It gets its own experiment (`exp_resultcache`).

@@ -346,18 +346,6 @@ impl CacheServer {
         self.db.write().catalog_mut().create_procedure(def)
     }
 
-    /// Morsel-parallel context for one query execution, pinned to the
-    /// snapshot the query scans. `None` unless `options.dop > 1`.
-    fn parallel_ctx(&self, snap: &Arc<DbSnapshot>) -> Option<mtc_engine::ParallelCtx> {
-        (self.options.dop > 1).then(|| {
-            mtc_engine::ParallelCtx::new(
-                snap.clone(),
-                mtc_util::pool::WorkerPool::global().clone(),
-                self.options.dop,
-            )
-        })
-    }
-
     /// The prepared form of `sql`, from this server's statement cache: a
     /// text — or the template its literals lift into — is parsed the first
     /// time it is seen (counted in `stats.prepares`), not on every
@@ -568,7 +556,7 @@ impl CacheServer {
                 remote: gateway.as_ref().map(|g| g as &dyn RemoteExecutor),
                 params,
                 work: &self.options.cost,
-                parallel: self.parallel_ctx(&db),
+                parallel: None,
             };
             let mut result: O = O::execute(query, &ctx, memo)?;
             let rows = result.row_count();

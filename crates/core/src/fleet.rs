@@ -149,8 +149,6 @@ pub struct FleetConfig {
     pub nodes: usize,
     /// Shared L2 budget, bytes; 0 disables the L2 tier.
     pub l2_budget: u64,
-    /// Per-node degree of intra-query parallelism (1 = serial execution).
-    pub dop: usize,
     /// Multi-site fragment placement: let each node's optimizer route plan
     /// fragments to peers carrying a relevant cached view (over the cheap
     /// peer link) instead of falling back to the backend. Disabling it
@@ -163,7 +161,6 @@ impl Default for FleetConfig {
         FleetConfig {
             nodes: 4,
             l2_budget: 1024 * 1024,
-            dop: 1,
             multisite: true,
         }
     }
@@ -253,18 +250,12 @@ impl Fleet {
     /// registers the shared L2 for replication-stream invalidation of that
     /// node's deliveries.
     fn spawn(&self, name: &str) -> Result<Arc<CacheServer>> {
-        let mut server = CacheServer::create_with_result_cache(
+        let server = CacheServer::create_with_result_cache(
             name,
             self.backend.clone(),
             self.hub.clone(),
             ResultCache::new(ResultCacheConfig::with_budget(L1_BUDGET)),
         );
-        if self.cfg.dop > 1 {
-            Arc::get_mut(&mut server)
-                .expect("freshly created server")
-                .options
-                .dop = self.cfg.dop;
-        }
         if let Some(l2) = &self.l2 {
             // Any node applying a delivery proves the backend write
             // happened: the shared tier must drop entries missing it.

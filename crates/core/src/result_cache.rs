@@ -856,8 +856,22 @@ impl<'a> RemoteGateway<'a> {
         tier.probe(key, self.catalog_version, self.bound_ms, self.now_ms)
     }
 
-    /// A backend-bound statement: L1, then the fleet's L2, then the backend.
+    /// A backend-bound statement: L1, then [`Self::past_l1`].
     fn via_backend(
+        &self,
+        stmt: &Arc<Prepared>,
+        params: &Bindings,
+        key: Option<&Probe>,
+    ) -> Result<RemoteOutcome<Answer>> {
+        match key.and_then(|key| self.l1_hit(key)) {
+            Some(hit) => Ok(hit),
+            None => self.past_l1(stmt, params, key),
+        }
+    }
+
+    /// Where a statement goes once this node's L1 has missed (or is off,
+    /// `key` `None`): the fleet's L2, then the backend.
+    fn past_l1(
         &self,
         stmt: &Arc<Prepared>,
         params: &Bindings,
@@ -868,12 +882,9 @@ impl<'a> RemoteGateway<'a> {
                 self.backend.execute_prepared_as(stmt, params, "dbo")?,
             ));
         };
-        if let Some(hit) = self.l1_hit(key) {
-            return Ok(hit);
-        }
-        // L1 missed: probe the fleet's shared L2 and promote a hit into L1
-        // (sharing its answer, with its original lineage) so the next probe
-        // is local. Past L1 the key is spelled out, once.
+        // Probe the fleet's shared L2 and promote a hit into L1 (sharing
+        // its answer, with its original lineage) so the next probe is
+        // local. Past L1 the key is spelled out, once.
         let l2_hit = self.l2.and_then(|l2| self.probe(l2, key));
         let Key { text, sig } = key.key();
         if let Some((answer, lineage)) = l2_hit {
@@ -889,9 +900,9 @@ impl<'a> RemoteGateway<'a> {
     /// fragment, and a peer further behind than it refuses. A vanished peer
     /// (crashed between planning and execution of an uncached plan), a peer
     /// past the bound or any other peer-side error degrades to the normal
-    /// backend path — the fragment's SQL is over backend truth, so the
-    /// fallback is always correct, just slower. The peer's answer arrives
-    /// as its root's batches.
+    /// backend path past the L1 probe already made — the fragment's SQL is
+    /// over backend truth, so the fallback is always correct, just slower.
+    /// The peer's answer arrives as its root's batches.
     fn via_peer(
         &self,
         node: &str,
@@ -914,7 +925,7 @@ impl<'a> RemoteGateway<'a> {
                 });
             }
         }
-        self.via_backend(stmt, params, key)
+        self.past_l1(stmt, params, key)
     }
 
     /// Miss path: lead (or join) the single flight for this key, execute

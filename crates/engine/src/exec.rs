@@ -67,16 +67,10 @@ mtc_util::counter_set! {
         /// Batches exchanged between operators.
         pub batches: u64,
         /// Cells (rows × columns) the streaming executor's access-path
-        /// leaves built from storage: each row a serial leaf touches (a
-        /// morsel leaf: each survivor of its residual) × the columns the
-        /// leaf kept after pruning. A count, so a test can pin what a read
-        /// builds without a timer.
+        /// leaves built from storage: each row a leaf touches × the columns
+        /// the leaf kept after pruning. A count, so a test can pin what a
+        /// read builds without a timer.
         pub cells_built: u64,
-        /// The slice of `local_work` that was executed inside parallel morsels
-        /// (see [`crate::parallel`]): with `dop` workers it overlaps, so the
-        /// query's critical path shrinks by `parallel_work * (1 - 1/dop)`.
-        /// Always `<= local_work`; zero for serial execution.
-        pub parallel_work: f64,
         /// Network round trips actually paid to the backend. Differs from
         /// `remote_calls` when statements are served without any backend
         /// contact (result-cache hits, single-flight sharing):
@@ -403,10 +397,11 @@ pub struct ExecContext<'a> {
     pub params: &'a Bindings,
     /// Work-unit accounting model (should match the optimizer's).
     pub work: &'a CostModel,
-    /// Morsel-parallel execution context; `None` (or `dop == 1`) keeps
-    /// every operator on its serial path. When set, `parallel.snapshot`
-    /// must be the same image `db` points at.
-    pub parallel: Option<crate::parallel::ParallelCtx>,
+    /// Read by nothing: every execution is single-threaded. The field is
+    /// kept, uninhabited, only because the wall-clock benchmark's frozen
+    /// source writes `parallel: None`; it goes with that file's next change
+    /// (ROADMAP 2(d)).
+    pub parallel: Option<std::convert::Infallible>,
 }
 
 /// Executes a physical plan to completion on the hot path: compile once

@@ -25,7 +25,6 @@ pub mod eval;
 pub mod exec;
 pub mod logical;
 pub mod optimizer;
-pub mod parallel;
 pub mod physical;
 pub mod sqlgen;
 pub mod stream;
@@ -40,7 +39,6 @@ pub use exec::{
 };
 pub use logical::{AggCall, AggFunc, DataLocation, LogicalPlan};
 pub use stream::{execute_compiled_with_memo, FragmentMemo};
-pub use parallel::{ParallelCtx, PARALLEL_THRESHOLD};
 pub use optimizer::{
     optimize, optimize_with_placement, CostModel, LinkCost, Optimized, OptimizerOptions, PeerSite,
     PlacementEnv,

@@ -33,9 +33,6 @@ pub struct OptimizerOptions {
     pub enable_choose_plan_pullup: bool,
     /// Allow mixed-result plans over *fresh* materialized views (§5.1.1).
     pub allow_mixed_results: bool,
-    /// Degree of parallelism for the morsel-parallel executor paths
-    /// ([`crate::parallel`]); 1 keeps every operator serial.
-    pub dop: usize,
 }
 
 impl Default for OptimizerOptions {
@@ -46,7 +43,6 @@ impl Default for OptimizerOptions {
             enable_dynamic_plans: true,
             enable_choose_plan_pullup: true,
             allow_mixed_results: false,
-            dop: 1,
         }
     }
 }

@@ -1,10 +1,9 @@
 //! Pull-based streaming execution of compiled plans (Volcano with
 //! zero-copy column batches).
 //!
-//! The interpreting executor in [`crate::exec`] materializes every
-//! operator's full output as a `Vec<Row>` before its parent sees a single
-//! row. This module replaces that hot path with a batch iterator model:
-//! each operator implements [`BatchStream::next_batch`] and pulls
+//! This is the one executor ([`crate::exec::execute`] compiles a plan and
+//! runs it here), single-threaded: one query, one operator tree, one core.
+//! Each operator implements [`BatchStream::next_batch`] and pulls
 //! [`BATCH_SIZE`]-row [`RowBatch`]es from its children on demand. Batches
 //! are **columnar** and `Arc`-shared (see [`mtc_types::batch`]):
 //!
@@ -34,14 +33,15 @@
 //! closed branch is never opened" contract (§5.1) down to the table-lookup
 //! level.
 //!
-//! Work-unit accounting follows the interpreting executor exactly (same
-//! [`crate::optimizer::cost::CostModel`] formulas, charged incrementally),
-//! so absent early termination the two executors report identical
-//! `local_work`/`remote_work`. [`crate::exec::ExecMetrics::rows_cloned`]
+//! Work units are the optimizer's [`crate::optimizer::cost::CostModel`]
+//! formulas, charged incrementally as rows flow, so `local_work` and
+//! `remote_work` count the rows an execution actually touched.
+//! [`crate::exec::ExecMetrics::rows_cloned`]
 //! makes the zero-copy contract observable: read-only plans report **zero**
 //! cloned rows on this path (pinned by the clone-budget tests).
 
 use std::collections::HashMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use mtc_sql::{JoinKind, Prepared};
@@ -58,9 +58,6 @@ use crate::exec::{
     AggState, Answer, Collect, ExecContext, ExecMetrics, QueryResult, RemoteExecutor,
 };
 use crate::optimizer::cost::CostModel;
-use crate::parallel::{
-    parallel_build_hash_table, parallel_hash_aggregate, parallel_leaf, LeafRange, ParallelCtx,
-};
 use crate::vector::{
     eval_filter_sel, eval_project_col, BatchRowSrc, JoinSrc, PreHashedBuild, Side,
 };
@@ -85,8 +82,6 @@ pub(crate) struct StreamCtx<'e> {
     pub work: &'e CostModel,
     /// Resolved parameter slots for compiled-expression evaluation.
     pub env: EvalEnv<'e>,
-    /// Morsel-parallel context; `None` keeps every operator serial.
-    pub parallel: Option<&'e ParallelCtx>,
     /// Intermediate-result memo probed for fully local join/aggregate
     /// subtrees (see [`FragmentMemo`]); `None` executes every fragment.
     pub memo: Option<&'e dyn FragmentMemo>,
@@ -171,7 +166,6 @@ pub(crate) fn run_compiled(
         params: ctx.params,
         work: ctx.work,
         env,
-        parallel: ctx.parallel.as_ref().filter(|p| p.dop > 1),
         memo,
     };
     let mut metrics = ExecMetrics::default();
@@ -488,10 +482,8 @@ fn build_op<'e>(
 /// Builds an access-path leaf — `SeqScan`, `ClusteredSeek` or `IndexSeek`
 /// — as one [`ScanStream`] over the borrowed rows its range covers: the
 /// whole table, a clustered key range, or a secondary index's range (whose
-/// entries are the table's rows). At `dop > 1`, a range big enough to split
-/// runs as morsels instead ([`parallel_leaf`]). Either way the leaf builds
-/// only `cols` (every column when `None`) and re-checks `predicate` over
-/// them.
+/// entries are the table's rows). The leaf builds only `cols` (every column
+/// when `None`) and re-checks `predicate` over them.
 fn build_leaf<'e>(
     plan: &'e CompiledPlan,
     object: &str,
@@ -506,34 +498,21 @@ fn build_leaf<'e>(
             "attempted local read of shadow table `{object}`"
         )));
     }
-    let range = match plan {
+    let rows = match plan {
         CompiledPlan::ClusteredSeek { low, high, .. } => {
-            LeafRange::Clustered(bound_value(low, cx.env)?, bound_value(high, cx.env)?)
+            seek_rows(cx.db, table, None, low, high, cx.env)?
         }
         CompiledPlan::IndexSeek {
             index, low, high, ..
-        } => LeafRange::Index(
-            index.clone(),
-            bound_value(low, cx.env)?,
-            bound_value(high, cx.env)?,
-        ),
-        _ => LeafRange::Clustered(None, None),
+        } => seek_rows(cx.db, table, Some(index), low, high, cx.env)?,
+        _ => table.scan_range(None, None),
     };
     if !matches!(plan, CompiledPlan::SeqScan { .. }) {
         // One B-tree descent; the linear part is charged per row.
         m.local_work += cx.work.seek_cost;
     }
-    // Worth going parallel only when the range is big; counting it is a
-    // pointer walk, attempted only on big tables.
-    if let Some(p) = cx.parallel.filter(|p| p.eligible(table.row_count())) {
-        let n = range.rows(cx.db, table)?.count();
-        if p.eligible(n) {
-            let (batches, touched) = parallel_leaf(p, object, range, cols, predicate, cx.env, n)?;
-            return Ok(parallel_stream(batches, touched, cx, m));
-        }
-    }
     Ok(Box::new(ScanStream {
-        rows: range.rows(cx.db, table)?,
+        rows,
         predicate,
         cols,
         width: cols.map_or(table.schema().len(), <[usize]>::len),
@@ -541,27 +520,33 @@ fn build_leaf<'e>(
     }))
 }
 
-/// Wraps the merged output of a parallel leaf as a stream, charging the
-/// same work units the serial leaf would have charged for `touched` rows —
-/// and mirroring them into `parallel_work`, since they overlapped across
-/// the pool's workers. The workers built column batches directly from the
-/// borrowed snapshot rows, so nothing here was cloned.
-fn parallel_stream<'e>(
-    batches: Vec<RowBatch>,
-    touched: usize,
-    cx: &StreamCtx<'e>,
-    m: &mut ExecMetrics,
-) -> BoxStream<'e> {
-    let w = cx.work.cpu_per_row * touched as f64;
-    m.local_work += w;
-    m.parallel_work += w;
-    for b in &batches {
-        m.local_rows += b.len() as u64;
-        m.cells_built += (b.phys_rows() * b.width()) as u64;
+/// Opens the rows a seek's inclusive bounds select, in the table's
+/// clustering-key order or, through `index`, in the index's. A NULL bound
+/// compares with no key: its range is empty.
+fn seek_rows<'e>(
+    db: &'e Database,
+    table: &'e Table,
+    index: Option<&str>,
+    low: &Option<CompiledBound>,
+    high: &Option<CompiledBound>,
+    env: EvalEnv<'_>,
+) -> Result<Rows<'e>> {
+    let (low, high) = (bound_value(low, env)?, bound_value(high, env)?);
+    if [&low, &high].iter().any(|b| matches!(b, Some(Value::Null))) {
+        return Ok(Rows::default());
     }
-    Box::new(BuiltStream {
-        batches: batches.into_iter(),
-    })
+    let (low, high) = (
+        low.as_ref().map(std::slice::from_ref),
+        high.as_ref().map(std::slice::from_ref),
+    );
+    let Some(index) = index else {
+        return Ok(table.scan_range(low, high));
+    };
+    let ix = db
+        .index(index)
+        .ok_or_else(|| Error::catalog(format!("index `{index}` not found")))?;
+    let bound = |k: Option<_>| k.map_or(Bound::Unbounded, Bound::Included);
+    Ok(ix.range(bound(low), bound(high)))
 }
 
 /// Emits already-built batches one at a time.
@@ -1144,12 +1129,10 @@ impl<'e> BatchStream<'e> for NlJoinStream<'e> {
 
 /// Hash-join build side: retained batches, row handles, and the key table
 /// mapping join keys to **global handle indices** (ascending, so probe
-/// output order matches the serial executor exactly). Batches and handles
-/// sit behind `Arc`s so a parallel build can share them with the worker
-/// pool without cloning.
+/// output follows build-side order within a key).
 struct BuiltSide {
-    batches: Arc<Vec<RowBatch>>,
-    handles: Arc<Vec<(u32, u32)>>,
+    batches: Vec<RowBatch>,
+    handles: Vec<(u32, u32)>,
     table: HashMap<Vec<Value>, Vec<usize>>,
 }
 
@@ -1178,32 +1161,18 @@ impl<'e> BatchStream<'e> for HashJoinStream<'e> {
         }
         if self.built.is_none() {
             let (batches, handles) = drain_batches(&mut self.right, cx, m)?;
-            let w = cx.work.hash_per_row * handles.len() as f64;
-            m.local_work += w;
+            m.local_work += cx.work.hash_per_row * handles.len() as f64;
             self.right_matched = vec![false; handles.len()];
-            let batches = Arc::new(batches);
-            let handles = Arc::new(handles);
-            let table = match cx.parallel.filter(|p| p.eligible(handles.len())) {
-                Some(p) => {
-                    // Morselized key evaluation; the table is assembled in
-                    // row order, so probe output is byte-identical.
-                    m.parallel_work += w;
-                    parallel_build_hash_table(p, &batches, &handles, self.right_keys, cx.env)?
+            let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+            for (i, &(bi, phys)) in handles.iter().enumerate() {
+                let src = BatchRowSrc {
+                    batch: &batches[bi as usize],
+                    row: phys as usize,
+                };
+                if let Some(key) = hash_key_src(self.right_keys, &src, cx.env)? {
+                    table.entry(key).or_default().push(i);
                 }
-                None => {
-                    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-                    for (i, &(bi, phys)) in handles.iter().enumerate() {
-                        let src = BatchRowSrc {
-                            batch: &batches[bi as usize],
-                            row: phys as usize,
-                        };
-                        if let Some(key) = hash_key_src(self.right_keys, &src, cx.env)? {
-                            table.entry(key).or_default().push(i);
-                        }
-                    }
-                    table
-                }
-            };
+            }
             self.built = Some(BuiltSide {
                 batches,
                 handles,
@@ -1514,45 +1483,14 @@ impl<'e> BatchStream<'e> for HashAggStream<'e> {
         m: &mut ExecMetrics,
     ) -> Result<Option<RowBatch>> {
         if self.output.is_none() {
-            if let Some(p) = cx.parallel {
-                // Parallel path: drain the (blocking) input, then hash-
-                // partition the groups across the pool — each group is
-                // aggregated to completion by exactly one worker, and the
-                // output comes back in the serial first-seen order (see
-                // [`crate::parallel::parallel_hash_aggregate`]).
-                let (batches, handles) = drain_batches(&mut self.input, cx, m)?;
-                if p.eligible(handles.len()) {
-                    let n_in = handles.len() as u64;
-                    let out = parallel_hash_aggregate(
-                        p,
-                        batches,
-                        handles,
-                        self.group_by,
-                        self.aggs,
-                        cx.env,
-                    )?;
-                    let w = cx.work.aggregate(n_in as f64, out.len() as f64);
-                    m.local_work += w;
-                    m.parallel_work += w;
-                    m.local_rows += out.len() as u64;
-                    self.output = Some(out.into_iter());
-                } else {
-                    let mut gb = GroupBuild::new(self.group_by, self.aggs);
-                    for batch in &batches {
-                        gb.absorb_batch(batch, cx.env)?;
-                    }
-                    self.output = Some(gb.finish(cx, m).into_iter());
-                }
-            } else {
-                // Serial path: consume the whole input (aggregation is
-                // blocking) batch-at-a-time; a group key is materialized
-                // exactly once, when its group first appears.
-                let mut gb = GroupBuild::new(self.group_by, self.aggs);
-                while let Some(batch) = self.input.next_batch(cx, m)? {
-                    gb.absorb_batch(&batch, cx.env)?;
-                }
-                self.output = Some(gb.finish(cx, m).into_iter());
+            // Aggregation is blocking: consume the whole input batch at a
+            // time; a group key is materialized exactly once, when its
+            // group first appears.
+            let mut gb = GroupBuild::new(self.group_by, self.aggs);
+            while let Some(batch) = self.input.next_batch(cx, m)? {
+                gb.absorb_batch(&batch, cx.env)?;
             }
+            self.output = Some(gb.finish(cx, m).into_iter());
         }
         let output = self.output.as_mut().expect("aggregate output built");
         let chunk: Vec<Row> = output.by_ref().take(BATCH_SIZE).collect();

@@ -140,14 +140,6 @@ pub enum KeyDist {
     /// of the keyspace (fraction of `n`, wrapping) — shifting `offset`
     /// between phases moves the working set without changing its shape.
     Zipf { offset: f64 },
-    /// Flash crowd: with probability `p_hot` draw uniformly from the small
-    /// hot set (`hot_frac` of the keyspace, starting at `offset`),
-    /// otherwise uniformly from everything.
-    Hot {
-        hot_frac: f64,
-        p_hot: f64,
-        offset: f64,
-    },
 }
 
 impl KeyDist {
@@ -161,20 +153,6 @@ impl KeyDist {
                 let k = (n as f64).powf(u) as i64; // 1..=n, mass at the low end
                 let shift = (offset * n as f64) as i64;
                 (k - 1 + shift).rem_euclid(n) + 1
-            }
-            KeyDist::Hot {
-                hot_frac,
-                p_hot,
-                offset,
-            } => {
-                let hot = ((hot_frac * n as f64) as i64).clamp(1, n);
-                let start = (offset * n as f64) as i64;
-                if rng.gen_range(0.0..1.0) < p_hot {
-                    let k = rng.gen_range(0..hot);
-                    (start + k).rem_euclid(n) + 1
-                } else {
-                    rng.gen_range(1..=n)
-                }
             }
         }
     }
@@ -263,38 +241,6 @@ impl PhaseSchedule {
             ],
         }
     }
-
-    /// A flash crowd: uniform browsing, a burst where 90% of traffic
-    /// hammers 1% of the catalog, then back to uniform.
-    pub fn flash_crowd(per_phase: usize) -> PhaseSchedule {
-        let browse = Workload::Browsing.mix();
-        PhaseSchedule {
-            phases: vec![
-                Phase {
-                    name: "steady",
-                    mix: browse.clone(),
-                    keys: KeyDist::Uniform,
-                    interactions: per_phase,
-                },
-                Phase {
-                    name: "flash-crowd",
-                    mix: browse.clone(),
-                    keys: KeyDist::Hot {
-                        hot_frac: 0.01,
-                        p_hot: 0.9,
-                        offset: 0.25,
-                    },
-                    interactions: per_phase,
-                },
-                Phase {
-                    name: "cooldown",
-                    mix: browse,
-                    keys: KeyDist::Uniform,
-                    interactions: per_phase,
-                },
-            ],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -341,11 +287,6 @@ mod tests {
             KeyDist::Uniform,
             KeyDist::Zipf { offset: 0.0 },
             KeyDist::Zipf { offset: 0.5 },
-            KeyDist::Hot {
-                hot_frac: 0.01,
-                p_hot: 0.9,
-                offset: 0.25,
-            },
         ] {
             for _ in 0..5000 {
                 let k = dist.sample(n, &mut rng);
@@ -367,20 +308,6 @@ mod tests {
             low_shifted < low / 4,
             "offset must move the hot set: {low_shifted} vs {low}"
         );
-        // Flash crowd: ~90% of draws land in the 1% hot window.
-        let hot = KeyDist::Hot {
-            hot_frac: 0.01,
-            p_hot: 0.9,
-            offset: 0.25,
-        };
-        let start = (0.25 * n as f64) as i64;
-        let in_hot = (0..5000)
-            .filter(|_| {
-                let k = hot.sample(n, &mut rng);
-                k > start && k <= start + 10
-            })
-            .count();
-        assert!(in_hot > 4000, "flash crowd drew only {in_hot}/5000 hot keys");
     }
 
     #[test]
@@ -392,10 +319,6 @@ mod tests {
         assert_eq!(sched.phase_at(100).1.name, "account-shift");
         // Clamps to the last phase past the end.
         assert_eq!(sched.phase_at(10_000).1.name, "account-shift");
-        let crowd = PhaseSchedule::flash_crowd(50);
-        assert_eq!(crowd.total(), 150);
-        assert_eq!(crowd.phase_at(60).0, 1);
-        assert_eq!(crowd.phase_at(120).1.name, "cooldown");
         // The account-heavy mix is all Order-class plus a browse tail.
         let acct = Mix::account_heavy();
         assert!(acct.browse_fraction() < 0.30, "{}", acct.browse_fraction());

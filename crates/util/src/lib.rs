@@ -27,6 +27,5 @@ pub mod atomic;
 pub mod check;
 pub mod fault;
 pub mod lru;
-pub mod pool;
 pub mod rng;
 pub mod sync;

@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
-# Regenerates every committed benchmark artifact (BENCH_*.json) from
-# release binaries. Run after any executor, cache, or fleet change that
-# moves a modeled number, then update the floors pinned in the
-# tests/*_smoke.rs guards if the new numbers shifted legitimately.
+# Regenerates the bit-reproducible benchmark artifacts (BENCH_*.json and
+# EXPERIMENTS.md) from release binaries. Run after any executor, cache, or
+# fleet change that moves a modeled number, then update the floors pinned
+# in the tests/*_smoke.rs guards if the new numbers shifted legitimately.
+# `bench_all.sh <name>…` runs only the named experiments: the wall-clock
+# BENCH_concurrency.json is rewritten only by `bench_all.sh concurrency`.
 #
 # `bench_all.sh --check` is the freshness gate scripts/verify.sh runs: it
 # regenerates the bit-reproducible artifacts into a scratch directory (the
@@ -15,10 +17,9 @@ set -eu
 cd "$(dirname "$0")/.."
 root=$PWD
 
-# The one list of experiments. Same seed, same bytes:
+# The experiments a bare run regenerates and --check compares. Same seed,
+# same bytes:
 REPRODUCIBLE="paper resultcache fleet placement advisor"
-# Carry wall-clock readings, so they are regenerated but never compared:
-WALL_CLOCK="concurrency"
 
 run() {
     cargo run --release -q --manifest-path "$root/Cargo.toml" -p mtc-bench --bin "exp_$1"
@@ -43,7 +44,7 @@ if [ "${1:-}" = "--check" ]; then
     exit 0
 fi
 
-for exp in $WALL_CLOCK $REPRODUCIBLE; do
+for exp in ${*:-$REPRODUCIBLE}; do
     echo "==> exp_$exp"
     run "$exp"
 done

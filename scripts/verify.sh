@@ -40,7 +40,9 @@ cargo test -q --test advisor_smoke
 # regenerated into a scratch directory and must equal the committed files
 # byte for byte, so a change that moves a modeled number commits the moved
 # artifact and the report never drifts from it. BENCH_concurrency.json
-# carries wall-clock readings and is not compared.
+# carries wall-clock readings: it is neither compared nor rewritten by a
+# bare `scripts/bench_all.sh` (only `scripts/bench_all.sh concurrency`
+# regenerates it).
 echo "==> scripts/bench_all.sh --check (committed BENCH_*.json and EXPERIMENTS.md are what HEAD generates)"
 scripts/bench_all.sh --check
 
@@ -108,7 +110,10 @@ cargo test -q -p mtc-engine --lib multi_site_planning
 # placed on a peer past the bound is refused by that peer (its
 # `freshness_fallbacks` rises by one, no peer call serves it) and answered
 # with the backend's rows. A change that lets a stale peer answer a bounded
-# fragment from its view fails here, on any machine, without a timer.
+# fragment from its view fails here, on any machine, without a timer. The
+# placing node probes its own L1 once: its backend fallback continues past
+# that probe, so its result cache's `misses` (and the key's re-miss count,
+# the admission benefit) rises by exactly one for the one shipped fragment.
 echo "==> cargo test -q --test placement_fleet a_bounded_read_placed_on_a_stale_peer_is_served_by_the_backend (a stale peer refuses a bounded fragment)"
 cargo test -q --test placement_fleet a_bounded_read_placed_on_a_stale_peer_is_served_by_the_backend
 

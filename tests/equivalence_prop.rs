@@ -8,8 +8,7 @@
 //! every query shape (joins, outer joins, GROUP BY, TOP, DISTINCT, scalar
 //! functions/CASE, and ChoosePlan dynamic plans on both branches).
 //! Access-path leaves pruned to the columns a read needs, and projection
-//! chains folded into one operator, are held to the same answers at dop 1
-//! and 4.
+//! chains folded into one operator, are held to the same answers.
 
 mod oracle;
 
@@ -17,14 +16,13 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use mtc_util::check::{self, Config};
-use mtc_util::pool::WorkerPool;
 use mtc_util::rng::{Rng, StdRng};
 use mtc_util::sync::Mutex;
 
 use mtcache_repro::cache::{BackendServer, CacheServer, Connection};
 use mtcache_repro::engine::{
-    bind_select, execute, optimize, Bindings, ExecContext, OptimizerOptions, ParallelCtx,
-    QueryResult, RemoteExecutor,
+    bind_select, execute, optimize, Bindings, ExecContext, OptimizerOptions, QueryResult,
+    RemoteExecutor,
 };
 use mtcache_repro::replication::ReplicationHub;
 use mtcache_repro::sql::{parse_statement, Prepared, Statement};
@@ -487,115 +485,34 @@ fn streaming_matches_oracle_row_order_without_order_by() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Morsel parallelism: dop > 1 must be invisible in the results.
-//
-// The parallel executor re-partitions scans, seeks, hash-aggregate builds and
-// hash-join builds across a worker pool; determinism demands the merged
-// output is byte-identical to the serial (dop = 1) run for every shape.
-// ---------------------------------------------------------------------------
-
-/// Runs `sql` against `snap` serially and with a `dop`-way [`ParallelCtx`]
-/// (min_rows forced to 1 so even small fixtures go parallel), returning both
-/// results for comparison.
-fn serial_vs_parallel(
-    snap: &Arc<DbSnapshot>,
-    sql: &str,
-    params: &Bindings,
-    remote: Option<&dyn RemoteExecutor>,
-    dop: usize,
-) -> (QueryResult, QueryResult) {
-    let Statement::Select(sel) = parse_statement(sql).unwrap() else {
-        panic!("not a SELECT: {sql}");
-    };
-    let options = OptimizerOptions::default();
-    let plan = bind_select(&sel, snap).unwrap();
-    let opt = optimize(plan, snap, &options).unwrap();
-    let serial_ctx = ExecContext {
-        db: snap,
-        remote,
-        params,
-        work: &options.cost,
-        parallel: None,
-    };
-    let serial = execute(&opt.physical, &serial_ctx).unwrap();
-    let mut pctx = ParallelCtx::new(snap.clone(), WorkerPool::global().clone(), dop);
-    pctx.min_rows = 1;
-    let parallel_ctx = ExecContext {
-        db: snap,
-        remote,
-        params,
-        work: &options.cost,
-        parallel: Some(pctx),
-    };
-    let parallel = execute(&opt.physical, &parallel_ctx).unwrap();
-    (serial, parallel)
-}
-
 #[test]
-fn parallel_matches_serial_across_shapes() {
+fn result_cache_is_invisible_across_shapes() {
+    // The mid-tier result cache is a pure optimization: for every query
+    // shape, the cache server must return bit-identical rows with the cache
+    // off, with it cold, and with it warm (served from memory) — all equal
+    // to the backend's own answer.
     let backend = join_db();
-    let snap = Arc::new(SnapshotDb::new(backend.db.read().clone())).read();
-    let params = Bindings::new();
-    check::run(
-        &Config::cases(40),
-        "parallel_matches_serial_across_shapes",
-        |rng| (gen_shape(rng), *rng.choose(&[2usize, 4, 8]).unwrap()),
-        |(sql, dop)| {
-            let (serial, parallel) = serial_vs_parallel(&snap, sql, &params, None, *dop);
-            assert_eq!(serial.schema, parallel.schema, "schema differs: {sql}");
-            assert_eq!(
-                serial.rows, parallel.rows,
-                "dop={dop} changed the answer: {sql}"
-            );
-            assert!(
-                parallel.metrics.parallel_work > 0.0,
-                "dop={dop} did no parallel work: {sql}"
-            );
-            assert!(
-                parallel.metrics.parallel_work <= parallel.metrics.local_work + 1e-9,
-                "parallel_work exceeds local_work: {sql}"
-            );
-        },
-    );
-}
-
-#[test]
-fn result_cache_and_dop_are_invisible_across_shapes() {
-    // The mid-tier result cache and morsel parallelism are pure
-    // optimizations: for every query shape, the cache server must return
-    // bit-identical rows with the cache off, with it cold, and with it
-    // warm (served from memory), at dop 1 and dop 4 alike — all equal to
-    // the backend's own answer.
-    let backend = join_db();
-    let make_cache = |dop: usize| {
-        let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
-        let mut cache = CacheServer::create("cache-eq", backend.clone(), hub);
-        Arc::get_mut(&mut cache).expect("freshly created server").options.dop = dop;
-        cache
-    };
     check::run(
         &Config::cases(16),
-        "result_cache_and_dop_are_invisible_across_shapes",
+        "result_cache_is_invisible_across_shapes",
         gen_shape,
         |sql| {
             let reference = Connection::connect(backend.clone()).query(sql).unwrap();
-            for dop in [1usize, 4, 8] {
-                let cache = make_cache(dop);
-                let conn = Connection::connect(cache.clone());
-                cache.result_cache.set_enabled(false);
-                let off = conn.query(sql).unwrap();
-                assert_eq!(off.rows, reference.rows, "cache off, dop={dop}: {sql}");
-                cache.result_cache.set_enabled(true);
-                let cold = conn.query(sql).unwrap();
-                assert_eq!(cold.rows, reference.rows, "cache cold, dop={dop}: {sql}");
-                let warm = conn.query(sql).unwrap();
-                assert_eq!(warm.schema, cold.schema, "warm schema, dop={dop}: {sql}");
-                assert_eq!(
-                    warm.rows, reference.rows,
-                    "a warm result-cache serve changed the answer, dop={dop}: {sql}"
-                );
-            }
+            let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
+            let cache = CacheServer::create("cache-eq", backend.clone(), hub);
+            let conn = Connection::connect(cache.clone());
+            cache.result_cache.set_enabled(false);
+            let off = conn.query(sql).unwrap();
+            assert_eq!(off.rows, reference.rows, "cache off: {sql}");
+            cache.result_cache.set_enabled(true);
+            let cold = conn.query(sql).unwrap();
+            assert_eq!(cold.rows, reference.rows, "cache cold: {sql}");
+            let warm = conn.query(sql).unwrap();
+            assert_eq!(warm.schema, cold.schema, "warm schema: {sql}");
+            assert_eq!(
+                warm.rows, reference.rows,
+                "a warm result-cache serve changed the answer: {sql}"
+            );
         },
     );
 }
@@ -603,7 +520,7 @@ fn result_cache_and_dop_are_invisible_across_shapes() {
 #[test]
 fn streaming_clone_budget_is_zero_on_read_paths() {
     // The zero-copy contract, pinned: a read-only query through the
-    // streaming executor clones **zero** rows at every dop. Scans columnize
+    // streaming executor clones **zero** rows. Scans columnize
     // borrowed storage rows in place, filters narrow selection vectors,
     // joins/aggregates/sorts reference retained batches through
     // `(batch, row)` handles, and the only owned copy is the final result —
@@ -615,45 +532,16 @@ fn streaming_clone_budget_is_zero_on_read_paths() {
     check::run(
         &Config::cases(24),
         "streaming_clone_budget_is_zero_on_read_paths",
-        |rng| (gen_shape(rng), *rng.choose(&[1usize, 4, 8]).unwrap()),
-        |(sql, dop)| {
-            let (serial, parallel) = serial_vs_parallel(&snap, sql, &params, None, *dop);
-            assert_eq!(
-                serial.metrics.rows_cloned, 0,
-                "serial streaming cloned rows: {sql}"
-            );
-            assert_eq!(
-                parallel.metrics.rows_cloned, 0,
-                "dop={dop} streaming cloned rows: {sql}"
-            );
+        gen_shape,
+        |sql| {
+            let (streamed, _) = both_ways(&snap, sql, &params, None);
+            assert_eq!(streamed.metrics.rows_cloned, 0, "streaming cloned rows: {sql}");
             assert!(
-                serial.rows.is_empty() || serial.metrics.bytes_materialized > 0,
+                streamed.rows.is_empty() || streamed.metrics.bytes_materialized > 0,
                 "result rows came back but no boundary volume was charged: {sql}"
             );
         },
     );
-}
-
-#[test]
-fn parallel_matches_serial_on_choose_plan_branches() {
-    // ChoosePlan branches must also be dop-invariant: the local branch scans
-    // the cached view in morsels, the remote branch must still ship exactly
-    // one remote call.
-    let (backend, cache) = setup();
-    for v in [500i64, 1_500i64] {
-        for dop in [2usize, 4] {
-            let snap = cache.db.read();
-            let params = Connection::params(&[("v", Value::Int(v))]);
-            let remote: &dyn RemoteExecutor = &*backend;
-            let sql = "SELECT id, grp, val, name FROM t WHERE id <= @v";
-            let (serial, parallel) = serial_vs_parallel(&snap, sql, &params, Some(remote), dop);
-            assert_eq!(serial.rows, parallel.rows, "@v = {v}, dop = {dop}");
-            assert_eq!(
-                serial.metrics.remote_calls, parallel.metrics.remote_calls,
-                "@v = {v}, dop = {dop}: routing changed under parallelism"
-            );
-        }
-    }
 }
 
 #[test]
@@ -684,27 +572,26 @@ fn streaming_matches_seed_on_choose_plan_branches() {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet equivalence: node count, the L1/L2 hierarchy, and per-node dop
-// must all be invisible in the answers.
+// Fleet equivalence: node count and the L1/L2 hierarchy must be invisible
+// in the answers.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn fleet_size_cache_state_and_dop_are_invisible_across_shapes() {
+fn fleet_size_and_cache_state_are_invisible_across_shapes() {
     // For every query shape, a fleet of N ∈ {1, 2, 4} nodes — cache off,
-    // cache cold, cache warm (L1 or promoted-from-L2), at dop 1 and 4 —
-    // answers bit-identically to the single-node baseline and the backend.
+    // cache cold, cache warm (L1 or promoted-from-L2) — answers
+    // bit-identically to the single-node baseline and the backend.
     // This is the tentpole's transparency claim: adding cache servers
     // changes where answers come from, never what they are.
     use mtcache_repro::cache::{Fleet, FleetConfig};
     let backend = join_db();
-    let make_fleet = |nodes: usize, dop: usize| {
+    let make_fleet = |nodes: usize| {
         let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
         Fleet::create(
             backend.clone(),
             hub,
             FleetConfig {
                 nodes,
-                dop,
                 ..FleetConfig::default()
             },
             Box::new(|cache: &CacheServer| {
@@ -718,62 +605,54 @@ fn fleet_size_cache_state_and_dop_are_invisible_across_shapes() {
     };
     check::run(
         &Config::cases(6),
-        "fleet_size_cache_state_and_dop_are_invisible_across_shapes",
+        "fleet_size_and_cache_state_are_invisible_across_shapes",
         |rng| (gen_shape(rng), rng.gen_range(0u64..64)),
         |(sql, session)| {
             let reference = Connection::connect(backend.clone()).query(sql).unwrap();
             let baseline = {
-                let fleet = make_fleet(1, 1);
+                let fleet = make_fleet(1);
                 let conn = Connection::connect(fleet.route(*session).unwrap().1);
                 conn.query(sql).unwrap()
             };
             assert_eq!(baseline.rows, reference.rows, "single-node fleet: {sql}");
             for nodes in [2usize, 4] {
-                for dop in [1usize, 4] {
-                    let fleet = make_fleet(nodes, dop);
-                    let (slot, routed) = fleet.route(*session).unwrap();
-                    let conn = Connection::connect(routed.clone());
-                    routed.result_cache.set_enabled(false);
-                    let off = conn.query(sql).unwrap();
-                    assert_eq!(
-                        off.rows, reference.rows,
-                        "N={nodes} dop={dop} cache off: {sql}"
-                    );
-                    routed.result_cache.set_enabled(true);
-                    let cold = conn.query(sql).unwrap();
-                    assert_eq!(
-                        cold.rows, reference.rows,
-                        "N={nodes} dop={dop} cache cold: {sql}"
-                    );
-                    let warm = conn.query(sql).unwrap();
-                    assert_eq!(warm.schema, reference.schema, "{sql}");
-                    assert_eq!(
-                        warm.rows, reference.rows,
-                        "N={nodes} dop={dop} warm serve changed the answer: {sql}"
-                    );
-                    // A peer node answers identically too — remote shapes
-                    // may promote the first node's fetch from the shared
-                    // L2, which must preserve the bytes exactly.
-                    let peer_slot = (slot + 1) % nodes;
-                    let peer = Connection::connect(fleet.node(peer_slot).unwrap());
-                    let via_peer = peer.query(sql).unwrap();
-                    assert_eq!(
-                        via_peer.rows, reference.rows,
-                        "N={nodes} dop={dop} peer node (L2 path): {sql}"
-                    );
-                }
+                let fleet = make_fleet(nodes);
+                let (slot, routed) = fleet.route(*session).unwrap();
+                let conn = Connection::connect(routed.clone());
+                routed.result_cache.set_enabled(false);
+                let off = conn.query(sql).unwrap();
+                assert_eq!(off.rows, reference.rows, "N={nodes} cache off: {sql}");
+                routed.result_cache.set_enabled(true);
+                let cold = conn.query(sql).unwrap();
+                assert_eq!(cold.rows, reference.rows, "N={nodes} cache cold: {sql}");
+                let warm = conn.query(sql).unwrap();
+                assert_eq!(warm.schema, reference.schema, "{sql}");
+                assert_eq!(
+                    warm.rows, reference.rows,
+                    "N={nodes} warm serve changed the answer: {sql}"
+                );
+                // A peer node answers identically too — remote shapes
+                // may promote the first node's fetch from the shared
+                // L2, which must preserve the bytes exactly.
+                let peer_slot = (slot + 1) % nodes;
+                let peer = Connection::connect(fleet.node(peer_slot).unwrap());
+                let via_peer = peer.query(sql).unwrap();
+                assert_eq!(
+                    via_peer.rows, reference.rows,
+                    "N={nodes} peer node (L2 path): {sql}"
+                );
             }
         },
     );
 }
 
 // ---------------------------------------------------------------------------
-// Multi-site placement × degree of parallelism (DESIGN.md §13).
+// Multi-site placement (DESIGN.md §13).
 // ---------------------------------------------------------------------------
 
 /// A partitioned fleet over this file's `t` fixture: `cache0` is viewless
 /// (in-view reads hop to its peer), only `cache1` caches `t_head`.
-fn placement_fleet(dop: usize) -> (Arc<BackendServer>, Arc<mtcache_repro::cache::Fleet>) {
+fn placement_fleet() -> (Arc<BackendServer>, Arc<mtcache_repro::cache::Fleet>) {
     let backend = BackendServer::new("backend");
     backend
         .run_script(
@@ -799,7 +678,6 @@ fn placement_fleet(dop: usize) -> (Arc<BackendServer>, Arc<mtcache_repro::cache:
         hub,
         mtcache_repro::cache::FleetConfig {
             nodes: 2,
-            dop,
             ..mtcache_repro::cache::FleetConfig::default()
         },
         Box::new(|cache: &CacheServer| {
@@ -817,43 +695,24 @@ fn placement_fleet(dop: usize) -> (Arc<BackendServer>, Arc<mtcache_repro::cache:
 }
 
 #[test]
-fn fleet_placement_agrees_across_dop() {
+fn fleet_placement_agrees_with_the_backend() {
     // Transparency through the placement layer: for randomized queries, a
     // viewless node whose fragments may be peer-placed answers exactly what
-    // the backend answers — at dop 1 and dop 4, through every node. The
-    // chosen site is a pure performance decision, never a semantic one.
-    let (backend1, serial) = placement_fleet(1);
-    let (backend4, parallel) = placement_fleet(4);
-    let reference = Connection::connect(backend1);
-    let reference4 = Connection::connect(backend4);
+    // the backend answers, through every node. The chosen site is a pure
+    // performance decision, never a semantic one.
+    let (backend, fleet) = placement_fleet();
+    let reference = Connection::connect(backend);
     check::run(
         &Config::cases(24),
-        "fleet_placement_agrees_across_dop",
+        "fleet_placement_agrees_with_the_backend",
         gen_query,
         |sql| {
-            let want = reference.query(sql).unwrap();
-            assert_eq!(
-                sorted(reference4.query(sql).unwrap().rows),
-                sorted(want.rows.clone()),
-                "fixtures diverged: {sql}"
-            );
+            let want = sorted(reference.query(sql).unwrap().rows);
             for slot in 0..2 {
-                let via_serial = Connection::connect(serial.node(slot).unwrap())
+                let got = Connection::connect(fleet.node(slot).unwrap())
                     .query(sql)
                     .unwrap();
-                let via_parallel = Connection::connect(parallel.node(slot).unwrap())
-                    .query(sql)
-                    .unwrap();
-                assert_eq!(
-                    sorted(via_serial.rows),
-                    sorted(want.rows.clone()),
-                    "dop 1, node {slot}: {sql}"
-                );
-                assert_eq!(
-                    sorted(via_parallel.rows),
-                    sorted(want.rows.clone()),
-                    "dop 4, node {slot}: {sql}"
-                );
+                assert_eq!(sorted(got.rows), want, "node {slot}: {sql}");
             }
         },
     );
@@ -870,18 +729,16 @@ fn advisor_and_fragment_cache_are_invisible_across_shapes() {
     // middle of a workload, and the fragment memo replays join/aggregate
     // subtrees from cache memory. Both are pure optimizations: for every
     // query shape, with every combination of advisor on/off × fragment
-    // cache on/off × dop {1, 4}, the cache server must return bit-identical
+    // cache on/off, the cache server must return bit-identical
     // rows before a tick, after a tick (when the advisor may have deployed
     // new views), and on the memo-served repeat — all equal to the
     // backend's own answer.
     use mtcache_repro::cache::AdaptiveAdvisor;
 
     let backend = join_db();
-    let make_cache = |dop: usize| {
+    let make_cache = || {
         let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
-        let mut cache = CacheServer::create("cache-adv", backend.clone(), hub);
-        Arc::get_mut(&mut cache).expect("freshly created server").options.dop = dop;
-        cache
+        CacheServer::create("cache-adv", backend.clone(), hub)
     };
     check::run(
         &Config::cases(10),
@@ -889,33 +746,31 @@ fn advisor_and_fragment_cache_are_invisible_across_shapes() {
         gen_shape,
         |sql| {
             let reference = Connection::connect(backend.clone()).query(sql).unwrap();
-            for dop in [1usize, 4] {
-                for fragment in [false, true] {
-                    for advisor in [false, true] {
-                        let label = format!("dop={dop} fragment={fragment} advisor={advisor}");
-                        let cache = make_cache(dop);
-                        cache.set_fragment_caching(fragment);
-                        if advisor {
-                            cache.set_advisor(Some(Arc::new(AdaptiveAdvisor::default())));
-                        }
-                        let conn = Connection::connect(cache.clone());
-                        let cold = conn.query(sql).unwrap();
-                        assert_eq!(cold.rows, reference.rows, "cold, {label}: {sql}");
-                        // Close an epoch: the advisor may create cached
-                        // views and indexes at runtime. The answer must
-                        // not move.
-                        let decisions = cache.advisor_tick();
-                        let after = conn.query(sql).unwrap();
-                        assert_eq!(
-                            after.rows, reference.rows,
-                            "after tick {decisions:?}, {label}: {sql}"
-                        );
-                        // Served repeat: result cache and fragment memo now
-                        // both have a shot at answering from memory.
-                        let served = conn.query(sql).unwrap();
-                        assert_eq!(served.schema, after.schema, "served schema, {label}: {sql}");
-                        assert_eq!(served.rows, reference.rows, "served, {label}: {sql}");
+            for fragment in [false, true] {
+                for advisor in [false, true] {
+                    let label = format!("fragment={fragment} advisor={advisor}");
+                    let cache = make_cache();
+                    cache.set_fragment_caching(fragment);
+                    if advisor {
+                        cache.set_advisor(Some(Arc::new(AdaptiveAdvisor::default())));
                     }
+                    let conn = Connection::connect(cache.clone());
+                    let cold = conn.query(sql).unwrap();
+                    assert_eq!(cold.rows, reference.rows, "cold, {label}: {sql}");
+                    // Close an epoch: the advisor may create cached
+                    // views and indexes at runtime. The answer must
+                    // not move.
+                    let decisions = cache.advisor_tick();
+                    let after = conn.query(sql).unwrap();
+                    assert_eq!(
+                        after.rows, reference.rows,
+                        "after tick {decisions:?}, {label}: {sql}"
+                    );
+                    // Served repeat: result cache and fragment memo now
+                    // both have a shot at answering from memory.
+                    let served = conn.query(sql).unwrap();
+                    assert_eq!(served.schema, after.schema, "served schema, {label}: {sql}");
+                    assert_eq!(served.rows, reference.rows, "served, {label}: {sql}");
                 }
             }
         },
@@ -936,9 +791,9 @@ const P_ROWS: i64 = 3000;
 /// `p_head` caches `id <= P_VIEW_BOUND`, indexed on `grp`.
 const P_VIEW_BOUND: i64 = 2500;
 
-/// `p` on the backend; a cache at dop 1 and one at dop 4, each caching
-/// `p_head` with the secondary index `px_grp`.
-fn pruned_fixture() -> (Arc<BackendServer>, [Arc<CacheServer>; 2]) {
+/// `p` on the backend and a cache caching `p_head` with the secondary
+/// index `px_grp`.
+fn pruned_fixture() -> (Arc<BackendServer>, Arc<CacheServer>) {
     let backend = BackendServer::new("backend");
     backend
         .run_script(
@@ -961,25 +816,18 @@ fn pruned_fixture() -> (Arc<BackendServer>, [Arc<CacheServer>; 2]) {
         .collect();
     backend.run_script(&rows.join(";")).unwrap();
     backend.analyze();
-    let cache = |dop: usize| {
-        let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
-        let mut cache = CacheServer::create(&format!("cache-dop{dop}"), backend.clone(), hub);
-        Arc::get_mut(&mut cache)
-            .expect("freshly created server")
-            .options
-            .dop = dop;
-        cache
-            .create_cached_view(
-                "p_head",
-                &format!("SELECT id, grp, val, name, note, qty FROM p WHERE id <= {P_VIEW_BOUND}"),
-            )
-            .unwrap();
-        cache
-            .create_index_on_view("px_grp", "p_head", &["grp".to_string()])
-            .unwrap();
-        cache
-    };
-    (backend.clone(), [cache(1), cache(4)])
+    let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
+    let cache = CacheServer::create("cache-p", backend.clone(), hub);
+    cache
+        .create_cached_view(
+            "p_head",
+            &format!("SELECT id, grp, val, name, note, qty FROM p WHERE id <= {P_VIEW_BOUND}"),
+        )
+        .unwrap();
+    cache
+        .create_index_on_view("px_grp", "p_head", &["grp".to_string()])
+        .unwrap();
+    (backend, cache)
 }
 
 /// One statement over `p`: `id` plus bare and computed select items, an
@@ -1070,49 +918,31 @@ fn gen_pruned(rng: &mut StdRng) -> PrunedCase {
     }
 }
 
-/// The cache at dop 1 and 4 answers the ordered form exactly as the
-/// backend does; on the cache's snapshot the streaming executor — serial
-/// and with every leaf forced onto morsels at dop 4 — answers the
-/// unordered form exactly as the oracle does on the same plan.
-fn assert_pruned_agrees(
-    backend: &Arc<BackendServer>,
-    caches: &[Arc<CacheServer>; 2],
-    case: &PrunedCase,
-) {
+/// The cache answers the ordered form exactly as the backend does; on the
+/// cache's snapshot the streaming executor answers the unordered form
+/// exactly as the oracle does on the same plan.
+fn assert_pruned_agrees(backend: &Arc<BackendServer>, cache: &Arc<CacheServer>, case: &PrunedCase) {
     let ordered = case.sql(true);
     let truth = Connection::connect(backend.clone())
         .query(&ordered)
         .unwrap();
-    for cache in caches {
-        let conn = Connection::connect(cache.clone());
-        for pass in ["cold", "warm"] {
-            let got = conn.query(&ordered).unwrap();
-            assert_eq!(
-                got.schema,
-                truth.schema,
-                "{pass} {}: {ordered}",
-                cache.name()
-            );
-            assert_eq!(got.rows, truth.rows, "{pass} {}: {ordered}", cache.name());
-        }
+    let conn = Connection::connect(cache.clone());
+    for pass in ["cold", "warm"] {
+        let got = conn.query(&ordered).unwrap();
+        assert_eq!(got.schema, truth.schema, "{pass}: {ordered}");
+        assert_eq!(got.rows, truth.rows, "{pass}: {ordered}");
     }
     let sql = case.sql(false);
-    let snap = caches[0].db.read();
+    let snap = cache.db.read();
     let remote: &dyn RemoteExecutor = &**backend;
     let params = Bindings::new();
     let (streamed, reference) = both_ways(&snap, &sql, &params, Some(remote));
     assert_equivalent(&sql, &streamed, &reference);
-    let (serial, parallel) = serial_vs_parallel(&snap, &sql, &params, Some(remote), 4);
-    assert_eq!(serial.schema, parallel.schema, "dop 4 schema: {sql}");
-    assert_eq!(
-        serial.rows, parallel.rows,
-        "dop 4 changed the answer: {sql}"
-    );
 }
 
 #[test]
 fn pruned_leaves_agree_on_the_required_shapes() {
-    let (backend, caches) = pruned_fixture();
+    let (backend, cache) = pruned_fixture();
     let case = |list: &[&'static str], access: &str, residual: Option<&str>, top: Option<u32>| {
         PrunedCase {
             list: list.to_vec(),
@@ -1174,18 +1004,18 @@ fn pruned_leaves_agree_on_the_required_shapes() {
             Some(30),
         ),
     ] {
-        assert_pruned_agrees(&backend, &caches, &c);
+        assert_pruned_agrees(&backend, &cache, &c);
     }
 }
 
 #[test]
 fn pruned_leaves_agree_across_random_shapes() {
-    let (backend, caches) = pruned_fixture();
+    let (backend, cache) = pruned_fixture();
     check::run(
         &Config::cases(48),
         "pruned_leaves_agree_across_random_shapes",
         gen_pruned,
-        |case| assert_pruned_agrees(&backend, &caches, case),
+        |case| assert_pruned_agrees(&backend, &cache, case),
     );
 }
 
@@ -1319,27 +1149,16 @@ fn seeks_return_exactly_the_rows_their_bounds_select() {
             seeks[1] += u32::from(explain.contains("IndexSeek"));
             let bind = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
             let params = Connection::params(&[("a", bind(case.a)), ("b", bind(case.b))]);
-            let at_dop = |dop: usize| {
-                let parallel = (dop > 1).then(|| {
-                    let mut p = ParallelCtx::new(snap.clone(), WorkerPool::global().clone(), dop);
-                    p.min_rows = 1;
-                    p
-                });
-                let ctx = ExecContext {
-                    db: &snap,
-                    remote: None,
-                    params: &params,
-                    work: &options.cost,
-                    parallel,
-                };
-                (execute(&opt.physical, &ctx), ctx)
+            let ctx = ExecContext {
+                db: &snap,
+                remote: None,
+                params: &params,
+                work: &options.cost,
+                parallel: None,
             };
-            let (serial, ctx) = at_dop(1);
             let reference = oracle::run(&opt.physical, &ctx).unwrap();
-            let serial = serial.unwrap();
-            assert_eq!(serial.rows, reference.rows, "dop 1: {sql} {case:?}\n{explain}");
-            let parallel = at_dop(4).0.unwrap();
-            assert_eq!(parallel.rows, reference.rows, "dop 4: {sql} {case:?}\n{explain}");
+            let streamed = execute(&opt.physical, &ctx).unwrap();
+            assert_eq!(streamed.rows, reference.rows, "{sql} {case:?}\n{explain}");
 
             // Composite keys, at the storage level: a clustered range over
             // inclusive bounds, an index range over any.

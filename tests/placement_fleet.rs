@@ -218,8 +218,10 @@ fn a_bounded_read_placed_on_a_stale_peer_is_served_by_the_backend() {
     assert!(want.iter().any(|r| r[1] == Value::Int(999)), "{want:?}");
     let owner = fleet.node(1).unwrap();
     let fallbacks = owner.stats.freshness_fallbacks.get();
+    let placer = fleet.node(0).unwrap();
+    let misses = placer.result_cache.stats().misses;
 
-    let r = Connection::connect(fleet.node(0).unwrap()).query(sql).unwrap();
+    let r = Connection::connect(placer.clone()).query(sql).unwrap();
     assert_eq!(r.rows, want, "the answer is the backend's, not the stale view's");
     assert_eq!(
         owner.stats.freshness_fallbacks.get(),
@@ -227,6 +229,11 @@ fn a_bounded_read_placed_on_a_stale_peer_is_served_by_the_backend() {
         "the stale peer refused the fragment"
     );
     assert_eq!(r.metrics.peer_calls, 0, "no peer served any of it");
+    assert_eq!(
+        placer.result_cache.stats().misses,
+        misses + 1,
+        "the backend fallback reuses the L1 probe made before the peer hop"
+    );
 }
 
 #[test]

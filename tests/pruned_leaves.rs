@@ -11,15 +11,11 @@
 
 use std::sync::Arc;
 
-use mtc_util::pool::WorkerPool;
 use mtc_util::sync::Mutex;
 
 use mtcache_repro::cache::{BackendServer, Bindings, CacheServer, Connection};
-use mtcache_repro::engine::{
-    bind_select, execute, ExecContext, OptimizerOptions, ParallelCtx, QueryResult,
-};
+use mtcache_repro::engine::QueryResult;
 use mtcache_repro::replication::ReplicationHub;
-use mtcache_repro::sql::{parse_statement, Statement};
 use mtcache_repro::tpcw::datagen::{generate, Scale};
 use mtcache_repro::tpcw::deploy::configure_cache;
 use mtcache_repro::tpcw::procs::{register_all, PROCEDURES};
@@ -129,55 +125,4 @@ fn a_subject_search_index_seek_builds_its_projected_and_residual_columns() {
     // Every touched index entry builds i_a_id, i_cost, i_id, i_title
     // (projected) and i_subject (re-checked), not cv_item's 11 columns.
     assert_eq!(r.metrics.cells_built, matching * 5);
-}
-
-#[test]
-fn a_dop_4_execution_returns_the_same_rows_from_pruned_leaves() {
-    // The cache's own snapshot, planned and executed at the engine level,
-    // serially and with every leaf forced onto the morsel path.
-    let (_backend, cache) = tpcw();
-    let snap = cache.db.read();
-    let options = OptimizerOptions::default();
-    let run = |sql: &str, params: &Bindings, dop: usize| {
-        let Statement::Select(sel) = parse_statement(sql).unwrap() else {
-            panic!("not a SELECT: {sql}");
-        };
-        let plan = bind_select(&sel, &snap).unwrap();
-        let opt = mtcache_repro::engine::optimize(plan, &snap, &options).unwrap();
-        let parallel = (dop > 1).then(|| {
-            let mut p = ParallelCtx::new(snap.clone(), WorkerPool::global().clone(), dop);
-            p.min_rows = 1;
-            p
-        });
-        let ctx = ExecContext {
-            db: &snap,
-            remote: None,
-            params,
-            work: &options.cost,
-            parallel,
-        };
-        execute(&opt.physical, &ctx).unwrap()
-    };
-    let subject = Connection::params(&[("subject", Value::str("HISTORY"))]);
-    for (sql, params) in [
-        (ITEM_POINT, params(&[("id", 17)])),
-        (ITEM_RANGE, params(&[("lo", 5), ("hi", 25)])),
-        (subject_search(), subject),
-    ] {
-        let serial = run(sql, &params, 1);
-        let parallel = run(sql, &params, 4);
-        assert_eq!(serial.schema, parallel.schema, "{sql}");
-        assert_eq!(
-            serial.rows, parallel.rows,
-            "dop 4 changed the answer: {sql}"
-        );
-        assert!(
-            parallel.metrics.parallel_work > 0.0,
-            "dop 4 stayed serial: {sql}"
-        );
-    }
-    // The morsel leaf builds the same two columns, for the survivors of its
-    // residual (i_id 5..=24) only.
-    let parallel = run(ITEM_RANGE, &params(&[("lo", 5), ("hi", 25)]), 4);
-    assert_eq!(parallel.metrics.cells_built, 20 * 2);
 }

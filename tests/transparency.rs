@@ -144,25 +144,19 @@ fn permission_model_is_shadowed() {
 fn empty_key_ranges_return_no_rows_on_either_tier() {
     // A range whose low end lies above its high end selects nothing; it
     // used to panic inside `BTreeMap::range`. Covered: clustered seek and
-    // secondary-index range seek, each on the cache's view, on the backend
-    // (the range lies outside the view, so the cache forwards it), and on
-    // the cache's morsel-parallel path, which counts the range first.
+    // secondary-index range seek, each on the cache's view, and on the
+    // backend (the range lies outside the view, so the cache forwards it).
     let (backend, _, hub) = setup();
-    let cache_at = |dop: usize| {
-        let mut cache = CacheServer::create("cache-dop", backend.clone(), hub.clone());
-        Arc::get_mut(&mut cache).expect("freshly created server").options.dop = dop;
-        // Big enough for the parallel paths to consider the table.
-        cache
-            .create_cached_view(
-                "most_products",
-                "SELECT p_id, p_name, p_price, p_category FROM product WHERE p_id <= 4000",
-            )
-            .unwrap();
-        cache
-            .create_index_on_view("cx_most_cat", "most_products", &["p_category".into()])
-            .unwrap();
-        cache
-    };
+    let cache = CacheServer::create("cache-ranges", backend.clone(), hub);
+    cache
+        .create_cached_view(
+            "most_products",
+            "SELECT p_id, p_name, p_price, p_category FROM product WHERE p_id <= 4000",
+        )
+        .unwrap();
+    cache
+        .create_index_on_view("cx_most_cat", "most_products", &["p_category".into()])
+        .unwrap();
     let queries = [
         ("clustered seek", "SELECT p_id FROM product WHERE p_id >= 10 AND p_id <= 5", 0),
         (
@@ -173,16 +167,13 @@ fn empty_key_ranges_return_no_rows_on_either_tier() {
         ("clustered seek outside the view", "SELECT p_id FROM product WHERE p_id >= 4800 AND p_id <= 4700", 1),
     ];
     let bconn = Connection::connect_as(backend.clone(), "app");
-    for dop in [1usize, 4] {
-        let cache = cache_at(dop);
-        let cconn = Connection::connect_as(cache.clone(), "app");
-        for (what, sql, remote_calls) in queries {
-            let b = bconn.query(sql).unwrap_or_else(|e| panic!("backend, {what}: {e}"));
-            let c = cconn.query(sql).unwrap_or_else(|e| panic!("cache dop={dop}, {what}: {e}"));
-            assert!(b.rows.is_empty(), "backend, {what}: {:?}", b.rows);
-            assert!(c.rows.is_empty(), "cache dop={dop}, {what}: {:?}", c.rows);
-            assert_eq!(c.metrics.remote_calls, remote_calls, "cache dop={dop}, {what}");
-        }
+    let cconn = Connection::connect_as(cache, "app");
+    for (what, sql, remote_calls) in queries {
+        let b = bconn.query(sql).unwrap_or_else(|e| panic!("backend, {what}: {e}"));
+        let c = cconn.query(sql).unwrap_or_else(|e| panic!("cache, {what}: {e}"));
+        assert!(b.rows.is_empty(), "backend, {what}: {:?}", b.rows);
+        assert!(c.rows.is_empty(), "cache, {what}: {:?}", c.rows);
+        assert_eq!(c.metrics.remote_calls, remote_calls, "cache, {what}");
     }
 }
 
