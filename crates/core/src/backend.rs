@@ -12,7 +12,7 @@ use mtc_engine::{
 };
 use mtc_replication::{Clock, WallClock};
 use mtc_sql::{parse_statements, Permission, Prepared, Select, Statement, TableRef};
-use mtc_storage::{Database, ProcedureDef, RowChange, ViewMeta};
+use mtc_storage::{written_tables, Database, Lsn, ProcedureDef, RowChange, ViewMeta};
 use mtc_types::{Column, Error, Result, Row, Schema};
 
 use crate::dml::{derive_view_changes, plan_dml, DML_STATEMENT_OVERHEAD, WORK_PER_CHANGE};
@@ -20,6 +20,14 @@ use crate::plan_cache::{param_signature, CachedPlan, Compiled, PlanCache};
 use crate::procs::{bind_proc_args, prepare_proc_body, run_body};
 use crate::statements::{Resolved, StatementCache};
 use crate::stats::SharedServerStats;
+
+/// One transaction the backend committed: its LSN and the tables it wrote
+/// ([`written_tables`]), derived materialized views included.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Commit {
+    pub lsn: Lsn,
+    pub tables: Vec<String>,
+}
 
 /// The backend server: database of record, local execution of everything,
 /// eager materialized-view maintenance, and the replication publisher.
@@ -118,24 +126,37 @@ impl BackendServer {
     }
 
     /// Executes a prepared statement: a client's, a stored procedure's, a
-    /// script's, or one a cache server forwards or ships.
+    /// script's, or one a cache server ships.
     pub fn execute_prepared(
         &self,
         stmt: &Prepared,
         params: &Bindings,
         principal: &str,
     ) -> Result<QueryResult> {
+        self.execute_reporting(stmt, params, principal, &mut Vec::new())
+    }
+
+    /// [`execute_prepared`](Self::execute_prepared), appending to `commits`
+    /// each transaction the statement commits, in commit order: one per
+    /// INSERT/UPDATE/DELETE that writes a row (a write that changes none
+    /// commits nothing), nested procedures included, and those a failing
+    /// procedure committed before its error. A cache server forwards writes
+    /// through here and invalidates by what it gets back.
+    pub fn execute_reporting(
+        &self,
+        stmt: &Prepared,
+        params: &Bindings,
+        principal: &str,
+        commits: &mut Vec<Commit>,
+    ) -> Result<QueryResult> {
+        let mut dml = |table: &str, permission| {
+            self.execute_dml(stmt, table, permission, params, principal, commits)
+        };
         match &stmt.statement {
             Statement::Select(sel) => self.execute_select(stmt, sel, params, principal),
-            Statement::Insert { table, .. } => {
-                self.execute_dml(stmt, table, Permission::Insert, params, principal)
-            }
-            Statement::Update { table, .. } => {
-                self.execute_dml(stmt, table, Permission::Update, params, principal)
-            }
-            Statement::Delete { table, .. } => {
-                self.execute_dml(stmt, table, Permission::Delete, params, principal)
-            }
+            Statement::Insert { table, .. } => dml(table, Permission::Insert),
+            Statement::Update { table, .. } => dml(table, Permission::Update),
+            Statement::Delete { table, .. } => dml(table, Permission::Delete),
             Statement::CreateTable {
                 name,
                 columns,
@@ -202,7 +223,9 @@ impl BackendServer {
                 self.db.write().catalog_mut().grant(principal, grantee, object, *permission)?;
                 Ok(QueryResult::default())
             }
-            Statement::Exec { proc, args } => self.execute_proc(proc, args, params, principal),
+            Statement::Exec { proc, args } => {
+                self.execute_proc(proc, args, params, principal, commits)
+            }
         }
     }
 
@@ -284,10 +307,11 @@ impl BackendServer {
     }
 
     /// Runs an INSERT/UPDATE/DELETE as one transaction, including eager
-    /// maintenance of select-project materialized views. The statement's
-    /// compiled form (target location, assignment and `VALUES` expressions)
-    /// comes from the plan cache under the rules a SELECT's plan does; the
-    /// permission check runs on every execution.
+    /// maintenance of select-project materialized views, and reports it to
+    /// `commits` unless it wrote no row. The statement's compiled form
+    /// (target location, assignment and `VALUES` expressions) comes from
+    /// the plan cache under the rules a SELECT's plan does; the permission
+    /// check runs on every execution.
     fn execute_dml(
         &self,
         stmt: &Prepared,
@@ -295,6 +319,7 @@ impl BackendServer {
         permission: Permission,
         params: &Bindings,
         principal: &str,
+        commits: &mut Vec<Commit>,
     ) -> Result<QueryResult> {
         let mut db = self.db.write();
         db.catalog.check_permission(principal, table, permission)?;
@@ -307,7 +332,9 @@ impl BackendServer {
         changes.extend(derive_view_changes(&db, &changes)?);
         let written = changes.len();
         if written > 0 {
-            db.apply(self.clock.now_ms(), changes)?;
+            let tables = written_tables(&changes);
+            let lsn = db.apply(self.clock.now_ms(), changes)?;
+            commits.push(Commit { lsn, tables });
         }
         drop(db);
         // Statement overhead (parse/lock/log-flush/commit) + target lookup
@@ -335,12 +362,13 @@ impl BackendServer {
     }
 
     /// Executes a stored procedure; the result is that of its last SELECT.
-    pub fn execute_proc(
+    fn execute_proc(
         &self,
         proc: &str,
         args: &[(String, mtc_sql::Expr)],
         caller_params: &Bindings,
         principal: &str,
+        commits: &mut Vec<Commit>,
     ) -> Result<QueryResult> {
         let def = self
             .db
@@ -351,7 +379,9 @@ impl BackendServer {
             .ok_or_else(|| Error::catalog(format!("procedure `{proc}` not found")))?;
         let bound = bind_proc_args(&def, args, caller_params)?;
         self.stats.procs.inc();
-        run_body(&def, |stmt| self.execute_prepared(stmt, &bound, principal))
+        run_body(&def, |stmt| {
+            self.execute_reporting(stmt, &bound, principal, commits)
+        })
     }
 
     /// Creates a materialized view: backing table + initial population.

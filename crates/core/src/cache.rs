@@ -5,12 +5,13 @@ use std::sync::Arc;
 
 use mtc_util::sync::{ArcSwap, Mutex};
 
+use mtc_engine::compile::compile_expr;
 use mtc_engine::eval::Bindings;
 use mtc_engine::{
-    bind_select, Answer, Collect, CompiledQuery, ExecContext, ExecMetrics, OptimizerOptions,
-    PeerSite, PlacementEnv, QueryResult, RemoteExecutor,
+    bind_select, Answer, Collect, CompiledQuery, EvalEnv, ExecContext, ExecMetrics,
+    OptimizerOptions, ParamSlots, PeerSite, PlacementEnv, QueryResult, RemoteExecutor,
 };
-use mtc_replication::{Article, Clock, ReplicationHub};
+use mtc_replication::{Article, Clock, InvalidationSink, ReplicationHub};
 use mtc_sql::{Permission, Prepared, Select, Statement, TableRef};
 use mtc_storage::{DbSnapshot, Lsn, ProcedureDef, SnapshotDb, ViewMeta};
 use mtc_types::{Column, Error, Result, Schema};
@@ -52,7 +53,7 @@ pub struct CacheServer {
     /// Currency-aware remote **result** cache (see
     /// [`crate::result_cache`]): materialized answers of shipped remote
     /// subqueries, keyed by SQL text + bound parameter values, invalidated
-    /// through the replication stream and by locally forwarded DML.
+    /// by the replication stream and by the writes this node forwards.
     /// Shared (`Arc`) because the replication hub holds it as an
     /// [`mtc_replication::InvalidationSink`].
     pub result_cache: Arc<ResultCache>,
@@ -210,19 +211,28 @@ impl CacheServer {
         self.wiring.load().topology.load(Ordering::Acquire)
     }
 
-    /// Raises the invalidation watermark for `table` on this node's L1,
-    /// every registered peer L1, and the shared L2 — synchronously, so by
-    /// the time the forwarded write returns, no tier in the fleet can serve
-    /// a result missing it to a reader at `required` or beyond.
-    fn invalidate_write(&self, table: &str, required: u64) {
-        self.result_cache.note_write(table, required);
+    /// Forwards a write (DML, or a procedure this node has no copy of) to
+    /// the backend. This node's L1, every peer L1 and the shared L2 hear
+    /// each transaction it committed as the replication stream would tell
+    /// them ([`InvalidationSink`]), before the write returns: no tier in the
+    /// fleet serves a result missing it to a reader who has seen it.
+    fn forward(&self, stmt: &Prepared, params: &Bindings, principal: &str) -> Result<QueryResult> {
+        let mut commits = Vec::new();
+        let out = self
+            .backend
+            .execute_reporting(stmt, params, principal, &mut commits);
         let wiring = self.wiring.load();
-        for peer in &wiring.peer_caches {
-            peer.note_write(table, required);
+        let tiers = std::iter::once(&self.result_cache)
+            .chain(&wiring.peer_caches)
+            .chain(&wiring.l2);
+        for tier in tiers {
+            for commit in &commits {
+                tier.note_applied(&commit.tables, commit.lsn);
+            }
         }
-        if let Some(l2) = &wiring.l2 {
-            l2.note_write(table, required);
-        }
+        let mut out = out?;
+        self.book_forwarded(&mut out.metrics);
+        Ok(out)
     }
 
     pub fn name(&self) -> &str {
@@ -395,16 +405,8 @@ impl CacheServer {
                     .read()
                     .catalog
                     .check_permission(principal, table, perm)?;
-                let mut out = self.backend.execute_prepared(stmt, params, principal)?;
-                // Our own forwarded write is visible on the backend *now*;
-                // don't wait for the replication stream to tell us about it.
-                // Entries over `table` must be at least as new as the head
-                // AFTER this write to be served again — on this node, on
-                // every fleet peer, and in the shared L2.
-                self.invalidate_write(table, self.backend.commit_lsn().0);
-                self.stats.dml.inc();
-                self.book_forwarded(&mut out.metrics);
-                Ok(out)
+                self.forward(stmt, params, principal)
+                    .inspect(|_| self.stats.dml.inc())
             }
             Statement::Exec { proc, args } => {
                 // Local if copied, transparently forwarded otherwise (§5.2).
@@ -420,31 +422,9 @@ impl CacheServer {
                             self.execute_prepared(stmt, &bound, principal)
                         })
                     }
-                    None => {
-                        let mut out =
-                            self.backend.execute_proc(proc, args, params, principal)?;
-                        // A forwarded procedure may have written on the
-                        // backend: invalidate cached results over every
-                        // table its body's DML touches. (The definition is
-                        // taken out from under the read lock first:
-                        // `commit_lsn` reads the same lock, and a second
-                        // read behind a waiting writer never returns.)
-                        let def = self.backend.db.read().catalog.procedure(proc).cloned();
-                        if let Some(def) = def {
-                            let head = self.backend.commit_lsn().0;
-                            for stmt in &def.body {
-                                if let Statement::Insert { table, .. }
-                                | Statement::Update { table, .. }
-                                | Statement::Delete { table, .. } = &stmt.statement
-                                {
-                                    self.invalidate_write(table, head);
-                                }
-                            }
-                        }
-                        self.stats.procs.inc();
-                        self.book_forwarded(&mut out.metrics);
-                        Ok(out)
-                    }
+                    None => self
+                        .forward(stmt, params, principal)
+                        .inspect(|_| self.stats.procs.inc()),
                 }
             }
             Statement::CreateView {
@@ -922,14 +902,9 @@ fn remote_fragments(plan: &mtc_engine::PhysicalPlan, params: &Bindings) -> Vec<R
                 startup_predicates,
                 ..
             } => {
-                // Startup predicates are parameter-only: no row to read.
-                let (row, schema) = (mtc_types::Row::new(Vec::new()), Schema::empty());
                 for (input, guard) in inputs.iter().zip(startup_predicates) {
                     let closed = guard.as_ref().is_some_and(|g| {
-                        matches!(
-                            mtc_engine::eval_predicate(g, &row, &schema, params),
-                            Ok(Some(false) | None)
-                        )
+                        matches!(startup_truth(g, params), Ok(Some(false) | None))
                     });
                     walk(input, params, open && !closed, out);
                 }
@@ -944,6 +919,20 @@ fn remote_fragments(plan: &mtc_engine::PhysicalPlan, params: &Bindings) -> Vec<R
     let mut out = Vec::new();
     walk(plan, params, true, &mut out);
     out
+}
+
+/// A ChoosePlan startup predicate's truth under `params`, as the executor
+/// evaluates it: compiled against the empty schema (it reads parameters,
+/// never a row).
+fn startup_truth(guard: &mtc_sql::Expr, params: &Bindings) -> Result<Option<bool>> {
+    let mut slots = ParamSlots::default();
+    let compiled = compile_expr(guard, &Schema::empty(), &mut slots)?;
+    let values = slots.resolve(params);
+    let env = EvalEnv {
+        params: &values,
+        names: slots.names(),
+    };
+    compiled.eval_predicate(&mtc_types::Row::new(Vec::new()), env)
 }
 
 #[cfg(test)]

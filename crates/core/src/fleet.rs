@@ -23,11 +23,12 @@
 //!   LSN, tables, fetch instant); a backend fetch writes through to both
 //!   tiers. Cross-node invalidation fans out over the existing per-table
 //!   `InvalidationSink` watermarks: the replication stream invalidates each
-//!   node's L1 and the L2 as deliveries apply, and a write forwarded
-//!   through any node invalidates **all** tiers synchronously, before the
-//!   DML returns — so no node ever serves a result older than its currency
-//!   bound, and no reader at-or-past a write's LSN can hit a pre-write
-//!   entry anywhere in the fleet.
+//!   node's L1 and the L2 as its cursor passes each transaction, and a
+//!   write forwarded through any node invalidates **all** tiers by the
+//!   transactions it committed, before the DML returns — so no node ever
+//!   serves a result older than its currency bound, and no reader
+//!   at-or-past a write's LSN can hit a pre-write entry anywhere in the
+//!   fleet.
 //!
 //! * **Failure semantics.** [`Fleet::crash_node`] kills a node: it is
 //!   removed from the hub (a dead node must not pin the distribution
@@ -407,8 +408,8 @@ impl Fleet {
     }
 
     /// The LSN past the last transaction fully applied to node `idx` — its
-    /// replication cursor. `None` for a crashed slot or a node with no
-    /// cached views.
+    /// replication cursor, which a node with no cached views advances too
+    /// (its sinks hear every transaction). `None` for a crashed slot.
     pub fn applied_lsn(&self, idx: usize) -> Option<Lsn> {
         let server = self.node(idx)?;
         self.hub.lock().applied_lsn_for_target(&server.db)

@@ -16,8 +16,8 @@
 //!   fragment is exactly as fresh as every view it read.
 //! * **invalidation tables** — the backend *source* tables behind those
 //!   views (via [`ViewMeta::base_object`]), so the replication hub's
-//!   publisher-side invalidation stream and locally forwarded DML raise
-//!   the same watermarks that flush statement results.
+//!   publisher-side invalidation stream, the one way a change reaches
+//!   those views, raises the watermarks that flush statement results.
 //! * **catalog version** — DDL (new views, drops) flushes fragments like
 //!   it flushes plans and statement results.
 //! * **work** — what recomputing the fragment costs, the admission benefit.

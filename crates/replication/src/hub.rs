@@ -25,7 +25,8 @@ use mtc_util::fault::{FaultDecision, FaultPlan};
 use mtc_util::sync::RwLock;
 
 use mtc_storage::{
-    CommittedTransaction, Database, Lsn, RowChange, SnapshotDb, SnapshotWriteGuard, Watermark,
+    written_tables, CommittedTransaction, Database, Lsn, RowChange, SnapshotDb, SnapshotWriteGuard,
+    Watermark,
 };
 use mtc_types::{Error, Result};
 
@@ -64,11 +65,12 @@ impl Default for ReplicationCosts {
 /// The hub calls [`note_applied`](InvalidationSink::note_applied) once per
 /// node whenever that node's cursor advances past a committed transaction —
 /// whether the delivery applied rows, was filtered to nothing by the node's
-/// views (the write still happened on the publisher), or applied but then
-/// lost its progress record to an injected crash (the data *is* on the
-/// node, so dependent cached results are stale either way). `tables` are
-/// the *publisher-side* tables the transaction wrote; `lsn` is its commit
-/// LSN. Notifications may repeat (duplicate delivery, crash replay):
+/// views (the write still happened on the publisher; a node without views
+/// filters everything), or applied but then lost its progress record to an
+/// injected crash (the data *is* on the node, so dependent cached results
+/// are stale either way). `tables` are the *publisher-side* tables the
+/// transaction wrote ([`written_tables`]); `lsn` is its commit LSN.
+/// Notifications may repeat (duplicate delivery, crash replay):
 /// implementations must be idempotent.
 pub trait InvalidationSink: Send + Sync {
     fn note_applied(&self, tables: &[String], lsn: Lsn);
@@ -79,19 +81,9 @@ pub trait InvalidationSink: Send + Sync {
 pub struct NodeInfo {
     /// The backing tables of the node's cached views, in subscribe order.
     pub views: Vec<String>,
-    /// The next transaction the node's cursor takes: every transaction
-    /// below it is applied to (or filtered away from) all its views.
-    pub next_lsn: Lsn,
     /// Commit timestamp (publisher clock) through which the node is known
     /// to be in sync.
     pub synced_through_ms: i64,
-    /// Fault-injected hold: no deliveries before this instant.
-    pub delayed_until_ms: i64,
-    /// Delivery attempts spent on the transaction at `next_lsn` (0 when
-    /// the head of the queue has not been attempted yet).
-    pub attempts_at_next: u32,
-    /// The watermark stamped on the node's latest snapshot.
-    pub watermark: Watermark,
 }
 
 /// One cached view of a node.
@@ -106,8 +98,9 @@ struct View {
 }
 
 /// One target database — a cache node — with the one cursor that every
-/// view on it shares. A node with no views is inert: it holds only the
-/// sinks registered ahead of its first view.
+/// view on it shares. A node without views is served like any other: its
+/// cursor passes every transaction, fault-free since nothing is delivered,
+/// and its sinks hear each one.
 struct Node {
     /// Snapshot-published target: each delivery mutates its master copy
     /// and publishes a fresh immutable snapshot on guard drop, so
@@ -123,24 +116,22 @@ struct Node {
     /// Failed attempts for the transaction at `next_lsn`; reset on success.
     attempts_at_next: u32,
     /// The watermark last stamped onto the target's snapshots; used to skip
-    /// a no-op publication when nothing advanced this pass.
-    stamped: Watermark,
+    /// a no-op publication when nothing advanced this pass. `None` until
+    /// the node's first view: a node that never held one is not stamped.
+    stamped: Option<Watermark>,
 }
 
 impl Node {
-    fn new(target: Arc<SnapshotDb>) -> Node {
+    fn new(target: Arc<SnapshotDb>, next_lsn: Lsn) -> Node {
         Node {
             target,
             views: Vec::new(),
             sinks: Vec::new(),
-            next_lsn: Lsn(0),
+            next_lsn,
             synced_through_ms: i64::MIN,
             delayed_until_ms: i64::MIN,
             attempts_at_next: 0,
-            stamped: Watermark {
-                lsn: Lsn(0),
-                synced_through_ms: i64::MIN,
-            },
+            stamped: None,
         }
     }
 
@@ -164,27 +155,17 @@ impl Node {
         self.synced_through_ms = txn.commit_ts_ms.max(self.synced_through_ms);
     }
 
-    /// Tells the node's sinks which publisher tables `txn` wrote.
-    fn notify(&self, txn: &CommittedTransaction) {
-        if self.sinks.is_empty() {
-            return;
-        }
-        let mut tables: Vec<String> = txn.changes.iter().map(|c| c.table().to_string()).collect();
-        tables.sort();
-        tables.dedup();
+    /// Tells the node's sinks that the transaction at `lsn` wrote `tables`.
+    fn notify(&self, tables: &[String], lsn: Lsn) {
         for sink in &self.sinks {
-            sink.note_applied(&tables, txn.lsn);
+            sink.note_applied(tables, lsn);
         }
     }
 
     fn info(&self) -> NodeInfo {
         NodeInfo {
             views: self.views.iter().map(|v| v.table.clone()).collect(),
-            next_lsn: self.next_lsn,
             synced_through_ms: self.synced_through_ms,
-            delayed_until_ms: self.delayed_until_ms,
-            attempts_at_next: self.attempts_at_next,
-            watermark: self.stamped,
         }
     }
 }
@@ -193,8 +174,9 @@ impl Node {
 /// against one publisher, and pushes changes to subscribers.
 pub struct ReplicationHub {
     publisher: Arc<RwLock<Database>>,
-    /// The distribution database: read-but-undistributed transactions.
-    distribution: Vec<CommittedTransaction>,
+    /// The distribution database: read-but-undistributed transactions, each
+    /// with the tables it wrote, computed once by the log reader.
+    distribution: Vec<(CommittedTransaction, Vec<String>)>,
     last_read: Lsn,
     /// Experiment 2 knob: with the log reader off, nothing replicates and
     /// the publisher pays no replication overhead.
@@ -239,32 +221,27 @@ impl ReplicationHub {
         self.position(target).map(|i| &self.nodes[i])
     }
 
-    /// The entry for `target`, created on first use.
-    fn node_mut(&mut self, target: &Arc<SnapshotDb>) -> &mut Node {
+    /// The entry for `target`, created on first use with its cursor at
+    /// `start`.
+    fn node_mut(&mut self, target: &Arc<SnapshotDb>, start: Lsn) -> &mut Node {
         let i = self.position(target).unwrap_or_else(|| {
-            self.nodes.push(Node::new(target.clone()));
+            self.nodes.push(Node::new(target.clone(), start));
             self.nodes.len() - 1
         });
         &mut self.nodes[i]
     }
 
-    /// The nodes with views: the ones distribution serves and waits for.
-    fn live(&self) -> impl Iterator<Item = &Node> {
-        self.nodes.iter().filter(|n| !n.views.is_empty())
-    }
-
     /// Registers an [`InvalidationSink`] to be notified whenever the node
-    /// `target` advances past a committed publisher transaction.
+    /// `target` advances past a committed publisher transaction. A node new
+    /// to the hub starts its cursor at the publisher's log head: what its
+    /// sinks cache from now on is fetched after every earlier commit.
     pub fn register_invalidation_sink(
         &mut self,
         target: &Arc<SnapshotDb>,
         sink: Arc<dyn InvalidationSink>,
     ) {
-        self.node_mut(target).sinks.push(sink);
-    }
-
-    pub fn publisher(&self) -> &Arc<RwLock<Database>> {
-        &self.publisher
+        let head = self.publisher.read().log().head();
+        self.node_mut(target, head).sinks.push(sink);
     }
 
     /// Installs a seeded fault plan on the delivery path.
@@ -292,9 +269,9 @@ impl ReplicationHub {
     /// `target`, together with the node's watermark, so whatever else the
     /// caller does in that batch (catalog entry, statistics) publishes with
     /// them. Take the hub lock before opening the guard, as distribution
-    /// does. A node without views starts its cursor at the snapshot; a node
-    /// that has views keeps its cursor and skips the transactions the new
-    /// view's snapshot already holds.
+    /// does. A known node keeps its cursor, so its sinks miss nothing, and
+    /// the view skips what its snapshot holds; a new node starts at the
+    /// snapshot. The first view stamps the node with the snapshot's mark.
     pub fn subscribe(
         &mut self,
         article: Article,
@@ -340,19 +317,15 @@ impl ReplicationHub {
         self.metrics.apply_work.add(self.costs.apply_per_change * changes.len() as f64);
         guard.apply_unlogged(&changes)?;
 
-        let node = self.node_mut(target);
-        if node.views.is_empty() {
-            let mark = Watermark {
-                lsn: populated_at,
-                synced_through_ms: now_ms,
-            };
-            node.next_lsn = mark.lsn;
-            node.synced_through_ms = mark.synced_through_ms;
-            node.delayed_until_ms = i64::MIN;
-            node.attempts_at_next = 0;
-            node.stamped = mark;
+        let node = self.node_mut(target, populated_at);
+        if node.stamped.is_none() {
+            node.synced_through_ms = now_ms;
         }
-        guard.set_watermark(node.stamped);
+        let mark = node.stamped.get_or_insert(Watermark {
+            lsn: populated_at,
+            synced_through_ms: now_ms,
+        });
+        guard.set_watermark(*mark);
         node.views.push(View {
             article: resolved,
             table: target_table.to_string(),
@@ -387,25 +360,24 @@ impl ReplicationHub {
         views.len() < before
     }
 
-    /// The LSN *past* the last transaction applied to node `target`: all
-    /// publisher transactions below it are fully reflected on that node.
-    /// `None` when the node has no views.
+    /// The LSN *past* the last transaction applied to node `target` (its
+    /// cursor): every publisher transaction below it is reflected on the
+    /// node and heard by its sinks. `None` for a node the hub does not know.
     pub fn applied_lsn_for_target(&self, target: &Arc<SnapshotDb>) -> Option<Lsn> {
-        self.node(target)
-            .filter(|n| !n.views.is_empty())
-            .map(|n| n.next_lsn)
+        self.node(target).map(|n| n.next_lsn)
     }
 
     /// Read-but-unapplied backlog of node `target`, in transactions. `None`
-    /// when the node has no views.
+    /// when the hub does not know the node.
     pub fn lag_txns_for_target(&self, target: &Arc<SnapshotDb>) -> Option<u64> {
         self.applied_lsn_for_target(target)
             .map(|next| self.last_read.0.saturating_sub(next.0))
     }
 
-    /// Read-but-unapplied backlog summed over every node with views.
+    /// Read-but-unapplied backlog summed over every node.
     pub fn pending_txns(&self) -> u64 {
-        self.live()
+        self.nodes
+            .iter()
             .map(|n| self.last_read.0.saturating_sub(n.next_lsn.0))
             .sum()
     }
@@ -437,13 +409,14 @@ impl ReplicationHub {
                 self.costs.reader_per_txn
                     + self.costs.reader_per_change * txn.changes.len() as f64,
             );
-            self.distribution.push(txn);
+            let tables = written_tables(&txn.changes);
+            self.distribution.push((txn, tables));
         }
     }
 
-    /// Distribution pass: pushes pending transactions to every node, one
-    /// complete transaction at a time in commit order, then truncates the
-    /// distribution database up to the slowest node.
+    /// Distribution pass: pushes pending transactions to every node the hub
+    /// knows, one complete transaction at a time in commit order, then
+    /// truncates the distribution database up to the slowest node.
     ///
     /// Each node takes each transaction once: filtered for all its views,
     /// shipped as one frame, applied under one write guard that carries the
@@ -455,7 +428,7 @@ impl ReplicationHub {
     /// [`apply_idempotent`]), so duplicates and post-crash replays converge.
     pub fn run_distribution(&mut self, now_ms: i64) -> Result<()> {
         let last_read = self.last_read;
-        for node in self.nodes.iter_mut().filter(|n| !n.views.is_empty()) {
+        for node in &mut self.nodes {
             // Lag gauge: transactions read by the log reader but not yet
             // applied to this node.
             let lag = last_read.0.saturating_sub(node.next_lsn.0);
@@ -464,18 +437,19 @@ impl ReplicationHub {
             if now_ms < node.delayed_until_ms {
                 continue;
             }
-            for txn in &self.distribution {
+            for (txn, tables) in &self.distribution {
                 if txn.lsn < node.next_lsn {
                     continue;
                 }
                 let changes = node.filter(txn)?;
                 if changes.is_empty() {
-                    // Nothing for this node's views: advance past it
-                    // fault-free (there is no delivery to fault). The
-                    // publisher write still happened, so invalidation
-                    // listeners hear about it even though no rows land here.
+                    // Nothing for this node's views (or it has none):
+                    // advance past it fault-free (there is no delivery to
+                    // fault). The publisher write still happened, so
+                    // invalidation listeners hear about it even though no
+                    // rows land here.
                     node.advance_past(txn);
-                    node.notify(txn);
+                    node.notify(tables, txn.lsn);
                     continue;
                 }
                 if node.attempts_at_next > 0 {
@@ -549,12 +523,12 @@ impl ReplicationHub {
                                 self.costs.apply_per_change * delivered.changes.len() as f64,
                             );
                         }
-                        node.stamped = mark;
+                        node.stamped = Some(mark);
                         // Data is on the target: invalidate *before* the
                         // crash-injection branch below can abort the pass,
                         // so even applied-but-progress-lost deliveries
                         // flush dependent cached results.
-                        node.notify(txn);
+                        node.notify(tables, txn.lsn);
                         self.metrics.txns_applied.inc();
                         if matches!(decision, FaultDecision::Duplicate) {
                             // Redundant second delivery of the same frame;
@@ -594,23 +568,25 @@ impl ReplicationHub {
             }
             // Skipped transactions (nothing for this node) and idle-sync
             // advances move `next_lsn`/`synced_through_ms` without touching
-            // the target; restamp (once per pass) so queries routing off the
-            // snapshot they scanned see the true currency. Monotone: never
-            // regresses a stamp already published (e.g. after an injected
-            // crash, where data applied but the hub's progress record was
-            // lost).
-            let advanced = Watermark {
-                lsn: node.next_lsn.max(node.stamped.lsn),
-                synced_through_ms: node.synced_through_ms.max(node.stamped.synced_through_ms),
-            };
-            if advanced != node.stamped {
-                node.target.write().set_watermark(advanced);
-                node.stamped = advanced;
+            // the target; restamp a stamped node (once per pass) so queries
+            // routing off the snapshot they scanned see the true currency.
+            // Monotone: never regresses a stamp already published (e.g.
+            // after an injected crash, where data applied but the hub's
+            // progress record was lost).
+            if let Some(stamped) = node.stamped {
+                let advanced = Watermark {
+                    lsn: node.next_lsn.max(stamped.lsn),
+                    synced_through_ms: node.synced_through_ms.max(stamped.synced_through_ms),
+                };
+                if advanced != stamped {
+                    node.target.write().set_watermark(advanced);
+                    node.stamped = Some(advanced);
+                }
             }
         }
         // Truncate the distribution database past the slowest node.
-        match self.live().map(|n| n.next_lsn).min() {
-            Some(min_next) => self.distribution.retain(|txn| txn.lsn >= min_next),
+        match self.nodes.iter().map(|n| n.next_lsn).min() {
+            Some(min_next) => self.distribution.retain(|(txn, _)| txn.lsn >= min_next),
             None => self.distribution.clear(),
         }
         Ok(())
@@ -629,7 +605,7 @@ impl ReplicationHub {
         let head = self.publisher.read().log().head();
         self.distribution.is_empty()
             && self.last_read == head
-            && self.live().all(|n| n.next_lsn >= self.last_read)
+            && self.nodes.iter().all(|n| n.next_lsn >= self.last_read)
     }
 
     /// Every node's state, in registration order.

@@ -23,7 +23,7 @@ pub mod table;
 pub use catalog::{Catalog, IndexMeta, ProcedureDef, TableMeta, ViewMeta};
 pub use database::{Database, WriteOp};
 pub use index::Index;
-pub use log::{CommitLog, CommittedTransaction, Lsn, RowChange};
+pub use log::{written_tables, CommitLog, CommittedTransaction, Lsn, RowChange};
 pub use snapshot::{DbSnapshot, SnapshotDb, SnapshotWriteGuard, Watermark};
 pub use stats::{ColumnStats, Histogram, TableStats};
 pub use table::{Rows, Table};

@@ -7,7 +7,7 @@
 //! changes in order, and the replication crate's log reader tails it.
 
 use mtc_types::codec::{write_str, write_varint, write_zigzag};
-use mtc_types::{BinCodec, ByteReader, Error, Result, Row};
+use mtc_types::{normalize_ident, BinCodec, ByteReader, Error, Result, Row};
 
 /// Log sequence number — position of a committed transaction in the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -68,6 +68,16 @@ impl RowChange {
             RowChange::Delete { row, .. } => Some(row),
         }
     }
+}
+
+/// The tables a change list writes, normalized, sorted and each named once:
+/// what a committed transaction invalidates, to the hub's sinks and to the
+/// cache server that forwarded the write alike.
+pub fn written_tables(changes: &[RowChange]) -> Vec<String> {
+    let mut tables: Vec<String> = changes.iter().map(|c| normalize_ident(c.table())).collect();
+    tables.sort_unstable();
+    tables.dedup();
+    tables
 }
 
 /// A committed transaction in the log.

@@ -69,17 +69,6 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    /// Stats of an all-unknown column (used before ANALYZE has run).
-    pub fn unknown() -> ColumnStats {
-        ColumnStats {
-            min: None,
-            max: None,
-            null_count: 0,
-            distinct_count: 0,
-            histogram: None,
-        }
-    }
-
     /// Computes stats from a column's values.
     pub fn compute(values: &mut Vec<Value>) -> ColumnStats {
         let null_count = values.iter().filter(|v| v.is_null()).count() as u64;

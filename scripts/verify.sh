@@ -138,6 +138,25 @@ cargo test -q --test answer_sharing
 echo "==> cargo test -q --test currency_lineage (a cached answer keeps its lineage; one bound test for every tier)"
 cargo test -q --test currency_lineage
 
+# What a write invalidates is the transaction it committed, pinned by
+# answers and counters: a node without views hears every replicated
+# transaction, a node reads its own forwarded write at once through a
+# backend materialized view and through a nested forwarded EXEC, a
+# forwarded write that changes no row releases nothing (`invalidations`
+# stays 0 and the entry still serves), and a node's first view makes no
+# invalidation sink miss a transaction. A cache that derives invalidation
+# from statement text, or a hub that skips view-less nodes, fails here, on
+# any machine, without a timer.
+echo "==> cargo test -q --test result_cache_semantics (a write invalidates by what it committed, on every node)"
+cargo test -q --test result_cache_semantics
+
+# Snapshot readers never block on a faulted apply, run once in a release
+# build: only there could the writer's churn finish before any reader
+# thread was scheduled (the churn now waits for all eight readers), and
+# the debug build of the steps above never showed it.
+echo "==> cargo test --release -q --test concurrency_smoke (readers during faulted churn, release build)"
+cargo test --release -q --test concurrency_smoke
+
 # A string literal means the same text on every tier: a non-ASCII pattern
 # shipped from a cache node to the backend selects what it selects on the
 # backend. A lexer that copies a literal byte by byte mangles it once on the

@@ -16,7 +16,7 @@
 //!    still converges bit-exact once the pipeline drains.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use mtc_bench::run_concurrency;
 use mtc_util::rng::{Rng, SeedableRng, StdRng};
@@ -183,11 +183,16 @@ fn eight_readers_never_block_on_faulted_apply() {
         .cloned()
         .collect();
     let stop = Arc::new(AtomicBool::new(false));
+    // The churn starts only once all eight readers run: it can otherwise
+    // finish (in a release build) before any reader thread was scheduled.
+    let running = Arc::new(Barrier::new(9));
     let readers: Vec<_> = (0..8)
         .map(|_| {
             let cache = cache.clone();
             let stop = stop.clone();
+            let running = running.clone();
             std::thread::spawn(move || {
+                running.wait();
                 let mut last_epoch = 0u64;
                 let mut last_lsn = None;
                 let mut reads = 0u64;
@@ -206,6 +211,7 @@ fn eight_readers_never_block_on_faulted_apply() {
             })
         })
         .collect();
+    running.wait();
 
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
     for i in 0..300i64 {

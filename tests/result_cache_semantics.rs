@@ -14,7 +14,10 @@ use mtcache_repro::cache::result_cache::FlightRole;
 use mtcache_repro::cache::{
     BackendServer, CacheServer, ResultCache, ResultCacheConfig,
 };
-use mtcache_repro::replication::{Clock, FaultPlan, FaultSpec, ManualClock, ReplicationHub};
+use mtcache_repro::replication::{
+    Clock, FaultPlan, FaultSpec, InvalidationSink, ManualClock, ReplicationHub,
+};
+use mtcache_repro::storage::Lsn;
 use mtcache_repro::types::Value;
 
 #[allow(clippy::type_complexity)]
@@ -44,6 +47,23 @@ fn setup() -> (
 }
 
 const Q: &str = "SELECT cname FROM customer WHERE cid = 7";
+
+/// Pumps `hub` until it holds no undelivered work.
+fn drain(hub: &Mutex<ReplicationHub>, clock: &ManualClock) {
+    for _ in 0..100_000 {
+        clock.advance(50);
+        let mut h = hub.lock();
+        let _ = h.pump(clock.now_ms());
+        if h.drained() {
+            return;
+        }
+    }
+    panic!("replication stream must drain");
+}
+
+fn cname(cache: &CacheServer, sql: &str) -> Value {
+    cache.execute(sql, &Default::default(), "dbo").unwrap().rows[0][0].clone()
+}
 
 #[test]
 fn repeated_remote_query_hits_and_explain_shows_the_routing() {
@@ -160,6 +180,12 @@ fn replicated_writes_invalidate_through_the_faulted_stream() {
     cache
         .create_cached_view("cust_v", "SELECT cid, cname FROM customer WHERE cid <= 200")
         .unwrap();
+    // A node without views hears the same stream: nothing is delivered to
+    // it, so no fault is drawn for it, and its cursor passes every
+    // transaction. (Before the hub served view-less nodes, its sinks heard
+    // nothing: it answered `g0` after the drain.)
+    let bare = CacheServer::create("bare", backend.clone(), hub.clone());
+    let nodes = [&cache, &bare];
     hub.lock().set_fault_plan(FaultPlan::new(
         99,
         FaultSpec {
@@ -175,7 +201,7 @@ fn replicated_writes_invalidate_through_the_faulted_stream() {
         let Value::Str(s) = v else { panic!("string cname, got {v:?}") };
         s.trim_start_matches('g').parse().unwrap_or(-1)
     };
-    let mut last_seen = -1i64;
+    let mut last_seen = [-1i64; 2];
     for round in 0..20i64 {
         backend
             .run_script(&format!(
@@ -188,34 +214,160 @@ fn replicated_writes_invalidate_through_the_faulted_stream() {
             clock.advance(5);
             let _ = hub.lock().pump(clock.now_ms());
         }
-        let r = cache.execute(q, &Default::default(), "dbo").unwrap();
-        let seen = gen_of(&r.rows[0][0]);
-        assert!(
-            seen >= last_seen,
-            "served values must be monotone in write order: g{seen} after g{last_seen}"
-        );
-        last_seen = seen;
-    }
-
-    // Drain every faulted delivery, then the cache must answer fresh.
-    for _ in 0..100_000 {
-        clock.advance(50);
-        let mut h = hub.lock();
-        let _ = h.pump(clock.now_ms());
-        if h.drained() {
-            break;
+        for (node, last_seen) in nodes.iter().zip(&mut last_seen) {
+            let seen = gen_of(&cname(node, q));
+            assert!(
+                seen >= *last_seen,
+                "{}: served values must be monotone in write order: g{seen} after g{last_seen}",
+                node.name()
+            );
+            *last_seen = seen;
         }
     }
-    assert!(hub.lock().drained(), "replication stream must drain");
-    let r = cache.execute(q, &Default::default(), "dbo").unwrap();
+
+    // Drain every faulted delivery, then every node must answer fresh.
+    drain(&hub, &clock);
+    for node in nodes {
+        assert_eq!(
+            cname(node, q),
+            Value::str("g19"),
+            "{}: post-drain reads must reflect every replicated write",
+            node.name()
+        );
+        assert!(
+            node.result_cache.stats().invalidations >= 1,
+            "{}: the replication stream must have invalidated at least one entry",
+            node.name()
+        );
+    }
+}
+
+#[test]
+fn a_node_without_views_hears_a_backend_write() {
+    // The node caches no view, so the hub delivers it no rows; its result
+    // cache still hears every committed transaction. (The hub used to skip
+    // view-less nodes: after the drain this node answered `c7`.)
+    let (backend, cache, hub, clock) = setup();
+    assert_eq!(cname(&cache, Q), Value::str("c7"));
+    backend
+        .run_script("UPDATE customer SET cname = 'NEW' WHERE cid = 7")
+        .unwrap();
+    drain(&hub, &clock);
+    assert_eq!(cname(&cache, Q), Value::str("NEW"), "a drained node serves no pre-write entry");
+}
+
+#[test]
+fn a_forwarded_write_invalidates_the_backend_views_it_maintains() {
+    // `cust_mv` is the backend's materialized view: a node ships reads of
+    // it, and the backend maintains it inside the transaction of every
+    // write to `customer`. The node invalidates by what the write committed,
+    // the view included. (Invalidating by the statement's target table, the
+    // node answered `c7` while the backend returned `NEW`.)
+    let (backend, _, hub, _clock) = setup();
+    backend
+        .run_script("CREATE MATERIALIZED VIEW cust_mv AS SELECT cid, cname FROM customer")
+        .unwrap();
+    let cache = CacheServer::create("mv_reader", backend.clone(), hub);
+    let q = "SELECT cname FROM cust_mv WHERE cid = 7";
+    assert_eq!(cname(&cache, q), Value::str("c7"));
+    cache
+        .execute("UPDATE customer SET cname = 'NEW' WHERE cid = 7", &Default::default(), "dbo")
+        .unwrap();
+    let r = backend.execute(q, &Default::default(), "dbo").unwrap();
+    assert_eq!(r.rows[0][0], Value::str("NEW"));
+    assert_eq!(cname(&cache, q), Value::str("NEW"), "read-your-own-writes through a backend view");
+}
+
+#[test]
+fn a_forwarded_procedure_invalidates_what_its_nested_procedure_wrote() {
+    // The write sits one EXEC down: `renameOuter`'s body is an EXEC of
+    // `renameInner`, whose body is the UPDATE. (Scanning the forwarded
+    // procedure's own body for DML found none, and the node answered `c7`.)
+    let (backend, cache, _hub, _clock) = setup();
+    backend
+        .create_procedure(
+            "renameInner",
+            &["id", "name"],
+            "UPDATE customer SET cname = @name WHERE cid = @id",
+        )
+        .unwrap();
+    backend
+        .create_procedure(
+            "renameOuter",
+            &["id", "name"],
+            "EXEC renameInner @id = @id, @name = @name",
+        )
+        .unwrap();
+    assert_eq!(cname(&cache, Q), Value::str("c7"));
+    cache
+        .execute("EXEC renameOuter @id = 7, @name = 'NEW'", &Default::default(), "dbo")
+        .unwrap();
+    assert_eq!(cname(&cache, Q), Value::str("NEW"), "read-your-own-writes through a nested EXEC");
+}
+
+#[test]
+fn a_forwarded_write_that_changes_no_row_releases_nothing() {
+    // Another table's write moves the log head past the entry's fetch LSN;
+    // then a forwarded UPDATE matches no row and commits nothing. (Raising
+    // `customer`'s watermark to the log head, it released the entry:
+    // `invalidations` rose 0 → 1 and the next read missed.)
+    let (backend, cache, _hub, _clock) = setup();
+    assert_eq!(cname(&cache, Q), Value::str("c7"));
+    backend
+        .run_script("UPDATE noise SET nval = 'x' WHERE nid = 1")
+        .unwrap();
+    let r = cache
+        .execute("UPDATE customer SET cname = 'zzz' WHERE cid = -1", &Default::default(), "dbo")
+        .unwrap();
+    assert_eq!(r.metrics.local_rows, 0, "the update matched no row");
+    assert_eq!(cache.result_cache.stats().invalidations, 0);
+    let r = cache.execute(Q, &Default::default(), "dbo").unwrap();
+    assert_eq!(r.rows[0][0], Value::str("c7"));
+    assert_eq!(r.metrics.remote_rtts, 0, "the entry is still served");
+}
+
+/// Records every transaction an invalidation sink is told about.
+#[derive(Default)]
+struct Heard(std::sync::Mutex<Vec<(u64, Vec<String>)>>);
+
+impl InvalidationSink for Heard {
+    fn note_applied(&self, tables: &[String], lsn: Lsn) {
+        self.0.lock().unwrap().push((lsn.0, tables.to_vec()));
+    }
+}
+
+#[test]
+fn a_first_view_on_a_node_with_sinks_makes_no_sink_miss_a_transaction() {
+    // Two writes commit after the node's sinks registered and before its
+    // first view is created; one more commits after. The sink hears all
+    // three, in commit order, once each. (Creating the first view moved
+    // the node's cursor to the view's snapshot: the sink heard only the
+    // third.)
+    let (backend, cache, hub, clock) = setup();
+    let heard = Arc::new(Heard::default());
+    hub.lock().register_invalidation_sink(&cache.db, heard.clone());
+    let first = backend.commit_lsn().0;
+    backend
+        .run_script(
+            "UPDATE customer SET cname = 'a' WHERE cid = 7;
+             UPDATE noise SET nval = 'b' WHERE nid = 1",
+        )
+        .unwrap();
+    cache
+        .create_cached_view("noise_v", "SELECT nid, nval FROM noise")
+        .unwrap();
+    backend
+        .run_script("UPDATE customer SET cname = 'c' WHERE cid = 8")
+        .unwrap();
+    drain(&hub, &clock);
+    let tables = |t: &str| vec![t.to_string()];
     assert_eq!(
-        r.rows[0][0],
-        Value::str("g19"),
-        "post-drain reads must reflect every replicated write"
-    );
-    assert!(
-        cache.result_cache.stats().invalidations >= 1,
-        "the replication stream must have invalidated at least one entry"
+        *heard.0.lock().unwrap(),
+        vec![
+            (first, tables("customer")),
+            (first + 1, tables("noise")),
+            (first + 2, tables("customer")),
+        ]
     );
 }
 
