@@ -28,8 +28,9 @@ pub struct WorkloadEntry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recommendation {
     pub view_name: String,
-    /// `CREATE MATERIALIZED VIEW …` definition text, ready to run against a
-    /// cache server.
+    /// The view as `CREATE MATERIALIZED VIEW …` text; its SELECT is what
+    /// [`crate::CacheServer::create_cached_view`] takes (the statement
+    /// itself, sent to any server, makes a backend materialized view).
     pub create_sql: String,
     /// The projected columns (referenced + primary key), in schema order.
     pub columns: Vec<String>,

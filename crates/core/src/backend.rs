@@ -7,17 +7,17 @@ use mtc_util::sync::{Mutex, RwLock};
 
 use mtc_engine::eval::Bindings;
 use mtc_engine::{
-    bind_select, execute, Answer, Collect, ExecContext, Optimized, OptimizerOptions, QueryResult,
+    bind_select, execute, Answer, Collect, ExecContext, OptimizerOptions, QueryResult,
     RemoteExecutor, RemoteOutcome, RemoteSite,
 };
 use mtc_replication::{Clock, WallClock};
 use mtc_sql::{parse_statements, Permission, Prepared, Select, Statement, TableRef};
-use mtc_storage::{written_tables, Database, Lsn, ProcedureDef, RowChange, ViewMeta};
+use mtc_storage::{require_dbo, written_tables, Database, Lsn, ProcedureDef, RowChange, ViewMeta};
 use mtc_types::{Column, Error, Result, Row, Schema};
 
 use crate::dml::{derive_view_changes, plan_dml, DML_STATEMENT_OVERHEAD, WORK_PER_CHANGE};
-use crate::plan_cache::{param_signature, CachedPlan, Compiled, PlanCache};
-use crate::procs::{bind_proc_args, prepare_proc_body, run_body};
+use crate::plan_cache::{Compiled, PlanCache};
+use crate::procs::prepare_proc_body;
 use crate::statements::{Resolved, StatementCache};
 use crate::stats::SharedServerStats;
 
@@ -140,8 +140,9 @@ impl BackendServer {
     /// each transaction the statement commits, in commit order: one per
     /// INSERT/UPDATE/DELETE that writes a row (a write that changes none
     /// commits nothing), nested procedures included, and those a failing
-    /// procedure committed before its error. A cache server forwards writes
-    /// through here and invalidates by what it gets back.
+    /// procedure committed before its error. A cache server forwards
+    /// whatever it does not run itself through here and invalidates by what
+    /// it gets back. DDL and `GRANT` are `dbo`'s alone ([`require_dbo`]).
     pub fn execute_reporting(
         &self,
         stmt: &Prepared,
@@ -149,6 +150,9 @@ impl BackendServer {
         principal: &str,
         commits: &mut Vec<Commit>,
     ) -> Result<QueryResult> {
+        if stmt.statement.catalog_object().is_some() {
+            require_dbo(principal)?;
+        }
         let mut dml = |table: &str, permission| {
             self.execute_dml(stmt, table, permission, params, principal, commits)
         };
@@ -224,7 +228,12 @@ impl BackendServer {
                 Ok(QueryResult::default())
             }
             Statement::Exec { proc, args } => {
-                self.execute_proc(proc, args, params, principal, commits)
+                // The body may write: no lock is held across it.
+                let catalog = self.db.read().catalog.clone();
+                crate::procs::exec(&catalog, proc, args, params, &self.stats, |stmt, bound| {
+                    self.execute_reporting(stmt, bound, principal, commits)
+                })
+                .unwrap_or_else(|| Err(Error::catalog(format!("procedure `{proc}` not found"))))
             }
         }
     }
@@ -260,7 +269,8 @@ impl BackendServer {
     ) -> Result<O> {
         let db = self.db.read();
         check_select_permissions(&db, &stmt.objects, principal)?;
-        let plan = self.plan_for(stmt, params, &db, || {
+        let version = db.catalog.version();
+        let plan = self.plan_cache.get_or_compile(stmt, params, version, 0, || {
             let opt = mtc_engine::optimize(bind_select(sel, &db)?, &db, &self.options)?;
             Ok((Compiled::Query(mtc_engine::compile(&opt.physical)?), Some(opt)))
         })?;
@@ -275,35 +285,6 @@ impl BackendServer {
         let rows = result.row_count();
         self.stats.record_query(result.metrics_mut(), rows);
         Ok(result)
-    }
-
-    /// The statement's plan: from the plan cache when one compiled for this
-    /// canonical key + parameter signature is resident and valid at `db`'s
-    /// catalog version, else built by `compile` (which also returns the
-    /// optimizer's estimates, if it ran the optimizer) and cached.
-    fn plan_for(
-        &self,
-        stmt: &Prepared,
-        params: &Bindings,
-        db: &Database,
-        compile: impl FnOnce() -> Result<(Compiled, Option<Optimized>)>,
-    ) -> Result<Arc<CachedPlan>> {
-        let version = db.catalog.version();
-        if let Some(hit) = self.plan_cache.lookup_prepared(stmt, params, version, 0) {
-            return Ok(hit);
-        }
-        let (compiled, opt) = compile()?;
-        Ok(self.plan_cache.insert(
-            &stmt.key,
-            &param_signature(params),
-            CachedPlan {
-                compiled,
-                est_cost: opt.as_ref().map_or(0.0, |o| o.est_cost),
-                est_rows: opt.as_ref().map_or(0.0, |o| o.est_rows),
-                catalog_version: version,
-                topology_version: 0,
-            },
-        ))
     }
 
     /// Runs an INSERT/UPDATE/DELETE as one transaction, including eager
@@ -323,7 +304,8 @@ impl BackendServer {
     ) -> Result<QueryResult> {
         let mut db = self.db.write();
         db.catalog.check_permission(principal, table, permission)?;
-        let plan = self.plan_for(stmt, params, &db, || {
+        let version = db.catalog.version();
+        let plan = self.plan_cache.get_or_compile(stmt, params, version, 0, || {
             let planned = plan_dml(&stmt.statement, &db, &self.options)?;
             Ok((Compiled::Dml(planned.compiled), planned.query))
         })?;
@@ -361,53 +343,14 @@ impl BackendServer {
             }))
     }
 
-    /// Executes a stored procedure; the result is that of its last SELECT.
-    fn execute_proc(
-        &self,
-        proc: &str,
-        args: &[(String, mtc_sql::Expr)],
-        caller_params: &Bindings,
-        principal: &str,
-        commits: &mut Vec<Commit>,
-    ) -> Result<QueryResult> {
-        let def = self
-            .db
-            .read()
-            .catalog
-            .procedure(proc)
-            .cloned()
-            .ok_or_else(|| Error::catalog(format!("procedure `{proc}` not found")))?;
-        let bound = bind_proc_args(&def, args, caller_params)?;
-        self.stats.procs.inc();
-        run_body(&def, |stmt| {
-            self.execute_reporting(stmt, &bound, principal, commits)
-        })
-    }
-
     /// Creates a materialized view: backing table + initial population.
     /// Select-project views are maintained eagerly on every transaction;
     /// anything else must be refreshed with
     /// [`BackendServer::refresh_materialized_view`].
     pub fn create_materialized_view(&self, name: &str, definition: &Select) -> Result<()> {
-        let (schema, rows) = {
-            let db = self.db.read();
-            let plan = bind_select(definition, &db)?;
-            let opt = mtc_engine::optimize(plan, &db, &self.options)?;
-            let ctx = ExecContext {
-                db: &db,
-                remote: None,
-                params: &Bindings::new(),
-                work: &self.options.cost,
-                parallel: None,
-            };
-            let result = execute(&opt.physical, &ctx)?;
-            (result.schema, result.rows)
-        };
+        let QueryResult { schema, rows, .. } = self.evaluate(definition)?;
         // Primary key: the base table's key columns when fully projected.
-        let pk = {
-            let db = self.db.read();
-            base_pk_if_projected(&db, definition, &schema)
-        };
+        let pk = base_pk_if_projected(&self.db.read(), definition, &schema);
         let mut db = self.db.write();
         db.create_table(name, schema, &pk)?;
         let changes: Vec<RowChange> = rows
@@ -439,19 +382,7 @@ impl BackendServer {
             .filter(|v| v.materialized)
             .map(|v| v.definition.clone())
             .ok_or_else(|| Error::catalog(format!("materialized view `{name}` not found")))?;
-        let fresh: Vec<Row> = {
-            let db = self.db.read();
-            let plan = bind_select(&definition, &db)?;
-            let opt = mtc_engine::optimize(plan, &db, &self.options)?;
-            let ctx = ExecContext {
-                db: &db,
-                remote: None,
-                params: &Bindings::new(),
-                work: &self.options.cost,
-                parallel: None,
-            };
-            execute(&opt.physical, &ctx)?.rows
-        };
+        let fresh = self.evaluate(&definition)?.rows;
         let mut db = self.db.write();
         let current: Vec<Row> = db.table_ref(name)?.scan().cloned().collect();
         let fresh_set: std::collections::HashSet<Row> = fresh.iter().cloned().collect();
@@ -478,6 +409,20 @@ impl BackendServer {
             db.apply(self.clock.now_ms(), changes)?;
         }
         Ok(n)
+    }
+
+    /// A materialized view's definition, evaluated in full.
+    fn evaluate(&self, definition: &Select) -> Result<QueryResult> {
+        let db = self.db.read();
+        let opt = mtc_engine::optimize(bind_select(definition, &db)?, &db, &self.options)?;
+        let ctx = ExecContext {
+            db: &db,
+            remote: None,
+            params: &Bindings::new(),
+            work: &self.options.cost,
+            parallel: None,
+        };
+        execute(&opt.physical, &ctx)
     }
 
     /// Recomputes optimizer statistics for all tables.
@@ -513,21 +458,10 @@ impl BackendServer {
                 "EXPLAIN supports SELECT, UPDATE and DELETE statements",
             ));
         };
-        let cached = self
+        let header = self
             .plan_cache
-            .contains_sql(&stmt.key, db.catalog.version(), 0);
-        let cs = self.plan_cache.stats();
-        Ok(format!(
-            "{}estimated cost: {:.1}\nestimated rows: {:.0}\nplan cache: {} (hits {}, misses {}, invalidations {})\n{}",
-            resolved.describe(),
-            opt.est_cost,
-            opt.est_rows,
-            if cached { "cached" } else { "cold" },
-            cs.hits,
-            cs.misses,
-            cs.invalidations,
-            opt.physical.explain()
-        ))
+            .explain_header(&resolved, &opt, db.catalog.version(), 0);
+        Ok(format!("{header}{}", opt.physical.explain()))
     }
 }
 
@@ -643,6 +577,29 @@ mod tests {
             .execute("DELETE FROM item WHERE i_id = 1", &Bindings::new(), "app")
             .unwrap_err();
         assert_eq!(err.kind(), "permission");
+    }
+
+    #[test]
+    fn catalog_statements_are_dbo_s_alone() {
+        let b = backend();
+        b.run_script("CREATE VIEW cheap AS SELECT i_id FROM item WHERE i_cost <= 10")
+            .unwrap();
+        let version = b.db.read().catalog.version();
+        for sql in [
+            "CREATE TABLE t (x INT NOT NULL PRIMARY KEY)",
+            "CREATE INDEX ix_item_title ON item (i_title)",
+            "CREATE VIEW v AS SELECT i_id FROM item",
+            "CREATE MATERIALIZED VIEW mv AS SELECT i_id FROM item",
+            "DROP TABLE item",
+            "DROP VIEW cheap",
+            "GRANT DELETE ON item TO app",
+        ] {
+            let err = b.execute(sql, &Bindings::new(), "app").unwrap_err();
+            assert_eq!(err.kind(), "permission", "{sql}");
+        }
+        assert_eq!(b.db.read().catalog.version(), version, "refused before any change");
+        b.execute("DROP TABLE item", &Bindings::new(), "dbo").unwrap();
+        assert!(!b.db.read().has_table("item"));
     }
 
     #[test]

@@ -8,17 +8,17 @@ use mtc_util::sync::{ArcSwap, Mutex};
 use mtc_engine::compile::compile_expr;
 use mtc_engine::eval::Bindings;
 use mtc_engine::{
-    bind_select, Answer, Collect, CompiledQuery, EvalEnv, ExecContext, ExecMetrics,
-    OptimizerOptions, ParamSlots, PeerSite, PlacementEnv, QueryResult, RemoteExecutor,
+    bind_select, Answer, Collect, EvalEnv, ExecContext, ExecMetrics, OptimizerOptions, ParamSlots,
+    PeerSite, PlacementEnv, QueryResult, RemoteExecutor,
 };
 use mtc_replication::{Article, Clock, InvalidationSink, ReplicationHub};
-use mtc_sql::{Permission, Prepared, Select, Statement, TableRef};
+use mtc_sql::{Prepared, Select, Statement, TableRef};
 use mtc_storage::{DbSnapshot, Lsn, ProcedureDef, SnapshotDb, ViewMeta};
 use mtc_types::{Column, Error, Result, Schema};
 
 use crate::backend::{check_select_permissions, BackendServer};
 use crate::fragment::FragmentGateway;
-use crate::plan_cache::{param_signature, CachedPlan, Compiled, PlanCache};
+use crate::plan_cache::{Compiled, PlanCache};
 use crate::result_cache::{
     referenced_values_signature, RemoteGateway, ResultCache, ResultCacheConfig,
 };
@@ -211,11 +211,15 @@ impl CacheServer {
         self.wiring.load().topology.load(Ordering::Acquire)
     }
 
-    /// Forwards a write (DML, or a procedure this node has no copy of) to
-    /// the backend. This node's L1, every peer L1 and the shared L2 hear
-    /// each transaction it committed as the replication stream would tell
-    /// them ([`InvalidationSink`]), before the write returns: no tier in the
-    /// fleet serves a result missing it to a reader who has seen it.
+    /// Sends a statement this node does not run — DML ("converted to remote
+    /// ... and forwarded to the backend server", §5), DDL, `GRANT`, a
+    /// procedure it has no copy of — to the backend, which authorizes and
+    /// executes it. This node's L1, every peer L1 and the shared L2 hear each
+    /// transaction it committed as the replication stream would tell them
+    /// ([`InvalidationSink`]) before the write returns. A catalog statement
+    /// the backend accepted re-shadows the object it names
+    /// ([`mtc_storage::Database::shadow_object`]), moving this node's catalog
+    /// version past every plan, result and fragment compiled before it.
     fn forward(&self, stmt: &Prepared, params: &Bindings, principal: &str) -> Result<QueryResult> {
         let mut commits = Vec::new();
         let out = self
@@ -231,6 +235,18 @@ impl CacheServer {
             }
         }
         let mut out = out?;
+        if let Some(object) = stmt.statement.catalog_object() {
+            // Read the backend, release it, then write the shadow.
+            let backend = self.backend.db.read().clone();
+            self.db.write().shadow_object(&backend, object);
+        }
+        match &stmt.statement {
+            Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. } => {
+                self.stats.dml.inc()
+            }
+            Statement::Exec { .. } => self.stats.procs.inc(),
+            _ => {}
+        }
         self.book_forwarded(&mut out.metrics);
         Ok(out)
     }
@@ -366,7 +382,8 @@ impl CacheServer {
 
     /// Prepares (once per shape) and executes one statement with full
     /// transparency: queries are optimized here and run local/remote/mixed;
-    /// DML and unknown procedures are forwarded to the backend.
+    /// everything but a SELECT and a procedure this node holds is forwarded
+    /// to the backend.
     pub fn execute(&self, sql: &str, params: &Bindings, principal: &str) -> Result<QueryResult> {
         let resolved = self.prepare(sql)?;
         // The advisor reads predicate ranges off the text as it was sent.
@@ -376,7 +393,11 @@ impl CacheServer {
         self.execute_prepared(&resolved.stmt, &resolved.bindings(params), principal)
     }
 
-    /// Statement dispatch (see [`CacheServer::execute`]).
+    /// Statement dispatch (see [`CacheServer::execute`]): a SELECT runs
+    /// here, an `EXEC` of a procedure this node holds runs its body here
+    /// (§5.2: its queries go through this node's optimizer, its writes
+    /// forward), and every other statement is the backend's
+    /// ([`CacheServer::forward`]).
     pub fn execute_prepared(
         &self,
         stmt: &Prepared,
@@ -386,73 +407,21 @@ impl CacheServer {
         match &stmt.statement {
             Statement::Select(sel) => {
                 let bound_ms = bound_ms_of(sel);
-                self.select_impl::<QueryResult>(stmt, sel, params, principal, bound_ms, false)
-            }
-            // "All insert, delete and update requests against a shadow
-            // table are immediately converted to remote ... and forwarded
-            // to the backend server" (§5).
-            Statement::Insert { table, .. }
-            | Statement::Update { table, .. }
-            | Statement::Delete { table, .. } => {
-                // Permission check happens locally against the shadowed
-                // catalog before forwarding.
-                let perm = match &stmt.statement {
-                    Statement::Insert { .. } => Permission::Insert,
-                    Statement::Update { .. } => Permission::Update,
-                    _ => Permission::Delete,
-                };
-                self.db
-                    .read()
-                    .catalog
-                    .check_permission(principal, table, perm)?;
-                self.forward(stmt, params, principal)
-                    .inspect(|_| self.stats.dml.inc())
+                return self.select_impl(stmt, sel, params, principal, bound_ms, false);
             }
             Statement::Exec { proc, args } => {
-                // Local if copied, transparently forwarded otherwise (§5.2).
-                let local = self.db.read().catalog.procedure(proc).cloned();
-                match local {
-                    Some(def) => {
-                        // Its queries go through this cache's optimizer
-                        // (and may still touch the backend); its DML
-                        // forwards.
-                        let bound = crate::procs::bind_proc_args(&def, args, params)?;
-                        self.stats.procs.inc();
-                        crate::procs::run_body(&def, |stmt| {
-                            self.execute_prepared(stmt, &bound, principal)
-                        })
-                    }
-                    None => self
-                        .forward(stmt, params, principal)
-                        .inspect(|_| self.stats.procs.inc()),
+                let catalog = self.db.read().catalog.clone();
+                let run = |stmt: &Prepared, bound: &Bindings| {
+                    self.execute_prepared(stmt, bound, principal)
+                };
+                let local = crate::procs::exec(&catalog, proc, args, params, &self.stats, run);
+                if let Some(out) = local {
+                    return out;
                 }
             }
-            Statement::CreateView {
-                name,
-                materialized: true,
-                query,
-            } => {
-                self.create_cached_view(name, &query.to_string())?;
-                Ok(QueryResult::default())
-            }
-            // A grant is the backend's: its `dbo` check decides, and only a
-            // grant it made enters the shadow catalog (idempotently).
-            Statement::Grant {
-                permission,
-                object,
-                principal: grantee,
-            } => {
-                self.backend.execute_prepared(stmt, params, principal)?;
-                self.db
-                    .write()
-                    .catalog_mut()
-                    .grant(principal, grantee, object, *permission)?;
-                Ok(QueryResult::default())
-            }
-            other => Err(Error::catalog(format!(
-                "run DDL against the backend server, not the cache: {other}"
-            ))),
+            _ => {}
         }
+        self.forward(stmt, params, principal)
     }
 
     /// Executes a plan fragment that a *peer's* multi-site placement routed
@@ -503,100 +472,91 @@ impl CacheServer {
         // Peers pinned for this statement: the placement DP costs their
         // snapshots, and the gateway routes peer-placed fragments to them.
         let peers: &[(String, Arc<CacheServer>)] = if for_peer { &[] } else { &wiring.peers };
-        let run = |query: &CompiledQuery| -> Result<O> {
-            // The statement's currency bound travels with the remote
-            // gateway: a cached remote result is only served if its age
-            // satisfies it, and a peer only serves a fragment within it. A
-            // plan that ships nothing never reaches a gateway, and gets
-            // none (nor the clock reading one is stamped with).
-            let gateway = (!query.root.is_local()).then(|| {
-                let now = self.clock.now_ms();
-                let mut gateway =
-                    RemoteGateway::new(&self.result_cache, &self.backend, version, bound_ms, now);
-                if let Some(l2) = wiring.l2.as_deref() {
-                    gateway = gateway.with_l2(l2);
-                }
-                if !peers.is_empty() {
-                    gateway = gateway.with_peers(peers);
-                }
-                gateway
-            });
-            // Fragment memo for this execution, pinned to the same snapshot
-            // the query scans. `None` while fragment caching is disabled:
-            // the engine then takes the exact pre-memo code path.
-            let fragment = self
-                .fragment_cache
-                .is_enabled()
-                .then(|| FragmentGateway::new(&self.fragment_cache, &db, version));
-            let memo = fragment
-                .as_ref()
-                .map(|f| f as &dyn mtc_engine::FragmentMemo);
-            let ctx = ExecContext {
-                db: &db,
-                remote: gateway.as_ref().map(|g| g as &dyn RemoteExecutor),
-                params,
-                work: &self.options.cost,
-                parallel: None,
-            };
-            let mut result: O = O::execute(query, &ctx, memo)?;
-            let rows = result.row_count();
-            self.stats.record_query(result.metrics_mut(), rows);
-            Ok(result)
-        };
-
         // Currency (§7 extension): every cached view of this node is
         // exactly as current as the watermark stamped on the snapshot this
         // execution pinned, so a bound is one comparison made before any
         // plan is looked up — not a plan property. A bounded statement is
         // plan-cached like any other; its text carries the bound.
-        let planned = match bound_ms.and_then(|bound| self.staleness_past(&db, bound)) {
-            Some(staleness_ms) => {
-                self.stats.freshness_fallbacks.inc();
-                if for_peer {
-                    return Err(Error::freshness(format!(
-                        "`{}` is {staleness_ms}ms stale, past the fragment's bound",
-                        self.name
-                    )));
-                }
-                // Nothing here is current enough: backend data always is.
-                Planned::BlindForward { object: None }
+        if let Some(staleness_ms) = bound_ms.and_then(|bound| self.staleness_past(&db, bound)) {
+            self.stats.freshness_fallbacks.inc();
+            if for_peer {
+                return Err(Error::freshness(format!(
+                    "`{}` is {staleness_ms}ms stale, past the fragment's bound",
+                    self.name
+                )));
             }
-            None => {
-                if let Some(hit) = self
-                    .plan_cache
-                    .lookup_prepared(stmt, params, version, topology)
-                {
-                    return run(hit.query()?);
-                }
-                self.plan_select(&db, stmt, sel, peers)?
-            }
+            // Nothing here is current enough: backend data always is.
+            return self.forward_select(stmt, params, principal);
+        }
+        // Compiled once and cached, stamped with the catalog and topology
+        // versions this execution pinned.
+        let plan = self.plan_cache.get_or_compile(stmt, params, version, topology, || {
+            let opt = self.plan_select(&db, sel, peers)?;
+            Ok((Compiled::Query(mtc_engine::compile(&opt.physical)?), Some(opt)))
+        });
+        let plan = match plan {
+            Ok(plan) => plan,
+            // Blind forwarding (§7's pruned-shadow future work): a query
+            // that names what this (possibly pruned) shadow catalog lacks
+            // is forwarded whole.
+            Err(e) if e.kind() == "catalog" => return self.forward_select(stmt, params, principal),
+            Err(e) => return Err(e),
         };
-        let opt = match planned {
-            Planned::Here { opt } => opt,
-            // The backend parses, authorizes and executes it.
-            Planned::BlindForward { .. } => {
-                let mut out: O = self.backend.execute_prepared_as(stmt, params, principal)?;
-                let m = out.metrics_mut();
-                self.stats.queries.inc();
-                self.book_forwarded(m);
-                m.remote_calls += 1;
-                return Ok(out);
+        let query = plan.query()?;
+        // The statement's currency bound travels with the remote gateway: a
+        // cached remote result is only served if its age satisfies it, and a
+        // peer only serves a fragment within it. A plan that ships nothing
+        // never reaches a gateway, and gets none (nor the clock reading one
+        // is stamped with).
+        let gateway = (!query.root.is_local()).then(|| {
+            let now = self.clock.now_ms();
+            let mut gateway =
+                RemoteGateway::new(&self.result_cache, &self.backend, version, bound_ms, now);
+            if let Some(l2) = wiring.l2.as_deref() {
+                gateway = gateway.with_l2(l2);
             }
+            if !peers.is_empty() {
+                gateway = gateway.with_peers(peers);
+            }
+            gateway
+        });
+        // Fragment memo for this execution, pinned to the same snapshot the
+        // query scans. `None` while fragment caching is disabled: the engine
+        // then takes the exact pre-memo code path.
+        let fragment = self
+            .fragment_cache
+            .is_enabled()
+            .then(|| FragmentGateway::new(&self.fragment_cache, &db, version));
+        let memo = fragment
+            .as_ref()
+            .map(|f| f as &dyn mtc_engine::FragmentMemo);
+        let ctx = ExecContext {
+            db: &db,
+            remote: gateway.as_ref().map(|g| g as &dyn RemoteExecutor),
+            params,
+            work: &self.options.cost,
+            parallel: None,
         };
-        // Compile once, cache (stamped with the catalog and topology
-        // versions this execution pinned), and execute the compiled form.
-        let cached = self.plan_cache.insert(
-            &stmt.key,
-            &param_signature(params),
-            CachedPlan {
-                compiled: Compiled::Query(mtc_engine::compile(&opt.physical)?),
-                est_cost: opt.est_cost,
-                est_rows: opt.est_rows,
-                catalog_version: version,
-                topology_version: topology,
-            },
-        );
-        run(cached.query()?)
+        let mut result: O = O::execute(query, &ctx, memo)?;
+        let rows = result.row_count();
+        self.stats.record_query(result.metrics_mut(), rows);
+        Ok(result)
+    }
+
+    /// A SELECT forwarded whole: the backend parses, authorizes and
+    /// executes it.
+    fn forward_select<O: Collect>(
+        &self,
+        stmt: &Prepared,
+        params: &Bindings,
+        principal: &str,
+    ) -> Result<O> {
+        let mut out: O = self.backend.execute_prepared_as(stmt, params, principal)?;
+        let m = out.metrics_mut();
+        self.stats.queries.inc();
+        self.book_forwarded(m);
+        m.remote_calls += 1;
+        Ok(out)
     }
 
     /// Books a statement forwarded whole to the backend: one remote call,
@@ -622,29 +582,15 @@ impl CacheServer {
 
     /// Plans a SELECT on this server — the one planning path `select_impl`
     /// executes and `explain` prints. `peers` are the nodes pinned for this
-    /// statement (empty = two-site planning).
+    /// statement (empty = two-site planning). A `catalog` error means the
+    /// statement names what this shadow catalog lacks: it is forwarded.
     fn plan_select(
         &self,
         db: &DbSnapshot,
-        stmt: &Prepared,
         sel: &Select,
         peers: &[(String, Arc<CacheServer>)],
-    ) -> Result<Planned> {
-        // Blind forwarding (§7's pruned-shadow future work): a query that
-        // fails to bind against this (possibly pruned) shadow catalog is
-        // forwarded whole.
-        let plan = match bind_select(sel, db) {
-            Ok(plan) => plan,
-            Err(e) if e.kind() == "catalog" => {
-                let object = stmt
-                    .objects
-                    .iter()
-                    .find(|o| !db.has_table(o) && db.catalog.view(o).is_none())
-                    .cloned();
-                return Ok(Planned::BlindForward { object });
-            }
-            Err(e) => return Err(e),
-        };
+    ) -> Result<mtc_engine::Optimized> {
+        let plan = bind_select(sel, db)?;
         // Multi-site placement: every DataTransfer boundary is costed per
         // candidate site over its own link — here (the classic two-site
         // space over the modeled backend link), each peer carrying a
@@ -660,8 +606,7 @@ impl CacheServer {
                 link: self.options.cost.peer_link(),
             });
         }
-        let opt = mtc_engine::optimize_with_placement(plan, db, &self.options, &env)?;
-        Ok(Planned::Here { opt })
+        mtc_engine::optimize_with_placement(plan, db, &self.options, &env)
     }
 
     /// Prunes the shadow catalog down to what the cached views need (§7:
@@ -700,36 +645,26 @@ impl CacheServer {
 
     /// Optimizes a SELECT on this cache server and returns its physical
     /// plan text (EXPLAIN) — shows local/remote routing, DataTransfer
-    /// boundaries and dynamic-plan guards. A statement execution would
-    /// forward (blind, or past its currency bound) prints the forward
-    /// instead of a plan.
+    /// boundaries and dynamic-plan guards. A SELECT execution would forward
+    /// (blind, or past its currency bound) prints the forward instead of a
+    /// plan; any other statement is forwarded whole, so the backend
+    /// explains it.
     pub fn explain(&self, sql: &str) -> Result<String> {
         let resolved = Resolved::new(sql)?;
         let stmt = &*resolved.stmt;
         let Some(sel) = stmt.select() else {
-            return Err(Error::plan("EXPLAIN supports SELECT statements"));
+            return self.backend.explain(sql);
         };
         let db = self.db.read();
         let wiring = self.wiring.load();
-        // The same currency check and planning as an execution makes.
+        // The same currency check and planning as an execution makes. The
+        // backend binds what it is sent: a statement it cannot bind either
+        // fails exactly as executing it would.
         let bound_ms = bound_ms_of(sel);
         let stale = bound_ms.and_then(|bound| Some((self.staleness_past(&db, bound)?, bound)));
-        let planned = match stale {
-            Some(_) => Planned::BlindForward { object: None },
-            None => self.plan_select(&db, stmt, sel, &wiring.peers)?,
-        };
-        let opt = match planned {
-            Planned::Here { opt } => opt,
-            Planned::BlindForward { object } => {
-                // The backend binds what it is sent: a statement it cannot
-                // bind either fails exactly as executing it would.
+        let opt = match stale {
+            Some((staleness_ms, bound)) => {
                 bind_select(sel, &self.backend.db.read())?;
-                let Some((staleness_ms, bound)) = stale else {
-                    let what = object.unwrap_or_else(|| "a column it names".to_string());
-                    return Ok(format!(
-                        "routing: backend (blind forward — {what} not in shadow catalog)\n"
-                    ));
-                };
                 let applied = db.node_watermark().map_or(0, |m| m.lsn.0);
                 let lag = self.backend.db.read().log().head().0.saturating_sub(applied);
                 let views: Vec<&str> = db
@@ -743,16 +678,30 @@ impl CacheServer {
                     views.join(", ")
                 ));
             }
+            None => match self.plan_select(&db, sel, &wiring.peers) {
+                Err(e) if e.kind() == "catalog" => {
+                    bind_select(sel, &self.backend.db.read())?;
+                    let what = stmt
+                        .objects
+                        .iter()
+                        .find(|o| !db.has_table(o) && db.catalog.view(o).is_none())
+                        .map_or("a column it names", String::as_str);
+                    return Ok(format!(
+                        "routing: backend (blind forward — {what} not in shadow catalog)\n"
+                    ));
+                }
+                planned => planned?,
+            },
         };
         let mut routing = match sel.freshness_seconds {
             Some(bound_s) => format!("routing: local (currency bound {bound_s}s satisfied)\n"),
             None => String::new(),
         };
         let version = db.catalog.version();
-        let cached = self
+        let topology = wiring.topology.load(Ordering::Acquire);
+        let header = self
             .plan_cache
-            .contains_sql(&stmt.key, version, wiring.topology.load(Ordering::Acquire));
-        let cs = self.plan_cache.stats();
+            .explain_header(&resolved, &opt, version, topology);
         // Result-cache visibility, mirroring the plan-cache line: per
         // remote subexpression, would the shipped SQL (probed with the
         // lifted bindings; EXPLAIN has no others) be answered from the
@@ -798,14 +747,7 @@ impl CacheServer {
             }
         }
         Ok(format!(
-            "{}estimated cost: {:.1}\nestimated rows: {:.0}\nplan cache: {} (hits {}, misses {}, invalidations {})\nresult cache: {} entries, {} bytes (hits {}, misses {}, currency rejects {}, invalidations {})\n{advisor}{routing}{}",
-            resolved.describe(),
-            opt.est_cost,
-            opt.est_rows,
-            if cached { "cached" } else { "cold" },
-            cs.hits,
-            cs.misses,
-            cs.invalidations,
+            "{header}result cache: {} entries, {} bytes (hits {}, misses {}, currency rejects {}, invalidations {})\n{advisor}{routing}{}",
             rs.entries,
             rs.bytes,
             rs.hits,
@@ -857,20 +799,6 @@ impl CacheServer {
 /// A statement's `WITH FRESHNESS` bound, in milliseconds.
 fn bound_ms_of(sel: &Select) -> Option<i64> {
     sel.freshness_seconds.map(|s| s as i64 * 1000)
-}
-
-/// How a SELECT runs on this server, as decided by
-/// [`CacheServer::plan_select`] or by the currency check before it. Matched
-/// and consumed by the caller at once, never stored, so the plan is not
-/// boxed.
-#[allow(clippy::large_enum_variant)]
-enum Planned {
-    /// Optimized here (the plan may be local, remote or mixed).
-    Here { opt: mtc_engine::Optimized },
-    /// Forwarded whole to the backend: the statement does not bind against
-    /// the shadow catalog (`object` is the FROM object the catalog lacks),
-    /// or the node is past the statement's currency bound.
-    BlindForward { object: Option<String> },
 }
 
 /// One Remote node of a physical plan, as EXPLAIN reports it.
@@ -1067,7 +995,7 @@ mod tests {
     }
 
     #[test]
-    fn permission_checked_locally_via_shadow() {
+    fn reads_are_authorized_here_and_forwarded_writes_by_the_backend() {
         let (backend, hub, _clock) = setup();
         let c = cache(&backend, &hub);
         let err = c

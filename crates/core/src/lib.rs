@@ -10,16 +10,18 @@
 //!   the backend's (catalog + statistics, empty tables) plus the backing
 //!   tables of **cached views** kept up to date by transactional
 //!   replication. Queries are optimized locally and run local, remote or
-//!   part-and-part on cost; all INSERT/UPDATE/DELETE are transparently
-//!   forwarded to the backend; stored procedures run locally when copied,
-//!   otherwise the call forwards.
+//!   part-and-part on cost; stored procedures the node holds a copy of run
+//!   locally. Everything but a SELECT or an `EXEC` of a held procedure —
+//!   INSERT/UPDATE/DELETE, DDL, `GRANT`, a call to a procedure it does not
+//!   hold — is transparently forwarded to the backend, which authorizes and
+//!   executes it; a catalog statement then re-shadows the object it names.
 //! * [`Connection`] — the application-facing handle. Applications are
 //!   oblivious to which server they talk to; re-pointing a connection from
 //!   backend to cache (the "ODBC re-route" of §4) requires no application
 //!   change.
 //!
 //! Extensions from the paper's §7 future work are included: statement-level
-//! `WITH FRESHNESS n SECONDS` bounds, shadow-catalog refresh, and a small
+//! `WITH FRESHNESS n SECONDS` bounds, a prunable shadow catalog, and a small
 //! cache-design [`advisor`].
 //!
 //! # Example

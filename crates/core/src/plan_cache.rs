@@ -57,12 +57,13 @@ use std::sync::Arc;
 use mtc_util::lru::{LruMap, PreHashedBuild};
 use mtc_util::sync::Mutex;
 
-use mtc_engine::{Bindings, CompiledQuery};
+use mtc_engine::{Bindings, CompiledQuery, Optimized};
 use mtc_sql::Prepared;
 use mtc_types::{Error, Result};
 
 use crate::dml::CompiledDml;
 use crate::key::{Key, Probe, Sig};
+use crate::statements::Resolved;
 
 mtc_util::counter_set! {
     /// Observable plan-cache counters, surfaced through `CacheStats`
@@ -253,6 +254,57 @@ impl PlanCache {
         }
         self.stats.insertions.inc();
         plan
+    }
+
+    /// The plan of `stmt` bound with `params`: the resident one valid at
+    /// `catalog_version` and `topology_version`, else the one `compile`
+    /// builds (with the optimizer's estimates, if it ran the optimizer),
+    /// stamped with both versions and cached. When `compile` fails, nothing
+    /// is cached and its error is returned.
+    pub(crate) fn get_or_compile(
+        &self,
+        stmt: &Prepared,
+        params: &Bindings,
+        catalog_version: u64,
+        topology_version: u64,
+        compile: impl FnOnce() -> Result<(Compiled, Option<Optimized>)>,
+    ) -> Result<Arc<CachedPlan>> {
+        if let Some(hit) = self.lookup_prepared(stmt, params, catalog_version, topology_version) {
+            return Ok(hit);
+        }
+        let (compiled, opt) = compile()?;
+        let plan = CachedPlan {
+            compiled,
+            est_cost: opt.as_ref().map_or(0.0, |o| o.est_cost),
+            est_rows: opt.as_ref().map_or(0.0, |o| o.est_rows),
+            catalog_version,
+            topology_version,
+        };
+        Ok(self.insert(&stmt.key, &param_signature(params), plan))
+    }
+
+    /// EXPLAIN's header for `resolved`, planned as `opt`: how its text was
+    /// prepared, the optimizer's estimates, and whether a plan for it is
+    /// resident at these versions, with this cache's counters.
+    pub(crate) fn explain_header(
+        &self,
+        resolved: &Resolved,
+        opt: &Optimized,
+        catalog_version: u64,
+        topology_version: u64,
+    ) -> String {
+        let cached = self.contains_sql(&resolved.stmt.key, catalog_version, topology_version);
+        let s = self.stats();
+        format!(
+            "{}estimated cost: {:.1}\nestimated rows: {:.0}\nplan cache: {} (hits {}, misses {}, invalidations {})\n",
+            resolved.describe(),
+            opt.est_cost,
+            opt.est_rows,
+            if cached { "cached" } else { "cold" },
+            s.hits,
+            s.misses,
+            s.invalidations,
+        )
     }
 
     /// Non-counting peek used by EXPLAIN: is *any* plan for this statement

@@ -5,8 +5,10 @@ use std::sync::Arc;
 use mtc_engine::eval::{eval, Bindings};
 use mtc_engine::{ExecMetrics, QueryResult};
 use mtc_sql::{Expr, Prepared};
-use mtc_storage::ProcedureDef;
+use mtc_storage::{Catalog, ProcedureDef};
 use mtc_types::{Error, Result, Row, Schema, Value};
+
+use crate::stats::SharedServerStats;
 
 /// Builds the parameter bindings for one procedure invocation: declared
 /// parameters default to NULL, then EXEC arguments (evaluated against the
@@ -57,23 +59,36 @@ pub fn prepare_proc_body(
         .collect()
 }
 
-/// Runs a procedure body in order, each statement through `execute`. The
-/// answer is the last SELECT's, carrying the metrics of every statement.
-pub(crate) fn run_body(
-    def: &ProcedureDef,
-    mut execute: impl FnMut(&Prepared) -> Result<QueryResult>,
-) -> Result<QueryResult> {
-    let mut last = QueryResult::default();
-    let mut accumulated = ExecMetrics::default();
-    for stmt in &def.body {
-        let r = execute(stmt)?;
-        accumulated.absorb(&r.metrics);
-        if stmt.select().is_some() {
-            last = r;
+/// `EXEC proc args` on a server whose catalog is `catalog`: looks the
+/// procedure up, binds the arguments against the caller's `params`, counts
+/// the call in `stats.procs` and runs the body in order, each statement
+/// through `execute` with the bound parameters. The answer is the last
+/// SELECT's, carrying the metrics of every statement; `None` when `catalog`
+/// holds no such procedure. The body may write, so `catalog` must not be
+/// borrowed from under a lock.
+pub(crate) fn exec(
+    catalog: &Catalog,
+    proc: &str,
+    args: &[(String, Expr)],
+    params: &Bindings,
+    stats: &SharedServerStats,
+    mut execute: impl FnMut(&Prepared, &Bindings) -> Result<QueryResult>,
+) -> Option<Result<QueryResult>> {
+    let def = catalog.procedure(proc)?;
+    Some(bind_proc_args(def, args, params).and_then(|bound| {
+        stats.procs.inc();
+        let mut last = QueryResult::default();
+        let mut accumulated = ExecMetrics::default();
+        for stmt in &def.body {
+            let r = execute(stmt, &bound)?;
+            accumulated.absorb(&r.metrics);
+            if stmt.select().is_some() {
+                last = r;
+            }
         }
-    }
-    last.metrics = accumulated;
-    Ok(last)
+        last.metrics = accumulated;
+        Ok(last)
+    }))
 }
 
 #[cfg(test)]

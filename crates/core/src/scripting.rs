@@ -6,9 +6,8 @@
 //! [`script_shadow_database`] is that generator; running its output against
 //! a fresh server recreates every table, index, virtual view and grant.
 //! (Statistics are not expressible in SQL — the programmatic path,
-//! [`mtc_storage::Database::shadow_clone`], carries them directly; a
-//! scripted setup imports them with
-//! [`mtc_storage::Catalog::import_stats_from`].)
+//! [`mtc_storage::Database::shadow_clone`], carries them directly, one
+//! object at a time with [`mtc_storage::Database::shadow_object`].)
 
 use std::fmt::Write as _;
 

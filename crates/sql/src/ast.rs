@@ -602,6 +602,25 @@ impl Statement {
             | Statement::Grant { .. } => {}
         }
     }
+
+    /// The catalog object a DDL statement or a `GRANT` creates, drops or
+    /// changes — for `CREATE INDEX`, the indexed table — and `None` for a
+    /// statement that leaves the catalog as it is.
+    pub fn catalog_object(&self) -> Option<&str> {
+        match self {
+            Statement::CreateTable { name, .. }
+            | Statement::CreateView { name, .. }
+            | Statement::DropTable { name }
+            | Statement::DropView { name } => Some(name),
+            Statement::CreateIndex { table, .. } => Some(table),
+            Statement::Grant { object, .. } => Some(object),
+            Statement::Select(_)
+            | Statement::Insert { .. }
+            | Statement::Update { .. }
+            | Statement::Delete { .. }
+            | Statement::Exec { .. } => None,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -79,8 +79,9 @@ pub struct TableMeta {
 pub struct Catalog {
     views: BTreeMap<String, ViewMeta>,
     procedures: BTreeMap<String, Arc<ProcedureDef>>,
-    /// principal → object → granted permissions (both normalized): nested
-    /// so a check probes with the borrowed names it is handed.
+    /// object → principal → granted permissions (both normalized): nested
+    /// so a check probes with the borrowed names it is handed, and an
+    /// object's grants are one entry.
     permissions: BTreeMap<String, BTreeMap<String, BTreeSet<Permission>>>,
     /// Per table / materialized view statistics.
     stats: BTreeMap<String, TableStats>,
@@ -171,15 +172,10 @@ impl Catalog {
         self.procedures.values().map(|p| &**p)
     }
 
-    /// Removes every stored procedure (shadow databases start without any;
-    /// the DBA copies procedures over selectively).
-    pub fn clear_procedures(&mut self) {
-        self.procedures.clear();
-    }
-
     // -- permissions --------------------------------------------------------
 
-    /// Grants `permission` on `object` to `grantee`. Only `dbo` may grant.
+    /// Grants `permission` on `object` to `grantee`. Only `dbo` may grant
+    /// ([`require_dbo`]).
     pub fn grant(
         &mut self,
         grantor: &str,
@@ -187,13 +183,11 @@ impl Catalog {
         object: &str,
         permission: Permission,
     ) -> Result<()> {
-        if normalized(grantor) != "dbo" {
-            return Err(Error::permission(format!("principal `{grantor}` may not grant")));
-        }
+        require_dbo(grantor)?;
         self.permissions
-            .entry(normalize_ident(grantee))
-            .or_default()
             .entry(normalize_ident(object))
+            .or_default()
+            .entry(normalize_ident(grantee))
             .or_default()
             .insert(permission);
         Ok(())
@@ -215,8 +209,8 @@ impl Catalog {
         }
         let allowed = self
             .permissions
-            .get(&*principal)
-            .and_then(|objects| objects.get(&*normalized(object)))
+            .get(&*normalized(object))
+            .and_then(|principals| principals.get(&*principal))
             .is_some_and(|perms| perms.contains(&permission));
         if allowed {
             Ok(())
@@ -230,13 +224,34 @@ impl Catalog {
 
     /// All grants, for scripting the shadow database.
     pub fn grants(&self) -> impl Iterator<Item = (&str, &str, Permission)> {
-        self.permissions.iter().flat_map(|(principal, objects)| {
-            objects.iter().flat_map(move |(object, perms)| {
+        self.permissions.iter().flat_map(|(object, principals)| {
+            principals.iter().flat_map(move |(principal, perms)| {
                 perms
                     .iter()
                     .map(move |p| (principal.as_str(), object.as_str(), *p))
             })
         })
+    }
+
+    // -- shadowing ----------------------------------------------------------
+
+    /// Every object this catalog holds a view definition, statistics or a
+    /// grant for (a name may come more than once).
+    pub(crate) fn objects(&self) -> impl Iterator<Item = &str> {
+        let views = self.views.keys();
+        views.chain(self.stats.keys()).chain(self.permissions.keys()).map(String::as_str)
+    }
+
+    /// Makes this catalog's view definition, statistics and grants of
+    /// `object` what they are in `source`, removing those `source` does not
+    /// have, and bumps the version: the catalog half of
+    /// [`crate::Database::shadow_object`].
+    pub(crate) fn copy_object(&mut self, source: &Catalog, object: &str) {
+        let object = normalize_ident(object);
+        copy_entry(&mut self.views, &source.views, &object);
+        copy_entry(&mut self.stats, &source.stats, &object);
+        copy_entry(&mut self.permissions, &source.permissions, &object);
+        self.bump_version();
     }
 
     // -- statistics ---------------------------------------------------------
@@ -255,20 +270,26 @@ impl Catalog {
     pub fn stats(&self, object: &str) -> Option<&TableStats> {
         self.stats.get(&normalize_ident(object))
     }
+}
 
-    pub fn all_stats(&self) -> impl Iterator<Item = (&str, &TableStats)> {
-        self.stats.iter().map(|(k, v)| (k.as_str(), v))
-    }
+/// Makes `to[key]` what `from[key]` is, absence included.
+fn copy_entry<V: Clone>(to: &mut BTreeMap<String, V>, from: &BTreeMap<String, V>, key: &str) {
+    match from.get(key) {
+        Some(value) => to.insert(key.to_string(), value.clone()),
+        None => to.remove(key),
+    };
+}
 
-    /// Imports another catalog's statistics wholesale — the "statistics
-    /// maintained on tables, indexes and materialized views reflect the data
-    /// on the backend server" step of shadow-database setup (§1), also used
-    /// by the §7 shadow-catalog *refresh* extension.
-    pub fn import_stats_from(&mut self, other: &Catalog) {
-        for (name, stats) in other.all_stats() {
-            self.stats.insert(name.to_string(), stats.clone());
-        }
-        self.bump_version();
+/// Only `dbo` changes the catalog: every DDL statement and every `GRANT`
+/// is refused to any other principal with [`Error::permission`], before
+/// anything changes.
+pub fn require_dbo(principal: &str) -> Result<()> {
+    if normalized(principal) == "dbo" {
+        Ok(())
+    } else {
+        Err(Error::permission(format!(
+            "principal `{principal}` may not change the catalog"
+        )))
     }
 }
 
@@ -332,18 +353,27 @@ mod tests {
     }
 
     #[test]
-    fn stats_import() {
+    fn copy_object_follows_the_source() {
         let mut backend = Catalog::new();
-        backend.set_stats(
-            "item",
-            TableStats {
-                row_count: 1000,
-                columns: Default::default(),
-            },
-        );
+        let stats = TableStats {
+            row_count: 1000,
+            columns: Default::default(),
+        };
+        backend.set_stats("item", stats);
+        backend
+            .grant("dbo", "app", "item", Permission::Select)
+            .unwrap();
         let mut shadow = Catalog::new();
-        shadow.import_stats_from(&backend);
+        shadow
+            .grant("dbo", "app", "item", Permission::Delete)
+            .unwrap();
+        shadow.copy_object(&backend, "ITEM");
         assert_eq!(shadow.stats("item").unwrap().row_count, 1000);
+        assert!(shadow.check_permission("app", "item", Permission::Select).is_ok());
+        assert!(shadow.check_permission("app", "item", Permission::Delete).is_err());
+        shadow.copy_object(&Catalog::new(), "item");
+        assert!(shadow.stats("item").is_none());
+        assert_eq!(shadow.objects().count(), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A database: catalog + table data + secondary indexes + commit log.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use mtc_types::{normalize_ident, normalized, Error, Result, Row, Schema};
@@ -325,32 +325,58 @@ impl Database {
 
     /// Builds the *shadow database* of `self` (§3): identical tables, views,
     /// indexes, constraints and permissions, identical statistics — but
-    /// every table empty and marked shadow.
+    /// every table empty and marked shadow — one [`shadow_object`] per
+    /// object. "By default stored procedures are not copied from the
+    /// backend server to the MTCache server" (§5.2): the DBA copies them
+    /// selectively.
+    ///
+    /// [`shadow_object`]: Database::shadow_object
     pub fn shadow_clone(&self) -> Database {
         let mut shadow = Database::new(&self.name);
-        for t in self.tables.values() {
-            shadow
-                .tables
-                .insert(t.name().to_string(), Arc::new(t.to_shadow()));
+        let objects: BTreeSet<&str> = self
+            .tables
+            .keys()
+            .map(String::as_str)
+            .chain(self.catalog.objects())
+            .collect();
+        for name in objects {
+            shadow.shadow_object(self, name);
         }
-        for (name, ix) in &self.indexes {
-            shadow.indexes.insert(
-                name.clone(),
-                Arc::new(Index::new(
-                    ix.name(),
-                    ix.table(),
-                    ix.columns().to_vec(),
-                    ix.is_unique(),
-                )),
-            );
-        }
-        shadow.table_indexes = self.table_indexes.clone();
-        shadow.catalog = self.catalog.clone();
-        // "By default stored procedures are not copied from the backend
-        // server to the MTCache server" (§5.2) — the DBA copies them
-        // selectively.
-        shadow.catalog_mut().clear_procedures();
         shadow
+    }
+
+    /// Makes `name` in this shadow database what it is in `source`: its
+    /// table as an empty shadow, with its secondary indexes defined but
+    /// empty; its view definition, statistics and grants
+    /// (`Catalog::copy_object`) — removing whichever of these `source`
+    /// does not have. A table this database populates itself (a cached
+    /// view's) is this node's, not `source`'s, and stays as it is; so does
+    /// an index name one of its tables already uses. Bumps the catalog
+    /// version.
+    pub fn shadow_object(&mut self, source: &Database, name: &str) {
+        let name = normalize_ident(name);
+        if self.tables.get(&name).is_some_and(|t| !t.is_shadow()) {
+            return;
+        }
+        self.tables.remove(&name);
+        for ix in self.table_indexes.remove(&name).unwrap_or_default() {
+            self.indexes.remove(&ix);
+        }
+        if let Some(t) = source.tables.get(&name) {
+            self.tables.insert(name.clone(), Arc::new(t.to_shadow()));
+            let mut names = Vec::new();
+            for ix in source.indexes_of(&name) {
+                if self.indexes.contains_key(ix.name()) {
+                    continue;
+                }
+                let columns = ix.columns().to_vec();
+                let empty = Index::new(ix.name(), ix.table(), columns, ix.is_unique());
+                self.indexes.insert(ix.name().to_string(), Arc::new(empty));
+                names.push(ix.name().to_string());
+            }
+            self.table_indexes.insert(name.clone(), names);
+        }
+        self.catalog_mut().copy_object(&source.catalog, &name);
     }
 }
 
@@ -387,18 +413,18 @@ mod tests {
     use super::*;
     use mtc_types::{row, Column, DataType, Value};
 
+    fn item_schema() -> Schema {
+        Schema::new(vec![
+            Column::not_null("i_id", DataType::Int),
+            Column::new("i_title", DataType::Str),
+            Column::new("i_subject", DataType::Str),
+        ])
+    }
+
     fn db_with_item() -> Database {
         let mut db = Database::new("tpcw");
-        db.create_table(
-            "item",
-            Schema::new(vec![
-                Column::not_null("i_id", DataType::Int),
-                Column::new("i_title", DataType::Str),
-                Column::new("i_subject", DataType::Str),
-            ]),
-            &["i_id".into()],
-        )
-        .unwrap();
+        db.create_table("item", item_schema(), &["i_id".into()])
+            .unwrap();
         db.create_index("ix_item_subject", "item", &["i_subject".into()], false)
             .unwrap();
         db
@@ -508,6 +534,45 @@ mod tests {
         assert_eq!(shadow.catalog.stats("item").unwrap().row_count, 1);
         // Index defined but empty.
         assert!(shadow.index("ix_item_subject").unwrap().is_empty());
+    }
+
+    #[test]
+    fn shadow_object_follows_the_source_and_leaves_local_tables_alone() {
+        let mut db = db_with_item();
+        let mut shadow = db.shadow_clone();
+        db.create_index("ix_item_title", "item", &["i_title".into()], false)
+            .unwrap();
+        db.catalog_mut()
+            .grant("dbo", "app", "item", mtc_sql::Permission::Select)
+            .unwrap();
+        let version = shadow.catalog.version();
+        shadow.shadow_object(&db, "ITEM");
+        assert!(shadow.catalog.version() > version);
+        let indexes: Vec<&str> = shadow.indexes_of("item").map(|ix| ix.name()).collect();
+        assert_eq!(indexes, ["ix_item_subject", "ix_item_title"]);
+        assert!(shadow.index("ix_item_title").unwrap().is_empty());
+        assert!(shadow
+            .catalog
+            .check_permission("app", "item", mtc_sql::Permission::Select)
+            .is_ok());
+        // What the source no longer has goes; a table of the shadow's own
+        // (a cached view's, populated) is not the source's to replace.
+        db.drop_table("item").unwrap();
+        shadow.shadow_object(&db, "item");
+        assert!(!shadow.has_table("item") && shadow.index("ix_item_title").is_none());
+        let mut own = db_with_item();
+        own.apply(0, vec![ins(1, "a", "ARTS")]).unwrap();
+        own.shadow_object(&db, "item");
+        assert_eq!(own.table_ref("item").unwrap().row_count(), 1);
+        // An index name the shadow's own table uses stays that table's.
+        let mut source = db_with_item();
+        source.create_table("t", item_schema(), &["i_id".into()]).unwrap();
+        source.create_index("ix_item_title", "t", &["i_title".into()], false).unwrap();
+        own.create_index("ix_item_title", "item", &["i_title".into()], false).unwrap();
+        own.shadow_object(&source, "t");
+        assert_eq!(own.index("ix_item_title").unwrap().table(), "item");
+        assert_eq!(own.index("ix_item_title").unwrap().len(), 1);
+        assert_eq!(own.indexes_of("t").count(), 0);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod table;
 
-pub use catalog::{Catalog, IndexMeta, ProcedureDef, TableMeta, ViewMeta};
+pub use catalog::{require_dbo, Catalog, IndexMeta, ProcedureDef, TableMeta, ViewMeta};
 pub use database::{Database, WriteOp};
 pub use index::Index;
 pub use log::{written_tables, CommitLog, CommittedTransaction, Lsn, RowChange};

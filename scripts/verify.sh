@@ -187,6 +187,19 @@ cargo test -q --test transparency a_grant_through_a_cache_is_the_backend_s_grant
 echo "==> cargo test -q --test transparency negating_the_smallest_integer_is_the_same_overflow_error_on_every_tier (-i64::MIN is an overflow error)"
 cargo test -q --test transparency negating_the_smallest_integer_is_the_same_overflow_error_on_every_tier
 
+# The dialect census, and the whole transparency suite with it: an
+# exhaustive match over `Statement` lists every statement kind, and each
+# runs as `dbo` and as `app` on a fresh backend, cache server and fleet node
+# with the same rows or error kind, the same read afterwards and the same
+# backend state; a backend GRANT made after a cache was created holds for
+# the writes it forwards, EXPLAIN of a forwarded UPDATE is the backend's, and
+# CREATE INDEX through a cache reaches its shadow and rebuilds its plans. A
+# new `Statement` variant does not compile until the census lists it, and a
+# cache that runs, refuses or authorizes a statement the backend owns fails
+# here, on any machine.
+echo "==> cargo test -q --test transparency (the dialect census: every statement kind means the same on every tier)"
+cargo test -q --test transparency
+
 # What a warm read allocates, pinned by a counting allocator on the calling
 # thread: on TPC-W with the paper's cache, hotpoint's item point read makes
 # at most 14 allocations (its batch and its row, not its setup) and its
