@@ -207,8 +207,13 @@ impl BackendServer {
                 }
                 Ok(QueryResult::default())
             }
+            // A dropped object's grants go with it. (Not in
+            // `Database::drop_table`: a pruned shadow table keeps its grants,
+            // which authorize the reads it forwards.)
             Statement::DropTable { name } => {
-                self.db.write().drop_table(name)?;
+                let mut db = self.db.write();
+                db.drop_table(name)?;
+                db.catalog_mut().drop_grants(name);
                 Ok(QueryResult::default())
             }
             Statement::DropView { name } => {
@@ -217,6 +222,7 @@ impl BackendServer {
                 if meta.materialized && db.has_table(name) {
                     db.drop_table(name)?;
                 }
+                db.catalog_mut().drop_grants(name);
                 Ok(QueryResult::default())
             }
             Statement::Grant {
@@ -435,6 +441,13 @@ impl BackendServer {
     /// replication lag in transactions.
     pub fn commit_lsn(&self) -> mtc_storage::Lsn {
         self.db.read().log().head()
+    }
+
+    /// The backend's catalog version. A shipped statement's answer is
+    /// computed under it, so every cached copy of one is stamped with it
+    /// and validated against it, on whichever node holds the copy.
+    pub fn catalog_version(&self) -> u64 {
+        self.db.read().catalog.version()
     }
 
     /// Optimizes a statement and returns its physical plan text (EXPLAIN):

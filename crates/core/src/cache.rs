@@ -505,13 +505,16 @@ impl CacheServer {
         let query = plan.query()?;
         // The statement's currency bound travels with the remote gateway: a
         // cached remote result is only served if its age satisfies it, and a
-        // peer only serves a fragment within it. A plan that ships nothing
-        // never reaches a gateway, and gets none (nor the clock reading one
-        // is stamped with).
+        // peer only serves a fragment within it. A shipped answer is the
+        // backend's, so it is cached under the backend's catalog version,
+        // whatever views this node holds. A plan that ships nothing never
+        // reaches a gateway, and gets none (nor the readings one is stamped
+        // with).
         let gateway = (!query.root.is_local()).then(|| {
             let now = self.clock.now_ms();
+            let catalog = self.backend.catalog_version();
             let mut gateway =
-                RemoteGateway::new(&self.result_cache, &self.backend, version, bound_ms, now);
+                RemoteGateway::new(&self.result_cache, &self.backend, catalog, bound_ms, now);
             if let Some(l2) = wiring.l2.as_deref() {
                 gateway = gateway.with_l2(l2);
             }
@@ -712,6 +715,7 @@ impl CacheServer {
         // is a site that executing this text contacts, a `closed:` line the
         // site of a branch the lifted values keep shut.
         let now = self.clock.now_ms();
+        let backend_version = self.backend.catalog_version();
         let none = Bindings::new();
         let lifted = resolved.bindings(&none);
         for RemoteFragment { site, sql, open } in remote_fragments(&opt.physical, &lifted) {
@@ -722,7 +726,7 @@ impl CacheServer {
             let psig = referenced_values_signature(&Prepared::new(&sql)?, &lifted);
             let served = self
                 .result_cache
-                .would_hit(&sql, &psig, version, bound_ms, now);
+                .would_hit(&sql, &psig, backend_version, bound_ms, now);
             routing.push_str(&format!(
                 "routing: {}: {sql}\nplaced: {site}\n",
                 if served { "remote(cached)" } else { "remote(fetched)" }

@@ -222,6 +222,12 @@ impl Catalog {
         }
     }
 
+    /// Removes every grant on `object`: a dropped object's grants go with
+    /// it, so an object re-created under its name starts with none.
+    pub fn drop_grants(&mut self, object: &str) {
+        self.permissions.remove(&normalize_ident(object));
+    }
+
     /// All grants, for scripting the shadow database.
     pub fn grants(&self) -> impl Iterator<Item = (&str, &str, Permission)> {
         self.permissions.iter().flat_map(|(object, principals)| {

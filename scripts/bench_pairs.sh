@@ -14,11 +14,14 @@
 # [q1 - q3], how many pairs the change won, and whether the claim rule holds:
 # the change wins at least 9 pairs in 10 and its median beats the parent's
 # by more than the parent's interquartile range. It also reports whether
-# backend_rtts_per_op repeats bit for bit within every pair, prints `order`'s
-# throughput and peak_rss_mb deltas side by side (peak_rss_mb grows with the
-# operations a run completes), and warns when `fleet_adhoc` passes 45 k ops/s
-# or `hotpoint` passes 550 k ops/s, where the benchmark's latency sample
-# buffer fills and latency_p50_us stops being read from every slice.
+# backend_rtts_per_op repeats bit for bit within every pair, and where it
+# does not, each pair's parent -> change values and in how many pairs the
+# change is lower (a change that claims this metric moves it on purpose). It
+# prints `order`'s throughput and peak_rss_mb deltas side by side
+# (peak_rss_mb grows with the operations a run completes), and warns when
+# `fleet_adhoc` passes 45 k ops/s or `hotpoint` passes 550 k ops/s, where the
+# benchmark's latency sample buffer fills and latency_p50_us stops being read
+# from every slice.
 #
 # Worktrees and target directories live in a temporary directory ($TMPDIR)
 # that is removed on exit. Needs only git, cargo, POSIX sh and awk.
@@ -169,15 +172,22 @@ awk -v metrics="$metrics" -v workloads="$*" -v pairs="$pairs" '
                     sprintf("%.6g [%.6g - %.6g]", cm, quantile(c, pairs, 0.25), quantile(c, pairs, 0.75)),
                     pct(cm, pm), wins, pairs, (wins >= need && gap > iqr) ? "holds" : "does not hold"
             }
-            bad = ""; failed = 0
+            bad = ""; lower = 0; failed = 0
             for (i = 1; i <= pairs; i++) {
-                if (v[w, "parent", i, "backend_rtts_per_op"] != v[w, "change", i, "backend_rtts_per_op"]) bad = bad " " i
+                pr = v[w, "parent", i, "backend_rtts_per_op"]; cr = v[w, "change", i, "backend_rtts_per_op"]
+                if (pr != cr) bad = bad " " i
+                if (cr + 0 < pr + 0) lower++
                 for (s = 0; s < 2; s++) {
                     side = s ? "change" : "parent"
                     if (v[w, side, i, "correct"] != "true" || v[w, side, i, "failed"] + 0 > 0) failed++
                 }
             }
-            print "  backend_rtts_per_op: " (bad == "" ? "bit-identical within every pair" : "differs in pairs" bad)
+            if (bad == "") print "  backend_rtts_per_op: bit-identical within every pair"
+            else {
+                printf "  backend_rtts_per_op: differs in pairs%s; the change is lower in %d of %d pairs\n", bad, lower, pairs
+                for (i = 1; i <= pairs; i++)
+                    printf "    pair %d seed %s: %s -> %s\n", i, seed[w, i], v[w, "parent", i, "backend_rtts_per_op"], v[w, "change", i, "backend_rtts_per_op"]
+            }
             print "  runs with a failed operation or probe: " failed
             limit = w == "fleet_adhoc" ? 45000 : w == "hotpoint" ? 550000 : 0
             for (i = 1; limit && i <= pairs; i++)

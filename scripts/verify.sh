@@ -150,6 +150,22 @@ cargo test -q --test currency_lineage
 echo "==> cargo test -q --test result_cache_semantics (a write invalidates by what it committed, on every node)"
 cargo test -q --test result_cache_semantics
 
+# One fleet-wide result cache, pinned by counters: a shipped answer is the
+# backend's, so it is stamped with and validated against the backend's
+# catalog version. Node B, which holds a cached view node A does not, serves
+# A's remote read from the shared L2 with 0 round trips and the L2's `hits`
+# rises by one. A cache that validates a shipped answer against the probing
+# node's own catalog misses here, on any machine, without a timer.
+echo "==> cargo test -q --test fleet_semantics l2_serves_nodes_that_hold_different_cached_views (the L2 serves every node whatever its views)"
+cargo test -q --test fleet_semantics l2_serves_nodes_that_hold_different_cached_views
+
+# Backend DDL reaches a cached answer: after a warm cache read, a DROP TABLE
+# run on the backend directly makes the cache fail with `catalog` as the
+# backend does, and the table re-created empty reads empty on both. A cache
+# that keeps serving the dropped table's rows fails here, on any machine.
+echo "==> cargo test -q --test result_cache_semantics a_backend_drop_table_reaches_a_warm_cached_read (backend DDL flushes cached answers)"
+cargo test -q --test result_cache_semantics a_backend_drop_table_reaches_a_warm_cached_read
+
 # Snapshot readers never block on a faulted apply, run once in a release
 # build: only there could the writer's churn finish before any reader
 # thread was scheduled (the churn now waits for all eight readers), and

@@ -376,6 +376,28 @@ fn l2_serves_a_peers_backend_fetch_without_round_trips() {
 }
 
 #[test]
+fn l2_serves_nodes_that_hold_different_cached_views() {
+    let (backend, fleet, _hub) = setup_fleet(2);
+    let (a, b) = (fleet.node(0).unwrap(), fleet.node(1).unwrap());
+    // Node B alone caches a second view, so the two shadow catalogs differ.
+    b.create_cached_view("item_low", "SELECT i_id, i_note FROM item WHERE i_id < 10")
+        .unwrap();
+    assert_ne!(a.db.read().catalog.version(), b.db.read().catalog.version());
+    let first = Connection::connect(a).query(REMOTE_READ).unwrap();
+    assert!(first.metrics.remote_rtts > 0, "cold fetch pays the wire");
+    let l2_hits = fleet.l2().unwrap().stats().hits;
+    let backend_queries = backend.stats.queries.get();
+    let via_l2 = Connection::connect(b).query(REMOTE_READ).unwrap();
+    assert_eq!(via_l2.rows, first.rows);
+    assert_eq!(
+        via_l2.metrics.remote_rtts, 0,
+        "node B must serve node A's fetch from the shared L2 whatever views it holds"
+    );
+    assert_eq!(backend.stats.queries.get(), backend_queries);
+    assert_eq!(fleet.l2().unwrap().stats().hits, l2_hits + 1);
+}
+
+#[test]
 fn disabling_the_l2_budget_removes_the_shared_tier() {
     let (_backend, fleet, _hub) = setup_fleet_cfg(FleetConfig {
         nodes: 2,

@@ -107,37 +107,80 @@ fn repeated_remote_query_hits_and_explain_shows_the_routing() {
 
 #[test]
 fn cached_result_respects_catalog_version() {
-    let (_backend, cache, _hub, _clock) = setup();
+    let (backend, cache, _hub, _clock) = setup();
 
     let r1 = cache.execute(Q, &Default::default(), "dbo").unwrap();
     assert_eq!(r1.metrics.remote_rtts, 1);
     let r2 = cache.execute(Q, &Default::default(), "dbo").unwrap();
-    assert_eq!(r2.metrics.remote_rtts, 0, "warm before the DDL");
+    assert_eq!(r2.metrics.remote_rtts, 0, "warm before any DDL");
 
-    // DDL on the cache server (a new cached view over an unrelated table)
-    // bumps the shadow catalog version. Entries stamped with the old
-    // version must not be served — plans can change meaning under a new
-    // catalog even when the rows they once produced still look plausible.
+    // A shipped answer is the backend's: a new cached view on this node
+    // (over an unrelated table) bumps only the node's shadow-catalog
+    // version, and the entry keeps serving.
     cache
         .create_cached_view("noise_v", "SELECT nid, nval FROM noise")
         .unwrap();
     let before = cache.result_cache.stats();
     let r3 = cache.execute(Q, &Default::default(), "dbo").unwrap();
+    assert_eq!(r3.metrics.remote_rtts, 0, "node-local DDL flushes no backend answer");
+    assert_eq!(r3.rows, r1.rows);
+    assert_eq!(cache.result_cache.stats().invalidations, before.invalidations);
+
+    // DDL on the backend bumps the catalog the answer was computed under:
+    // entries stamped with the old version must not be served.
+    backend
+        .run_script("CREATE INDEX ix_customer_cname ON customer (cname)")
+        .unwrap();
+    let before = cache.result_cache.stats();
+    let r4 = cache.execute(Q, &Default::default(), "dbo").unwrap();
     assert_eq!(
-        r3.metrics.remote_rtts, 1,
+        r4.metrics.remote_rtts, 1,
         "stale-catalog entry must be dropped and refetched"
     );
-    assert_eq!(r3.rows, r1.rows);
-    let after = cache.result_cache.stats();
+    assert_eq!(r4.rows, r1.rows);
     assert_eq!(
-        after.invalidations,
+        cache.result_cache.stats().invalidations,
         before.invalidations + 1,
         "the version mismatch is counted as an invalidation"
     );
 
     // And the refreshed entry (new version stamp) serves again.
-    let r4 = cache.execute(Q, &Default::default(), "dbo").unwrap();
-    assert_eq!(r4.metrics.remote_rtts, 0);
+    let r5 = cache.execute(Q, &Default::default(), "dbo").unwrap();
+    assert_eq!(r5.metrics.remote_rtts, 0);
+}
+
+#[test]
+fn a_backend_drop_table_reaches_a_warm_cached_read() {
+    let (backend, cache, _hub, _clock) = setup();
+    assert_eq!(cname(&cache, Q), Value::str("c7"));
+    assert_eq!(cache.execute(Q, &Default::default(), "dbo").unwrap().metrics.remote_rtts, 0);
+
+    // Dropped on the backend directly: the cache answers as the backend does.
+    backend.run_script("DROP TABLE customer").unwrap();
+    let on_backend = backend.execute(Q, &Default::default(), "dbo").unwrap_err();
+    let on_cache = cache.execute(Q, &Default::default(), "dbo").unwrap_err();
+    assert_eq!(on_backend.kind(), "catalog");
+    assert_eq!(on_cache.kind(), "catalog", "{on_cache}");
+
+    // Re-created empty: the old rows are gone on every tier.
+    backend
+        .run_script("CREATE TABLE customer (cid INT NOT NULL PRIMARY KEY, cname VARCHAR)")
+        .unwrap();
+    assert!(backend.execute(Q, &Default::default(), "dbo").unwrap().rows.is_empty());
+    assert!(cache.execute(Q, &Default::default(), "dbo").unwrap().rows.is_empty());
+}
+
+#[test]
+fn node_local_ddl_keeps_explain_and_execution_on_the_cached_answer() {
+    let (_backend, cache, _hub, _clock) = setup();
+    cache.execute(Q, &Default::default(), "dbo").unwrap();
+    cache
+        .create_cached_view("noise_v", "SELECT nid, nval FROM noise")
+        .unwrap();
+    let plan = cache.explain(Q).unwrap();
+    assert!(plan.contains("remote(cached)"), "{plan}");
+    let r = cache.execute(Q, &Default::default(), "dbo").unwrap();
+    assert_eq!(r.metrics.remote_rtts, 0, "EXPLAIN and execution agree");
 }
 
 #[test]

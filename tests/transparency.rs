@@ -264,6 +264,41 @@ fn a_grant_through_a_cache_is_the_backend_s_grant() {
     assert_eq!(r.rows, expected);
 }
 
+/// A dropped object's grants go with it: a table or a view re-created
+/// under the old name starts with none, on the backend and on a cache whose
+/// shadow copies the backend's grants.
+#[test]
+fn a_dropped_object_takes_its_grants_with_it() {
+    let backend = BackendServer::new("backend");
+    backend
+        .run_script(
+            "CREATE TABLE t (id INT NOT NULL PRIMARY KEY, name VARCHAR);
+             INSERT INTO t VALUES (1, 'a');
+             CREATE VIEW v AS SELECT id FROM t",
+        )
+        .unwrap();
+    let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
+    let cache = CacheServer::create("cache", backend.clone(), hub);
+    let dbo = Connection::connect(cache.clone());
+    for script in [
+        "GRANT SELECT ON t TO app",
+        "GRANT SELECT ON v TO app",
+        "DROP VIEW v",
+        "DROP TABLE t",
+        "CREATE TABLE t (id INT NOT NULL PRIMARY KEY, secret VARCHAR)",
+        "INSERT INTO t VALUES (1, 's')",
+        "CREATE VIEW v AS SELECT secret FROM t",
+    ] {
+        dbo.query(script).unwrap();
+    }
+    for read in ["SELECT secret FROM t WHERE id = 1", "SELECT secret FROM v"] {
+        for tier in [ServerHandle::from(backend.clone()), ServerHandle::from(cache.clone())] {
+            let err = Connection::connect_as(tier, "app").query(read).unwrap_err();
+            assert_eq!(err.kind(), "permission", "{read}: {err}");
+        }
+    }
+}
+
 /// Unary minus overflows like the binary operators: `-@x` with `@x` the
 /// smallest integer is an execution error — not a panic, not a wrapped
 /// value — and the same one on the backend and on a cache that answers from
