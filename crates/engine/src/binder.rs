@@ -459,9 +459,7 @@ pub fn infer_type(expr: &Expr, schema: &Schema) -> DataType {
                 .unwrap_or(DataType::Float),
             _ => DataType::Float,
         },
-        Expr::Like { .. } | Expr::InList { .. } | Expr::Between { .. } | Expr::IsNull { .. } => {
-            DataType::Bool
-        }
+        Expr::Like { .. } | Expr::InList { .. } | Expr::IsNull { .. } => DataType::Bool,
         Expr::Case {
             branches,
             else_expr,

@@ -254,12 +254,6 @@ pub enum CompiledExpr {
         list: Vec<CompiledExpr>,
         negated: bool,
     },
-    Between {
-        expr: Box<CompiledExpr>,
-        low: Box<CompiledExpr>,
-        high: Box<CompiledExpr>,
-        negated: bool,
-    },
     IsNull {
         expr: Box<CompiledExpr>,
         negated: bool,
@@ -316,13 +310,6 @@ impl CompiledExpr {
                     e.collect_cols(out);
                 }
             }
-            CompiledExpr::Between {
-                expr, low, high, ..
-            } => {
-                expr.collect_cols(out);
-                low.collect_cols(out);
-                high.collect_cols(out);
-            }
             CompiledExpr::Case {
                 branches,
                 else_expr,
@@ -376,17 +363,6 @@ impl CompiledExpr {
             } => CompiledExpr::InList {
                 expr: remap_box(expr),
                 list: list.iter().map(|e| e.remap_cols(map)).collect(),
-                negated: *negated,
-            },
-            CompiledExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => CompiledExpr::Between {
-                expr: remap_box(expr),
-                low: remap_box(low),
-                high: remap_box(high),
                 negated: *negated,
             },
             CompiledExpr::IsNull { expr, negated } => CompiledExpr::IsNull {
@@ -506,24 +482,6 @@ impl CompiledExpr {
                     Ok(Value::Null)
                 } else {
                     Ok(Value::Bool(*negated))
-                }
-            }
-            CompiledExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                let v = expr.eval_src(row, env)?;
-                let lo = low.eval_src(row, env)?;
-                let hi = high.eval_src(row, env)?;
-                match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
-                    (Some(cl), Some(ch)) => {
-                        let inside =
-                            cl != std::cmp::Ordering::Less && ch != std::cmp::Ordering::Greater;
-                        Ok(Value::Bool(inside != *negated))
-                    }
-                    _ => Ok(Value::Null),
                 }
             }
             CompiledExpr::IsNull { expr, negated } => {
@@ -668,25 +626,6 @@ fn compile_rec(
                     negated: *negated,
                 },
                 all_const,
-            )
-        }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let (e, ce) = compile_rec(expr, schema, slots)?;
-            let (lo, cl) = compile_rec(low, schema, slots)?;
-            let (hi, ch) = compile_rec(high, schema, slots)?;
-            (
-                CompiledExpr::Between {
-                    expr: Box::new(e),
-                    low: Box::new(lo),
-                    high: Box::new(hi),
-                    negated: *negated,
-                },
-                ce && cl && ch,
             )
         }
         Expr::IsNull { expr, negated } => {
@@ -964,7 +903,6 @@ fn seek_residual(
             (matches!(**left, Expr::Column(_)) && **right == *e)
                 || (matches!(**right, Expr::Column(_)) && **left == *e)
         }
-        Expr::Between { low, high, .. } => **low == *e || **high == *e,
         _ => false,
     };
     let conjuncts = p.split_conjuncts();

@@ -80,23 +80,6 @@ pub fn eval(expr: &Expr, row: &Row, schema: &Schema, params: &Bindings) -> Resul
                 Ok(Value::Bool(*negated))
             }
         }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = eval(expr, row, schema, params)?;
-            let lo = eval(low, row, schema, params)?;
-            let hi = eval(high, row, schema, params)?;
-            match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
-                (Some(cl), Some(ch)) => {
-                    let inside = cl != std::cmp::Ordering::Less && ch != std::cmp::Ordering::Greater;
-                    Ok(Value::Bool(inside != *negated))
-                }
-                _ => Ok(Value::Null),
-            }
-        }
         Expr::IsNull { expr, negated } => {
             let v = eval(expr, row, schema, params)?;
             Ok(Value::Bool(v.is_null() != *negated))

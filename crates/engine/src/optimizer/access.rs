@@ -451,23 +451,6 @@ fn sarg_atom(atom: &Expr) -> Option<(String, BinOp, Expr)> {
             }
             _ => None,
         },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated: false,
-        } => {
-            // BETWEEN contributes both bounds; report as the low bound and
-            // let the caller pick up the `<= high` via a second pass — for
-            // simplicity we return only the low bound here and rely on the
-            // residual for the high side.
-            match &**expr {
-                Expr::Column(c) if low.is_parameter_only() && high.is_parameter_only() => {
-                    Some((c.clone(), BinOp::Ge, (**low).clone()))
-                }
-                _ => None,
-            }
-        }
         _ => None,
     }
 }

@@ -128,24 +128,6 @@ fn atom_selectivity(atom: &Expr, input: &LogicalPlan, db: &Database) -> f64 {
                 },
             }
         }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let sel = match (&**expr, literal_of(low), literal_of(high)) {
-                (Expr::Column(c), Some(lo), Some(hi)) => column_stats(c, input, db)
-                    .map(|(s, _)| s.selectivity_between(&lo, &hi))
-                    .unwrap_or(DEFAULT_RANGE),
-                _ => DEFAULT_RANGE,
-            };
-            if *negated {
-                1.0 - sel
-            } else {
-                sel
-            }
-        }
         Expr::InList { expr, list, negated } => {
             let sel = match &**expr {
                 Expr::Column(c) => {

@@ -532,21 +532,6 @@ fn atom_interval(atom: &Expr) -> Option<(String, Interval)> {
             };
             Some((col, iv))
         }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated: false,
-        } => match (&**expr, &**low, &**high) {
-            (Expr::Column(c), Expr::Literal(lo), Expr::Literal(hi)) => Some((
-                suffix(c).to_string(),
-                Interval {
-                    low: Some((lo.clone(), true)),
-                    high: Some((hi.clone(), true)),
-                },
-            )),
-            _ => None,
-        },
         _ => None,
     }
 }
@@ -917,7 +902,8 @@ mod tests {
     #[test]
     fn between_query_against_range_view() {
         let db = db_with_view(true);
-        let conj = vec![parse_expression("cid BETWEEN 10 AND 900").unwrap()];
+        let pred = parse_expression("cid BETWEEN 10 AND 900").unwrap();
+        let conj: Vec<Expr> = pred.split_conjuncts().into_iter().cloned().collect();
         let req = vec!["customer.cid".to_string()];
         let ms = match_views(&db, "customer", "customer", &get_schema(&db), &conj, &req, opts());
         assert_eq!(ms.len(), 1);

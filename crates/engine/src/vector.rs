@@ -6,10 +6,10 @@
 //! * [`eval_filter_sel`] — evaluates a predicate over a batch and returns
 //!   the surviving *physical* row indices (a selection vector). Conjunction
 //!   and disjunction recurse over shrinking candidate lists, and the common
-//!   `col <op> constant` / `col IS NULL` / `col BETWEEN a AND b` shapes run
-//!   as tight typed loops over the column storage — no `Value` is
-//!   materialized for fixed-width cells. Anything else falls back to
-//!   per-row evaluation through [`BatchRowSrc`].
+//!   `col <op> constant` / `col IS NULL` shapes run as tight typed loops
+//!   over the column storage — no `Value` is materialized for fixed-width
+//!   cells. Anything else falls back to per-row evaluation through
+//!   [`BatchRowSrc`].
 //! * [`eval_project_col`] — evaluates one projection expression into a
 //!   dense output column aligned with the batch's live rows. A plain
 //!   column reference on an unfiltered batch is a pure `Arc` share.
@@ -174,25 +174,6 @@ fn filter_cands(
                     .into_iter()
                     .filter(|&i| col.is_null(i as usize) != *negated)
                     .collect());
-            }
-            row_fallback(pred, batch, env, cands)
-        }
-        CompiledExpr::Between {
-            expr,
-            low,
-            high,
-            negated: false,
-        } => {
-            if let CompiledExpr::Col(c) = &**expr {
-                if let (Some(lo), Some(hi)) =
-                    (scalar_operand(low, env)?, scalar_operand(high, env)?)
-                {
-                    // `x BETWEEN lo AND hi` ≡ `x >= lo AND x <= hi` for the
-                    // non-negated form (NULL bounds make both UNKNOWN).
-                    let col = batch.col(*c);
-                    let ge = cmp_filter(col, BinOp::Ge, &lo, cands);
-                    return Ok(cmp_filter(col, BinOp::Le, &hi, ge));
-                }
             }
             row_fallback(pred, batch, env, cands)
         }

@@ -121,12 +121,6 @@ pub enum Expr {
         list: Vec<Expr>,
         negated: bool,
     },
-    Between {
-        expr: Box<Expr>,
-        low: Box<Expr>,
-        high: Box<Expr>,
-        negated: bool,
-    },
     IsNull {
         expr: Box<Expr>,
         negated: bool,
@@ -266,13 +260,6 @@ impl Expr {
                     e.visit(f);
                 }
             }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                expr.visit(f);
-                low.visit(f);
-                high.visit(f);
-            }
             Expr::IsNull { expr, .. } => expr.visit(f),
             Expr::Case {
                 branches,
@@ -327,17 +314,6 @@ impl Expr {
             } => Expr::InList {
                 expr: Box::new(expr.rewrite(f)),
                 list: list.iter().map(|e| e.rewrite(f)).collect(),
-                negated: *negated,
-            },
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => Expr::Between {
-                expr: Box::new(expr.rewrite(f)),
-                low: Box::new(low.rewrite(f)),
-                high: Box::new(high.rewrite(f)),
                 negated: *negated,
             },
             Expr::IsNull { expr, negated } => Expr::IsNull {
@@ -657,7 +633,6 @@ impl fmt::Display for Expr {
                         Expr::Unary {
                             op: UnaryOp::Not, ..
                         }
-                        | Expr::Between { .. }
                         | Expr::InList { .. }
                         | Expr::Like { .. }
                         | Expr::IsNull { .. } => binding_power(*op) > 2,
@@ -722,20 +697,6 @@ impl fmt::Display for Expr {
                 }
                 f.write_str(")")
             }
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                // The bounds are parsed above AND's precedence, so any
-                // predicate-shaped bound needs explicit parentheses.
-                fmt_postfix_lhs(expr, f)?;
-                write!(f, " {}BETWEEN ", if *negated { "NOT " } else { "" })?;
-                fmt_predicate_operand(low, f)?;
-                f.write_str(" AND ")?;
-                fmt_predicate_operand(high, f)
-            }
             Expr::IsNull { expr, negated } => {
                 fmt_postfix_lhs(expr, f)?;
                 write!(f, " IS {}NULL", if *negated { "NOT " } else { "" })
@@ -757,10 +718,10 @@ impl fmt::Display for Expr {
     }
 }
 
-/// Prints the left operand of a postfix predicate (BETWEEN/IN/LIKE/IS
-/// NULL). `NOT x` must be parenthesized there: NOT parses its operand at a
-/// binding power that *includes* postfix predicates, so `NOT (a) BETWEEN …`
-/// would re-associate as `NOT (a BETWEEN …)`.
+/// Prints the left operand of a postfix predicate (IN/LIKE/IS NULL).
+/// `NOT x` must be parenthesized there: NOT parses its operand at a binding
+/// power that *includes* postfix predicates, so `NOT (a) LIKE …` would
+/// re-associate as `NOT (a LIKE …)`.
 fn fmt_postfix_lhs(e: &Expr, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     // AND/OR re-associate into their right operand when a postfix predicate
     // follows, so they need parentheses here too.
@@ -780,9 +741,9 @@ fn fmt_postfix_lhs(e: &Expr, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     }
 }
 
-/// Prints a sub-operand of a predicate form (a BETWEEN bound or LIKE
-/// pattern), parenthesizing anything the parser would not re-associate
-/// into that position (AND/OR chains and other postfix predicates).
+/// Prints a LIKE pattern, parenthesizing anything the parser would not
+/// re-associate into that position (AND/OR chains and other postfix
+/// predicates).
 fn fmt_predicate_operand(e: &Expr, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     if is_bound_safe(e) {
         write!(f, "{e}")
@@ -791,10 +752,10 @@ fn fmt_predicate_operand(e: &Expr, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     }
 }
 
-/// Can `e` print unparenthesized in a BETWEEN-bound / LIKE-pattern
-/// position? Those positions re-parse above AND's precedence with postfix
-/// predicates disabled, so any predicate form (or AND/OR) *anywhere outside
-/// parentheses* breaks re-association.
+/// Can `e` print unparenthesized as a LIKE pattern? A pattern re-parses
+/// above AND's precedence with postfix predicates disabled, so any
+/// predicate form (or AND/OR) *anywhere outside parentheses* breaks
+/// re-association.
 fn is_bound_safe(e: &Expr) -> bool {
     match e {
         // Leaves, and forms whose internals sit behind parens/keywords.
@@ -805,7 +766,7 @@ fn is_bound_safe(e: &Expr) -> bool {
         | Expr::Case { .. } => true,
         // Unary minus parses its operand above postfix precedence; NOT does
         // not — a trailing `NOT (x)` would swallow whatever postfix
-        // predicate follows the bound, so NOT must be parenthesized.
+        // predicate follows the pattern, so NOT must be parenthesized.
         Expr::Unary {
             op: UnaryOp::Neg, ..
         } => true,
@@ -817,9 +778,7 @@ fn is_bound_safe(e: &Expr) -> bool {
             ..
         } => false,
         Expr::Binary { left, right, .. } => is_bound_safe(left) && is_bound_safe(right),
-        Expr::Between { .. } | Expr::InList { .. } | Expr::Like { .. } | Expr::IsNull { .. } => {
-            false
-        }
+        Expr::InList { .. } | Expr::Like { .. } | Expr::IsNull { .. } => false,
     }
 }
 

@@ -63,6 +63,25 @@ pub(crate) fn negated(value: &Value) -> Option<Value> {
     }
 }
 
+/// `expr [NOT] BETWEEN low AND high` as the SQL standard defines it:
+/// `expr >= low AND expr <= high`, or `expr < low OR expr > high` when
+/// negated. BETWEEN has no node of its own, so every layer below the parser
+/// sees the comparisons it means (three-valued logic, seek bounds, view
+/// matching and estimates included).
+fn between(expr: Expr, low: Expr, high: Expr, negated: bool) -> Expr {
+    if negated {
+        Expr::or(
+            Expr::binary(expr.clone(), BinOp::Lt, low),
+            Expr::binary(expr, BinOp::Gt, high),
+        )
+    } else {
+        Expr::and(
+            Expr::binary(expr.clone(), BinOp::Ge, low),
+            Expr::binary(expr, BinOp::Le, high),
+        )
+    }
+}
+
 /// The parser state: a token buffer and a cursor.
 pub struct Parser {
     tokens: Vec<Token>,
@@ -645,12 +664,7 @@ impl Parser {
                     let low = self.expression(PREDICATE_BP + 1)?;
                     self.expect_kw("AND")?;
                     let high = self.expression(PREDICATE_BP + 1)?;
-                    lhs = Expr::Between {
-                        expr: Box::new(lhs),
-                        low: Box::new(low),
-                        high: Box::new(high),
-                        negated,
-                    };
+                    lhs = between(lhs, low, high, negated);
                     continue;
                 }
                 if self.eat_kw("IN") {
@@ -848,8 +862,9 @@ mod tests {
     #[test]
     fn between_does_not_eat_outer_and() {
         let e = expr("x BETWEEN 1 AND 10 AND y = 2");
+        assert_eq!(e.to_string(), "x >= 1 AND x <= 10 AND y = 2");
         if let Expr::Binary { op: BinOp::And, left, .. } = &e {
-            assert!(matches!(**left, Expr::Between { .. }));
+            assert_eq!(left.to_string(), "x >= 1 AND x <= 10");
         } else {
             panic!("expected AND at root, got {e:?}");
         }

@@ -82,12 +82,12 @@ fn gen_expr(rng: &mut StdRng, depth: u32) -> Expr {
             Expr::binary(l, op, r)
         }
         2 => Expr::not(inner(rng)),
-        3 => Expr::Between {
-            expr: Box::new(inner(rng)),
-            low: Box::new(inner(rng)),
-            high: Box::new(inner(rng)),
-            negated: rng.gen_bool(0.5),
-        },
+        3 => {
+            let e = inner(rng);
+            let low = inner(rng);
+            let high = inner(rng);
+            between(e, low, high, rng.gen_bool(0.5))
+        }
         4 => Expr::InList {
             expr: Box::new(inner(rng)),
             list: (0..rng.gen_range(1usize..4)).map(|_| inner(rng)).collect(),
@@ -200,12 +200,19 @@ fn int(i: i64) -> Expr {
     Expr::Literal(Value::Int(i))
 }
 
-fn between(e: Expr, lo: Expr, hi: Expr) -> Expr {
-    Expr::Between {
-        expr: Box::new(e),
-        low: Box::new(lo),
-        high: Box::new(hi),
-        negated: false,
+/// `e [NOT] BETWEEN lo AND hi` as the parser builds it: `e >= lo AND
+/// e <= hi`, or `e < lo OR e > hi` when negated.
+fn between(e: Expr, lo: Expr, hi: Expr, negated: bool) -> Expr {
+    if negated {
+        Expr::or(
+            Expr::binary(e.clone(), BinOp::Lt, lo),
+            Expr::binary(e, BinOp::Gt, hi),
+        )
+    } else {
+        Expr::and(
+            Expr::binary(e.clone(), BinOp::Ge, lo),
+            Expr::binary(e, BinOp::Le, hi),
+        )
     }
 }
 
@@ -229,7 +236,12 @@ fn regression_eq_chain_with_is_null() {
 #[test]
 fn regression_between_with_between_as_low_bound() {
     // cc 092540f8: 0 BETWEEN (0 BETWEEN 0 AND 0) AND 0, as a SELECT predicate
-    let pred = between(int(0), between(int(0), int(0), int(0)), int(0));
+    let pred = between(
+        int(0),
+        between(int(0), int(0), int(0), false),
+        int(0),
+        false,
+    );
     assert_select_fixpoint(&pred, None, false, false);
 }
 
@@ -238,8 +250,9 @@ fn regression_between_with_eq_of_between_as_low_bound() {
     // cc 107b6ef2: 0 BETWEEN ((0 BETWEEN 0 AND 0) = 0) AND 0
     let pred = between(
         int(0),
-        Expr::binary(between(int(0), int(0), int(0)), BinOp::Eq, int(0)),
+        Expr::binary(between(int(0), int(0), int(0), false), BinOp::Eq, int(0)),
         int(0),
+        false,
     );
     assert_select_fixpoint(&pred, None, false, false);
 }
@@ -253,7 +266,7 @@ fn regression_not_of_negative_literal() {
 #[test]
 fn regression_between_with_not_as_operand() {
     // cc 73407bab: (NOT 0) BETWEEN 0 AND 0
-    assert_expr_fixpoint(&between(Expr::not(int(0)), int(0), int(0)));
+    assert_expr_fixpoint(&between(Expr::not(int(0)), int(0), int(0), false));
 }
 
 #[test]
@@ -275,7 +288,7 @@ fn regression_subtraction_of_addition_with_between() {
     assert_expr_fixpoint(&Expr::binary(
         int(0),
         BinOp::Sub,
-        Expr::binary(int(0), BinOp::Add, between(int(0), int(0), int(0))),
+        Expr::binary(int(0), BinOp::Add, between(int(0), int(0), int(0), false)),
     ));
 }
 
@@ -292,5 +305,5 @@ fn regression_is_null_of_and_with_not() {
 #[test]
 fn regression_is_null_of_between_with_not_high_bound() {
     // cc 1fbe3de4: (0 BETWEEN 0 AND NOT 0) IS NULL
-    assert_expr_fixpoint(&is_null(between(int(0), int(0), Expr::not(int(0)))));
+    assert_expr_fixpoint(&is_null(between(int(0), int(0), Expr::not(int(0)), false)));
 }

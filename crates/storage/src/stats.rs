@@ -137,11 +137,6 @@ impl ColumnStats {
         }
     }
 
-    /// Selectivity of `low <= col <= high`.
-    pub fn selectivity_between(&self, low: &Value, high: &Value) -> f64 {
-        (self.selectivity_le(high) - self.selectivity_lt(low)).clamp(0.0, 1.0)
-    }
-
     /// Probability that a uniformly drawn parameter in `[min, max]` is
     /// `<= v` — the paper's §5.1 frequency estimate `Fl` for ChoosePlan
     /// guard predicates ("lacking any better information, we estimate Fl
@@ -230,14 +225,6 @@ mod tests {
         let mut vals = int_values(200);
         let s = ColumnStats::compute(&mut vals);
         assert!((s.selectivity_eq(200) - 1.0 / 200.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn between_selectivity() {
-        let mut vals = int_values(1000);
-        let s = ColumnStats::compute(&mut vals);
-        let f = s.selectivity_between(&Value::Int(200), &Value::Int(400));
-        assert!((f - 0.2).abs() < 0.06, "got {f}");
     }
 
     #[test]

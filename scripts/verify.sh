@@ -216,6 +216,17 @@ cargo test -q --test transparency negating_the_smallest_integer_is_the_same_over
 echo "==> cargo test -q --test transparency (the dialect census: every statement kind means the same on every tier)"
 cargo test -q --test transparency
 
+# BETWEEN is its definition, pinned by answers and counters: the parser
+# lowers `x BETWEEN a AND b` to `x >= a AND x <= b` (`x < a OR x > b` when
+# negated). So a NULL bound follows three-valued logic on the backend and
+# on a cache alike, a BETWEEN seek is bounded on both sides and builds the
+# cells its comparisons build, and a BETWEEN over a cached range view is
+# answered locally under the plan-cache entry of its `>=`/`<=` spelling. A
+# BETWEEN that some layer below the parser handles on its own fails here,
+# on any machine, without a timer.
+echo "==> cargo test -q --test transparency --test pruned_leaves --test plan_cache_semantics between (BETWEEN means >= AND <= on every layer)"
+cargo test -q --test transparency --test pruned_leaves --test plan_cache_semantics between
+
 # What a warm read allocates, pinned by a counting allocator on the calling
 # thread: on TPC-W with the paper's cache, hotpoint's item point read makes
 # at most 14 allocations (its batch and its row, not its setup) and its

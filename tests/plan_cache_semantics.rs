@@ -292,3 +292,35 @@ fn cached_plans_agree_with_fresh_plans() {
         },
     );
 }
+
+/// BETWEEN is its definition, `id >= lo AND id <= hi`: over a cached range
+/// view it is answered locally like that spelling, and an ad-hoc BETWEEN and
+/// the `>=`/`<=` spelling of another range are one plan-cache entry.
+#[test]
+fn between_and_its_comparisons_share_one_plan_and_the_cached_view() {
+    let (backend, cache) = backend_and_cache();
+    cache
+        .create_cached_view("t_tail", &format!("SELECT id, grp, val, name FROM t WHERE id >= {VIEW_BOUND}"))
+        .unwrap();
+    let conn = Connection::connect(cache.clone());
+    let before = cache.plan_cache.stats();
+    for sql in [
+        "SELECT id, name FROM t WHERE id BETWEEN 250 AND 270 ORDER BY id ASC",
+        "SELECT id, name FROM t WHERE id >= 300 AND id <= 330 ORDER BY id ASC",
+    ] {
+        let want = Connection::connect(backend.clone()).query(sql).unwrap().rows;
+        let r = conn.query(sql).unwrap();
+        assert_eq!(r.rows, want, "{sql}");
+        assert_eq!(
+            (r.metrics.remote_calls, r.metrics.remote_rtts),
+            (0, 0),
+            "{sql}: answered from t_tail"
+        );
+    }
+    let after = cache.plan_cache.stats();
+    assert_eq!(
+        (after.insertions - before.insertions, after.hits - before.hits),
+        (1, 1),
+        "one template for both spellings"
+    );
+}

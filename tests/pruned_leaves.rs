@@ -126,3 +126,21 @@ fn a_subject_search_index_seek_builds_its_projected_and_residual_columns() {
     // (projected) and i_subject (re-checked), not cv_item's 11 columns.
     assert_eq!(r.metrics.cells_built, matching * 5);
 }
+
+/// `i_id BETWEEN @lo AND @hi` is `i_id >= @lo AND i_id <= @hi`: the
+/// clustered seek is bounded on both sides, so it touches the 11 rows of
+/// the range, not every row from `@lo` to the end of `cv_item`.
+#[test]
+fn a_between_seek_builds_what_its_comparisons_build() {
+    let (_backend, cache) = tpcw();
+    let conn = Connection::connect(cache);
+    let bounds = params(&[("lo", 10), ("hi", 20)]);
+    let between = warm(&conn, "SELECT i_title FROM item WHERE i_id BETWEEN @lo AND @hi", &bounds);
+    let compared = warm(&conn, "SELECT i_title FROM item WHERE i_id >= @lo AND i_id <= @hi", &bounds);
+    assert_eq!(between.rows, compared.rows);
+    assert_eq!(between.rows.len(), 11);
+    assert_eq!(between.metrics.remote_calls, 0);
+    // 11 touched rows × (i_title projected, i_id re-checked).
+    assert_eq!(compared.metrics.cells_built, 11 * 2);
+    assert_eq!(between.metrics.cells_built, compared.metrics.cells_built);
+}

@@ -329,6 +329,40 @@ fn negating_the_smallest_integer_is_the_same_overflow_error_on_every_tier() {
     assert_eq!(r.metrics.remote_calls, 0);
 }
 
+/// BETWEEN means the SQL standard's definition on every tier, NULL bounds
+/// included: `id NOT BETWEEN @a AND @b` is `id < @a OR id > @b`, so with
+/// `@b` NULL it selects the rows below `@a`; and `id BETWEEN 10 AND NULL`
+/// is `id >= 10 AND id <= NULL`, FALSE wherever `id >= 10` is FALSE. The
+/// cache answers both from its own cached view.
+#[test]
+fn between_with_a_null_bound_means_its_comparisons_on_every_tier() {
+    let backend = BackendServer::new("backend");
+    let inserts: Vec<String> = (0..20).map(|i| format!("INSERT INTO t VALUES ({i}, 'n{i}')")).collect();
+    backend
+        .run_script(&format!(
+            "CREATE TABLE t (id INT NOT NULL PRIMARY KEY, name VARCHAR); {}",
+            inserts.join(";")
+        ))
+        .unwrap();
+    let hub = Arc::new(Mutex::new(ReplicationHub::new(backend.db.clone())));
+    let cache = CacheServer::create("cache", backend.clone(), hub);
+    cache.create_cached_view("cv_t", "SELECT id, name FROM t").unwrap();
+    let outside = "SELECT id FROM t WHERE id NOT BETWEEN @a AND @b ORDER BY id ASC";
+    let bounds = Connection::params(&[("a", Value::Int(10)), ("b", Value::Null)]);
+    let below: Vec<Row> = (0..10).map(|i| Row::new(vec![Value::Int(i)])).collect();
+    let inside = "SELECT id, id BETWEEN 10 AND NULL AS inside FROM t WHERE id <= 1 ORDER BY id ASC";
+    let falses: Vec<Row> = (0..2)
+        .map(|i| Row::new(vec![Value::Int(i), Value::Bool(false)]))
+        .collect();
+    for tier in [ServerHandle::from(backend), ServerHandle::from(cache)] {
+        let conn = Connection::connect(tier);
+        let r = conn.query_with(outside, &bounds).unwrap();
+        assert_eq!((r.rows, r.metrics.remote_calls), (below.clone(), 0), "{outside}");
+        let r = conn.query(inside).unwrap();
+        assert_eq!((r.rows, r.metrics.remote_calls), (falses.clone(), 0), "{inside}");
+    }
+}
+
 /// A ChoosePlan's branches may be built differently — here the guarded
 /// branch is an index nested-loop join (item columns first) and the fallback
 /// a hash join with its sides swapped (author columns first) — but they feed
