@@ -685,8 +685,8 @@ fn compile_rec(
 /// A compiled seek bound. `inclusive` is carried for explain parity: both
 /// executors seek every bound inclusively, so a `>` or `<` bound touches
 /// its boundary key too, and the seek's residual — the predicate, less the
-/// equality a clustered point seek enforces itself (see `seek_residual`) —
-/// drops it, which makes the result exact.
+/// comparisons a clustered seek's inclusive bounds enforce themselves (see
+/// `seek_residual`) — drops it, which makes the result exact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledBound {
     pub expr: CompiledExpr,
@@ -884,39 +884,43 @@ fn compile_bound(
     }
 }
 
-/// A clustered seek's residual: its predicate less the conjunct a point seek
-/// enforces exactly. The seek of `[E, E]` on the (single-column) clustering
-/// key yields exactly the rows where `key = E` holds (none for a NULL E).
-/// The plan does not name the key column, so the conjunct is found by E:
-/// it is dropped only when it is the one conjunct bounding a column by E.
+/// A clustered seek's residual: its predicate less the conjuncts the seek
+/// enforces. Seeks are inclusive: a low bound `L` yields exactly the rows
+/// where `key >= L` holds, a high `H` those where `key <= H`, `[E, E]` those
+/// where `key = E` (none for a NULL bound); `>` and `<` are re-checked. A
+/// NULL key ranks first, so only a seek with no low bound reads it: its
+/// `key <= H` is dropped only on a NOT NULL key. The plan does not name the
+/// key, so a conjunct is found by its bound's expression: it is dropped only
+/// when it is the one bounding a column by it, with the enforced operator.
 fn seek_residual(
     pred: &Option<Expr>,
+    schema: &Schema,
     low: &Option<KeyBound>,
     high: &Option<KeyBound>,
 ) -> Option<Expr> {
-    let (Some(p), Some(low), Some(high)) = (pred, low, high) else {
+    let conjuncts = pred.as_ref()?.split_conjuncts();
+    let point = matches!((low, high), (Some(l), Some(h)) if l.expr == h.expr);
+    let enforced = |bound: &Option<KeyBound>, want: BinOp| {
+        let e = &bound.as_ref()?.expr;
+        // Conjuncts bounding a column by `e`, operators read column-first.
+        let mut bounding = conjuncts.iter().filter_map(|&c| match c {
+            Expr::Binary { left, op, right } if op.is_comparison() => match (&**left, &**right) {
+                (Expr::Column(col), r) if r == e => Some((c, col, *op)),
+                (l, Expr::Column(col)) if l == e => Some((c, col, op.flip())),
+                _ => None,
+            },
+            _ => None,
+        });
+        let (Some((c, col, op)), None) = (bounding.next(), bounding.next()) else { return None };
+        let reads_null = low.is_none() && schema.index_of(col).map_or(true, |i| schema.column(i).nullable);
+        (op == if point { BinOp::Eq } else { want } && !reads_null).then_some(c)
+    };
+    let dropped = [enforced(low, BinOp::Ge), enforced(high, BinOp::Le)];
+    if dropped == [None, None] {
         return pred.clone();
-    };
-    let e = &low.expr;
-    let bounds_by_e = |c: &&Expr| match c {
-        Expr::Binary { left, op, right } if op.is_comparison() => {
-            (matches!(**left, Expr::Column(_)) && **right == *e)
-                || (matches!(**right, Expr::Column(_)) && **left == *e)
-        }
-        _ => false,
-    };
-    let conjuncts = p.split_conjuncts();
-    let mut bounding = conjuncts.iter().copied().filter(bounds_by_e);
-    let point = low.inclusive && high.inclusive && high.expr == *e;
-    match (bounding.next(), bounding.next()) {
-        (Some(eq @ Expr::Binary { op: BinOp::Eq, .. }), None) if point => Expr::conjunction(
-            conjuncts
-                .into_iter()
-                .filter(|c| !std::ptr::eq(*c, eq))
-                .cloned(),
-        ),
-        _ => pred.clone(),
     }
+    let kept = conjuncts.iter().filter(|&&c| !dropped.iter().flatten().any(|&d| std::ptr::eq(c, d)));
+    Expr::conjunction(kept.map(|&c| c.clone()))
 }
 
 fn compile_opt(
@@ -955,7 +959,7 @@ fn compile_plan(plan: &PhysicalPlan, slots: &mut ParamSlots) -> Result<CompiledP
             cols: None,
             low: compile_bound(low, slots)?,
             high: compile_bound(high, slots)?,
-            predicate: compile_opt(&seek_residual(predicate, low, high), schema, slots)?,
+            predicate: compile_opt(&seek_residual(predicate, schema, low, high), schema, slots)?,
         },
 
         PhysicalPlan::IndexSeek {

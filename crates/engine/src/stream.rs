@@ -40,18 +40,17 @@
 //! makes the zero-copy contract observable: read-only plans report **zero**
 //! cloned rows on this path (pinned by the clone-budget tests).
 
-use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
 use mtc_sql::{JoinKind, Prepared};
 use mtc_storage::{Database, Index, Rows, Table};
 use mtc_types::batch::HASH_SEED;
-use mtc_types::{Error, Result, Row, RowBatch, RowBatchBuilder, Value};
+use mtc_types::{ColumnVec, Error, Result, Row, RowBatch, RowBatchBuilder, Value};
 
 use crate::compile::{
     CompiledAgg, CompiledBound, CompiledExpr, CompiledPlan, CompiledQuery, CompiledSortKey,
-    EvalEnv, ValueSource,
+    EvalEnv,
 };
 use crate::eval::Bindings;
 use crate::exec::{
@@ -59,7 +58,7 @@ use crate::exec::{
 };
 use crate::optimizer::cost::CostModel;
 use crate::vector::{
-    eval_filter_sel, eval_project_col, BatchRowSrc, JoinSrc, PreHashedBuild, Side,
+    eval_filter_sel, eval_project_col, BatchRowSrc, JoinSrc, KeyIndex, Side,
 };
 
 /// Rows per batch. Large enough to amortize per-batch dispatch to nothing,
@@ -397,7 +396,8 @@ fn build_op<'e>(
         CompiledPlan::Distinct { input } => Box::new(DistinctStream {
             input: build(input, cx, m)?,
             kept: Vec::new(),
-            lookup: HashMap::default(),
+            seen: Vec::new(),
+            lookup: KeyIndex::default(),
         }),
 
         CompiledPlan::UnionAll { inputs, guards } => Box::new(UnionAllStream {
@@ -597,21 +597,22 @@ fn bound_value(bound: &Option<CompiledBound>, env: EvalEnv<'_>) -> Result<Option
         .transpose()
 }
 
-/// Join keys for hashing; `None` when any key is NULL (never matches).
-fn hash_key_src<S: ValueSource + ?Sized>(
+/// Evaluates `keys` over `batch` column-at-a-time into dense key columns
+/// aligned with its live rows, and folds them into one hash per row: what
+/// a [`KeyIndex`] is keyed by.
+fn hash_keys(
     keys: &[CompiledExpr],
-    src: &S,
+    batch: &RowBatch,
     env: EvalEnv<'_>,
-) -> Result<Option<Vec<Value>>> {
-    let mut out = Vec::with_capacity(keys.len());
+) -> Result<(Vec<Arc<ColumnVec>>, Vec<u64>)> {
+    let mut cols = Vec::with_capacity(keys.len());
+    let mut hs = vec![HASH_SEED; batch.len()];
     for k in keys {
-        let v = k.eval_src(src, env)?;
-        if v.is_null() {
-            return Ok(None);
-        }
-        out.push(v);
+        let col = eval_project_col(k, batch, env)?;
+        col.fold_hash_dense(&mut hs);
+        cols.push(col);
     }
-    Ok(Some(out))
+    Ok((cols, hs))
 }
 
 /// Drains a child into retained batches plus `(batch, physical row)`
@@ -641,6 +642,29 @@ fn drain_batches<'e>(
 /// NULLs for the missing side of an outer join.
 fn nulls(n: usize) -> impl Iterator<Item = Value> {
     std::iter::repeat(Value::Null).take(n)
+}
+
+/// Emits a join's output batch, charging `cpu_per_row` per output row.
+fn join_out(out: RowBatchBuilder, cx: &StreamCtx<'_>, m: &mut ExecMetrics) -> Option<RowBatch> {
+    m.local_work += cx.work.cpu_per_row * out.len() as f64;
+    m.local_rows += out.len() as u64;
+    m.batches += 1;
+    Some(out.finish())
+}
+
+/// A RIGHT or FULL join's last batch: the build rows no probe row matched,
+/// in build order, NULL-extended on the left.
+fn unmatched_build_rows(
+    (left_width, width): (usize, usize),
+    batches: &[RowBatch],
+    handles: &[(u32, u32)],
+    matched: &[bool],
+) -> RowBatchBuilder {
+    let mut out = RowBatchBuilder::with_capacity(width, 0);
+    for (&(bi, rphys), _) in handles.iter().zip(matched).filter(|(_, &m)| !m) {
+        out.push_values(nulls(left_width).chain(batches[bi as usize].values_iter(rphys as usize)));
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -945,8 +969,10 @@ struct DistinctStream<'e> {
     /// (pushed *before* dedup so intra-batch duplicates resolve against
     /// the current batch too).
     kept: Vec<RowBatch>,
-    /// cell-hash → handles of first occurrences with that hash.
-    lookup: HashMap<u64, Vec<(u32, u32)>, PreHashedBuild>,
+    /// First occurrences as `(batch, row)` handles into `kept`, in order;
+    /// `lookup` maps a row's cell hash to indices into this.
+    seen: Vec<(u32, u32)>,
+    lookup: KeyIndex,
 }
 
 impl<'e> BatchStream<'e> for DistinctStream<'e> {
@@ -971,14 +997,15 @@ impl<'e> BatchStream<'e> for DistinctStream<'e> {
                 batch.col(c).fold_hash_at(&idx, &mut hs);
             }
             for (k, &phys) in idx.iter().enumerate() {
-                let entries = self.lookup.entry(hs[k]).or_default();
-                let dup = entries.iter().any(|&(obi, ophys)| {
+                let dup = self.lookup.chain(hs[k]).any(|id| {
+                    let (obi, ophys) = self.seen[id as usize];
                     let ob = &self.kept[obi as usize];
                     (0..batch.width())
                         .all(|c| batch.col(c).cell_eq(phys as usize, ob.col(c), ophys as usize))
                 });
                 if !dup {
-                    entries.push((bi, phys));
+                    self.lookup.insert(hs[k], self.seen.len() as u32);
+                    self.seen.push((bi, phys));
                     firsts.push(phys);
                 }
             }
@@ -1096,10 +1123,7 @@ impl<'e> BatchStream<'e> for NlJoinStream<'e> {
                     out.push_values(lbatch.values_iter(lphys).chain(nulls(self.right_width)));
                 }
             }
-            m.local_work += cx.work.cpu_per_row * out.len() as f64;
-            m.local_rows += out.len() as u64;
-            m.batches += 1;
-            return Ok(Some(out.finish()));
+            return Ok(join_out(out, cx, m));
         }
         // Left side exhausted.
         self.done = true;
@@ -1109,31 +1133,25 @@ impl<'e> BatchStream<'e> for NlJoinStream<'e> {
             m.local_work += cx.work.cpu_per_row * rhandles.len() as f64;
         }
         if matches!(self.kind, JoinKind::Right | JoinKind::Full) {
-            let mut out = RowBatchBuilder::with_capacity(width, 0);
-            for (ri, &(bi, rphys)) in rhandles.iter().enumerate() {
-                if !self.right_matched[ri] {
-                    out.push_values(
-                        nulls(self.left_width)
-                            .chain(rbatches[bi as usize].values_iter(rphys as usize)),
-                    );
-                }
-            }
-            m.local_work += cx.work.cpu_per_row * out.len() as f64;
-            m.local_rows += out.len() as u64;
-            m.batches += 1;
-            return Ok(Some(out.finish()));
+            let widths = (self.left_width, width);
+            let out = unmatched_build_rows(widths, rbatches, rhandles, &self.right_matched);
+            return Ok(join_out(out, cx, m));
         }
         Ok(None)
     }
 }
 
-/// Hash-join build side: retained batches, row handles, and the key table
-/// mapping join keys to **global handle indices** (ascending, so probe
-/// output follows build-side order within a key).
+/// Hash-join build side: retained batches and row handles. A build row's
+/// id is its index in `handles`; `index` chains the ids of the rows whose
+/// key holds no NULL (a NULL key never matches) in ascending order, so
+/// probe output follows build-side order within a key.
 struct BuiltSide {
     batches: Vec<RowBatch>,
     handles: Vec<(u32, u32)>,
-    table: HashMap<Vec<Value>, Vec<usize>>,
+    /// Per batch: its key columns (dense over its live rows) and the id of
+    /// its first live row.
+    keys: Vec<(Vec<Arc<ColumnVec>>, u32)>,
+    index: KeyIndex,
 }
 
 struct HashJoinStream<'e> {
@@ -1163,20 +1181,24 @@ impl<'e> BatchStream<'e> for HashJoinStream<'e> {
             let (batches, handles) = drain_batches(&mut self.right, cx, m)?;
             m.local_work += cx.work.hash_per_row * handles.len() as f64;
             self.right_matched = vec![false; handles.len()];
-            let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-            for (i, &(bi, phys)) in handles.iter().enumerate() {
-                let src = BatchRowSrc {
-                    batch: &batches[bi as usize],
-                    row: phys as usize,
-                };
-                if let Some(key) = hash_key_src(self.right_keys, &src, cx.env)? {
-                    table.entry(key).or_default().push(i);
+            let mut index = KeyIndex::with_capacity(handles.len());
+            let mut keys = Vec::with_capacity(batches.len());
+            let mut first = 0u32;
+            for batch in &batches {
+                let (cols, hs) = hash_keys(self.right_keys, batch, cx.env)?;
+                for (d, &h) in hs.iter().enumerate() {
+                    if !cols.iter().any(|c| c.is_null(d)) {
+                        index.insert(h, first + d as u32);
+                    }
                 }
+                keys.push((cols, first));
+                first += batch.len() as u32;
             }
             self.built = Some(BuiltSide {
                 batches,
                 handles,
-                table,
+                keys,
+                index,
             });
         }
         let width = self.left_width + self.right_width;
@@ -1184,66 +1206,50 @@ impl<'e> BatchStream<'e> for HashJoinStream<'e> {
             let built = self.built.as_ref().expect("build side materialized");
             m.local_work += cx.work.hash_per_row * lbatch.len() as f64;
             let mut out = RowBatchBuilder::with_capacity(width, lbatch.len());
-            for lphys in lbatch.live() {
+            let (lkeys, hs) = hash_keys(self.left_keys, &lbatch, cx.env)?;
+            for (d, lphys) in lbatch.live().enumerate() {
                 let mut matched = false;
-                let lsrc = BatchRowSrc {
-                    batch: &lbatch,
-                    row: lphys,
-                };
-                if let Some(key) = hash_key_src(self.left_keys, &lsrc, cx.env)? {
-                    if let Some(entries) = built.table.get(&key) {
-                        for &ri in entries {
-                            let (bi, rphys) = built.handles[ri];
-                            let rbatch = &built.batches[bi as usize];
-                            let ok = match self.residual {
-                                None => true,
-                                Some(p) => {
-                                    let src = JoinSrc {
-                                        left: Side::Batch(&lbatch, lphys),
-                                        left_width: self.left_width,
-                                        right: Side::Batch(rbatch, rphys as usize),
-                                    };
-                                    p.eval_predicate_src(&src, cx.env)? == Some(true)
-                                }
-                            };
-                            if ok {
-                                matched = true;
-                                self.right_matched[ri] = true;
-                                out.push_values(
-                                    lbatch
-                                        .values_iter(lphys)
-                                        .chain(rbatch.values_iter(rphys as usize)),
-                                );
+                // No build key is NULL, so a NULL probe key equals none.
+                for ri in built.index.chain(hs[d]) {
+                    let (bi, rphys) = built.handles[ri as usize];
+                    let (rkeys, first) = &built.keys[bi as usize];
+                    let rd = (ri - first) as usize;
+                    let rbatch = &built.batches[bi as usize];
+                    let ok = lkeys.iter().zip(rkeys).all(|(l, r)| l.cell_eq(d, r, rd))
+                        && match self.residual {
+                            None => true,
+                            Some(p) => {
+                                let src = JoinSrc {
+                                    left: Side::Batch(&lbatch, lphys),
+                                    left_width: self.left_width,
+                                    right: Side::Batch(rbatch, rphys as usize),
+                                };
+                                p.eval_predicate_src(&src, cx.env)? == Some(true)
                             }
-                        }
+                        };
+                    if ok {
+                        matched = true;
+                        self.right_matched[ri as usize] = true;
+                        out.push_values(
+                            lbatch
+                                .values_iter(lphys)
+                                .chain(rbatch.values_iter(rphys as usize)),
+                        );
                     }
                 }
                 if !matched && matches!(self.kind, JoinKind::Left | JoinKind::Full) {
                     out.push_values(lbatch.values_iter(lphys).chain(nulls(self.right_width)));
                 }
             }
-            m.local_work += cx.work.cpu_per_row * out.len() as f64;
-            m.local_rows += out.len() as u64;
-            m.batches += 1;
-            return Ok(Some(out.finish()));
+            return Ok(join_out(out, cx, m));
         }
         // Probe side exhausted.
         self.done = true;
         if matches!(self.kind, JoinKind::Right | JoinKind::Full) {
             let built = self.built.as_ref().expect("build side materialized");
-            let mut out = RowBatchBuilder::with_capacity(width, 0);
-            for (ri, &(bi, rphys)) in built.handles.iter().enumerate() {
-                if !self.right_matched[ri] {
-                    out.push_values(
-                        nulls(self.left_width)
-                            .chain(built.batches[bi as usize].values_iter(rphys as usize)),
-                    );
-                }
-            }
-            m.local_work += cx.work.cpu_per_row * out.len() as f64;
-            m.local_rows += out.len() as u64;
-            m.batches += 1;
-            return Ok(Some(out.finish()));
+            let widths = (self.left_width, width);
+            let out = unmatched_build_rows(widths, &built.batches, &built.handles, &self.right_matched);
+            return Ok(join_out(out, cx, m));
         }
         Ok(None)
     }
@@ -1358,10 +1364,9 @@ impl<'e> BatchStream<'e> for IndexNlJoinStream<'e> {
 /// Incremental group-by state shared by the serial aggregation paths.
 ///
 /// Groups live in insertion-order vectors (`keys[g]`/`states[g]`); the
-/// lookup side is a vectorized cell-hash → group-id table (hashes folded
-/// column-at-a-time, looked up through the identity hasher), so the common
-/// per-row path allocates nothing — a key `Vec<Value>` is materialized only
-/// when a *new* group appears.
+/// lookup side is a [`KeyIndex`] from key hash (folded column-at-a-time)
+/// to group ids, so the common per-row path allocates nothing — a key
+/// `Vec<Value>` is materialized only when a *new* group appears.
 struct GroupBuild<'e> {
     group_by: &'e [CompiledExpr],
     aggs: &'e [CompiledAgg],
@@ -1369,8 +1374,8 @@ struct GroupBuild<'e> {
     keys: Vec<Vec<Value>>,
     /// Aggregate states, parallel to `keys`.
     states: Vec<Vec<AggState>>,
-    /// key-hash → group ids with that hash (collision chain).
-    lookup: HashMap<u64, Vec<u32>, PreHashedBuild>,
+    /// key-hash → group ids with that hash.
+    lookup: KeyIndex,
     n_in: u64,
 }
 
@@ -1381,7 +1386,7 @@ impl<'e> GroupBuild<'e> {
             aggs,
             keys: Vec::new(),
             states: Vec::new(),
-            lookup: HashMap::default(),
+            lookup: KeyIndex::default(),
             n_in: 0,
         }
     }
@@ -1395,10 +1400,7 @@ impl<'e> GroupBuild<'e> {
             return Ok(());
         }
         self.n_in += n as u64;
-        let mut kcols = Vec::with_capacity(self.group_by.len());
-        for g in self.group_by {
-            kcols.push(eval_project_col(g, batch, env)?);
-        }
+        let (kcols, hs) = hash_keys(self.group_by, batch, env)?;
         let mut acols = Vec::with_capacity(self.aggs.len());
         for a in self.aggs {
             acols.push(match &a.arg {
@@ -1406,14 +1408,8 @@ impl<'e> GroupBuild<'e> {
                 None => None,
             });
         }
-        // Key hashes fold column-at-a-time over the dense key columns.
-        let mut hs = vec![HASH_SEED; n];
-        for kc in &kcols {
-            kc.fold_hash_dense(&mut hs);
-        }
         for d in 0..n {
-            let ids = self.lookup.entry(hs[d]).or_default();
-            let found = ids.iter().copied().find(|&g| {
+            let found = self.lookup.chain(hs[d]).find(|&g| {
                 kcols
                     .iter()
                     .zip(&self.keys[g as usize])
@@ -1430,7 +1426,7 @@ impl<'e> GroupBuild<'e> {
                             .map(|a| AggState::from_parts(a.func, a.distinct))
                             .collect(),
                     );
-                    ids.push(g as u32);
+                    self.lookup.insert(hs[d], g as u32);
                     g
                 }
             };

@@ -16,13 +16,12 @@
 //! * [`BatchRowSrc`] / [`JoinSrc`] — [`ValueSource`] adapters that let the
 //!   compiled evaluator read cells straight out of batches (and
 //!   batch-pairs, for join predicates) without building a `Row`.
-//! * [`PreHashedBuild`] (from `mtc_util::lru`) — the identity hasher of
-//!   the executor's *internal* hash tables (DISTINCT, hash aggregation),
-//!   which are keyed by `u64` cell hashes computed column-at-a-time by
+//! * [`KeyIndex`] — the one keyed table of the hash join, hash aggregation
+//!   and DISTINCT, keyed by `u64` cell hashes computed column-at-a-time by
 //!   [`mtc_types::batch`]'s `fold_hash_*` kernels (a full FNV-style mix
-//!   per cell, so hashing again would only add cost). Only same-key →
-//!   same-bucket matters there; result order is tracked by first-seen
-//!   indices, so the hasher never affects output.
+//!   per cell, so its `PreHashedBuild` identity hasher does not hash
+//!   again). Only same-key → same-chain matters; a chain keeps insertion
+//!   order, so the hasher never affects output.
 //!
 //! Semantics match the row-at-a-time path bit-for-bit on results. Two
 //! deliberate divergences exist for *error/evaluation order* only (pinned
@@ -32,15 +31,56 @@
 //! than strict row-major order would pick.
 
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mtc_sql::BinOp;
-pub(crate) use mtc_util::lru::PreHashedBuild;
+use mtc_util::lru::PreHashedBuild;
 
 use mtc_types::{ColBuilder, ColData, ColumnVec, Result, Row, RowBatch, Text, Value};
 
 use crate::compile::{CompiledExpr, EvalEnv, ValueSource};
 use crate::eval::truth;
+
+// ---------------------------------------------------------------------------
+// Keyed table
+// ---------------------------------------------------------------------------
+
+/// The executor's one keyed table (hash join build side, GROUP BY groups,
+/// DISTINCT first occurrences): a folded key hash → the chain of ids
+/// inserted under it, in insertion order, linked through one vector
+/// indexed by id, so nothing is allocated per key. A chain holds every id
+/// whose key *hashes* alike: the caller confirms each candidate.
+#[derive(Default)]
+pub(crate) struct KeyIndex {
+    /// hash → (first, last) id of its chain.
+    ends: HashMap<u64, (u32, u32), PreHashedBuild>,
+    /// `next[id]`: the id after `id` in its chain, or `u32::MAX`.
+    next: Vec<u32>,
+}
+
+impl KeyIndex {
+    pub(crate) fn with_capacity(n: usize) -> KeyIndex {
+        let ends = HashMap::with_capacity_and_hasher(n, PreHashedBuild::default());
+        KeyIndex { ends, next: Vec::with_capacity(n) }
+    }
+
+    /// Appends `id`, inserted once, to `hash`'s chain.
+    pub(crate) fn insert(&mut self, hash: u64, id: u32) {
+        self.next.resize(self.next.len().max(id as usize + 1), u32::MAX);
+        let (_, last) = self.ends.entry(hash).or_insert((id, id));
+        if *last != id {
+            self.next[*last as usize] = id;
+            *last = id;
+        }
+    }
+
+    /// The ids inserted under `hash`, in insertion order.
+    pub(crate) fn chain(&self, hash: u64) -> impl Iterator<Item = u32> + '_ {
+        let first = self.ends.get(&hash).map(|&(first, _)| first);
+        std::iter::successors(first, |&id| Some(self.next[id as usize]).filter(|&n| n != u32::MAX))
+    }
+}
 
 // ---------------------------------------------------------------------------
 // ValueSource adapters
@@ -527,6 +567,30 @@ mod tests {
             right: Side::Values(&vals),
         };
         assert_eq!(src2.value_at(2), Value::Bool(true));
+    }
+
+    #[test]
+    fn key_index_chains_colliding_ids_in_order_and_equality_decides() {
+        // Two different keys forced onto one hash: the chain keeps both, in
+        // insertion order, and the cell comparison picks the match.
+        let build = RowBatch::from_rows(vec![row![7], row![9], row![7]], 1);
+        let mut index = KeyIndex::default();
+        for id in [1, 0] {
+            index.insert(42, id);
+        }
+        index.insert(5, 2);
+        assert_eq!(index.chain(42).collect::<Vec<_>>(), [1, 0]);
+        assert_eq!(index.chain(5).collect::<Vec<_>>(), [2]);
+        assert_eq!(index.chain(6).count(), 0);
+        let probe = RowBatch::from_rows(vec![row![7.0], row![9]], 1);
+        let matching = |d: usize| {
+            index
+                .chain(42)
+                .filter(|&id| probe.col(0).cell_eq(d, build.col(0), id as usize))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(matching(0), [0], "7.0 = 7");
+        assert_eq!(matching(1), [1]);
     }
 
     #[test]

@@ -236,4 +236,19 @@ cargo test -q --test transparency --test pruned_leaves --test plan_cache_semanti
 echo "==> cargo test -q --test warm_read_allocs (a warm read allocates its answer and little else)"
 cargo test -q --test warm_read_allocs
 
+# Hash joins hash the way GROUP BY and DISTINCT do, pinned by a counter and
+# by answers: a warm cv_item x cv_author hash join on TPC-W tiny makes at
+# most 70 allocations (a key built per build and probe row made 207); an
+# inclusive range seek builds only the column it returns, its `>=` and `<=`
+# not re-checked (11 cells for 11 rows, not 22), while a seek with no low
+# bound keeps its `<=` on a nullable key, whose NULL ranks first; and every
+# join kind over NULL keys on both sides, an INT key against integral
+# FLOATs, duplicate build keys, a two-column key and a non-equi residual
+# answers as the oracle does, ordered and in the join's own order. A join
+# that builds a key per row, a seek that re-checks its own bounds or
+# returns a NULL key, or a keyed table that loses build order or matches a
+# NULL key fails here, on any machine, without a timer.
+echo "==> cargo test -q --test warm_read_allocs --test pruned_leaves --test equivalence_prop -- hash_join range_seek nullable_key (one keyed table; a range seek trusts its bounds)"
+cargo test -q --test warm_read_allocs --test pruned_leaves --test equivalence_prop -- hash_join range_seek nullable_key
+
 echo "verify: OK"

@@ -316,24 +316,37 @@ fn aggregates_agree() {
 // index order for index seeks, right-unmatched rows last.
 // ---------------------------------------------------------------------------
 
+/// `v` as SQL, or `NULL` where `keep` is false.
+fn or_null(keep: bool, v: impl std::fmt::Display) -> String {
+    if keep {
+        v.to_string()
+    } else {
+        "NULL".to_string()
+    }
+}
+
 /// Smaller two-table database for executor-level shape tests: `t` as in
-/// [`setup`] but 600 rows, plus `u (uid PK, t_grp, label)` whose `t_grp`
-/// values cover only some of `t.grp` (and include values `t` lacks), so
-/// outer joins exercise null extension in both directions.
+/// [`setup`] but 600 rows (`grp` NULL on every 31st), plus
+/// `u (uid PK, t_grp, label, f_grp, tag)` whose `t_grp` values cover only
+/// some of `t.grp` (and include values `t` lacks), so outer joins exercise
+/// null extension in both directions. Every join column of `u` holds
+/// NULLs and repeats; `f_grp` is a FLOAT of integral values and `tag`
+/// takes some of `t.name`'s values.
 fn join_db() -> Arc<BackendServer> {
     let backend = BackendServer::new("exec");
     backend
         .run_script(
             "CREATE TABLE t (id INT NOT NULL PRIMARY KEY, grp INT, val FLOAT, name VARCHAR);
              CREATE INDEX ix_t_grp ON t (grp);
-             CREATE TABLE u (uid INT NOT NULL PRIMARY KEY, t_grp INT, label VARCHAR);",
+             CREATE TABLE u (uid INT NOT NULL PRIMARY KEY, t_grp INT, label VARCHAR, \
+                             f_grp FLOAT, tag VARCHAR);",
         )
         .unwrap();
     let rows: Vec<String> = (1..=600i64)
         .map(|i| {
             format!(
                 "INSERT INTO t VALUES ({i}, {}, {}.5, 'name{}')",
-                i % 17,
+                or_null(i % 31 != 7, i % 17),
                 i % 83,
                 i % 29
             )
@@ -341,7 +354,15 @@ fn join_db() -> Arc<BackendServer> {
         .collect();
     backend.run_script(&rows.join(";")).unwrap();
     let urows: Vec<String> = (0..40i64)
-        .map(|i| format!("INSERT INTO u VALUES ({i}, {}, 'label{}')", i % 23, i % 7))
+        .map(|i| {
+            format!(
+                "INSERT INTO u VALUES ({i}, {}, 'label{}', {}, {})",
+                or_null(i % 11 != 10, i % 23),
+                i % 7,
+                or_null(i % 13 != 5, format!("{}.0", i % 19)),
+                or_null(i % 7 != 3, format!("'name{}'", i % 5)),
+            )
+        })
         .collect();
     backend.run_script(&urows.join(";")).unwrap();
     backend.analyze();
@@ -386,6 +407,32 @@ fn assert_equivalent(sql: &str, streamed: &QueryResult, reference: &QueryResult)
     );
 }
 
+const JOIN_KINDS: [&str; 4] = ["INNER", "LEFT", "RIGHT", "FULL"];
+
+/// Hash-join conditions over [`join_db`], each with NULL keys on both sides
+/// and duplicate build keys: an INT key, an INT key against a FLOAT column
+/// holding integral values (`1 = 1.0` matches), a two-column key, and a key
+/// with a non-equi residual.
+const JOIN_ONS: [&str; 4] = [
+    "t.grp = u.t_grp",
+    "t.grp = u.f_grp",
+    "t.grp = u.t_grp AND t.name = u.tag",
+    "t.grp = u.t_grp AND t.id > u.uid",
+];
+
+/// `t {kind} JOIN u ON {on}`, ordered by both keys or in the join's own
+/// order: probe rows in order, each one's matches in build order, unmatched
+/// build rows last.
+fn join_shape(kind: &str, on: &str, ordered: bool) -> String {
+    let order = if ordered { " ORDER BY t.id ASC, u.uid ASC" } else { "" };
+    format!("SELECT t.id, t.grp, u.uid, u.f_grp FROM t {kind} JOIN u ON {on}{order}")
+}
+
+fn gen_join_shape(rng: &mut StdRng, ordered: bool) -> String {
+    let kind = *rng.choose(&JOIN_KINDS).unwrap();
+    join_shape(kind, rng.choose(&JOIN_ONS).unwrap(), ordered)
+}
+
 /// A randomized query spanning every shape the executor supports: inner and
 /// outer joins, GROUP BY aggregates with HAVING, TOP, DISTINCT, and
 /// CASE/scalar-function projections.
@@ -393,7 +440,7 @@ fn gen_shape(rng: &mut StdRng) -> String {
     let bound = rng.gen_range(0i64..700);
     let grp = rng.gen_range(0i64..17);
     let top = rng.gen_range(1i64..40);
-    match rng.gen_range(0u64..8) {
+    match rng.gen_range(0u64..9) {
         0 => format!(
             "SELECT t.id, t.grp, u.label FROM t INNER JOIN u ON t.grp = u.t_grp \
              WHERE t.id <= {bound} ORDER BY t.id ASC, u.label ASC"
@@ -416,6 +463,7 @@ fn gen_shape(rng: &mut StdRng) -> String {
         ),
         5 => format!("SELECT TOP {top} id, val FROM t WHERE grp = {grp} ORDER BY id DESC"),
         6 => format!("SELECT DISTINCT grp, name FROM t WHERE id <= {bound} ORDER BY grp ASC, name ASC"),
+        7 => gen_join_shape(rng, true),
         _ => format!(
             "SELECT id, CASE WHEN grp < {grp} THEN UPPER(name) ELSE name END AS tag \
              FROM t WHERE id <= {bound} ORDER BY id ASC"
@@ -447,7 +495,7 @@ fn gen_unordered_shape(rng: &mut StdRng) -> String {
     let bound = rng.gen_range(2i64..700);
     let grp = rng.gen_range(0i64..17);
     let top = rng.gen_range(1i64..40);
-    match rng.gen_range(0u64..6) {
+    match rng.gen_range(0u64..7) {
         0 => format!(
             "SELECT grp, COUNT(*) AS n, SUM(val) AS s, MAX(name) AS hi FROM t \
              WHERE id <= {bound} GROUP BY grp"
@@ -465,6 +513,7 @@ fn gen_unordered_shape(rng: &mut StdRng) -> String {
             "SELECT u.label, COUNT(*) AS n FROM t INNER JOIN u ON t.grp = u.t_grp \
              WHERE t.id <= {bound} GROUP BY u.label"
         ),
+        5 => gen_join_shape(rng, false),
         _ => "SELECT t.id, u.uid FROM t FULL JOIN u ON t.grp = u.t_grp".to_string(),
     }
 }
@@ -483,6 +532,33 @@ fn streaming_matches_oracle_row_order_without_order_by() {
             assert_equivalent(sql, &streamed, &reference);
         },
     );
+}
+
+/// Every join kind × every join condition of [`JOIN_ONS`], ordered and in
+/// the join's own order, planned as a hash join and answered as the oracle
+/// answers it.
+#[test]
+fn hash_joins_match_the_oracle_on_every_kind_and_key() {
+    let backend = join_db();
+    let db = backend.db.read();
+    let params = Bindings::new();
+    for kind in JOIN_KINDS {
+        for on in JOIN_ONS {
+            for ordered in [true, false] {
+                let sql = join_shape(kind, on, ordered);
+                let Statement::Select(sel) = parse_statement(&sql).unwrap() else {
+                    unreachable!("a SELECT")
+                };
+                let opt = optimize(bind_select(&sel, &db).unwrap(), &db, &OptimizerOptions::default());
+                let plan = opt.unwrap().physical.explain();
+                assert!(plan.contains("HashJoin"), "{sql}\n{plan}");
+                let (streamed, reference) = both_ways(&db, &sql, &params, None);
+                assert_equivalent(&sql, &streamed, &reference);
+                let matched = |r: &Row| !r[0].is_null() && !r[2].is_null();
+                assert!(streamed.rows.iter().any(matched), "no row matched: {sql}");
+            }
+        }
+    }
 }
 
 #[test]
@@ -1021,8 +1097,9 @@ fn pruned_leaves_agree_across_random_shapes() {
 
 // ---------------------------------------------------------------------------
 // Exact seeks: a seek returns exactly the rows its bounds select, found by
-// one descent and a gallop to the high end, and a clustered point seek's
-// key equality is not re-checked. Held against filtered full scans.
+// one descent and a gallop to the high end, and a clustered seek does not
+// re-check the comparisons its inclusive bounds enforce. Held against
+// filtered full scans.
 // ---------------------------------------------------------------------------
 
 /// `s (id PK, k, v)` with an index on `k`: ids are the even numbers 2..=600
@@ -1179,4 +1256,41 @@ fn seeks_return_exactly_the_rows_their_bounds_select() {
     );
     // Both access paths were exercised, not just the scans around them.
     assert!(seeks.iter().all(|&n| n >= 20), "seeks planned: {seeks:?}");
+}
+
+/// A `PRIMARY KEY` without `NOT NULL` may hold a NULL key, which ranks
+/// first: a seek with no low bound reads it, so its `<=` must be re-checked
+/// (`id <= 5` is not true of a NULL id). Held against the oracle, and
+/// through a backend connection as a client sends it.
+#[test]
+fn a_seek_without_a_low_bound_rechecks_a_nullable_key() {
+    let backend = BackendServer::new("nullable_key");
+    backend
+        .run_script("CREATE TABLE n (id INT PRIMARY KEY, v INT); INSERT INTO n VALUES (NULL, 0)")
+        .unwrap();
+    let rows: Vec<String> = (1..=10).map(|i| format!("INSERT INTO n VALUES ({i}, {i})")).collect();
+    backend.run_script(&rows.join(";")).unwrap();
+    backend.analyze();
+    let params = Connection::params(&[("lo", Value::Int(2)), ("hi", Value::Int(5))]);
+    let cases = [
+        ("SELECT id, v FROM n WHERE id <= 5", 5),
+        ("SELECT id, v FROM n WHERE id <= @hi", 5),
+        ("SELECT id, v FROM n WHERE id >= @lo", 9),
+        ("SELECT id, v FROM n WHERE id >= @lo AND id <= @hi", 4),
+    ];
+    let db = backend.db.read();
+    for (sql, want) in cases {
+        let Statement::Select(sel) = parse_statement(sql).unwrap() else {
+            unreachable!("a SELECT")
+        };
+        let opt = optimize(bind_select(&sel, &db).unwrap(), &db, &OptimizerOptions::default());
+        let plan = opt.unwrap().physical.explain();
+        assert!(plan.contains("ClusteredSeek"), "{sql}\n{plan}");
+        let (streamed, reference) = both_ways(&db, sql, &params, None);
+        assert_equivalent(sql, &streamed, &reference);
+        assert_eq!(streamed.rows.len(), want, "{sql}\n{plan}");
+    }
+    drop(db);
+    let got = Connection::connect(backend.clone()).query("SELECT id FROM n WHERE id <= 5").unwrap();
+    assert_eq!(got.rows.len(), 5, "{:?}", got.rows);
 }

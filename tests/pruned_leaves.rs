@@ -7,7 +7,8 @@
 //! columns) through a view-matched `Project(Project(ClusteredSeek))`; the
 //! compiled plan folds the two projections and prunes the seek to the
 //! columns the statement returns plus those its residual re-checks (a
-//! clustered point seek's key equality is not re-checked).
+//! clustered seek's key equality, and a comparison its inclusive bound
+//! enforces, are not re-checked).
 
 use std::sync::Arc;
 
@@ -127,6 +128,23 @@ fn a_subject_search_index_seek_builds_its_projected_and_residual_columns() {
     assert_eq!(r.metrics.cells_built, matching * 5);
 }
 
+/// An inclusive range seek enforces its own bounds: `i_id >= @lo AND
+/// i_id <= @hi` touches the 11 rows of the range and builds i_title alone,
+/// not i_id to re-check either comparison.
+#[test]
+fn an_inclusive_range_seek_does_not_recheck_its_bounds() {
+    let (_backend, cache) = tpcw();
+    let conn = Connection::connect(cache);
+    let r = warm(
+        &conn,
+        "SELECT i_title FROM item WHERE i_id >= @lo AND i_id <= @hi",
+        &params(&[("lo", 10), ("hi", 20)]),
+    );
+    assert_eq!(r.rows.len(), 11);
+    assert_eq!(r.metrics.remote_calls, 0);
+    assert_eq!(r.metrics.cells_built, 11);
+}
+
 /// `i_id BETWEEN @lo AND @hi` is `i_id >= @lo AND i_id <= @hi`: the
 /// clustered seek is bounded on both sides, so it touches the 11 rows of
 /// the range, not every row from `@lo` to the end of `cv_item`.
@@ -140,7 +158,8 @@ fn a_between_seek_builds_what_its_comparisons_build() {
     assert_eq!(between.rows, compared.rows);
     assert_eq!(between.rows.len(), 11);
     assert_eq!(between.metrics.remote_calls, 0);
-    // 11 touched rows × (i_title projected, i_id re-checked).
-    assert_eq!(compared.metrics.cells_built, 11 * 2);
+    // 11 touched rows × i_title projected: the seek's inclusive bounds
+    // enforce both comparisons, so i_id is not re-checked.
+    assert_eq!(compared.metrics.cells_built, 11);
     assert_eq!(between.metrics.cells_built, compared.metrics.cells_built);
 }

@@ -7,7 +7,8 @@
 //! result batch and the rows it returns; setting the read up — the
 //! statement, plan and result-cache probes, the seek bounds, the parameter
 //! slots, the operators' scratch — allocates nothing that a budget here
-//! would not catch growing back.
+//! would not catch growing back. A warm local hash join allocates per
+//! batch, not per row: no key is built for a build or a probe row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -119,4 +120,26 @@ fn a_warm_customer_l1_hit_allocates_its_answer_and_little_else() {
     let n = warm_allocations(&conn, CUSTOMER_POINT, 42);
     assert!(cache.result_cache.stats().hits > hits, "served from L1");
     assert!(n <= 4, "a warm customer L1 hit made {n} allocations");
+}
+
+/// A warm local hash join of `cv_item` with `cv_author` (100 items on
+/// tiny): its key table is keyed by column-folded hashes with chain links
+/// in one vector, so neither side builds a key per row.
+#[test]
+fn a_warm_local_hash_join_builds_no_key_per_row() {
+    let cache = tpcw();
+    let conn = Connection::connect(cache);
+    let sql = "SELECT COUNT(*) FROM item, author WHERE i_a_id = a_id";
+    let plan = conn.explain(sql).unwrap();
+    assert!(plan.contains("HashJoin"), "{plan}");
+    let n = (0..4)
+        .map(|_| {
+            let (result, n) = allocations(|| conn.query(sql));
+            assert_eq!(result.unwrap().rows[0][0], Value::Int(100), "{sql}");
+            n
+        })
+        .min()
+        .unwrap();
+    // 62 when pinned; a `Vec<Value>` key per build and probe row made 207.
+    assert!(n <= 70, "a warm item-author hash join made {n} allocations");
 }
